@@ -18,7 +18,10 @@ types **bitwise**:
 * numpy arrays (via the npz container itself),
 * :class:`~repro.lut.table.NDTable` (axes + value grid),
 * the characterized model dataclasses (``SISCSM``, ``BaselineMISCSM``,
-  ``MCSM``) and :class:`~repro.characterization.nldm.NLDMTable`.
+  ``MCSM``) and :class:`~repro.characterization.nldm.NLDMTable`,
+* :class:`~repro.sta.engine.NLDMTimingResult` in a columnar form
+  (``"nldm-columns"``: name lists plus arrival/slew/direction arrays); the
+  older per-event ``"object"`` manifests still decode.
 
 Floats embedded in the manifest are rendered with ``repr`` (Python's
 shortest round-tripping form), so a cache hit returns exactly the value the
@@ -97,6 +100,12 @@ def _is_level_tensor(value: Any) -> bool:
     return isinstance(value, LevelTensor)
 
 
+def _is_nldm_result(value: Any) -> bool:
+    from ..sta.engine import NLDMTimingResult
+
+    return isinstance(value, NLDMTimingResult)
+
+
 def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
     # Numpy scalars first: np.float64 subclasses float, and repr() of the
     # subclass ('np.float64(…)') would not round-trip through float().
@@ -145,6 +154,10 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
             "t0": _encode(value.t0, arrays),
             "dt": _encode(value.dt, arrays),
         }
+    if _is_nldm_result(value):
+        columns = _encode_nldm_columns(value, arrays)
+        if columns is not None:
+            return columns
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls_name = type(value).__name__
         if cls_name not in _registered_classes():
@@ -160,6 +173,91 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
             },
         }
     raise TypeError(f"cannot cache values of type {type(value).__name__!r}")
+
+
+def _encode_nldm_columns(value: Any, arrays: Dict[str, np.ndarray]) -> Optional[Dict[str, Any]]:
+    """Columnar form of an ``NLDMTimingResult``: name lists plus one
+    ``float64`` array each for arrivals and slews and a ``bool`` array for
+    directions, so a whole-design event map costs a few arrays instead of a
+    manifest object per event.
+
+    Returns ``None`` (the caller falls back to the generic ``"object"`` form)
+    for anything the columns could not give back bitwise: non-string names,
+    non-float times, non-bool directions or MIS entries that are not lists
+    of string pin pairs.
+    """
+    from ..sta.events import TimingEvent
+
+    events = value.events
+    if not isinstance(events, dict) or not isinstance(value.mis_flags, dict):
+        return None
+    if not isinstance(value.netlist_name, str):
+        return None
+    for key, event in events.items():
+        if not (
+            isinstance(key, str)
+            and type(event) is TimingEvent
+            and isinstance(event.net, str)
+            and isinstance(event.arrival, (float, np.floating))
+            and isinstance(event.slew, (float, np.floating))
+            and isinstance(event.rising, (bool, np.bool_))
+        ):
+            return None
+    for name, pairs in value.mis_flags.items():
+        if not (isinstance(name, str) and type(pairs) is list):
+            return None
+        for pair in pairs:
+            if not (
+                type(pair) is tuple
+                and len(pair) == 2
+                and isinstance(pair[0], str)
+                and isinstance(pair[1], str)
+            ):
+                return None
+    keys = list(events)
+    ordered = list(events.values())
+    nets = [event.net for event in ordered]
+    return {
+        "t": "nldm-columns",
+        "keys": keys,
+        # Event nets almost always equal their keys; only spell them out
+        # when they do not.
+        "nets": None if nets == keys else nets,
+        "arrival": _encode(np.array([e.arrival for e in ordered], dtype=np.float64), arrays),
+        "slew": _encode(np.array([e.slew for e in ordered], dtype=np.float64), arrays),
+        "rising": _encode(np.array([e.rising for e in ordered], dtype=np.bool_), arrays),
+        "mis_names": list(value.mis_flags),
+        "mis_pairs": [[list(pair) for pair in pairs] for pairs in value.mis_flags.values()],
+        "netlist_name": value.netlist_name,
+        "stats": _encode(value.stats, arrays),
+    }
+
+
+def _decode_nldm_columns(node: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> Any:
+    from ..sta.engine import NLDMTimingResult
+    from ..sta.events import TimingEvent
+
+    keys = node["keys"]
+    nets = keys if node["nets"] is None else node["nets"]
+    arrivals = _decode(node["arrival"], arrays).tolist()
+    slews = _decode(node["slew"], arrays).tolist()
+    rising = _decode(node["rising"], arrays).tolist()
+    if not len(keys) == len(nets) == len(arrivals) == len(slews) == len(rising):
+        raise ValueError("nldm-columns entry has ragged columns")
+    events = {
+        key: TimingEvent(net=net, arrival=arrival, slew=slew, rising=direction)
+        for key, net, arrival, slew, direction in zip(keys, nets, arrivals, slews, rising)
+    }
+    mis_flags = {
+        name: [tuple(pair) for pair in pairs]
+        for name, pairs in zip(node["mis_names"], node["mis_pairs"])
+    }
+    return NLDMTimingResult(
+        events=events,
+        mis_flags=mis_flags,
+        netlist_name=node["netlist_name"],
+        stats=_decode(node["stats"], arrays),
+    )
 
 
 def _decode(node: Any, arrays: Dict[str, np.ndarray]) -> Any:
@@ -201,6 +299,8 @@ def _decode(node: Any, arrays: Dict[str, np.ndarray]) -> Any:
             _decode(node["t0"], arrays),
             _decode(node["dt"], arrays),
         )
+    if tag == "nldm-columns":
+        return _decode_nldm_columns(node, arrays)
     if tag == "object":
         cls = _registered_classes()[node["cls"]]
         fields = {name: _decode(child, arrays) for name, child in node["fields"].items()}

@@ -42,11 +42,7 @@ from ...sta.generate import (
     primary_input_waveforms,
 )
 from ...sta.models import TimingModelLibrary
-from ...sta.netlist import (
-    GateNetlist,
-    eco_swap_candidate,
-    netlist_fingerprint,
-)
+from ...sta.netlist import GateNetlist, eco_swap_candidate
 from ..jobs import content_hash
 from .protocol import PROTOCOL_VERSION, ServerError, encode_waveform, error_response, ok_response
 from .scheduler import SingleFlight, SingleFlightStore
@@ -303,9 +299,7 @@ class TimingService:
             self.timing_requests += 1
         with record.lock:
             record.requests += 1
-            design_digest = content_hash(
-                "server-netlist", netlist_fingerprint(record.netlist)
-            )
+            design_digest = record.netlist.content_digest("server-netlist")
             revision = record.netlist.revision
         request_key = content_hash(
             "server-timing",
@@ -420,9 +414,7 @@ class TimingService:
             return {
                 "applied": applied,
                 "revision": record.netlist.revision,
-                "design_fingerprint": content_hash(
-                    "server-netlist", netlist_fingerprint(record.netlist)
-                ),
+                "design_fingerprint": record.netlist.content_digest("server-netlist"),
             }
 
     def status(self) -> Dict[str, Any]:
@@ -538,7 +530,7 @@ class TimingService:
                 "bad-request",
             )
         netlist.validate()
-        design_id = content_hash("server-design", netlist_fingerprint(netlist))
+        design_id = netlist.content_digest("server-design")
         with self._lock:
             record = self._designs.get(design_id)
             if record is None:

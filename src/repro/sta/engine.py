@@ -33,7 +33,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Mapping as AbstractMapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -321,7 +321,6 @@ class TimingEngine:
         #: Cache key of the last multi-corner full-run entry (None before the
         #: first cached multi-corner run; handy for targeted eviction).
         self.last_run_key: Optional[str] = None
-        self._netlist_digest_cache: Optional[Tuple[int, str]] = None
         #: Serializes :meth:`run` so one engine instance can be shared by
         #: concurrent callers (the timing server's per-session engines).
         self._run_lock = threading.RLock()
@@ -364,7 +363,6 @@ class TimingEngine:
             return
         self._connectivity = None
         self._levels = None
-        self._netlist_digest_cache = None
         if rebound:
             self.last_stats = None
             self.runs_completed = 0
@@ -420,10 +418,7 @@ class TimingEngine:
 
     def _netlist_digest(self) -> str:
         self._sync_structure()
-        if self._netlist_digest_cache is None:
-            digest = content_hash("sta-netlist", netlist_fingerprint(self.netlist))
-            self._netlist_digest_cache = (self.netlist.revision, digest)
-        return self._netlist_digest_cache[1]
+        return self.netlist.content_digest("sta-netlist")
 
     @property
     def connectivity(self) -> NetConnectivity:
@@ -570,6 +565,20 @@ def create_engine(
     )
 
 
+def _store_items(cache, items: Iterable[Tuple[str, object]]) -> None:
+    """Commit ``(key, value)`` pairs in one ``store_many`` transaction when
+    the store offers it (one lock and one index append), else one by one."""
+    items = list(items)
+    if cache is None or not items:
+        return
+    store_many = getattr(cache, "store_many", None)
+    if store_many is not None:
+        store_many(items)
+    else:
+        for key, value in items:
+            cache.store(key, value)
+
+
 def _validate_memory_mode(memory_mode: str, use_cache: bool, cache) -> None:
     """Shared engine-constructor guard for ``memory_mode=``."""
     if memory_mode not in ("resident", "stream"):
@@ -656,14 +665,21 @@ class NLDMEngine(TimingEngine):
         self._memo.clear()
 
     def _lookup_event(
-        self, key: str, stats: PropagationStats
+        self, key: str, stats: PropagationStats, pending: Mapping[str, Any]
     ) -> Optional[Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]]:
-        """Memo, then disk; counts the provenance on the run's stats."""
+        """Memo, then disk; counts the provenance on the run's stats.
+
+        ``pending`` holds the current level's entries, which are committed
+        to the store only once the level is done.  A same-level duplicate is
+        served (and counted) from there exactly as if the store already held
+        it — looking it up in the store instead would miss, or, under a
+        single-flight store, wait on the run's own open claim.
+        """
         if key in self._memo:
             stats.memo_hits += 1
             return self._memo[key]
         if self.cache is not None:
-            hit, value = self.cache.lookup(key)
+            hit, value = (True, pending[key]) if key in pending else self.cache.lookup(key)
             if hit:
                 try:
                     fields = value["event"]
@@ -738,6 +754,7 @@ class NLDMEngine(TimingEngine):
         mis_flags: Dict[str, List[Tuple[str, str]]] = {}
 
         for level in levels:
+            level_items: Dict[str, Dict[str, Any]] = {}
             for instance in level:
                 cell = self._cell(instance)
                 output_net = instance.connections[cell.output]
@@ -758,7 +775,7 @@ class NLDMEngine(TimingEngine):
                         inputs,
                     )
                     net_keys[output_net] = key
-                    cached = self._lookup_event(key, stats)
+                    cached = self._lookup_event(key, stats, level_items)
                     if cached is not None:
                         fields, pairs = cached
                         mis_flags[instance.name] = list(pairs)
@@ -805,11 +822,9 @@ class NLDMEngine(TimingEngine):
                     else:
                         self._memo[key] = (fields, mis_flags[instance.name])
                     if self.cache is not None:
-                        self.cache.store(
-                            key,
-                            {"event": fields, "mis": mis_flags[instance.name]},
-                        )
+                        level_items[key] = {"event": fields, "mis": mis_flags[instance.name]}
                         stats.stores += 1
+            _store_items(self.cache, level_items.items())
 
         result = NLDMTimingResult(
             events=events,
@@ -881,6 +896,7 @@ class NLDMEngine(TimingEngine):
         }
 
         for level in levels:
+            level_items: Dict[str, Dict[str, Any]] = {}
             for instance in level:
                 cell = self._cell(instance)
                 output_net = instance.connections[cell.output]
@@ -905,7 +921,7 @@ class NLDMEngine(TimingEngine):
                             inputs,
                         )
                         net_keys[name][output_net] = key
-                        cached = self._lookup_event(key, stats)
+                        cached = self._lookup_event(key, stats, level_items)
                         if cached is not None:
                             fields, pairs = cached
                             mis_flags[name][instance.name] = list(pairs)
@@ -954,11 +970,12 @@ class NLDMEngine(TimingEngine):
                         )
                         self._memo[key] = (fields, mis_flags[name][instance.name])
                         if self.cache is not None:
-                            self.cache.store(
-                                key,
-                                {"event": fields, "mis": mis_flags[name][instance.name]},
-                            )
+                            level_items[key] = {
+                                "event": fields,
+                                "mis": mis_flags[name][instance.name],
+                            }
                             stats.stores += 1
+            _store_items(self.cache, level_items.items())
 
         results = {
             name: NLDMTimingResult(
@@ -1323,6 +1340,13 @@ class CSMEngine(TimingEngine):
                 self.last_run_key = run_key
                 hit, value = self.cache.lookup(run_key)
                 if hit:
+                    # The entry holds only the propagated nets; the primary
+                    # inputs are the caller's stimuli, which the run key
+                    # already pins by content.
+                    value.waveforms = {
+                        **{net: wave.renamed(net) for net, wave in input_waveforms.items()},
+                        **value.waveforms,
+                    }
                     stats.full_run_hit = True
                     value.stats = stats.as_dict()
                     self.last_stats = stats
@@ -1389,7 +1413,10 @@ class CSMEngine(TimingEngine):
             stats=stats.as_dict(),
         )
         if run_key is not None:
-            self.cache.store(run_key, result)
+            propagated = {
+                net: wave for net, wave in waveforms.items() if net not in input_waveforms
+            }
+            self.cache.store(run_key, replace(result, waveforms=propagated))
         self.last_stats = stats
         return result
 
@@ -1789,12 +1816,7 @@ class CSMEngine(TimingEngine):
             for r, tplan in enumerate(pending)
         ]
         items.append((level_key, {"keys": keys, "tensor": tensor}))
-        store_many = getattr(self.cache, "store_many", None)
-        if store_many is not None:
-            store_many(items)
-        else:
-            for item_key, item_value in items:
-                self.cache.store(item_key, item_value)
+        _store_items(self.cache, items)
         stats.stores += len(pending)
         self._level_tensors[level_key] = tensor
 
@@ -2019,12 +2041,7 @@ class CSMEngine(TimingEngine):
             for r, tplan in enumerate(pending)
         ]
         items.append((level_key, {"keys": keys, "tensor": tensor}))
-        store_many = getattr(self.cache, "store_many", None)
-        if store_many is not None:
-            store_many(items)
-        else:
-            for item_key, item_value in items:
-                self.cache.store(item_key, item_value)
+        _store_items(self.cache, items)
         stats.stores += len(pending)
         self._pin_level(level_key)
         return level_key
@@ -2544,12 +2561,7 @@ class CSMEngine(TimingEngine):
                 )
                 per_stats[name].stores += 1
         items.append((level_key, {"keys": flat_keys, "tensor": tensor}))
-        store_many = getattr(self.cache, "store_many", None)
-        if store_many is not None:
-            store_many(items)
-        else:
-            for item_key, item_value in items:
-                self.cache.store(item_key, item_value)
+        _store_items(self.cache, items)
         self._level_tensors[level_key] = tensor
 
     def _structural_plan(

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..cells.library import CellLibrary
 from ..exceptions import TimingError
-from ..runtime.jobs import cell_fingerprint
+from ..runtime.jobs import cell_fingerprint, content_hash
 
 __all__ = [
     "GateInstance",
@@ -189,6 +189,10 @@ class GateNetlist:
     revision: int = 0
     _conn_cache: Optional[NetConnectivity] = field(
         default=None, repr=False, compare=False
+    )
+    #: salt -> (revision, library, digest) memo of :meth:`content_digest`.
+    _digest_cache: Dict[str, Tuple[int, CellLibrary, str]] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------
@@ -450,6 +454,26 @@ class GateNetlist:
             cached = NetConnectivity.of(self)
             self._conn_cache = cached
         return cached
+
+    def content_digest(self, salt: str) -> str:
+        """``content_hash(salt, netlist_fingerprint(self))``, memoized.
+
+        Cached per :attr:`revision`, :attr:`library` object and salt the way
+        :meth:`connectivity` is, so every consumer keying on the same
+        revision (the hybrid engine's two sub-engines, a server's ECO reply
+        and the timing request after it) hashes the design once.  Reassigning
+        :attr:`library` does not bump the revision but changes the cell
+        fingerprints, hence the library identity in the memo.
+        """
+        revision, library = self.revision, self.library
+        cached = self._digest_cache.get(salt)
+        if cached is not None and cached[0] == revision and cached[1] is library:
+            return cached[2]
+        digest = content_hash(salt, netlist_fingerprint(self))
+        # Filed under the revision read *before* hashing: an edit racing the
+        # fingerprint then bumps the revision past it instead of inheriting it.
+        self._digest_cache[salt] = (revision, library, digest)
+        return digest
 
     # ------------------------------------------------------------------
     def _validated_graph(self) -> "nx.DiGraph":

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from repro.csm.models import MCSM, BaselineMISCSM, SISCSM
 from repro.lut.grid import Axis
 from repro.lut.table import NDTable
 from repro.runtime import PackedStore, ResultCache
+from repro.runtime.cache import decode_payload, encode_payload
 from repro.sta import NLDMTimingResult, TimingEvent, WaveformTimingResult
+from repro.sta.mmmc import MulticornerNLDMResult
 from repro.waveform import Waveform
 
 _KEYS = (f"{i:064x}" for i in itertools.count())
@@ -172,8 +176,13 @@ def nldm_tables(draw):
     )
 
 
+#: Event times including the bit patterns a text round-trip could lose.
+event_times = st.one_of(
+    finite_floats,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
 timing_events = st.builds(
-    TimingEvent, net=names, arrival=finite_floats, slew=finite_floats, rising=st.booleans()
+    TimingEvent, net=names, arrival=event_times, slew=event_times, rising=st.booleans()
 )
 
 
@@ -212,6 +221,17 @@ def nldm_timing_results(draw):
     )
 
 
+@st.composite
+def multicorner_nldm_results(draw):
+    corners = draw(st.lists(names, min_size=1, max_size=2, unique=True))
+    return MulticornerNLDMResult(
+        results={name: draw(nldm_timing_results()) for name in corners},
+        corner_order=corners,
+        netlist_name=draw(names),
+        stats=draw(st.one_of(st.none(), st.just({name: {"instances": 1} for name in corners}))),
+    )
+
+
 primitives = st.one_of(
     st.none(), st.booleans(), st.integers(), finite_floats, names
 )
@@ -228,6 +248,7 @@ payloads = st.one_of(
     model_simulation_results(),
     waveform_timing_results(),
     nldm_timing_results(),
+    multicorner_nldm_results(),
     st.lists(st.one_of(primitives, ndarrays()), max_size=3),
     st.dictionaries(names, st.one_of(primitives, ndarrays(), waveforms()), max_size=3),
     st.tuples(st.one_of(primitives, ndarrays()), st.one_of(primitives, ndarrays())),
@@ -336,3 +357,73 @@ def test_seeded_fuzz_loop_across_reopen(name, tmp_path):
         hit, loaded = reopened.lookup(key)
         assert hit
         assert_identical(loaded, payload)
+
+
+# ----------------------------------------------------------------------
+# The columnar NLDM result form
+# ----------------------------------------------------------------------
+LEGACY_NLDM_MANIFEST = Path(__file__).parent / "fixtures" / "nldm_result_object_manifest.json"
+
+
+def _edge_case_nldm_result(stats):
+    return NLDMTimingResult(
+        events={
+            "a": TimingEvent(net="a", arrival=1e-10, slew=6e-11, rising=True),
+            "n1": TimingEvent(net="n1", arrival=-0.0, slew=5e-324, rising=False),
+            "alias": TimingEvent(
+                net="n2",
+                arrival=1.2345678901234567e-10,
+                slew=2.2250738585072014e-308,
+                rising=True,
+            ),
+        },
+        mis_flags={"g1": [("A", "B")], "g2": []},
+        netlist_name="legacy",
+        stats=stats,
+    )
+
+
+@given(value=st.one_of(nldm_timing_results(), multicorner_nldm_results()))
+@settings(max_examples=25, deadline=None)
+def test_nldm_results_encode_columnar(value):
+    manifest, arrays = encode_payload(value)
+    text = json.dumps(manifest)
+    assert '"nldm-columns"' in text
+    assert '"TimingEvent"' not in text
+    assert_identical(decode_payload(json.loads(text), arrays), value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        NLDMTimingResult(events={}, mis_flags={}, netlist_name="empty", stats=None),
+        _edge_case_nldm_result(stats=None),
+        _edge_case_nldm_result(stats={"instances": 2}),
+    ],
+    ids=["empty", "edge-cases", "with-stats"],
+)
+def test_columnar_nldm_result_roundtrips_bitwise(backend, value):
+    store, counter = backend
+    key = counter.next_key()
+    store.store(key, value)
+    hit, loaded = store.lookup(key)
+    assert hit
+    assert_identical(loaded, value)
+
+
+def test_nldm_result_outside_the_columns_falls_back_to_object():
+    value = NLDMTimingResult(
+        events={"a": TimingEvent(net="a", arrival=1, slew=2e-11, rising=True)},
+        mis_flags={"g1": [["A", "B"]]},
+        netlist_name="fallback",
+    )
+    manifest, arrays = encode_payload(value)
+    assert manifest["t"] == "object"
+    assert_identical(decode_payload(manifest, arrays), value)
+
+
+def test_legacy_object_manifest_still_decodes():
+    manifest = json.loads(LEGACY_NLDM_MANIFEST.read_text())
+    assert manifest["t"] == "object" and manifest["cls"] == "NLDMTimingResult"
+    expected = _edge_case_nldm_result(stats={"instances": 2, "integrations": 2})
+    assert_identical(decode_payload(manifest, {}), expected)

@@ -1,0 +1,403 @@
+"""Store traffic of the hybrid survey: O(levels) commits, slim run entries.
+
+The invariants pinned here:
+
+* the NLDM engine commits each level's per-instance events with ONE
+  ``store_many`` — resident, streaming and multi-corner — leaving exactly the
+  keys, values and :class:`PropagationStats` per-instance ``store`` calls
+  produced, same-level duplicate keys included (and, under the server's
+  single-flight store, without waiting on the run's own claims);
+* single-corner CSM whole-run entries, plain and restricted, hold only the
+  propagated nets; a warm hit re-attaches the primary inputs from the
+  caller's stimuli and is bitwise the cold result;
+* :meth:`GateNetlist.content_digest` memoizes the design digest per revision,
+  library and salt, and moves with every edit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cells import default_library
+from repro.characterization import CharacterizationConfig
+from repro.csm.base import SimulationOptions
+from repro.runtime import PackedStore
+from repro.runtime.jobs import content_hash
+from repro.runtime.server import SingleFlightStore
+from repro.sta import (
+    CSMEngine,
+    HybridEngine,
+    NLDMEngine,
+    TimingModelLibrary,
+    generate_netlist,
+    netlist_fingerprint,
+    primary_input_events,
+    primary_input_waveforms,
+)
+from repro.sta import netlist as netlist_module
+from repro.sta.generate import default_time_window
+from repro.sta.mmmc import CornerSet
+from repro.sta.netlist import GateNetlist, swap_partner
+from repro.technology.corners import STANDARD_CORNERS, apply_corner
+
+DAG = "dag:w6:d3:s5"
+
+
+@pytest.fixture(scope="module")
+def models(library):
+    return TimingModelLibrary(
+        library=library, config=CharacterizationConfig(io_grid_points=5)
+    )
+
+
+@pytest.fixture(scope="module")
+def options():
+    return SimulationOptions(time_step=2e-12)
+
+
+def _twin_netlist(library, extra_inputs: int = 0) -> GateNetlist:
+    """Two identical NAND2s on the same primary inputs, each driving one
+    inverter: both levels hold a same-level duplicate propagation key.
+    ``extra_inputs`` adds primary inputs that each feed their own inverter,
+    outside the cone of ``y1``."""
+    nand = library["NAND2_X1"]
+    inv = library["INV_X1"]
+    netlist = GateNetlist(library=library, name="twins")
+    netlist.add_primary_input("a")
+    netlist.add_primary_input("b")
+    for index in (1, 2):
+        netlist.add_instance(
+            f"g{index}",
+            "NAND2_X1",
+            {nand.inputs[0]: "a", nand.inputs[1]: "b", nand.output: f"n{index}"},
+        )
+        netlist.add_instance(
+            f"i{index}", "INV_X1", {inv.inputs[0]: f"n{index}", inv.output: f"y{index}"}
+        )
+        netlist.add_primary_output(f"y{index}")
+    for index in range(extra_inputs):
+        netlist.add_primary_input(f"p{index}")
+        netlist.add_instance(
+            f"x{index}", "INV_X1", {inv.inputs[0]: f"p{index}", inv.output: f"q{index}"}
+        )
+        netlist.add_primary_output(f"q{index}")
+    return netlist
+
+
+class _PerItemStore:
+    """A dict-backed store with no ``store_many``: engines fall back to one
+    ``store`` per entry — the per-instance write pattern as reference."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def lookup(self, key):
+        if key in self.entries:
+            return True, self.entries[key]
+        return False, None
+
+    def store(self, key, value):
+        self.entries[key] = value
+
+
+class _CountingStore:
+    """Forwards to a real store, recording every ``store``/``store_many``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+        self.singles = []
+
+    def lookup(self, key):
+        return self.inner.lookup(key)
+
+    def store(self, key, value):
+        self.singles.append(key)
+        self.inner.store(key, value)
+
+    def store_many(self, items):
+        items = list(items)
+        self.batches.append([key for key, _ in items])
+        self.inner.store_many(items)
+
+
+def _entries(store, keys):
+    values = {}
+    for key in keys:
+        hit, value = store.lookup(key)
+        assert hit, key
+        values[key] = (
+            None if value["event"] is None else tuple(value["event"]),
+            [tuple(pair) for pair in value["mis"]],
+        )
+    return values
+
+
+# ----------------------------------------------------------------------
+# NLDM: one store transaction per level
+# ----------------------------------------------------------------------
+class TestNLDMPerLevelCommit:
+    @pytest.mark.parametrize("memory_mode", ["resident", "stream"])
+    @pytest.mark.parametrize("design", ["twins", DAG])
+    def test_per_level_commit_matches_per_instance_stores(
+        self, library, models, tmp_path, memory_mode, design
+    ):
+        if design == "twins":
+            netlist = _twin_netlist(library)
+        else:
+            netlist = generate_netlist(library, design)
+        events = primary_input_events(netlist, seed=0)
+        reference_store = _PerItemStore()
+        reference = NLDMEngine(netlist, models, cache=reference_store, memory_mode=memory_mode)
+        expected = reference.run(events)
+
+        store = _CountingStore(PackedStore(tmp_path / "packed"))
+        engine = NLDMEngine(netlist, models, cache=store, memory_mode=memory_mode)
+        result = engine.run(events)
+
+        assert result.events == expected.events
+        assert result.mis_flags == expected.mis_flags
+        assert engine.last_stats == reference.last_stats
+        # One transaction per level; only the whole-run entry (resident
+        # mode) is a single store.
+        levels = engine.levels()
+        assert len(store.batches) == len(levels)
+        run_keys = [] if memory_mode == "stream" else [engine.last_run_key]
+        assert store.singles == run_keys
+        per_instance = {key for batch in store.batches for key in batch}
+        assert per_instance == set(reference_store.entries) - set(run_keys)
+        assert _entries(store, per_instance) == _entries(reference_store, per_instance)
+
+    def test_same_level_duplicates_keep_their_stats(self, library, models, tmp_path):
+        netlist = _twin_netlist(library)
+        events = primary_input_events(netlist, seed=0)
+        resident = NLDMEngine(netlist, models, cache=PackedStore(tmp_path / "resident"))
+        resident.run(events)
+        stats = resident.last_stats
+        assert (stats.integrations, stats.memo_hits, stats.cache_hits) == (2, 2, 0)
+        assert stats.stores == 2
+
+        streaming = NLDMEngine(
+            netlist, models, cache=PackedStore(tmp_path / "stream"), memory_mode="stream"
+        )
+        streaming.run(events)
+        stats = streaming.last_stats
+        assert (stats.integrations, stats.cache_hits, stats.faults) == (2, 2, 2)
+        assert (stats.stores, stats.spills, stats.memo_hits) == (2, 2, 0)
+
+    def test_stream_under_single_flight_store_never_waits_on_itself(
+        self, library, models, tmp_path
+    ):
+        netlist = _twin_netlist(library)
+        events = primary_input_events(netlist, seed=0)
+        plain = NLDMEngine(
+            netlist, models, cache=PackedStore(tmp_path / "plain"), memory_mode="stream"
+        )
+        expected = plain.run(events)
+
+        store = SingleFlightStore(PackedStore(tmp_path / "flight"), wait_timeout=5.0)
+        engine = NLDMEngine(netlist, models, cache=store, memory_mode="stream")
+        result = engine.run(events)
+        assert store.dedupe_waits == 0
+        assert engine.last_stats == plain.last_stats
+        assert result.events == expected.events
+
+    def test_multicorner_commits_once_per_level(self, technology, tmp_path):
+        corners = CornerSet.from_names(
+            ["TT", "FF"], technology=technology, config=CharacterizationConfig(io_grid_points=5)
+        )
+        netlist = _twin_netlist(corners.reference.library)
+        events = primary_input_events(netlist, seed=0)
+        reference_store = _PerItemStore()
+        reference = NLDMEngine(
+            netlist, corners.reference.models, cache=reference_store, corners=corners
+        )
+        expected = reference.run(events)
+
+        store = _CountingStore(PackedStore(tmp_path / "packed"))
+        engine = NLDMEngine(netlist, corners.reference.models, cache=store, corners=corners)
+        result = engine.run(events)
+
+        assert len(store.batches) == len(engine.levels())
+        assert store.singles == [engine.last_run_key]
+        assert result.stats == expected.stats
+        for name in corners.names:
+            assert result.results[name].events == expected.results[name].events
+        per_instance = {key for batch in store.batches for key in batch}
+        assert per_instance == set(reference_store.entries) - {reference.last_run_key}
+        assert _entries(store, per_instance) == _entries(reference_store, per_instance)
+
+        # The whole-run entry decodes back (columnar per corner) to a hit.
+        warm = NLDMEngine(netlist, corners.reference.models, cache=store.inner, corners=corners)
+        again = warm.run(events)
+        assert warm.last_stats.full_run_hit
+        for name in corners.names:
+            assert again.results[name].events == result.results[name].events
+            assert again.results[name].mis_flags == result.results[name].mis_flags
+
+
+# ----------------------------------------------------------------------
+# CSM: whole-run entries without the stimuli
+# ----------------------------------------------------------------------
+def _assert_same_waveforms(warm, cold):
+    assert list(warm.waveforms) == list(cold.waveforms)
+    for net, wave in cold.waveforms.items():
+        assert warm.waveforms[net].name == wave.name
+        assert np.array_equal(warm.waveforms[net].times, wave.times), net
+        assert np.array_equal(warm.waveforms[net].values, wave.values), net
+
+
+class TestStimulusFreeRunEntries:
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_entry_holds_no_primary_input_and_warm_hit_is_bitwise(
+        self, library, models, options, tmp_path, restricted
+    ):
+        netlist = generate_netlist(library, DAG)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        only = None
+        if restricted:
+            only = set(netlist.fanin_cone(netlist.primary_outputs[0]))
+            assert only != set(netlist.instances)
+        store = PackedStore(tmp_path / "store")
+        engine = CSMEngine(netlist, models, options=options, cache=store)
+        cold = engine.run(waveforms, t_stop=t_stop, only=only)
+
+        hit, entry = store.lookup(engine.last_run_key)
+        assert hit
+        assert not set(entry.waveforms) & set(netlist.primary_inputs)
+        assert set(entry.waveforms) == set(cold.waveforms) - set(netlist.primary_inputs)
+
+        warm_engine = CSMEngine(netlist, models, options=options, cache=store)
+        warm = warm_engine.run(waveforms, t_stop=t_stop, only=only)
+        assert warm_engine.last_stats.full_run_hit
+        _assert_same_waveforms(warm, cold)
+        assert warm.model_used == cold.model_used
+
+    def test_restricted_entry_does_not_grow_with_primary_inputs(
+        self, library, models, options, tmp_path
+    ):
+        sizes = []
+        for extra in (2, 6):  # 4 and then 8 primary inputs
+            netlist = _twin_netlist(library, extra_inputs=extra)
+            t_stop = default_time_window(netlist)
+            waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+            store = PackedStore(tmp_path / f"extra{extra}")
+            engine = CSMEngine(netlist, models, options=options, cache=store)
+            engine.run(waveforms, t_stop=t_stop, only={"g1", "i1"})
+            sizes.append(store._entry_bytes(store._entries[engine.last_run_key]))
+        assert sizes[0] == sizes[1]
+
+    def test_hybrid_warm_repeat_is_bitwise(self, library, models, options, tmp_path):
+        netlist = generate_netlist(library, DAG)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        store = PackedStore(tmp_path / "store")
+        cold = HybridEngine(netlist, models, options=options, cache=store, top_k=2).run(
+            waveforms, t_stop=t_stop
+        )
+        warm_engine = HybridEngine(netlist, models, options=options, cache=store, top_k=2)
+        warm = warm_engine.run(waveforms, t_stop=t_stop)
+        assert warm_engine.nldm.last_stats.full_run_hit
+        assert warm_engine.csm.last_stats.full_run_hit
+        assert warm.exact_nets == cold.exact_nets
+        assert warm.nldm.events == cold.nldm.events
+        assert warm.nldm.mis_flags == cold.nldm.mis_flags
+        _assert_same_waveforms(warm, cold)
+
+
+# ----------------------------------------------------------------------
+# One netlist digest per revision
+# ----------------------------------------------------------------------
+class TestNetlistDigestMemo:
+    def test_digest_is_the_unmemoized_content_hash(self, library):
+        netlist = generate_netlist(library, DAG)
+        for salt in ("sta-netlist", "server-netlist", "server-design"):
+            assert netlist.content_digest(salt) == content_hash(
+                salt, netlist_fingerprint(netlist)
+            )
+
+    def test_every_edit_moves_the_digest(self, library, technology):
+        netlist = generate_netlist(library, DAG)
+        original = netlist.content_digest("sta-netlist")
+        nand = library["NAND2_X1"]
+        seen = {original}
+
+        def moved():
+            digest = netlist.content_digest("sta-netlist")
+            assert digest not in seen
+            assert digest == content_hash("sta-netlist", netlist_fingerprint(netlist))
+            seen.add(digest)
+
+        first_input = netlist.primary_inputs[0]
+        netlist.add_instance(
+            "extra",
+            "NAND2_X1",
+            {nand.inputs[0]: first_input, nand.inputs[1]: first_input, nand.output: "extra_out"},
+        )
+        moved()
+        netlist.add_primary_input("extra_in")
+        moved()
+        netlist.add_primary_output("extra_out")
+        moved()
+        netlist.set_wire_capacitance("extra_out", 1e-15)
+        moved()
+        netlist.swap_cell("extra", _partner(library, "NAND2_X1"))
+        moved()
+        netlist.rewire_pin("extra", nand.inputs[0], "extra_in")
+        moved()
+        netlist.library = default_library(apply_corner(technology, STANDARD_CORNERS["FF"]))
+        moved()
+
+    def test_swap_back_restores_the_digest(self, library):
+        netlist = generate_netlist(library, DAG)
+        original = netlist.content_digest("sta-netlist")
+        name, cell_name = _swappable(netlist)
+        netlist.swap_cell(name, _partner(library, cell_name))
+        assert netlist.content_digest("sta-netlist") != original
+        netlist.swap_cell(name, cell_name)
+        assert netlist.content_digest("sta-netlist") == original
+
+    def test_copy_starts_with_its_own_memo(self, library):
+        netlist = generate_netlist(library, DAG)
+        original = netlist.content_digest("sta-netlist")
+        duplicate = netlist.copy()
+        assert duplicate._digest_cache == {}
+        assert duplicate.content_digest("sta-netlist") == original
+        name, cell_name = _swappable(duplicate)
+        duplicate.swap_cell(name, _partner(library, cell_name))
+        assert duplicate.content_digest("sta-netlist") != original
+        assert netlist.content_digest("sta-netlist") == original
+
+    def test_hybrid_hashes_each_revision_once(self, library, models, options, monkeypatch):
+        netlist = generate_netlist(library, DAG)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        calls = []
+        real = netlist_module.netlist_fingerprint
+
+        def counting(target):
+            calls.append(target.revision)
+            return real(target)
+
+        monkeypatch.setattr(netlist_module, "netlist_fingerprint", counting)
+        hybrid = HybridEngine(netlist, models, options=options, cache=_PerItemStore(), top_k=2)
+        hybrid.run(waveforms, t_stop=t_stop)
+        assert calls == [netlist.revision]
+        hybrid.run(waveforms, t_stop=t_stop)
+        assert calls == [netlist.revision]
+
+
+def _partner(library, cell_name: str) -> str:
+    partner = swap_partner(library, cell_name)
+    assert partner is not None, cell_name
+    return partner
+
+
+def _swappable(netlist: GateNetlist):
+    """``(instance name, cell name)`` of the first instance with a partner."""
+    for name, instance in netlist.instances.items():
+        if swap_partner(netlist.library, instance.cell_name) is not None:
+            return name, instance.cell_name
+    raise AssertionError("no swappable instance")
