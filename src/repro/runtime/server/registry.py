@@ -42,7 +42,7 @@ from ...sta.generate import (
     primary_input_waveforms,
 )
 from ...sta.models import TimingModelLibrary
-from ...sta.netlist import GateNetlist, eco_swap_candidate
+from ...sta.netlist import NETLIST_DIGEST_SALT, GateNetlist, eco_swap_candidate
 from ..jobs import content_hash
 from .protocol import PROTOCOL_VERSION, ServerError, encode_waveform, error_response, ok_response
 from .scheduler import SingleFlight, SingleFlightStore
@@ -299,43 +299,55 @@ class TimingService:
             self.timing_requests += 1
         with record.lock:
             record.requests += 1
-            design_digest = record.netlist.content_digest("server-netlist")
-            revision = record.netlist.revision
-        request_key = content_hash(
-            "server-timing",
-            engine,
-            design_digest,
-            seed,
-            t_stop,
-            sorted(events.items()) if events else None,
-            sorted(nets) if nets else None,
-            bool(return_waveforms),
-            list(corner_names) if corner_names else None,
-            self._settings_token(),
-            memory_mode,
-            memory_budget_bytes,
-            sorted(required.items()) if isinstance(required, Mapping) else required,
-            top_k,
-        )
-
-        def compute() -> Dict[str, Any]:
+        settings = self._settings_token()
+        while True:
+            # The key names the revision it was read from; ``compute`` times
+            # under a second acquisition of the session lock, so an ECO that
+            # lands in between makes the key stale.  The leader then times
+            # nothing and every caller on the stale key (followers included)
+            # re-keys against the edited netlist.
             with record.lock:
-                return self._timing_locked(
-                    record,
-                    engine,
-                    seed,
-                    t_stop,
-                    events,
-                    nets,
-                    return_waveforms,
-                    corner_names,
-                    memory_mode,
-                    memory_budget_bytes,
-                    required,
-                    top_k,
-                )
+                design_digest = record.netlist.content_digest(NETLIST_DIGEST_SALT)
+                revision = record.netlist.revision
+            request_key = content_hash(
+                "server-timing",
+                engine,
+                design_digest,
+                seed,
+                t_stop,
+                sorted(events.items()) if events else None,
+                sorted(nets) if nets else None,
+                bool(return_waveforms),
+                list(corner_names) if corner_names else None,
+                settings,
+                memory_mode,
+                memory_budget_bytes,
+                sorted(required.items()) if isinstance(required, Mapping) else required,
+                top_k,
+            )
 
-        payload, coalesced = self.flight.execute(request_key, compute)
+            def compute() -> Optional[Dict[str, Any]]:
+                with record.lock:
+                    if record.netlist.revision != revision:
+                        return None
+                    return self._timing_locked(
+                        record,
+                        engine,
+                        seed,
+                        t_stop,
+                        events,
+                        nets,
+                        return_waveforms,
+                        corner_names,
+                        memory_mode,
+                        memory_budget_bytes,
+                        required,
+                        top_k,
+                    )
+
+            payload, coalesced = self.flight.execute(request_key, compute)
+            if payload is not None:
+                break
         response = dict(payload)
         response["coalesced"] = coalesced
         response["revision"] = revision
@@ -414,7 +426,7 @@ class TimingService:
             return {
                 "applied": applied,
                 "revision": record.netlist.revision,
-                "design_fingerprint": record.netlist.content_digest("server-netlist"),
+                "design_fingerprint": record.netlist.content_digest(NETLIST_DIGEST_SALT),
             }
 
     def status(self) -> Dict[str, Any]:

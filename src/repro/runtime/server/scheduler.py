@@ -119,6 +119,16 @@ class SingleFlightStore:
             self._claims[key] = (threading.Event(), time.monotonic())
         return False, None
 
+    def peek(self, key: str) -> Tuple[bool, Any]:
+        """``lookup`` without claiming a miss.
+
+        For reads whose caller will not store the key on a miss: a level
+        record behind a row pointer, or the keys of a whole-run manifest
+        that a miss abandons for an ordinary run.  A claim taken there would
+        make the same caller's next lookup of the key wait on itself.
+        """
+        return self.inner.lookup(key)
+
     def _claim_or_event(self, key: str) -> Optional[threading.Event]:
         """Register a claim (returning None) or join an existing fresh one."""
         now = time.monotonic()

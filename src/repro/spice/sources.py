@@ -52,6 +52,12 @@ class Stimulus:
         piecewise-linear stimuli override it with a single ``np.interp``.  The
         transient engine pre-samples every stimulus over the whole time grid
         through this method instead of calling the stimulus per step.
+
+        The ``np.interp`` overrides are NOT bitwise equal to ``__call__``:
+        they round differently in the last bit inside the ramps.  Samples
+        that feed content keys (the STA stimuli and their propagation keys)
+        must come from ``__call__`` or from a ``sample_exact`` transcription
+        of it, never from this method.
         """
         return np.array([self(float(t)) for t in np.asarray(times).ravel()]).reshape(
             np.shape(times)
@@ -139,6 +145,21 @@ class SaturatedRamp(Stimulus):
             return self.final
         frac = (time - self.start_time) / self.transition_time
         return self.initial + frac * (self.final - self.initial)
+
+    def sample_exact(self, times: np.ndarray) -> np.ndarray:
+        """``[self(t) for t in times]`` as one array expression, bitwise.
+
+        A line-for-line transcription of :meth:`__call__`: the same rails
+        (``<= start`` wins over ``>= start + transition``) and the same
+        float64 operations in the same order, so every sample equals the
+        scalar path's to the last bit.  :meth:`Waveform.from_function` uses
+        it to sample ramps without a Python call per sample.
+        """
+        times = np.asarray(times, dtype=float)
+        frac = (times - self.start_time) / self.transition_time
+        ramp = self.initial + frac * (self.final - self.initial)
+        ramp = np.where(times >= self.start_time + self.transition_time, self.final, ramp)
+        return np.where(times <= self.start_time, self.initial, ramp)
 
     @property
     def slope(self) -> float:

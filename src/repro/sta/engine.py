@@ -33,7 +33,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Mapping as AbstractMapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -54,7 +54,13 @@ from ..waveform.waveform import Waveform
 from .events import TimingEvent, detect_mis_pairs
 from .mmmc import CornerContext, CornerSet, MulticornerNLDMResult, MulticornerTimingResult
 from .models import TimingModelLibrary
-from .netlist import GateInstance, GateNetlist, NetConnectivity, netlist_fingerprint
+from .netlist import (
+    NETLIST_DIGEST_SALT,
+    GateInstance,
+    GateNetlist,
+    NetConnectivity,
+    netlist_fingerprint,
+)
 
 __all__ = [
     "TimingEngine",
@@ -418,7 +424,7 @@ class TimingEngine:
 
     def _netlist_digest(self) -> str:
         self._sync_structure()
-        return self.netlist.content_digest("sta-netlist")
+        return self.netlist.content_digest(NETLIST_DIGEST_SALT)
 
     @property
     def connectivity(self) -> NetConnectivity:
@@ -577,6 +583,12 @@ def _store_items(cache, items: Iterable[Tuple[str, object]]) -> None:
     else:
         for key, value in items:
             cache.store(key, value)
+
+
+def _peek(cache):
+    """A store's non-claiming read: :meth:`SingleFlightStore.peek` where the
+    store dedupes in-flight misses, its plain ``lookup`` otherwise."""
+    return getattr(cache, "peek", cache.lookup)
 
 
 def _validate_memory_mode(memory_mode: str, use_cache: bool, cache) -> None:
@@ -1327,7 +1339,7 @@ class CSMEngine(TimingEngine):
                     # Restricted runs get their own whole-run namespace: a
                     # partial result must never be served to a full run.
                     run_key = content_hash(
-                        "sta-run-restricted",
+                        "sta-run-restricted-manifest",
                         context,
                         self._netlist_digest(),
                         sorted(net_keys.items()),
@@ -1335,22 +1347,23 @@ class CSMEngine(TimingEngine):
                     )
                 else:
                     run_key = content_hash(
-                        "sta-run", context, self._netlist_digest(), sorted(net_keys.items())
+                        "sta-run-manifest",
+                        context,
+                        self._netlist_digest(),
+                        sorted(net_keys.items()),
                     )
                 self.last_run_key = run_key
                 hit, value = self.cache.lookup(run_key)
-                if hit:
-                    # The entry holds only the propagated nets; the primary
-                    # inputs are the caller's stimuli, which the run key
-                    # already pins by content.
-                    value.waveforms = {
-                        **{net: wave.renamed(net) for net, wave in input_waveforms.items()},
-                        **value.waveforms,
-                    }
+                result = (
+                    self._resolve_run_manifest(value, input_waveforms, t_start, t_stop)
+                    if hit
+                    else None
+                )
+                if result is not None:
                     stats.full_run_hit = True
-                    value.stats = stats.as_dict()
+                    result.stats = stats.as_dict()
                     self.last_stats = stats
-                    return value
+                    return result
 
         # Characterize the SIS models of every receiver pin up front (one
         # cache-aware parallel job set).  Loads then always use characterized
@@ -1413,12 +1426,65 @@ class CSMEngine(TimingEngine):
             stats=stats.as_dict(),
         )
         if run_key is not None:
-            propagated = {
-                net: wave for net, wave in waveforms.items() if net not in input_waveforms
-            }
-            self.cache.store(run_key, replace(result, waveforms=propagated))
+            propagated = [net for net in waveforms if net not in input_waveforms]
+            self.cache.store(
+                run_key,
+                {
+                    "t": "run-manifest",
+                    "nets": propagated,
+                    "keys": [net_keys[net] for net in propagated],
+                    "model_used": model_used,
+                },
+            )
         self.last_stats = stats
         return result
+
+    def _resolve_run_manifest(
+        self,
+        value: object,
+        input_waveforms: Mapping[str, Waveform],
+        t_start: float,
+        t_stop: float,
+    ) -> Optional[WaveformTimingResult]:
+        """Rebuild a whole-run result from its key manifest, or ``None``.
+
+        A whole-run entry holds no samples: it lists each propagated net with
+        its propagation key (in result order) plus the per-instance model
+        choice.  Every key resolves through :meth:`_lookup_waveform` on the
+        run grid — memo, then level-row pointer, then level record — so the
+        waveforms are bitwise those the per-instance entries hold, and the
+        primary inputs are the caller's stimuli, which the run key pins by
+        content.  One key that does not resolve (an evicted level record,
+        say) makes the whole lookup a miss, never a partial result; the keys
+        resolved before it stay memoized for the re-run.
+        """
+        if not (isinstance(value, dict) and value.get("t") == "run-manifest"):
+            return None
+        nets, keys = value.get("nets"), value.get("keys")
+        model_used = value.get("model_used")
+        if not (
+            isinstance(nets, list)
+            and isinstance(keys, list)
+            and len(nets) == len(keys)
+            and isinstance(model_used, dict)
+        ):
+            return None
+        times = simulation_time_grid(t_start, t_stop, self.options)
+        resolved = PropagationStats()  # the hit reports full-run stats only
+        waveforms: Dict[str, Waveform] = {
+            net: wave.renamed(net) for net, wave in input_waveforms.items()
+        }
+        for net, key in zip(nets, keys):
+            wave = self._lookup_waveform(key, resolved, times, probe=True)
+            if wave is None:
+                return None
+            waveforms[net] = wave.renamed(net)
+        return WaveformTimingResult(
+            waveforms=waveforms,
+            model_used=dict(model_used),
+            netlist_name=self.netlist.name,
+            vdd=self.vdd,
+        )
 
     # ------------------------------------------------------------------
     def _propagate_waveforms(
@@ -1482,19 +1548,26 @@ class CSMEngine(TimingEngine):
 
     # ------------------------------------------------------------------
     def _lookup_waveform(
-        self, key: str, stats: PropagationStats, times: Optional[np.ndarray] = None
+        self,
+        key: str,
+        stats: PropagationStats,
+        times: Optional[np.ndarray] = None,
+        probe: bool = False,
     ) -> Optional[Waveform]:
         """Memo, then disk; counts the provenance on the run's stats.
 
         Disk entries are either plain waveforms or level-row pointers left by
         a tensor run's whole-level spill; the latter resolve through
         :meth:`_resolve_cached` (an unresolvable pointer is a miss — the
-        instance just re-integrates)."""
+        instance just re-integrates).  ``probe`` reads without claiming a
+        miss in a single-flight store (see :func:`_peek`): for callers that
+        will not store the key themselves."""
         if key in self._memo:
             stats.memo_hits += 1
             return self._memo[key]
         if self.cache is not None:
-            hit, value = self.cache.lookup(key)
+            lookup = _peek(self.cache) if probe else self.cache.lookup
+            hit, value = lookup(key)
             if hit:
                 wave = self._resolve_cached(value, times)
                 if wave is None:
@@ -1515,6 +1588,8 @@ class CSMEngine(TimingEngine):
         run grid (``times``), which the level's rows are on by construction —
         the context digest embeds the window and options, so a key hit
         implies the same grid.  Anything unresolvable is reported as a miss.
+        The level record is only ever read here, never stored on a miss, so
+        it is peeked rather than claimed.
         """
         if isinstance(value, Waveform):
             return value
@@ -1535,7 +1610,7 @@ class CSMEngine(TimingEngine):
             return None
         tensor = self._level_tensors.get(level_key)
         if tensor is None and self.cache is not None:
-            hit, record = self.cache.lookup(level_key)
+            hit, record = _peek(self.cache)(level_key)
             if hit and isinstance(record, dict):
                 candidate = record.get("tensor")
                 if isinstance(candidate, LevelTensor):

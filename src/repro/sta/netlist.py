@@ -36,7 +36,14 @@ __all__ = [
     "netlist_fingerprint",
     "swap_partner",
     "eco_swap_candidate",
+    "NETLIST_DIGEST_SALT",
 ]
+
+#: The one salt every consumer digests a netlist revision under (the timing
+#: engines' whole-run keys, the server's request keys and its
+#: ``design_fingerprint`` replies), so :meth:`GateNetlist.content_digest`
+#: hashes each revision once however many of them ask.
+NETLIST_DIGEST_SALT = "sta-netlist"
 
 
 @dataclass
@@ -326,19 +333,12 @@ class GateNetlist:
             self.revision += 1
         return instance
 
-    def fanout_cone(
-        self, instance_name: str, graph: Optional["nx.DiGraph"] = None
-    ) -> List[str]:
-        """The instance and everything downstream of it, in insertion order.
-
-        ``graph`` accepts a prebuilt :meth:`instance_graph` so per-instance
-        scans don't rebuild the structure for every query.
-        """
+    def fanout_cone(self, instance_name: str) -> List[str]:
+        """The instance and everything downstream of it, in insertion order
+        (a breadth-first walk over the CSR receiver index)."""
         if instance_name not in self.instances:
             raise TimingError(f"no instance named {instance_name!r} in {self.name!r}")
-        if graph is None:
-            graph = self.instance_graph()
-        cone = set(nx.descendants(graph, instance_name)) | {instance_name}
+        cone = self._downstream([instance_name], self.connectivity())
         return [name for name in self.instances if name in cone]
 
     def fanin_cone(
@@ -397,26 +397,38 @@ class GateNetlist:
         (evaluate it on the pre-edit netlist, and for rewires union it with
         the post-edit region, since old and new driver both change load).
 
-        ``connectivity``/``graph`` accept prebuilt structural views so
-        whole-design candidate scans cost one construction, not one per call.
+        The fan-out cones come from one breadth-first walk over the CSR
+        receiver index.  ``connectivity`` accepts a prebuilt snapshot so
+        whole-design candidate scans build it once; ``graph`` is accepted for
+        backward compatibility and ignored.
         """
         if instance_name not in self.instances:
             raise TimingError(f"no instance named {instance_name!r} in {self.name!r}")
         if connectivity is None:
             connectivity = self.connectivity()
-        if graph is None:
-            graph = self._instance_graph(connectivity)
         instance = self.instances[instance_name]
         cell = self.library[instance.cell_name]
-        seeds = {instance_name}
+        seeds = [instance_name]
         for pin in cell.inputs:
             driver = connectivity.driver_of(instance.connections[pin])
             if driver is not None:
-                seeds.add(driver.name)
-        dirty = set(seeds)
-        for seed in seeds:
-            dirty |= set(nx.descendants(graph, seed))
+                seeds.append(driver.name)
+        dirty = self._downstream(seeds, connectivity)
         return [name for name in self.instances if name in dirty]
+
+    def _downstream(self, seeds: Iterable[str], connectivity: NetConnectivity) -> Set[str]:
+        """The seed instances plus everything their outputs reach."""
+        reached = set(seeds)
+        frontier = deque(reached)
+        while frontier:
+            instance = self.instances[frontier.popleft()]
+            output = instance.connections[self.library[instance.cell_name].output]
+            start, stop = connectivity.receiver_slice(output)
+            for receiver in connectivity.receiver_instances[start:stop]:
+                if receiver.name not in reached:
+                    reached.add(receiver.name)
+                    frontier.append(receiver.name)
+        return reached
 
     # ------------------------------------------------------------------
     def nets(self) -> Set[str]:
@@ -564,17 +576,15 @@ def eco_swap_candidate(netlist: GateNetlist) -> Optional[Tuple[int, str, str]]:
     ``(affected_region_size, instance_name, partner_cell)`` minimizing the
     dirty region — the edit whose incremental re-timing should touch the
     least — or ``None`` when no instance has a partner or every region spans
-    the whole design.  One connectivity index and one instance graph serve
-    the whole scan.
+    the whole design.  One connectivity index serves the whole scan.
     """
     connectivity = netlist.connectivity()
-    graph = netlist._instance_graph(connectivity)
     best: Optional[Tuple[int, str, str]] = None
     for name, instance in netlist.instances.items():
         partner = swap_partner(netlist.library, instance.cell_name)
         if partner is None:
             continue
-        region = len(netlist.affected_region(name, connectivity=connectivity, graph=graph))
+        region = len(netlist.affected_region(name, connectivity=connectivity))
         if region >= len(netlist.instances):
             continue
         if best is None or (region, name) < (best[0], best[1]):

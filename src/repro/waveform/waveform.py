@@ -63,13 +63,23 @@ class Waveform:
         num_samples: int = 500,
         name: str = "",
     ) -> "Waveform":
-        """Sample a callable ``f(t)`` uniformly over ``[t_start, t_stop]``."""
+        """Sample a callable ``f(t)`` uniformly over ``[t_start, t_stop]``.
+
+        A callable with a ``sample_exact(times)`` method (e.g.
+        :class:`~repro.spice.sources.SaturatedRamp`) is sampled through it in
+        one array expression; that method must be bitwise equal to calling
+        ``f`` per sample, so either route gives the same content keys.
+        """
         if t_stop <= t_start:
             raise WaveformError("t_stop must exceed t_start")
         if num_samples < 2:
             raise WaveformError("num_samples must be at least 2")
         times = np.linspace(t_start, t_stop, num_samples)
-        values = np.array([function(t) for t in times], dtype=float)
+        sample_exact = getattr(function, "sample_exact", None)
+        if sample_exact is not None:
+            values = np.asarray(sample_exact(times), dtype=float)
+        else:
+            values = np.array([function(t) for t in times], dtype=float)
         return cls(times, values, name=name)
 
     @classmethod

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
@@ -38,6 +41,7 @@ from repro.sta import (
     primary_input_waveforms,
 )
 from repro.runtime.jobs import content_hash
+from repro.sta.netlist import swap_partner
 from repro.waveform import Waveform
 
 #: Waveform equivalence budget shared with the batched/sequential checks.
@@ -186,6 +190,82 @@ class TestNetlistEdits:
         assert netlist.fanout_cone("u2") == ["u2", "u3"]
         assert netlist.affected_region("u2") == ["u1", "u2", "u3"]
         assert netlist.affected_region("u0") == ["u0", "u1", "u2", "u3"]
+
+
+def _networkx_cone(netlist, seeds):
+    """Reference walk: the seeds plus their instance-graph descendants, in
+    insertion order (what ``fanout_cone``/``affected_region`` computed
+    before they walked the CSR receiver index)."""
+    graph = netlist.instance_graph()
+    reached = set(seeds)
+    for seed in seeds:
+        reached |= nx.descendants(graph, seed)
+    return [name for name in netlist.instances if name in reached]
+
+
+def _networkx_region(netlist, name):
+    instance = netlist.instances[name]
+    seeds = [name]
+    for pin in netlist.library[instance.cell_name].inputs:
+        driver = netlist.driver_of(instance.connections[pin])
+        if driver is not None:
+            seeds.append(driver.name)
+    return _networkx_cone(netlist, seeds)
+
+
+class TestRegionWalk:
+    """``affected_region``/``fanout_cone`` walk the CSR receiver index and
+    give exactly the networkx descendant sets, in insertion order, on
+    random DAGs before and after ECO edits."""
+
+    @staticmethod
+    def _assert_matches_networkx(netlist):
+        connectivity = netlist.connectivity()
+        for name in netlist.instances:
+            assert netlist.fanout_cone(name) == _networkx_cone(netlist, [name])
+            expected = _networkx_region(netlist, name)
+            assert netlist.affected_region(name) == expected
+            assert netlist.affected_region(name, connectivity=connectivity) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=6),
+        depth=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        edit_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_networkx_before_and_after_edits(
+        self, library, width, depth, seed, edit_seed
+    ):
+        netlist = generate_netlist(library, f"dag:w{width}:d{depth}:s{seed}")
+        self._assert_matches_networkx(netlist)
+        rng = np.random.default_rng(edit_seed)
+        names = list(netlist.instances)
+        swappable = [
+            name
+            for name in names
+            if swap_partner(library, netlist.instances[name].cell_name) is not None
+        ]
+        if swappable:
+            name = swappable[int(rng.integers(len(swappable)))]
+            netlist.swap_cell(name, swap_partner(library, netlist.instances[name].cell_name))
+            self._assert_matches_networkx(netlist)
+        # Rewire one input pin to a primary input or to the output of an
+        # instance of an earlier layer (random_dag names u<layer>_<pos>), so
+        # the design stays acyclic.
+        name = names[int(rng.integers(len(names)))]
+        layer = int(name[1:].split("_")[0])
+        instance = netlist.instances[name]
+        cell = library[instance.cell_name]
+        pool = list(netlist.primary_inputs) + [
+            other.connections[library[other.cell_name].output]
+            for other_name, other in netlist.instances.items()
+            if int(other_name[1:].split("_")[0]) < layer
+        ]
+        pin = cell.inputs[int(rng.integers(len(cell.inputs)))]
+        netlist.rewire_pin(name, pin, pool[int(rng.integers(len(pool)))])
+        netlist.validate()
+        self._assert_matches_networkx(netlist)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.runtime import ResultCache, ShardedPackedStore
 from repro.runtime.client import TimingClient, TimingServerError
+from repro.runtime.jobs import content_hash
 from repro.runtime.server import (
     ServerConfig,
     SingleFlight,
@@ -40,7 +41,7 @@ from repro.sta import (
     netlist_fingerprint,
     primary_input_events,
 )
-from repro.sta.netlist import eco_swap_candidate
+from repro.sta.netlist import NETLIST_DIGEST_SALT, eco_swap_candidate
 
 CHAIN = "chain:inv:3"
 DAG = "dag:w4:d2:s1"  # small mixed-cell design with swap candidates
@@ -175,6 +176,17 @@ class TestSingleFlightStore:
         store.store(key, {"data": np.zeros(2)})
         assert store.lookup(key)[0]
 
+    def test_peek_never_claims(self, tmp_path):
+        store = self._store(tmp_path, wait_timeout=5.0)
+        key = "12" * 32
+        assert store.peek(key) == (False, None)
+        start = time.perf_counter()
+        assert store.lookup(key) == (False, None)  # claims: nobody else did
+        assert time.perf_counter() - start < 1.0
+        assert store.dedupe_stats() == {"waits": 0, "hits": 0}
+        store.store(key, {"data": np.ones(2)})
+        assert store.peek(key)[0]
+
     def test_facade_delegates_to_inner_store(self, tmp_path):
         store = self._store(tmp_path)
         key = "ef" * 32
@@ -287,6 +299,59 @@ class TestTimingService:
         restored = service.handle({"op": "timing", "session": session, "seed": 0})
         assert restored["design_fingerprint"] == cold["design_fingerprint"]
         assert restored["stats"]["full_run_hit"]
+
+    def test_fingerprint_is_the_engine_netlist_digest(self, service, library):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        netlist = service._sessions[session].netlist
+        timed = service.handle({"op": "timing", "session": session, "seed": 0})
+        engine = service._sessions[session].engines["csm"]
+        assert timed["design_fingerprint"] == engine._netlist_digest()
+        eco = service.handle(
+            {"op": "eco", "session": session, "edits": [{"kind": "auto_swap"}]}
+        )
+        assert eco["design_fingerprint"] == content_hash(
+            NETLIST_DIGEST_SALT, netlist_fingerprint(netlist)
+        )
+
+    def test_edit_between_key_and_compute_rekeys(self, service, library, monkeypatch):
+        """An ECO landing after ``timing`` keyed its request but before the
+        run must not yield a reply that names one revision and times
+        another: the stale key times nothing and the request re-keys."""
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        cold = service.handle({"op": "timing", "session": session, "seed": 0})
+        real_execute = service.flight.execute
+        keys, ecos = [], []
+
+        def edit_then_execute(key, fn):
+            keys.append(key)
+            if not ecos:
+                ecos.append(
+                    service.handle(
+                        {"op": "eco", "session": session, "edits": [{"kind": "auto_swap"}]}
+                    )
+                )
+            return real_execute(key, fn)
+
+        monkeypatch.setattr(service.flight, "execute", edit_then_execute)
+        raced = service.handle({"op": "timing", "session": session, "seed": 0})
+        monkeypatch.undo()
+        eco = ecos[0]
+        assert raced["ok"] and eco["ok"]
+        assert len(keys) == 2 and keys[0] != keys[1]
+        assert raced["revision"] == eco["revision"] != cold["revision"]
+        assert raced["design_fingerprint"] == eco["design_fingerprint"]
+        assert raced["design_fingerprint"] != cold["design_fingerprint"]
+        assert 0 < raced["stats"]["integrations"] <= eco["applied"][0]["affected"]
+        # The reply is the edited design's timing: a plain request on the
+        # same revision is a whole-run hit with the same arrivals.
+        again = service.handle({"op": "timing", "session": session, "seed": 0})
+        assert again["stats"]["full_run_hit"]
+        assert again["revision"] == raced["revision"]
+        assert again["arrivals"] == raced["arrivals"]
 
     def test_auto_swap_affected_is_before_after_union(self, service, library):
         """auto_swap reports the union of the pre- and post-edit regions,

@@ -7,14 +7,19 @@ The invariants pinned here:
   keys, values and :class:`PropagationStats` per-instance ``store`` calls
   produced, same-level duplicate keys included (and, under the server's
   single-flight store, without waiting on the run's own claims);
-* single-corner CSM whole-run entries, plain and restricted, hold only the
-  propagated nets; a warm hit re-attaches the primary inputs from the
-  caller's stimuli and is bitwise the cold result;
+* single-corner CSM whole-run entries, plain and restricted, are key
+  manifests (``{net: propagation key}`` plus the model choice, no samples):
+  a warm hit resolves every key through the per-instance entries, re-attaches
+  the primary inputs from the caller's stimuli and is bitwise the cold
+  result, while one unresolvable key makes the lookup an ordinary miss;
 * :meth:`GateNetlist.content_digest` memoizes the design digest per revision,
   library and salt, and moves with every edit.
 """
 
 from __future__ import annotations
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,13 +27,15 @@ import pytest
 from repro.cells import default_library
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
-from repro.runtime import PackedStore
+from repro.runtime import PackedStore, ResultCache, ShardedPackedStore
+from repro.runtime.cache import encode_payload
 from repro.runtime.jobs import content_hash
-from repro.runtime.server import SingleFlightStore
+from repro.runtime.server import SingleFlightStore, TimingService
 from repro.sta import (
     CSMEngine,
     HybridEngine,
     NLDMEngine,
+    PropagationStats,
     TimingModelLibrary,
     generate_netlist,
     netlist_fingerprint,
@@ -38,7 +45,7 @@ from repro.sta import (
 from repro.sta import netlist as netlist_module
 from repro.sta.generate import default_time_window
 from repro.sta.mmmc import CornerSet
-from repro.sta.netlist import GateNetlist, swap_partner
+from repro.sta.netlist import NETLIST_DIGEST_SALT, GateNetlist, swap_partner
 from repro.technology.corners import STANDARD_CORNERS, apply_corner
 
 DAG = "dag:w6:d3:s5"
@@ -248,7 +255,20 @@ def _assert_same_waveforms(warm, cold):
         assert np.array_equal(warm.waveforms[net].values, wave.values), net
 
 
+def _manifest_bytes(store, key) -> int:
+    """Encoded size of a whole-run entry (the store's own framing, whose
+    checksum and timestamp digits vary, left out)."""
+    hit, entry = store.lookup(key)
+    assert hit
+    manifest, arrays = encode_payload(entry)
+    assert arrays == {}
+    return len(json.dumps(manifest, separators=(",", ":")))
+
+
 class TestStimulusFreeRunEntries:
+    """Whole-run entries are key manifests: ``{net: propagation key}`` for
+    the propagated nets plus the model choice, and not one sample."""
+
     @pytest.mark.parametrize("restricted", [False, True])
     def test_entry_holds_no_primary_input_and_warm_hit_is_bitwise(
         self, library, models, options, tmp_path, restricted
@@ -266,14 +286,23 @@ class TestStimulusFreeRunEntries:
 
         hit, entry = store.lookup(engine.last_run_key)
         assert hit
-        assert not set(entry.waveforms) & set(netlist.primary_inputs)
-        assert set(entry.waveforms) == set(cold.waveforms) - set(netlist.primary_inputs)
+        assert set(entry) == {"t", "nets", "keys", "model_used"}
+        assert entry["t"] == "run-manifest"
+        propagated = [net for net in cold.waveforms if net not in netlist.primary_inputs]
+        assert entry["nets"] == propagated
+        assert all(isinstance(key, str) and len(key) == 64 for key in entry["keys"])
+        assert entry["model_used"] == cold.model_used
+        assert encode_payload(entry)[1] == {}  # keys only: no arrays at all
 
         warm_engine = CSMEngine(netlist, models, options=options, cache=store)
         warm = warm_engine.run(waveforms, t_stop=t_stop, only=only)
-        assert warm_engine.last_stats.full_run_hit
-        _assert_same_waveforms(warm, cold)
+        assert warm_engine.last_stats == PropagationStats(
+            instances=len(only or netlist.instances), full_run_hit=True
+        )
+        assert warm.stats == warm_engine.last_stats.as_dict()
+        _assert_same_waveforms(warm, cold)  # primary inputs included
         assert warm.model_used == cold.model_used
+        assert (warm.netlist_name, warm.vdd) == (cold.netlist_name, cold.vdd)
 
     def test_restricted_entry_does_not_grow_with_primary_inputs(
         self, library, models, options, tmp_path
@@ -286,8 +315,63 @@ class TestStimulusFreeRunEntries:
             store = PackedStore(tmp_path / f"extra{extra}")
             engine = CSMEngine(netlist, models, options=options, cache=store)
             engine.run(waveforms, t_stop=t_stop, only={"g1", "i1"})
-            sizes.append(store._entry_bytes(store._entries[engine.last_run_key]))
+            sizes.append(_manifest_bytes(store, engine.last_run_key))
         assert sizes[0] == sizes[1]
+
+    def test_entry_does_not_grow_with_samples(self, library, models, options, tmp_path):
+        netlist = _twin_netlist(library)
+        t_stop = default_time_window(netlist)
+        sizes, samples, labels = [], [], []
+        for step in (options.time_step, options.time_step / 2):
+            waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+            store = PackedStore(tmp_path / f"step{step:g}")
+            engine = CSMEngine(
+                netlist, models, options=replace(options, time_step=step), cache=store
+            )
+            result = engine.run(waveforms, t_stop=t_stop)
+            sizes.append(_manifest_bytes(store, engine.last_run_key))
+            samples.append(len(result.waveforms["y1"]))
+            labels.append(result.model_used)
+        assert samples[1] == 2 * samples[0] - 1
+        assert labels[0] == labels[1]
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("single_flight", [False, True])
+    def test_evicted_level_record_turns_the_hit_into_a_miss(
+        self, library, models, options, tmp_path, single_flight
+    ):
+        netlist = generate_netlist(library, DAG)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        store = PackedStore(tmp_path / "store")
+        if single_flight:
+            # The server's wrapper: the failed manifest resolution and the
+            # re-run read the same missing level record, and the re-run must
+            # not wait on a claim of its own.
+            store = SingleFlightStore(store, wait_timeout=30.0)
+        engine = CSMEngine(netlist, models, options=options, cache=store)
+        cold = engine.run(waveforms, t_stop=t_stop)
+        _, manifest = store.lookup(engine.last_run_key)
+        # The level record behind the middle level's rows.
+        middle = engine.levels()[1][0]
+        net = middle.connections[library[middle.cell_name].output]
+        _, pointer = store.lookup(manifest["keys"][manifest["nets"].index(net)])
+        _, record = store.lookup(pointer["level"])
+        assert store.evict(pointer["level"])
+
+        rerun_engine = CSMEngine(netlist, models, options=options, cache=store)
+        rerun = rerun_engine.run(waveforms, t_stop=t_stop)
+        stats = rerun_engine.last_stats
+        assert not stats.full_run_hit
+        assert stats.integrations == len(record["keys"])
+        _assert_same_waveforms(rerun, cold)
+        assert rerun.model_used == cold.model_used
+        if single_flight:
+            assert store.dedupe_stats() == {"waits": 0, "hits": 0}
+
+        warm_engine = CSMEngine(netlist, models, options=options, cache=store)
+        _assert_same_waveforms(warm_engine.run(waveforms, t_stop=t_stop), cold)
+        assert warm_engine.last_stats.full_run_hit
 
     def test_hybrid_warm_repeat_is_bitwise(self, library, models, options, tmp_path):
         netlist = generate_netlist(library, DAG)
@@ -306,6 +390,42 @@ class TestStimulusFreeRunEntries:
         assert warm.nldm.mis_flags == cold.nldm.mis_flags
         _assert_same_waveforms(warm, cold)
 
+    def test_server_eco_pairs_write_under_100kb_each(self, library, options, tmp_path):
+        service = TimingService(
+            models=TimingModelLibrary(
+                library=library,
+                config=CharacterizationConfig(io_grid_points=5),
+                cache=ResultCache(tmp_path / "models"),
+            ),
+            options=options,
+            store=ShardedPackedStore(tmp_path / "store", shards=2),
+        )
+        netlist = generate_netlist(library, "dag:w16:d4")
+        session = service.open_session({"netlist": netlist.to_dict()})["session"]
+        cold = service.timing(session)
+        assert cold["stats"]["integrations"] == len(netlist.instances)
+        store = service.store.inner
+
+        def store_bytes() -> int:
+            return sum(store.file_sizes().values())
+
+        swappable = [
+            name
+            for name, instance in netlist.instances.items()
+            if swap_partner(library, instance.cell_name) is not None
+        ]
+        rng = np.random.default_rng(3)
+        growth = []
+        for _ in range(20):
+            name = swappable[int(rng.integers(len(swappable)))]
+            cell = service._sessions[session].netlist.instances[name].cell_name
+            before = store_bytes()
+            service.eco(session, [{"kind": "swap_cell", "instance": name, "cell": _partner(library, cell)}])
+            timed = service.timing(session)
+            assert not timed["coalesced"]
+            growth.append(store_bytes() - before)
+        assert sum(growth) / len(growth) < 100_000, growth
+
 
 # ----------------------------------------------------------------------
 # One netlist digest per revision
@@ -313,7 +433,7 @@ class TestStimulusFreeRunEntries:
 class TestNetlistDigestMemo:
     def test_digest_is_the_unmemoized_content_hash(self, library):
         netlist = generate_netlist(library, DAG)
-        for salt in ("sta-netlist", "server-netlist", "server-design"):
+        for salt in (NETLIST_DIGEST_SALT, "server-design"):
             assert netlist.content_digest(salt) == content_hash(
                 salt, netlist_fingerprint(netlist)
             )
