@@ -769,7 +769,8 @@ def settle_units(
         ]
 
     results: List[Optional[Tuple[float, Optional[float]]]] = [None] * len(units)
-    fallback = [index for index in range(len(units)) if index not in set(eligible)]
+    eligible_set = set(eligible)
+    fallback = [index for index in range(len(units)) if index not in eligible_set]
     if batched_polish:
         for index, settled in zip(eligible, _polish_many(units, eligible, pre_states, options)):
             if settled is None:

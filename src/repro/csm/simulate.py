@@ -13,11 +13,15 @@ sources depend on and whether an internal node exists.
 Everything that depends only on the (known ahead of time) input waveforms is
 evaluated as whole-array batches *before* the sequential update loop: the
 per-pin input samples and their step deltas, the Miller-capacitance lookups
-and Miller charge, the output/internal capacitances, and — when the current
-sources are :class:`~repro.lut.table.NDTable` instances — the contraction of
-their input-pin axes via :meth:`~repro.lut.table.NDTable.contract_leading`.
-Only the genuinely recurrent ``v_out`` / ``v_int`` dependence remains inside
-the loop, which then just bilinearly interpolates a per-step reduced table.
+and Miller charge, the output/internal capacitances, and — for output-only
+models whose current source is an :class:`~repro.lut.table.NDTable` — the
+contraction of its input-pin axes via
+:meth:`~repro.lut.table.NDTable.contract_leading`.  Only the genuinely
+recurrent ``v_out`` / ``v_int`` dependence remains inside the loop, which
+then just interpolates a per-step reduced table.  Internal-node models keep
+their pin voltages and contract on demand: each step reads 4 of the
+``(VN, Vo)`` slice's entries, so the lockstep loop gathers just the pin
+corners of those, with the contraction's exact arithmetic.
 Cases the fast path cannot express (arbitrary callables, stateful loads,
 capacitance tables over the recurrent voltages) fall back to the original
 scalar loop; both paths produce the same waveforms to float round-off.
@@ -25,6 +29,7 @@ scalar loop; both paths produce the same waveforms to float round-off.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -126,22 +131,28 @@ def _contract_current_tables(
 class _Precomputed:
     """Input-driven per-step arrays feeding a fast-path recurrence.
 
-    With ``core_form`` (the shared-precompute path) the reduced tables hold
-    only the moving-core rows — views into the group's batched lookup, no
-    per-member expansion copies — and step ``k`` reads row
-    ``clip(k - first_move, 0, rows - 1)``: exactly the row the expanded form
-    stores at ``k``, since the flanks replicate the core's edge rows.  The
-    1-D ``charge``/``denom``/``cn`` stay full-length either way.
+    Table-derived rows cover only the unit's moving core: step ``k`` reads
+    core row ``clip(k - first_move, 0, rows - 1)`` — the constant flanks
+    before and after the core replicate its edge rows, so they are never
+    materialized.  The 1-D ``charge``/``denom``/``cn`` are full-length.
+
+    Output-only models carry their reduced ``Io`` rows (``io_reduced``).
+    Internal-node models carry the core's pin voltages and their two tables
+    instead, and the recurrence contracts the pin axes on demand: the scalar
+    loop materializes reduced rows (:func:`_scalar_recurrence_internal`), the
+    lockstep kernel gathers only the pin corners each step reads
+    (:func:`_lockstep_internal`).
     """
 
-    io_reduced: np.ndarray  # (steps, *state_shape); (core rows, ...) if core_form
-    in_reduced: Optional[np.ndarray]
     charge: np.ndarray  # (steps,)
     denom: np.ndarray  # (steps,)
     cn: Optional[np.ndarray]
     stationary_from: int  # first step index after the last input movement
-    core_form: bool = False
     first_move: int = 0
+    io_reduced: Optional[np.ndarray] = None  # (core rows, nO); output-only models
+    pin_core: Optional[np.ndarray] = None  # (core rows, P); internal-node models
+    io_table: Optional[NDTable] = None
+    in_table: Optional[NDTable] = None
 
 
 def _fast_precompute(
@@ -164,17 +175,12 @@ def _fast_precompute(
     window — the per-row results are identical, just not recomputed.
     """
     num_pins = len(pins)
-    pin_block = np.stack([input_samples[pin] for pin in pins], axis=1)  # (T, P)
-    pin_now = pin_block[:-1]  # (steps, P) voltages at step k
-    deltas = pin_block[1:] - pin_block[:-1]  # (steps, P) input charge drivers
-    steps = pin_now.shape[0]
+    plan = _precompute_plan(pins, input_samples, times)
+    steps = plan.steps
 
-    moving = np.flatnonzero((deltas != 0.0).any(axis=1))
-    stationary_from = int(moving[-1]) + 1 if moving.size else 0
-
-    if stationary_from == 0 and steps > 1:
+    if plan.constant:
         # Constant inputs: every per-step row is the same — evaluate one.
-        one = pin_now[:1]
+        one = plan.pin_core
         miller_row = np.array(
             [cap_value_batch(miller_caps[pin], one[:, col : col + 1])[0] for col, pin in enumerate(pins)]
         )
@@ -183,47 +189,23 @@ def _fast_precompute(
             raise ModelError("total output capacitance must be positive")
         charge = np.zeros(steps)
         denominator = np.broadcast_to(np.float64(denominator_row), (steps,))
-        in_reduced: Optional[np.ndarray] = None
-        cn: Optional[np.ndarray] = None
-        if has_internal:
-            assert in_table is not None and internal_cap is not None
-            cn_row = cap_value_batch(internal_cap, one)[0]
-            if cn_row <= 0:
-                raise ModelError("internal-node capacitance must be positive")
-            cn = np.broadcast_to(np.float64(cn_row), (steps,))
-            io_one, in_one = _contract_current_tables(io_table, in_table, one, num_pins)
-            in_reduced = np.broadcast_to(in_one[0], (steps,) + in_one[0].shape)
-        else:
-            io_one = io_table.contract_leading(one)
-        io_reduced = np.broadcast_to(io_one[0], (steps,) + io_one[0].shape)
-        return _Precomputed(io_reduced, in_reduced, charge, denominator, cn, 0)
-
-    # The inputs move only inside [first_move, stationary_from): the rows
-    # before and after are copies of one bias point, so the per-step lookups
-    # are evaluated on the moving core only and the constant flanks broadcast
-    # from the core's edge rows (identical values, computed once).
-    first_move = int(moving[0]) if moving.size else 0
-    core_stop = min(stationary_from, steps - 1) + 1
-    core = slice(first_move, core_stop)
-    flanks = first_move + (steps - core_stop)
-    if flanks <= steps // 8:
-        core = slice(0, steps)
-        first_move = 0
-        core_stop = steps
-    pin_core = pin_now[core]
-    core_len = core_stop - first_move
-
-    def expand(core_values: np.ndarray) -> np.ndarray:
-        if first_move == 0 and core_stop == steps:
-            return core_values
-        shape = core_values.shape[1:]
-        return np.concatenate(
-            [
-                np.broadcast_to(core_values[0], (first_move,) + shape),
-                core_values,
-                np.broadcast_to(core_values[-1], (steps - core_stop,) + shape),
-            ]
+        if not has_internal:
+            return _Precomputed(
+                charge, denominator, None, 0, io_reduced=io_table.contract_leading(one)
+            )
+        assert in_table is not None and internal_cap is not None
+        cn_row = cap_value_batch(internal_cap, one)[0]
+        if cn_row <= 0:
+            raise ModelError("internal-node capacitance must be positive")
+        cn = np.broadcast_to(np.float64(cn_row), (steps,))
+        return _Precomputed(
+            charge, denominator, cn, 0, pin_core=one, io_table=io_table, in_table=in_table
         )
+
+    first_move, core_stop, stationary_from = plan.first_move, plan.core_stop, plan.stationary_from
+    core = slice(first_move, core_stop)
+    pin_core = plan.pin_core
+    core_len = core_stop - first_move
 
     # Miller capacitances: scalar or C(vi) tables, batched over the core.
     miller_matrix = np.empty((core_len, num_pins))
@@ -233,28 +215,38 @@ def _fast_precompute(
         )
     miller_total = miller_matrix.sum(axis=1)
     miller_charge = np.zeros(steps)
-    miller_charge[core] = (miller_matrix * deltas[core]).sum(axis=1)
+    miller_charge[core] = (miller_matrix * plan.deltas_core).sum(axis=1)
 
     co = cap_value_batch(output_cap, pin_core)
-    denominator = expand(load_cap + co + miller_total)
+    denominator = _expand_core(load_cap + co + miller_total, first_move, core_stop, steps)
     if np.any(denominator <= 0):
         raise ModelError("total output capacitance must be positive")
 
-    # Contract the pin axes of the current-source tables for every core step
-    # at once; the recurrence only interpolates the remaining state axes.
-    in_reduced = None
-    cn = None
-    if has_internal:
-        assert in_table is not None and internal_cap is not None
-        cn = expand(cap_value_batch(internal_cap, pin_core))
-        if np.any(cn <= 0):
-            raise ModelError("internal-node capacitance must be positive")
-        io_core, in_core = _contract_current_tables(io_table, in_table, pin_core, num_pins)
-        in_reduced = expand(in_core)
-    else:
-        io_core = io_table.contract_leading(pin_core)
-    io_reduced = expand(io_core)
-    return _Precomputed(io_reduced, in_reduced, miller_charge, denominator, cn, stationary_from)
+    if not has_internal:
+        # Contract the pin axes of Io for every core step at once; the
+        # recurrence only interpolates the remaining state axis.
+        return _Precomputed(
+            miller_charge,
+            denominator,
+            None,
+            stationary_from,
+            first_move,
+            io_reduced=io_table.contract_leading(pin_core),
+        )
+    assert in_table is not None and internal_cap is not None
+    cn = _expand_core(cap_value_batch(internal_cap, pin_core), first_move, core_stop, steps)
+    if np.any(cn <= 0):
+        raise ModelError("internal-node capacitance must be positive")
+    return _Precomputed(
+        miller_charge,
+        denominator,
+        cn,
+        stationary_from,
+        first_move,
+        pin_core=pin_core,
+        io_table=io_table,
+        in_table=in_table,
+    )
 
 
 def integrate_model(
@@ -498,9 +490,7 @@ def _scalar_recurrence_output(
     v_out = np.empty(num_steps)
     v_out[0] = initial_output
     vo = initial_output
-    # Core-form pres hold only the moving-core rows; the clamp below maps step
-    # k onto row clip(k - first_move, 0, last) — the identity map for the
-    # full-form (first_move = 0, one row per step) layout.
+    # The clamp below maps step k onto core row clip(k - first_move, 0, last).
     io_rows = pre.io_reduced.tolist()  # (rows, nO) nested lists
     first_move = pre.first_move
     last_row = len(io_rows) - 1
@@ -543,7 +533,7 @@ def _scalar_recurrence_internal(
     """
     num_steps = len(times)
     steps = num_steps - 1
-    assert pre.in_reduced is not None and pre.cn is not None
+    assert pre.pin_core is not None and pre.cn is not None
     dt = np.diff(times)
     # Same pre-divided coefficients (and the same elementwise divisions) as
     # the lockstep loop's drive/rate stacks.
@@ -553,11 +543,14 @@ def _scalar_recurrence_internal(
     vo_bracket = _scalar_bracket(vo_axis)
     vn_bracket = _scalar_bracket(vn_axis)
     n_out = len(vo_axis.points)
-    # Core-form pres hold only the moving-core rows (see
+    # One reduced row per moving-core step (see
     # :func:`_scalar_recurrence_output` for the step -> row clamp).
-    num_rows = pre.io_reduced.shape[0]
-    io_rows = pre.io_reduced.reshape(num_rows, -1).tolist()  # (rows, nN * nO)
-    in_rows = pre.in_reduced.reshape(num_rows, -1).tolist()
+    io_reduced, in_reduced = _contract_current_tables(
+        pre.io_table, pre.in_table, pre.pin_core, pre.pin_core.shape[1]
+    )
+    num_rows = io_reduced.shape[0]
+    io_rows = io_reduced.reshape(num_rows, -1).tolist()  # (rows, nN * nO)
+    in_rows = in_reduced.reshape(num_rows, -1).tolist()
     first_move = pre.first_move
     last_row = num_rows - 1
 
@@ -726,9 +719,9 @@ class _LockstepMember:
 class _PrecomputePlan:
     """The input-movement analysis of one unit, before any table lookups.
 
-    Mirrors the front half of :func:`_fast_precompute`: the moving core (or
-    the single representative row, for constant inputs) is identified here so
-    the shared-precompute path can batch every unit's table lookups in one
+    The front half of :func:`_fast_precompute`: the moving core (or the
+    single representative row, for constant inputs) is identified here so the
+    shared-precompute path can also batch every unit's table lookups in one
     call and assemble the per-unit :class:`_Precomputed` afterwards.
     """
 
@@ -762,12 +755,16 @@ class _FastEntry:
 def _precompute_plan(
     pins: Sequence[str], input_samples: Dict[str, np.ndarray], times: np.ndarray
 ) -> _PrecomputePlan:
-    """Identify a unit's moving core — the same analysis (and the same edge
-    cases) as :func:`_fast_precompute`, split off so lookups can be batched
-    across units."""
-    pin_block = np.stack([input_samples[pin] for pin in pins], axis=1)
-    pin_now = pin_block[:-1]
-    deltas = pin_block[1:] - pin_block[:-1]
+    """Identify a unit's moving core, before any table lookups.
+
+    The inputs move only inside ``[first_move, stationary_from)``: the rows
+    before and after are copies of one bias point, so the per-step lookups
+    are evaluated on the moving core only and the constant flanks broadcast
+    from the core's edge rows (identical values, computed once).
+    """
+    pin_block = np.stack([input_samples[pin] for pin in pins], axis=1)  # (T, P)
+    pin_now = pin_block[:-1]  # (steps, P) voltages at step k
+    deltas = pin_block[1:] - pin_block[:-1]  # (steps, P) input charge drivers
     steps = pin_now.shape[0]
     moving = np.flatnonzero((deltas != 0.0).any(axis=1))
     stationary_from = int(moving[-1]) + 1 if moving.size else 0
@@ -828,7 +825,8 @@ def _fusion_key(entry: _FastEntry) -> Optional[Tuple]:
     value-equal leading + trailing axes (equal trailing point tuples imply
     equal reduced-table shapes).  Returns ``None`` for pairs whose ``I_N``
     leading axes diverge from ``Io``'s — those fall back to identity
-    grouping, exactly as before.
+    grouping, exactly as before.  Internal-node models contract on demand,
+    so for them fusion batches the capacitance lookups only.
     """
     io_table = entry.io_table
     num_pins = len(entry.unit.pins)
@@ -852,11 +850,12 @@ def _fill_precompute_shared(entries: Sequence[_FastEntry], times: np.ndarray) ->
     moving cores in one call yields, for each unit's slice, bitwise the rows
     its standalone :func:`_fast_precompute` call would have produced.
 
-    Model groups whose state grids are value-equal (same cell across MMMC
-    corners, or different cells characterized on one grid) additionally fuse
-    into a single contraction pass: bracket weights are computed once per row
-    chunk and applied to each model's own value grid
-    (:func:`~repro.lut.table.contract_leading_spans`).  Fusion changes batch
+    Output-only model groups whose state grids are value-equal (same cell
+    across MMMC corners, or different cells characterized on one grid)
+    additionally fuse into a single contraction pass: bracket weights are
+    computed once per row chunk and applied to each model's own value grid
+    (:func:`~repro.lut.table.contract_leading_spans`).  Internal-node models
+    skip the contraction here; their recurrences contract on demand.  Fusion changes batch
     composition only — every lookup stays per-row with per-model values, so
     each unit's precompute is bitwise what its own model group would produce.
     """
@@ -881,8 +880,8 @@ def _fill_precompute_shared(entries: Sequence[_FastEntry], times: np.ndarray) ->
 #: blows past the CPU caches and runs slower than per-unit calls.  Every
 #: lookup here is strictly per-row, so evaluating fixed-size row windows and
 #: concatenating is bitwise identical to one whole-array call.  512 rows keeps
-#: the largest gather (rows x a MIS pair's (VN, VO) slice) a few MB — measured
-#: fastest on the w256 DAG workloads among 128..8192.
+#: every gather a few MB at most — measured fastest on the w256 DAG workloads
+#: among 128..8192.
 _LOOKUP_CHUNK = 512
 
 
@@ -931,43 +930,26 @@ def _assemble_group_precompute(members: Sequence[_FastEntry]) -> None:
     ]
     co_all = _chunked_rows(lambda rows: cap_value_batch(output_cap, rows), coords)
     cn_all: Optional[np.ndarray] = None
-    in_all: Optional[np.ndarray] = None
+    io_all: Optional[np.ndarray] = None
     if has_internal:
-        assert rep.in_table is not None and internal_cap is not None
+        # Internal-node models contract their pin axes on demand.
+        assert internal_cap is not None
         cn_all = _chunked_rows(lambda rows: cap_value_batch(internal_cap, rows), coords)
-        total = coords.shape[0]
-        first_io, first_in = _contract_current_tables(
-            rep.io_table, rep.in_table, coords[:_LOOKUP_CHUNK], num_pins
-        )
-        if total <= _LOOKUP_CHUNK:
-            io_all, in_all = first_io, first_in
-        else:
-            io_all = np.empty((total,) + first_io.shape[1:], dtype=first_io.dtype)
-            in_all = np.empty((total,) + first_in.shape[1:], dtype=first_in.dtype)
-            io_all[:_LOOKUP_CHUNK] = first_io
-            in_all[:_LOOKUP_CHUNK] = first_in
-            for s in range(_LOOKUP_CHUNK, total, _LOOKUP_CHUNK):
-                io_all[s : s + _LOOKUP_CHUNK], in_all[s : s + _LOOKUP_CHUNK] = (
-                    _contract_current_tables(
-                        rep.io_table, rep.in_table, coords[s : s + _LOOKUP_CHUNK], num_pins
-                    )
-                )
     else:
         io_all = _chunked_rows(rep.io_table.contract_leading, coords)
 
-    _assemble_members(
-        members, bounds, num_pins, has_internal, miller_cols, co_all, cn_all, io_all, in_all
-    )
+    _assemble_members(members, bounds, num_pins, miller_cols, co_all, cn_all, io_all)
 
 
 def _assemble_fused_precompute(model_groups: Sequence[Sequence[_FastEntry]]) -> None:
     """One lookup pass across several same-grid model groups (MMMC corners).
 
     Each model group keeps its own capacitance and current-value grids — those
-    are evaluated over that group's span of the concatenated cores — while the
-    contraction's bracket weights are computed once per row chunk for the
-    whole fused batch (:func:`~repro.lut.table.contract_leading_spans`).  The
-    per-member assembly is byte-for-byte the single-group one.
+    are evaluated over that group's span of the concatenated cores — while
+    the contraction of output-only models computes its bracket weights once
+    per row chunk for the whole fused batch
+    (:func:`~repro.lut.table.contract_leading_spans`).  The per-member
+    assembly is byte-for-byte the single-group one.
     """
     rep0 = model_groups[0][0]
     num_pins = len(rep0.unit.pins)
@@ -1009,38 +991,31 @@ def _assemble_fused_precompute(model_groups: Sequence[Sequence[_FastEntry]]) -> 
             cn_all[start:stop] = _chunked_rows(
                 lambda rows, cap=rep.unit.internal_cap: cap_value_batch(cap, rows), block
             )
-    in_all: Optional[np.ndarray] = None
-    if has_internal:
-        table_groups = [
-            (members[0].io_table, members[0].in_table) for members in model_groups
-        ]
-        io_all, in_all = contract_leading_spans(
-            table_groups, coords, spans, chunk=_LOOKUP_CHUNK
-        )
-    else:
+    io_all: Optional[np.ndarray] = None
+    if not has_internal:  # internal-node models contract on demand
         (io_all,) = contract_leading_spans(
             [(members[0].io_table,) for members in model_groups],
             coords,
             spans,
             chunk=_LOOKUP_CHUNK,
         )
-    _assemble_members(
-        flat_members, bounds, num_pins, has_internal, miller_cols, co_all, cn_all, io_all, in_all
-    )
+    _assemble_members(flat_members, bounds, num_pins, miller_cols, co_all, cn_all, io_all)
 
 
 def _assemble_members(
     members: Sequence[_FastEntry],
     bounds: np.ndarray,
     num_pins: int,
-    has_internal: bool,
     miller_cols: Sequence[np.ndarray],
     co_all: np.ndarray,
     cn_all: Optional[np.ndarray],
-    io_all: np.ndarray,
-    in_all: Optional[np.ndarray],
+    io_all: Optional[np.ndarray],
 ) -> None:
-    """Per-unit :class:`_Precomputed` assembly over batched lookup arrays."""
+    """Per-unit :class:`_Precomputed` assembly over batched lookup arrays.
+
+    ``io_all`` holds the reduced ``Io`` rows of output-only models; it is
+    ``None`` for internal-node models, whose members keep their pin rows and
+    tables for on-demand contraction."""
     for member, start, stop in zip(members, bounds[:-1], bounds[1:]):
         plan = member.plan
         steps = plan.steps
@@ -1052,51 +1027,42 @@ def _assemble_members(
                 raise ModelError("total output capacitance must be positive")
             charge = np.zeros(steps)
             denominator = np.broadcast_to(np.float64(denominator_row), (steps,))
-            in_reduced: Optional[np.ndarray] = None
             cn: Optional[np.ndarray] = None
-            if has_internal:
+            if member.has_internal:
                 cn_row = cn_all[start]
                 if cn_row <= 0:
                     raise ModelError("internal-node capacitance must be positive")
                 cn = np.broadcast_to(np.float64(cn_row), (steps,))
-                in_reduced = in_all[start : start + 1]
-            io_reduced = io_all[start : start + 1]
-            member.pre = _Precomputed(
-                io_reduced, in_reduced, charge, denominator, cn, 0, core_form=True
+            stationary_from = first_move = 0
+        else:
+            first_move, core_stop = plan.first_move, plan.core_stop
+            core = slice(first_move, core_stop)
+            core_len = stop - start
+            miller_matrix = np.empty((core_len, num_pins))
+            for column in range(num_pins):
+                miller_matrix[:, column] = miller_cols[column][start:stop]
+            miller_total = miller_matrix.sum(axis=1)
+            charge = np.zeros(steps)
+            charge[core] = (miller_matrix * plan.deltas_core).sum(axis=1)
+            co = co_all[start:stop]
+            denominator = _expand_core(
+                load_cap + co + miller_total, first_move, core_stop, steps
             )
-            continue
-
-        first_move, core_stop = plan.first_move, plan.core_stop
-        core = slice(first_move, core_stop)
-        core_len = stop - start
-        miller_matrix = np.empty((core_len, num_pins))
-        for column in range(num_pins):
-            miller_matrix[:, column] = miller_cols[column][start:stop]
-        miller_total = miller_matrix.sum(axis=1)
-        miller_charge = np.zeros(steps)
-        miller_charge[core] = (miller_matrix * plan.deltas_core).sum(axis=1)
-        co = co_all[start:stop]
-        denominator = _expand_core(load_cap + co + miller_total, first_move, core_stop, steps)
-        if np.any(denominator <= 0):
-            raise ModelError("total output capacitance must be positive")
-        in_reduced = None
-        cn = None
-        if has_internal:
-            cn = _expand_core(cn_all[start:stop], first_move, core_stop, steps)
-            if np.any(cn <= 0):
-                raise ModelError("internal-node capacitance must be positive")
-            in_reduced = in_all[start:stop]
-        io_reduced = io_all[start:stop]
-        member.pre = _Precomputed(
-            io_reduced,
-            in_reduced,
-            miller_charge,
-            denominator,
-            cn,
-            plan.stationary_from,
-            core_form=True,
-            first_move=first_move,
-        )
+            if np.any(denominator <= 0):
+                raise ModelError("total output capacitance must be positive")
+            cn = None
+            if member.has_internal:
+                cn = _expand_core(cn_all[start:stop], first_move, core_stop, steps)
+                if np.any(cn <= 0):
+                    raise ModelError("internal-node capacitance must be positive")
+            stationary_from = plan.stationary_from
+        if member.has_internal:
+            tables = dict(
+                pin_core=plan.pin_core, io_table=member.io_table, in_table=member.in_table
+            )
+        else:
+            tables = dict(io_reduced=io_all[start:stop])
+        member.pre = _Precomputed(charge, denominator, cn, stationary_from, first_move, **tables)
 
 
 #: Below these group sizes the scalar recurrence beats the numpy loop's
@@ -1286,7 +1252,7 @@ def integrate_model_many(
             continue
         for member, out in zip(
             members,
-            _lockstep_output(members, times, vo_axis, core_tables=shared_precompute),
+            _lockstep_output(members, times, vo_axis),
         ):
             results[member.index] = out
 
@@ -1303,9 +1269,7 @@ def integrate_model_many(
             continue
         for member, out in zip(
             members,
-            _lockstep_internal(
-                members, times, vn_axis, vo_axis, core_tables=shared_precompute
-            ),
+            _lockstep_internal(members, times, vn_axis, vo_axis),
         ):
             results[member.index] = out
 
@@ -1373,35 +1337,31 @@ def _clip_bounds(members: Sequence[_LockstepMember]):
 
 
 def _core_index_map(
-    members: Sequence[_LockstepMember], steps: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-(step, member) core-row indices for core-form reduced tables.
+    members: Sequence[_LockstepMember], steps: int, lens: np.ndarray
+) -> np.ndarray:
+    """Per-(step, member) core-row indices: ``(steps, B)``.
 
     Step ``k`` of member ``b`` reads core row ``clip(k - first_move, 0,
-    rows_b - 1)`` — exactly the row :func:`_expand_core` would have placed at
-    ``k`` (the flanks replicate the core's edge rows), so gathering through
-    this map is bitwise identical to gathering the expanded stack.
+    lens[b] - 1)`` — exactly the row :func:`_expand_core` would have placed
+    at ``k`` (the flanks replicate the core's edge rows), so gathering
+    through this map is bitwise identical to gathering an expanded stack.
     """
-    lens = np.array([m.pre.io_reduced.shape[0] for m in members], dtype=np.intp)
     fms = np.array([m.pre.first_move for m in members], dtype=np.intp)
-    idx_map = np.clip(
+    return np.clip(
         np.arange(steps, dtype=np.intp)[:, None] - fms[None, :], 0, (lens - 1)[None, :]
     )
-    return lens, idx_map
 
 
 def _lockstep_output(
     members: Sequence[_LockstepMember],
     times: np.ndarray,
     vo_axis,
-    core_tables: bool = False,
 ) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
     """Vectorized-across-units recurrence for models without internal node.
 
-    ``core_tables`` (the tensor engine's shared precompute) packs only each
-    member's moving-core rows instead of the full ``(steps, B, nO)`` stack and
-    routes the per-step gather through :func:`_core_index_map`; the gather
-    reads the same values either way, so the recurrence is bitwise unchanged.
+    Each member's moving-core ``Io`` rows are packed ``(rows, B, nO)`` and
+    step ``k`` gathers its two bracket corners through
+    :func:`_core_index_map`.
     """
     batch = len(members)
     num_steps = len(times)
@@ -1412,18 +1372,11 @@ def _lockstep_output(
     v_low, v_high = _clip_bounds(members)
     stationary_from = max(m.pre.stationary_from for m in members)
 
-    # Per-step tables packed (steps, B, nO): one contiguous row per step.
-    core = core_tables and all(m.pre.core_form for m in members)
-    if core:
-        lens, idx_map = _core_index_map(members, steps)
-        table = np.empty((int(lens.max()), batch, n_out))
-    else:
-        table = np.empty((steps, batch, n_out))
+    lens = np.array([m.pre.io_reduced.shape[0] for m in members], dtype=np.intp)
+    idx_map = _core_index_map(members, steps, lens)
+    table = np.empty((int(lens.max()), batch, n_out))
     for b, member in enumerate(members):
-        if core:
-            table[: member.pre.io_reduced.shape[0], b, :] = member.pre.io_reduced
-        else:
-            table[:, b, :] = member.pre.io_reduced
+        table[: lens[b], b, :] = member.pre.io_reduced
     # One stacked elementwise pass instead of B column assignments.
     charge = np.stack([m.pre.charge for m in members], axis=1)
     denom = np.stack([m.pre.denom for m in members], axis=1)
@@ -1435,7 +1388,7 @@ def _lockstep_output(
     for k in range(steps):
         i, frac = _bracket_array(vo, pts, spans, n_out, inv_h)
         cols = i[None, :] + offsets
-        corners = table[idx_map[k], rows, cols] if core else table[k][rows, cols]  # (2, B)
+        corners = table[idx_map[k], rows, cols]  # (2, B)
         io_val = corners[0] + frac * (corners[1] - corners[0])
         new_vo = vo + (charge[k] - io_val * dt[k]) / denom[k]
         new_vo = np.maximum(np.minimum(new_vo, v_high), v_low)
@@ -1448,31 +1401,158 @@ def _lockstep_output(
     return [(v_out[b], None) for b in range(batch)]
 
 
+@dataclass
+class _PinCorners:
+    """Where an internal-node group's corner values live, and their weights.
+
+    Built once per lockstep group (:func:`_pin_corners`) over ``K`` rows —
+    the lockstep steps — and ``B`` members.
+
+    * ``table`` — ``(C * S, N)``: column ``p`` holds the values at flat
+      offsets ``p + pattern`` of the group's tables laid end to end (MMMC
+      corners and different cells included), where ``pattern`` enumerates
+      the ``C = 2**L`` pin corners (the bit order of
+      :meth:`NDTable._contract_apply`, first axis most significant) times the
+      caller's ``S`` state-corner offsets.  Tables with other pin strides
+      get their own copy of the columns.
+    * ``columns[k, t, b]`` — the column of member ``b``'s low pin corner at
+      row ``k`` in table position ``t`` (0 = ``Io``, 1 = ``I_N``): the block
+      base of :meth:`NDTable._contract_weights` times the state-slice size,
+      plus the table's (and copy's) start.
+    * ``weights[k, d, :, 0, t, b]`` — ``(1.0 - f, f)`` for pin axis ``d``,
+      with one ``t`` when ``Io`` and ``I_N`` share their brackets.
+
+    Members with fewer pin axes than the group's widest are padded with
+    phantom axes (stride 0, fraction 0.0): ``x * 1.0 + x * 0.0 == x``
+    exactly, so padding leaves their values bitwise unchanged.
+    """
+
+    table: np.ndarray  # (C * S, N)
+    columns: np.ndarray  # (K, 2, B) intp
+    weights: np.ndarray  # (K, L, 2, 1, T, B)
+
+
+def _pin_corners(
+    pins: np.ndarray,
+    tables: Sequence[Tuple[NDTable, NDTable]],
+    size: int,
+    state_offsets: np.ndarray,
+) -> _PinCorners:
+    """The on-demand contraction plan of one internal-node group.
+
+    ``pins`` is ``(K, B, L)``: every member's pin voltages per row, zero past
+    its own pin count; ``tables`` holds each member's ``(Io, I_N)``.
+    ``size`` is the number of values in one pin block (the flattened state
+    slice, ``nN * nO``) and ``state_offsets`` the ``S`` offsets into it that
+    each row reads.  Tables whose leading axes carry equal points share one
+    :meth:`NDTable._contract_weights` call — the bracket depends on the axis
+    points only — so the common group (one voltage grid) brackets its pins
+    in a single pass.
+    """
+    num_rows, num_members, num_axes = pins.shape
+    table_start: Dict[int, int] = {}
+    parts: List[np.ndarray] = []
+    flat_size = 0
+    starts = np.empty((2, num_members), dtype=np.intp)
+    classes: Dict[Tuple, Tuple[NDTable, np.ndarray]] = {}
+    for b, pair in enumerate(tables):
+        for position, table in enumerate(pair):
+            if id(table) not in table_start:
+                table_start[id(table)] = flat_size
+                parts.append(table.values.reshape(-1))
+                flat_size += table.values.size
+            starts[position, b] = table_start[id(table)]
+            key = tuple(axis.points for axis in table.axes[: table.ndim - 2])
+            if key not in classes:
+                classes[key] = (table, np.zeros((2, num_members), dtype=bool))
+            classes[key][1][position, b] = True
+    flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    shared = all(np.array_equal(users[0], users[1]) for _, users in classes.values())
+
+    def pick(mask: np.ndarray):
+        return slice(None) if mask.all() else mask
+
+    columns = np.empty((num_rows, 2, num_members), dtype=np.intp)
+    weights = np.zeros((num_rows, num_axes, 2, 1, 1 if shared else 2, num_members))
+    bits = np.array(list(itertools.product((0, 1), repeat=num_axes)), dtype=np.intp)
+    patterns: Dict[Tuple[int, ...], int] = {}
+    for key, (table, users) in classes.items():
+        width = len(key)
+        shape = table.values.shape[:width]
+        strides = [1] * width
+        for dim in range(width - 2, -1, -1):
+            strides[dim] = strides[dim + 1] * shape[dim + 1]
+        readers = users.any(axis=0)
+        block = pins[:, pick(readers), :width]
+        lows, fracs, _ = table._contract_weights(block.reshape(-1, width))
+        base = lows[:, 0] * strides[0]
+        for dim in range(1, width):
+            base = base + lows[:, dim] * strides[dim]
+        base = base.reshape(block.shape[:2])
+        fracs = fracs.reshape(block.shape).transpose(0, 2, 1)  # (K, width, readers)
+        padded = tuple(strides + [0] * (num_axes - width))
+        copy = patterns.setdefault(padded, len(patterns)) * flat_size
+        for position in (0, 1):
+            if not users[position].any():
+                continue
+            at = pick(users[position])
+            within = pick(users[position][readers])
+            columns[:, position, at] = starts[position, at] + base[:, within] * size + copy
+            if position == 0 or not shared:
+                weights[:, :width, 1, 0, 0 if shared else position, at] = fracs[:, :, within]
+    weights[:, :, 0] = 1.0 - weights[:, :, 1]
+
+    # Column p of each copy: the C x S corner values a low corner at p
+    # reads (clipped past the end of the tables, where no low corner lies).
+    copies = []
+    for padded in patterns:
+        pin_offsets = (bits @ np.array(padded, dtype=np.intp)) * size
+        pattern = (pin_offsets[:, None] + state_offsets[None, :]).reshape(-1, 1)
+        copies.append(flat.take(np.arange(flat_size) + pattern, mode="clip"))
+    table = copies[0] if len(copies) == 1 else np.concatenate(copies, axis=1)
+    return _PinCorners(table, columns, weights)
+
+
+def _contract_corners(
+    table: np.ndarray, columns: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Gather pin x state corners and contract the pin axes away.
+
+    ``columns`` is ``(2, B)``: the :class:`_PinCorners` column of each
+    member's low pin corner in ``Io`` and ``I_N``.  ``weights`` is ``(L, 2,
+    1, T, B)``: per pin axis, ``(1.0 - f, f)``.  Each axis applies
+    :meth:`NDTable._contract_apply`'s association, ``g[0] * (1 - f) + g[1] *
+    f``, first pin axis first — the same elementwise operations as the
+    reduced table, restricted to the ``S`` state corners the table holds.
+    Returns ``(S, 2, B)``.
+    """
+    values = table.take(columns, axis=1)  # (C * S, 2, B)
+    for weight in weights:
+        product = values.reshape((2, -1) + columns.shape) * weight
+        values = product[0] + product[1]
+    return values
+
+
 def _lockstep_internal(
     members: Sequence[_LockstepMember],
     times: np.ndarray,
     vn_axis,
     vo_axis,
-    core_tables: bool = False,
 ) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
     """Vectorized-across-units recurrence for internal-node (MCSM) models.
 
     Both recurrent states are bracketed in one fused pass when the ``Vo`` and
     ``VN`` grids coincide (they do for :func:`~repro.lut.grid.voltage_axis`
-    characterizations), and the two tables' four bilinear corners are fetched
-    with a single 8-point gather per step.
-
-    ``core_tables`` (the tensor engine's shared precompute) packs only each
-    member's moving-core rows instead of the full ``(steps, B, 2 * nN * nO)``
-    stack — the stack for a whole-level settle otherwise costs a >100 MB
-    materialized copy of flank rows — and routes the per-step gather through
-    :func:`_core_index_map`.  The gather reads the same values either way, so
-    the recurrence is bitwise unchanged.
+    characterizations).  The pin axes are contracted on demand: step ``k``
+    gathers the ``2**P`` pin corners x 4 state corners x 2 tables it reads
+    in one ``take`` (:func:`_pin_corners`, :func:`_contract_corners`), with
+    the reduced tables' exact arithmetic, so the group never materializes a
+    per-step ``(nN, nO)`` slice and the recurrence is bitwise the scalar one
+    (:func:`_scalar_recurrence_internal`).
     """
     batch = len(members)
     num_steps = len(times)
     steps = num_steps - 1
-    rows = np.arange(batch)
     dt = np.diff(times)
     o_pts, o_spans, n_out, o_inv = _axis_lookup(vo_axis)
     n_pts, n_spans, n_int, n_inv = _axis_lookup(vn_axis)
@@ -1484,25 +1564,30 @@ def _lockstep_internal(
     )
     v_low, v_high = _clip_bounds(members)
     stationary_from = max(m.pre.stationary_from for m in members)
-    size = n_int * n_out
 
-    # Per-step tables packed (steps, B, 2 * nN * nO): Io rows then I_N rows,
-    # one contiguous block per step for the combined 8-corner gather.  The
-    # two state updates are packed as ``state + drive - vals * rate`` with
-    # drive = (Q_M/C, 0) and rate = (dt/C, dt/C_N), so one fused arithmetic
-    # sequence advances Vo and VN together.
-    core = core_tables and all(m.pre.core_form for m in members)
-    if core:
-        lens, idx_map = _core_index_map(members, steps)
-        table = np.empty((int(lens.max()), batch, 2 * size))
-    else:
-        table = np.empty((steps, batch, 2 * size))
-    for b, member in enumerate(members):
-        pre = member.pre
-        rows_b = pre.io_reduced.shape[0] if core else steps
-        table[:rows_b, b, :size] = pre.io_reduced.reshape(rows_b, size)
-        table[:rows_b, b, size:] = pre.in_reduced.reshape(rows_b, size)
-    # One stacked elementwise pass instead of 3B per-member divisions.
+    # State corners (j, i), (j, i+1), (j+1, i), (j+1, i+1); per step, the
+    # low-corner columns of both tables and (1 - f, f) of every pin axis,
+    # member axis last.
+    quad = np.array([0, 1, n_out, n_out + 1], dtype=np.intp)
+    lens = np.array([m.pre.pin_core.shape[0] for m in members], dtype=np.intp)
+    num_axes = max(m.pre.pin_core.shape[1] for m in members)
+    cores = np.zeros((int(lens.sum()), num_axes))
+    start = 0
+    for member, length in zip(members, lens):
+        cores[start : start + length, : member.pre.pin_core.shape[1]] = member.pre.pin_core
+        start += length
+    row_of = _core_index_map(members, steps, lens) + (np.cumsum(lens) - lens)[None, :]
+    plan = _pin_corners(
+        cores[row_of],
+        [(m.pre.io_table, m.pre.in_table) for m in members],
+        n_int * n_out,
+        quad,
+    )
+    table, columns, weights = plan.table, plan.columns, plan.weights
+
+    # The two state updates are packed as ``state + drive - vals * rate``
+    # with drive = (Q_M/C, 0) and rate = (dt/C, dt/C_N), so one fused
+    # arithmetic sequence advances Vo and VN together.
     charge_mat = np.stack([m.pre.charge for m in members])  # (B, steps)
     denom_mat = np.stack([m.pre.denom for m in members])
     cn_mat = np.stack([m.pre.cn for m in members])
@@ -1511,20 +1596,15 @@ def _lockstep_internal(
     drive[:, 0, :] = (charge_mat / denom_mat).T
     rate[:, 0, :] = (dt[None, :] / denom_mat).T
     rate[:, 1, :] = (dt[None, :] / cn_mat).T
-    # Corner offsets: (i, i+1) x (j, j+1) for Io, then the same for I_N.
-    quad = np.array([0, 1, n_out, n_out + 1], dtype=np.intp)
-    offsets = np.concatenate([quad, quad + size])[:, None]  # (8, 1)
 
-    v_out = np.empty((batch, num_steps))
-    v_int = np.empty((batch, num_steps))
+    history = np.empty((2, batch, num_steps))  # (Vo / VN, B, samples)
     state = np.stack(
         [
             [m.initial_output for m in members],
             [m.initial_internal for m in members],
         ]
     )
-    v_out[:, 0] = state[0]
-    v_int[:, 0] = state[1]
+    history[:, :, 0] = state
     for k in range(steps):
         if shared_axis:
             idx, frac = _bracket_array(state, o_pts, o_spans, n_out, o_inv)
@@ -1533,20 +1613,16 @@ def _lockstep_internal(
         else:
             i, fo = _bracket_array(state[0], o_pts, o_spans, n_out, o_inv)
             j, fn = _bracket_array(state[1], n_pts, n_spans, n_int, n_inv)
-        base = j * n_out + i
-        cols = base[None, :] + offsets
-        corners = table[idx_map[k], rows, cols] if core else table[k][rows, cols]  # (8, B)
-        g = corners.reshape(2, 2, 2, batch)  # (table, j/j+1, i/i+1, B)
-        row_interp = g[:, :, 0] + fo * (g[:, :, 1] - g[:, :, 0])  # (2, 2, B)
-        vals = row_interp[:, 0] + fn * (row_interp[:, 1] - row_interp[:, 0])
+        g = _contract_corners(table, columns[k] + (j * n_out + i), weights[k])
+        g = g.reshape(2, 2, 2, batch)  # (j/j+1, i/i+1, table, B)
+        row_interp = g[:, 0] + fo * (g[:, 1] - g[:, 0])  # (j/j+1, table, B)
+        vals = row_interp[0] + fn * (row_interp[1] - row_interp[0])
         new_state = state + (drive[k] - vals * rate[k])
         new_state = np.maximum(np.minimum(new_state, v_high), v_low)
-        v_out[:, k + 1] = new_state[0]
-        v_int[:, k + 1] = new_state[1]
+        history[:, :, k + 1] = new_state
         if k >= stationary_from and k % _EXIT_CHECK_EVERY == 0:
             if float(np.abs(new_state - state).max()) <= _EXIT_TOLERANCE:
-                v_out[:, k + 2 :] = new_state[0][:, None]
-                v_int[:, k + 2 :] = new_state[1][:, None]
+                history[:, :, k + 2 :] = new_state[:, :, None]
                 break
         state = new_state
-    return [(v_out[b], v_int[b]) for b in range(batch)]
+    return [(history[0, b], history[1, b]) for b in range(batch)]
