@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         "--baseline", type=Path, default=None,
         help="previous BENCH json; per-design sta timings are compared against "
         "its 'sta' section when present (older reports without one are "
-        "tolerated — the in-run tensor-vs-regroup timing is the comparison)",
+        "tolerated and only noted)",
     )
     args = parser.parse_args(argv)
 
@@ -124,12 +124,9 @@ def main(argv=None) -> int:
                 "levels": p.levels,
                 "mis_instances": p.mis_instances,
                 "sequential_seconds": round(p.sequential_seconds, 4),
-                "regroup_seconds": round(p.legacy_batched_seconds, 4),
                 "batched_seconds": round(p.batched_seconds, 4),
                 "speedup": round(p.speedup, 3),
-                "tensor_speedup": round(p.tensor_speedup, 3),
                 "max_abs_delta_v": p.max_abs_delta_v,
-                "max_abs_delta_v_tensor": p.max_abs_delta_v_tensor,
             }
             for p in result.points
         },
@@ -155,8 +152,7 @@ def main(argv=None) -> int:
         else:
             comparison["note"] = (
                 f"{args.baseline.name} has no 'sta' design timings (older report "
-                "format); the per-design regroup_seconds column above times the "
-                "previous batched path in this run instead"
+                "format); nothing to compare against"
             )
             print(comparison["note"])
         report["sta"]["baseline"] = comparison

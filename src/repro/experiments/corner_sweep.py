@@ -216,20 +216,14 @@ def batched_corner_sta_sweep(
     seed: int = 0,
     cache: Optional[ResultCache] = None,
     use_cache: bool = True,
-    corner_workers: Optional[int] = None,
 ) -> BatchedCornerSweepResult:
-    """Time one design across corners in a single batched MMMC engine run.
+    """Time one design across corners in a single MMMC engine run.
 
     A :class:`~repro.sta.mmmc.CornerSet` binds every corner's characterized
-    model library to one :class:`CSMEngine`, which propagates all corners in
-    one levelized tensor pass — per-corner waveforms come out of the same
-    :class:`~repro.waveform.level_tensor.LevelTensor` corner axis the serial
-    sweep fills one column at a time.  Arrivals are comparable point by
-    point with :func:`corner_sta_sweep` (≤1e-9 V waveform deviation).
-
-    ``corner_workers`` caps the engine's per-level corner thread pool
-    (default: one thread per corner up to the visible CPU count; ``1``
-    forces the fused single-stack pass).
+    model library to one :class:`CSMEngine`, which runs each corner as an
+    ordinary single-corner run, one after another.  Arrivals are comparable
+    point by point with :func:`corner_sta_sweep`; the waveforms are bitwise
+    equal.
     """
     corner_set = CornerSet.from_names(
         list(corners),
@@ -253,7 +247,6 @@ def batched_corner_sta_sweep(
         corners=corner_set,
         cache=cache,
         use_cache=use_cache,
-        corner_workers=corner_workers,
     )
     start = time.perf_counter()
     result = engine.run(waveforms)

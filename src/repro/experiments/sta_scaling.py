@@ -48,10 +48,8 @@ def timing_models_for(context: ExperimentContext) -> TimingModelLibrary:
 class StaScalePoint:
     """Batched vs sequential comparison for one generated netlist.
 
-    ``batched_seconds`` times the default engine (whole-level tensors);
-    ``legacy_batched_seconds`` times the per-instance ``BatchUnit`` regrouping
-    path it replaced (``tensor=False``), so the tensor win is measured in the
-    same process as the batched-vs-sequential one.
+    ``batched_seconds`` times the default engine (whole-level tensors),
+    ``sequential_seconds`` the ``batched=False`` reference oracle.
     """
 
     spec: str
@@ -61,21 +59,10 @@ class StaScalePoint:
     sequential_seconds: float
     batched_seconds: float
     max_abs_delta_v: float
-    legacy_batched_seconds: float = 0.0
-    max_abs_delta_v_tensor: float = 0.0  # tensor vs legacy batched (expect 0)
 
     @property
     def speedup(self) -> float:
         return self.sequential_seconds / self.batched_seconds if self.batched_seconds else 0.0
-
-    @property
-    def tensor_speedup(self) -> float:
-        """Whole-level tensor engine vs the per-instance batched path."""
-        return (
-            self.legacy_batched_seconds / self.batched_seconds
-            if self.batched_seconds
-            else 0.0
-        )
 
 
 @dataclass
@@ -95,15 +82,13 @@ class StaScaleResult:
             f"  model characterization: {self.characterization_seconds:.2f} s "
             f"({self.models_executed} executed, rest memoized/cached)",
             f"  {'spec':<18} {'gates':>6} {'levels':>7} {'MIS':>5} "
-            f"{'sequential':>11} {'regroup':>9} {'tensor':>8} {'speedup':>8} "
-            f"{'tensor x':>8} {'max |dV|':>10}",
+            f"{'sequential':>11} {'batched':>9} {'speedup':>8} {'max |dV|':>10}",
         ]
         for p in self.points:
             lines.append(
                 f"  {p.spec:<18} {p.gates:>6} {p.levels:>7} {p.mis_instances:>5} "
-                f"{p.sequential_seconds:>9.3f} s {p.legacy_batched_seconds:>7.3f} s "
-                f"{p.batched_seconds:>6.3f} s {p.speedup:>7.2f}x "
-                f"{p.tensor_speedup:>7.2f}x {p.max_abs_delta_v:>10.2e}"
+                f"{p.sequential_seconds:>9.3f} s {p.batched_seconds:>7.3f} s "
+                f"{p.speedup:>7.2f}x {p.max_abs_delta_v:>10.2e}"
             )
         lines.append(
             f"  waveforms agree to {self.max_deviation():.2e} V (budget 1e-9 V)"
@@ -144,28 +129,19 @@ def run_sta_scale(
     for spec, netlist in zip(specs, netlists):
         waveforms = primary_input_waveforms(netlist, seed=seed)
         sequential = CSMEngine(netlist, models, options=options, batched=False)
-        regroup = CSMEngine(netlist, models, options=options, batched=True, tensor=False)
         batched = CSMEngine(netlist, models, options=options, batched=True)
 
         start = time.perf_counter()
         sequential_result = sequential.run(waveforms)
         sequential_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        regroup_result = regroup.run(waveforms)
-        legacy_batched_seconds = time.perf_counter() - start
-        start = time.perf_counter()
         batched_result = batched.run(waveforms)
         batched_seconds = time.perf_counter() - start
 
         deviation = waveform_deviation(batched_result, sequential_result)
-        tensor_deviation = waveform_deviation(batched_result, regroup_result)
         if batched_result.model_used != sequential_result.model_used:
             raise AssertionError(
                 f"{spec}: batched and sequential engines disagree on model selection"
-            )
-        if batched_result.model_used != regroup_result.model_used:
-            raise AssertionError(
-                f"{spec}: tensor and per-instance batched paths disagree on model selection"
             )
         mis_instances = sum(
             1
@@ -181,8 +157,6 @@ def run_sta_scale(
                 sequential_seconds=sequential_seconds,
                 batched_seconds=batched_seconds,
                 max_abs_delta_v=deviation,
-                legacy_batched_seconds=legacy_batched_seconds,
-                max_abs_delta_v_tensor=tensor_deviation,
             )
         )
     return StaScaleResult(

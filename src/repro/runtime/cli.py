@@ -127,9 +127,9 @@ def _run_corner_mode(args, context) -> int:
     """--sta --corners: time every spec across the requested process corners.
 
     ``--corner-mode`` picks the path: ``serial`` (one engine run per corner,
-    the reference), ``batched`` (all corners in one MMMC tensor pass) or
+    the reference), ``batched`` (one MMMC engine run over a corner set) or
     ``both`` (run both and FAIL — exit 1 — unless every corner's waveforms
-    agree to 1e-9 V)."""
+    agree bitwise)."""
     from ..experiments import batched_corner_sta_sweep, corner_sta_sweep
     from ..sta.engine import waveform_deviation
 
@@ -205,7 +205,7 @@ def _run_corner_mode(args, context) -> int:
                 speedup = serial_seconds / max(batched.propagation_seconds, 1e-12)
                 entry["max_abs_delta_v"] = deviation
                 entry["batched_speedup"] = round(speedup, 3)
-                ok = deviation <= 1e-9
+                ok = deviation == 0.0
                 failures += 0 if ok else 1
                 print(
                     f"  equivalence: max |dV| = {deviation:.2e} V over {len(corners)} "
@@ -438,7 +438,6 @@ def _run_sta_mode(args) -> int:
                 models,
                 options=options,
                 batched=engine_kind == "batched",
-                tensor=args.tensor == "on",
                 memory_mode="stream" if stream_kind else "resident",
                 memory_budget_bytes=args.memory_budget if stream_kind else None,
             )
@@ -458,7 +457,6 @@ def _run_sta_mode(args) -> int:
                     models,
                     options=options,
                     batched=True,
-                    tensor=args.tensor == "on",
                     use_cache=False,
                 )
                 reference = reference_engine.run(waveforms)
@@ -766,13 +764,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bitwise-checked against the reference; default: all)",
     )
     parser.add_argument(
-        "--tensor",
-        choices=("on", "off"),
-        default="on",
-        help="--sta mode: whole-level structure-of-arrays propagation for the "
-        "batched engine; 'off' falls back to per-instance batching (default: on)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="--sta mode: stimulus seed (default: 0)"
     )
     parser.add_argument(
@@ -805,8 +796,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("serial", "batched", "both"),
         default="serial",
         help="--corners path: 'serial' runs one engine per corner, 'batched' "
-        "propagates all corners in one MMMC tensor pass, 'both' runs both "
-        "and asserts <=1e-9 V per-corner equivalence (default: serial)",
+        "one MMMC engine over all corners, 'both' runs both and asserts "
+        "bitwise per-corner equivalence (default: serial)",
     )
     parser.add_argument(
         "--incremental",

@@ -242,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--waveforms", action="store_true",
                         help="include base64 output waveforms")
     submit.add_argument("--corners", default=None, metavar="TT,FF,SS",
-                        help="batched MMMC: propagate all named corners in "
-                        "one pass; the response carries per-corner arrivals "
-                        "plus the cross-corner worst merge")
+                        help="MMMC: propagate every named corner (one "
+                        "single-corner run each); the response carries "
+                        "per-corner arrivals plus the cross-corner worst merge")
     submit.add_argument("--memory-mode", default="resident",
                         choices=["resident", "stream"],
                         help="'stream' propagates with the bounded-memory "

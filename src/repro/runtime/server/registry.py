@@ -244,8 +244,8 @@ class TimingService:
     ) -> Dict[str, Any]:
         """One timing run, single-flighted across sessions by content key.
 
-        ``corners`` selects the batched MMMC path: every named corner is
-        propagated in one levelized pass and the response carries per-corner
+        ``corners`` selects the MMMC path: every named corner is propagated
+        as its own single-corner run and the response carries per-corner
         arrivals plus a cross-corner worst merge.  ``memory_mode="stream"``
         propagates with the bounded-memory streaming engine (spilling retired
         levels to the server's store); spill/fault counts show up in the

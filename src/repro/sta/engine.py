@@ -28,11 +28,9 @@ can additionally be evaluated as parallel runtime jobs via
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping as AbstractMapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -253,7 +251,7 @@ class _SpilledWaveforms(AbstractMapping):
     """Lazy per-net waveform mapping produced by a streaming run.
 
     Primary inputs (and plain-waveform cache hits) stay resident; every other
-    net holds only a ``(level record key, row, corner)`` pointer and
+    net holds only a ``(level record key, row)`` pointer and
     materializes on access through the engine's hot-level LRU — a zero-copy
     memmap view when the level has to come back from the packed store.  The
     mapping quacks like the resident result's dict (iteration, ``in``,
@@ -264,12 +262,12 @@ class _SpilledWaveforms(AbstractMapping):
     def __init__(
         self,
         resident: Dict[str, Waveform],
-        pointers: Dict[str, Tuple[str, int, int]],
+        pointers: Dict[str, Tuple[str, int]],
         fetch,
     ):
         self._resident = resident
         self._pointers = pointers
-        self._fetch = fetch  # (net, level_key, row, corner) -> Waveform
+        self._fetch = fetch  # (net, level_key, row) -> Waveform
 
     def __getitem__(self, net: str) -> Waveform:
         wave = self._resident.get(net)
@@ -314,8 +312,8 @@ class TimingEngine:
     ):
         self.netlist = netlist
         self.models = models
-        #: Optional MMMC corner set: when bound, :meth:`run` propagates every
-        #: corner in one levelized pass and returns a multi-corner result.
+        #: Optional MMMC corner set: when bound, :meth:`run` runs one
+        #: single-corner engine per corner and returns a multi-corner result.
         self.corners = corners
         self._connectivity: Optional[NetConnectivity] = None
         self._levels: Optional[List[List[GateInstance]]] = None
@@ -323,9 +321,14 @@ class TimingEngine:
         self._structure_identity = id(netlist)
         self._library_identity = id(netlist.library)
         self._cell_digests: Dict[str, str] = {}
-        self._corner_cell_digests: Dict[Tuple[str, str], str] = {}
-        #: Cache key of the last multi-corner full-run entry (None before the
-        #: first cached multi-corner run; handy for targeted eviction).
+        self._model_library_memo: Optional[Tuple[int, int, str]] = None
+        #: ``(corner name, corner)`` when this engine runs one corner of a
+        #: parent's :class:`CornerSet`: scopes every key to that corner.
+        self._corner_key: Optional[Tuple[str, Any]] = None
+        #: The per-corner child engines of an MMMC run (built on first use).
+        self._corner_engines: Optional[Dict[str, "TimingEngine"]] = None
+        #: Cache key of the last single-corner whole-run entry (None before
+        #: the first cached run; handy for targeted eviction).
         self.last_run_key: Optional[str] = None
         #: Serializes :meth:`run` so one engine instance can be shared by
         #: concurrent callers (the timing server's per-session engines).
@@ -374,7 +377,6 @@ class TimingEngine:
             self.runs_completed = 0
             self.total_stats = self._zero_totals()
         if self._library_identity != id(self.netlist.library):
-            self._cell_digests = {}
             self._library_identity = id(self.netlist.library)
             self._on_library_change()
         self._on_structure_change()
@@ -400,27 +402,33 @@ class TimingEngine:
 
     # -- content fingerprints shared by both engines's caches -----------
     def _cell_digest(self, cell_name: str) -> str:
+        """Fingerprint of the cell the bound *models* characterize (a
+        corner library's cell differs from the design's under the same
+        name)."""
         if cell_name not in self._cell_digests:
             from ..runtime.jobs import cell_fingerprint
 
             self._cell_digests[cell_name] = content_hash(
-                "sta-cell", cell_fingerprint(self.netlist.library[cell_name])
+                "sta-cell", cell_fingerprint(self.models.library[cell_name])
             )
         return self._cell_digests[cell_name]
 
-    def _corner_cell_digest(self, corner_context: CornerContext, cell_name: str) -> str:
-        """Per-corner cell fingerprint (the corner library's cell differs
-        from the design library's even though the cell *name* matches)."""
-        key = (corner_context.name, cell_name)
-        digest = self._corner_cell_digests.get(key)
-        if digest is None:
+    def _model_library_digest(self) -> str:
+        """Fingerprint of every cell of the bound model library, memoized
+        per library object and size.  Run keys fold it in: the netlist
+        digest names the *design's* cells, so without it a run against
+        another corner's models would be served this corner's entry."""
+        library = self.models.library
+        memo = self._model_library_memo
+        if memo is None or memo[:2] != (id(library), len(library)):
             from ..runtime.jobs import cell_fingerprint
 
             digest = content_hash(
-                "sta-cell", cell_fingerprint(corner_context.library[cell_name])
+                "sta-model-library",
+                sorted((cell.name, cell_fingerprint(cell)) for cell in library),
             )
-            self._corner_cell_digests[key] = digest
-        return digest
+            memo = self._model_library_memo = (id(library), len(library), digest)
+        return memo[2]
 
     def _netlist_digest(self) -> str:
         self._sync_structure()
@@ -458,30 +466,17 @@ class TimingEngine:
 
     def _lumped_output_load(self, instance: GateInstance) -> float:
         """Scalar load: receiver input capacitances plus wire capacitance."""
-        return self._lumped_output_load_for(instance, self.models)
-
-    def _lumped_output_load_for(
-        self, instance: GateInstance, models: TimingModelLibrary
-    ) -> float:
-        """Scalar load against an explicit model library (MMMC corners
-        characterize their own receiver capacitances)."""
         output_net = self._output_net(instance)
         load = self.netlist.net_wire_capacitance.get(output_net, 0.0)
         for receiver, pin in self.connectivity.receivers_of(output_net):
-            load += models.receiver_input_capacitance(receiver.cell_name, pin)
+            load += self.models.receiver_input_capacitance(receiver.cell_name, pin)
         return load
 
     def _output_load(self, instance: GateInstance) -> Load:
         """Structured load for the waveform engine (receiver caps + wire)."""
-        return self._output_load_for(instance, self.models)
-
-    def _output_load_for(
-        self, instance: GateInstance, models: TimingModelLibrary
-    ) -> Load:
-        """Structured load against an explicit model library."""
         output_net = self._output_net(instance)
         receiver_caps = [
-            models.receiver_input_capacitance(receiver.cell_name, pin)
+            self.models.receiver_input_capacitance(receiver.cell_name, pin)
             for receiver, pin in self.connectivity.receivers_of(output_net)
         ]
         wire = self.netlist.net_wire_capacitance.get(output_net, 0.0)
@@ -510,6 +505,37 @@ class TimingEngine:
             total.faults += stats.faults
         total.full_run_hit = all(per_stats[name].full_run_hit for name in order)
         return total
+
+    def _corner_engine(self, cc: CornerContext) -> "TimingEngine":
+        """A single-corner engine over ``cc.models`` with this engine's
+        options (subclasses that accept ``corners=`` implement it)."""
+        raise NotImplementedError
+
+    def _run_corners(self, *args, **kwargs) -> Dict[str, Any]:
+        """Run every corner of :attr:`corners` as an ordinary single-corner
+        run, one after another; returns corner name -> result.
+
+        Each corner has its own child engine (built on first use and rebound
+        to the current netlist before every run), whose keys are scoped to
+        the corner through its private corner context.  A multi-corner run is
+        therefore bitwise the corners' single-corner runs, and every child
+        writes ordinary level records and whole-run entries.  The children's
+        accounting folds into :attr:`last_stats`.
+        """
+        if self._corner_engines is None:
+            self._corner_engines = {}
+            for cc in self.corners:
+                child = self._corner_engine(cc)
+                child._corner_key = (cc.name, cc.corner)
+                self._corner_engines[cc.name] = child
+        results: Dict[str, Any] = {}
+        per_stats: Dict[str, PropagationStats] = {}
+        for name in self.corners.names:
+            child = self._corner_engines[name].rebind(self.netlist)
+            results[name] = child.run(*args, **kwargs)
+            per_stats[name] = child.last_stats
+        self.last_stats = self._aggregate_stats(per_stats, self.corners.names)
+        return results
 
     def run(self, *args, **kwargs):
         """Run the engine (thread-safe: concurrent calls serialize).
@@ -655,14 +681,30 @@ class NLDMEngine(TimingEngine):
         #: so it survives netlist edits just like the CSM waveform memo.
         self._memo: Dict[str, Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]] = {}
 
+    def _corner_engine(self, cc: CornerContext) -> "NLDMEngine":
+        child = NLDMEngine(
+            self.netlist,
+            cc.models,
+            cache=self.cache,
+            use_cache=self.use_cache,
+            memory_mode=self.memory_mode,
+            memory_budget_bytes=self.memory_budget_bytes,
+        )
+        child.cache = self.cache  # never the corner library's own store
+        return child
+
     def _context_digest(self) -> str:
         """Everything every NLDM propagation key shares for one run: the
-        characterized table axes.  (The characterization config shapes CSM
+        characterized table axes, plus the corner when this engine runs one
+        corner of an MMMC set.  (The characterization config shapes CSM
         models, not the NLDM tables, so it does not participate; receiver
         input capacitances participate through each key's load value.)"""
-        return content_hash(
+        context = content_hash(
             "nldm-context", self.models.nldm_input_slews, self.models.nldm_loads
         )
+        if self._corner_key is not None:
+            context = content_hash("nldm-context-mmmc", context, *self._corner_key)
+        return context
 
     @staticmethod
     def stimulus_keys(input_events: Mapping[str, TimingEvent]) -> Dict[str, str]:
@@ -722,12 +764,13 @@ class NLDMEngine(TimingEngine):
             if net not in self.netlist.primary_inputs:
                 raise TimingError(f"{net!r} is not a primary input of {self.netlist.name!r}")
         if self.corners is not None:
-            if self.memory_mode == "stream":
-                raise TimingError(
-                    "memory_mode='stream' does not support multi-corner runs; "
-                    "propagate corners one engine at a time"
-                )
-            return self._run_multicorner(input_events)
+            results = self._run_corners(input_events)
+            return MulticornerNLDMResult(
+                results=results,
+                corner_order=self.corners.names,
+                netlist_name=self.netlist.name,
+                stats={name: result.stats for name, result in results.items()},
+            )
 
         levels = self.levels()  # also re-syncs structural caches after edits
         stats = PropagationStats(instances=len(self.netlist.instances))
@@ -745,7 +788,11 @@ class NLDMEngine(TimingEngine):
             # per-instance entries are shared — and identical — either way).
             if self.cache is not None and not streaming:
                 run_key = content_hash(
-                    "nldm-run", context, self._netlist_digest(), sorted(net_keys.items())
+                    "nldm-run",
+                    context,
+                    self._netlist_digest(),
+                    self._model_library_digest(),
+                    sorted(net_keys.items()),
                 )
                 self.last_run_key = run_key
                 hit, value = self.cache.lookup(run_key)
@@ -849,166 +896,6 @@ class NLDMEngine(TimingEngine):
         self.last_stats = stats
         return result
 
-    def _run_multicorner(
-        self, input_events: Dict[str, TimingEvent]
-    ) -> MulticornerNLDMResult:
-        """One level walk, all corners: the structural work (levelization,
-        pin-net maps, MIS detection inputs) is shared while per-corner model
-        lookups, propagation keys and events stay fully separate.  Every key
-        embeds the corner's context digest AND the corner library's cell
-        fingerprint, so per-corner cache entries can never collide."""
-        corners = self.corners
-        order = corners.names
-        levels = self.levels()
-        per_stats = {
-            name: PropagationStats(instances=len(self.netlist.instances))
-            for name in order
-        }
-        caching = self.use_cache
-        net_keys: Dict[str, Dict[str, str]] = {name: {} for name in order}
-        contexts: Dict[str, str] = {name: "" for name in order}
-        run_key: Optional[str] = None
-        if caching:
-            stimuli = self.stimulus_keys(input_events)
-            for cc in corners:
-                base = content_hash(
-                    "nldm-context", cc.models.nldm_input_slews, cc.models.nldm_loads
-                )
-                contexts[cc.name] = content_hash(
-                    "nldm-context-mmmc", base, cc.name, cc.corner
-                )
-                net_keys[cc.name] = dict(stimuli)
-            if self.cache is not None:
-                run_key = content_hash(
-                    "nldm-run-mmmc",
-                    [contexts[name] for name in order],
-                    self._netlist_digest(),
-                    sorted(stimuli.items()),
-                )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                if hit:
-                    for name in order:
-                        per_stats[name].full_run_hit = True
-                        result = value.results.get(name)
-                        if result is not None:
-                            result.stats = per_stats[name].as_dict()
-                    value.stats = {name: per_stats[name].as_dict() for name in order}
-                    self.last_stats = self._aggregate_stats(per_stats, order)
-                    return value
-
-        for cc in corners:
-            cc.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
-
-        events: Dict[str, Dict[str, TimingEvent]] = {
-            name: dict(input_events) for name in order
-        }
-        mis_flags: Dict[str, Dict[str, List[Tuple[str, str]]]] = {
-            name: {} for name in order
-        }
-
-        for level in levels:
-            level_items: Dict[str, Dict[str, Any]] = {}
-            for instance in level:
-                cell = self._cell(instance)
-                output_net = instance.connections[cell.output]
-                pin_nets = {pin: instance.connections[pin] for pin in cell.inputs}
-                for cc in corners:
-                    name = cc.name
-                    stats = per_stats[name]
-                    corner_events = events[name]
-                    load = self._lumped_output_load_for(instance, cc.models)
-
-                    key: Optional[str] = None
-                    if caching:
-                        inputs = [
-                            (pin, net_keys[name].get(pin_nets[pin], "stable"))
-                            for pin in cell.inputs
-                        ]
-                        key = content_hash(
-                            "nldm-propagation",
-                            contexts[name],
-                            self._corner_cell_digest(cc, instance.cell_name),
-                            load,
-                            inputs,
-                        )
-                        net_keys[name][output_net] = key
-                        cached = self._lookup_event(key, stats, level_items)
-                        if cached is not None:
-                            fields, pairs = cached
-                            mis_flags[name][instance.name] = list(pairs)
-                            if fields is not None:
-                                arrival, slew, rising = fields
-                                corner_events[output_net] = TimingEvent(
-                                    net=output_net,
-                                    arrival=arrival,
-                                    slew=slew,
-                                    rising=rising,
-                                )
-                            continue
-
-                    mis_flags[name][instance.name] = detect_mis_pairs(
-                        corner_events, cell.inputs, pin_nets
-                    )
-
-                    candidate: Optional[TimingEvent] = None
-                    for pin in cell.inputs:
-                        net = pin_nets[pin]
-                        if net not in corner_events:
-                            continue
-                        event = corner_events[net]
-                        table = cc.models.nldm_table(
-                            instance.cell_name, pin, input_rise=event.rising
-                        )
-                        delay = table.delay(event.slew, load)
-                        output_slew = table.output_slew(event.slew, load)
-                        output_event = TimingEvent(
-                            net=output_net,
-                            arrival=event.arrival + delay,
-                            slew=output_slew,
-                            rising=table.output_rise,
-                        )
-                        if candidate is None or output_event.arrival > candidate.arrival:
-                            candidate = output_event
-                    stats.integrations += 1
-                    if candidate is not None:
-                        corner_events[output_net] = candidate
-
-                    if key is not None:
-                        fields = (
-                            (candidate.arrival, candidate.slew, candidate.rising)
-                            if candidate is not None
-                            else None
-                        )
-                        self._memo[key] = (fields, mis_flags[name][instance.name])
-                        if self.cache is not None:
-                            level_items[key] = {
-                                "event": fields,
-                                "mis": mis_flags[name][instance.name],
-                            }
-                            stats.stores += 1
-            _store_items(self.cache, level_items.items())
-
-        results = {
-            name: NLDMTimingResult(
-                events=events[name],
-                mis_flags=mis_flags[name],
-                netlist_name=self.netlist.name,
-                stats=per_stats[name].as_dict(),
-            )
-            for name in order
-        }
-        merged = MulticornerNLDMResult(
-            results=results,
-            corner_order=list(order),
-            netlist_name=self.netlist.name,
-            stats={name: per_stats[name].as_dict() for name in order},
-        )
-        if run_key is not None:
-            self.cache.store(run_key, merged)
-        self.last_stats = self._aggregate_stats(per_stats, order)
-        return merged
-
 
 # ----------------------------------------------------------------------
 # CSM: waveform propagation, batched per level
@@ -1083,11 +970,15 @@ class CSMEngine(TimingEngine):
     Parameters
     ----------
     batched:
-        When true (default) every level's instances are integrated in
-        lockstep (settle pass, then the main window) through
-        :func:`~repro.csm.simulate.integrate_model_many`.  When false each
-        instance runs through ``model.simulate`` individually — the reference
-        path the batched engine is asserted bit-equal against.
+        When true (default) each level is carried as one
+        :class:`LevelTensor` with a sample row per instance: instances
+        gather their input rows by index, every level's instances are
+        settled and integrated in lockstep through
+        :func:`~repro.csm.simulate.integrate_model_many`, and the propagation
+        cache spills each level as a single record (per-instance entries
+        become row pointers into it).  When false each instance runs through
+        ``model.simulate`` individually — the reference oracle the batched
+        engine is checked against.
     cache:
         Content-addressed disk cache for per-instance output waveforms and
         whole-run results; defaults to the model library's cache.  Every
@@ -1098,17 +989,11 @@ class CSMEngine(TimingEngine):
     use_cache:
         Disable all propagation fingerprinting/memoization (the pre-PR4
         always-integrate behaviour) when false.
-    tensor:
-        When true (default) the batched path carries each level as one flat
-        ``(instances, corners, samples)`` :class:`LevelTensor` — per-net
-        sample rows gathered by index instead of per-instance ``Waveform``
-        regrouping — with the per-level table lookups additionally batched
-        across instances of the same model, and the propagation cache spills
-        each level as a single record (per-instance entries become row
-        pointers into it).  The produced waveforms are **bitwise** those of
-        the plain batched path (the shared lookups are per-row operations),
-        so both share the ``"batched"`` cache namespace.  Ignored when
-        ``batched`` is false.
+    corners:
+        Optional :class:`CornerSet`: :meth:`run` then runs one ordinary
+        single-corner engine per corner, in order, and returns a
+        :class:`MulticornerTimingResult` whose corners are bitwise their
+        single-corner runs.
     """
 
     def __init__(
@@ -1119,21 +1004,13 @@ class CSMEngine(TimingEngine):
         batched: bool = True,
         cache: Optional[ResultCache] = None,
         use_cache: bool = True,
-        tensor: bool = True,
         corners: Optional[CornerSet] = None,
-        corner_workers: Optional[int] = None,
         memory_mode: str = "resident",
         memory_budget_bytes: Optional[int] = None,
     ):
         super().__init__(netlist, models, corners=corners)
         self.options = options or SimulationOptions()
         self.batched = batched
-        self.tensor = tensor
-        #: Thread count for per-corner level evaluation.  ``None`` resolves
-        #: to ``min(corner count, visible CPUs)`` at each level, so a
-        #: single-core box (or a single-corner run) keeps the fused
-        #: single-stack pass with zero thread overhead.
-        self.corner_workers = corner_workers
         self.vdd = netlist.library.technology.vdd
         self.cache = cache if cache is not None else models.cache
         self.use_cache = use_cache
@@ -1148,21 +1025,9 @@ class CSMEngine(TimingEngine):
         #: Instance name -> structured output load; purely structural, so it
         #: is dropped whenever the netlist revision changes.
         self._load_cache: Dict[str, Load] = {}
-        #: (corner name, instance name) -> structured output load against the
-        #: corner's characterized receiver capacitances.
-        self._corner_load_cache: Dict[Tuple[str, str], Load] = {}
         _validate_memory_mode(memory_mode, use_cache, self.cache)
-        if memory_mode == "stream":
-            if not (self.batched and self.tensor):
-                raise TimingError(
-                    "memory_mode='stream' requires the batched tensor path "
-                    "(batched=True, tensor=True)"
-                )
-            if corners is not None:
-                raise TimingError(
-                    "memory_mode='stream' does not support multi-corner runs; "
-                    "propagate corners one engine at a time"
-                )
+        if memory_mode == "stream" and not self.batched:
+            raise TimingError("memory_mode='stream' requires batched=True")
         #: ``"resident"`` (default) keeps every propagated waveform in RAM;
         #: ``"stream"`` retires each level's sample rows to the packed store
         #: once their last reader level consumed them, keeping only a pinned
@@ -1178,31 +1043,33 @@ class CSMEngine(TimingEngine):
         #: Level record keys this engine pinned in the store (never evicted
         #: or compacted away while a run's views may still reference them).
         self._stream_pins: Set[str] = set()
-        if corners is not None:
-            if not (self.batched and self.tensor):
+        for cc in corners or ():
+            corner_vdd = cc.library.technology.vdd
+            if abs(corner_vdd - self.vdd) > 1e-12:
                 raise TimingError(
-                    "multi-corner propagation requires the batched tensor path"
+                    f"corner {cc.name!r} has vdd {corner_vdd} != design vdd "
+                    f"{self.vdd}; every corner is driven by the design's stimuli"
                 )
-            for cc in corners:
-                corner_vdd = cc.library.technology.vdd
-                if abs(corner_vdd - self.vdd) > 1e-12:
-                    raise TimingError(
-                        f"corner {cc.name!r} has vdd {corner_vdd} != design vdd "
-                        f"{self.vdd}; per-corner voltage grids are not batchable"
-                    )
+
+    def _corner_engine(self, cc: CornerContext) -> "CSMEngine":
+        child = CSMEngine(
+            self.netlist,
+            cc.models,
+            options=self.options,
+            batched=self.batched,
+            cache=self.cache,
+            use_cache=self.use_cache,
+            memory_mode=self.memory_mode,
+            memory_budget_bytes=self.memory_budget_bytes,
+        )
+        child.cache = self.cache  # never the corner library's own store
+        return child
 
     def _on_structure_change(self) -> None:
         self._load_cache = {}
-        self._corner_load_cache = {}
 
     def _on_library_change(self) -> None:
         self.vdd = self.netlist.library.technology.vdd
-
-    def _corner_worker_count(self, num_corners: int) -> int:
-        """Threads to spend on one multi-corner level evaluation."""
-        if self.corner_workers is not None:
-            return max(1, min(self.corner_workers, num_corners))
-        return max(1, min(num_corners, os.cpu_count() or 1))
 
     # -- fingerprints --------------------------------------------------
     def _mode(self) -> str:
@@ -1212,8 +1079,9 @@ class CSMEngine(TimingEngine):
         return "batched" if self.batched else "sequential"
 
     def _context_digest(self, t_start: float, t_stop: float) -> str:
-        """Everything every propagation key shares for one run."""
-        return content_hash(
+        """Everything every propagation key shares for one run, plus the
+        corner when this engine runs one corner of an MMMC set."""
+        context = content_hash(
             "sta-context",
             self._mode(),
             self.options,
@@ -1222,6 +1090,12 @@ class CSMEngine(TimingEngine):
             t_start,
             t_stop,
         )
+        if self._corner_key is not None:
+            # Not "sta-context-mmmc": stores filled before corners ran one
+            # by one may hold values of the fused all-corner pass there,
+            # which differ from single-corner values in the last bits.
+            context = content_hash("sta-context-mmmc-split", context, *self._corner_key)
+        return context
 
     @staticmethod
     def stimulus_keys(input_waveforms: Mapping[str, Waveform]) -> Dict[str, str]:
@@ -1265,8 +1139,8 @@ class CSMEngine(TimingEngine):
             critical cones).  Loads, grids and stimuli are those of the FULL
             design, so every in-cone instance whose whole fan-in is in the
             cone gets the *same* propagation key — and therefore the same
-            bitwise waveform — as a full run.  Requires the batched tensor
-            path, a single corner and resident memory.  A cone covering every
+            bitwise waveform — as a full run.  Requires the batched path, a
+            single corner and resident memory.  A cone covering every
             instance is normalized back to an unrestricted run so even the
             whole-run cache entry is shared.
         boundary_waveforms:
@@ -1289,10 +1163,8 @@ class CSMEngine(TimingEngine):
                 raise TimingError(
                     "restricted propagation (only=) does not support multi-corner runs"
                 )
-            if not (self.batched and self.tensor):
-                raise TimingError(
-                    "restricted propagation (only=) requires the batched tensor path"
-                )
+            if not self.batched:
+                raise TimingError("restricted propagation (only=) requires batched=True")
             if self.memory_mode == "stream":
                 raise TimingError(
                     "restricted propagation (only=) requires memory_mode='resident'"
@@ -1313,7 +1185,14 @@ class CSMEngine(TimingEngine):
             if only == names and not boundary_waveforms:
                 only = None  # full cover IS a plain run: share its run key
         if self.corners is not None:
-            return self._run_multicorner(input_waveforms, t_stop, t_start)
+            results = self._run_corners(input_waveforms, t_stop=t_stop, t_start=t_start)
+            return MulticornerTimingResult(
+                results=results,
+                corner_order=self.corners.names,
+                netlist_name=self.netlist.name,
+                vdd=self.vdd,
+                stats={name: result.stats for name, result in results.items()},
+            )
 
         levels = self.levels()  # also re-syncs structural caches after edits
         stats = PropagationStats(
@@ -1342,6 +1221,7 @@ class CSMEngine(TimingEngine):
                         "sta-run-restricted-manifest",
                         context,
                         self._netlist_digest(),
+                        self._model_library_digest(),
                         sorted(net_keys.items()),
                         sorted(only),
                     )
@@ -1350,6 +1230,7 @@ class CSMEngine(TimingEngine):
                         "sta-run-manifest",
                         context,
                         self._netlist_digest(),
+                        self._model_library_digest(),
                         sorted(net_keys.items()),
                     )
                 self.last_run_key = run_key
@@ -1398,7 +1279,7 @@ class CSMEngine(TimingEngine):
             net: wave.renamed(net) for net, wave in input_waveforms.items()
         }
 
-        if self.batched and self.tensor:
+        if self.batched:
             self._propagate_tensor(
                 levels,
                 input_waveforms,
@@ -1414,7 +1295,7 @@ class CSMEngine(TimingEngine):
                 boundary_waveforms=boundary_waveforms,
             )
         else:
-            self._propagate_waveforms(
+            self._propagate_sequential(
                 levels, waveforms, model_used, stats, t_start, t_stop, context, net_keys, caching
             )
 
@@ -1487,7 +1368,7 @@ class CSMEngine(TimingEngine):
         )
 
     # ------------------------------------------------------------------
-    def _propagate_waveforms(
+    def _propagate_sequential(
         self,
         levels: Sequence[Sequence[GateInstance]],
         waveforms: Dict[str, Waveform],
@@ -1499,12 +1380,8 @@ class CSMEngine(TimingEngine):
         net_keys: Dict[str, str],
         caching: bool,
     ) -> None:
-        """The per-instance-waveform level loop (legacy batched + sequential)."""
-        run_times: Optional[np.ndarray] = None
-        if self.batched:
-            # Needed to resolve level-row pointer entries that a tensor run
-            # may have stored under the shared "batched" namespace.
-            run_times = simulation_time_grid(t_start, t_stop, self.options)
+        """The ``batched=False`` reference oracle: one ``model.simulate`` per
+        instance, on per-pin waveforms, level by level."""
         for level in levels:
             pending: List[_StructuralPlan] = []
             duplicates: List[_StructuralPlan] = []
@@ -1518,7 +1395,7 @@ class CSMEngine(TimingEngine):
                     pending.append(splan)
                     continue
                 net_keys[splan.output_net] = splan.key
-                wave = self._lookup_waveform(splan.key, stats, run_times)
+                wave = self._lookup_waveform(splan.key, stats)
                 if wave is not None:
                     waveforms[splan.output_net] = wave.renamed(splan.output_net)
                 elif splan.key in first_with_key:
@@ -1528,10 +1405,7 @@ class CSMEngine(TimingEngine):
                     pending.append(splan)
 
             plans = [self._materialize(splan) for splan in pending]
-            if self.batched:
-                self._evaluate_level_batched(plans, waveforms, t_start, t_stop)
-            else:
-                self._evaluate_level_sequential(plans, waveforms, t_start, t_stop)
+            self._evaluate_level_sequential(plans, waveforms, t_start, t_stop)
             stats.integrations += len(plans)
 
             for splan in pending:
@@ -1599,14 +1473,7 @@ class CSMEngine(TimingEngine):
             return None
         level_key = value.get("level")
         row = value.get("row")
-        # Multi-corner spills add a "corner" field selecting the tensor's
-        # corner-axis column; single-corner pointers omit it (column 0).
-        corner = value.get("corner", 0)
-        if (
-            not isinstance(level_key, str)
-            or not isinstance(row, int)
-            or not isinstance(corner, int)
-        ):
+        if not isinstance(level_key, str) or not isinstance(row, int):
             return None
         tensor = self._level_tensors.get(level_key)
         if tensor is None and self.cache is not None:
@@ -1620,10 +1487,9 @@ class CSMEngine(TimingEngine):
             tensor is None
             or tensor.num_samples != len(times)
             or not 0 <= row < tensor.num_rows
-            or not 0 <= corner < tensor.num_corners
         ):
             return None
-        return Waveform(times, tensor.row_values(row, corner), name=tensor.names[row])
+        return Waveform(times, tensor.row_values(row), name=tensor.names[row])
 
     # ------------------------------------------------------------------
     # Structure-of-arrays (level tensor) propagation
@@ -1963,8 +1829,8 @@ class CSMEngine(TimingEngine):
         #: nets whose waveform stays materialized in the result (primary
         #: inputs and plain-waveform cache hits).
         resident: Dict[str, Waveform] = {}
-        #: net -> (level record key, row, corner) for every spilled net.
-        pointers: Dict[str, Tuple[str, int, int]] = {}
+        #: net -> (level record key, row) for every spilled net.
+        pointers: Dict[str, Tuple[str, int]] = {}
         #: level record key -> nets whose `rows` entry views that tensor; a
         #: budget eviction drops those strong references so the tensor's
         #: memory actually comes back (the nets re-fault later if re-read).
@@ -1986,24 +1852,23 @@ class CSMEngine(TimingEngine):
                 if rows.pop(net, None) is not None:
                     stats.spills += 1
 
-        def track(net: str, pointer: Tuple[str, int, int]) -> None:
+        def track(net: str, pointer: Tuple[str, int]) -> None:
             pointers[net] = pointer
             live_rows.setdefault(pointer[0], set()).add(net)
 
         def fault_rows(net: str) -> np.ndarray:
-            level_key, row, corner = pointers[net]
+            level_key, row = pointers[net]
             tensor = self._fault_level(level_key, stats)
             if (
                 tensor is None
                 or tensor.num_samples != len(times)
                 or not 0 <= row < tensor.num_rows
-                or not 0 <= corner < tensor.num_corners
             ):
                 raise TimingError(
                     f"streaming run lost the spilled level record for net "
                     f"{net!r}; the store evicted or corrupted a pinned level"
                 )
-            values = tensor.row_values(row, corner)
+            values = tensor.row_values(row)
             rows[net] = values
             live_rows.setdefault(level_key, set()).add(net)
             return values
@@ -2048,7 +1913,7 @@ class CSMEngine(TimingEngine):
                 level_key = self._spill_level_stream(pending, tensor, context, stats)
                 for r, tplan in enumerate(pending):
                     admit(tplan.output_net, tensor.row_values(r))
-                    track(tplan.output_net, (level_key, r, 0))
+                    track(tplan.output_net, (level_key, r))
                 self._hot_put(level_key, tensor)
 
             for tplan in duplicates:
@@ -2077,20 +1942,19 @@ class CSMEngine(TimingEngine):
                         live.discard(net)
             self._enforce_hot_budget(on_evict)
 
-        def fetch(net: str, level_key: str, row: int, corner: int) -> Waveform:
+        def fetch(net: str, level_key: str, row: int) -> Waveform:
             tensor = self._fault_level(level_key, None)
             self._enforce_hot_budget()
             if (
                 tensor is None
                 or tensor.num_samples != len(times)
                 or not 0 <= row < tensor.num_rows
-                or not 0 <= corner < tensor.num_corners
             ):
                 raise TimingError(
                     f"net {net!r}: the spilled level record backing this "
                     "waveform is gone from the store"
                 )
-            return Waveform(times, tensor.row_values(row, corner), name=net)
+            return Waveform(times, tensor.row_values(row), name=net)
 
         return _SpilledWaveforms(resident, pointers, fetch)
 
@@ -2123,7 +1987,7 @@ class CSMEngine(TimingEngine):
 
     def _stream_lookup(
         self, key: str, stats: PropagationStats, times: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, Optional[Tuple[str, int, int]]]]:
+    ) -> Optional[Tuple[np.ndarray, Optional[Tuple[str, int]]]]:
         """Disk-only propagation-key lookup for the streaming path.
 
         Unlike :meth:`_lookup_waveform` nothing is memoized in RAM; a hit
@@ -2143,23 +2007,17 @@ class CSMEngine(TimingEngine):
             return None
         level_key = value.get("level")
         row = value.get("row")
-        corner = value.get("corner", 0)
-        if (
-            not isinstance(level_key, str)
-            or not isinstance(row, int)
-            or not isinstance(corner, int)
-        ):
+        if not isinstance(level_key, str) or not isinstance(row, int):
             return None
         tensor = self._fault_level(level_key, stats)
         if (
             tensor is None
             or tensor.num_samples != len(times)
             or not 0 <= row < tensor.num_rows
-            or not 0 <= corner < tensor.num_corners
         ):
             return None
         stats.cache_hits += 1
-        return tensor.row_values(row, corner), (level_key, row, corner)
+        return tensor.row_values(row), (level_key, row)
 
     def _fault_level(
         self, level_key: str, stats: Optional[PropagationStats]
@@ -2230,414 +2088,6 @@ class CSMEngine(TimingEngine):
             for level_key in self._stream_pins:
                 unpin(level_key)
         self._stream_pins.clear()
-
-    # ------------------------------------------------------------------
-    # Batched MMMC: all corners in one tensor pass
-    # ------------------------------------------------------------------
-    def _corner_tensor_plan(
-        self,
-        cc: CornerContext,
-        instance: GateInstance,
-        switching: Dict[str, bool],
-        context: str,
-        net_keys: Optional[Dict[str, str]],
-    ) -> _TensorPlan:
-        """:meth:`_tensor_plan` against one corner's model library.
-
-        Model-kind selection uses the design cell (pin structure is
-        corner-invariant); the load and the cell fingerprint come from the
-        corner's characterized library, so the propagation key dedupes per
-        corner with zero namespace collisions."""
-        cell = self._cell(instance)
-        output_net = instance.connections[cell.output]
-        switching_pins = [
-            pin for pin in cell.inputs if switching.get(instance.connections[pin], False)
-        ]
-
-        if len(switching_pins) >= 2 and cell.num_inputs >= 2:
-            pins = (switching_pins[0], switching_pins[1])
-            mis = True
-            label = "MCSM" if cc.models._mis_kind(cell) == "mcsm" else "BaselineMISCSM"
-        else:
-            pin = switching_pins[0] if switching_pins else cell.inputs[0]
-            pins = (pin,)
-            mis = False
-            label = f"SISCSM[{pin}]"
-
-        load_key = (cc.name, instance.name)
-        load = self._corner_load_cache.get(load_key)
-        if load is None:
-            load = self._output_load_for(instance, cc.models)
-            self._corner_load_cache[load_key] = load
-
-        key = None
-        if net_keys is not None:
-            inputs = [
-                (pin, net_keys.get(instance.connections[pin], "primary-constant"))
-                for pin in cell.inputs
-            ]
-            key = content_hash(
-                "sta-propagation",
-                context,
-                self._corner_cell_digest(cc, instance.cell_name),
-                load,
-                inputs,
-            )
-        return _TensorPlan(
-            instance=instance,
-            output_net=output_net,
-            pins=pins,
-            mis=mis,
-            label=label,
-            load=load,
-            key=key,
-        )
-
-    def _run_multicorner(
-        self,
-        input_waveforms: Dict[str, Waveform],
-        t_stop: float,
-        t_start: float,
-    ) -> MulticornerTimingResult:
-        """Propagate every corner of :attr:`corners` in ONE levelized pass.
-
-        The level walk is shared: each level gathers its per-corner input
-        rows, integrates every still-missing ``(instance, corner)`` pair
-        through one :func:`settle_units` stack and one
-        :func:`integrate_model_many` call (same-vdd corners share voltage
-        grids, so their table lookups fuse into the existing row-chunked
-        lockstep batches), and scatters the outputs into a single
-        ``(instances, corners, samples)`` :class:`LevelTensor`.  Per-corner
-        propagation keys embed the corner's context digest and the corner
-        library's cell fingerprint, so the memo, the packed store's level
-        spills and run keys all dedupe per corner without collisions.
-        """
-        corners = self.corners
-        order = corners.names
-        levels = self.levels()
-        per_stats = {
-            name: PropagationStats(instances=len(self.netlist.instances))
-            for name in order
-        }
-        caching = self.use_cache
-        net_keys: Dict[str, Dict[str, str]] = {name: {} for name in order}
-        contexts: Dict[str, str] = {name: "" for name in order}
-        run_key: Optional[str] = None
-        if caching:
-            stimuli = self.stimulus_keys(input_waveforms)
-            base_context = self._context_digest(t_start, t_stop)
-            for cc in corners:
-                contexts[cc.name] = content_hash(
-                    "sta-context-mmmc", base_context, cc.name, cc.corner
-                )
-                net_keys[cc.name] = dict(stimuli)
-            if self.cache is not None:
-                run_key = content_hash(
-                    "sta-run-mmmc",
-                    [contexts[name] for name in order],
-                    self._netlist_digest(),
-                    sorted(stimuli.items()),
-                )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                if hit:
-                    for name in order:
-                        per_stats[name].full_run_hit = True
-                        result = value.results.get(name)
-                        if result is not None:
-                            result.stats = per_stats[name].as_dict()
-                    value.stats = {name: per_stats[name].as_dict() for name in order}
-                    self.last_stats = self._aggregate_stats(per_stats, order)
-                    return value
-
-        for cc in corners:
-            cc.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
-
-        times = simulation_time_grid(t_start, t_stop, self.options)
-        step = float(times[1] - times[0])
-        threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
-        # Per-corner propagation state.  Primary-input rows, initial values
-        # and switching classification are identical across corners (one
-        # stimulus set, one vdd), so the seed entries are shared references;
-        # driven nets diverge per corner from the first level on.
-        rows: Dict[str, Dict[str, np.ndarray]] = {name: {} for name in order}
-        initials: Dict[str, Dict[str, float]] = {name: {} for name in order}
-        switching: Dict[str, Dict[str, bool]] = {name: {} for name in order}
-        waveforms: Dict[str, Dict[str, Waveform]] = {
-            name: {net: wave.renamed(net) for net, wave in input_waveforms.items()}
-            for name in order
-        }
-        model_used: Dict[str, Dict[str, str]] = {name: {} for name in order}
-        for net, wave in input_waveforms.items():
-            row = np.asarray(wave.value_at(times), dtype=float)
-            initial = float(wave.initial_value())
-            is_switching = self._is_switching(wave)
-            for name in order:
-                rows[name][net] = row
-                initials[name][net] = initial
-                switching[name][net] = is_switching
-
-        def admit(name: str, net: str, values: np.ndarray) -> None:
-            rows[name][net] = values
-            initials[name][net] = float(values[0])
-            switching[name][net] = float(values.max() - values.min()) > threshold
-
-        for level in levels:
-            # Each entry: (instance, {corner: plan}, {corner: hit waveform}).
-            pending: List[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]] = []
-            duplicates: List[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]] = []
-            first_with_key: Dict[Tuple[str, ...], GateInstance] = {}
-            for instance in level:
-                plans: Dict[str, _TensorPlan] = {}
-                hits: Dict[str, Waveform] = {}
-                for cc in corners:
-                    name = cc.name
-                    tplan = self._corner_tensor_plan(
-                        cc,
-                        instance,
-                        switching[name],
-                        contexts[name],
-                        net_keys[name] if caching else None,
-                    )
-                    plans[name] = tplan
-                    model_used[name][instance.name] = tplan.label
-                    if tplan.key is not None:
-                        net_keys[name][tplan.output_net] = tplan.key
-                        wave = self._lookup_waveform(tplan.key, per_stats[name], times)
-                        if wave is not None:
-                            hits[name] = wave
-                if len(hits) == len(order):
-                    for name in order:
-                        out = hits[name].renamed(plans[name].output_net)
-                        waveforms[name][plans[name].output_net] = out
-                        admit(name, plans[name].output_net, out.values)
-                    continue
-                key_tuple = (
-                    tuple(plans[name].key for name in order)
-                    if caching and all(plans[name].key is not None for name in order)
-                    else None
-                )
-                if key_tuple is not None and key_tuple in first_with_key:
-                    duplicates.append((instance, plans, hits))
-                    continue
-                if key_tuple is not None:
-                    first_with_key[key_tuple] = instance
-                pending.append((instance, plans, hits))
-
-            if pending:
-                tensor = self._evaluate_level_tensor_multi(
-                    pending, order, rows, initials, times, t_start, step, t_stop, per_stats
-                )
-                for r, (instance, plans, hits) in enumerate(pending):
-                    output_net = plans[order[0]].output_net
-                    for c, name in enumerate(order):
-                        values = tensor.row_values(r, c)
-                        wave = Waveform(times, values, name=output_net)
-                        waveforms[name][output_net] = wave
-                        admit(name, output_net, values)
-                if caching:
-                    self._spill_level_multi(pending, order, tensor, waveforms, per_stats)
-
-            for instance, plans, hits in duplicates:
-                for name in order:
-                    tplan = plans[name]
-                    if name in hits:
-                        out = hits[name].renamed(tplan.output_net)
-                    else:
-                        per_stats[name].duplicates += 1
-                        out = self._memo[tplan.key].renamed(tplan.output_net)
-                    waveforms[name][tplan.output_net] = out
-                    admit(name, tplan.output_net, out.values)
-
-        results = {
-            name: WaveformTimingResult(
-                waveforms=waveforms[name],
-                model_used=model_used[name],
-                netlist_name=self.netlist.name,
-                vdd=self.vdd,
-                stats=per_stats[name].as_dict(),
-            )
-            for name in order
-        }
-        merged = MulticornerTimingResult(
-            results=results,
-            corner_order=list(order),
-            netlist_name=self.netlist.name,
-            vdd=self.vdd,
-            stats={name: per_stats[name].as_dict() for name in order},
-        )
-        if run_key is not None:
-            self.cache.store(run_key, merged)
-        self.last_stats = self._aggregate_stats(per_stats, order)
-        return merged
-
-    def _evaluate_level_tensor_multi(
-        self,
-        pending: Sequence[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]],
-        order: List[str],
-        rows: Dict[str, Dict[str, np.ndarray]],
-        initials: Dict[str, Dict[str, float]],
-        times: np.ndarray,
-        t_start: float,
-        step: float,
-        t_stop: float,
-        per_stats: Dict[str, PropagationStats],
-    ) -> LevelTensor:
-        """Settle + integrate one level's missing ``(instance, corner)``
-        pairs, returning the level's ``(instances, corners, samples)``
-        tensor.  Per-corner cache hits are scattered into their tensor slots
-        without re-integration, so every row comes back complete."""
-        corners = self.corners
-        values = np.empty((len(pending), len(order), len(times)))
-        jobs: List[Tuple[int, int, str, _TensorPlan]] = []
-        for r, (instance, plans, hits) in enumerate(pending):
-            for c, name in enumerate(order):
-                if name in hits:
-                    values[r, c] = hits[name].values
-                else:
-                    jobs.append((r, c, name, plans[name]))
-
-        plans_flat: List[_InstancePlan] = []
-        for r, c, name, tplan in jobs:
-            cc = corners[name]
-            if tplan.mis:
-                model = cc.models.mis_model(tplan.instance.cell_name, *tplan.pins)
-            else:
-                model = cc.models.sis_model(tplan.instance.cell_name, tplan.pins[0])
-            plans_flat.append(
-                _InstancePlan(
-                    instance=tplan.instance,
-                    output_net=tplan.output_net,
-                    model=model,
-                    pins=tplan.pins,
-                    waves={},
-                    load=tplan.load,
-                    label=tplan.label,
-                )
-            )
-
-        constant_units = []
-        for (r, c, name, tplan), plan in zip(jobs, plans_flat):
-            constants = {}
-            for pin in plan.pins:
-                net = tplan.instance.connections[pin]
-                if net in initials[name]:
-                    value = initials[name][net]
-                else:
-                    value = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
-                constants[pin] = Waveform.constant(
-                    value, 0.0, self.options.settle_time, name=pin
-                )
-            constant_units.append(self._unit(plan, constants, self.vdd / 2.0, self.vdd / 2.0))
-
-        def integration_unit(position: int, initial_output: float, initial_internal):
-            _, _, name, tplan = jobs[position]
-            plan = plans_flat[position]
-            samples: Dict[str, np.ndarray] = {}
-            for pin in plan.pins:
-                net = tplan.instance.connections[pin]
-                if net in rows[name]:
-                    samples[pin] = rows[name][net]
-                else:
-                    level_v = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
-                    samples[pin] = np.full(times.shape, float(level_v))
-            return self._unit(plan, {}, initial_output, initial_internal, samples=samples)
-
-        workers = self._corner_worker_count(len(order))
-        if workers <= 1:
-            # Single-core: ONE settle stack and ONE integration batch with
-            # the corner dimension folded into the row axis (the fused MMMC
-            # pass — per-chunk lookup and per-step loop overheads are paid
-            # once for all corners).
-            settled = settle_units(constant_units, self.options, batched_polish=True)
-            units = [
-                integration_unit(position, initial_output, initial_internal)
-                for position, (initial_output, initial_internal) in enumerate(settled)
-            ]
-            _, outputs = integrate_model_many(
-                units, self.options, t_start, t_stop, shared_precompute=True
-            )
-        else:
-            # Multi-core: corners are data-independent within a level, so
-            # each corner's settle + integration runs as one task on a
-            # shared-memory thread pool (numpy releases the GIL inside its
-            # lookup/gather loops).  Each corner's batches have exactly the
-            # composition its serial single-corner run would build, so the
-            # per-corner results match that reference bitwise.
-            by_corner: Dict[str, List[int]] = {}
-            for position, (r, c, name, tplan) in enumerate(jobs):
-                by_corner.setdefault(name, []).append(position)
-
-            def evaluate_corner(positions: List[int]):
-                corner_settled = settle_units(
-                    [constant_units[p] for p in positions],
-                    self.options,
-                    batched_polish=True,
-                )
-                corner_units = [
-                    integration_unit(position, initial_output, initial_internal)
-                    for position, (initial_output, initial_internal) in zip(
-                        positions, corner_settled
-                    )
-                ]
-                _, corner_outputs = integrate_model_many(
-                    corner_units, self.options, t_start, t_stop, shared_precompute=True
-                )
-                return corner_outputs
-
-            outputs = [None] * len(jobs)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for positions, corner_outputs in zip(
-                    by_corner.values(), pool.map(evaluate_corner, by_corner.values())
-                ):
-                    for position, output in zip(positions, corner_outputs):
-                        outputs[position] = output
-
-        for (r, c, name, tplan), (v_out, _) in zip(jobs, outputs):
-            values[r, c] = v_out
-            per_stats[name].integrations += 1
-
-        names = [plans[order[0]].output_net for _, plans, _ in pending]
-        return LevelTensor(names, values, t_start, step)
-
-    def _spill_level_multi(
-        self,
-        pending: Sequence[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]],
-        order: List[str],
-        tensor: LevelTensor,
-        waveforms: Dict[str, Dict[str, Waveform]],
-        per_stats: Dict[str, PropagationStats],
-    ) -> None:
-        """Multi-corner whole-level spill: ONE tensor record for the level,
-        plus a ``{"t": "level-row", ..., "corner": c}`` pointer per freshly
-        integrated ``(instance, corner)`` pair (pairs served from the cache
-        already have their entries)."""
-        flat_keys: List[str] = []
-        for instance, plans, hits in pending:
-            for name in order:
-                flat_keys.append(plans[name].key)
-        for instance, plans, hits in pending:
-            for name in order:
-                tplan = plans[name]
-                self._memo[tplan.key] = waveforms[name][tplan.output_net]
-        if self.cache is None:
-            return
-        level_key = content_hash("sta-level-mmmc", flat_keys)
-        items: List[Tuple[str, object]] = []
-        for r, (instance, plans, hits) in enumerate(pending):
-            for c, name in enumerate(order):
-                if name in hits:
-                    continue
-                items.append(
-                    (
-                        plans[name].key,
-                        {"t": "level-row", "level": level_key, "row": r, "corner": c},
-                    )
-                )
-                per_stats[name].stores += 1
-        items.append((level_key, {"keys": flat_keys, "tensor": tensor}))
-        _store_items(self.cache, items)
-        self._level_tensors[level_key] = tensor
 
     def _structural_plan(
         self,
@@ -2737,39 +2187,6 @@ class CSMEngine(TimingEngine):
                     plan.waves, plan.load, options=self.options, t_start=t_start, t_stop=t_stop
                 )
             waveforms[plan.output_net] = result.output.renamed(plan.output_net)
-
-    def _evaluate_level_batched(
-        self,
-        plans: Sequence[_InstancePlan],
-        waveforms: Dict[str, Waveform],
-        t_start: float,
-        t_stop: float,
-    ) -> None:
-        """Lockstep path: settle every instance of the level in one batch,
-        then integrate the main window in one batch."""
-        if not plans:
-            return
-        # Settle pass: constant inputs at each waveform's initial value,
-        # starting from Vdd/2 — exactly what the per-model ``_settle_output``
-        # / ``settle_state`` helpers do (DC operating point by default, the
-        # legacy full-window integration under ``settle_mode="integrate"``).
-        constant_units = []
-        for plan in plans:
-            constants = {
-                pin: Waveform.constant(
-                    plan.waves[pin].initial_value(), 0.0, self.options.settle_time, name=pin
-                )
-                for pin in plan.pins
-            }
-            constant_units.append(self._unit(plan, constants, self.vdd / 2.0, self.vdd / 2.0))
-        settled = settle_units(constant_units, self.options)
-
-        units = []
-        for plan, (initial_output, initial_internal) in zip(plans, settled):
-            units.append(self._unit(plan, plan.waves, initial_output, initial_internal))
-        times, outputs = integrate_model_many(units, self.options, t_start, t_stop)
-        for plan, (v_out, _) in zip(plans, outputs):
-            waveforms[plan.output_net] = Waveform(times, v_out, name=plan.output_net)
 
     def _unit(
         self,

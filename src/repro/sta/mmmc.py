@@ -1,12 +1,11 @@
 """Multi-mode multi-corner (MMMC) timing: corner sets and merged results.
 
-PR 4 introduced process corners as *serial jobs* — N corners, N independent
-engine runs over N separately characterized libraries.  This module provides
-the batched alternative the level-tensor layout was built for: a
+A process corner is just another characterized library.  A
 :class:`CornerSet` bundles every requested corner's cornered technology, cell
 library and :class:`~repro.sta.models.TimingModelLibrary` into one object the
-engines accept directly (``CSMEngine(..., corners=...)``), so one levelized
-pass propagates all M corners along the tensor's corner axis.
+engines accept directly (``CSMEngine(..., corners=...)``); the engine then
+runs each corner as an ordinary single-corner run, one after another, with
+its keys scoped to the corner.
 
 Results come back as :class:`MulticornerTimingResult` /
 :class:`MulticornerNLDMResult`: per-corner result objects (each exactly what
@@ -15,11 +14,9 @@ MMMC flow reports — worst arrival per net and worst slack against a required
 time, each annotated with the corner that sets it.
 
 The standard five-point corner spread keeps the nominal supply
-(``vdd_scale == 1.0``), which is what makes corner batching structurally
-free: every corner's characterization lives on the same voltage grids, so
-same-cell units of different corners fall into one lockstep recurrence group
-and their DC polish stacks into one Newton batch.  Corners that scale the
-supply would need per-corner grids and are rejected by the engines.
+(``vdd_scale == 1.0``): every corner is driven by the design's stimuli and
+switching thresholds.  Corners that scale the supply are rejected by the
+CSM engine.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ def required_time(
 
 @dataclass
 class CornerContext:
-    """Everything one corner contributes to a batched MMMC run."""
+    """Everything one corner contributes to an MMMC run."""
 
     name: str
     corner: Corner
@@ -82,12 +79,11 @@ class CornerContext:
 
 
 class CornerSet:
-    """An ordered, named set of corner contexts for one batched run.
+    """An ordered, named set of corner contexts for one MMMC run.
 
     Build one with :meth:`from_names` (the standard five-point corners) or
     directly from prepared :class:`CornerContext` objects.  Order matters:
-    it is the corner axis order of the level tensors and of every per-corner
-    result map.
+    corners run in it, and it is the order of every per-corner result map.
     """
 
     def __init__(self, contexts: Sequence[CornerContext]):
@@ -257,7 +253,7 @@ class _MulticornerMerge:
 
 @dataclass
 class MulticornerTimingResult(_MulticornerMerge):
-    """One batched CSM run's per-corner waveforms plus the worst-case merge.
+    """One MMMC CSM run's per-corner waveforms plus the worst-case merge.
 
     ``results[name]`` is exactly the :class:`WaveformTimingResult` a
     single-corner run of that corner produces; ``stats`` carries each
@@ -300,7 +296,7 @@ class MulticornerTimingResult(_MulticornerMerge):
 
 @dataclass
 class MulticornerNLDMResult(_MulticornerMerge):
-    """One batched NLDM run's per-corner events plus the worst-case merge."""
+    """One MMMC NLDM run's per-corner events plus the worst-case merge."""
 
     results: Dict[str, object]  # corner name -> NLDMTimingResult
     corner_order: List[str]

@@ -6,8 +6,7 @@ Covers the three tentpole layers from the outside in:
   ``Waveform`` view adapters, round-trips through ``from_waveforms``
   (including levels whose rows live on different uniform grids),
 * the tensor propagation path of the batched engine — equivalence against
-  the per-instance sequential reference AND the per-instance batched
-  regrouping path it replaced, on chain/tree/DAG workloads,
+  the per-instance sequential reference on chain/tree/DAG workloads,
 * the ``leveltensor`` codec tag — a hypothesis round-trip property through
   both cache backends (per-entry ``.npz`` and the packed store).
 """
@@ -134,11 +133,9 @@ class TestTensorEngineEquivalence:
         netlist = generate_netlist(library, spec)
         waveforms = primary_input_waveforms(netlist, seed=1)
         sequential = CSMEngine(netlist, models, options=options, batched=False)
-        regroup = CSMEngine(netlist, models, options=options, batched=True, tensor=False)
-        tensor = CSMEngine(netlist, models, options=options, batched=True, tensor=True)
+        tensor = CSMEngine(netlist, models, options=options, batched=True)
 
         result_seq = sequential.run(waveforms)
-        result_reg = regroup.run(waveforms)
         result_ten = tensor.run(waveforms)
 
         assert set(result_ten.waveforms) == set(result_seq.waveforms)
@@ -146,14 +143,8 @@ class TestTensorEngineEquivalence:
             np.abs(result_ten.waveform(n).values - result_seq.waveform(n).values).max()
             for n in result_seq.waveforms
         )
-        dev_reg = max(
-            np.abs(result_ten.waveform(n).values - result_reg.waveform(n).values).max()
-            for n in result_reg.waveforms
-        )
         assert dev_seq <= EQUIV_TOL
-        assert dev_reg <= EQUIV_TOL
         assert result_ten.model_used == result_seq.model_used
-        assert result_ten.model_used == result_reg.model_used
 
 
 # ----------------------------------------------------------------------

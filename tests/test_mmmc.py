@@ -1,12 +1,15 @@
-"""Batched MMMC tests (PR 8).
+"""MMMC tests.
 
-The tentpole invariants:
+The invariants:
 
-* one batched run over a :class:`CornerSet` matches M independent
-  single-corner runs to ``1e-9`` V per corner (CSM) / per event (NLDM);
+* a run over a :class:`CornerSet` is one single-corner run per corner, so
+  every corner is **bitwise** its single-corner run — CSM waveforms and
+  NLDM events, resident, streaming and ``batched=False``;
 * per-corner cache namespaces are disjoint — a warm repeat is a full-run
-  hit for every corner, and after evicting the whole-run entry each
-  instance-corner pair resolves through its own level-row pointer;
+  hit for every corner, and after evicting every corner's whole-run entry
+  each instance-corner pair resolves through its own level-row pointer;
+* single-corner keys name the corner of the bound models: a store filled
+  against one corner's models never serves another corner's run;
 * the multi-corner level tensor round-trips bitwise through the result
   store codec (hypothesis property over the corner axis);
 * :class:`TimingEngine.connectivity` rebuilds when an ECO bumps the
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
-from repro.runtime import ResultCache
+from repro.runtime import PackedStore, ResultCache
 from repro.runtime.cache import decode_payload, encode_payload
 from repro.sta import (
     CSMEngine,
@@ -41,9 +44,6 @@ from repro.sta.mmmc import (
     required_time,
 )
 from repro.waveform.level_tensor import LevelTensor
-
-#: Per-corner agreement budget between the batched and the serial engines.
-EQUIV_TOL = 1e-9
 
 CORNERS = ["TT", "FF", "SS"]
 
@@ -74,6 +74,19 @@ def stimulus(netlist):
     return primary_input_waveforms(netlist, t_stop=t_stop, seed=0), t_stop
 
 
+def _assert_bitwise(result, reference):
+    assert list(result.waveforms) == list(reference.waveforms)
+    assert result.model_used == reference.model_used
+    for net, wave in reference.waveforms.items():
+        np.testing.assert_array_equal(result.waveforms[net].times, wave.times)
+        np.testing.assert_array_equal(result.waveforms[net].values, wave.values)
+
+
+def _corner_run_keys(engine):
+    """Whole-run entry keys of an MMMC engine's per-corner runs."""
+    return [child.last_run_key for child in engine._corner_engines.values()]
+
+
 # ----------------------------------------------------------------------
 # CornerSet basics
 # ----------------------------------------------------------------------
@@ -97,7 +110,7 @@ class TestCornerSet:
 
 
 # ----------------------------------------------------------------------
-# Batched vs per-corner-serial equivalence
+# MMMC vs per-corner single-corner runs: bitwise
 # ----------------------------------------------------------------------
 class TestBatchedEquivalence:
     def test_csm_matches_serial_per_corner(self, corner_set, netlist, options, stimulus):
@@ -112,41 +125,70 @@ class TestBatchedEquivalence:
             serial = CSMEngine(netlist, corner_set[name].models, options=options)
             reference = serial.run(waveforms, t_stop=t_stop)
             deviation = waveform_deviation(multi.result(name), reference)
-            assert deviation <= EQUIV_TOL, f"{name}: {deviation:.3e} V"
+            assert deviation == 0.0, f"{name}: {deviation:.3e} V"
             assert multi.result(name).model_used == reference.model_used
 
-    def test_corner_threads_match_fused_pass(
+    def test_stream_csm_mmmc_matches_resident(
+        self, corner_set, netlist, options, stimulus, tmp_path
+    ):
+        waveforms, t_stop = stimulus
+        resident = CSMEngine(
+            netlist, corner_set.reference.models, options=options, corners=corner_set
+        ).run(waveforms, t_stop=t_stop)
+        store = PackedStore(tmp_path / "stream")
+        try:
+            stream = CSMEngine(
+                netlist,
+                corner_set.reference.models,
+                options=options,
+                corners=corner_set,
+                cache=store,
+                memory_mode="stream",
+                memory_budget_bytes=1 << 14,
+            )
+            streamed = stream.run(waveforms, t_stop=t_stop)
+            assert stream.last_stats.spills > 0
+            for name in CORNERS:
+                _assert_bitwise(streamed.result(name), resident.result(name))
+        finally:
+            store.close()
+
+    def test_stream_nldm_mmmc_matches_resident(self, corner_set, netlist, tmp_path):
+        events = primary_input_events(netlist, seed=0)
+        resident = NLDMEngine(
+            netlist, corner_set.reference.models, corners=corner_set
+        ).run(events)
+        store = PackedStore(tmp_path / "stream")
+        try:
+            streamed = NLDMEngine(
+                netlist,
+                corner_set.reference.models,
+                corners=corner_set,
+                cache=store,
+                memory_mode="stream",
+            ).run(events)
+            for name in CORNERS:
+                assert streamed.result(name).events == resident.result(name).events
+                assert streamed.result(name).mis_flags == resident.result(name).mis_flags
+        finally:
+            store.close()
+
+    def test_sequential_mmmc_matches_sequential_runs(
         self, corner_set, netlist, options, stimulus
     ):
-        """The corner-parallel level evaluation (``corner_workers > 1``)
-        rebuilds, per corner, exactly the settle/integration batches that
-        corner's serial single-corner run would build — so it matches the
-        serial reference **bitwise**, and the fused single-stack pass (whose
-        mixed-corner batch composition shifts group thresholds by a few ULP)
-        within the usual budget."""
         waveforms, t_stop = stimulus
-        fused = CSMEngine(
+        multi = CSMEngine(
             netlist,
             corner_set.reference.models,
             options=options,
             corners=corner_set,
-            corner_workers=1,
-        ).run(waveforms, t_stop=t_stop)
-        threaded = CSMEngine(
-            netlist,
-            corner_set.reference.models,
-            options=options,
-            corners=corner_set,
-            corner_workers=len(CORNERS),
+            batched=False,
         ).run(waveforms, t_stop=t_stop)
         for name in CORNERS:
-            serial = CSMEngine(
-                netlist, corner_set[name].models, options=options
+            reference = CSMEngine(
+                netlist, corner_set[name].models, options=options, batched=False
             ).run(waveforms, t_stop=t_stop)
-            exact = waveform_deviation(threaded.result(name), serial)
-            assert exact == 0.0, f"{name} vs serial: {exact:.3e} V"
-            fused_dev = waveform_deviation(threaded.result(name), fused.result(name))
-            assert fused_dev <= EQUIV_TOL, f"{name} vs fused: {fused_dev:.3e} V"
+            _assert_bitwise(multi.result(name), reference)
 
     def test_nldm_matches_serial_per_corner(self, corner_set, netlist):
         events = primary_input_events(netlist, seed=0)
@@ -158,11 +200,8 @@ class TestBatchedEquivalence:
         for name in CORNERS:
             serial = NLDMEngine(netlist, corner_set[name].models)
             reference = serial.run(events)
-            got = multi.result(name).events
-            assert set(got) == set(reference.events)
-            for net, event in reference.events.items():
-                assert got[net].arrival == pytest.approx(event.arrival, abs=1e-15)
-                assert got[net].slew == pytest.approx(event.slew, abs=1e-15)
+            assert multi.result(name).events == reference.events
+            assert multi.result(name).mis_flags == reference.mis_flags
 
     def test_worst_merge_is_max_over_corners(self, corner_set, netlist, options, stimulus):
         waveforms, t_stop = stimulus
@@ -193,16 +232,6 @@ class TestBatchedEquivalence:
                 assert slacks[net] is None
             else:
                 assert slacks[net] == (worst[0], 1e-9 - worst[1])
-
-    def test_multicorner_requires_tensor_path(self, corner_set, netlist, options):
-        with pytest.raises(TimingError, match="batched tensor path"):
-            CSMEngine(
-                netlist,
-                corner_set.reference.models,
-                options=options,
-                corners=corner_set,
-                batched=False,
-            )
 
     def test_worst_slacks_mapping_miss_raises_or_falls_back(
         self, corner_set, netlist, options, stimulus
@@ -298,13 +327,16 @@ class TestMulticornerCaching:
     def test_level_row_pointers_resolve_per_corner(
         self, corner_set, netlist, options, stimulus, cache
     ):
-        """Evict the whole-run entry: every instance-corner pair must come
-        back through its own level-row pointer (disjoint per-corner keys)."""
+        """Evict every corner's whole-run entry: every instance-corner pair
+        must come back through its own level-row pointer (disjoint
+        per-corner keys)."""
         waveforms, t_stop = stimulus
         engine = self._engine(corner_set, netlist, options, cache)
         cold = engine.run(waveforms, t_stop=t_stop)
-        assert engine.last_run_key is not None
-        cache.evict(engine.last_run_key)
+        run_keys = _corner_run_keys(engine)
+        assert len(set(run_keys)) == len(CORNERS) and None not in run_keys
+        for key in run_keys:
+            cache.evict(key)
         fresh = self._engine(corner_set, netlist, options, cache)
         served = fresh.run(waveforms, t_stop=t_stop)
         n = len(netlist.instances)
@@ -336,7 +368,44 @@ class TestMulticornerCaching:
         assert not stats["full_run_hit"]
         assert stats["cache_hits"] == 0
         assert stats["integrations"] + stats["duplicates"] == len(netlist.instances)
-        assert waveform_deviation(multi.result("TT"), reference) <= EQUIV_TOL
+        _assert_bitwise(multi.result("TT"), reference)
+
+
+# ----------------------------------------------------------------------
+# Single-corner keys name the bound models' corner
+# ----------------------------------------------------------------------
+class TestCornerBoundKeys:
+    """One store, a TT run, then an FF run of the same TT-library design:
+    the FF run must not be served anything TT wrote (its models' cells,
+    loads and run key all differ)."""
+
+    def test_csm_ff_after_tt_is_cold_and_exact(
+        self, corner_set, netlist, options, stimulus, tmp_path
+    ):
+        waveforms, t_stop = stimulus
+        cache = ResultCache(tmp_path / "store")
+        CSMEngine(netlist, corner_set["TT"].models, options=options, cache=cache).run(
+            waveforms, t_stop=t_stop
+        )
+        ff = CSMEngine(netlist, corner_set["FF"].models, options=options, cache=cache)
+        served = ff.run(waveforms, t_stop=t_stop)
+        assert not served.stats["full_run_hit"]
+        assert served.stats["cache_hits"] == 0
+        reference = CSMEngine(
+            netlist, corner_set["FF"].models, options=options, use_cache=False
+        ).run(waveforms, t_stop=t_stop)
+        _assert_bitwise(served, reference)
+
+    def test_nldm_ff_after_tt_is_cold_and_exact(self, corner_set, netlist, tmp_path):
+        events = primary_input_events(netlist, seed=0)
+        cache = ResultCache(tmp_path / "store")
+        NLDMEngine(netlist, corner_set["TT"].models, cache=cache).run(events)
+        served = NLDMEngine(netlist, corner_set["FF"].models, cache=cache).run(events)
+        assert not served.stats["full_run_hit"]
+        assert served.stats["cache_hits"] == 0
+        reference = NLDMEngine(netlist, corner_set["FF"].models, use_cache=False).run(events)
+        assert served.events == reference.events
+        assert served.mis_flags == reference.mis_flags
 
 
 # ----------------------------------------------------------------------

@@ -226,16 +226,19 @@ class TestNLDMPerLevelCommit:
         engine = NLDMEngine(netlist, corners.reference.models, cache=store, corners=corners)
         result = engine.run(events)
 
-        assert len(store.batches) == len(engine.levels())
-        assert store.singles == [engine.last_run_key]
+        # Each corner is its own single-corner run: one commit per level and
+        # one whole-run entry per corner.
+        assert len(store.batches) == len(engine.levels()) * len(corners)
+        run_keys = [child.last_run_key for child in engine._corner_engines.values()]
+        assert store.singles == run_keys
         assert result.stats == expected.stats
         for name in corners.names:
             assert result.results[name].events == expected.results[name].events
         per_instance = {key for batch in store.batches for key in batch}
-        assert per_instance == set(reference_store.entries) - {reference.last_run_key}
+        assert per_instance == set(reference_store.entries) - set(run_keys)
         assert _entries(store, per_instance) == _entries(reference_store, per_instance)
 
-        # The whole-run entry decodes back (columnar per corner) to a hit.
+        # Every corner's whole-run entry decodes back (columnar) to a hit.
         warm = NLDMEngine(netlist, corners.reference.models, cache=store.inner, corners=corners)
         again = warm.run(events)
         assert warm.last_stats.full_run_hit
