@@ -21,8 +21,6 @@ from .common import ExperimentContext, HISTORY_LABELS, default_context, nor2_his
 from .fig3_internal_node import Fig3Result, run_fig3
 from .sta_scaling import StaScalePoint, StaScaleResult, run_sta_scale, timing_models_for
 from .corner_sweep import (
-    BatchedCornerSweepResult,
-    batched_corner_sta_sweep,
     CornerStaPoint,
     CornerSweepResult,
     NLDMCornerPoint,
@@ -68,8 +66,6 @@ __all__ = [
     "NLDMCornerPoint",
     "NLDMCornerSweepResult",
     "corner_sta_sweep",
-    "BatchedCornerSweepResult",
-    "batched_corner_sta_sweep",
     "nldm_corner_sweep",
     "run_corner_sweep",
     "timing_models_for",

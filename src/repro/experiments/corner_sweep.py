@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from ..cells.library import default_library
 from ..exceptions import TimingError
 from ..runtime.cache import ResultCache
-from ..sta.engine import CornerSet, CSMEngine, NLDMEngine
+from ..sta.engine import CSMEngine, NLDMEngine
 from ..sta.generate import (
     generate_netlist,
     primary_input_events,
@@ -33,11 +33,9 @@ from .common import ExperimentContext, default_context
 __all__ = [
     "CornerStaPoint",
     "CornerSweepResult",
-    "BatchedCornerSweepResult",
     "NLDMCornerPoint",
     "NLDMCornerSweepResult",
     "corner_sta_sweep",
-    "batched_corner_sta_sweep",
     "nldm_corner_sweep",
     "run_corner_sweep",
 ]
@@ -58,9 +56,6 @@ class CornerStaPoint:
     propagation_seconds: float
     arrivals: Dict[str, Optional[float]]  # primary output -> 50% arrival (s)
     stats: Dict[str, int] = field(default_factory=dict)
-    #: The full WaveformTimingResult, kept only on request (``keep_results``)
-    #: so the batched MMMC path can be checked waveform-by-waveform.
-    result: object = None
 
 
 @dataclass
@@ -109,7 +104,6 @@ def corner_sta_sweep(
     spec: str = DEFAULT_SPEC,
     corners: Sequence[str] = DEFAULT_CORNERS,
     seed: int = 0,
-    keep_results: bool = False,
     use_cache: bool = True,
 ) -> CornerSweepResult:
     """Time one generated design at several process corners.
@@ -164,113 +158,10 @@ def corner_sta_sweep(
                 propagation_seconds=propagation,
                 arrivals=arrivals,
                 stats=dict(result.stats or {}),
-                result=result if keep_results else None,
             )
         )
     return CornerSweepResult(
         spec=spec, seed=seed, gates=gates, reference_corner=reference, points=points
-    )
-
-
-@dataclass
-class BatchedCornerSweepResult:
-    """All corners timed by ONE batched MMMC engine run.
-
-    ``result`` is the engine's
-    :class:`~repro.sta.mmmc.MulticornerTimingResult`; ``arrivals`` mirrors
-    the serial sweep's per-corner primary-output arrivals so the two paths
-    compare point by point.
-    """
-
-    spec: str
-    seed: int
-    gates: int
-    corners: List[str]
-    characterization_seconds: float
-    propagation_seconds: float
-    arrivals: Dict[str, Dict[str, Optional[float]]]  # corner -> output -> s
-    stats: Dict[str, Dict[str, int]]
-    result: object = None
-
-    def max_arrival_deviation(self, serial: CornerSweepResult) -> float:
-        """Largest |batched - serial| primary-output arrival over all
-        corners (``inf`` when one path resolves an arrival the other
-        does not)."""
-        worst = 0.0
-        for point in serial.points:
-            batched = self.arrivals.get(point.corner, {})
-            for net, arrival in point.arrivals.items():
-                mine = batched.get(net)
-                if arrival is None and mine is None:
-                    continue
-                if arrival is None or mine is None:
-                    return float("inf")
-                worst = max(worst, abs(mine - arrival))
-        return worst
-
-
-def batched_corner_sta_sweep(
-    context: ExperimentContext,
-    spec: str = DEFAULT_SPEC,
-    corners: Sequence[str] = DEFAULT_CORNERS,
-    seed: int = 0,
-    cache: Optional[ResultCache] = None,
-    use_cache: bool = True,
-) -> BatchedCornerSweepResult:
-    """Time one design across corners in a single MMMC engine run.
-
-    A :class:`~repro.sta.mmmc.CornerSet` binds every corner's characterized
-    model library to one :class:`CSMEngine`, which runs each corner as an
-    ordinary single-corner run, one after another.  Arrivals are comparable
-    point by point with :func:`corner_sta_sweep`; the waveforms are bitwise
-    equal.
-    """
-    corner_set = CornerSet.from_names(
-        list(corners),
-        technology=context.technology,
-        config=context.characterization,
-        executor=context.executor,
-        cache=cache if cache is not None else context.cache,
-    )
-    netlist = generate_netlist(corner_set.reference.library, spec)
-    waveforms = primary_input_waveforms(netlist, seed=seed)
-
-    start = time.perf_counter()
-    for corner_context in corner_set:
-        corner_context.models.prewarm_for_netlist(netlist, kinds=("sis", "mis"))
-    characterization = time.perf_counter() - start
-
-    engine = CSMEngine(
-        netlist,
-        corner_set.reference.models,
-        options=context.model_options(),
-        corners=corner_set,
-        cache=cache,
-        use_cache=use_cache,
-    )
-    start = time.perf_counter()
-    result = engine.run(waveforms)
-    propagation = time.perf_counter() - start
-
-    arrivals: Dict[str, Dict[str, Optional[float]]] = {}
-    for name in result.corner_order:
-        corner_arrivals: Dict[str, Optional[float]] = {}
-        for net in netlist.primary_outputs:
-            try:
-                corner_arrivals[net] = result.result(name).arrival(net)
-            except TimingError:
-                corner_arrivals[net] = None
-        arrivals[name] = corner_arrivals
-    return BatchedCornerSweepResult(
-        spec=spec,
-        seed=seed,
-        gates=len(netlist.instances),
-        corners=list(result.corner_order),
-        characterization_seconds=characterization,
-        propagation_seconds=propagation,
-        arrivals=arrivals,
-        stats={name: dict(stats) for name, stats in (result.stats or {}).items()},
-        result=result,
     )
 
 

@@ -124,95 +124,40 @@ def build_context(settings: str, executor=None, cache: Optional[ResultCache] = N
 
 
 def _run_corner_mode(args, context) -> int:
-    """--sta --corners: time every spec across the requested process corners.
+    """--sta --corners: time every spec across the requested process corners
+    (one ordinary engine run per corner)."""
+    from ..experiments import corner_sta_sweep
 
-    ``--corner-mode`` picks the path: ``serial`` (one engine run per corner,
-    the reference), ``batched`` (one MMMC engine run over a corner set) or
-    ``both`` (run both and FAIL — exit 1 — unless every corner's waveforms
-    agree bitwise)."""
-    from ..experiments import batched_corner_sta_sweep, corner_sta_sweep
-    from ..sta.engine import waveform_deviation
-
-    mode = args.corner_mode
     corners = tuple(name.strip().upper() for name in args.corners.split(",") if name.strip())
     report: Dict[str, object] = {
         "mode": "sta-corners",
         "settings": args.settings,
         "workers": args.workers,
         "corners": list(corners),
-        "corner_mode": mode,
         "seed": args.seed,
         "designs": {},
     }
-    failures = 0
     total_start = time.perf_counter()
     for spec in args.sta:
-        entry: Dict[str, object] = {}
-        serial = None
-        if mode in ("serial", "both"):
-            serial = corner_sta_sweep(
-                context,
-                spec=spec,
-                corners=corners,
-                seed=args.seed,
-                keep_results=mode == "both",
-            )
-            print(serial.summary())
-            deltas = serial.deltas()
-            entry.update(
-                {
-                    "gates": serial.gates,
-                    "reference_corner": serial.reference_corner,
-                    "corners": {
-                        point.corner: {
-                            "vdd": point.vdd,
-                            "characterization_seconds": round(point.characterization_seconds, 4),
-                            "models_executed": point.models_executed,
-                            "propagation_seconds": round(point.propagation_seconds, 4),
-                            "arrivals": point.arrivals,
-                            "arrival_deltas": deltas[point.corner],
-                        }
-                        for point in serial.points
-                    },
+        sweep = corner_sta_sweep(context, spec=spec, corners=corners, seed=args.seed)
+        print(sweep.summary())
+        deltas = sweep.deltas()
+        report["designs"][spec] = {
+            "gates": sweep.gates,
+            "reference_corner": sweep.reference_corner,
+            "corners": {
+                point.corner: {
+                    "vdd": point.vdd,
+                    "characterization_seconds": round(point.characterization_seconds, 4),
+                    "models_executed": point.models_executed,
+                    "propagation_seconds": round(point.propagation_seconds, 4),
+                    "integrations": point.stats.get("integrations"),
+                    "arrivals": point.arrivals,
+                    "arrival_deltas": deltas[point.corner],
                 }
-            )
-        if mode in ("batched", "both"):
-            batched = batched_corner_sta_sweep(
-                context, spec=spec, corners=corners, seed=args.seed
-            )
-            entry["gates"] = batched.gates
-            entry["batched"] = {
-                "corners": batched.corners,
-                "characterization_seconds": round(batched.characterization_seconds, 4),
-                "propagation_seconds": round(batched.propagation_seconds, 4),
-                "arrivals": batched.arrivals,
-                "integrations": {
-                    name: stats.get("integrations") for name, stats in batched.stats.items()
-                },
-            }
-            print(
-                f"  batched MMMC: {len(batched.corners)} corners in "
-                f"{batched.propagation_seconds:.3f} s"
-            )
-            if mode == "both":
-                deviation = 0.0
-                for point in serial.points:
-                    deviation = max(
-                        deviation,
-                        waveform_deviation(batched.result.result(point.corner), point.result),
-                    )
-                serial_seconds = sum(p.propagation_seconds for p in serial.points)
-                speedup = serial_seconds / max(batched.propagation_seconds, 1e-12)
-                entry["max_abs_delta_v"] = deviation
-                entry["batched_speedup"] = round(speedup, 3)
-                ok = deviation == 0.0
-                failures += 0 if ok else 1
-                print(
-                    f"  equivalence: max |dV| = {deviation:.2e} V over {len(corners)} "
-                    f"corners, batched speedup {speedup:.2f}x vs serial"
-                    + ("" if ok else "  <-- FAILED")
-                )
-        report["designs"][spec] = entry
+                for point in sweep.points
+            },
+        }
     report["total_seconds"] = round(time.perf_counter() - total_start, 4)
     if context.cache is not None:
         print(f"cache: {context.cache.stats} ({args.cache})")
@@ -220,9 +165,6 @@ def _run_corner_mode(args, context) -> int:
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json}")
-    if failures:
-        print(f"{failures} design(s) FAILED the batched/serial corner equivalence check")
-        return 1
     return 0
 
 
@@ -790,14 +732,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="--sta mode: comma-separated process corners; characterizes one "
         "library per corner (parallel content-addressed jobs) and reports "
         "per-corner primary-output arrival deltas",
-    )
-    parser.add_argument(
-        "--corner-mode",
-        choices=("serial", "batched", "both"),
-        default="serial",
-        help="--corners path: 'serial' runs one engine per corner, 'batched' "
-        "one MMMC engine over all corners, 'both' runs both and asserts "
-        "bitwise per-corner equivalence (default: serial)",
     )
     parser.add_argument(
         "--incremental",

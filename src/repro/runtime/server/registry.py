@@ -248,8 +248,9 @@ class TimingService:
         as its own single-corner run and the response carries per-corner
         arrivals plus a cross-corner worst merge.  ``memory_mode="stream"``
         propagates with the bounded-memory streaming engine (spilling retired
-        levels to the server's store); spill/fault counts show up in the
-        response stats and the session's ``status`` entry.
+        levels to the server's store), with or without ``corners``;
+        spill/fault counts show up in the response stats and the session's
+        ``status`` entry.
         ``engine="hybrid"`` runs the criticality-adaptive NLDM+CSM engine;
         ``required`` (scalar or per-net mapping) and ``top_k`` (int or
         ``"all"``) tune its slack ranking, and the response adds per-net
@@ -277,19 +278,12 @@ class TimingService:
                     "engine='hybrid' does not support memory_mode='stream'",
                     "bad-request",
                 )
-        if memory_mode == "stream":
-            if corners:
-                raise ServerError(
-                    "memory_mode='stream' does not support multi-corner "
-                    "requests; submit corners one at a time",
-                    "bad-request",
-                )
-            if self.store is None:
-                raise ServerError(
-                    "memory_mode='stream' needs a server store (start the "
-                    "server with --cache)",
-                    "bad-request",
-                )
+        if memory_mode == "stream" and self.store is None:
+            raise ServerError(
+                "memory_mode='stream' needs a server store (start the "
+                "server with --cache)",
+                "bad-request",
+            )
         record = self._session(session)
         start = time.perf_counter()
         corner_names = (

@@ -31,8 +31,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping as AbstractMapping
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -135,17 +135,13 @@ class PropagationStats:
         return self.memo_hits + self.cache_hits + self.duplicates
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "instances": self.instances,
-            "integrations": self.integrations,
-            "memo_hits": self.memo_hits,
-            "cache_hits": self.cache_hits,
-            "duplicates": self.duplicates,
-            "stores": self.stores,
-            "full_run_hit": self.full_run_hit,
-            "spills": self.spills,
-            "faults": self.faults,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+
+def _total_name(field_name: str) -> str:
+    """Lifetime-total key of a :class:`PropagationStats` field (a run is a
+    full hit or not; the totals count them)."""
+    return "full_run_hits" if field_name == "full_run_hit" else field_name
 
 
 @dataclass
@@ -344,17 +340,7 @@ class TimingEngine:
 
     @staticmethod
     def _zero_totals() -> Dict[str, int]:
-        return {
-            "instances": 0,
-            "integrations": 0,
-            "memo_hits": 0,
-            "cache_hits": 0,
-            "duplicates": 0,
-            "stores": 0,
-            "full_run_hits": 0,
-            "spills": 0,
-            "faults": 0,
-        }
+        return {_total_name(field.name): 0 for field in fields(PropagationStats)}
 
     # -- lazily built structural views ---------------------------------
     def _sync_structure(self) -> None:
@@ -493,17 +479,10 @@ class TimingEngine:
         """Fold per-corner accounting into one run-level record; the run is
         a full hit only when *every* corner was served from the run cache."""
         total = PropagationStats()
-        for name in order:
-            stats = per_stats[name]
-            total.instances += stats.instances
-            total.integrations += stats.integrations
-            total.memo_hits += stats.memo_hits
-            total.cache_hits += stats.cache_hits
-            total.duplicates += stats.duplicates
-            total.stores += stats.stores
-            total.spills += stats.spills
-            total.faults += stats.faults
-        total.full_run_hit = all(per_stats[name].full_run_hit for name in order)
+        for field in fields(PropagationStats):
+            values = [getattr(per_stats[name], field.name) for name in order]
+            flag = isinstance(field.default, bool)
+            setattr(total, field.name, all(values) if flag else sum(values))
         return total
 
     def _corner_engine(self, cc: CornerContext) -> "TimingEngine":
@@ -548,15 +527,9 @@ class TimingEngine:
             self.runs_completed += 1
             stats = self.last_stats
             if stats is not None:
-                self.total_stats["instances"] += stats.instances
-                self.total_stats["integrations"] += stats.integrations
-                self.total_stats["memo_hits"] += stats.memo_hits
-                self.total_stats["cache_hits"] += stats.cache_hits
-                self.total_stats["duplicates"] += stats.duplicates
-                self.total_stats["stores"] += stats.stores
-                self.total_stats["full_run_hits"] += int(stats.full_run_hit)
-                self.total_stats["spills"] += stats.spills
-                self.total_stats["faults"] += stats.faults
+                for field in fields(PropagationStats):
+                    total = _total_name(field.name)
+                    self.total_stats[total] += int(getattr(stats, field.name))
             return result
 
     def _run_impl(self, *args, **kwargs):
@@ -901,33 +874,16 @@ class NLDMEngine(TimingEngine):
 # CSM: waveform propagation, batched per level
 # ----------------------------------------------------------------------
 @dataclass
-class _StructuralPlan:
+class _Plan:
     """Model-free description of one instance evaluation.
 
-    Everything here is derived from the netlist structure, the already
-    propagated input waveforms and the characterization *configuration* —
-    never from a characterized model — so computing it (and the propagation
-    ``key``) stays cheap on cache hits.
-    """
-
-    instance: GateInstance
-    output_net: str
-    pins: Tuple[str, ...]
-    mis: bool
-    label: str
-    load: Load
-    pin_waves: Dict[str, Waveform]
-    key: Optional[str] = None
-
-
-@dataclass
-class _TensorPlan:
-    """Model-free description of one instance on the tensor path.
-
-    The structure-of-arrays twin of :class:`_StructuralPlan`: switching
-    classification and the propagation key are computed from the level
-    tensors' sample rows, so no per-pin :class:`Waveform` objects are
-    materialized on the hot path.
+    Model choice, load and propagation ``key`` come from the per-net
+    switching flags, the netlist structure and the characterization
+    *configuration* — never from a characterized model — so computing them
+    stays cheap on cache hits.  Both level loops decide switching the same
+    way: primary inputs from their original waveforms, a driven net from its
+    samples (a tensor row holds exactly the samples of the oracle's
+    waveform), and a net nobody drives is not switching.
     """
 
     instance: GateInstance
@@ -939,33 +895,183 @@ class _TensorPlan:
     key: Optional[str] = None
 
 
-@dataclass
-class _InstancePlan:
-    """Everything needed to evaluate one instance of a level."""
+def _miller_caps(model) -> Dict[str, object]:
+    if isinstance(model, SISCSM):
+        return {model.pin: model.miller_cap}
+    if isinstance(model, BaselineMISCSM):
+        return model.effective_miller_caps()
+    return dict(model.miller_caps)
 
-    instance: GateInstance
-    output_net: str
-    model: object  # SISCSM | BaselineMISCSM | MCSM
-    pins: Tuple[str, ...]
-    waves: Dict[str, Waveform]
-    load: Load
-    label: str
 
-    @property
-    def has_internal(self) -> bool:
-        return isinstance(self.model, MCSM)
+#: ``(level record key, row)``: where a spilled net's samples live.
+_Pointer = Tuple[str, int]
 
-    def miller_caps(self) -> Dict[str, object]:
-        model = self.model
-        if isinstance(model, SISCSM):
-            return {model.pin: model.miller_cap}
-        if isinstance(model, BaselineMISCSM):
-            return model.effective_miller_caps()
-        return dict(model.miller_caps)
+
+class _ResidentRetention:
+    """``memory_mode="resident"``: every row and result waveform stays in RAM.
+
+    Computed and served waveforms are memoized by propagation key, and the
+    run reads and writes its whole-run manifest.  Nothing is pinned, so a
+    long-lived engine on a ``max_bytes`` store can still evict.
+    """
+
+    memoize = True
+    pins = False
+
+    def __init__(self, input_waveforms: Mapping[str, Waveform]):
+        self.waveforms: Dict[str, Waveform] = {
+            net: wave.renamed(net) for net, wave in input_waveforms.items()
+        }
+
+    def keep(
+        self, net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool
+    ) -> None:
+        # A shared waveform is the memo's (or another net's): copy it.
+        self.waveforms[net] = wave.renamed(net) if shared else wave
+
+    def restore(self, plans, rows, stats) -> None:
+        """Nothing retires, so every input row is still there."""
+
+    def level_done(self, position, rows, stats) -> None:
+        """Nothing retires."""
+
+    def result(self) -> Dict[str, Waveform]:
+        return self.waveforms
+
+
+class _StreamRetention:
+    """``memory_mode="stream"``: the packed store is the working set.
+
+    A liveness pass fixes the level after which each net's row retires (its
+    last reader, or its own level when nobody reads it).  RAM holds the
+    per-net scalars (``initials``/``switching``, which never retire, so the
+    keys equal resident mode's), the rows of live nets and the engine's hot
+    level LRU, capped by :attr:`CSMEngine.memory_budget_bytes`.  Every level
+    record the result references is pinned in the store, and the result is
+    a :class:`_SpilledWaveforms` that faults levels back on access.  Nothing
+    is memoized and no whole-run entry is read or written.
+    """
+
+    memoize = False
+    pins = True
+
+    def __init__(
+        self,
+        engine: "CSMEngine",
+        levels: Sequence[Sequence[GateInstance]],
+        input_waveforms: Mapping[str, Waveform],
+        times: np.ndarray,
+    ):
+        self.engine = engine
+        self.times = times
+        #: nets whose waveform stays materialized in the result (primary
+        #: inputs and plain-waveform cache hits).
+        self.resident: Dict[str, Waveform] = {
+            net: wave.renamed(net) for net, wave in input_waveforms.items()
+        }
+        #: net -> level pointer for every spilled net.
+        self.pointers: Dict[str, _Pointer] = {}
+        #: level record key -> nets whose row views that tensor; a budget
+        #: eviction drops those references so the tensor's memory comes back
+        #: (the nets re-fault later if re-read).
+        self.live_rows: Dict[str, Set[str]] = {}
+        last_read: Dict[str, int] = {}
+        for position, level in enumerate(levels):
+            for instance in level:
+                for pin in engine._cell(instance).inputs:
+                    last_read[instance.connections[pin]] = position
+                last_read[engine._output_net(instance)] = position
+        self.retire_at: Dict[int, List[str]] = {}
+        for net, position in last_read.items():
+            self.retire_at.setdefault(position, []).append(net)
+        # The previous run's pins are released: its result mapping (if anyone
+        # still holds it) keeps old records readable through the open memmap.
+        engine._release_stream_pins()
+
+    def keep(
+        self, net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool
+    ) -> None:
+        if pointer is None:
+            self.resident[net] = Waveform(self.times, wave.values, name=net)
+        else:
+            self.pointers[net] = pointer
+            self.live_rows.setdefault(pointer[0], set()).add(net)
+
+    def _row(
+        self, net: str, pointer: _Pointer, stats: Optional[PropagationStats]
+    ) -> np.ndarray:
+        level_key, row = pointer
+        tensor = self.engine._level(level_key, stats, self)
+        if (
+            tensor is None
+            or tensor.num_samples != len(self.times)
+            or not 0 <= row < tensor.num_rows
+        ):
+            raise TimingError(
+                f"net {net!r}: the spilled level record backing this "
+                "waveform is gone from the store"
+            )
+        return tensor.row_values(row)
+
+    def restore(
+        self,
+        plans: Sequence[_Plan],
+        rows: Dict[str, np.ndarray],
+        stats: PropagationStats,
+    ) -> None:
+        """Fault back the retired (or budget-evicted) input rows a level
+        still needs: skip connections can reach past the hot frontier."""
+        for plan in plans:
+            for pin in plan.pins:
+                net = plan.instance.connections[pin]
+                if net not in rows and net in self.pointers:
+                    pointer = self.pointers[net]
+                    rows[net] = self._row(net, pointer, stats)
+                    self.live_rows.setdefault(pointer[0], set()).add(net)
+
+    def level_done(
+        self, position: int, rows: Dict[str, np.ndarray], stats: PropagationStats
+    ) -> None:
+        """Retire the rows whose last reader was this level, then fit the
+        hot LRU into the budget."""
+        for net in self.retire_at.get(position, ()):
+            if rows.pop(net, None) is None:
+                continue
+            stats.spills += 1
+            pointer = self.pointers.get(net)
+            if pointer is not None:
+                live = self.live_rows.get(pointer[0])
+                if live is not None:
+                    live.discard(net)
+
+        def on_evict(level_key: str) -> None:
+            for net in self.live_rows.pop(level_key, ()):
+                if rows.pop(net, None) is not None:
+                    stats.spills += 1
+
+        self.engine._enforce_hot_budget(on_evict)
+
+    def result(self) -> _SpilledWaveforms:
+        def fetch(net: str, level_key: str, row: int) -> Waveform:
+            values = self._row(net, (level_key, row), None)
+            self.engine._enforce_hot_budget()
+            return Waveform(self.times, values, name=net)
+
+        return _SpilledWaveforms(self.resident, self.pointers, fetch)
+
+
+_Retention = Union[_ResidentRetention, _StreamRetention]
 
 
 class CSMEngine(TimingEngine):
     """Propagates waveforms through a gate netlist using CSM models.
+
+    One level loop serves every run: each instance gets a plan and a
+    propagation key, hits are served from the memo or the store, same-level
+    duplicates are integrated once, and the rest of the level is settled and
+    integrated in lockstep and spilled as one level record.  What the loop
+    keeps in RAM is a retention policy chosen from ``memory_mode``; which
+    instances it walks is the row set (all, or the ``only=`` cone).
 
     Parameters
     ----------
@@ -994,6 +1100,14 @@ class CSMEngine(TimingEngine):
         single-corner engine per corner, in order, and returns a
         :class:`MulticornerTimingResult` whose corners are bitwise their
         single-corner runs.
+    memory_mode:
+        The retention policy of the level loop, with identical numbers and
+        keys either way.  ``"resident"`` keeps every row, memoizes waveforms
+        and uses whole-run entries; ``"stream"`` retires rows after their
+        last reader, pins the level records its result references and hands
+        back a lazy mapping over them (requires a store and ``batched``).
+    memory_budget_bytes:
+        Soft cap on the hot level LRU of a streaming run.
     """
 
     def __init__(
@@ -1019,9 +1133,6 @@ class CSMEngine(TimingEngine):
         # ones — that is what makes a re-run after an ECO edit incremental
         # even without a disk cache.
         self._memo: Dict[str, Waveform] = {}
-        #: Level-record key -> decoded LevelTensor; content-addressed like
-        #: the waveform memo, so it too survives netlist edits.
-        self._level_tensors: Dict[str, LevelTensor] = {}
         #: Instance name -> structured output load; purely structural, so it
         #: is dropped whenever the netlist revision changes.
         self._load_cache: Dict[str, Load] = {}
@@ -1029,15 +1140,16 @@ class CSMEngine(TimingEngine):
         if memory_mode == "stream" and not self.batched:
             raise TimingError("memory_mode='stream' requires batched=True")
         #: ``"resident"`` (default) keeps every propagated waveform in RAM;
-        #: ``"stream"`` retires each level's sample rows to the packed store
-        #: once their last reader level consumed them, keeping only a pinned
-        #: LRU of hot level tensors bounded by :attr:`memory_budget_bytes`.
+        #: ``"stream"`` retires each row once its last reader level consumed
+        #: it, keeping only an LRU of hot level tensors bounded by
+        #: :attr:`memory_budget_bytes` (see :class:`_StreamRetention`).
         self.memory_mode = memory_mode
         #: Soft cap (bytes) on the hot level-tensor LRU in streaming mode;
         #: ``None`` keeps every tensor of the active frontier hot.
         self.memory_budget_bytes = memory_budget_bytes
-        #: Streaming hot set: level record key -> (tensor, nbytes), oldest
-        #: first (an OrderedDict used as an LRU).
+        #: Level record key -> (tensor, nbytes), oldest first (an OrderedDict
+        #: used as an LRU).  Content-addressed like the waveform memo, so it
+        #: survives netlist edits; only a streaming run bounds it.
         self._hot_levels: "OrderedDict[str, Tuple[LevelTensor, int]]" = OrderedDict()
         self._hot_bytes = 0
         #: Level record keys this engine pinned in the store (never evicted
@@ -1139,10 +1251,10 @@ class CSMEngine(TimingEngine):
             critical cones).  Loads, grids and stimuli are those of the FULL
             design, so every in-cone instance whose whole fan-in is in the
             cone gets the *same* propagation key — and therefore the same
-            bitwise waveform — as a full run.  Requires the batched path, a
-            single corner and resident memory.  A cone covering every
-            instance is normalized back to an unrestricted run so even the
-            whole-run cache entry is shared.
+            bitwise waveform — as a full run.  Requires the batched path and
+            a single corner; works in either memory mode.  A cone covering
+            every instance is normalized back to an unrestricted run so even
+            the whole-run cache entry is shared.
         boundary_waveforms:
             Net name -> stimulus for nets driven *outside* a truncated cone
             (only valid together with ``only``).  Boundary nets chain their
@@ -1165,10 +1277,6 @@ class CSMEngine(TimingEngine):
                 )
             if not self.batched:
                 raise TimingError("restricted propagation (only=) requires batched=True")
-            if self.memory_mode == "stream":
-                raise TimingError(
-                    "restricted propagation (only=) requires memory_mode='resident'"
-                )
             names = set(self.netlist.instances)
             only = set(only)
             unknown = sorted(only - names)
@@ -1252,52 +1360,32 @@ class CSMEngine(TimingEngine):
         # paths and independent of instance evaluation order.
         self.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
 
-        model_used: Dict[str, str] = {}
-
+        if only is not None:
+            levels = self._cone_levels(levels, only, input_waveforms, boundary_waveforms)
+        times = simulation_time_grid(t_start, t_stop, self.options)
         if streaming:
-            stream_waveforms = self._propagate_tensor_stream(
-                levels,
-                input_waveforms,
-                model_used,
-                stats,
-                t_start,
-                t_stop,
-                context,
-                net_keys,
-            )
-            result = WaveformTimingResult(
-                waveforms=stream_waveforms,
-                model_used=model_used,
-                netlist_name=self.netlist.name,
-                vdd=self.vdd,
-                stats=stats.as_dict(),
-            )
-            self.last_stats = stats
-            return result
-
-        waveforms: Dict[str, Waveform] = {
-            net: wave.renamed(net) for net, wave in input_waveforms.items()
-        }
-
+            retention = _StreamRetention(self, levels, input_waveforms, times)
+        else:
+            retention = _ResidentRetention(input_waveforms)
+        model_used: Dict[str, str] = {}
+        keys = net_keys if caching else None
         if self.batched:
             self._propagate_tensor(
                 levels,
                 input_waveforms,
-                waveforms,
+                boundary_waveforms,
                 model_used,
                 stats,
-                t_start,
-                t_stop,
+                times,
                 context,
-                net_keys,
-                caching,
-                only=only,
-                boundary_waveforms=boundary_waveforms,
+                keys,
+                retention,
             )
         else:
             self._propagate_sequential(
-                levels, waveforms, model_used, stats, t_start, t_stop, context, net_keys, caching
+                levels, input_waveforms, model_used, stats, times, context, keys, retention
             )
+        waveforms = retention.result()
 
         result = WaveformTimingResult(
             waveforms=waveforms,
@@ -1320,6 +1408,43 @@ class CSMEngine(TimingEngine):
         self.last_stats = stats
         return result
 
+    def _cone_levels(
+        self,
+        levels: Sequence[Sequence[GateInstance]],
+        only: Set[str],
+        input_waveforms: Mapping[str, Waveform],
+        boundary_waveforms: Mapping[str, Waveform],
+    ) -> List[List[GateInstance]]:
+        """The row set of an ``only=`` run: each level's in-cone instances.
+
+        The cone must be closed.  An in-cone instance reading a net driven
+        outside the cone that has no boundary waveform raises, because
+        silently treating it as a constant-at-non-controlling net would
+        corrupt the "exact" guarantee.
+        """
+        connectivity = self.connectivity
+        cone: List[List[GateInstance]] = []
+        for level in levels:
+            members = [instance for instance in level if instance.name in only]
+            for instance in members:
+                for pin in self._cell(instance).inputs:
+                    net = instance.connections[pin]
+                    driver = connectivity.driver_of(net)
+                    if (
+                        driver is not None
+                        and driver.name not in only
+                        and net not in boundary_waveforms
+                        and net not in input_waveforms
+                    ):
+                        raise TimingError(
+                            f"restricted cone is not closed: instance "
+                            f"{instance.name!r} reads net {net!r}, which is "
+                            "driven outside the cone and has no boundary "
+                            "waveform"
+                        )
+            cone.append(members)
+        return cone
+
     def _resolve_run_manifest(
         self,
         value: object,
@@ -1331,13 +1456,13 @@ class CSMEngine(TimingEngine):
 
         A whole-run entry holds no samples: it lists each propagated net with
         its propagation key (in result order) plus the per-instance model
-        choice.  Every key resolves through :meth:`_lookup_waveform` on the
-        run grid — memo, then level-row pointer, then level record — so the
-        waveforms are bitwise those the per-instance entries hold, and the
-        primary inputs are the caller's stimuli, which the run key pins by
-        content.  One key that does not resolve (an evicted level record,
-        say) makes the whole lookup a miss, never a partial result; the keys
-        resolved before it stay memoized for the re-run.
+        choice.  Every key resolves through :meth:`_read` on the run grid —
+        memo, then level-row pointer, then level record — so the waveforms
+        are bitwise those the per-instance entries hold, and the primary
+        inputs are the caller's stimuli, which the run key pins by content.
+        One key that does not resolve (an evicted level record, say) makes
+        the whole lookup a miss, never a partial result; the keys resolved
+        before it stay memoized for the re-run.
         """
         if not (isinstance(value, dict) and value.get("t") == "run-manifest"):
             return None
@@ -1352,276 +1477,134 @@ class CSMEngine(TimingEngine):
             return None
         times = simulation_time_grid(t_start, t_stop, self.options)
         resolved = PropagationStats()  # the hit reports full-run stats only
-        waveforms: Dict[str, Waveform] = {
-            net: wave.renamed(net) for net, wave in input_waveforms.items()
-        }
+        retention = _ResidentRetention(input_waveforms)
         for net, key in zip(nets, keys):
-            wave = self._lookup_waveform(key, resolved, times, probe=True)
-            if wave is None:
+            hit = self._read(key, resolved, times, retention, probe=True)
+            if hit is None:
                 return None
-            waveforms[net] = wave.renamed(net)
+            retention.keep(net, hit[0], hit[1], shared=True)
         return WaveformTimingResult(
-            waveforms=waveforms,
+            waveforms=retention.waveforms,
             model_used=dict(model_used),
             netlist_name=self.netlist.name,
             vdd=self.vdd,
         )
 
     # ------------------------------------------------------------------
-    def _propagate_sequential(
-        self,
-        levels: Sequence[Sequence[GateInstance]],
-        waveforms: Dict[str, Waveform],
-        model_used: Dict[str, str],
-        stats: PropagationStats,
-        t_start: float,
-        t_stop: float,
-        context: str,
-        net_keys: Dict[str, str],
-        caching: bool,
-    ) -> None:
-        """The ``batched=False`` reference oracle: one ``model.simulate`` per
-        instance, on per-pin waveforms, level by level."""
-        for level in levels:
-            pending: List[_StructuralPlan] = []
-            duplicates: List[_StructuralPlan] = []
-            first_with_key: Dict[str, _StructuralPlan] = {}
-            for instance in level:
-                splan = self._structural_plan(
-                    instance, waveforms, t_start, t_stop, context, net_keys if caching else None
-                )
-                model_used[splan.instance.name] = splan.label
-                if splan.key is None:
-                    pending.append(splan)
-                    continue
-                net_keys[splan.output_net] = splan.key
-                wave = self._lookup_waveform(splan.key, stats)
-                if wave is not None:
-                    waveforms[splan.output_net] = wave.renamed(splan.output_net)
-                elif splan.key in first_with_key:
-                    duplicates.append(splan)
-                else:
-                    first_with_key[splan.key] = splan
-                    pending.append(splan)
-
-            plans = [self._materialize(splan) for splan in pending]
-            self._evaluate_level_sequential(plans, waveforms, t_start, t_stop)
-            stats.integrations += len(plans)
-
-            for splan in pending:
-                if splan.key is None:
-                    continue
-                wave = waveforms[splan.output_net]
-                self._memo[splan.key] = wave
-                if self.cache is not None:
-                    self.cache.store(splan.key, wave)
-                    stats.stores += 1
-            for splan in duplicates:
-                stats.duplicates += 1
-                waveforms[splan.output_net] = self._memo[splan.key].renamed(splan.output_net)
-
-    # ------------------------------------------------------------------
-    def _lookup_waveform(
-        self,
-        key: str,
-        stats: PropagationStats,
-        times: Optional[np.ndarray] = None,
-        probe: bool = False,
-    ) -> Optional[Waveform]:
-        """Memo, then disk; counts the provenance on the run's stats.
-
-        Disk entries are either plain waveforms or level-row pointers left by
-        a tensor run's whole-level spill; the latter resolve through
-        :meth:`_resolve_cached` (an unresolvable pointer is a miss — the
-        instance just re-integrates).  ``probe`` reads without claiming a
-        miss in a single-flight store (see :func:`_peek`): for callers that
-        will not store the key themselves."""
-        if key in self._memo:
-            stats.memo_hits += 1
-            return self._memo[key]
-        if self.cache is not None:
-            lookup = _peek(self.cache) if probe else self.cache.lookup
-            hit, value = lookup(key)
-            if hit:
-                wave = self._resolve_cached(value, times)
-                if wave is None:
-                    return None
-                stats.cache_hits += 1
-                self._memo[key] = wave
-                return wave
-        return None
-
-    def _resolve_cached(
-        self, value: object, times: Optional[np.ndarray]
-    ) -> Optional[Waveform]:
-        """Turn a cache entry into a waveform on the run grid.
-
-        ``{"t": "level-row", "level": <key>, "row": <r>}`` pointers are
-        resolved against the in-memory level-tensor memo, then the disk
-        cache's level record; the reconstructed waveform reuses the engine's
-        run grid (``times``), which the level's rows are on by construction —
-        the context digest embeds the window and options, so a key hit
-        implies the same grid.  Anything unresolvable is reported as a miss.
-        The level record is only ever read here, never stored on a miss, so
-        it is peeked rather than claimed.
-        """
-        if isinstance(value, Waveform):
-            return value
-        if not (isinstance(value, dict) and value.get("t") == "level-row"):
-            return None
-        if times is None:
-            return None
-        level_key = value.get("level")
-        row = value.get("row")
-        if not isinstance(level_key, str) or not isinstance(row, int):
-            return None
-        tensor = self._level_tensors.get(level_key)
-        if tensor is None and self.cache is not None:
-            hit, record = _peek(self.cache)(level_key)
-            if hit and isinstance(record, dict):
-                candidate = record.get("tensor")
-                if isinstance(candidate, LevelTensor):
-                    tensor = candidate
-                    self._level_tensors[level_key] = tensor
-        if (
-            tensor is None
-            or tensor.num_samples != len(times)
-            or not 0 <= row < tensor.num_rows
-        ):
-            return None
-        return Waveform(times, tensor.row_values(row), name=tensor.names[row])
-
-    # ------------------------------------------------------------------
-    # Structure-of-arrays (level tensor) propagation
+    # The level loop
     # ------------------------------------------------------------------
     def _propagate_tensor(
         self,
         levels: Sequence[Sequence[GateInstance]],
-        input_waveforms: Dict[str, Waveform],
-        waveforms: Dict[str, Waveform],
+        input_waveforms: Mapping[str, Waveform],
+        boundary_waveforms: Mapping[str, Waveform],
         model_used: Dict[str, str],
         stats: PropagationStats,
-        t_start: float,
-        t_stop: float,
+        times: np.ndarray,
         context: str,
-        net_keys: Dict[str, str],
-        caching: bool,
-        only: Optional[Set[str]] = None,
-        boundary_waveforms: Optional[Dict[str, Waveform]] = None,
+        net_keys: Optional[Dict[str, str]],
+        retention: _Retention,
     ) -> None:
-        """The tensorized level loop: every driven net lives as one row of a
+        """The level loop: every driven net lives as one row of a
         :class:`LevelTensor` on the run grid, instances gather their input
         rows by index, and each level's outputs are scattered into a fresh
         tensor that the propagation cache spills as a single record.
 
-        ``only`` restricts the walk to the named instances (everything else
-        is skipped outright — no plan, no key, no row); ``boundary_waveforms``
-        seed rows and chained content keys for cut nets of a truncated cone
-        without entering the result's waveforms.  An in-cone instance reading
-        a driven net that neither the cone nor the boundary provides is a
-        closure violation and raises, because silently treating it as a
-        constant-at-non-controlling net would corrupt the "exact" guarantee.
+        ``levels`` is the row set (every instance, or the ``only=`` cone);
+        ``boundary_waveforms`` seed rows and chained content keys for cut
+        nets of a truncated cone without entering the result's waveforms.
+        ``retention`` decides what stays in RAM and what the result is.
+        ``net_keys`` is ``None`` when caching is off.
 
-        Bitwise-equivalence bookkeeping vs the per-waveform batched loop:
+        Bitwise-equivalence bookkeeping vs the per-waveform oracle:
 
-        * driven rows ARE the legacy waveform sample arrays (same grid, same
-          integration), so switching classification and settle initial values
-          computed from them match exactly;
+        * driven rows ARE the oracle's waveform sample arrays (same grid,
+          same integration), so switching classification and settle initial
+          values computed from them match exactly;
         * primary inputs are classified and settled from their *original*
           waveforms — their resampled rows could miss inter-grid peaks and
           ``values[0]`` when the stimulus starts before the run window;
-        * stable nets reuse the legacy constant-at-non-controlling-level
-          semantics (a constant row interpolates to exactly the level).
+        * stable nets reuse the constant-at-non-controlling-level semantics
+          (a constant row interpolates to exactly the level).
         """
-        times = simulation_time_grid(t_start, t_stop, self.options)
+        t_start, t_stop = float(times[0]), float(times[-1])
         step = float(times[1] - times[0])
         threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
         rows: Dict[str, np.ndarray] = {}
         initials: Dict[str, float] = {}
         switching: Dict[str, bool] = {}
-        for net, wave in input_waveforms.items():
-            rows[net] = np.asarray(wave.value_at(times), dtype=float)
-            initials[net] = float(wave.initial_value())
-            switching[net] = self._is_switching(wave)
-        for net, wave in (boundary_waveforms or {}).items():
+        for net, wave in [*input_waveforms.items(), *boundary_waveforms.items()]:
             rows[net] = np.asarray(wave.value_at(times), dtype=float)
             initials[net] = float(wave.initial_value())
             switching[net] = self._is_switching(wave)
 
-        def admit(net: str, values: np.ndarray) -> None:
+        def keep(net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool) -> None:
+            values = wave.values
             rows[net] = values
             initials[net] = float(values[0])
             switching[net] = float(values.max() - values.min()) > threshold
+            retention.keep(net, wave, pointer, shared)
 
-        for level in levels:
-            pending: List[_TensorPlan] = []
-            duplicates: List[_TensorPlan] = []
-            first_with_key: Dict[str, _TensorPlan] = {}
+        for position, level in enumerate(levels):
+            pending: List[_Plan] = []
+            duplicates: List[_Plan] = []
+            first_keys: Set[str] = set()
             for instance in level:
-                if only is not None:
-                    if instance.name not in only:
-                        continue
-                    for pin in self._cell(instance).inputs:
-                        net = instance.connections[pin]
-                        if net not in rows and self.connectivity.driver_of(net) is not None:
-                            raise TimingError(
-                                f"restricted cone is not closed: instance "
-                                f"{instance.name!r} reads net {net!r}, which is "
-                                "driven outside the cone and has no boundary "
-                                "waveform"
-                            )
-                tplan = self._tensor_plan(
-                    instance, switching, context, net_keys if caching else None
-                )
-                model_used[tplan.instance.name] = tplan.label
-                if tplan.key is None:
-                    pending.append(tplan)
+                plan = self._plan(instance, switching, context, net_keys)
+                model_used[instance.name] = plan.label
+                if plan.key is None:
+                    pending.append(plan)
                     continue
-                net_keys[tplan.output_net] = tplan.key
-                wave = self._lookup_waveform(tplan.key, stats, times)
-                if wave is not None:
-                    out = wave.renamed(tplan.output_net)
-                    waveforms[tplan.output_net] = out
-                    admit(tplan.output_net, out.values)
-                elif tplan.key in first_with_key:
-                    duplicates.append(tplan)
+                net_keys[plan.output_net] = plan.key
+                hit = self._read(plan.key, stats, times, retention)
+                if hit is not None:
+                    keep(plan.output_net, *hit, shared=True)
+                elif plan.key in first_keys:
+                    duplicates.append(plan)
                 else:
-                    first_with_key[tplan.key] = tplan
-                    pending.append(tplan)
+                    first_keys.add(plan.key)
+                    pending.append(plan)
 
+            computed: Dict[Optional[str], Tuple[Waveform, Optional[_Pointer]]] = {}
             if pending:
+                retention.restore(pending, rows, stats)
                 tensor = self._evaluate_level_tensor(
                     pending, rows, initials, times, t_start, step, t_stop
                 )
                 stats.integrations += len(pending)
-                for r, tplan in enumerate(pending):
-                    values = tensor.row_values(r)
-                    wave = Waveform(times, values, name=tplan.output_net)
-                    waveforms[tplan.output_net] = wave
-                    admit(tplan.output_net, values)
-                if caching:
-                    self._spill_level(pending, tensor, waveforms, context, stats)
+                waves = [
+                    Waveform(times, tensor.row_values(r), name=plan.output_net)
+                    for r, plan in enumerate(pending)
+                ]
+                level_key = None
+                if net_keys is not None:
+                    level_key = self._spill_level(
+                        pending, tensor, waves, context, stats, retention
+                    )
+                for r, (plan, wave) in enumerate(zip(pending, waves)):
+                    pointer = None if level_key is None else (level_key, r)
+                    keep(plan.output_net, wave, pointer, shared=False)
+                    computed[plan.key] = (wave, pointer)
 
-            for tplan in duplicates:
+            for plan in duplicates:
                 stats.duplicates += 1
-                out = self._memo[tplan.key].renamed(tplan.output_net)
-                waveforms[tplan.output_net] = out
-                admit(tplan.output_net, out.values)
+                keep(plan.output_net, *computed[plan.key], shared=True)
+            retention.level_done(position, rows, stats)
 
-    def _tensor_plan(
+    def _plan(
         self,
         instance: GateInstance,
-        switching: Dict[str, bool],
+        switching: Mapping[str, bool],
         context: str,
         net_keys: Optional[Dict[str, str]],
-    ) -> _TensorPlan:
-        """Model selection, load and propagation key from net rows alone.
+    ) -> _Plan:
+        """Select model kind, switching pins, load — and the propagation key.
 
-        The same decisions as :meth:`_structural_plan` — switching pins from
-        the already-admitted per-net classification (stable nets default to
-        not switching, exactly like their constant pin waveforms), loads from
-        the per-instance structural cache — with no ``Waveform`` objects
-        touched."""
+        Nothing here characterizes a model: the key depends on the cell
+        fingerprint and the configuration, not on the characterized tables
+        (which are a pure function of both), so cache hits skip model
+        construction entirely.  A net missing from ``switching`` is stable.
+        """
         cell = self._cell(instance)
         output_net = instance.connections[cell.output]
         switching_pins = [
@@ -1645,6 +1628,8 @@ class CSMEngine(TimingEngine):
 
         key = None
         if net_keys is not None:
+            # Every input pin's net content participates: stable-but-driven
+            # nets still shape the output through the model's pin selection.
             inputs = [
                 (pin, net_keys.get(instance.connections[pin], "primary-constant"))
                 for pin in cell.inputs
@@ -1656,7 +1641,7 @@ class CSMEngine(TimingEngine):
                 load,
                 inputs,
             )
-        return _TensorPlan(
+        return _Plan(
             instance=instance,
             output_net=output_net,
             pins=pins,
@@ -1666,9 +1651,15 @@ class CSMEngine(TimingEngine):
             key=key,
         )
 
+    def _model(self, plan: _Plan):
+        """The characterized model a plan selected (characterized on demand)."""
+        if plan.mis:
+            return self.models.mis_model(plan.instance.cell_name, *plan.pins)
+        return self.models.sis_model(plan.instance.cell_name, plan.pins[0])
+
     def _evaluate_level_tensor(
         self,
-        pending: Sequence[_TensorPlan],
+        pending: Sequence[_Plan],
         rows: Dict[str, np.ndarray],
         initials: Dict[str, float],
         times: np.ndarray,
@@ -1678,374 +1669,166 @@ class CSMEngine(TimingEngine):
     ) -> LevelTensor:
         """Settle + integrate one level from sample rows, returning the
         level's output tensor (one row per pending instance, in order)."""
-        plans: List[_InstancePlan] = []
-        for tplan in pending:
-            if tplan.mis:
-                model = self.models.mis_model(tplan.instance.cell_name, *tplan.pins)
-            else:
-                model = self.models.sis_model(tplan.instance.cell_name, tplan.pins[0])
-            plans.append(
-                _InstancePlan(
-                    instance=tplan.instance,
-                    output_net=tplan.output_net,
-                    model=model,
-                    pins=tplan.pins,
-                    waves={},
-                    load=tplan.load,
-                    label=tplan.label,
-                )
-            )
+        models = [self._model(plan) for plan in pending]
 
         constant_units = []
-        for tplan, plan in zip(pending, plans):
+        for plan, model in zip(pending, models):
             constants = {}
             for pin in plan.pins:
-                net = tplan.instance.connections[pin]
+                net = plan.instance.connections[pin]
                 if net in initials:
                     value = initials[net]
                 else:
-                    value = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
+                    value = self._cell(plan.instance).non_controlling_value(pin) * self.vdd
                 constants[pin] = Waveform.constant(
                     value, 0.0, self.options.settle_time, name=pin
                 )
-            constant_units.append(self._unit(plan, constants, self.vdd / 2.0, self.vdd / 2.0))
+            constant_units.append(
+                self._unit(plan, model, constants, self.vdd / 2.0, self.vdd / 2.0)
+            )
         settled = settle_units(constant_units, self.options, batched_polish=True)
 
         units = []
-        for tplan, plan, (initial_output, initial_internal) in zip(pending, plans, settled):
+        for plan, model, (initial_output, initial_internal) in zip(pending, models, settled):
             samples: Dict[str, np.ndarray] = {}
             for pin in plan.pins:
-                net = tplan.instance.connections[pin]
+                net = plan.instance.connections[pin]
                 if net in rows:
                     samples[pin] = rows[net]
                 else:
-                    level_v = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
+                    level_v = self._cell(plan.instance).non_controlling_value(pin) * self.vdd
                     samples[pin] = np.full(times.shape, float(level_v))
             units.append(
-                self._unit(plan, {}, initial_output, initial_internal, samples=samples)
+                self._unit(plan, model, {}, initial_output, initial_internal, samples=samples)
             )
         _, outputs = integrate_model_many(
             units, self.options, t_start, t_stop, shared_precompute=True
         )
         values = np.stack([v_out for v_out, _ in outputs])
-        return LevelTensor([plan.output_net for plan in plans], values, t_start, step)
+        return LevelTensor([plan.output_net for plan in pending], values, t_start, step)
 
+    # ------------------------------------------------------------------
+    # Level records: one writer, one reader, the hot LRU and the pins
+    # ------------------------------------------------------------------
     def _spill_level(
         self,
-        pending: Sequence[_TensorPlan],
+        plans: Sequence[_Plan],
         tensor: LevelTensor,
-        waveforms: Dict[str, Waveform],
+        waves: Sequence[Waveform],
         context: str,
         stats: PropagationStats,
-    ) -> None:
-        """Memoize the level's waveform views and spill the level to disk.
+        retention: _Retention,
+    ) -> Optional[str]:
+        """Memoize (resident runs) and spill one computed level; returns the
+        level record key (``None`` without a store).
 
         On disk the level becomes ONE record (the whole tensor) under a
         content key over its instances' propagation keys; each per-instance
         entry is a tiny ``{"t": "level-row"}`` pointer that lives inline in
-        the packed store's index.  ``stats.stores`` counts the per-instance
-        entries, matching the per-waveform path's accounting.
+        the packed store's index, all in one transaction.  ``stats.stores``
+        counts the per-instance entries.  The tensor enters the hot LRU, and
+        a streaming run pins the record so the store's eviction policy can
+        never compact away a record its views still reference.
         """
-        keys = [tplan.key for tplan in pending]
-        for tplan in pending:
-            self._memo[tplan.key] = waveforms[tplan.output_net]
+        if retention.memoize:
+            for plan, wave in zip(plans, waves):
+                self._memo[plan.key] = wave
         if self.cache is None:
-            return
+            return None
+        keys = [plan.key for plan in plans]
         level_key = content_hash("sta-level", context, keys)
         items: List[Tuple[str, object]] = [
-            (tplan.key, {"t": "level-row", "level": level_key, "row": r})
-            for r, tplan in enumerate(pending)
+            (plan.key, {"t": "level-row", "level": level_key, "row": r})
+            for r, plan in enumerate(plans)
         ]
         items.append((level_key, {"keys": keys, "tensor": tensor}))
         _store_items(self.cache, items)
-        stats.stores += len(pending)
-        self._level_tensors[level_key] = tensor
-
-    # ------------------------------------------------------------------
-    # Streaming propagation: bounded-memory level walk
-    # ------------------------------------------------------------------
-    def _propagate_tensor_stream(
-        self,
-        levels: Sequence[Sequence[GateInstance]],
-        input_waveforms: Dict[str, Waveform],
-        model_used: Dict[str, str],
-        stats: PropagationStats,
-        t_start: float,
-        t_stop: float,
-        context: str,
-        net_keys: Dict[str, str],
-    ) -> _SpilledWaveforms:
-        """The bounded-memory level walk behind ``memory_mode="stream"``.
-
-        Identical numerics to :meth:`_propagate_tensor` — the same plans,
-        the same settle/integrate calls on the same sample rows, so results
-        are **bitwise** equal to a resident run — with the memory behaviour
-        inverted: the packed store is the working set, RAM holds only
-
-        * the scalar per-net classification (``initials``/``switching``,
-          a few bytes per net — these never retire, which is what keeps the
-          propagation keys identical to resident mode),
-        * the sample rows of *live* nets (a net is live until the liveness
-          pass's last reader level has consumed it, then its row retires),
-        * a pinned LRU of hot level tensors capped by
-          :attr:`memory_budget_bytes` (evicted tensors drop to memmap views
-          whose resident pages are released via ``MADV_DONTNEED``).
-
-        Nothing is written to the in-memory waveform memo and no whole-run
-        entry is stored; a retired net reached again (an ECO, a report, a
-        duplicate, a deep skip-connection) faults its level back in
-        transparently.
-        """
-        times = simulation_time_grid(t_start, t_stop, self.options)
-        step = float(times[1] - times[0])
-        threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
-
-        # Pins of the previous streaming run are released: its result mapping
-        # (if anyone still holds it) keeps old records readable through the
-        # already-open memmap even if they get evicted now.
-        self._release_stream_pins()
-
-        # Liveness pass: the last level whose instances read each net.  Rows
-        # retire immediately after that level — exact retire points, not a
-        # heuristic.  A net nobody reads (a primary output tail) retires at
-        # its own producing level.
-        last_read: Dict[str, int] = {}
-        for position, level in enumerate(levels):
-            for instance in level:
-                for pin in self._cell(instance).inputs:
-                    last_read[instance.connections[pin]] = position
-        retire_at: Dict[int, List[str]] = {}
-        for position, level in enumerate(levels):
-            for instance in level:
-                out = self._output_net(instance)
-                retire_at.setdefault(max(last_read.get(out, position), position), []).append(out)
-        for net in input_waveforms:
-            if net in last_read:
-                retire_at.setdefault(last_read[net], []).append(net)
-
-        rows: Dict[str, np.ndarray] = {}
-        initials: Dict[str, float] = {}
-        switching: Dict[str, bool] = {}
-        #: nets whose waveform stays materialized in the result (primary
-        #: inputs and plain-waveform cache hits).
-        resident: Dict[str, Waveform] = {}
-        #: net -> (level record key, row) for every spilled net.
-        pointers: Dict[str, Tuple[str, int]] = {}
-        #: level record key -> nets whose `rows` entry views that tensor; a
-        #: budget eviction drops those strong references so the tensor's
-        #: memory actually comes back (the nets re-fault later if re-read).
-        live_rows: Dict[str, Set[str]] = {}
-
-        for net, wave in input_waveforms.items():
-            rows[net] = np.asarray(wave.value_at(times), dtype=float)
-            initials[net] = float(wave.initial_value())
-            switching[net] = self._is_switching(wave)
-            resident[net] = wave.renamed(net)
-
-        def admit(net: str, values: np.ndarray) -> None:
-            rows[net] = values
-            initials[net] = float(values[0])
-            switching[net] = float(values.max() - values.min()) > threshold
-
-        def on_evict(level_key: str) -> None:
-            for net in live_rows.pop(level_key, ()):
-                if rows.pop(net, None) is not None:
-                    stats.spills += 1
-
-        def track(net: str, pointer: Tuple[str, int]) -> None:
-            pointers[net] = pointer
-            live_rows.setdefault(pointer[0], set()).add(net)
-
-        def fault_rows(net: str) -> np.ndarray:
-            level_key, row = pointers[net]
-            tensor = self._fault_level(level_key, stats)
-            if (
-                tensor is None
-                or tensor.num_samples != len(times)
-                or not 0 <= row < tensor.num_rows
-            ):
-                raise TimingError(
-                    f"streaming run lost the spilled level record for net "
-                    f"{net!r}; the store evicted or corrupted a pinned level"
-                )
-            values = tensor.row_values(row)
-            rows[net] = values
-            live_rows.setdefault(level_key, set()).add(net)
-            return values
-
-        for position, level in enumerate(levels):
-            pending: List[_TensorPlan] = []
-            duplicates: List[_TensorPlan] = []
-            first_with_key: Dict[str, _TensorPlan] = {}
-            for instance in level:
-                tplan = self._tensor_plan(instance, switching, context, net_keys)
-                model_used[tplan.instance.name] = tplan.label
-                net_keys[tplan.output_net] = tplan.key
-                hit = self._stream_lookup(tplan.key, stats, times)
-                if hit is not None:
-                    values, pointer = hit
-                    admit(tplan.output_net, values)
-                    if pointer is not None:
-                        track(tplan.output_net, pointer)
-                    else:
-                        resident[tplan.output_net] = Waveform(
-                            times, values, name=tplan.output_net
-                        )
-                elif tplan.key in first_with_key:
-                    duplicates.append(tplan)
-                else:
-                    first_with_key[tplan.key] = tplan
-                    pending.append(tplan)
-
-            if pending:
-                # Re-materialize any retired (or budget-evicted) input rows
-                # this level still needs — skip connections can reach past
-                # the hot frontier.
-                for tplan in pending:
-                    for pin in tplan.pins:
-                        net = tplan.instance.connections[pin]
-                        if net not in rows and net in pointers:
-                            fault_rows(net)
-                tensor = self._evaluate_level_tensor(
-                    pending, rows, initials, times, t_start, step, t_stop
-                )
-                stats.integrations += len(pending)
-                level_key = self._spill_level_stream(pending, tensor, context, stats)
-                for r, tplan in enumerate(pending):
-                    admit(tplan.output_net, tensor.row_values(r))
-                    track(tplan.output_net, (level_key, r))
-                self._hot_put(level_key, tensor)
-
-            for tplan in duplicates:
-                stats.duplicates += 1
-                first = first_with_key[tplan.key]
-                values = rows.get(first.output_net)
-                if values is None:
-                    values = fault_rows(first.output_net)
-                admit(tplan.output_net, values)
-                pointer = pointers.get(first.output_net)
-                if pointer is not None:
-                    track(tplan.output_net, pointer)
-                else:
-                    resident[tplan.output_net] = Waveform(
-                        times, values, name=tplan.output_net
-                    )
-
-            for net in retire_at.get(position, ()):
-                if rows.pop(net, None) is None:
-                    continue
-                stats.spills += 1
-                pointer = pointers.get(net)
-                if pointer is not None:
-                    live = live_rows.get(pointer[0])
-                    if live is not None:
-                        live.discard(net)
-            self._enforce_hot_budget(on_evict)
-
-        def fetch(net: str, level_key: str, row: int) -> Waveform:
-            tensor = self._fault_level(level_key, None)
-            self._enforce_hot_budget()
-            if (
-                tensor is None
-                or tensor.num_samples != len(times)
-                or not 0 <= row < tensor.num_rows
-            ):
-                raise TimingError(
-                    f"net {net!r}: the spilled level record backing this "
-                    "waveform is gone from the store"
-                )
-            return Waveform(times, tensor.row_values(row), name=net)
-
-        return _SpilledWaveforms(resident, pointers, fetch)
-
-    def _spill_level_stream(
-        self,
-        pending: Sequence[_TensorPlan],
-        tensor: LevelTensor,
-        context: str,
-        stats: PropagationStats,
-    ) -> str:
-        """Spill one level to the store as the run's *working set* copy.
-
-        Same record layout as :meth:`_spill_level` (one tensor record +
-        inline per-instance row pointers, one transaction), but nothing is
-        memoized in RAM and the level record is pinned so the store's
-        eviction policy can never compact away a record that live views (or
-        the run's pointers) still reference.
-        """
-        keys = [tplan.key for tplan in pending]
-        level_key = content_hash("sta-level", context, keys)
-        items: List[Tuple[str, object]] = [
-            (tplan.key, {"t": "level-row", "level": level_key, "row": r})
-            for r, tplan in enumerate(pending)
-        ]
-        items.append((level_key, {"keys": keys, "tensor": tensor}))
-        _store_items(self.cache, items)
-        stats.stores += len(pending)
-        self._pin_level(level_key)
+        stats.stores += len(plans)
+        self._hot_put(level_key, tensor)
+        if retention.pins:
+            self._pin_level(level_key)
         return level_key
 
-    def _stream_lookup(
-        self, key: str, stats: PropagationStats, times: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, Optional[Tuple[str, int]]]]:
-        """Disk-only propagation-key lookup for the streaming path.
+    def _read(
+        self,
+        key: str,
+        stats: PropagationStats,
+        times: np.ndarray,
+        retention: _Retention,
+        probe: bool = False,
+    ) -> Optional[Tuple[Waveform, Optional[_Pointer]]]:
+        """Look one propagation key up: the memo (resident runs), then the
+        store; counts the provenance on ``stats``.
 
-        Unlike :meth:`_lookup_waveform` nothing is memoized in RAM; a hit
-        returns the raw sample row plus its level pointer (``None`` for
-        plain-waveform entries, which stay resident).  Unresolvable entries
-        are misses — the instance just re-integrates.
+        Store entries are plain waveforms or ``{"t": "level-row", "level":
+        <key>, "row": <r>}`` pointers left by a level spill, which resolve
+        through :meth:`_level` onto the run grid ``times`` (the context
+        digest embeds the window and options, so a key hit implies the same
+        grid).  Returns the waveform and its level pointer (``None`` for
+        memo hits and plain waveforms); anything unresolvable is a miss and
+        the instance just re-integrates.  ``probe`` reads without claiming a
+        miss in a single-flight store (see :func:`_peek`): for callers that
+        will not store the key themselves.
         """
-        hit, value = self.cache.lookup(key)
+        if retention.memoize and key in self._memo:
+            stats.memo_hits += 1
+            return self._memo[key], None
+        if self.cache is None:
+            return None
+        hit, value = (_peek(self.cache) if probe else self.cache.lookup)(key)
         if not hit:
             return None
+        pointer: Optional[_Pointer] = None
         if isinstance(value, Waveform):
             if len(value.values) != len(times):
                 return None
-            stats.cache_hits += 1
-            return np.asarray(value.values, dtype=float), None
-        if not (isinstance(value, dict) and value.get("t") == "level-row"):
-            return None
-        level_key = value.get("level")
-        row = value.get("row")
-        if not isinstance(level_key, str) or not isinstance(row, int):
-            return None
-        tensor = self._fault_level(level_key, stats)
-        if (
-            tensor is None
-            or tensor.num_samples != len(times)
-            or not 0 <= row < tensor.num_rows
-        ):
+            wave = value
+        elif isinstance(value, dict) and value.get("t") == "level-row":
+            level_key, row = value.get("level"), value.get("row")
+            if not isinstance(level_key, str) or not isinstance(row, int):
+                return None
+            tensor = self._level(level_key, stats, retention)
+            if (
+                tensor is None
+                or tensor.num_samples != len(times)
+                or not 0 <= row < tensor.num_rows
+            ):
+                return None
+            wave = Waveform(times, tensor.row_values(row), name=tensor.names[row])
+            pointer = (level_key, row)
+        else:
             return None
         stats.cache_hits += 1
-        return tensor.row_values(row), (level_key, row)
+        if retention.memoize:
+            self._memo[key] = wave
+        return wave, pointer
 
-    def _fault_level(
-        self, level_key: str, stats: Optional[PropagationStats]
+    def _level(
+        self, level_key: str, stats: Optional[PropagationStats], retention: _Retention
     ) -> Optional[LevelTensor]:
-        """Hot LRU first, then the store (a zero-copy memmap view decode).
+        """A level record's tensor: the hot LRU first, then the store (a
+        zero-copy memmap view decode).
 
-        Faulted levels are pinned and enter the hot LRU; the caller is
-        responsible for enforcing the budget afterwards (during a run that
-        must also drop the evicted levels' live rows).
+        The record is only ever read here, never stored on a miss, so it is
+        peeked rather than claimed.  A streaming run pins every level it
+        touches, hot or not, and counts store reads as faults; it enforces
+        the budget itself afterwards (during a run that must also drop the
+        evicted levels' live rows).
         """
         entry = self._hot_levels.get(level_key)
         if entry is not None:
             self._hot_levels.move_to_end(level_key)
-            return entry[0]
-        if self.cache is None:
-            return None
-        hit, record = self.cache.lookup(level_key)
-        tensor: Optional[LevelTensor] = None
-        if hit and isinstance(record, dict):
-            candidate = record.get("tensor")
-            if isinstance(candidate, LevelTensor):
-                tensor = candidate
-        if tensor is None:
-            return None
-        if stats is not None:
-            stats.faults += 1
-        self._pin_level(level_key)
-        self._hot_put(level_key, tensor)
+            tensor = entry[0]
+        else:
+            hit, record = _peek(self.cache)(level_key)
+            tensor = record.get("tensor") if hit and isinstance(record, dict) else None
+            if not isinstance(tensor, LevelTensor):
+                return None
+            if retention.pins and stats is not None:
+                stats.faults += 1
+            self._hot_put(level_key, tensor)
+        if retention.pins:
+            self._pin_level(level_key)
         return tensor
 
     def _hot_put(self, level_key: str, tensor: LevelTensor) -> None:
@@ -2089,141 +1872,90 @@ class CSMEngine(TimingEngine):
                 unpin(level_key)
         self._stream_pins.clear()
 
-    def _structural_plan(
+    # ------------------------------------------------------------------
+    # The batched=False reference oracle
+    # ------------------------------------------------------------------
+    def _propagate_sequential(
         self,
-        instance: GateInstance,
-        waveforms: Dict[str, Waveform],
-        t_start: float,
-        t_stop: float,
+        levels: Sequence[Sequence[GateInstance]],
+        input_waveforms: Mapping[str, Waveform],
+        model_used: Dict[str, str],
+        stats: PropagationStats,
+        times: np.ndarray,
         context: str,
         net_keys: Optional[Dict[str, str]],
-    ) -> _StructuralPlan:
-        """Select model kind, switching pins, load — and the propagation key.
-
-        Nothing here characterizes a model: the key depends on the cell
-        fingerprint and the configuration, not on the characterized tables
-        (which are a pure function of both), so cache hits skip model
-        construction entirely.
-        """
-        cell = self._cell(instance)
-        output_net = instance.connections[cell.output]
-        pin_waves = self._pin_waveforms(instance, waveforms, t_start, t_stop)
-        switching = [pin for pin in cell.inputs if self._is_switching(pin_waves[pin])]
-
-        if len(switching) >= 2 and cell.num_inputs >= 2:
-            pins = (switching[0], switching[1])
-            mis = True
-            label = "MCSM" if self.models._mis_kind(cell) == "mcsm" else "BaselineMISCSM"
-        else:
-            pin = switching[0] if switching else cell.inputs[0]
-            pins = (pin,)
-            mis = False
-            label = f"SISCSM[{pin}]"
-        load = self._output_load(instance)
-
-        key = None
-        if net_keys is not None:
-            # Every input pin's net content participates: stable-but-driven
-            # nets still shape the output through the model's pin selection.
-            inputs = [
-                (pin, net_keys.get(instance.connections[pin], "primary-constant"))
-                for pin in cell.inputs
-            ]
-            key = content_hash(
-                "sta-propagation",
-                context,
-                self._cell_digest(instance.cell_name),
-                load,
-                inputs,
-            )
-        return _StructuralPlan(
-            instance=instance,
-            output_net=output_net,
-            pins=pins,
-            mis=mis,
-            label=label,
-            load=load,
-            pin_waves=pin_waves,
-            key=key,
-        )
-
-    def _materialize(self, splan: _StructuralPlan) -> _InstancePlan:
-        """Fetch the characterized model for a cache miss."""
-        if splan.mis:
-            model = self.models.mis_model(splan.instance.cell_name, *splan.pins)
-        else:
-            model = self.models.sis_model(splan.instance.cell_name, splan.pins[0])
-        waves = {pin: splan.pin_waves[pin] for pin in splan.pins}
-        return _InstancePlan(
-            instance=splan.instance,
-            output_net=splan.output_net,
-            model=model,
-            pins=splan.pins,
-            waves=waves,
-            load=splan.load,
-            label=splan.label,
-        )
-
-    def _evaluate_level_sequential(
-        self,
-        plans: Sequence[_InstancePlan],
-        waveforms: Dict[str, Waveform],
-        t_start: float,
-        t_stop: float,
+        retention: _ResidentRetention,
     ) -> None:
-        """Per-instance reference path: one ``model.simulate`` per plan."""
-        for plan in plans:
-            model = plan.model
-            if isinstance(model, SISCSM):
-                result = model.simulate(
-                    plan.waves[plan.pins[0]],
-                    plan.load,
-                    options=self.options,
-                    t_start=t_start,
-                    t_stop=t_stop,
-                )
-            else:
-                result = model.simulate(
-                    plan.waves, plan.load, options=self.options, t_start=t_start, t_stop=t_stop
-                )
-            waveforms[plan.output_net] = result.output.renamed(plan.output_net)
+        """One ``model.simulate`` per instance, on per-pin waveforms, level
+        by level."""
+        t_start, t_stop = float(times[0]), float(times[-1])
+        waveforms = retention.waveforms
+        switching = {net: self._is_switching(wave) for net, wave in input_waveforms.items()}
+        for level in levels:
+            plans: List[_Plan] = []
+            pending: List[_Plan] = []
+            duplicates: List[_Plan] = []
+            first_keys: Set[str] = set()
+            for instance in level:
+                plan = self._plan(instance, switching, context, net_keys)
+                plans.append(plan)
+                model_used[instance.name] = plan.label
+                if plan.key is None:
+                    pending.append(plan)
+                    continue
+                net_keys[plan.output_net] = plan.key
+                hit = self._read(plan.key, stats, times, retention)
+                if hit is not None:
+                    retention.keep(plan.output_net, *hit, shared=True)
+                elif plan.key in first_keys:
+                    duplicates.append(plan)
+                else:
+                    first_keys.add(plan.key)
+                    pending.append(plan)
 
-    def _unit(
-        self,
-        plan: _InstancePlan,
-        waves: Mapping[str, Waveform],
-        initial_output: float,
-        initial_internal: Optional[float],
-        samples: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> BatchUnit:
-        model = plan.model
-        return BatchUnit(
-            pins=plan.pins,
-            input_waveforms=dict(waves),
-            output_current=model.io_table,
-            miller_caps=plan.miller_caps(),
-            output_cap=model.output_cap,
-            load=plan.load,
-            vdd=model.vdd,
-            initial_output=initial_output,
-            internal_current=model.in_table if plan.has_internal else None,
-            internal_cap=model.internal_cap if plan.has_internal else None,
-            initial_internal=initial_internal if plan.has_internal else None,
-            input_samples=samples,
-        )
+            models = [self._model(plan) for plan in pending]
+            for plan, model in zip(pending, models):
+                waves = self._pin_waveforms(plan, waveforms, t_start, t_stop)
+                if isinstance(model, SISCSM):
+                    simulated = model.simulate(
+                        waves[plan.pins[0]],
+                        plan.load,
+                        options=self.options,
+                        t_start=t_start,
+                        t_stop=t_stop,
+                    )
+                else:
+                    simulated = model.simulate(
+                        waves, plan.load, options=self.options, t_start=t_start, t_stop=t_stop
+                    )
+                waveforms[plan.output_net] = simulated.output.renamed(plan.output_net)
+            stats.integrations += len(pending)
 
-    # ------------------------------------------------------------------
+            for plan in pending:
+                if plan.key is None:
+                    continue
+                wave = waveforms[plan.output_net]
+                self._memo[plan.key] = wave
+                if self.cache is not None:
+                    self.cache.store(plan.key, wave)
+                    stats.stores += 1
+            for plan in duplicates:
+                stats.duplicates += 1
+                waveforms[plan.output_net] = self._memo[plan.key].renamed(plan.output_net)
+            for plan in plans:
+                switching[plan.output_net] = self._is_switching(waveforms[plan.output_net])
+
     def _pin_waveforms(
         self,
-        instance: GateInstance,
-        waveforms: Dict[str, Waveform],
+        plan: _Plan,
+        waveforms: Mapping[str, Waveform],
         t_start: float,
         t_stop: float,
     ) -> Dict[str, Waveform]:
-        cell = self._cell(instance)
+        cell = self._cell(plan.instance)
         result: Dict[str, Waveform] = {}
-        for pin in cell.inputs:
-            net = instance.connections[pin]
+        for pin in plan.pins:
+            net = plan.instance.connections[pin]
             if net in waveforms:
                 result[pin] = waveforms[net]
             else:
@@ -2232,6 +1964,31 @@ class CSMEngine(TimingEngine):
                 level = cell.non_controlling_value(pin) * self.vdd
                 result[pin] = Waveform.constant(level, t_start, t_stop, name=pin)
         return result
+
+    def _unit(
+        self,
+        plan: _Plan,
+        model,
+        waves: Mapping[str, Waveform],
+        initial_output: float,
+        initial_internal: Optional[float],
+        samples: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> BatchUnit:
+        has_internal = isinstance(model, MCSM)
+        return BatchUnit(
+            pins=plan.pins,
+            input_waveforms=dict(waves),
+            output_current=model.io_table,
+            miller_caps=_miller_caps(model),
+            output_cap=model.output_cap,
+            load=plan.load,
+            vdd=model.vdd,
+            initial_output=initial_output,
+            internal_current=model.in_table if has_internal else None,
+            internal_cap=model.internal_cap if has_internal else None,
+            initial_internal=initial_internal if has_internal else None,
+            input_samples=samples,
+        )
 
     def _is_switching(self, waveform: Waveform) -> bool:
         return (waveform.maximum() - waveform.minimum()) > SWITCHING_THRESHOLD_FRACTION * self.vdd

@@ -239,7 +239,7 @@ class HybridEngine(TimingEngine):
         if memory_mode != "resident":
             raise TimingError(
                 "the hybrid engine requires memory_mode='resident' (its "
-                "restricted CSM cones are not streamable)"
+                "sub-engines run resident)"
             )
         super().__init__(netlist, models)
         if max_iterations < 1:

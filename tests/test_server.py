@@ -442,6 +442,25 @@ class TestTimingService:
         )
         assert not stream["ok"] and stream["code"] == "bad-request"
 
+    def test_stream_replies_equal_resident_with_and_without_corners(self, service):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        for corners in (None, ["TT", "FF"]):
+            request = {"op": "timing", "session": session, "seed": 0}
+            if corners:
+                request["corners"] = corners
+            stream = service.handle({**request, "memory_mode": "stream"})
+            resident = service.handle(request)
+            assert stream["ok"] and resident["ok"], stream
+            assert stream["arrivals"] == resident["arrivals"]
+            if corners:
+                assert stream["worst_arrivals"] == resident["worst_arrivals"]
+                run_stats = [stream["stats"][name] for name in corners]
+            else:
+                run_stats = [stream["stats"]]
+            assert all(stats["spills"] > 0 for stats in run_stats), run_stats
+
     def test_error_frames(self, service):
         assert service.handle({"op": "nope"})["code"] == "bad-request"
         missing = service.handle({"op": "timing", "session": "s9999"})

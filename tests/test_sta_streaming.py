@@ -183,6 +183,32 @@ class TestCSMStreamingEquivalence:
             )
 
 
+class TestStreamingPins:
+    def test_repeated_run_pins_every_level_its_result_references(
+        self, library, models, options, tmp_path
+    ):
+        """A second streaming run on one engine serves its levels from the
+        hot LRU after releasing the first run's pins; it must pin them
+        again, or the store could evict the records its lazy result reads."""
+        netlist = generate_netlist(library, "dag:w8:d4:s3")
+        waveforms = primary_input_waveforms(netlist, seed=0)
+        store = PackedStore(tmp_path / "pins")
+        engine = CSMEngine(
+            netlist, models, options=options, cache=store, memory_mode="stream"
+        )
+        engine.run(waveforms)
+        result = engine.run(waveforms)
+        assert engine.last_stats.integrations == 0
+
+        level_keys = {level_key for level_key, _ in result.waveforms._pointers.values()}
+        assert level_keys
+        assert level_keys <= set(store.pinned_keys())
+        for level_key in sorted(level_keys):
+            assert not store.evict(level_key)
+        for net in result.waveforms:
+            assert len(result.waveforms[net].values) > 0
+
+
 class TestNLDMStreamingEquivalence:
     def test_cold_and_warm_events_equal(
         self, reference_netlist, models, tmp_path
@@ -219,17 +245,33 @@ class TestStreamingProperty:
         depth=st.integers(min_value=2, max_value=5),
         netlist_seed=st.integers(min_value=0, max_value=7),
         budget=st.sampled_from([0, 4096, 1 << 20]),
+        cone_output=st.one_of(st.none(), st.integers(min_value=0, max_value=63)),
     )
     def test_random_retire_orders_never_misread_a_net(
-        self, library, models, options, tmp_path_factory, width, depth, netlist_seed, budget
+        self,
+        library,
+        models,
+        options,
+        tmp_path_factory,
+        width,
+        depth,
+        netlist_seed,
+        budget,
+        cone_output,
     ):
         """Random DAG shapes randomize which level last reads each net (and
         hence the retire schedule); under any hot-set budget a
         retired-then-reread net must fault back identical samples, so the
-        streamed result always equals the resident one bitwise."""
+        streamed result always equals the resident one bitwise.  With a cone
+        drawn (the fan-in cone of a random primary output, which is closed),
+        the ``only=`` runs of both modes must agree bitwise too."""
         spec = f"dag:w{width}:d{depth}:s{netlist_seed}"
         netlist = generate_netlist(library, spec)
         waveforms = primary_input_waveforms(netlist, seed=0)
+        only = None
+        if cone_output is not None:
+            outputs = netlist.primary_outputs
+            only = set(netlist.fanin_cone(outputs[cone_output % len(outputs)]))
         resident = CSMEngine(netlist, models, options=options, use_cache=False)
         streaming = CSMEngine(
             netlist,
@@ -239,6 +281,6 @@ class TestStreamingProperty:
             memory_mode="stream",
             memory_budget_bytes=budget,
         )
-        resident_result = resident.run(waveforms)
-        stream_result = streaming.run(waveforms)
+        resident_result = resident.run(waveforms, only=only)
+        stream_result = streaming.run(waveforms, only=only)
         _assert_bitwise_equal(stream_result, resident_result)
