@@ -9,7 +9,7 @@ from .loads import (
     ReceiverLoad,
     as_load,
 )
-from .dc import dc_settle, settle_units
+from .dc import settle_units
 from .models import MCSM, BaselineMISCSM, SISCSM
 from .selective import SelectiveModel, SelectiveModelPolicy
 from .simulate import common_time_window, integrate_model
@@ -32,6 +32,5 @@ __all__ = [
     "SelectiveModelPolicy",
     "integrate_model",
     "common_time_window",
-    "dc_settle",
     "settle_units",
 ]

@@ -26,31 +26,31 @@ Models the fast integration path cannot express (callable current sources,
 stateful loads, state-dependent capacitances) and the rare Newton failures
 fall back to the legacy integration pre-roll, so ``settle_mode="dc"`` is
 always safe to enable.
+
+:func:`settle_units` is the one settle path: the models' own settles
+(``SISCSM._settle_output``, ``MCSM.settle_state``, ...) are a batch of one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ConvergenceError
-from ..lut.table import NDTable
 from ..spice.dc import newton_fixed_point_many
 from ..spice.mna import NewtonOptions
-from ..waveform.waveform import Waveform
-from .base import Capacitance, SimulationOptions, cap_value_batch
-from .loads import Load
+from .base import SimulationOptions, cap_value_batch
 from .simulate import (
     BatchUnit,
     _contract_current_tables,
     _fast_eligible,
-    integrate_model,
+    _model_key,
     integrate_model_many,
     simulation_time_grid,
 )
 
-__all__ = ["dc_settle", "settle_units"]
+__all__ = ["settle_units"]
 
 #: Length (in integration steps) of the basin-selection pre-roll: long enough
 #: to cross the fast output transient of a gate (~100 ps at 1-2 ps steps),
@@ -63,46 +63,6 @@ _PREROLL_STEPS = 256
 _POLISH_OPTIONS = NewtonOptions(
     max_iterations=80, voltage_tolerance=1e-13, damping_limit=0.2
 )
-
-
-def _constant_reduction(
-    pins: Sequence[str],
-    values: Mapping[str, float],
-    io_table: NDTable,
-    in_table: Optional[NDTable],
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Contract the input-pin axes at one constant bias row.
-
-    Returns the reduced current tables over the recurrent state axes:
-    ``(nO,)`` for output-only models, ``(nN, nO)`` pairs for internal-node
-    models — exactly the arrays the settle recurrence interpolates.
-    """
-    row = np.array([[float(values[pin]) for pin in pins]])
-    if in_table is not None:
-        io_red, in_red = _contract_current_tables(io_table, in_table, row, len(pins))
-        return io_red[0], in_red[0]
-    return io_table.contract_leading(row)[0], None
-
-
-def _constant_caps(
-    pins: Sequence[str],
-    values: Mapping[str, float],
-    miller_caps: Mapping[str, Capacitance],
-    output_cap: Capacitance,
-    internal_cap: Optional[Capacitance],
-    load_cap: float,
-    has_internal: bool,
-) -> Tuple[float, Optional[float]]:
-    """The recurrence's denominator caps at one constant bias (for the
-    fixed-point stability check): ``(C_load + C_o + sum C_M, C_N or None)``."""
-    row = np.array([[float(values[pin]) for pin in pins]])
-    miller_total = sum(
-        float(cap_value_batch(miller_caps[pin], row[:, col : col + 1])[0])
-        for col, pin in enumerate(pins)
-    )
-    denom = load_cap + float(cap_value_batch(output_cap, row)[0]) + miller_total
-    cn = float(cap_value_batch(internal_cap, row)[0]) if has_internal else None
-    return denom, cn
 
 
 def _flow_root_1d(
@@ -137,57 +97,23 @@ def _flow_root_1d(
     return v_high
 
 
-def _bilinear_fn(
-    io_red: np.ndarray, in_red: np.ndarray, vn_pts: np.ndarray, vo_pts: np.ndarray
+def _bilinear_fn_many(
+    io_stack: np.ndarray, in_stack: np.ndarray, vn_pts: np.ndarray, vo_pts: np.ndarray
 ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Residual/Jacobian of the ``(Io, I_N) = 0`` system for the Newton polish.
+    """Residual/Jacobian of a stack of ``(Io, I_N) = 0`` systems.
 
     The state vector is ``x = (Vo, V_N)``.  Inside the grid the residual is
     the exact bilinear interpolant the settle recurrence uses; outside it the
     edge cell is extrapolated so the Jacobian never goes singular — callers
     must verify the converged root lies inside the axis domain (where the
     extrapolation and the clamped interpolant coincide).
-    """
 
-    def locate(pts: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        idx = np.clip(np.searchsorted(pts, v, side="right") - 1, 0, len(pts) - 2)
-        span = pts[idx + 1] - pts[idx]
-        frac = (v - pts[idx]) / span
-        return idx, frac, span
-
-    def fn(x: np.ndarray, _params: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        vo, vn = x[:, 0], x[:, 1]
-        i, fo, o_span = locate(vo_pts, vo)
-        j, fn_, n_span = locate(vn_pts, vn)
-        batch = x.shape[0]
-        residual = np.empty((batch, 2))
-        jacobian = np.empty((batch, 2, 2))
-        for table, row in ((io_red, 0), (in_red, 1)):
-            c00 = table[j, i]
-            c01 = table[j, i + 1]
-            c10 = table[j + 1, i]
-            c11 = table[j + 1, i + 1]
-            lower = c00 + fo * (c01 - c00)
-            upper = c10 + fo * (c11 - c10)
-            residual[:, row] = lower + fn_ * (upper - lower)
-            jacobian[:, row, 0] = ((1.0 - fn_) * (c01 - c00) + fn_ * (c11 - c10)) / o_span
-            jacobian[:, row, 1] = (upper - lower) / n_span
-        return residual, jacobian
-
-    return fn
-
-
-def _bilinear_fn_many(
-    io_stack: np.ndarray, in_stack: np.ndarray, vn_pts: np.ndarray, vo_pts: np.ndarray
-) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Batch variant of :func:`_bilinear_fn`: one reduced table pair per run.
-
-    ``io_stack``/``in_stack`` are ``(B, nN, nO)`` stacks; the run's position
-    in the stack rides in as its parameter row (the Newton engine's
-    active-subset iteration hands back arbitrary sub-batches, so the tables
-    must be selected through ``params``, never by full-batch position).  Row
-    for row the arithmetic is exactly :func:`_bilinear_fn`'s, so each system's
-    Newton trajectory is bit-identical to a solo solve.
+    ``io_stack``/``in_stack`` are ``(B, nN, nO)`` stacks, one reduced table
+    pair per run; the run's position in the stack rides in as its parameter
+    row (the Newton engine's active-subset iteration hands back arbitrary
+    sub-batches, so the tables must be selected through ``params``, never by
+    full-batch position).  The arithmetic is per row, so each system's
+    Newton trajectory does not depend on its stack neighbours.
     """
 
     def locate(pts: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,216 +150,37 @@ def _bilinear_fn_many(
 _STABILITY_SLACK = 1e-9
 
 
-def _polish(
-    pins: Sequence[str],
-    values: Mapping[str, float],
-    io_table: NDTable,
-    in_table: Optional[NDTable],
-    denom: float,
-    cn: Optional[float],
-    dt: float,
-    v_out: float,
-    v_int: Optional[float],
-    v_low: float,
-    v_high: float,
-) -> Optional[Tuple[float, Optional[float]]]:
-    """Refine a pre-rolled state to the exact table fixed point.
-
-    Returns ``None`` — the caller falls back to the integration settle —
-    when the Newton polish fails, lands outside the table domain, or when
-    the fixed point is *unstable* for the Forward-Euler map at the caller's
-    step size.  The last check matters for equivalence, not accuracy: at a
-    coarse ``dt`` the integrator cannot hold an unstable operating point (it
-    escapes onto a phase-locked oscillation, amplifying float-noise
-    differences between the batched and sequential paths on the way), so the
-    honest initial state there is the legacy settle endpoint on the
-    integrator's own attractor.
-    """
-    io_red, in_red = _constant_reduction(pins, values, io_table, in_table)
-    if in_red is None:
-        vo_pts = io_table.axes[-1].as_array()
-        root = _flow_root_1d(vo_pts, io_red, v_out, v_low, v_high)
-        if vo_pts[0] <= root <= vo_pts[-1]:
-            # Interior root: reject it if Forward-Euler at dt cannot hold it
-            # (clip-bound roots are pinned by the clamp, always holdable).
-            span = vo_pts[-1] - vo_pts[0]
-            step = 1e-6 * span
-            low = float(np.clip(root - step, vo_pts[0], vo_pts[-1]))
-            high = float(np.clip(root + step, vo_pts[0], vo_pts[-1]))
-            slope = (np.interp(high, vo_pts, io_red) - np.interp(low, vo_pts, io_red)) / (
-                high - low
-            )
-            if dt * slope / denom > 2.0 + _STABILITY_SLACK:
-                return None
-        return root, None
-    assert v_int is not None and cn is not None
-    vo_pts = io_table.axes[-1].as_array()
-    vn_pts = io_table.axes[-2].as_array()
-    fn = _bilinear_fn(io_red, in_red, vn_pts, vo_pts)
-    try:
-        solution = newton_fixed_point_many(
-            fn,
-            np.array([[v_out, v_int]]),
-            options=_POLISH_OPTIONS,
-            name="csm-dc-settle",
-        )
-    except (ConvergenceError, np.linalg.LinAlgError):
-        return None
-    vo, vn = float(solution[0, 0]), float(solution[0, 1])
-    eps = 1e-9
-    if not (vo_pts[0] - eps <= vo <= vo_pts[-1] + eps):
-        return None
-    if not (vn_pts[0] - eps <= vn <= vn_pts[-1] + eps):
-        return None
-    if not (v_low - eps <= vo <= v_high + eps and v_low - eps <= vn <= v_high + eps):
-        return None
-    # Forward-Euler stability of the 2-state map x -> x - diag(dt/C) F(x).
-    _, jacobian = fn(solution, np.zeros((1, 0)))
-    update = np.eye(2) - np.array([[dt / denom], [dt / cn]]) * jacobian[0]
-    if float(np.abs(np.linalg.eigvals(update)).max()) > 1.0 + _STABILITY_SLACK:
-        return None
-    return vo, vn
-
-
 def _preroll_window(options: SimulationOptions) -> float:
     return min(options.settle_time, _PREROLL_STEPS * options.time_step)
 
 
-def _polish_state(
-    pins: Sequence[str],
-    values: Mapping[str, float],
-    output_current: Callable[..., float],
-    internal_current: Optional[Callable[..., float]],
-    miller_caps: Mapping[str, Capacitance],
-    output_cap: Capacitance,
-    internal_cap: Optional[Capacitance],
-    load: Load,
-    vdd: float,
-    options: SimulationOptions,
-    v_out: float,
-    v_int: Optional[float],
-) -> Optional[Tuple[float, Optional[float]]]:
-    """Eligibility check + denominator caps + fixed-point polish.
+def _newton_runs(fn, starts: np.ndarray, params: np.ndarray) -> Tuple[np.ndarray, set]:
+    """Solve a stack of polish systems: ``(solutions, positions that failed)``.
 
-    The one shared tail of :func:`dc_settle` (per-model path) and
-    :func:`settle_units` (engine batch path): both must apply the identical
-    stability-guard and fallback policy or the batched and sequential
-    engines drift apart.  ``None`` means "fall back to integration".
+    A batch solve that dies without per-run attribution (a singular
+    factorization aborts every run at once) is re-solved one run per stack;
+    the Newton engine iterates each run independently of its neighbours, so
+    a run's one-run solve is the trajectory it had in the batch.
     """
-    has_internal = internal_current is not None
-    if not _fast_eligible(
-        output_current,
-        internal_current,
-        miller_caps,
-        output_cap,
-        internal_cap,
-        load,
-        pins,
-        has_internal,
-    ):
-        return None
-    denom, cn = _constant_caps(
-        pins,
-        values,
-        miller_caps,
-        output_cap,
-        internal_cap,
-        load.constant_capacitance(),
-        has_internal,
-    )
-    return _polish(
-        pins,
-        values,
-        output_current,  # _fast_eligible guarantees NDTable
-        internal_current if has_internal else None,
-        denom,
-        cn,
-        options.time_step,
-        v_out,
-        v_int,
-        -options.clip_margin,
-        vdd + options.clip_margin,
-    )
-
-
-def dc_settle(
-    pins: Sequence[str],
-    values: Mapping[str, float],
-    output_current: Callable[..., float],
-    miller_caps: Mapping[str, Capacitance],
-    output_cap: Capacitance,
-    load: Load,
-    vdd: float,
-    options: SimulationOptions,
-    internal_current: Optional[Callable[..., float]] = None,
-    internal_cap: Optional[Capacitance] = None,
-    initial_output: Optional[float] = None,
-    initial_internal: Optional[float] = None,
-) -> Optional[Tuple[float, Optional[float]]]:
-    """DC operating point ``(V_out, V_N or None)`` for constant input values.
-
-    Mirrors the parameters of :func:`repro.csm.simulate.integrate_model`.
-    Returns ``None`` when the model is outside the fast path's table form or
-    the internal-node Newton polish fails — callers then fall back to the
-    legacy integration settle.
-    """
-    has_internal = internal_current is not None
-    if not _fast_eligible(
-        output_current,
-        internal_current,
-        miller_caps,
-        output_cap,
-        internal_cap,
-        load,
-        pins,
-        has_internal,
-    ):
-        return None
-    v_low = -options.clip_margin
-    v_high = vdd + options.clip_margin
-    v_out = vdd / 2.0 if initial_output is None else float(np.clip(initial_output, v_low, v_high))
-    v_int: Optional[float] = None
-    if has_internal:
-        v_int = vdd / 2.0 if initial_internal is None else float(np.clip(initial_internal, v_low, v_high))
-
-    pre_time = _preroll_window(options)
-    if pre_time > 0.0:
-        constants = {
-            pin: Waveform.constant(float(values[pin]), 0.0, pre_time, name=pin)
-            for pin in pins
-        }
-        _, out_trace, int_trace = integrate_model(
-            pins=pins,
-            input_waveforms=constants,
-            output_current=output_current,
-            miller_caps=miller_caps,
-            output_cap=output_cap,
-            load=load,
-            vdd=vdd,
-            initial_output=v_out,
-            options=options,
-            internal_current=internal_current,
-            internal_cap=internal_cap,
-            initial_internal=v_int,
+    try:
+        solution = newton_fixed_point_many(
+            fn, starts, params=params, options=_POLISH_OPTIONS, name="csm-dc-settle"
         )
-        v_out = float(out_trace[-1])
-        if int_trace is not None:
-            v_int = float(int_trace[-1])
-
-    return _polish_state(
-        pins,
-        values,
-        output_current,
-        internal_current,
-        miller_caps,
-        output_cap,
-        internal_cap,
-        load,
-        vdd,
-        options,
-        v_out,
-        v_int,
-    )
+        return solution, set()
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        meta = getattr(exc, "metadata", None) or {}
+        if "failed_runs" in meta:
+            return meta["solutions"], set(meta["failed_runs"])
+        if len(starts) == 1:
+            return starts, {0}
+    solution = np.empty_like(starts)
+    failed = set()
+    for run in range(len(starts)):
+        one, one_failed = _newton_runs(fn, starts[run : run + 1], params[run : run + 1])
+        solution[run] = one[0]
+        if one_failed:
+            failed.add(run)
+    return solution, failed
 
 
 def _polish_many(
@@ -442,13 +189,11 @@ def _polish_many(
     pre_states: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
     options: SimulationOptions,
 ) -> List[Optional[Tuple[float, Optional[float]]]]:
-    """Batched :func:`_polish_state` over one settle pass.
+    """Refine pre-rolled states to their exact table fixed points.
 
-    Groups the eligible units by the identity of their current-source tables
-    (the same grouping — and the same shared-model assumption — as the
-    engine's shared precompute: identical table objects imply the same
-    characterized model, hence the same pins and capacitance tables), batches
-    each group's constant-bias reductions and cap lookups into single table
+    Groups the eligible units by :func:`~repro.csm.simulate._model_key` (the
+    identity of every table and capacitance they read), batches each
+    group's constant-bias reductions and cap lookups into single table
     calls, and solves the internal-node fixed points as ONE
     :func:`newton_fixed_point_many` batch per state grid — model groups whose
     ``(VN, VO)`` grids are value-equal (the corners of an MMMC set, whose
@@ -456,18 +201,23 @@ def _polish_many(
     solve.  The Newton engine's active-subset iteration assembles and updates
     every system independently of its batch neighbours, and
     :func:`_bilinear_fn_many` selects each run's own reduced tables through
-    ``params``, so per-unit results are bit-identical to solo
-    :func:`_polish_state` calls; a batch solve that dies without per-run
-    attribution (singular factorization) re-runs its members solo.  Returns
-    polish results aligned with ``eligible`` (``None`` = fall back).
+    ``params``, so a unit's result does not depend on its batch
+    (:func:`_newton_runs` re-solves a batch that fails as a whole).
+
+    Returns polish results aligned with ``eligible``.  ``None`` — the caller
+    falls back to the integration settle — marks a run whose Newton polish
+    failed, landed outside the table domain, or whose fixed point is
+    *unstable* for the Forward-Euler map at the caller's step size.  The
+    last check matters for equivalence, not accuracy: at a coarse ``dt`` the
+    integrator cannot hold an unstable operating point (it escapes onto a
+    phase-locked oscillation, amplifying float-noise differences between
+    batchings on the way), so the honest initial state there is the legacy
+    settle endpoint on the integrator's own attractor.
     """
     results: List[Optional[Tuple[float, Optional[float]]]] = [None] * len(eligible)
-    groups: dict = {}
+    groups: Dict[Tuple, List[int]] = {}
     for pos, index in enumerate(eligible):
-        unit = units[index]
-        groups.setdefault(
-            (id(unit.output_current), id(unit.internal_current)), []
-        ).append(pos)
+        groups.setdefault(_model_key(units[index]), []).append(pos)
     dt = options.time_step
     eps = 1e-9
     # Internal-node systems accumulate here, bucketed by state-grid values,
@@ -504,7 +254,7 @@ def _polish_many(
             cn_col = None
             io_red_all = io_table.contract_leading(rows)
             in_red_all = None
-        # Same float-addition order as `_constant_caps`: (load + Co) + sum(CM).
+        # The recurrence's denominator at the bias: (load + Co) + sum(CM).
         denoms = [
             units[eligible[pos]].load.constant_capacitance()
             + float(co_col[g])
@@ -522,6 +272,8 @@ def _polish_many(
                 io_red = io_red_all[g]
                 root = _flow_root_1d(vo_pts, io_red, start_out[g], v_low, v_high)
                 if vo_pts[0] <= root <= vo_pts[-1]:
+                    # Interior root: reject it if Forward-Euler at dt cannot
+                    # hold it (clip-bound roots are pinned by the clamp).
                     span = vo_pts[-1] - vo_pts[0]
                     step = 1e-6 * span
                     low = float(np.clip(root - step, vo_pts[0], vo_pts[-1]))
@@ -558,39 +310,7 @@ def _polish_many(
         )
         fn = _bilinear_fn_many(io_red_all, in_red_all, vn_pts, vo_pts)
         params = np.arange(len(runs), dtype=float)[:, None]
-        failed: set = set()
-        try:
-            solution = newton_fixed_point_many(
-                fn, starts, params=params, options=_POLISH_OPTIONS, name="csm-dc-settle"
-            )
-        except (ConvergenceError, np.linalg.LinAlgError) as exc:
-            meta = getattr(exc, "metadata", None) or {}
-            if "failed_runs" not in meta:
-                # Singular batch factorization aborts every run at once with
-                # no per-run attribution — reproduce the solo path exactly.
-                for pos, _denom, _cn_val, so, si in runs:
-                    unit = units[eligible[pos]]
-                    values = {
-                        pin: unit.input_waveforms[pin].initial_value()
-                        for pin in unit.pins
-                    }
-                    results[pos] = _polish_state(
-                        unit.pins,
-                        values,
-                        unit.output_current,
-                        unit.internal_current,
-                        unit.miller_caps,
-                        unit.output_cap,
-                        unit.internal_cap,
-                        unit.load,
-                        unit.vdd,
-                        options,
-                        so,
-                        si,
-                    )
-                continue
-            failed = set(meta["failed_runs"])
-            solution = meta["solutions"]
+        solution, failed = _newton_runs(fn, starts, params)
         _, jac_all = fn(solution, params)
         for g, (pos, denom, cn_val, _so, _si) in enumerate(runs):
             if g in failed:
@@ -605,6 +325,7 @@ def _polish_many(
                 continue
             if not (v_low - eps <= vo <= v_high + eps and v_low - eps <= vn <= v_high + eps):
                 continue
+            # Forward-Euler stability of the 2-state map x -> x - diag(dt/C) F(x).
             update = np.eye(2) - np.array(
                 [[dt / denom], [dt / cn_val]]
             ) * jac_all[g]
@@ -614,27 +335,13 @@ def _polish_many(
     return results
 
 
-def _constant_unit(
-    unit: BatchUnit, window: float, grid: Optional[np.ndarray] = None
-) -> BatchUnit:
-    """A copy of ``unit`` whose inputs are held at their initial values.
-
-    With ``grid`` (the integration's shared sample grid) the constant rows are
-    materialized as ``input_samples`` directly, skipping the per-pin
-    ``value_at`` resampling — ``np.interp`` over a flat two-point waveform
-    returns exactly the constant, so the rows are bitwise the same.
-    """
+def _constant_unit(unit: BatchUnit, grid: np.ndarray) -> BatchUnit:
+    """A copy of ``unit`` whose inputs are held at their initial values, as
+    ``input_samples`` rows on the integration's sample ``grid``."""
     return BatchUnit(
         pins=unit.pins,
-        input_waveforms={
-            pin: Waveform.constant(
-                unit.input_waveforms[pin].initial_value(), 0.0, window, name=pin
-            )
-            for pin in unit.pins
-        },
-        input_samples=None
-        if grid is None
-        else {
+        input_waveforms={},
+        input_samples={
             pin: np.full(grid.shape, unit.input_waveforms[pin].initial_value())
             for pin in unit.pins
         },
@@ -664,13 +371,7 @@ def _settle_key(unit: BatchUnit) -> Optional[Tuple]:
     load_cap = unit.load.constant_capacitance()
     if load_cap is None:
         return None
-    return (
-        id(unit.output_current),
-        id(unit.internal_current),
-        id(unit.output_cap),
-        id(unit.internal_cap),
-        tuple(id(unit.miller_caps[pin]) for pin in unit.pins),
-        tuple(unit.pins),
+    return _model_key(unit) + (
         tuple(unit.input_waveforms[pin].initial_value() for pin in unit.pins),
         unit.initial_output,
         unit.initial_internal,
@@ -682,29 +383,25 @@ def _settle_key(unit: BatchUnit) -> Optional[Tuple]:
 def settle_units(
     units: Sequence[BatchUnit],
     options: SimulationOptions,
-    batched_polish: bool = False,
 ) -> List[Tuple[float, Optional[float]]]:
-    """Settle a batch of constant-input units (the engine's settle pass).
+    """Settle a batch of constant-input units: the one CSM settle path.
 
-    In ``"integrate"`` mode this is the legacy full-window lockstep
+    Each unit's inputs are held at their initial values; its
+    ``initial_output``/``initial_internal`` are the starting state.  In
+    ``"integrate"`` mode this is the legacy full-window lockstep
     integration.  In ``"dc"`` mode the DC-eligible units are pre-rolled over
     the short basin-selection window in lockstep and polished to their exact
-    table fixed points; ineligible units and rejected polishes (Newton
-    failure, FE-unstable operating point) fall back to the legacy
-    full-window settle, integrated together as one lockstep batch.
-
-    ``batched_polish=True`` (the tensor engine's whole-level path) routes the
-    polish through :func:`_polish_many` — per-group table lookups and one
-    Newton batch per internal-node group — and shares precompute lookups
-    across the pre-roll/fallback integrations.  Results are bit-identical to
-    the default per-unit polish; the flag only changes the batching.
+    table fixed points (:func:`_polish_many`: per-model table lookups and one
+    Newton batch per state grid); ineligible units and rejected polishes
+    (Newton failure, FE-unstable operating point) fall back to the legacy
+    full-window settle, integrated together as one lockstep batch.  A unit's
+    result does not depend on its batch, so a model's own settle is a batch
+    of one.
 
     Returns ``(v_out, v_int or None)`` final states in unit order.
     """
     if options.settle_mode != "dc":
-        _, settled = integrate_model_many(
-            units, options, 0.0, options.settle_time, shared_precompute=batched_polish
-        )
+        _, settled = integrate_model_many(units, options, 0.0, options.settle_time)
         return [
             (float(v_out[-1]), None if v_int is None else float(v_int[-1]))
             for v_out, v_int in settled
@@ -712,8 +409,8 @@ def settle_units(
 
     # Whole-level settle batches are dominated by duplicates (every instance
     # of a cell parked at the same logic state and lumped load settles to the
-    # same point — and an MMMC level repeats that set once per corner).
-    # Settle one representative per content key and fan the result out.
+    # same point).  Settle one representative per content key and fan the
+    # result out.
     if len(units) > 1:
         positions_by_key: Dict[Tuple, List[int]] = {}
         for position, unit in enumerate(units):
@@ -724,7 +421,7 @@ def settle_units(
         if len(positions_by_key) < len(units):
             groups = list(positions_by_key.values())
             representatives = settle_units(
-                [units[positions[0]] for positions in groups], options, batched_polish
+                [units[positions[0]] for positions in groups], options
             )
             fanned: List[Tuple[float, Optional[float]]] = [None] * len(units)  # type: ignore[list-item]
             for settled_state, positions in zip(representatives, groups):
@@ -732,31 +429,12 @@ def settle_units(
                     fanned[position] = settled_state
             return fanned
 
-    eligible = [
-        index
-        for index, unit in enumerate(units)
-        if _fast_eligible(
-            unit.output_current,
-            unit.internal_current,
-            unit.miller_caps,
-            unit.output_cap,
-            unit.internal_cap,
-            unit.load,
-            unit.pins,
-            unit.internal_current is not None,
-        )
-    ]
+    eligible = [index for index, unit in enumerate(units) if _fast_eligible(unit)]
     pre_time = _preroll_window(options)
     if eligible and pre_time > 0.0:
-        pre_grid = (
-            simulation_time_grid(0.0, pre_time, options) if batched_polish else None
-        )
-        pre_units = [
-            _constant_unit(units[index], pre_time, grid=pre_grid) for index in eligible
-        ]
-        _, pre_states = integrate_model_many(
-            pre_units, options, 0.0, pre_time, shared_precompute=batched_polish
-        )
+        pre_grid = simulation_time_grid(0.0, pre_time, options)
+        pre_units = [_constant_unit(units[index], pre_grid) for index in eligible]
+        _, pre_states = integrate_model_many(pre_units, options, 0.0, pre_time)
     else:
         pre_states = [
             (
@@ -771,50 +449,17 @@ def settle_units(
     results: List[Optional[Tuple[float, Optional[float]]]] = [None] * len(units)
     eligible_set = set(eligible)
     fallback = [index for index in range(len(units)) if index not in eligible_set]
-    if batched_polish:
-        for index, settled in zip(eligible, _polish_many(units, eligible, pre_states, options)):
-            if settled is None:
-                fallback.append(index)
-            else:
-                results[index] = settled
-    else:
-        for index, (v_out, v_int) in zip(eligible, pre_states):
-            unit = units[index]
-            values = {pin: unit.input_waveforms[pin].initial_value() for pin in unit.pins}
-            settled = _polish_state(
-                unit.pins,
-                values,
-                unit.output_current,
-                unit.internal_current,
-                unit.miller_caps,
-                unit.output_cap,
-                unit.internal_cap,
-                unit.load,
-                unit.vdd,
-                options,
-                float(v_out[-1]),
-                None if v_int is None else float(v_int[-1]),
-            )
-            if settled is None:
-                fallback.append(index)
-            else:
-                results[index] = settled
+    for index, settled in zip(eligible, _polish_many(units, eligible, pre_states, options)):
+        if settled is None:
+            fallback.append(index)
+        else:
+            results[index] = settled
 
     if fallback:
         fallback.sort()
-        fallback_grid = (
-            simulation_time_grid(0.0, options.settle_time, options)
-            if batched_polish
-            else None
-        )
-        fallback_units = [
-            _constant_unit(units[index], options.settle_time, grid=fallback_grid)
-            for index in fallback
-        ]
-        _, states = integrate_model_many(
-            fallback_units, options, 0.0, options.settle_time,
-            shared_precompute=batched_polish,
-        )
+        fallback_grid = simulation_time_grid(0.0, options.settle_time, options)
+        fallback_units = [_constant_unit(units[index], fallback_grid) for index in fallback]
+        _, states = integrate_model_many(fallback_units, options, 0.0, options.settle_time)
         for index, (out_trace, int_trace) in zip(fallback, states):
             results[index] = (
                 float(out_trace[-1]),

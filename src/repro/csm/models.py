@@ -26,25 +26,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from ..exceptions import ModelError
 from ..lut.table import NDTable
 from ..waveform.waveform import Waveform
 from .base import Capacitance, ModelSimulationResult, SimulationOptions, cap_value
+from .dc import settle_units
 from .loads import Load, as_load
-from .simulate import integrate_model
+from .simulate import BatchUnit, integrate_model
 
 __all__ = ["SISCSM", "BaselineMISCSM", "MCSM"]
 
 
-def _constant_waveforms(
-    values: Mapping[str, float], t_start: float, t_stop: float
-) -> Dict[str, Waveform]:
-    return {
-        pin: Waveform.constant(value, t_start, t_stop, name=pin)
-        for pin, value in values.items()
+def _settle(
+    pin_values: Mapping[str, float], options: SimulationOptions, **model
+) -> Tuple[float, Optional[float]]:
+    """The steady state ``(V_out, V_N or None)`` for constant input voltages.
+
+    ``model`` holds the :class:`~repro.csm.simulate.BatchUnit` fields of the
+    model, its load and its starting state; the inputs are held at
+    ``pin_values`` over ``settle_time``.  One
+    :func:`~repro.csm.dc.settle_units` batch of one: the DC operating point,
+    or the integration settle where ``options.settle_mode`` or the model
+    asks for it.
+    """
+    waveforms = {
+        pin: Waveform.constant(value, 0.0, options.settle_time, name=pin)
+        for pin, value in pin_values.items()
     }
+    return settle_units([BatchUnit(input_waveforms=waveforms, **model)], options)[0]
 
 
 def _require_waveforms(input_waveforms: Mapping[str, Waveform], pins: Tuple[str, ...], cell: str) -> None:
@@ -127,34 +136,18 @@ class SISCSM:
 
     def _settle_output(self, vi: float, load: Load, options: SimulationOptions) -> float:
         """Find the steady-state output for a constant input voltage."""
-        if options.settle_mode == "dc":
-            from .dc import dc_settle
-
-            settled = dc_settle(
-                (self.pin,),
-                {self.pin: vi},
-                self.io_table,
-                {self.pin: self.miller_cap},
-                self.output_cap,
-                load,
-                self.vdd,
-                options,
-            )
-            if settled is not None:
-                return settled[0]
-        waveforms = _constant_waveforms({self.pin: vi}, 0.0, options.settle_time)
-        _, v_out, _ = integrate_model(
+        settled, _ = _settle(
+            {self.pin: vi},
+            options,
             pins=(self.pin,),
-            input_waveforms=waveforms,
             output_current=self.io_table,
             miller_caps={self.pin: self.miller_cap},
             output_cap=self.output_cap,
             load=load,
             vdd=self.vdd,
             initial_output=self.vdd / 2.0,
-            options=options,
         )
-        return float(v_out[-1])
+        return settled
 
 
 @dataclass
@@ -236,34 +229,18 @@ class BaselineMISCSM:
     def _settle_output(
         self, pin_values: Mapping[str, float], load: Load, options: SimulationOptions
     ) -> float:
-        if options.settle_mode == "dc":
-            from .dc import dc_settle
-
-            settled = dc_settle(
-                self.pins,
-                dict(pin_values),
-                self.io_table,
-                self.effective_miller_caps(),
-                self.output_cap,
-                load,
-                self.vdd,
-                options,
-            )
-            if settled is not None:
-                return settled[0]
-        waveforms = _constant_waveforms(pin_values, 0.0, options.settle_time)
-        _, v_out, _ = integrate_model(
+        settled, _ = _settle(
+            pin_values,
+            options,
             pins=self.pins,
-            input_waveforms=waveforms,
             output_current=self.io_table,
             miller_caps=self.effective_miller_caps(),
             output_cap=self.output_cap,
             load=load,
             vdd=self.vdd,
             initial_output=self.vdd / 2.0,
-            options=options,
         )
-        return float(v_out[-1])
+        return settled
 
 
 @dataclass
@@ -333,44 +310,20 @@ class MCSM:
         is still drifting at the end of the ``settle_time`` window.
         """
         options = options or SimulationOptions()
-        load = as_load(load)
-        if options.settle_mode == "dc":
-            from .dc import dc_settle
-
-            settled = dc_settle(
-                self.pins,
-                dict(pin_values),
-                self.io_table,
-                dict(self.miller_caps),
-                self.output_cap,
-                load,
-                self.vdd,
-                options,
-                internal_current=self.in_table,
-                internal_cap=self.internal_cap,
-                initial_output=initial_output,
-                initial_internal=initial_internal,
-            )
-            if settled is not None:
-                assert settled[1] is not None
-                return settled
-        waveforms = _constant_waveforms(dict(pin_values), 0.0, options.settle_time)
-        times, v_out, v_int = integrate_model(
+        return _settle(
+            pin_values,
+            options,
             pins=self.pins,
-            input_waveforms=waveforms,
             output_current=self.io_table,
             miller_caps=dict(self.miller_caps),
             output_cap=self.output_cap,
-            load=load,
+            load=as_load(load),
             vdd=self.vdd,
             initial_output=self.vdd / 2.0 if initial_output is None else initial_output,
-            options=options,
             internal_current=self.in_table,
             internal_cap=self.internal_cap,
             initial_internal=self.vdd / 2.0 if initial_internal is None else initial_internal,
         )
-        assert v_int is not None
-        return float(v_out[-1]), float(v_int[-1])
 
     def simulate(
         self,

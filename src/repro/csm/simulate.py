@@ -10,21 +10,24 @@ The integrator is shared by all three model flavours (SIS CSM, baseline MIS
 CSM, complete MCSM); models differ only in which voltages their current
 sources depend on and whether an internal node exists.
 
-Everything that depends only on the (known ahead of time) input waveforms is
-evaluated as whole-array batches *before* the sequential update loop: the
-per-pin input samples and their step deltas, the Miller-capacitance lookups
-and Miller charge, the output/internal capacitances, and — for output-only
-models whose current source is an :class:`~repro.lut.table.NDTable` — the
+There is one integration path, :func:`integrate_model_many`; a single model
+evaluation (:func:`integrate_model`) is a batch of one.  Everything that
+depends only on the (known ahead of time) input waveforms is evaluated as
+whole-array batches *before* the sequential update loop: the per-pin input
+samples and their step deltas, the Miller-capacitance lookups and Miller
+charge, the output/internal capacitances, and — for output-only models
+whose current source is an :class:`~repro.lut.table.NDTable` — the
 contraction of its input-pin axes via
-:meth:`~repro.lut.table.NDTable.contract_leading`.  Only the genuinely
+:func:`~repro.lut.table.contract_leading_spans`.  Only the genuinely
 recurrent ``v_out`` / ``v_int`` dependence remains inside the loop, which
 then just interpolates a per-step reduced table.  Internal-node models keep
 their pin voltages and contract on demand: each step reads 4 of the
 ``(VN, Vo)`` slice's entries, so the lockstep loop gathers just the pin
 corners of those, with the contraction's exact arithmetic.
-Cases the fast path cannot express (arbitrary callables, stateful loads,
-capacitance tables over the recurrent voltages) fall back to the original
-scalar loop; both paths produce the same waveforms to float round-off.
+Units the table kernels cannot express (arbitrary callables, stateful loads,
+capacitance tables over the recurrent voltages) integrate through the scalar
+reference loop :func:`_integrate_generic`; both produce the same waveforms
+to float round-off.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def simulation_time_grid(
     """The uniform sample grid the integrator uses for a time window.
 
     Exposed so that batched callers (the levelized STA engine) can place every
-    instance of a level on the *same* grid the per-instance path would use.
+    instance of a level on the *same* grid a single evaluation would use.
     """
     if t_stop <= t_start:
         raise ModelError("simulation window is empty")
@@ -82,21 +85,14 @@ def simulation_time_grid(
     return np.linspace(t_start, t_stop, num_steps)
 
 
-def _fast_eligible(
-    output_current: Callable[..., float],
-    internal_current: Optional[Callable[..., float]],
-    miller_caps: Mapping[str, Capacitance],
-    output_cap: Capacitance,
-    internal_cap: Optional[Capacitance],
-    load: Load,
-    pins: Sequence[str],
-    has_internal: bool,
-) -> bool:
+def _fast_eligible(unit: BatchUnit) -> bool:
     """The conditions under which the vectorized-precompute path applies."""
+    pins = unit.pins
     num_pins = len(pins)
+    has_internal = unit.internal_current is not None
     state_dims = num_pins + (1 if has_internal else 0) + 1
-    io_table = output_current if isinstance(output_current, NDTable) else None
-    in_table = internal_current if isinstance(internal_current, NDTable) else None
+    io_table = unit.output_current if isinstance(unit.output_current, NDTable) else None
+    in_table = unit.internal_current if isinstance(unit.internal_current, NDTable) else None
     return (
         io_table is not None
         and io_table.ndim == state_dims
@@ -105,10 +101,26 @@ def _fast_eligible(
             not has_internal
             or in_table.axes[num_pins:] == io_table.axes[num_pins:]  # shared brackets
         )
-        and load.constant_capacitance() is not None
-        and all(_cap_precomputable(miller_caps[pin], 1) for pin in pins)
-        and _cap_precomputable(output_cap, num_pins)
-        and (not has_internal or _cap_precomputable(internal_cap, num_pins))
+        and unit.load.constant_capacitance() is not None
+        and all(_cap_precomputable(unit.miller_caps[pin], 1) for pin in pins)
+        and _cap_precomputable(unit.output_cap, num_pins)
+        and (not has_internal or _cap_precomputable(unit.internal_cap, num_pins))
+    )
+
+
+def _model_key(unit: BatchUnit) -> Tuple:
+    """The identity of every table and capacitance a unit's lookups read.
+
+    Units with equal keys share one lookup pass (the precompute, the DC
+    polish), which evaluates the first unit's tables and capacitances for
+    all of them."""
+    return (
+        id(unit.output_current),
+        id(unit.internal_current),
+        id(unit.output_cap),
+        id(unit.internal_cap),
+        tuple(id(unit.miller_caps[pin]) for pin in unit.pins),
+        tuple(unit.pins),
     )
 
 
@@ -155,100 +167,6 @@ class _Precomputed:
     in_table: Optional[NDTable] = None
 
 
-def _fast_precompute(
-    pins: Sequence[str],
-    input_samples: Dict[str, np.ndarray],
-    times: np.ndarray,
-    io_table: NDTable,
-    in_table: Optional[NDTable],
-    miller_caps: Mapping[str, Capacitance],
-    output_cap: Capacitance,
-    internal_cap: Optional[Capacitance],
-    load_cap: float,
-    has_internal: bool,
-) -> _Precomputed:
-    """Everything input-driven, batched over all steps before the recurrence.
-
-    Shared by the per-instance fast path and the lockstep batch path so both
-    integrate from identical precomputed arrays.  Constant inputs (settle
-    passes) are detected and evaluated on a single row, broadcast across the
-    window — the per-row results are identical, just not recomputed.
-    """
-    num_pins = len(pins)
-    plan = _precompute_plan(pins, input_samples, times)
-    steps = plan.steps
-
-    if plan.constant:
-        # Constant inputs: every per-step row is the same — evaluate one.
-        one = plan.pin_core
-        miller_row = np.array(
-            [cap_value_batch(miller_caps[pin], one[:, col : col + 1])[0] for col, pin in enumerate(pins)]
-        )
-        denominator_row = load_cap + cap_value_batch(output_cap, one)[0] + miller_row.sum()
-        if denominator_row <= 0:
-            raise ModelError("total output capacitance must be positive")
-        charge = np.zeros(steps)
-        denominator = np.broadcast_to(np.float64(denominator_row), (steps,))
-        if not has_internal:
-            return _Precomputed(
-                charge, denominator, None, 0, io_reduced=io_table.contract_leading(one)
-            )
-        assert in_table is not None and internal_cap is not None
-        cn_row = cap_value_batch(internal_cap, one)[0]
-        if cn_row <= 0:
-            raise ModelError("internal-node capacitance must be positive")
-        cn = np.broadcast_to(np.float64(cn_row), (steps,))
-        return _Precomputed(
-            charge, denominator, cn, 0, pin_core=one, io_table=io_table, in_table=in_table
-        )
-
-    first_move, core_stop, stationary_from = plan.first_move, plan.core_stop, plan.stationary_from
-    core = slice(first_move, core_stop)
-    pin_core = plan.pin_core
-    core_len = core_stop - first_move
-
-    # Miller capacitances: scalar or C(vi) tables, batched over the core.
-    miller_matrix = np.empty((core_len, num_pins))
-    for column, pin in enumerate(pins):
-        miller_matrix[:, column] = cap_value_batch(
-            miller_caps[pin], pin_core[:, column : column + 1]
-        )
-    miller_total = miller_matrix.sum(axis=1)
-    miller_charge = np.zeros(steps)
-    miller_charge[core] = (miller_matrix * plan.deltas_core).sum(axis=1)
-
-    co = cap_value_batch(output_cap, pin_core)
-    denominator = _expand_core(load_cap + co + miller_total, first_move, core_stop, steps)
-    if np.any(denominator <= 0):
-        raise ModelError("total output capacitance must be positive")
-
-    if not has_internal:
-        # Contract the pin axes of Io for every core step at once; the
-        # recurrence only interpolates the remaining state axis.
-        return _Precomputed(
-            miller_charge,
-            denominator,
-            None,
-            stationary_from,
-            first_move,
-            io_reduced=io_table.contract_leading(pin_core),
-        )
-    assert in_table is not None and internal_cap is not None
-    cn = _expand_core(cap_value_batch(internal_cap, pin_core), first_move, core_stop, steps)
-    if np.any(cn <= 0):
-        raise ModelError("internal-node capacitance must be positive")
-    return _Precomputed(
-        miller_charge,
-        denominator,
-        cn,
-        stationary_from,
-        first_move,
-        pin_core=pin_core,
-        io_table=io_table,
-        in_table=in_table,
-    )
-
-
 def integrate_model(
     pins: Sequence[str],
     input_waveforms: Mapping[str, Waveform],
@@ -266,6 +184,9 @@ def integrate_model(
     initial_internal: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Integrate the model equations over a time window.
+
+    A batch of one through :func:`integrate_model_many`; the window defaults
+    to the interval every pin waveform covers.
 
     Parameters
     ----------
@@ -298,78 +219,29 @@ def integrate_model(
     missing = [pin for pin in pins if pin not in input_waveforms]
     if missing:
         raise ModelError(f"missing input waveforms for pins {missing}")
-    has_internal = internal_current is not None
-    if has_internal and internal_cap is None:
-        raise ModelError("internal_cap is required when internal_current is given")
-    if has_internal and initial_internal is None:
-        raise ModelError("initial_internal is required when internal_current is given")
-
     window_start, window_stop = common_time_window(
         {pin: input_waveforms[pin] for pin in pins}
     )
-    t_start = window_start if t_start is None else t_start
-    t_stop = window_stop if t_stop is None else t_stop
-    times = simulation_time_grid(t_start, t_stop, options)
-    input_samples: Dict[str, np.ndarray] = {
-        pin: np.asarray(input_waveforms[pin].value_at(times), dtype=float) for pin in pins
-    }
-
-    v_low = -options.clip_margin
-    v_high = vdd + options.clip_margin
-    initial_output = float(np.clip(initial_output, v_low, v_high))
-    if has_internal:
-        initial_internal = float(np.clip(initial_internal, v_low, v_high))
-
-    load.reset()
-
-    io_table = output_current if isinstance(output_current, NDTable) else None
-    in_table = internal_current if isinstance(internal_current, NDTable) else None
-    fast = _fast_eligible(
-        output_current,
-        internal_current,
-        miller_caps,
-        output_cap,
-        internal_cap,
-        load,
-        pins,
-        has_internal,
+    unit = BatchUnit(
+        pins=tuple(pins),
+        input_waveforms=input_waveforms,
+        output_current=output_current,
+        miller_caps=miller_caps,
+        output_cap=output_cap,
+        load=load,
+        vdd=vdd,
+        initial_output=initial_output,
+        internal_current=internal_current,
+        internal_cap=internal_cap,
+        initial_internal=initial_internal,
     )
-
-    if fast:
-        return _integrate_fast(
-            pins,
-            input_samples,
-            times,
-            io_table,
-            in_table,
-            miller_caps,
-            output_cap,
-            internal_cap,
-            load.constant_capacitance(),
-            initial_output,
-            initial_internal,
-            v_low,
-            v_high,
-            has_internal,
-        )
-
-    return _integrate_generic(
-        pins,
-        input_samples,
-        times,
-        output_current,
-        miller_caps,
-        output_cap,
-        load,
-        initial_output,
+    times, [(v_out, v_int)] = integrate_model_many(
+        [unit],
         options,
-        internal_current,
-        internal_cap,
-        initial_internal,
-        v_low,
-        v_high,
-        has_internal,
+        window_start if t_start is None else t_start,
+        window_stop if t_stop is None else t_stop,
     )
+    return times, v_out, v_int
 
 
 def _scalar_bracket(axis):
@@ -413,55 +285,6 @@ def _scalar_bracket(axis):
     return bracket
 
 
-def _integrate_fast(
-    pins: Sequence[str],
-    input_samples: Dict[str, np.ndarray],
-    times: np.ndarray,
-    io_table: NDTable,
-    in_table: Optional[NDTable],
-    miller_caps: Mapping[str, Capacitance],
-    output_cap: Capacitance,
-    internal_cap: Optional[Capacitance],
-    load_cap: float,
-    initial_output: float,
-    initial_internal: Optional[float],
-    v_low: float,
-    v_high: float,
-    has_internal: bool,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Vectorized-precompute path: batch everything input-driven, then run a
-    light scalar recurrence over per-step reduced tables."""
-    pre = _fast_precompute(
-        pins,
-        input_samples,
-        times,
-        io_table,
-        in_table,
-        miller_caps,
-        output_cap,
-        internal_cap,
-        load_cap,
-        has_internal,
-    )
-    if not has_internal:
-        v_out = _scalar_recurrence_output(
-            pre, times, io_table.axes[-1], initial_output, v_low, v_high
-        )
-        return times, v_out, None
-    assert initial_internal is not None
-    v_out, v_int = _scalar_recurrence_internal(
-        pre,
-        times,
-        io_table.axes[-2],
-        io_table.axes[-1],
-        initial_output,
-        initial_internal,
-        v_low,
-        v_high,
-    )
-    return times, v_out, v_int
-
-
 def _scalar_recurrence_output(
     pre: _Precomputed,
     times: np.ndarray,
@@ -470,7 +293,7 @@ def _scalar_recurrence_output(
     v_low: float,
     v_high: float,
 ) -> np.ndarray:
-    """The per-instance update loop for models without an internal node.
+    """The scalar update loop for models without an internal node.
 
     Every floating-point operation here is the scalar transcription of the
     corresponding step in :func:`_lockstep_output` — same bracketing formula
@@ -524,7 +347,7 @@ def _scalar_recurrence_internal(
     v_low: float,
     v_high: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The per-instance update loop for internal-node (MCSM) models.
+    """The scalar update loop for internal-node (MCSM) models.
 
     Like :func:`_scalar_recurrence_output`, a bitwise scalar transcription of
     the group loop (:func:`_lockstep_internal`): pre-divided ``drive``/``rate``
@@ -600,24 +423,22 @@ def _scalar_recurrence_internal(
 
 
 def _integrate_generic(
-    pins: Sequence[str],
+    unit: BatchUnit,
     input_samples: Dict[str, np.ndarray],
     times: np.ndarray,
-    output_current: Callable[..., float],
-    miller_caps: Mapping[str, Capacitance],
-    output_cap: Capacitance,
-    load: Load,
     initial_output: float,
-    options: SimulationOptions,
-    internal_current: Optional[Callable[..., float]],
-    internal_cap: Optional[Capacitance],
     initial_internal: Optional[float],
     v_low: float,
     v_high: float,
-    has_internal: bool,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The original scalar update loop, kept for models the fast path cannot
-    express (custom callables, stateful loads, state-dependent capacitances)."""
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The scalar update loop: the reference for units the table kernels
+    cannot express (custom callables, stateful loads, state-dependent
+    capacitances).  Calls every current source and capacitance per step."""
+    pins = unit.pins
+    output_current, internal_current = unit.output_current, unit.internal_current
+    miller_caps, output_cap, internal_cap = unit.miller_caps, unit.output_cap, unit.internal_cap
+    load = unit.load
+    has_internal = internal_current is not None
     num_steps = len(times)
     v_out = np.empty(num_steps)
     v_out[0] = initial_output
@@ -664,7 +485,8 @@ def _integrate_generic(
 
         load.advance(v_out[k + 1], dt)
 
-    return times, v_out, v_int
+    return v_out, v_int
+
 
 # ----------------------------------------------------------------------
 # Lockstep batching: many model evaluations over one shared time grid
@@ -677,15 +499,13 @@ class BatchUnit:
     carries its own model tables, input waveforms, load and initial state, so
     a batch may freely mix cells and model flavours — units whose current
     sources share the same state-axis grids are integrated in lockstep, the
-    rest fall back to the per-instance path.
+    rest through the scalar reference loop.
 
     ``input_samples`` is the structure-of-arrays alternative to
     ``input_waveforms``: pin → sample row *already on the batch's shared time
     grid* (a view into a level tensor).  When set it skips the per-unit
     ``value_at`` resampling entirely; rows must have exactly
-    ``len(simulation_time_grid(t_start, t_stop, options))`` samples.  Units
-    the fast path cannot express wrap their rows back into waveforms on the
-    shared grid (identity resampling, so values are untouched).
+    ``len(simulation_time_grid(t_start, t_stop, options))`` samples.
     """
 
     pins: Tuple[str, ...]
@@ -703,26 +523,12 @@ class BatchUnit:
 
 
 @dataclass
-class _LockstepMember:
-    """One fast-path unit queued for a lockstep group."""
-
-    index: int
-    pre: _Precomputed
-    has_internal: bool
-    v_low: float
-    v_high: float
-    initial_output: float
-    initial_internal: Optional[float]
-
-
-@dataclass
 class _PrecomputePlan:
     """The input-movement analysis of one unit, before any table lookups.
 
-    The front half of :func:`_fast_precompute`: the moving core (or the
-    single representative row, for constant inputs) is identified here so the
-    shared-precompute path can also batch every unit's table lookups in one
-    call and assemble the per-unit :class:`_Precomputed` afterwards.
+    The moving core (or the single representative row, for constant inputs)
+    is identified first so that every unit's table lookups batch into one
+    call; the per-unit :class:`_Precomputed` is assembled afterwards.
     """
 
     constant: bool
@@ -735,8 +541,9 @@ class _PrecomputePlan:
 
 
 @dataclass
-class _FastEntry:
-    """One fast-path unit awaiting precompute (shared or per-unit)."""
+class _LockstepMember:
+    """One fast-path unit: its sampled inputs, clipped initial state and
+    (once :func:`_fill_precompute_shared` ran) its precompute."""
 
     index: int
     unit: BatchUnit
@@ -799,9 +606,7 @@ def _precompute_plan(
 def _expand_core(
     core_values: np.ndarray, first_move: int, core_stop: int, steps: int
 ) -> np.ndarray:
-    """Broadcast a moving-core array back over the constant flanks (the
-    ``expand`` closure of :func:`_fast_precompute`, shared with the batched
-    assembly)."""
+    """Broadcast a moving-core array back over the constant flanks."""
     if first_move == 0 and core_stop == steps:
         return core_values
     shape = core_values.shape[1:]
@@ -814,7 +619,7 @@ def _expand_core(
     )
 
 
-def _fusion_key(entry: _FastEntry) -> Optional[Tuple]:
+def _fusion_key(member: _LockstepMember) -> Optional[Tuple]:
     """The value key under which different models' lookups may fuse.
 
     Distinct table *objects* with value-equal axes — the corners of an MMMC
@@ -824,54 +629,50 @@ def _fusion_key(entry: _FastEntry) -> Optional[Tuple]:
     matching pin count (coordinate width), internal-node flavour and
     value-equal leading + trailing axes (equal trailing point tuples imply
     equal reduced-table shapes).  Returns ``None`` for pairs whose ``I_N``
-    leading axes diverge from ``Io``'s — those fall back to identity
-    grouping, exactly as before.  Internal-node models contract on demand,
-    so for them fusion batches the capacitance lookups only.
+    leading axes diverge from ``Io``'s — those group by model identity
+    alone.  Internal-node models contract on demand, so for them fusion
+    batches the capacitance lookups only.
     """
-    io_table = entry.io_table
-    num_pins = len(entry.unit.pins)
+    io_table = member.io_table
+    num_pins = len(member.unit.pins)
     leading = tuple(axis.points for axis in io_table.axes[:num_pins])
-    if entry.in_table is not None and (
-        tuple(axis.points for axis in entry.in_table.axes[:num_pins]) != leading
+    if member.in_table is not None and (
+        tuple(axis.points for axis in member.in_table.axes[:num_pins]) != leading
     ):
         return None
     trailing = tuple(axis.points for axis in io_table.axes[num_pins:])
-    return (num_pins, entry.has_internal, leading, trailing)
+    return (num_pins, member.has_internal, leading, trailing)
 
 
-def _fill_precompute_shared(entries: Sequence[_FastEntry], times: np.ndarray) -> None:
+def _fill_precompute_shared(members: Sequence[_LockstepMember], times: np.ndarray) -> None:
     """Batch every unit's table lookups across same-model groups.
 
-    Units are grouped by the identity of their current-source tables: the
-    same table objects imply the same characterized model, hence the same
-    pins, Miller/output/internal capacitances and state axes.  All per-core
-    lookups (:func:`cap_value_batch`, ``contract_leading``) are strictly
-    per-row operations, so evaluating the *concatenation* of the group's
-    moving cores in one call yields, for each unit's slice, bitwise the rows
-    its standalone :func:`_fast_precompute` call would have produced.
+    Units are grouped by :func:`_model_key`, the identity of every table and
+    capacitance their lookups read.  All per-core lookups
+    (:func:`cap_value_batch`, the pin contraction) are strictly per-row
+    operations, so evaluating the *concatenation* of the group's moving
+    cores in one call yields, for each unit's slice, bitwise the rows a
+    batch of that unit alone would produce.
 
-    Output-only model groups whose state grids are value-equal (same cell
-    across MMMC corners, or different cells characterized on one grid)
-    additionally fuse into a single contraction pass: bracket weights are
-    computed once per row chunk and applied to each model's own value grid
+    Model groups whose axes are value-equal (same cell across MMMC corners,
+    or different cells characterized on one grid) additionally fuse into one
+    lookup pass, and the contraction of output-only models computes its
+    bracket weights once per row chunk for the whole pass
     (:func:`~repro.lut.table.contract_leading_spans`).  Internal-node models
-    skip the contraction here; their recurrences contract on demand.  Fusion changes batch
-    composition only — every lookup stays per-row with per-model values, so
-    each unit's precompute is bitwise what its own model group would produce.
+    skip the contraction here; their recurrences contract on demand.  Fusion
+    changes batch composition only — every lookup stays per-row with
+    per-model values, so each unit's precompute is bitwise what its own
+    model group would produce.
     """
-    groups: Dict[Tuple, Dict[Tuple[int, int], List[_FastEntry]]] = {}
-    for entry in entries:
-        entry.plan = _precompute_plan(entry.unit.pins, entry.input_samples, times)
-        model = (id(entry.io_table), id(entry.in_table))
-        fusion = _fusion_key(entry)
+    groups: Dict[Tuple, Dict[Tuple, List[_LockstepMember]]] = {}
+    for member in members:
+        member.plan = _precompute_plan(member.unit.pins, member.input_samples, times)
+        model = _model_key(member.unit)
+        fusion = _fusion_key(member)
         key = ("fused",) + fusion if fusion is not None else ("model",) + model
-        groups.setdefault(key, {}).setdefault(model, []).append(entry)
+        groups.setdefault(key, {}).setdefault(model, []).append(member)
     for subgroups in groups.values():
-        model_groups = list(subgroups.values())
-        if len(model_groups) == 1:
-            _assemble_group_precompute(model_groups[0])
-        else:
-            _assemble_fused_precompute(model_groups)
+        _assemble_fused_precompute(list(subgroups.values()))
 
 
 #: Row budget for one concatenated-group lookup call.  ``contract_leading``'s
@@ -901,60 +702,20 @@ def _chunked_rows(lookup, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble_group_precompute(members: Sequence[_FastEntry]) -> None:
-    """One batched lookup pass + per-unit :class:`_Precomputed` assembly.
-
-    The per-unit arithmetic replicates the two branches of
-    :func:`_fast_precompute` operation for operation (same order, same
-    dtypes) so the default per-unit path and this one are interchangeable."""
-    rep = members[0]
-    pins = rep.unit.pins
-    num_pins = len(pins)
-    has_internal = rep.has_internal
-    miller_caps = rep.unit.miller_caps
-    output_cap = rep.unit.output_cap
-    internal_cap = rep.unit.internal_cap
-    cores = [member.plan.pin_core for member in members]
-    lengths = [core.shape[0] for core in cores]
-    coords = cores[0] if len(cores) == 1 else np.concatenate(cores, axis=0)
-    bounds = np.cumsum([0] + lengths)
-
-    miller_cols = [
-        _chunked_rows(
-            lambda rows, cap=miller_caps[pin], c=column: cap_value_batch(
-                cap, rows[:, c : c + 1]
-            ),
-            coords,
-        )
-        for column, pin in enumerate(pins)
-    ]
-    co_all = _chunked_rows(lambda rows: cap_value_batch(output_cap, rows), coords)
-    cn_all: Optional[np.ndarray] = None
-    io_all: Optional[np.ndarray] = None
-    if has_internal:
-        # Internal-node models contract their pin axes on demand.
-        assert internal_cap is not None
-        cn_all = _chunked_rows(lambda rows: cap_value_batch(internal_cap, rows), coords)
-    else:
-        io_all = _chunked_rows(rep.io_table.contract_leading, coords)
-
-    _assemble_members(members, bounds, num_pins, miller_cols, co_all, cn_all, io_all)
-
-
-def _assemble_fused_precompute(model_groups: Sequence[Sequence[_FastEntry]]) -> None:
-    """One lookup pass across several same-grid model groups (MMMC corners).
+def _assemble_fused_precompute(model_groups: Sequence[Sequence[_LockstepMember]]) -> None:
+    """One lookup pass across one or more same-grid model groups.
 
     Each model group keeps its own capacitance and current-value grids — those
     are evaluated over that group's span of the concatenated cores — while
     the contraction of output-only models computes its bracket weights once
-    per row chunk for the whole fused batch
-    (:func:`~repro.lut.table.contract_leading_spans`).  The per-member
-    assembly is byte-for-byte the single-group one.
+    per row chunk for the whole pass
+    (:func:`~repro.lut.table.contract_leading_spans`; a single model group is
+    the case with one span).
     """
     rep0 = model_groups[0][0]
     num_pins = len(rep0.unit.pins)
     has_internal = rep0.has_internal
-    flat_members: List[_FastEntry] = []
+    flat_members: List[_LockstepMember] = []
     cores: List[np.ndarray] = []
     spans: List[Tuple[int, int]] = []
     offset = 0
@@ -1003,7 +764,7 @@ def _assemble_fused_precompute(model_groups: Sequence[Sequence[_FastEntry]]) -> 
 
 
 def _assemble_members(
-    members: Sequence[_FastEntry],
+    members: Sequence[_LockstepMember],
     bounds: np.ndarray,
     num_pins: int,
     miller_cols: Sequence[np.ndarray],
@@ -1079,40 +840,35 @@ def integrate_model_many(
     options: SimulationOptions,
     t_start: float,
     t_stop: float,
-    shared_precompute: bool = False,
 ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, Optional[np.ndarray]]]]:
     """Integrate many model evaluations in lockstep over one time window.
 
-    All units share the sample grid ``simulation_time_grid(t_start, t_stop)``
-    — exactly the grid :func:`integrate_model` would use for the same window.
-    Fast-path-eligible units are grouped by the grids of their recurrent
-    state axes (``Vo``, and ``VN`` for internal-node models), regardless of
-    which cell or model flavour they came from.  Each group runs ONE update
-    loop whose per-step work is vectorized across the group with numpy; once
-    every input has stopped moving the update map is time-invariant, so as
-    soon as every state in the group is (numerically) stationary the
-    remaining samples are filled without stepping.  Units the fast path
-    cannot express (custom callables, stateful loads, state-dependent
-    capacitances) integrate individually via :func:`integrate_model` on the
-    same grid, and groups too small to amortize the vectorized loop's
-    per-step overhead run the per-instance recurrence directly.
+    The one CSM integration path: :func:`integrate_model` is a batch of one.
+    All units share the sample grid ``simulation_time_grid(t_start, t_stop)``.
+    The table lookups of every unit's precompute are concatenated across
+    units of the same model (see :func:`_fill_precompute_shared`); they are
+    per-row, so a unit's precomputed arrays do not depend on its batch.
+    Fast-path-eligible units are then grouped by the grids of their
+    recurrent state axes (``Vo``, and ``VN`` for internal-node models),
+    regardless of which cell or model flavour they came from.  Each group
+    runs ONE update loop whose per-step work is vectorized across the group
+    with numpy; once every input has stopped moving the update map is
+    time-invariant, so as soon as every state in the group is (numerically)
+    stationary the remaining samples are filled without stepping.  Groups
+    too small to amortize the vectorized loop's per-step overhead run the
+    scalar recurrence, which is bitwise the lockstep one.  Units the fast
+    path cannot express (custom callables, stateful loads, state-dependent
+    capacitances) integrate through the scalar reference loop
+    :func:`_integrate_generic` on the same grid.
 
-    The waveforms agree with the per-instance path to well below 1e-9 V
-    (the only differences are unit-last-place rounding of the bracketing and
-    the stationary-fill tail).  With ``shared_precompute`` the table lookups
-    of the precompute stage are additionally concatenated across units of the
-    same model (see :func:`_fill_precompute_shared`); the lookups are
-    per-row, so the precomputed arrays — and therefore the waveforms — are
-    bitwise those of the default per-unit precompute.
+    The lockstep waveforms agree with the scalar recurrence bitwise up to
+    the group's stationary fill, whose tail deviates by well below 1e-9 V.
 
     Returns ``(times, [(v_out, v_int_or_None), ...])`` in unit order.
     """
     times = simulation_time_grid(t_start, t_stop, options)
     results: List[Optional[Tuple[np.ndarray, Optional[np.ndarray]]]] = [None] * len(units)
-    output_groups: Dict[Tuple, List[_LockstepMember]] = {}
-    internal_groups: Dict[Tuple, List[_LockstepMember]] = {}
-    group_axes: Dict[Tuple, Tuple] = {}
-    fast_entries: List[_FastEntry] = []
+    members: List[_LockstepMember] = []
 
     for index, unit in enumerate(units):
         rows = unit.input_samples
@@ -1121,50 +877,10 @@ def integrate_model_many(
         if missing:
             raise ModelError(f"missing input waveforms for pins {missing}")
         has_internal = unit.internal_current is not None
-        unit.load.reset()
-        fast = _fast_eligible(
-            unit.output_current,
-            unit.internal_current,
-            unit.miller_caps,
-            unit.output_cap,
-            unit.internal_cap,
-            unit.load,
-            unit.pins,
-            has_internal,
-        )
-        if not fast:
-            # Slow-path units always integrate from waveforms; SoA rows wrap
-            # back into waveforms on the shared grid (identity resampling).
-            if rows is not None:
-                input_waveforms: Mapping[str, Waveform] = {
-                    pin: Waveform(times, np.asarray(rows[pin], dtype=float), name=pin)
-                    for pin in unit.pins
-                }
-            else:
-                input_waveforms = unit.input_waveforms
-            _, v_out, v_int = integrate_model(
-                pins=unit.pins,
-                input_waveforms=input_waveforms,
-                output_current=unit.output_current,
-                miller_caps=unit.miller_caps,
-                output_cap=unit.output_cap,
-                load=unit.load,
-                vdd=unit.vdd,
-                initial_output=unit.initial_output,
-                options=options,
-                t_start=t_start,
-                t_stop=t_stop,
-                internal_current=unit.internal_current,
-                internal_cap=unit.internal_cap,
-                initial_internal=unit.initial_internal,
-            )
-            results[index] = (v_out, v_int)
-            continue
-
-        io_table: NDTable = unit.output_current  # _fast_eligible guarantees NDTable
-        in_table = unit.internal_current if has_internal else None
-        v_low = -options.clip_margin
-        v_high = unit.vdd + options.clip_margin
+        if has_internal and unit.internal_cap is None:
+            raise ModelError("internal_cap is required when internal_current is given")
+        if has_internal and unit.initial_internal is None:
+            raise ModelError("initial_internal is required when internal_current is given")
         if rows is not None:
             input_samples = {}
             for pin in unit.pins:
@@ -1180,19 +896,25 @@ def integrate_model_many(
                 pin: np.asarray(unit.input_waveforms[pin].value_at(times), dtype=float)
                 for pin in unit.pins
             }
+        v_low = -options.clip_margin
+        v_high = unit.vdd + options.clip_margin
         initial_output = float(np.clip(unit.initial_output, v_low, v_high))
         initial_internal = None
         if has_internal:
-            if unit.initial_internal is None:
-                raise ModelError("initial_internal is required when internal_current is given")
             initial_internal = float(np.clip(unit.initial_internal, v_low, v_high))
-        fast_entries.append(
-            _FastEntry(
+        unit.load.reset()
+        if not _fast_eligible(unit):
+            results[index] = _integrate_generic(
+                unit, input_samples, times, initial_output, initial_internal, v_low, v_high
+            )
+            continue
+        members.append(
+            _LockstepMember(
                 index=index,
                 unit=unit,
                 input_samples=input_samples,
-                io_table=io_table,
-                in_table=in_table,
+                io_table=unit.output_current,  # _fast_eligible guarantees NDTable
+                in_table=unit.internal_current,
                 has_internal=has_internal,
                 v_low=v_low,
                 v_high=v_high,
@@ -1201,76 +923,41 @@ def integrate_model_many(
             )
         )
 
-    if shared_precompute:
-        _fill_precompute_shared(fast_entries, times)
-    else:
-        for entry in fast_entries:
-            entry.pre = _fast_precompute(
-                entry.unit.pins,
-                entry.input_samples,
-                times,
-                entry.io_table,
-                entry.in_table,
-                entry.unit.miller_caps,
-                entry.unit.output_cap,
-                entry.unit.internal_cap,
-                entry.unit.load.constant_capacitance(),
-                entry.has_internal,
-            )
+    _fill_precompute_shared(members, times)
+    groups: Dict[Tuple, List[_LockstepMember]] = {}
+    for member in members:
+        axes = member.io_table.axes
+        key = (axes[-1].points, axes[-2].points if member.has_internal else None)
+        groups.setdefault(key, []).append(member)
 
-    for entry in fast_entries:
-        member = _LockstepMember(
-            index=entry.index,
-            pre=entry.pre,
-            has_internal=entry.has_internal,
-            v_low=entry.v_low,
-            v_high=entry.v_high,
-            initial_output=entry.initial_output,
-            initial_internal=entry.initial_internal,
-        )
-        io_table = entry.io_table
-        vo_axis = io_table.axes[-1]
-        if entry.has_internal:
-            vn_axis = io_table.axes[-2]
-            key = (vo_axis.points, vn_axis.points)
-            internal_groups.setdefault(key, []).append(member)
-            group_axes[key] = (vn_axis, vo_axis)
+    for group in groups.values():
+        vo_axis = group[0].io_table.axes[-1]
+        if not group[0].has_internal:
+            if len(group) >= _MIN_OUTPUT_GROUP:
+                outputs = _lockstep_output(group, times, vo_axis)
+            else:
+                outputs = [
+                    (
+                        _scalar_recurrence_output(
+                            m.pre, times, vo_axis, m.initial_output, m.v_low, m.v_high
+                        ),
+                        None,
+                    )
+                    for m in group
+                ]
         else:
-            key = (vo_axis.points, None)
-            output_groups.setdefault(key, []).append(member)
-            group_axes[key] = (None, vo_axis)
-
-    for key, members in output_groups.items():
-        _, vo_axis = group_axes[key]
-        if len(members) < _MIN_OUTPUT_GROUP:
-            for member in members:
-                v_out = _scalar_recurrence_output(
-                    member.pre, times, vo_axis, member.initial_output,
-                    member.v_low, member.v_high,
-                )
-                results[member.index] = (v_out, None)
-            continue
-        for member, out in zip(
-            members,
-            _lockstep_output(members, times, vo_axis),
-        ):
-            results[member.index] = out
-
-    for key, members in internal_groups.items():
-        vn_axis, vo_axis = group_axes[key]
-        if len(members) < _MIN_INTERNAL_GROUP:
-            for member in members:
-                v_out, v_int = _scalar_recurrence_internal(
-                    member.pre, times, vn_axis, vo_axis,
-                    member.initial_output, member.initial_internal,
-                    member.v_low, member.v_high,
-                )
-                results[member.index] = (v_out, v_int)
-            continue
-        for member, out in zip(
-            members,
-            _lockstep_internal(members, times, vn_axis, vo_axis),
-        ):
+            vn_axis = group[0].io_table.axes[-2]
+            if len(group) >= _MIN_INTERNAL_GROUP:
+                outputs = _lockstep_internal(group, times, vn_axis, vo_axis)
+            else:
+                outputs = [
+                    _scalar_recurrence_internal(
+                        m.pre, times, vn_axis, vo_axis,
+                        m.initial_output, m.initial_internal, m.v_low, m.v_high,
+                    )
+                    for m in group
+                ]
+        for member, out in zip(group, outputs):
             results[member.index] = out
 
     assert all(result is not None for result in results)

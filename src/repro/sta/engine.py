@@ -1686,7 +1686,7 @@ class CSMEngine(TimingEngine):
             constant_units.append(
                 self._unit(plan, model, constants, self.vdd / 2.0, self.vdd / 2.0)
             )
-        settled = settle_units(constant_units, self.options, batched_polish=True)
+        settled = settle_units(constant_units, self.options)
 
         units = []
         for plan, model, (initial_output, initial_internal) in zip(pending, models, settled):
@@ -1701,9 +1701,7 @@ class CSMEngine(TimingEngine):
             units.append(
                 self._unit(plan, model, {}, initial_output, initial_internal, samples=samples)
             )
-        _, outputs = integrate_model_many(
-            units, self.options, t_start, t_stop, shared_precompute=True
-        )
+        _, outputs = integrate_model_many(units, self.options, t_start, t_stop)
         values = np.stack([v_out for v_out, _ in outputs])
         return LevelTensor([plan.output_net for plan in pending], values, t_start, step)
 

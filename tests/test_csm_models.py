@@ -19,6 +19,7 @@ from repro.csm import (
     cap_value,
     common_time_window,
 )
+from repro.csm.simulate import BatchUnit, integrate_model_many
 from repro.exceptions import ModelError
 from repro.lut import Axis, NDTable
 from repro.waveform import Waveform, crossing_time, propagation_delay
@@ -198,6 +199,24 @@ class TestMCSMModel:
         # With both inputs low the output must charge toward Vdd.
         assert result.output.final_value() > 0.8 * vdd
 
+    def test_batch_unit_without_internal_cap_rejected(self, nor2_mcsm):
+        """The batch entry validates an internal-node unit like the single
+        entry does: ``ModelError``, not a bare assertion."""
+        unit = BatchUnit(
+            pins=nor2_mcsm.pins,
+            input_waveforms={pin: Waveform.constant(0.0, 0.0, 0.5e-9) for pin in nor2_mcsm.pins},
+            output_current=nor2_mcsm.io_table,
+            miller_caps=dict(nor2_mcsm.miller_caps),
+            output_cap=nor2_mcsm.output_cap,
+            load=CapacitiveLoad(5e-15),
+            vdd=nor2_mcsm.vdd,
+            initial_output=0.6,
+            internal_current=nor2_mcsm.in_table,
+            initial_internal=0.6,
+        )
+        with pytest.raises(ModelError, match="internal_cap"):
+            integrate_model_many([unit], SimulationOptions(time_step=2e-12), 0.0, 0.5e-9)
+
     def test_output_stays_within_clip_margin(self, nor2_mcsm):
         vdd = nor2_mcsm.vdd
         patterns = nor2_history_patterns()
@@ -224,6 +243,26 @@ class TestMillerAblation:
         from repro.waveform import rmse
 
         assert rmse(with_miller.output, without_miller.output) > 5e-3
+
+        # Both share the current table but not the Miller caps: one batch
+        # must give each model its own caps, bitwise its solo integration.
+        units = [
+            BatchUnit(
+                pins=model.pins,
+                input_waveforms=waves,
+                output_current=model.io_table,
+                miller_caps=model.effective_miller_caps(),
+                output_cap=model.output_cap,
+                load=CapacitiveLoad(4e-15),
+                vdd=vdd,
+                initial_output=solo.output.initial_value(),
+            )
+            for model, solo in ((nor2_baseline_mis, with_miller), (no_miller, without_miller))
+        ]
+        times = with_miller.output.times
+        _, batched = integrate_model_many(units, options, times[0], times[-1])
+        for (v_out, _), solo in zip(batched, (with_miller, without_miller)):
+            assert v_out.tobytes() == solo.output.values.tobytes()
 
 
 class TestSelectiveModel:

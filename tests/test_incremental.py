@@ -23,9 +23,12 @@ from hypothesis import strategies as st
 
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
-from repro.csm.dc import dc_settle
+from repro.csm import dc as dc_module
+from repro.csm.dc import settle_units
 from repro.csm.loads import CapacitiveLoad
+from repro.csm.simulate import BatchUnit
 from repro.exceptions import ModelError, TimingError
+from repro.lut import NDTable
 from repro.runtime import PackedStore, ResultCache
 from repro.spice import newton_fixed_point_many
 from repro.sta import (
@@ -110,18 +113,74 @@ class TestDCSettle:
             )
             assert abs(dc_value - ref) <= EQUIV_TOL
 
-    def test_dc_settle_rejects_non_table_models(self, nor2_sis):
-        settled = dc_settle(
-            (nor2_sis.pin,),
-            {nor2_sis.pin: 0.0},
-            lambda vi, vo: 0.0,  # callable, not an NDTable: fast path ineligible
-            {nor2_sis.pin: nor2_sis.miller_cap},
-            nor2_sis.output_cap,
-            CapacitiveLoad(5e-15),
-            nor2_sis.vdd,
-            SimulationOptions(),
+    def test_non_table_model_settles_by_integration(self, nor2_sis):
+        """A callable current source is outside the DC solve's table form:
+        the DC settle falls back to the integration settle, bitwise."""
+        dc = SimulationOptions()
+        unit = BatchUnit(
+            pins=(nor2_sis.pin,),
+            input_waveforms={nor2_sis.pin: Waveform.constant(0.0, 0.0, dc.settle_time)},
+            output_current=lambda vi, vo: 1e-4 * (vo - 0.3),  # not an NDTable
+            miller_caps={nor2_sis.pin: nor2_sis.miller_cap},
+            output_cap=nor2_sis.output_cap,
+            load=CapacitiveLoad(5e-15),
+            vdd=nor2_sis.vdd,
+            initial_output=nor2_sis.vdd / 2.0,
         )
-        assert settled is None
+        integrate = SimulationOptions(settle_mode="integrate")
+        [settled] = settle_units([unit], dc)
+        assert settled == settle_units([unit], integrate)[0]
+        assert settled[0] == pytest.approx(0.3, abs=1e-6)
+
+    def test_polish_rerun_isolates_singular_unit(self, nor2_mcsm, monkeypatch):
+        """A unit with flat zero tables has a singular Jacobian, so the batch
+        Newton solve dies without per-run attribution.  Every run is then
+        re-solved alone: the others keep their own settles bitwise, and the
+        flat unit falls back to the integration settle."""
+        options = SimulationOptions(time_step=2e-12)
+        vdd = nor2_mcsm.vdd
+        flat = [
+            NDTable(table.axes, np.zeros_like(table.values))
+            for table in (nor2_mcsm.io_table, nor2_mcsm.in_table)
+        ]
+
+        def unit(io_table, in_table, state_a, state_b):
+            return BatchUnit(
+                pins=nor2_mcsm.pins,
+                input_waveforms={
+                    "A": Waveform.constant(state_a * vdd, 0.0, options.settle_time),
+                    "B": Waveform.constant(state_b * vdd, 0.0, options.settle_time),
+                },
+                output_current=io_table,
+                miller_caps=dict(nor2_mcsm.miller_caps),
+                output_cap=nor2_mcsm.output_cap,
+                load=CapacitiveLoad(5e-15),
+                vdd=vdd,
+                initial_output=vdd / 2.0,
+                internal_current=in_table,
+                internal_cap=nor2_mcsm.internal_cap,
+                initial_internal=vdd / 2.0,
+            )
+
+        tables = (nor2_mcsm.io_table, nor2_mcsm.in_table)
+        units = [unit(*tables, a, b) for a, b in ((0, 0), (0, 1), (1, 0))]
+        units.insert(1, unit(*flat, 0, 0))
+        solo = [settle_units([u], options)[0] for u in units]
+
+        stack_sizes = []
+        solve = dc_module.newton_fixed_point_many
+
+        def counting(fn, starts, **kwargs):
+            stack_sizes.append(len(starts))
+            return solve(fn, starts, **kwargs)
+
+        monkeypatch.setattr(dc_module, "newton_fixed_point_many", counting)
+        batched = settle_units(units, options)
+        assert stack_sizes == [4, 1, 1, 1, 1]  # the failed batch, then each run
+        for got, want in zip(batched, solo):
+            assert got == want
+        integrated = settle_units([units[1]], SimulationOptions(time_step=2e-12, settle_mode="integrate"))
+        assert batched[1] == integrated[0] == (vdd / 2.0, vdd / 2.0)
 
     def test_newton_fixed_point_many(self):
         """Batch of independent 2-D systems: x^2 - a = 0, x*y - b = 0.

@@ -9,8 +9,9 @@ arithmetic.  These tests pin that contract down:
   ``NDTable.contract_leading(coords)[row][corners]`` bitwise (1 and 2 pin
   axes, mixed pin counts, uniform and non-uniform axes, coordinates on grid
   points and past the axis ends, several models in one flat table);
-* a unit integrated inside a lockstep group equals the same unit through
-  the scalar recurrence bitwise, up to the group's stationary-fill step;
+* a unit integrated inside a lockstep group equals the same unit integrated
+  alone (a batch of one runs the scalar recurrence) bitwise, up to the
+  group's stationary-fill step;
 * tensor-path CSM runs (resident, streaming and a 2-corner MMMC run)
   reproduce waveform digests recorded with eagerly contracted tables.
 """
@@ -35,9 +36,8 @@ from repro.csm.simulate import (
     _MIN_INTERNAL_GROUP,
     BatchUnit,
     _contract_corners,
-    _fast_precompute,
     _pin_corners,
-    _scalar_recurrence_internal,
+    _precompute_plan,
     integrate_model_many,
 )
 from repro.lut.grid import Axis, voltage_axis
@@ -157,19 +157,15 @@ def _current_table(rng, axes, restoring_axis, conductance):
     seed=st.integers(0, 2**32 - 1),
     extra=st.integers(0, 4),
     corners=st.integers(1, 3),
-    shared_precompute=st.booleans(),
     settling=st.booleans(),
 )
-def test_lockstep_member_equals_scalar_recurrence(
-    seed, extra, corners, shared_precompute, settling
-):
+def test_lockstep_member_equals_scalar_recurrence(seed, extra, corners, settling):
     rng = np.random.default_rng(seed)
     options = SimulationOptions(time_step=2e-12)
     pin_axes = (voltage_axis("VA", VDD, 5), voltage_axis("VB", VDD, 5))
     vn_axis, vo_axis = voltage_axis("VN", VDD, 5), voltage_axis("Vo", VDD, 5)
     axes = pin_axes + (vn_axis, vo_axis)
-    # Same axes, different values: the corners of an MMMC set.  A model's
-    # tables imply its capacitances (the shared precompute relies on it).
+    # Same axes, different values: the corners of an MMMC set.
     models = [
         dict(
             output_current=_current_table(rng, axes, 3 if settling else None, 5e-4),
@@ -197,34 +193,15 @@ def test_lockstep_member_equals_scalar_recurrence(
                 **models[int(rng.integers(corners))],
             )
         )
-    grid, outputs = integrate_model_many(
-        units, options, 0.0, t_stop, shared_precompute=shared_precompute
-    )
+    grid, outputs = integrate_model_many(units, options, 0.0, t_stop)
     assert np.array_equal(grid, times)
 
-    v_low, v_high = -options.clip_margin, VDD + options.clip_margin
-    scalar = []
-    stationary_from = 0
-    for unit in units:
-        pre = _fast_precompute(
-            unit.pins,
-            dict(unit.input_samples),
-            times,
-            unit.output_current,
-            unit.internal_current,
-            unit.miller_caps,
-            unit.output_cap,
-            unit.internal_cap,
-            unit.load.constant_capacitance(),
-            True,
-        )
-        stationary_from = max(stationary_from, pre.stationary_from)
-        scalar.append(
-            _scalar_recurrence_internal(
-                pre, times, vn_axis, vo_axis,
-                unit.initial_output, unit.initial_internal, v_low, v_high,
-            )
-        )
+    # Each unit alone: a batch of one runs the scalar recurrence.
+    scalar = [integrate_model_many([unit], options, 0.0, t_stop)[1][0] for unit in units]
+    stationary_from = max(
+        _precompute_plan(unit.pins, dict(unit.input_samples), times).stationary_from
+        for unit in units
+    )
 
     # The group's stationary fill, replayed on the scalar trajectories: the
     # first checked step after the inputs stop at which no state moved by
