@@ -42,7 +42,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -127,7 +127,9 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
         return {"t": "list", "v": [_encode(item, arrays) for item in value]}
     if isinstance(value, tuple):
         return {"t": "tuple", "v": [_encode(item, arrays) for item in value]}
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
+        # Read-only mappings (a timing result's lazy waveforms) store as the
+        # dict they stand for.
         items = [[_encode(k, arrays), _encode(v, arrays)] for k, v in value.items()]
         return {"t": "dict", "v": items}
     if isinstance(value, NDTable):

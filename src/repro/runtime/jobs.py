@@ -37,6 +37,8 @@ __all__ = [
     "Job",
     "job",
     "content_hash",
+    "canonical_json",
+    "Rendered",
     "cell_fingerprint",
     "contiguous_array",
 ]
@@ -67,8 +69,37 @@ CODE_VERSION = "pr5.1"
 # ----------------------------------------------------------------------
 # Canonicalization + hashing
 # ----------------------------------------------------------------------
+class Rendered:
+    """The canonical JSON text of a value, standing in for that value.
+
+    A tree handed to :func:`canonical_json` or :func:`content_hash` may hold
+    ``Rendered(canonical_json(value))`` wherever it would hold ``value``; the
+    text is spliced in verbatim, so the tree renders and hashes exactly as
+    with the value itself.  A caller can then keep the rendered parts of a
+    large tree and re-render only the parts that change (see
+    :meth:`repro.sta.netlist.GateNetlist.content_digest`).
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def _canonical(obj: Any) -> Any:
-    """Reduce ``obj`` to a JSON-serializable tree with stable rendering."""
+    """Reduce ``obj`` to a JSON-serializable tree with stable rendering
+    (:class:`Rendered` leaves pass through)."""
+    # Exact builtin types first: they make up most nodes of a large tree
+    # (a netlist fingerprint), and each answer equals the general branch's.
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is list or kind is tuple:
+        return [_canonical(item) for item in obj]
+    if kind is float:
+        return {"__float__": repr(obj)}
+    if kind is Rendered:
+        return obj
     # Numpy scalars before the builtin branches: np.float64 subclasses float,
     # and repr() of the subclass ('np.float64(…)') would make hashes depend on
     # the numpy version and never match the equal Python float.
@@ -119,10 +150,47 @@ def _canonical(obj: Any) -> Any:
     )
 
 
+class _Splice(Exception):
+    """The encoder met a :class:`Rendered` leaf (the only thing left in a
+    canonical tree that is not plain JSON)."""
+
+
+def _splice(obj: Any) -> Any:
+    raise _Splice
+
+
+#: One encoder for every canonical rendering (``json.dumps`` with these
+#: arguments would build a fresh encoder per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_splice)
+
+
+def _render(tree: Any) -> str:
+    """The JSON text of a canonical tree: one encoder pass, or, when the
+    tree holds :class:`Rendered` leaves, the encoder's separators and key
+    order applied around them."""
+    if isinstance(tree, Rendered):
+        return tree.text
+    try:
+        return _ENCODER.encode(tree)
+    except _Splice:
+        pass
+    if isinstance(tree, (list, tuple)):
+        return "[" + ",".join([_render(item) for item in tree]) + "]"
+    return (
+        "{"
+        + ",".join([_ENCODER.encode(key) + ":" + _render(tree[key]) for key in sorted(tree)])
+        + "}"
+    )
+
+
+def canonical_json(obj: Any) -> str:
+    """The canonical JSON text of ``obj``: what :func:`content_hash` digests."""
+    return _render(_canonical(obj))
+
+
 def content_hash(*parts: Any) -> str:
     """Stable hex digest of the given inputs, salted with :data:`CODE_VERSION`."""
-    tree = _canonical([CODE_VERSION, list(parts)])
-    payload = json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    payload = canonical_json([CODE_VERSION, list(parts)])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -43,6 +43,7 @@ from ...sta.generate import (
 )
 from ...sta.models import TimingModelLibrary
 from ...sta.netlist import NETLIST_DIGEST_SALT, GateNetlist, eco_swap_candidate
+from ...waveform import Waveform
 from ..jobs import content_hash
 from .protocol import PROTOCOL_VERSION, ServerError, encode_waveform, error_response, ok_response
 from .scheduler import SingleFlight, SingleFlightStore
@@ -77,6 +78,10 @@ class Session:
     #: Last time a request addressed this session (the idle-reaper clock;
     #: same ``time.time()`` timeline the store's age policies ride).
     last_used: float = 0.0
+    #: ``((primary inputs, seed, window), stimuli)`` of the latest timing
+    #: request: frozen waveforms built once and passed as the very same
+    #: objects, so the engines reuse their carried stimulus keys.
+    stimuli: Optional[Tuple[Tuple[Any, ...], Dict[str, Waveform]]] = None
 
 
 class TimingService:
@@ -350,78 +355,90 @@ class TimingService:
         return response
 
     def eco(self, session: str, edits: List[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Apply ECO edits to the session's private netlist copy."""
+        """Apply ECO edits to the session's private netlist copy.
+
+        A request is atomic: when an edit is rejected (an unknown instance
+        or cell, a rewire that would leave a pin undriven or close a loop,
+        no swap candidate) the request's earlier edits are undone through
+        the same edit methods before the error is returned, so the session
+        keeps timing the design it had.  The edit methods accept the
+        inverse of every edit they applied; should an undo fail anyway,
+        the other undos still run and the rejected edit's error is the one
+        returned.
+        """
         record = self._session(session)
         with self._lock:
             self.eco_requests += 1
         applied: List[Dict[str, Any]] = []
         with record.lock:
             record.requests += 1
-            # Every edit kind reports the same thing: the size of the union
-            # of the pre- and post-edit affected regions (what an incremental
-            # re-timing may re-integrate).  ``swap_cell``/``auto_swap`` used
-            # to report only the pre-swap region, diverging from
-            # ``rewire_pin``'s before|after union.
-            for edit in edits:
-                kind = edit.get("kind")
-                if kind == "swap_cell":
-                    before = record.netlist.affected_region(edit["instance"])
-                    previous = record.netlist.instances[edit["instance"]].cell_name
-                    record.netlist.swap_cell(edit["instance"], edit["cell"])
-                    after = record.netlist.affected_region(edit["instance"])
-                    applied.append(
-                        {
-                            "kind": kind,
-                            "instance": edit["instance"],
-                            "cell": edit["cell"],
-                            "swapped_from": previous,
-                            "affected": len(set(before) | set(after)),
-                        }
-                    )
-                elif kind == "rewire_pin":
-                    before = record.netlist.affected_region(edit["instance"])
-                    record.netlist.rewire_pin(
-                        edit["instance"], edit["pin"], edit["net"]
-                    )
-                    after = record.netlist.affected_region(edit["instance"])
-                    applied.append(
-                        {
-                            "kind": kind,
-                            "instance": edit["instance"],
-                            "pin": edit["pin"],
-                            "net": edit["net"],
-                            "affected": len(set(before) | set(after)),
-                        }
-                    )
-                elif kind == "auto_swap":
-                    candidate = eco_swap_candidate(record.netlist)
-                    if candidate is None:
-                        raise ServerError(
-                            "no pin-compatible swap candidate in design",
-                            "not-found",
-                        )
-                    _, instance_name, partner = candidate
-                    before = record.netlist.affected_region(instance_name)
-                    previous = record.netlist.instances[instance_name].cell_name
-                    record.netlist.swap_cell(instance_name, partner)
-                    after = record.netlist.affected_region(instance_name)
-                    applied.append(
-                        {
-                            "kind": "swap_cell",
-                            "instance": instance_name,
-                            "cell": partner,
-                            "swapped_from": previous,
-                            "affected": len(set(before) | set(after)),
-                        }
-                    )
-                else:
-                    raise ServerError(f"unknown edit kind {kind!r}", "bad-request")
+            netlist = record.netlist
+            undo: List[Tuple[Any, ...]] = []
+            try:
+                for edit in edits:
+                    applied.append(self._apply_edit(netlist, edit, undo))
+            except BaseException:
+                for method, *args in reversed(undo):
+                    try:
+                        method(*args)
+                    except Exception:
+                        pass
+                raise
             record.eco_edits += len(applied)
             return {
                 "applied": applied,
-                "revision": record.netlist.revision,
-                "design_fingerprint": record.netlist.content_digest(NETLIST_DIGEST_SALT),
+                "revision": netlist.revision,
+                "design_fingerprint": netlist.content_digest(NETLIST_DIGEST_SALT),
             }
+
+    @staticmethod
+    def _apply_edit(
+        netlist: GateNetlist, edit: Mapping[str, Any], undo: List[Tuple[Any, ...]]
+    ) -> Dict[str, Any]:
+        """Apply one edit, append its inverse to ``undo`` and describe it.
+
+        Every edit kind reports the same ``affected``: the size of the union
+        of the pre- and post-edit affected regions (what an incremental
+        re-timing may re-integrate).
+        """
+        kind = edit.get("kind")
+        if kind in ("swap_cell", "auto_swap"):
+            if kind == "auto_swap":
+                candidate = eco_swap_candidate(netlist)
+                if candidate is None:
+                    raise ServerError(
+                        "no pin-compatible swap candidate in design", "not-found"
+                    )
+                _, instance_name, cell = candidate
+            else:
+                instance_name, cell = edit["instance"], edit["cell"]
+            before = netlist.affected_region(instance_name)
+            previous = netlist.instances[instance_name].cell_name
+            netlist.swap_cell(instance_name, cell)
+            undo.append((netlist.swap_cell, instance_name, previous))
+            after = netlist.affected_region(instance_name)
+            return {
+                "kind": "swap_cell",
+                "instance": instance_name,
+                "cell": cell,
+                "swapped_from": previous,
+                "affected": len(set(before) | set(after)),
+            }
+        if kind == "rewire_pin":
+            instance_name, pin = edit["instance"], edit["pin"]
+            before = netlist.affected_region(instance_name)
+            previous = netlist.instances[instance_name].connections.get(pin)
+            netlist.rewire_pin(instance_name, pin, edit["net"])
+            undo.append((netlist.rewire_pin, instance_name, pin, previous))
+            after = netlist.affected_region(instance_name)
+            return {
+                "kind": kind,
+                "instance": instance_name,
+                "pin": pin,
+                "net": edit["net"],
+                "affected": len(set(before) | set(after)),
+            }
+        raise ServerError(f"unknown edit kind {kind!r}", "bad-request")
 
     def status(self) -> Dict[str, Any]:
         with self._lock:
@@ -635,6 +652,25 @@ class TimingService:
         engine.rebind(record.netlist)
         return engine
 
+    @staticmethod
+    def _stimuli(record: Session, window: float, seed: Any) -> Dict[str, Waveform]:
+        """The session's primary-input stimuli for ``(seed, window)``.
+
+        Built once per primary-input list, seed and window, with read-only
+        arrays, and handed to every engine as the same objects: the engines
+        then reuse their carried stimulus keys instead of rehashing them.
+        Must hold the session lock.
+        """
+        netlist = record.netlist
+        key = (tuple(netlist.primary_inputs), int(seed), window)
+        if record.stimuli is None or record.stimuli[0] != key:
+            waveforms = primary_input_waveforms(netlist, t_stop=window, seed=int(seed))
+            for wave in waveforms.values():
+                wave.times.setflags(write=False)
+                wave.values.setflags(write=False)
+            record.stimuli = (key, waveforms)
+        return record.stimuli[1]
+
     def _timing_locked(
         self,
         record: Session,
@@ -657,11 +693,11 @@ class TimingService:
         report_nets = list(nets) if nets else list(netlist.primary_outputs)
         if corner_names:
             return self._timing_multicorner(
-                engine, engine_kind, netlist, report_nets, seed, t_stop, events
+                record, engine, engine_kind, report_nets, seed, t_stop, events
             )
         if engine_kind == "hybrid":
             window = float(t_stop) if t_stop else default_time_window(netlist)
-            waveforms = primary_input_waveforms(netlist, t_stop=window, seed=int(seed))
+            waveforms = self._stimuli(record, window, seed)
             run_kwargs: Dict[str, Any] = {}
             if required is not None:
                 run_kwargs["required"] = required
@@ -729,7 +765,7 @@ class TimingService:
             return payload
 
         window = float(t_stop) if t_stop else default_time_window(netlist)
-        waveforms = primary_input_waveforms(netlist, t_stop=window, seed=int(seed))
+        waveforms = self._stimuli(record, window, seed)
         result = engine.run(waveforms, t_stop=window)
         arrivals = {}
         for net in report_nets:
@@ -757,9 +793,9 @@ class TimingService:
 
     def _timing_multicorner(
         self,
+        record: Session,
         engine: TimingEngine,
         engine_kind: str,
-        netlist: GateNetlist,
         report_nets: List[str],
         seed: int,
         t_stop: Optional[float],
@@ -768,6 +804,7 @@ class TimingService:
         """One batched MMMC run: per-corner arrivals + cross-corner worst
         merge (``worst_arrivals[net]`` is ``[corner, arrival]`` or ``None``
         for nets that never switch at any corner)."""
+        netlist = record.netlist
         if engine_kind == "nldm":
             if events:
                 input_events = {
@@ -796,7 +833,7 @@ class TimingService:
             payload: Dict[str, Any] = {"engine": "nldm", "t_stop": None}
         else:
             window = float(t_stop) if t_stop else default_time_window(netlist)
-            waveforms = primary_input_waveforms(netlist, t_stop=window, seed=int(seed))
+            waveforms = self._stimuli(record, window, seed)
             result = engine.run(waveforms, t_stop=window)
             arrivals = {}
             for name in result.corner_order:

@@ -92,6 +92,11 @@ class PropagationStats:
     ----------
     instances:
         Instances visited (the whole design, hits included).
+    keyed:
+        Instances whose plan and propagation key this run computed: every
+        visited instance on a full walk, only the dirty region when a
+        resident run starts from the state its predecessor carried, none
+        on a whole-run hit.
     integrations:
         Instances actually evaluated — waveform integrations for the CSM
         engine, table-lookup event evaluations for the NLDM engine.  This is
@@ -120,6 +125,7 @@ class PropagationStats:
     """
 
     instances: int = 0
+    keyed: int = 0
     integrations: int = 0
     memo_hits: int = 0
     cache_hits: int = 0
@@ -148,10 +154,12 @@ def _total_name(field_name: str) -> str:
 class WaveformTimingResult:
     """Per-net waveforms plus per-instance model-choice bookkeeping.
 
-    ``waveforms`` is a plain dict for resident runs; a streaming run hands
-    back a lazy mapping (:class:`_SpilledWaveforms`) whose entries fault
-    spilled levels back in as zero-copy memmap views on access — same
-    interface, bounded memory.
+    ``waveforms`` is a read-only mapping.  A resident run's entries are
+    private copies made on first access (:class:`_ResidentWaveforms`), so
+    results are independent of each other and of the engine's memo; a
+    streaming run hands back a lazy mapping (:class:`_SpilledWaveforms`)
+    whose entries fault spilled levels back in as zero-copy memmap views on
+    access — same interface, bounded memory.
     """
 
     waveforms: Mapping[str, Waveform]
@@ -167,7 +175,10 @@ class WaveformTimingResult:
 
     def arrival(self, net: str, rising: Optional[bool] = None) -> float:
         """50 % crossing time of a net (last crossing in the given direction)."""
-        waveform = self.waveform(net)
+        if net not in self.waveforms:
+            raise TimingError(f"net {net!r} has no propagated waveform")
+        # Reading needs no private copy of a resident result's waveform.
+        waveform = getattr(self.waveforms, "shared", self.waveforms.__getitem__)(net)
         direction = "any" if rising is None else ("rise" if rising else "fall")
         crossings = crossing_times(waveform, 0.5 * self.vdd, direction)
         if not crossings:
@@ -241,6 +252,47 @@ def waveform_deviation(
         )
         for net in reference.waveforms
     )
+
+
+class _ResidentWaveforms(AbstractMapping):
+    """Per-net waveform mapping produced by a resident run.
+
+    The run's waveforms are shared: memo entries, rows of computed levels
+    and the state the engine carries to its next run.  Each entry is copied
+    out (renamed to its net) the first time it is read, so a caller that
+    writes into a result's arrays changes that result only, and a request
+    that reads a handful of endpoints copies a handful of waveforms.
+    """
+
+    def __init__(self, sources: Dict[str, Waveform]):
+        self._sources = sources
+        self._copies: Dict[str, Waveform] = {}
+
+    def __getitem__(self, net: str) -> Waveform:
+        wave = self._copies.get(net)
+        if wave is None:
+            wave = self._copies[net] = self._sources[net].renamed(net)
+        return wave
+
+    def shared(self, net: str) -> Waveform:
+        """The net's waveform for reading only: the copy handed out if
+        there is one, else the shared waveform itself."""
+        wave = self._copies.get(net)
+        return wave if wave is not None else self._sources[net]
+
+    def __iter__(self):
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def __contains__(self, net) -> bool:
+        return net in self._sources
+
+
+def _frozen(wave: Waveform) -> bool:
+    """Whether nobody can write ``wave``'s samples through its own arrays."""
+    return not (wave.times.flags.writeable or wave.values.flags.writeable)
 
 
 class _SpilledWaveforms(AbstractMapping):
@@ -358,14 +410,17 @@ class TimingEngine:
             return
         self._connectivity = None
         self._levels = None
+        since: Optional[int] = self._structure_revision
         if rebound:
+            since = None
             self.last_stats = None
             self.runs_completed = 0
             self.total_stats = self._zero_totals()
         if self._library_identity != id(self.netlist.library):
+            since = None
             self._library_identity = id(self.netlist.library)
             self._on_library_change()
-        self._on_structure_change()
+        self._on_structure_change(since)
         self._structure_revision = self.netlist.revision
         self._structure_identity = id(self.netlist)
 
@@ -380,8 +435,14 @@ class TimingEngine:
         self._sync_structure()
         return self
 
-    def _on_structure_change(self) -> None:
-        """Hook for subclasses holding further netlist-derived caches."""
+    def _on_structure_change(self, since: Optional[int]) -> None:
+        """Hook for subclasses holding further netlist-derived caches.
+
+        ``since`` is the revision the caches describe when the netlist's
+        edit journal may say what changed after it (see
+        :meth:`GateNetlist.dirty_since`), ``None`` after a rebind or a
+        library change.
+        """
 
     def _on_library_change(self) -> None:
         """Hook for subclasses holding library-derived state (e.g. vdd)."""
@@ -788,6 +849,7 @@ class NLDMEngine(TimingEngine):
         for level in levels:
             level_items: Dict[str, Dict[str, Any]] = {}
             for instance in level:
+                stats.keyed += 1
                 cell = self._cell(instance)
                 output_net = instance.connections[cell.output]
                 load = self._lumped_output_load(instance)
@@ -912,7 +974,10 @@ class _ResidentRetention:
 
     Computed and served waveforms are memoized by propagation key, and the
     run reads and writes its whole-run manifest.  Nothing is pinned, so a
-    long-lived engine on a ``max_bytes`` store can still evict.
+    long-lived engine on a ``max_bytes`` store can still evict.  The result
+    references the run's waveforms and copies each one out on first access
+    (:class:`_ResidentWaveforms`); only stimuli the caller can still write
+    are copied up front.
     """
 
     memoize = True
@@ -920,14 +985,14 @@ class _ResidentRetention:
 
     def __init__(self, input_waveforms: Mapping[str, Waveform]):
         self.waveforms: Dict[str, Waveform] = {
-            net: wave.renamed(net) for net, wave in input_waveforms.items()
+            net: wave if _frozen(wave) else wave.renamed(net)
+            for net, wave in input_waveforms.items()
         }
 
     def keep(
         self, net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool
     ) -> None:
-        # A shared waveform is the memo's (or another net's): copy it.
-        self.waveforms[net] = wave.renamed(net) if shared else wave
+        self.waveforms[net] = wave
 
     def restore(self, plans, rows, stats) -> None:
         """Nothing retires, so every input row is still there."""
@@ -935,8 +1000,8 @@ class _ResidentRetention:
     def level_done(self, position, rows, stats) -> None:
         """Nothing retires."""
 
-    def result(self) -> Dict[str, Waveform]:
-        return self.waveforms
+    def result(self) -> _ResidentWaveforms:
+        return _ResidentWaveforms(self.waveforms)
 
 
 class _StreamRetention:
@@ -1063,6 +1128,52 @@ class _StreamRetention:
 _Retention = Union[_ResidentRetention, _StreamRetention]
 
 
+@dataclass
+class _LoopState:
+    """What the level loop knows about every net and instance it walked.
+
+    Per net: the sample row on the run grid, the initial value, the
+    switching flag and the propagation key (``None`` when caching is off);
+    per instance: its plan.  A walk either starts empty or from the state
+    its predecessor carried (see :class:`_Carried`).
+    """
+
+    rows: Dict[str, np.ndarray]
+    initials: Dict[str, float]
+    switching: Dict[str, bool]
+    net_keys: Optional[Dict[str, str]]
+    #: ``None`` for walks whose state is not carried forward.
+    plans: Optional[Dict[str, _Plan]]
+
+    def set_row(self, net: str, values: np.ndarray, threshold: float) -> None:
+        """Record a driven net's samples: its row, initial value and
+        switching flag (the samples span more than ``threshold``)."""
+        self.rows[net] = values
+        self.initials[net] = float(values[0])
+        self.switching[net] = float(values.max() - values.min()) > threshold
+
+
+@dataclass
+class _Carried:
+    """The loop state a resident, single-corner, unrestricted cached run
+    leaves behind, valid for one netlist revision, library, run context and
+    set of stimuli.
+
+    The next such run re-plans and re-keys only the instances the netlist's
+    edit journal marks dirty since :attr:`revision`; every other instance
+    keeps its plan, key and rows, which are exactly what a full walk would
+    recompute (each clean key is still in the memo, so it is a memo hit
+    either way).
+    """
+
+    revision: int
+    library: Any
+    context: str
+    stimuli: Dict[str, Waveform]
+    stimulus_keys: Dict[str, str]
+    state: _LoopState
+
+
 class CSMEngine(TimingEngine):
     """Propagates waveforms through a gate netlist using CSM models.
 
@@ -1133,9 +1244,14 @@ class CSMEngine(TimingEngine):
         # ones — that is what makes a re-run after an ECO edit incremental
         # even without a disk cache.
         self._memo: Dict[str, Waveform] = {}
-        #: Instance name -> structured output load; purely structural, so it
-        #: is dropped whenever the netlist revision changes.
+        #: Instance name -> structured output load; purely structural, so an
+        #: edit drops the loads of its dirty region (all of them when the
+        #: netlist's edit journal cannot say what changed).
         self._load_cache: Dict[str, Load] = {}
+        #: The state the last carrying run left for the next (see
+        #: :class:`_Carried`); ``None`` until then and after anything that
+        #: invalidates it.
+        self._carried: Optional[_Carried] = None
         _validate_memory_mode(memory_mode, use_cache, self.cache)
         if memory_mode == "stream" and not self.batched:
             raise TimingError("memory_mode='stream' requires batched=True")
@@ -1177,8 +1293,14 @@ class CSMEngine(TimingEngine):
         child.cache = self.cache  # never the corner library's own store
         return child
 
-    def _on_structure_change(self) -> None:
-        self._load_cache = {}
+    def _on_structure_change(self, since: Optional[int]) -> None:
+        dirty = None if since is None else self.netlist.dirty_since(since)
+        if dirty is None:
+            self._load_cache = {}
+            self._carried = None
+            return
+        for name in dirty:
+            self._load_cache.pop(name, None)
 
     def _on_library_change(self) -> None:
         self.vdd = self.netlist.library.technology.vdd
@@ -1218,8 +1340,45 @@ class CSMEngine(TimingEngine):
         }
 
     def clear_propagation_memo(self) -> None:
-        """Drop the in-memory waveform memo (the disk cache is untouched)."""
+        """Drop the in-memory waveform memo (the disk cache is untouched)
+        and the carried state, whose clean rows are memo hits."""
         self._memo.clear()
+        self._carried = None
+
+    def _carried_for(
+        self, context: str, input_waveforms: Mapping[str, Waveform]
+    ) -> Tuple[Optional[_Carried], Set[str], Dict[str, str]]:
+        """The carried state this run can start from, the rows it must
+        re-plan and the stimulus keys.
+
+        The state is dropped when it describes another library or context,
+        when the edit journal cannot name the dirty region since its
+        revision, or when the stimuli's content changed.
+        Stimulus keys are reused unhashed only for the very same frozen
+        waveform objects; other stimuli are hashed and compared.
+        """
+        carried = self._carried
+        dirty: Optional[Set[str]] = None
+        if (
+            carried is not None
+            and carried.context == context
+            and carried.library is self.netlist.library
+        ):
+            dirty = self.netlist.dirty_since(carried.revision)
+        if dirty is None:
+            carried = self._carried = None
+        elif len(carried.stimuli) == len(input_waveforms) and all(
+            carried.stimuli.get(net) is wave and _frozen(wave)
+            for net, wave in input_waveforms.items()
+        ):
+            return carried, dirty, carried.stimulus_keys
+        keys = self.stimulus_keys(input_waveforms)
+        if carried is not None:
+            if keys == carried.stimulus_keys:
+                carried.stimuli = dict(input_waveforms)
+            else:
+                carried = self._carried = None
+        return carried, (dirty if carried is not None else set()), keys
 
     # ------------------------------------------------------------------
     def _run_impl(
@@ -1303,19 +1462,28 @@ class CSMEngine(TimingEngine):
             )
 
         levels = self.levels()  # also re-syncs structural caches after edits
+        revision = self.netlist.revision
         stats = PropagationStats(
             instances=len(only) if only is not None else len(self.netlist.instances)
         )
         caching = self.use_cache
         streaming = self.memory_mode == "stream"
+        # Only the plain resident batched walk carries its state forward;
+        # the other walks visit every row of their row set, as always.
+        carries = caching and self.batched and not streaming and only is None
+        carried: Optional[_Carried] = None
+        dirty: Set[str] = set()
         net_keys: Dict[str, str] = {}
         context = ""
         run_key: Optional[str] = None
         if caching:
-            net_keys = self.stimulus_keys(input_waveforms)
+            context = self._context_digest(t_start, t_stop)
+            if carries:
+                carried, dirty, net_keys = self._carried_for(context, input_waveforms)
+            else:
+                net_keys = self.stimulus_keys(input_waveforms)
             if boundary_waveforms:
                 net_keys.update(self.stimulus_keys(boundary_waveforms))
-            context = self._context_digest(t_start, t_stop)
             # Streaming skips the whole-run entry both ways: looking one up
             # would materialize every waveform at once, and storing one would
             # let a later resident run skip re-populating its memo.  The
@@ -1349,6 +1517,8 @@ class CSMEngine(TimingEngine):
                     else None
                 )
                 if result is not None:
+                    # The carried state stays at its walk's revision; the
+                    # next walk re-plans everything edited since.
                     stats.full_run_hit = True
                     result.stats = stats.as_dict()
                     self.last_stats = stats
@@ -1368,9 +1538,13 @@ class CSMEngine(TimingEngine):
         else:
             retention = _ResidentRetention(input_waveforms)
         model_used: Dict[str, str] = {}
+        stimulus_keys = dict(net_keys)
         keys = net_keys if caching else None
         if self.batched:
-            self._propagate_tensor(
+            if carries:
+                # The walk writes into the carried state: it is this run's now.
+                self._carried = None
+            state = self._propagate_tensor(
                 levels,
                 input_waveforms,
                 boundary_waveforms,
@@ -1380,11 +1554,26 @@ class CSMEngine(TimingEngine):
                 context,
                 keys,
                 retention,
+                carried.state if carried is not None else None,
+                dirty,
+                carries,
             )
+            if carries:
+                self._carried = _Carried(
+                    revision=revision,
+                    library=self.netlist.library,
+                    context=context,
+                    stimuli=dict(input_waveforms),
+                    stimulus_keys=stimulus_keys,
+                    state=state,
+                )
+            if state.net_keys is not None:
+                net_keys = state.net_keys
         else:
             self._propagate_sequential(
                 levels, input_waveforms, model_used, stats, times, context, keys, retention
             )
+            stats.keyed = sum(len(level) for level in levels)
         waveforms = retention.result()
 
         result = WaveformTimingResult(
@@ -1484,7 +1673,7 @@ class CSMEngine(TimingEngine):
                 return None
             retention.keep(net, hit[0], hit[1], shared=True)
         return WaveformTimingResult(
-            waveforms=retention.waveforms,
+            waveforms=retention.result(),
             model_used=dict(model_used),
             netlist_name=self.netlist.name,
             vdd=self.vdd,
@@ -1504,7 +1693,10 @@ class CSMEngine(TimingEngine):
         context: str,
         net_keys: Optional[Dict[str, str]],
         retention: _Retention,
-    ) -> None:
+        state: Optional[_LoopState],
+        dirty: Set[str],
+        carry: bool,
+    ) -> _LoopState:
         """The level loop: every driven net lives as one row of a
         :class:`LevelTensor` on the run grid, instances gather their input
         rows by index, and each level's outputs are scattered into a fresh
@@ -1514,7 +1706,16 @@ class CSMEngine(TimingEngine):
         ``boundary_waveforms`` seed rows and chained content keys for cut
         nets of a truncated cone without entering the result's waveforms.
         ``retention`` decides what stays in RAM and what the result is.
-        ``net_keys`` is ``None`` when caching is off.
+        ``net_keys`` is ``None`` when caching is off.  Returns the walk's
+        :class:`_LoopState` (with its plans when ``carry``).
+
+        ``state`` starts the walk from a predecessor's state instead of
+        the stimuli (and ``net_keys``): only the ``dirty`` instances are
+        re-planned and re-keyed, in their full-design levels, while every
+        other instance keeps its plan and its rows seed the walk the way
+        boundary rows seed a cone.  A carried clean key is a memo hit, so
+        each level's misses — its pending batch — are the ones a full walk
+        would find, and the output is bitwise a full walk's.
 
         Bitwise-equivalence bookkeeping vs the per-waveform oracle:
 
@@ -1530,19 +1731,17 @@ class CSMEngine(TimingEngine):
         t_start, t_stop = float(times[0]), float(times[-1])
         step = float(times[1] - times[0])
         threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
-        rows: Dict[str, np.ndarray] = {}
-        initials: Dict[str, float] = {}
-        switching: Dict[str, bool] = {}
-        for net, wave in [*input_waveforms.items(), *boundary_waveforms.items()]:
-            rows[net] = np.asarray(wave.value_at(times), dtype=float)
-            initials[net] = float(wave.initial_value())
-            switching[net] = self._is_switching(wave)
+        if state is None:
+            state = _LoopState({}, {}, {}, net_keys, {} if carry else None)
+            for net, wave in [*input_waveforms.items(), *boundary_waveforms.items()]:
+                state.rows[net] = np.asarray(wave.value_at(times), dtype=float)
+                state.initials[net] = float(wave.initial_value())
+                state.switching[net] = self._is_switching(wave)
+        rows, initials, switching = state.rows, state.initials, state.switching
+        net_keys, plans = state.net_keys, state.plans
 
         def keep(net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool) -> None:
-            values = wave.values
-            rows[net] = values
-            initials[net] = float(values[0])
-            switching[net] = float(values.max() - values.min()) > threshold
+            state.set_row(net, wave.values, threshold)
             retention.keep(net, wave, pointer, shared)
 
         for position, level in enumerate(levels):
@@ -1550,14 +1749,26 @@ class CSMEngine(TimingEngine):
             duplicates: List[_Plan] = []
             first_keys: Set[str] = set()
             for instance in level:
-                plan = self._plan(instance, switching, context, net_keys)
+                plan = None
+                if plans is not None and instance.name not in dirty:
+                    plan = plans.get(instance.name)
+                clean = plan is not None
+                if not clean:
+                    plan = self._plan(instance, switching, context, net_keys)
+                    stats.keyed += 1
+                    if plans is not None:
+                        plans[instance.name] = plan
                 model_used[instance.name] = plan.label
                 if plan.key is None:
                     pending.append(plan)
                     continue
                 net_keys[plan.output_net] = plan.key
                 hit = self._read(plan.key, stats, times, retention)
-                if hit is not None:
+                if hit is not None and clean:
+                    # Same key, same samples: its row, initial value and
+                    # switching flag are already the carried ones.
+                    retention.keep(plan.output_net, *hit, shared=True)
+                elif hit is not None:
                     keep(plan.output_net, *hit, shared=True)
                 elif plan.key in first_keys:
                     duplicates.append(plan)
@@ -1590,6 +1801,7 @@ class CSMEngine(TimingEngine):
                 stats.duplicates += 1
                 keep(plan.output_net, *computed[plan.key], shared=True)
             retention.level_done(position, rows, stats)
+        return state
 
     def _plan(
         self,

@@ -529,6 +529,7 @@ class HybridEngine(TimingEngine):
 
         stats = PropagationStats(instances=len(self.netlist.instances))
         for entry in sub_stats:
+            stats.keyed += entry.get("keyed", 0)
             stats.integrations += entry.get("integrations", 0)
             stats.memo_hits += entry.get("memo_hits", 0)
             stats.cache_hits += entry.get("cache_hits", 0)

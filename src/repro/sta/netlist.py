@@ -14,20 +14,40 @@ their structural caches, and :func:`netlist_fingerprint` renders the design
 as a canonical content tree (cell fingerprints + connectivity + wire caps)
 for the content-addressed propagation cache — two netlists with equal
 fingerprints time identically, however they were built or edited.
+
+The three ECO edits (``swap_cell``, ``rewire_pin``, ``set_wire_capacitance``)
+also write an *edit journal*: under the revision each creates, the seed
+instances whose timing plan may change.  :meth:`GateNetlist.dirty_since`
+turns the journal into the exact dirty region since an earlier revision (or
+``None`` when a non-journaled mutation intervened), which is what lets an
+engine re-key only that region, and :meth:`GateNetlist.content_digest`
+re-renders only the instances the journal names.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 import numpy as np
 
 from ..cells.library import CellLibrary
 from ..exceptions import TimingError
-from ..runtime.jobs import cell_fingerprint, content_hash
+from ..runtime.jobs import Rendered, canonical_json, cell_fingerprint, content_hash
 
 __all__ = [
     "GateInstance",
@@ -37,6 +57,7 @@ __all__ = [
     "swap_partner",
     "eco_swap_candidate",
     "NETLIST_DIGEST_SALT",
+    "EDIT_JOURNAL_LIMIT",
 ]
 
 #: The one salt every consumer digests a netlist revision under (the timing
@@ -44,6 +65,46 @@ __all__ = [
 #: ``design_fingerprint`` replies), so :meth:`GateNetlist.content_digest`
 #: hashes each revision once however many of them ask.
 NETLIST_DIGEST_SALT = "sta-netlist"
+
+#: Revisions the edit journal remembers.  A consumer that last looked
+#: further back than this gets "unknown" and rebuilds from scratch.
+EDIT_JOURNAL_LIMIT = 1024
+
+
+@dataclass(frozen=True)
+class _Edit:
+    """One journaled revision: the instances whose plan may change (the
+    dirty region is their downstream closure) — named directly in
+    ``seeds`` or as the drivers of the ``driven`` nets — the instance and
+    wire-cap net whose digest fragments it invalidates, and the library it
+    was made against.
+
+    A net's driver only changes through a mutation the journal does not
+    record, which makes every later query "unknown", so resolving
+    ``driven`` when the journal is read names the same instances as
+    resolving it when the edit was made.
+    """
+
+    seeds: FrozenSet[str]
+    driven: Tuple[str, ...]
+    instance: Optional[str]
+    wire_net: Optional[str]
+    library: CellLibrary
+
+
+@dataclass
+class _DigestFragments:
+    """Rendered entries of one revision's :func:`netlist_fingerprint`
+    (valid for :attr:`revision` and :attr:`library`)."""
+
+    revision: int
+    library: CellLibrary
+    #: instance name -> its ``instances`` entry.
+    instances: Dict[str, Rendered]
+    #: net -> its ``wire_capacitance`` entry.
+    wires: Dict[str, Rendered]
+    #: cell name -> (cell object, its :func:`cell_fingerprint`).
+    cells: Dict[str, Tuple[Any, Rendered]]
 
 
 @dataclass
@@ -201,6 +262,14 @@ class GateNetlist:
     _digest_cache: Dict[str, Tuple[int, CellLibrary, str]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: The edit journal: revision -> what that edit touched, oldest first,
+    #: at most :data:`EDIT_JOURNAL_LIMIT` entries.
+    _journal: Dict[int, _Edit] = field(default_factory=dict, repr=False, compare=False)
+    _fragments: Optional[_DigestFragments] = field(default=None, repr=False, compare=False)
+    #: (revision, library, generations) memo of :meth:`topological_generations`.
+    _levels_cache: Optional[Tuple[int, CellLibrary, List[List[GateInstance]]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def add_primary_input(self, net: str) -> str:
@@ -237,7 +306,76 @@ class GateNetlist:
         if capacitance < 0:
             raise TimingError("wire capacitance must be non-negative")
         self.net_wire_capacitance[net] = capacitance
+        # The cap loads the net's driver.
+        self._journal_edit((), driven=(net,), wire_net=net, same_structure=True)
+
+    def _journal_edit(
+        self,
+        seeds: Iterable[str],
+        driven: Tuple[str, ...] = (),
+        instance: Optional[str] = None,
+        wire_net: Optional[str] = None,
+        same_structure: bool = False,
+    ) -> None:
+        """Bump the revision and journal the edit under it.
+
+        ``same_structure`` edits keep the driver/receiver graph (a swap onto
+        the same pins, a wire cap), so a connectivity snapshot and a
+        levelization current before the edit stay current after it.
+        """
+        previous = self.revision
         self.revision += 1
+        journal = self._journal
+        journal[self.revision] = _Edit(
+            frozenset(seeds), driven, instance, wire_net, self.library
+        )
+        while len(journal) > EDIT_JOURNAL_LIMIT:
+            del journal[next(iter(journal))]
+        if same_structure:
+            if self._conn_cache is not None and self._conn_cache.revision == previous:
+                self._conn_cache.revision = self.revision
+            levels = self._levels_cache
+            if levels is not None and levels[0] == previous and levels[1] is self.library:
+                self._levels_cache = (self.revision, levels[1], levels[2])
+
+    def _edits_since(self, revision: int) -> Optional[List[_Edit]]:
+        """The journaled edits after ``revision``, or ``None`` when any
+        revision since was made by a non-journaled mutation (``add_*``, an
+        output-pin rewire), has aged out of the journal or was made against
+        another library."""
+        if revision > self.revision:
+            return None
+        edits = []
+        for number in range(revision + 1, self.revision + 1):
+            edit = self._journal.get(number)
+            if edit is None or edit.library is not self.library:
+                return None
+            edits.append(edit)
+        return edits
+
+    def dirty_since(self, revision: int) -> Optional[Set[str]]:
+        """Every instance whose timing plan may differ from ``revision``'s.
+
+        The union of the journaled edits' seeds since ``revision``, closed
+        downstream over the current connectivity: an instance outside it
+        has the same cell, connections, load and input content as it had
+        then.  ``None`` means unknown (see :meth:`_edits_since`): re-key
+        everything.
+        """
+        edits = self._edits_since(revision)
+        if edits is None:
+            return None
+        if not edits:
+            return set()
+        connectivity = self.connectivity()
+        seeds: Set[str] = set()
+        for edit in edits:
+            seeds |= edit.seeds
+            for net in edit.driven:
+                driver = connectivity.driver_of(net)
+                if driver is not None:
+                    seeds.add(driver.name)
+        return self._downstream(seeds, connectivity)
 
     # ------------------------------------------------------------------
     # Serialization (wire transfer / private per-session copies)
@@ -310,15 +448,31 @@ class GateNetlist:
             )
         if instance.cell_name != cell_name:
             instance.cell_name = cell_name
-            self.revision += 1
+            # The new cell's input capacitances load the drivers of its nets.
+            self._journal_edit(
+                [instance_name],
+                driven=tuple(instance.connections[pin] for pin in old_cell.inputs),
+                instance=instance_name,
+                same_structure=True,
+            )
         return instance
 
     def rewire_pin(self, instance_name: str, pin: str, net: str) -> GateInstance:
         """Reconnect one pin of an instance to a different net.
 
-        Input pins may be moved to any net; the output pin may be renamed to
-        an undriven net.  The caller is responsible for the edited design
-        remaining a well-formed DAG (``validate()`` checks).
+        The edit is checked before it is applied, in time proportional to
+        the instance's fan-out cone, and a :class:`TimingError` leaves the
+        netlist untouched:
+
+        * an input pin may move to a primary input or to a net driven
+          outside the instance's fan-out cone (anything else would leave
+          the pin undriven or close a combinational loop);
+        * the output pin may only rename a net nothing else uses: the old
+          net must have no receiver and be no primary port, the new net
+          must have no driver, no receiver and be no primary port.
+
+        So the inverse of an accepted rewire is accepted too, which is what
+        lets a caller roll a batch of edits back through this method.
         """
         if instance_name not in self.instances:
             raise TimingError(f"no instance named {instance_name!r} in {self.name!r}")
@@ -328,9 +482,35 @@ class GateNetlist:
             raise TimingError(
                 f"instance {instance_name!r} ({instance.cell_name}) has no pin {pin!r}"
             )
-        if instance.connections[pin] != net:
+        previous = instance.connections[pin]
+        if previous == net:
+            return instance
+        connectivity = self.connectivity()
+        edit = f"rewiring {instance_name}.{pin} from {previous!r} to {net!r}"
+        if pin == cell.output:
+            if connectivity.driver_of(net) is not None or net in self.primary_inputs:
+                raise TimingError(f"{edit}: the net is already driven")
+            if _read(connectivity, net) or net in self.primary_outputs:
+                raise TimingError(f"{edit}: the net already has readers")
+            if _read(connectivity, previous) or previous in self.primary_outputs:
+                raise TimingError(f"{edit} would leave {previous!r} undriven")
+            if previous in self.primary_inputs:
+                raise TimingError(f"{edit}: {previous!r} is a primary input")
             instance.connections[pin] = net
-            self.revision += 1
+            self.revision += 1  # renames a driven net: not journaled
+            return instance
+        driver = connectivity.driver_of(net)
+        if driver is None and net not in self.primary_inputs:
+            raise TimingError(f"{edit}: the net has no driver and is not a primary input")
+        if driver is not None and driver.name in self._downstream([instance_name], connectivity):
+            raise TimingError(f"{edit} would close a combinational loop")
+        # The pin's capacitance leaves the old driver's load for the new one's.
+        seeds = [instance_name]
+        for other in (connectivity.driver_of(previous), driver):
+            if other is not None:
+                seeds.append(other.name)
+        instance.connections[pin] = net
+        self._journal_edit(seeds, instance=instance_name)
         return instance
 
     def fanout_cone(self, instance_name: str) -> List[str]:
@@ -468,7 +648,8 @@ class GateNetlist:
         return cached
 
     def content_digest(self, salt: str) -> str:
-        """``content_hash(salt, netlist_fingerprint(self))``, memoized.
+        """``content_hash(salt, netlist_fingerprint(self))``, memoized and
+        assembled from rendered entries.
 
         Cached per :attr:`revision`, :attr:`library` object and salt the way
         :meth:`connectivity` is, so every consumer keying on the same
@@ -476,16 +657,68 @@ class GateNetlist:
         and the timing request after it) hashes the design once.  Reassigning
         :attr:`library` does not bump the revision but changes the cell
         fingerprints, hence the library identity in the memo.
+
+        The fingerprint's instance, wire-cap and cell entries are kept as
+        :class:`~repro.runtime.jobs.Rendered` texts, which hash exactly as
+        the entries themselves.  After journaled edits only the entries
+        they touched are re-rendered; any other mutation re-renders all of
+        them from one :func:`netlist_fingerprint`.
         """
         revision, library = self.revision, self.library
         cached = self._digest_cache.get(salt)
         if cached is not None and cached[0] == revision and cached[1] is library:
             return cached[2]
-        digest = content_hash(salt, netlist_fingerprint(self))
+        fragments = self._current_fragments()
+        cells: Dict[str, Rendered] = {}
+        for name in _cell_names(self):
+            cell = library[name]
+            entry = fragments.cells.get(name)
+            if entry is None or entry[0] is not cell:
+                entry = fragments.cells[name] = (cell, _rendered(cell_fingerprint(cell)))
+            cells[name] = entry[1]
+        tree = _fingerprint_tree(
+            self,
+            cells,
+            [fragments.instances[name] for name in self.instances],
+            [fragments.wires[net] for net in sorted(self.net_wire_capacitance)],
+        )
+        digest = content_hash(salt, tree)
         # Filed under the revision read *before* hashing: an edit racing the
         # fingerprint then bumps the revision past it instead of inheriting it.
         self._digest_cache[salt] = (revision, library, digest)
         return digest
+
+    def _current_fragments(self) -> _DigestFragments:
+        """The rendered entries brought up to :attr:`revision`: re-render
+        what the journal says changed, or everything when it cannot say."""
+        fragments = self._fragments
+        edits = None
+        if fragments is not None and fragments.library is self.library:
+            edits = self._edits_since(fragments.revision)
+        if edits is None:
+            fingerprint = netlist_fingerprint(self)
+            fragments = self._fragments = _DigestFragments(
+                revision=self.revision,
+                library=self.library,
+                instances={entry[0]: _rendered(entry) for entry in fingerprint["instances"]},
+                wires={entry[0]: _rendered(entry) for entry in fingerprint["wire_capacitance"]},
+                cells={
+                    name: (self.library[name], _rendered(tree))
+                    for name, tree in fingerprint["cells"].items()
+                },
+            )
+            return fragments
+        for edit in edits:
+            if edit.instance is not None:
+                name = edit.instance
+                fragments.instances[name] = _rendered(
+                    _instance_entry(name, self.instances[name])
+                )
+            if edit.wire_net is not None:
+                net = edit.wire_net
+                fragments.wires[net] = _rendered((net, self.net_wire_capacitance[net]))
+        fragments.revision = self.revision
+        return fragments
 
     # ------------------------------------------------------------------
     def _validated_graph(self) -> "nx.DiGraph":
@@ -535,21 +768,28 @@ class GateNetlist:
         the previous levels.  Every instance of a level can be evaluated
         independently — this is the unit of batching for the levelized timing
         engines.  Instance order inside a level follows insertion order, so
-        the flattened generations are a valid topological order."""
-        graph = self._validated_graph()
-        order = {name: position for position, name in enumerate(self.instances)}
-        levels: List[List[GateInstance]] = []
-        for generation in nx.topological_generations(graph):
-            names = sorted(generation, key=order.__getitem__)
-            levels.append([self.instances[name] for name in names])
-        return levels
+        the flattened generations are a valid topological order.
+
+        Memoized per revision and library (a cell swap or a wire cap keeps
+        the memo); every call returns fresh lists."""
+        cached = self._levels_cache
+        if cached is None or cached[0] != self.revision or cached[1] is not self.library:
+            revision, library = self.revision, self.library
+            graph = self._validated_graph()
+            order = {name: position for position, name in enumerate(self.instances)}
+            levels: List[List[GateInstance]] = []
+            for generation in nx.topological_generations(graph):
+                names = sorted(generation, key=order.__getitem__)
+                levels.append([self.instances[name] for name in names])
+            cached = self._levels_cache = (revision, library, levels)
+        return [list(level) for level in cached[2]]
 
     def depth(self) -> int:
-        """Length (in cells) of the longest topological path."""
-        graph = self.instance_graph()
-        if not graph.nodes:
-            return 0
-        return int(nx.dag_longest_path_length(graph)) + 1
+        """Length (in cells) of the longest topological path: the number of
+        topological generations (whose memo it shares).  Like them, it
+        raises :class:`TimingError` on a malformed design (an undriven net,
+        a combinational loop)."""
+        return len(self.topological_generations())
 
 
 def swap_partner(library: CellLibrary, cell_name: str) -> Optional[str]:
@@ -606,14 +846,43 @@ def netlist_fingerprint(netlist: GateNetlist) -> Dict[str, Any]:
     The returned tree is made of primitives and dataclasses, ready for
     :func:`repro.runtime.jobs.content_hash`.
     """
-    cell_names = sorted({instance.cell_name for instance in netlist.instances.values()})
+    return _fingerprint_tree(
+        netlist,
+        {name: cell_fingerprint(netlist.library[name]) for name in _cell_names(netlist)},
+        [_instance_entry(name, instance) for name, instance in netlist.instances.items()],
+        sorted(netlist.net_wire_capacitance.items()),
+    )
+
+
+def _read(connectivity: NetConnectivity, net: str) -> bool:
+    """Whether some instance reads ``net``."""
+    start, stop = connectivity.receiver_slice(net)
+    return stop > start
+
+
+def _fingerprint_tree(
+    netlist: GateNetlist, cells: Mapping[str, Any], instances: List[Any], wires: List[Any]
+) -> Dict[str, Any]:
+    """The layout of :func:`netlist_fingerprint` around its three large
+    parts: the fingerprint of each used cell by name, the instance entries
+    in insertion order and the ``(net, capacitance)`` entries sorted by
+    net — each entry either itself or its :class:`Rendered` text."""
     return {
-        "cells": {name: cell_fingerprint(netlist.library[name]) for name in cell_names},
-        "instances": [
-            [name, instance.cell_name, sorted(instance.connections.items())]
-            for name, instance in netlist.instances.items()
-        ],
+        "cells": cells,
+        "instances": instances,
         "primary_inputs": list(netlist.primary_inputs),
         "primary_outputs": list(netlist.primary_outputs),
-        "wire_capacitance": sorted(netlist.net_wire_capacitance.items()),
+        "wire_capacitance": wires,
     }
+
+
+def _cell_names(netlist: GateNetlist) -> List[str]:
+    return sorted({instance.cell_name for instance in netlist.instances.values()})
+
+
+def _instance_entry(name: str, instance: GateInstance) -> List[Any]:
+    return [name, instance.cell_name, sorted(instance.connections.items())]
+
+
+def _rendered(entry: Any) -> Rendered:
+    return Rendered(canonical_json(entry))

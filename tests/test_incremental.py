@@ -1,6 +1,6 @@
-"""Tests for the incremental timing graph (PR 4).
+"""Tests for the incremental timing graph.
 
-Covers the four tentpole layers and their satellites:
+Covers the tentpole layers and their satellites:
 
 * the DC operating-point settle (exactness against converged integration,
   the generic batched fixed-point Newton, fallback behaviour),
@@ -8,7 +8,10 @@ Covers the four tentpole layers and their satellites:
 * content-addressed propagation caching (warm no-op runs, dirty-region
   re-timing after each edit kind, equivalence against cold rebuilds),
 * cache robustness (corrupted entries evict as misses) and the multi-corner
-  sweep.
+  sweep,
+* the edit journal, the fragment digest and the carried state of a
+  resident engine (keys, waveforms and results of a carried run equal a
+  fresh engine's, bitwise, with keying bounded by the edits' regions).
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from repro.sta import (
     primary_input_waveforms,
 )
 from repro.runtime.jobs import content_hash
-from repro.sta.netlist import swap_partner
+from repro.sta.generate import default_time_window
+from repro.sta.netlist import NETLIST_DIGEST_SALT, swap_partner
 from repro.waveform import Waveform
 
 #: Waveform equivalence budget shared with the batched/sequential checks.
@@ -242,6 +246,42 @@ class TestNetlistEdits:
         with pytest.raises(TimingError):
             netlist.swap_cell("missing", "NOR2_X1")
 
+    def test_rewire_rejects_loops_and_undriven_nets(self, library):
+        netlist = gate_chain(library, 3, cell_name="NAND2_X1")
+        revision = netlist.revision
+        with pytest.raises(TimingError, match="loop"):
+            netlist.rewire_pin("u0", "A", "n3")  # u2's output feeds u0
+        with pytest.raises(TimingError, match="loop"):
+            netlist.rewire_pin("u1", "A", "n2")  # u1's own output
+        with pytest.raises(TimingError, match="no driver"):
+            netlist.rewire_pin("u1", "A", "no_such_net")
+        with pytest.raises(TimingError, match="undriven"):
+            netlist.rewire_pin("u1", "out", "fresh")  # u2 still reads n2
+        with pytest.raises(TimingError, match="undriven"):
+            netlist.rewire_pin("u2", "out", "fresh")  # n3 is a primary output
+        with pytest.raises(TimingError, match="already driven"):
+            netlist.rewire_pin("u1", "out", "n0")  # a primary input
+        assert netlist.revision == revision
+        netlist.validate()
+
+    def test_output_rename_and_its_inverse_are_accepted(self, library):
+        netlist = gate_chain(library, 3, cell_name="NAND2_X1")
+        netlist.add_instance("spare", "NAND2_X1", {"A": "n0", "B": "n1", "out": "dangling"})
+        fingerprint = netlist_fingerprint(netlist)
+        with pytest.raises(TimingError, match="already driven"):
+            netlist.rewire_pin("spare", "out", "n2")
+        netlist.rewire_pin("spare", "out", "renamed")
+        netlist.validate()
+        netlist.rewire_pin("spare", "out", "dangling")
+        assert netlist_fingerprint(netlist) == fingerprint
+
+    def test_depth_raises_timing_error_on_a_loop(self, library):
+        netlist = gate_chain(library, 2, cell_name="NAND2_X1")
+        netlist.instances["u0"].connections["B"] = "n2"  # behind the edit API
+        netlist.revision += 1
+        with pytest.raises(TimingError, match="loop"):
+            netlist.depth()
+
     def test_affected_region_covers_fanin_driver_cones(self, library):
         netlist = gate_chain(library, 4, cell_name="NAND2_X1")
         # Editing u2 changes its input capacitance, so its driver u1's load
@@ -433,6 +473,270 @@ class TestIncrementalEngine:
         # results: everything re-integrates under its own keys.
         assert sequential.stats["integrations"] == len(netlist.instances)
         assert not sequential.stats["full_run_hit"]
+
+
+# ----------------------------------------------------------------------
+# Edit journal, fragment digest and the carried engine state
+# ----------------------------------------------------------------------
+class _DictStore:
+    """A private in-memory store: a fresh engine on it keys and integrates
+    everything itself."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def lookup(self, key):
+        if key in self.entries:
+            return True, self.entries[key]
+        return False, None
+
+    def store(self, key, value):
+        self.entries[key] = value
+
+
+def _edit_region(netlist, kind, target):
+    """What an edit may dirty, the way the timing server reports it: the
+    union of the pre- and post-edit affected regions (for a wire cap, the
+    fan-out cone of the net's driver)."""
+    if kind == "wire":
+        driver = netlist.driver_of(target)
+        return set(netlist.fanout_cone(driver.name)) if driver is not None else set()
+    return set(netlist.affected_region(target))
+
+
+def _random_edit(netlist, library, rng):
+    """One seeded, acyclic ECO edit: ``(kind, target, apply, undo)``."""
+    names = list(netlist.instances)
+    kind = ("swap", "rewire", "wire")[int(rng.integers(3))]
+    if kind == "swap":
+        swappable = [
+            name for name in names if swap_partner(library, netlist.instances[name].cell_name)
+        ]
+        if swappable:
+            name = swappable[int(rng.integers(len(swappable)))]
+            cell = netlist.instances[name].cell_name
+            partner = swap_partner(library, cell)
+            return (
+                kind,
+                name,
+                lambda: netlist.swap_cell(name, partner),
+                lambda: netlist.swap_cell(name, cell),
+            )
+        kind = "rewire"
+    if kind == "rewire":
+        name = names[int(rng.integers(len(names)))]
+        layer = int(name[1:].split("_")[0])
+        cell = library[netlist.instances[name].cell_name]
+        pin = cell.inputs[int(rng.integers(len(cell.inputs)))]
+        pool = list(netlist.primary_inputs) + [
+            other.connections[library[other.cell_name].output]
+            for other_name, other in netlist.instances.items()
+            if int(other_name[1:].split("_")[0]) < layer
+        ]
+        net = pool[int(rng.integers(len(pool)))]
+        previous = netlist.instances[name].connections[pin]
+        return (
+            kind,
+            name,
+            lambda: netlist.rewire_pin(name, pin, net),
+            lambda: netlist.rewire_pin(name, pin, previous),
+        )
+    net = sorted(netlist.nets())[int(rng.integers(len(netlist.nets())))]
+    previous = netlist.net_wire_capacitance.get(net, 0.0)
+    capacitance = float(rng.choice([0.0, 0.5e-15, 2e-15]))
+    return (
+        kind,
+        net,
+        lambda: netlist.set_wire_capacitance(net, capacitance),
+        lambda: netlist.set_wire_capacitance(net, previous),
+    )
+
+
+class TestEditJournal:
+    def test_journal_names_the_dirty_region(self, library):
+        netlist = gate_chain(library, 4, cell_name="NAND2_X1")
+        start = netlist.revision
+        assert netlist.dirty_since(start) == set()
+        netlist.swap_cell("u2", "NOR2_X1")
+        assert netlist.dirty_since(start) == set(netlist.affected_region("u2"))
+        middle = netlist.revision
+        netlist.set_wire_capacitance("n4", 1e-15)  # driven by u3
+        assert netlist.dirty_since(middle) == {"u3"}
+        netlist.set_wire_capacitance("n0", 1e-15)  # a primary input: nobody
+        assert netlist.dirty_since(netlist.revision - 1) == set()
+
+    def test_other_mutations_make_the_journal_unknown(self, library):
+        netlist = gate_chain(library, 3, cell_name="NAND2_X1")
+        start = netlist.revision
+        netlist.swap_cell("u1", "NOR2_X1")
+        netlist.add_primary_output("n1")
+        assert netlist.dirty_since(start) is None
+        assert netlist.dirty_since(netlist.revision) == set()
+        assert netlist.dirty_since(netlist.revision + 1) is None
+        old = netlist.revision
+        netlist.revision += 1  # a bump behind the journal's back
+        assert netlist.dirty_since(old) is None
+
+    def test_journal_is_bounded(self, library):
+        from repro.sta.netlist import EDIT_JOURNAL_LIMIT
+
+        netlist = gate_chain(library, 2, cell_name="NAND2_X1")
+        start = netlist.revision
+        for index in range(EDIT_JOURNAL_LIMIT + 1):
+            netlist.set_wire_capacitance("n1", float(index) * 1e-16)
+        assert netlist.dirty_since(start) is None
+        assert netlist.dirty_since(netlist.revision - EDIT_JOURNAL_LIMIT) == {"u0", "u1"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        edit_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_fragment_digest_is_the_content_hash_after_edits(self, library, seed, edit_seed):
+        netlist = generate_netlist(library, f"dag:w5:d3:s{seed}")
+        rng = np.random.default_rng(edit_seed)
+        for _ in range(8):
+            _kind, _target, apply, _undo = _random_edit(netlist, library, rng)
+            apply()
+            for salt in (NETLIST_DIGEST_SALT, "server-design"):
+                assert netlist.content_digest(salt) == content_hash(
+                    salt, netlist_fingerprint(netlist)
+                )
+
+
+class TestCarriedState:
+    SPEC = "dag:w5:d3:s4"
+
+    def test_results_are_independent_of_each_other_and_the_memo(
+        self, library, models, options
+    ):
+        netlist = generate_netlist(library, self.SPEC)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=3)
+        engine = CSMEngine(netlist, models, options=options, cache=_DictStore())
+        cold = engine.run(waveforms, t_stop=t_stop)
+        snapshot = {net: cold.waveforms[net].values.copy() for net in cold.waveforms}
+
+        hit = engine.run(waveforms, t_stop=t_stop)
+        assert hit.stats["full_run_hit"]
+        for net in hit.waveforms:
+            hit.waveforms[net].values[:] = -1.0
+        again = engine.run(waveforms, t_stop=t_stop)
+        assert again.stats["full_run_hit"]
+        for net, values in snapshot.items():
+            assert np.array_equal(again.waveforms[net].values, values), net
+
+        name = next(
+            name
+            for name, instance in netlist.instances.items()
+            if swap_partner(library, instance.cell_name)
+            and len(netlist.affected_region(name)) < len(netlist.instances)
+        )
+        region = set(netlist.affected_region(name))
+        cell = netlist.instances[name].cell_name
+        netlist.swap_cell(name, swap_partner(library, cell))
+        edited = engine.run(waveforms, t_stop=t_stop)
+        assert edited.stats["memo_hits"] >= len(netlist.instances) - len(region)
+        reference = CSMEngine(netlist, models, options=options, cache=_DictStore()).run(
+            waveforms, t_stop=t_stop
+        )
+        for net in reference.waveforms:
+            assert np.array_equal(edited.waveforms[net].values, reference.waveforms[net].values)
+        # Write into every waveform the memo served (the clean nets and the
+        # stimuli); the memo, and so the swap-back's whole-run hit, must not
+        # see it.
+        clean = set(netlist.primary_inputs) | {
+            engine._output_net(instance)
+            for instance in netlist.instances.values()
+            if instance.name not in region
+        }
+        for net in clean:
+            edited.waveforms[net].values[:] = -1.0
+        netlist.swap_cell(name, cell)
+        restored = engine.run(waveforms, t_stop=t_stop)
+        assert restored.stats["full_run_hit"]
+        for net, values in snapshot.items():
+            assert np.array_equal(restored.waveforms[net].values, values), net
+        assert all(np.array_equal(w.values, waveforms[n].values) for n, w in waveforms.items())
+
+    def test_keyed_counts_the_planned_rows(self, library, models, options):
+        netlist = generate_netlist(library, self.SPEC)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=3)
+        for wave in waveforms.values():
+            wave.values.setflags(write=False)
+            wave.times.setflags(write=False)
+        engine = CSMEngine(netlist, models, options=options, cache=_DictStore())
+        assert engine.run(waveforms, t_stop=t_stop).stats["keyed"] == len(netlist.instances)
+        assert engine.run(waveforms, t_stop=t_stop).stats["keyed"] == 0  # whole-run hit
+        name = next(
+            name
+            for name, instance in netlist.instances.items()
+            if swap_partner(library, instance.cell_name)
+            and len(netlist.affected_region(name)) < len(netlist.instances)
+        )
+        netlist.swap_cell(name, swap_partner(library, netlist.instances[name].cell_name))
+        edited = engine.run(waveforms, t_stop=t_stop)
+        assert edited.stats["keyed"] == len(netlist.affected_region(name))
+        assert engine.total_stats["keyed"] == len(netlist.instances) + edited.stats["keyed"]
+        # Another stimulus content re-keys everything.
+        other = primary_input_waveforms(netlist, t_stop=t_stop, seed=4)
+        assert engine.run(other, t_stop=t_stop).stats["keyed"] == len(netlist.instances)
+        # An unjournaled mutation too.
+        netlist.add_primary_output(netlist.primary_inputs[0])
+        assert engine.run(other, t_stop=t_stop).stats["keyed"] == len(netlist.instances)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        width=st.integers(min_value=2, max_value=5),
+        depth=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        edit_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_carried_runs_equal_fresh_engines_bitwise(
+        self, library, models, options, width, depth, seed, edit_seed
+    ):
+        netlist = generate_netlist(library, f"dag:w{width}:d{depth}:s{seed}")
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=1)
+        for wave in waveforms.values():
+            wave.values.setflags(write=False)
+            wave.times.setflags(write=False)
+        engine = CSMEngine(netlist, models, options=options, cache=_DictStore())
+        engine.run(waveforms, t_stop=t_stop)
+        rng = np.random.default_rng(edit_seed)
+        undo = []
+        region = set()  # edited since the last walk
+        for _ in range(10):
+            if undo and rng.random() < 0.3:
+                kind, target, revert = undo.pop()
+                region |= _edit_region(netlist, kind, target)
+                revert()
+                region |= _edit_region(netlist, kind, target)
+            else:
+                kind, target, apply, revert = _random_edit(netlist, library, rng)
+                region |= _edit_region(netlist, kind, target)
+                apply()
+                region |= _edit_region(netlist, kind, target)
+                undo.append((kind, target, revert))
+            if rng.random() < 0.5:
+                continue
+            result = engine.run(waveforms, t_stop=t_stop)
+            fresh = CSMEngine(netlist, models, options=options, cache=_DictStore())
+            expected = fresh.run(waveforms, t_stop=t_stop)
+            assert result.stats["keyed"] <= len(region)
+            assert engine.last_run_key == fresh.last_run_key
+            if not result.stats["full_run_hit"]:
+                # A whole-run hit leaves the carried state where it was.
+                region = set()
+                assert engine._carried.state.net_keys == fresh._carried.state.net_keys
+            assert list(result.model_used.items()) == list(expected.model_used.items())
+            assert set(result.waveforms) == set(expected.waveforms)
+            for net in expected.waveforms:
+                assert (
+                    result.waveforms[net].values.tobytes()
+                    == expected.waveforms[net].values.tobytes()
+                ), net
 
 
 # ----------------------------------------------------------------------

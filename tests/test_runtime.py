@@ -25,6 +25,7 @@ from repro.runtime import (
     content_hash,
     run_jobs,
 )
+from repro.runtime.jobs import Rendered, canonical_json
 from repro.technology import default_technology
 from repro.technology.corners import STANDARD_CORNERS, apply_corner
 
@@ -137,6 +138,24 @@ class TestContentHash:
         x1 = build_nor(technology, 2)
         x2 = build_nor(technology, 2, drive_strength=2.0, name="NOR2_X1")
         assert content_hash(cell_fingerprint(x1)) != content_hash(cell_fingerprint(x2))
+
+    def test_rendered_parts_hash_as_the_values_they_stand_for(self, technology):
+        values = {
+            "float": 1e-15,
+            "array": np.arange(6.0).reshape(2, 3),
+            "pairs": [("n1", 2e-15), ("n0", 0.0)],
+            "nested": {"b": [1, True, None], "a": (np.float64(0.5), "x")},
+            "cell": cell_fingerprint(build_nor(technology, 2)),
+        }
+        reference = content_hash("salt", values)
+        for name in values:
+            spliced = dict(values, **{name: Rendered(canonical_json(values[name]))})
+            assert content_hash("salt", spliced) == reference, name
+        assert content_hash(
+            "salt", {name: Rendered(canonical_json(value)) for name, value in values.items()}
+        ) == reference
+        entries = [Rendered(canonical_json(pair)) for pair in values["pairs"]]
+        assert content_hash("salt", dict(values, pairs=entries)) == reference
 
 
 # ----------------------------------------------------------------------

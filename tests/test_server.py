@@ -25,6 +25,7 @@ from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.runtime import ResultCache, ShardedPackedStore
 from repro.runtime.client import TimingClient, TimingServerError
+from repro.exceptions import TimingError
 from repro.runtime.jobs import content_hash
 from repro.runtime.server import (
     ServerConfig,
@@ -299,6 +300,103 @@ class TestTimingService:
         restored = service.handle({"op": "timing", "session": session, "seed": 0})
         assert restored["design_fingerprint"] == cold["design_fingerprint"]
         assert restored["stats"]["full_run_hit"]
+
+    def test_loop_or_undriven_rewire_is_rejected_and_the_session_keeps_timing(
+        self, service
+    ):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": "dag:w4:d3:s1"}}
+        )["session"]
+        cold = service.handle({"op": "timing", "session": session, "seed": 0})
+        assert cold["ok"]
+        for net in ("n2_0", "no_such_net"):  # n2_0 is downstream of u0_0
+            eco = service.handle(
+                {
+                    "op": "eco",
+                    "session": session,
+                    "edits": [{"kind": "rewire_pin", "instance": "u0_0", "pin": "A", "net": net}],
+                }
+            )
+            assert not eco["ok"] and eco["code"] == "bad-request", eco
+            timed = service.handle({"op": "timing", "session": session, "seed": 0})
+            assert timed["ok"], timed
+            assert timed["design_fingerprint"] == cold["design_fingerprint"]
+            assert timed["stats"]["full_run_hit"]
+
+    def test_eco_request_is_atomic(self, service):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": "dag:w4:d3:s1"}}
+        )["session"]
+        cold = service.handle({"op": "timing", "session": session, "seed": 0})
+        netlist = service._sessions[session].netlist
+        wiring = dict(netlist.instances["u1_0"].connections)
+        cells = {name: instance.cell_name for name, instance in netlist.instances.items()}
+        eco = service.handle(
+            {
+                "op": "eco",
+                "session": session,
+                "edits": [
+                    {"kind": "auto_swap"},
+                    {"kind": "rewire_pin", "instance": "u1_0", "pin": "A", "net": "pi1"},
+                    {"kind": "rewire_pin", "instance": "u0_0", "pin": "A", "net": "n2_0"},
+                ],
+            }
+        )
+        assert not eco["ok"] and eco["code"] == "bad-request", eco
+        assert netlist.instances["u1_0"].connections == wiring
+        assert {name: i.cell_name for name, i in netlist.instances.items()} == cells
+        restored = service.handle({"op": "timing", "session": session, "seed": 0})
+        assert restored["design_fingerprint"] == cold["design_fingerprint"]
+        assert restored["stats"]["full_run_hit"]
+        assert service.handle({"op": "status"})["sessions"][session]["eco_edits"] == 0
+
+    def test_a_failing_undo_neither_stops_the_rollback_nor_hides_the_error(
+        self, service, monkeypatch
+    ):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": "dag:w4:d3:s1"}}
+        )["session"]
+        netlist = service._sessions[session].netlist
+        cells = {name: instance.cell_name for name, instance in netlist.instances.items()}
+        rewire = netlist.rewire_pin
+
+        def refuse_undo(instance, pin, net):
+            if (instance, pin) == ("u1_0", "A") and net != "pi1":
+                raise TimingError("undo refused")
+            return rewire(instance, pin, net)
+
+        monkeypatch.setattr(netlist, "rewire_pin", refuse_undo)
+        eco = service.handle(
+            {
+                "op": "eco",
+                "session": session,
+                "edits": [
+                    {"kind": "auto_swap"},
+                    {"kind": "rewire_pin", "instance": "u1_0", "pin": "A", "net": "pi1"},
+                    {"kind": "rewire_pin", "instance": "u0_0", "pin": "A", "net": "n2_0"},
+                ],
+            }
+        )
+        assert not eco["ok"] and eco["code"] == "bad-request", eco
+        assert "loop" in eco["error"] and "refused" not in eco["error"], eco
+        # The swap before the refused undo was still rolled back.
+        assert {name: i.cell_name for name, i in netlist.instances.items()} == cells
+
+    def test_keyed_is_edit_sized_and_reported(self, service):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        cold = service.handle({"op": "timing", "session": session, "seed": 0})
+        gates = cold["stats"]["instances"]
+        assert cold["stats"]["keyed"] == gates
+        eco = service.handle(
+            {"op": "eco", "session": session, "edits": [{"kind": "auto_swap"}]}
+        )
+        applied = eco["applied"][0]
+        edited = service.handle({"op": "timing", "session": session, "seed": 0})
+        assert 0 < edited["stats"]["keyed"] <= applied["affected"] < gates
+        total = service.handle({"op": "status"})["sessions"][session]["engines"]["csm"]["total"]
+        assert total["keyed"] == gates + edited["stats"]["keyed"]
 
     def test_fingerprint_is_the_engine_netlist_digest(self, service, library):
         session = service.handle(
