@@ -48,7 +48,7 @@ if str(SRC) not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro.experiments import timing_models_for  # noqa: E402
-from repro.runtime import PackedStore, ResultCache  # noqa: E402
+from repro.runtime import PackedStore  # noqa: E402
 from repro.sta import CSMEngine, HybridEngine, generate_netlist  # noqa: E402
 from repro.sta.generate import default_time_window, primary_input_waveforms  # noqa: E402
 from repro.sta.hybrid import events_from_waveforms  # noqa: E402
@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         # One shared characterization store; every propagation engine gets
         # its own fresh private packed store below, so each pays its full
         # keying/storage overhead and none reads another's results.
-        context.cache = ResultCache(Path(tmp) / "characterization")
+        context.cache = PackedStore(Path(tmp) / "characterization")
         models = timing_models_for(context)
         options = context.model_options()
 

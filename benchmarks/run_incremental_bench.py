@@ -1,31 +1,26 @@
 #!/usr/bin/env python
 """Benchmark the incremental timing graph, the packed store and the DC settle.
 
-Seven measurements, written to one JSON report (``BENCH_PR5.json``):
+Six measurements, written to one JSON report (``BENCH_PR5.json``):
 
 1. **Incremental STA** on ``dag:w64:d4:s7`` (256 gates): cold run against an
-   empty content-addressed cache, warm repeat with a fresh engine (must
-   integrate *zero* waveforms — asserted), and one ECO cell swap (must
-   re-integrate only the affected region while matching a cold full rebuild
-   to 1e-9 V — asserted).
-2. **Store formats** (PR 5 tentpole): the same cold/warm/ECO sequence on the
-   per-entry ``.npz`` layout vs the packed mmap store, plus a per-entry load
-   microbenchmark over every stored entry.  The packed store must cut the
-   per-entry load cost by >=5x and match the npz results bitwise — both
-   asserted.
-3. **NLDM incremental** (PR 5): cold/warm/ECO event propagation through the
-   NLDM engine's propagation cache (warm repeat must evaluate zero
-   instances — asserted).
-4. **DC settle accuracy**: the NOR2/NAND2 MCSM settle states for every
+   empty packed store, warm repeat with a fresh engine (must integrate
+   *zero* waveforms — asserted), and one ECO cell swap (must re-integrate
+   only the affected region while matching a cold full rebuild to 1e-9 V —
+   asserted).
+2. **NLDM incremental**: cold/warm/ECO event propagation through the NLDM
+   engine's propagation cache (warm repeat must evaluate zero instances —
+   asserted).
+3. **DC settle accuracy**: the NOR2/NAND2 MCSM settle states for every
    two-input logic state, DC solve vs the legacy 2 ns pre-roll vs a
    converged 100 ns integration (the DC-vs-converged deviation must stay
    below 1e-9 V — asserted).
-5. **DC settle cost**: full-design engine runs (cache disabled) with
+4. **DC settle cost**: full-design engine runs (cache disabled) with
    ``settle_mode="dc"`` vs ``settle_mode="integrate"``.
-6. **fig5 executor sweep** (standing ROADMAP item): serial vs thread vs
+5. **fig5 executor sweep** (standing ROADMAP item): serial vs thread vs
    process pools, with the CPU count recorded so single-core numbers read
    honestly.
-7. **run_cones parallelism** (same standing item): a forest of independent
+6. **run_cones parallelism** (same standing item): a forest of independent
    inverter chains evaluated serially and on a thread pool.
 
 Usage::
@@ -57,12 +52,7 @@ from repro.characterization import (  # noqa: E402
 )
 from repro.csm.base import SimulationOptions  # noqa: E402
 from repro.csm.loads import CapacitiveLoad  # noqa: E402
-from repro.runtime import (  # noqa: E402
-    ResultCache,
-    SerialExecutor,
-    ThreadExecutor,
-    open_result_store,
-)
+from repro.runtime import PackedStore, SerialExecutor, ThreadExecutor  # noqa: E402
 from repro.sta import (  # noqa: E402
     CSMEngine,
     GateNetlist,
@@ -83,10 +73,9 @@ QUICK_OPTIONS = SimulationOptions(time_step=2e-12)
 
 
 def bench_incremental(spec: str = "dag:w64:d4:s7") -> dict:
-    """Cold / warm / edited runs of one design against a fresh disk cache."""
+    """Cold / warm / edited runs of one design against a fresh disk store."""
     library = default_library(default_technology())
-    cache_dir = tempfile.mkdtemp(prefix="bench-pr4-")
-    cache = ResultCache(cache_dir)
+    cache = PackedStore(tempfile.mkdtemp(prefix="bench-pr4-"))
     models = TimingModelLibrary(library=library, config=QUICK_CONFIG, cache=cache)
     netlist = generate_netlist(library, spec)
     waveforms = primary_input_waveforms(netlist, seed=0)
@@ -142,137 +131,45 @@ def bench_incremental(spec: str = "dag:w64:d4:s7") -> dict:
     }
 
 
-def _timed_lookups(store, keys) -> float:
-    """Total seconds to look up every key once on a freshly opened handle."""
-    start = time.perf_counter()
-    for key in keys:
-        hit, _ = store.lookup(key)
-        assert hit, key
-    return time.perf_counter() - start
-
-
-def bench_store_formats(spec: str = "dag:w64:d4:s7") -> dict:
-    """The PR 5 tentpole measurement: npz layout vs packed mmap store.
-
-    One shared in-memory model library (characterized once), then per
-    format: cold propagation into a fresh store, warm full-run repeat, a
-    per-entry load sweep over every stored entry on a *fresh* store handle,
-    and an ECO cell swap re-timed against the warm cache.  Asserts the
-    packed store cuts per-entry load cost by >=5x and that the two formats'
-    waveforms agree bitwise (they decode the very same cold run).
-    """
-    library = default_library(default_technology())
-    models = TimingModelLibrary(library=library, config=QUICK_CONFIG)
-    reference_netlist = generate_netlist(library, spec)
-    waveforms = primary_input_waveforms(reference_netlist, seed=0)
-    models.prewarm_for_netlist(reference_netlist, kinds=("sis", "mis"))
-
-    report = {"spec": spec, "gates": len(reference_netlist.instances)}
-    warm_results = {}
-    for fmt in ("npz", "packed"):
-        store_dir = tempfile.mkdtemp(prefix=f"bench-pr5-{fmt}-")
-        store = open_result_store(store_dir, fmt)
-        netlist = generate_netlist(library, spec)
-
-        start = time.perf_counter()
-        cold = CSMEngine(netlist, models, options=QUICK_OPTIONS, cache=store).run(waveforms)
-        cold_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        warm = CSMEngine(netlist, models, options=QUICK_OPTIONS, cache=store).run(waveforms)
-        warm_seconds = time.perf_counter() - start
-        assert warm.stats["integrations"] == 0, warm.stats
-        assert waveform_deviation(warm, cold) == 0.0
-        warm_results[fmt] = warm
-
-        # Per-entry load cost on a fresh handle (no memo, no warm mapping).
-        keys = store.keys()
-        load_seconds = _timed_lookups(open_result_store(store_dir, fmt), keys)
-        per_entry_ms = 1e3 * load_seconds / max(len(keys), 1)
-
-        region_size, target, partner = eco_swap_candidate(netlist)
-        netlist.swap_cell(target, partner)
-        start = time.perf_counter()
-        edited = CSMEngine(netlist, models, options=QUICK_OPTIONS, cache=store).run(waveforms)
-        edit_seconds = time.perf_counter() - start
-        rebuilt = CSMEngine(netlist, models, options=QUICK_OPTIONS, use_cache=False).run(waveforms)
-        deviation = waveform_deviation(edited, rebuilt)
-        assert edited.stats["integrations"] <= region_size, (edited.stats, region_size)
-        assert deviation <= 1e-9, deviation
-
-        entry = {
-            "cold_seconds": round(cold_seconds, 4),
-            "warm_seconds": round(warm_seconds, 4),
-            "entries": len(keys),
-            "entry_load_seconds": round(load_seconds, 4),
-            "per_entry_load_ms": round(per_entry_ms, 4),
-            "edit_seconds": round(edit_seconds, 4),
-            "edit_stats": edited.stats,
-            "edit_max_abs_delta_v": deviation,
-        }
-        if fmt == "packed":
-            entry["file_sizes"] = store.file_sizes()
-        else:
-            entry["total_bytes"] = sum(
-                p.stat().st_size for p in Path(store_dir).glob("*/*.npz")
-            )
-        report[fmt] = entry
-
-    # The two formats decode the same cold propagation: bitwise agreement.
-    assert waveform_deviation(warm_results["packed"], warm_results["npz"]) == 0.0
-    report["per_entry_load_speedup"] = round(
-        report["npz"]["per_entry_load_ms"] / report["packed"]["per_entry_load_ms"], 1
-    )
-    report["edit_speedup_packed_vs_npz"] = round(
-        report["npz"]["edit_seconds"] / max(report["packed"]["edit_seconds"], 1e-9), 2
-    )
-    assert report["per_entry_load_speedup"] >= 5.0, report
-    return report
-
-
 def bench_nldm_incremental(spec: str = "dag:w64:d4:s7") -> dict:
-    """NLDM event propagation through its new content-addressed cache."""
+    """NLDM event propagation through its content-addressed cache."""
     library = default_library(default_technology())
-    report = {"spec": spec}
-    for fmt in ("npz", "packed"):
-        store = open_result_store(tempfile.mkdtemp(prefix=f"bench-pr5-nldm-{fmt}-"), fmt)
-        models = TimingModelLibrary(library=library, config=QUICK_CONFIG, cache=store)
-        netlist = generate_netlist(library, spec)
-        events = primary_input_events(netlist, seed=0)
+    store = PackedStore(tempfile.mkdtemp(prefix="bench-pr5-nldm-"))
+    models = TimingModelLibrary(library=library, config=QUICK_CONFIG, cache=store)
+    netlist = generate_netlist(library, spec)
+    events = primary_input_events(netlist, seed=0)
 
-        start = time.perf_counter()
-        cold = NLDMEngine(netlist, models).run(events)
-        cold_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = NLDMEngine(netlist, models).run(events)
-        warm_seconds = time.perf_counter() - start
-        assert warm.stats["integrations"] == 0, warm.stats
-        assert warm.events == cold.events
+    start = time.perf_counter()
+    cold = NLDMEngine(netlist, models).run(events)
+    cold_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    warm = NLDMEngine(netlist, models).run(events)
+    warm_seconds = time.perf_counter() - start
+    assert warm.stats["integrations"] == 0, warm.stats
+    assert warm.events == cold.events
 
-        region_size, target, partner = eco_swap_candidate(netlist)
-        netlist.swap_cell(target, partner)
-        start = time.perf_counter()
-        edited = NLDMEngine(netlist, models).run(events)
-        edit_seconds = time.perf_counter() - start
-        reference = NLDMEngine(netlist, models, use_cache=False).run(events)
-        assert 0 < edited.stats["integrations"] <= region_size, edited.stats
-        assert edited.events == reference.events
+    region_size, target, partner = eco_swap_candidate(netlist)
+    netlist.swap_cell(target, partner)
+    start = time.perf_counter()
+    edited = NLDMEngine(netlist, models).run(events)
+    edit_seconds = time.perf_counter() - start
+    reference = NLDMEngine(netlist, models, use_cache=False).run(events)
+    assert 0 < edited.stats["integrations"] <= region_size, edited.stats
+    assert edited.events == reference.events
 
-        entry = {
-            "gates": len(netlist.instances),
-            "cold_seconds": round(cold_seconds, 4),
-            "warm_seconds": round(warm_seconds, 4),
-            "warm_speedup": round(cold_seconds / max(warm_seconds, 1e-9), 1),
-            "edit_seconds": round(edit_seconds, 4),
-            "edit_stats": edited.stats,
-            "affected_region": region_size,
-        }
-        if fmt == "packed":
-            # Per-instance event tuples are tiny and live in the index; only
-            # the whole-run event map is big enough for the data file.
-            entry["file_sizes"] = store.file_sizes()
-        report[fmt] = entry
-    return report
+    return {
+        "spec": spec,
+        "gates": len(netlist.instances),
+        "cold_seconds": round(cold_seconds, 4),
+        "warm_seconds": round(warm_seconds, 4),
+        "warm_speedup": round(cold_seconds / max(warm_seconds, 1e-9), 1),
+        "edit_seconds": round(edit_seconds, 4),
+        "edit_stats": edited.stats,
+        "affected_region": region_size,
+        # Per-instance event tuples are tiny and live in the index; only the
+        # whole-run event map is big enough for the data file.
+        "file_sizes": store.file_sizes(),
+    }
 
 
 def bench_settle_accuracy() -> dict:
@@ -421,29 +318,25 @@ def main(argv=None) -> int:
     report = {"settings": "quick", "machine": machine}
     print(f"machine: {cpus} cpu(s)")
 
-    print("1/7 incremental STA (cold / warm / ECO edit) ...")
+    print("1/6 incremental STA (cold / warm / ECO edit) ...")
     report["incremental"] = bench_incremental()
     print(json.dumps(report["incremental"], indent=2)[:400])
 
-    print("2/7 store formats: npz vs packed mmap store ...")
-    report["store_formats"] = bench_store_formats()
-    print(json.dumps(report["store_formats"], indent=2))
-
-    print("3/7 NLDM incremental event propagation ...")
+    print("2/6 NLDM incremental event propagation ...")
     report["nldm_incremental"] = bench_nldm_incremental()
     print(json.dumps(report["nldm_incremental"], indent=2))
 
-    print("4/7 DC settle accuracy per input state ...")
+    print("3/6 DC settle accuracy per input state ...")
     report["settle_accuracy"] = bench_settle_accuracy()
 
-    print("5/7 DC settle cost on a full design ...")
+    print("4/6 DC settle cost on a full design ...")
     report["settle_cost"] = bench_settle_cost()
     print(json.dumps(report["settle_cost"], indent=2))
 
-    print("6/7 fig5 executor sweep ...")
+    print("5/6 fig5 executor sweep ...")
     report["fig5_executors"] = bench_fig5_executors(args.workers)
 
-    print("7/7 run_cones parallelism ...")
+    print("6/6 run_cones parallelism ...")
     report["run_cones"] = bench_run_cones(args.workers)
     print(json.dumps(report["run_cones"], indent=2))
 

@@ -49,8 +49,8 @@ from repro.experiments import (  # noqa: E402
     run_fig12,
 )
 from repro.runtime import (  # noqa: E402
+    PackedStore,
     ProcessExecutor,
-    ResultCache,
     SerialExecutor,
     ThreadExecutor,
 )
@@ -136,7 +136,7 @@ def bench_fig5_executors(workers: int) -> dict:
     }
 
 
-def _run_full_set(cache: ResultCache):
+def _run_full_set(cache: PackedStore):
     """One pass over every figure, fresh context per scenario, shared cache."""
     timings = {}
     signatures = {}
@@ -151,12 +151,12 @@ def _run_full_set(cache: ResultCache):
 
 def bench_cache(cache_dir: Path) -> dict:
     """Cold vs warm pass over the full figure set against one shared cache."""
-    cache = ResultCache(cache_dir)
+    cache = PackedStore(cache_dir)
     cold_timings, cold_signatures = _run_full_set(cache)
     cold_stats = cache.stats.as_dict()
     print(f"cold pass: {sum(cold_timings.values()):8.3f} s  ({cache.stats})", flush=True)
 
-    warm_cache = ResultCache(cache_dir)
+    warm_cache = PackedStore(cache_dir)
     warm_timings, warm_signatures = _run_full_set(warm_cache)
     warm_stats = warm_cache.stats.as_dict()
     print(f"warm pass: {sum(warm_timings.values()):8.3f} s  ({warm_cache.stats})", flush=True)

@@ -1,17 +1,13 @@
-"""PR 7 benchmark: timing-server soak, sharded-store scaling, eviction.
+"""Timing-server benchmark: soak and store eviction.
 
-Four parts, one report (``BENCH_PR7.json``):
+Three parts, one report (``BENCH_PR7.json``):
 
-* **soak** — a real daemon (unix socket, worker pool, 4-way sharded store)
+* **soak** — a real daemon (unix socket, worker pool, one packed store)
   serves 120+ concurrent requests from 8 sessions sharing one 256-gate
   design: warm repeats, a synchronized cold burst (cross-session
   single-flight dedupe), ECO swap/swap-back cycles, and a final
   ``return_waveforms`` response checked against a local no-cache rebuild
   (≤ 1e-9 V).  Reports p50/p99 latency and the warm hit-rate.
-* **store_sharding** — multi-thread put/get throughput of a sharded vs a
-  single packed store, with per-shard lock wait times.  On this container
-  the honest caveat applies: with < 4 CPUs the numbers measure lock/syscall
-  overhead, not parallel speedup — the report embeds the warning.
 * **eviction** — an LRU/age-budgeted store overfilled on purpose: evictions
   fire, the live size returns under budget, and every evicted key misses
   (never corrupts).
@@ -43,7 +39,7 @@ from repro.characterization import CharacterizationConfig  # noqa: E402
 from repro.csm.base import SimulationOptions  # noqa: E402
 from repro.runtime.client import TimingClient  # noqa: E402
 from repro.runtime.server import ServerConfig, TimingServer, build_service  # noqa: E402
-from repro.runtime.store import PackedStore, ShardedPackedStore  # noqa: E402
+from repro.runtime.store import PackedStore  # noqa: E402
 from repro.sta.engine import CSMEngine  # noqa: E402
 from repro.sta.generate import (  # noqa: E402
     default_time_window,
@@ -63,12 +59,11 @@ BURST_SEED = 7
 ROUNDS_PER_SESSION = 15  # 8 * 15 = 120 requests in the soak
 
 
-def _start_server(tmp: Path, shards: int = 4, workers: int = 4):
+def _start_server(tmp: Path, workers: int = 4):
     """A live daemon on a fresh socket; returns (server, thread, client)."""
     config = ServerConfig(
         socket_path=tmp / "bench.sock",
         cache_dir=tmp / "cache",
-        shards=shards,
         workers=workers,
         settings="quick",
     )
@@ -239,80 +234,6 @@ def bench_soak() -> dict:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _store_throughput(store, threads: int, per_thread: int, payload_bytes: int) -> dict:
-    """Concurrent put-then-get throughput against one (possibly sharded) store."""
-    rng = np.random.default_rng(0)
-    payload = rng.random(payload_bytes // 8)
-    errors: list = []
-
-    def worker(index: int):
-        try:
-            for i in range(per_thread):
-                key = f"{index:02d}{i:06d}" + "ab" * 4
-                store.store(key, {"data": payload})
-                hit, value = store.lookup(key)
-                assert hit and np.array_equal(value["data"], payload)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    start = time.perf_counter()
-    pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise errors[0]
-    ops = threads * per_thread * 2
-    lock = store.lock_stats() if hasattr(store, "lock_stats") else None
-    return {
-        "threads": threads,
-        "ops": ops,
-        "seconds": round(elapsed, 4),
-        "ops_per_second": round(ops / elapsed, 1),
-        "lock": lock,
-    }
-
-
-def bench_store_sharding(cpus: int) -> dict:
-    """Sharded vs single packed store under concurrent writers."""
-    threads, per_thread, payload = 8, 40, 32 * 1024
-    report: dict = {"payload_bytes": payload}
-    for name, opener, shard_count in (
-        ("single", PackedStore, None),
-        ("sharded", None, 4),
-    ):
-        tmp = Path(tempfile.mkdtemp(prefix=f"repro-shard-bench-{name}-"))
-        try:
-            if shard_count is None:
-                store = PackedStore(tmp / "store")
-            else:
-                store = ShardedPackedStore(tmp / "store", shards=shard_count)
-            report[name] = _store_throughput(store, threads, per_thread, payload)
-            report[name]["shards"] = shard_count or 1
-            store.close()
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-        print(
-            f"store[{name:>7}]: {report[name]['ops_per_second']:>9} ops/s "
-            f"({report[name]['seconds']} s)",
-            flush=True,
-        )
-    report["sharded_speedup"] = round(
-        report["sharded"]["ops_per_second"] / report["single"]["ops_per_second"], 2
-    )
-    if cpus < 4:
-        report["warning"] = (
-            f"only {cpus} CPU(s) visible: sharded-vs-single throughput here "
-            "measures lock and syscall overhead under time-slicing, not "
-            "parallel scaling — re-measure on a machine with >= 4 cores "
-            "before quoting a speedup"
-        )
-        print(f"WARNING: {report['warning']}", file=sys.stderr)
-    return report
-
-
 def bench_eviction() -> dict:
     """Overfill a budgeted store: evictions fire, misses stay miss-only."""
     tmp = Path(tempfile.mkdtemp(prefix="repro-evict-bench-"))
@@ -384,7 +305,6 @@ def main(argv=None) -> int:
         "cpu_count": cpus,
         "machine": machine,
         "soak": bench_soak(),
-        "store_sharding": bench_store_sharding(cpus),
         "eviction": bench_eviction(),
     }
     if not args.skip_figures:

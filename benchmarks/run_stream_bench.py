@@ -68,7 +68,6 @@ DEFAULT_BUDGET = 32 * 1024 * 1024
 
 def run_point(spec: str, mode: str, budget: int, models_cache: str, store_dir: str) -> dict:
     """Child-process body: one engine run, reported as JSON on stdout."""
-    from repro.runtime import ResultCache
     from repro.runtime.store import PackedStore
     from repro.sta.engine import CSMEngine
     from repro.sta.generate import generate_netlist, primary_input_waveforms
@@ -79,7 +78,7 @@ def run_point(spec: str, mode: str, budget: int, models_cache: str, store_dir: s
     from repro.experiments.sta_scaling import timing_models_for
 
     context = quick_context()
-    context.cache = ResultCache(models_cache)
+    context.cache = PackedStore(models_cache)
 
     build_start = time.perf_counter()
     netlist = generate_netlist(context.library, spec)

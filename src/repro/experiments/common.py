@@ -6,7 +6,7 @@ characterized models (SIS CSM, baseline MIS CSM, complete MCSM for the NOR2
 cell the paper uses throughout).  Characterization runs as content-addressed
 jobs through :mod:`repro.runtime`: results are memoized on the context (so one
 benchmark session characterizes each model exactly once) and, when the context
-carries a :class:`~repro.runtime.cache.ResultCache`, persisted on disk so
+carries a :class:`~repro.runtime.store.PackedStore`, persisted on disk so
 *other* sessions and experiments never recompute them either.  Attaching an
 executor parallelizes multi-scenario experiments (e.g. the Fig. 5 fanout
 sweep) across workers.
@@ -26,7 +26,7 @@ from ..characterization.config import CharacterizationConfig
 from ..csm.loads import Load, as_load
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..csm.base import ModelSimulationResult, SimulationOptions
-from ..runtime.cache import ResultCache
+from ..runtime.store import PackedStore
 from ..runtime.executor import Executor, run_jobs
 from ..runtime.jobs import Job, content_hash
 from ..spice.transient import TransientAnalysis, TransientOptions, transient_analysis
@@ -183,7 +183,7 @@ class ExperimentContext:
         (and :meth:`prewarm_characterizations`) fan their independent jobs out
         through it.  ``None`` runs everything serially in-process.
     cache:
-        Optional :class:`repro.runtime.ResultCache`; characterization jobs
+        Optional :class:`repro.runtime.PackedStore`; characterization jobs
         are looked up / stored by content hash, so repeated runs (across
         experiments, benchmarks or sessions) skip the characterization work.
     """
@@ -193,7 +193,7 @@ class ExperimentContext:
     reference_time_step: float = 2e-12
     model_time_step: float = 1e-12
     executor: Optional[Executor] = None
-    cache: Optional[ResultCache] = None
+    cache: Optional[PackedStore] = None
     library: CellLibrary = field(init=False)
     _mcsm_cache: Dict[Tuple[str, str, str], MCSM] = field(init=False, default_factory=dict)
     _mis_cache: Dict[Tuple[str, str, str], BaselineMISCSM] = field(init=False, default_factory=dict)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cells.library import default_library
 from ..exceptions import TimingError
-from ..runtime.cache import ResultCache
+from ..runtime.store import PackedStore
 from ..sta.engine import CSMEngine, NLDMEngine
 from ..sta.generate import (
     generate_netlist,
@@ -193,7 +193,7 @@ def nldm_corner_sweep(
     spec: str = DEFAULT_SPEC,
     corners: Sequence[str] = DEFAULT_CORNERS,
     seed: int = 0,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[PackedStore] = None,
 ) -> NLDMCornerSweepResult:
     """Sweep one design's NLDM events across corners through ONE shared store.
 

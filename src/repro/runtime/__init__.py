@@ -4,18 +4,18 @@ This package is the scheduling seam of the reproduction: independent
 simulation / characterization units become :class:`~repro.runtime.jobs.Job`
 objects with stable content hashes, an executor (serial, thread pool or
 process pool) runs any number of them with deterministic result ordering and
-per-job error capture, and a :class:`~repro.runtime.cache.ResultCache` makes
+per-job error capture, and a :class:`~repro.runtime.store.PackedStore` makes
 sure no characterized cell is ever computed twice — across experiments,
 processes or sessions.
 
 Quick tour::
 
-    from repro.runtime import Job, ProcessExecutor, ResultCache, run_jobs
+    from repro.runtime import Job, PackedStore, ProcessExecutor, run_jobs
 
     jobs = [Job(fn=simulate_bench, args=(bench,), key=content_hash(...))
             for bench in benches]
     results = run_jobs(jobs, executor=ProcessExecutor(max_workers=8),
-                       cache=ResultCache("~/.repro-cache"))
+                       cache=PackedStore("~/.repro-cache"))
     values = [r.value for r in results]    # in job order
 
 ``python -m repro.runtime.cli --figures fig5 fig9 --workers 4 --cache DIR``
@@ -24,13 +24,8 @@ runs whole paper-figure sets through the same machinery, and
 multi-session timing/ECO daemon (client API in :mod:`repro.runtime.client`).
 """
 
-from .cache import CacheStats, ResultCache, decode_payload, encode_payload
-from .store import (
-    PackedStore,
-    ShardedPackedStore,
-    migrate_npz_cache,
-    open_result_store,
-)
+from .cache import CacheStats, decode_payload, encode_payload
+from .store import PackedStore
 from .executor import (
     Executor,
     JobError,
@@ -52,13 +47,9 @@ __all__ = [
     "JobResult",
     "PackedStore",
     "ProcessExecutor",
-    "ResultCache",
     "SerialExecutor",
-    "ShardedPackedStore",
     "decode_payload",
     "encode_payload",
-    "migrate_npz_cache",
-    "open_result_store",
     "ThreadExecutor",
     "cell_fingerprint",
     "content_hash",

@@ -1,21 +1,12 @@
-"""Content-addressed disk cache for characterization and simulation results.
+"""Payload codec and hit/miss counters of the content-addressed result store.
 
-Layout on disk: one ``.npz`` file per entry under two-level fan-out
-directories, addressed purely by the job's content hash::
-
-    <cache_dir>/
-        ab/
-            ab3f9c....npz      # numeric payload + JSON manifest
-        c4/
-            c41d07....npz
-
-Each ``.npz`` holds every numpy array of the payload (``a0``, ``a1``, ...)
-plus a ``__manifest__`` entry: a JSON description of the object tree that
-references the arrays by name.  The codec round-trips the repo's result
-types **bitwise**:
+Every value the store (:class:`~repro.runtime.store.PackedStore`) holds is
+reduced to a JSON manifest describing the object tree plus a set of named
+numpy arrays the manifest references (``a0``, ``a1``, ...).  The codec
+round-trips the repo's result types **bitwise**:
 
 * primitives, lists/tuples/dicts,
-* numpy arrays (via the npz container itself),
+* numpy arrays (stored raw by the store, decoded as views),
 * :class:`~repro.lut.table.NDTable` (axes + value grid),
 * the characterized model dataclasses (``SISCSM``, ``BaselineMISCSM``,
   ``MCSM``) and :class:`~repro.characterization.nldm.NLDMTable`,
@@ -24,38 +15,25 @@ types **bitwise**:
   older per-event ``"object"`` manifests still decode.
 
 Floats embedded in the manifest are rendered with ``repr`` (Python's
-shortest round-tripping form), so a cache hit returns exactly the value the
+shortest round-tripping form), so a store hit returns exactly the value the
 original run produced.
 
 Invalidation: keys embed :data:`repro.runtime.jobs.CODE_VERSION`, so bumping
-the salt orphans every stale entry; :meth:`ResultCache.clear` removes them
-from disk, and :meth:`ResultCache.evict` drops a single key.
+the salt orphans every stale entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import logging
-import os
-import tempfile
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
 from ..lut.grid import Axis
 from ..lut.table import NDTable
 
-__all__ = ["CacheStats", "ResultCache", "encode_payload", "decode_payload"]
-
-#: A ``.tmp-*`` file older than this is a leftover of a crashed writer, not a
-#: store in flight — :meth:`ResultCache.sweep_temps` deletes it.
-STALE_TEMP_SECONDS = 3600.0
-
-logger = logging.getLogger("repro.runtime")
+__all__ = ["CacheStats", "encode_payload", "decode_payload"]
 
 
 def _registered_classes() -> Dict[str, Type]:
@@ -314,9 +292,8 @@ def encode_payload(value: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     """Reduce a cacheable value to ``(manifest, {array_name: ndarray})``.
 
     The manifest is a JSON-serializable tree referencing the arrays by name;
-    :func:`decode_payload` reverses it bitwise.  Shared by every storage
-    backend (the per-entry ``.npz`` layout here and the packed single-file
-    store in :mod:`repro.runtime.store`).
+    :func:`decode_payload` reverses it bitwise; :mod:`repro.runtime.store`
+    lays the two parts out on disk.
     """
     arrays: Dict[str, np.ndarray] = {}
     manifest = _encode(value, arrays)
@@ -329,14 +306,15 @@ def decode_payload(manifest: Any, arrays: Dict[str, np.ndarray]) -> Any:
 
 
 # ----------------------------------------------------------------------
-# The cache itself
+# Counters
 # ----------------------------------------------------------------------
 @dataclass
 class CacheStats:
-    """Hit/miss/store/evict counters for one :class:`ResultCache` instance.
+    """Hit/miss/store/evict counters for one result-store handle.
 
-    ``evictions`` counts corrupted or undecodable entries dropped during
-    lookup: each also counts as a miss (the caller recomputes and re-stores).
+    ``evictions`` counts dropped entries: corrupted or undecodable ones found
+    during lookup (each also a miss; the caller recomputes and re-stores) and
+    those the store's eviction policy removed.
     """
 
     hits: int = 0
@@ -357,119 +335,3 @@ class CacheStats:
             f"{self.hits} hits, {self.misses} misses, {self.stores} stores, "
             f"{self.evictions} evicted"
         )
-
-
-class ResultCache:
-    """Content-addressed ``.npz`` store keyed by job content hashes."""
-
-    def __init__(self, directory: os.PathLike):
-        self.directory = Path(directory).expanduser()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-        self.sweep_temps()
-
-    # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.npz"
-
-    def _entries(self):
-        """Finished entries only — skips '.tmp-*' left by interrupted stores.
-
-        ``Path.glob`` (unlike a shell) matches dotfiles, so without the
-        filter a crashed writer's ``.tmp-*.npz`` would count as an entry in
-        ``len()`` / ``keys()`` and get returned by :meth:`clear`.
-        """
-        return (
-            path
-            for path in self.directory.glob("*/*.npz")
-            if not path.name.startswith(".tmp-")
-        )
-
-    def sweep_temps(self, max_age_seconds: float = STALE_TEMP_SECONDS) -> int:
-        """Delete ``.tmp-*`` files older than ``max_age_seconds``.
-
-        Interrupted :meth:`store` calls (a killed process between the temp
-        write and the atomic rename) leave temp files behind; they are never
-        addressed again, so they only waste disk.  Recent temps are kept —
-        they may belong to a concurrent writer mid-store.  Runs once per
-        cache construction; returns the number of files removed.
-        """
-        cutoff = time.time() - max_age_seconds
-        removed = 0
-        for path in self.directory.glob("*/.tmp-*.npz"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-                    removed += 1
-            except OSError:  # raced with a concurrent sweep or rename
-                continue
-        return removed
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
-
-    # ------------------------------------------------------------------
-    def lookup(self, key: str) -> Tuple[bool, Any]:
-        """``(hit, value)`` for a key; counts the hit or miss."""
-        path = self._path(key)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                manifest = json.loads(str(data["__manifest__"]))
-                arrays = {name: data[name] for name in data.files if name != "__manifest__"}
-            value = _decode(manifest, arrays)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return False, None
-        except Exception:  # corrupt/undecodable entry: treat as miss, drop it
-            logger.warning("dropping unreadable cache entry %s", path, exc_info=True)
-            path.unlink(missing_ok=True)
-            self.stats.misses += 1
-            self.stats.evictions += 1
-            return False, None
-        self.stats.hits += 1
-        return True, value
-
-    def store(self, key: str, value: Any) -> None:
-        """Persist a value under its content key (atomic rename)."""
-        manifest, arrays = encode_payload(value)
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".npz"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                np.savez_compressed(
-                    stream, __manifest__=np.array(json.dumps(manifest)), **arrays
-                )
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.stores += 1
-
-    # ------------------------------------------------------------------
-    def evict(self, key: str) -> bool:
-        """Remove a single entry; returns whether it existed."""
-        path = self._path(key)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
-
-    def clear(self) -> int:
-        """Remove every entry; returns the number of entries removed."""
-        removed = 0
-        for path in self._entries():
-            path.unlink()
-            removed += 1
-        return removed
-
-    def keys(self) -> List[str]:
-        return sorted(path.stem for path in self._entries())

@@ -36,10 +36,8 @@ Two further ``--sta`` axes:
   for waveforms, exact event equality for NLDM) — non-zero exit on any
   violation (the CI incremental smoke).
 
-``--cache-format packed`` stores results in the packed single-file mmap
-store (:mod:`repro.runtime.store`) instead of per-entry ``.npz`` files;
-``auto`` (the default) keeps whatever layout the cache directory already
-uses.
+``--cache DIR`` keeps every result in the packed single-file mmap store
+(:class:`~repro.runtime.store.PackedStore`) under ``DIR``.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .executor import default_executor
-from .store import open_result_store
+from .store import PackedStore
 
 __all__ = ["main", "FIGURES", "MODEL_KINDS"]
 
@@ -105,7 +103,7 @@ def _load_figures() -> None:
     )
 
 
-def build_context(settings: str, executor=None, cache: Optional[ResultCache] = None):
+def build_context(settings: str, executor=None, cache: Optional[PackedStore] = None):
     """An :class:`ExperimentContext` for ``settings`` ('quick' or 'paper')."""
     from ..characterization import CharacterizationConfig
     from ..experiments import ExperimentContext
@@ -307,11 +305,7 @@ def _run_sta_mode(args) -> int:
     from ..sta.generate import generate_netlist, primary_input_waveforms
 
     executor = default_executor(args.workers, args.executor)
-    cache = (
-        open_result_store(args.cache, args.cache_format, shards=args.shards)
-        if args.cache is not None
-        else None
-    )
+    cache = PackedStore(args.cache) if args.cache is not None else None
     context = build_context(args.settings, executor=executor, cache=cache)
     models = timing_models_for(context)
     streaming = args.memory_mode == "stream"
@@ -631,22 +625,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="content-addressed result cache directory (created if missing)",
     )
     parser.add_argument(
-        "--cache-format",
-        choices=("auto", "npz", "packed", "sharded"),
-        default="auto",
-        help="result-store layout: per-entry .npz files, the packed "
-        "single-file mmap store, or a hash-sharded set of packed stores; "
-        "'auto' (default) keeps whatever layout the directory already holds",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the packed result store N ways (hash-prefix routing; "
-        "reduces lock contention under concurrent writers)",
-    )
-    parser.add_argument(
         "--settings",
         choices=("quick", "paper"),
         default="quick",
@@ -659,8 +637,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="SOCKET",
         help="start the timing server on SOCKET instead of running figures "
         "(shorthand for 'python -m repro.runtime.server start --socket "
-        "SOCKET', honouring --cache/--cache-format/--shards/--workers/"
-        "--settings)",
+        "SOCKET', honouring --cache/--workers/--settings)",
     )
     parser.add_argument(
         "--json",
@@ -749,12 +726,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         server_argv = ["start", "--socket", str(args.serve),
                        "--workers", str(max(args.workers, 1)),
-                       "--settings", args.settings,
-                       "--cache-format", args.cache_format]
+                       "--settings", args.settings]
         if args.cache is not None:
             server_argv += ["--cache", str(args.cache)]
-        if args.shards is not None:
-            server_argv += ["--shards", str(args.shards)]
         return server_main(server_argv)
 
     if args.sta is not None:
@@ -770,11 +744,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"unknown figures {unknown}; available: {sorted(FIGURES)}")
 
     executor = default_executor(args.workers, args.executor)
-    cache = (
-        open_result_store(args.cache, args.cache_format, shards=args.shards)
-        if args.cache is not None
-        else None
-    )
+    cache = PackedStore(args.cache) if args.cache is not None else None
     context = build_context(args.settings, executor=executor, cache=cache)
 
     kinds = tuple(dict.fromkeys(k for name in names for k in MODEL_KINDS[name]))

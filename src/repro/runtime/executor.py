@@ -8,7 +8,7 @@ contract, identical for every backend:
   wall-clock duration, cache provenance) so one failing scenario doesn't tear
   down a thousand-job sweep unless the caller asks it to (``reraise=True``,
   the default, re-raises the first failure *after* all jobs finished);
-* jobs with a content key consult the :class:`~repro.runtime.cache.ResultCache`
+* jobs with a content key consult the :class:`~repro.runtime.store.PackedStore`
   first and store their result on completion, so a characterized cell is never
   recomputed — not in this process, not in any future one.
 
@@ -198,7 +198,7 @@ def run_jobs(
         Backend to execute cache misses on; defaults to
         :class:`SerialExecutor`.
     cache:
-        A :class:`~repro.runtime.cache.ResultCache`.  Jobs whose ``key`` is
+        A :class:`~repro.runtime.store.PackedStore`.  Jobs whose ``key`` is
         set are looked up first (a hit skips execution entirely) and stored
         after successful execution.
     reraise:

@@ -53,8 +53,6 @@ def _config_from_args(args: argparse.Namespace) -> ServerConfig:
         http_host=args.http_host,
         http_port=args.http_port,
         cache_dir=Path(args.cache) if args.cache else None,
-        cache_format=args.cache_format,
-        shards=args.shards,
         workers=args.workers,
         settings=args.settings,
         max_bytes=args.max_bytes,
@@ -76,15 +74,11 @@ def cmd_start(args: argparse.Namespace) -> int:
             str(args.workers),
             "--settings",
             args.settings,
-            "--cache-format",
-            args.cache_format,
         ]
         if args.http_port is not None:
             child_argv += ["--http-port", str(args.http_port), "--http-host", args.http_host]
         if args.cache:
             child_argv += ["--cache", str(args.cache)]
-        if args.shards is not None:
-            child_argv += ["--shards", str(args.shards)]
         if args.max_bytes is not None:
             child_argv += ["--max-bytes", str(args.max_bytes)]
         if args.max_age_s is not None:
@@ -201,10 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also listen on HTTP (0 picks a free port)")
     start.add_argument("--cache", type=Path, default=None,
                        help="result-store directory (shared across restarts)")
-    start.add_argument("--cache-format", default="auto",
-                       choices=["auto", "npz", "packed", "sharded"])
-    start.add_argument("--shards", type=int, default=None,
-                       help="shard the packed store N ways")
     start.add_argument("--workers", type=int, default=2,
                        help="engine worker threads (default 2)")
     start.add_argument("--settings", default="quick", choices=["quick", "paper"])

@@ -54,8 +54,8 @@ class ServerConfig:
     http_host: str = "127.0.0.1"
     http_port: Optional[int] = None  # None: no HTTP listener; 0: ephemeral
     cache_dir: Optional[Path] = None
-    cache_format: str = "auto"
-    shards: Optional[int] = None
+    # Kept for existing callers that name the format; the packed store is the only one.
+    cache_format: str = "packed"
     workers: int = 2
     settings: str = "quick"
     max_bytes: Optional[int] = None
@@ -65,21 +65,23 @@ class ServerConfig:
     #: same wall clock as the store's max-age policy.
     session_ttl_s: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.cache_format != "packed":
+            raise ValueError(
+                f"unknown cache_format {self.cache_format!r}; the result store is 'packed'"
+            )
+
 
 def build_service(config: ServerConfig) -> TimingService:
     """A :class:`TimingService` wired per the server config."""
     from ...characterization import CharacterizationConfig
     from ...csm.base import SimulationOptions
-    from ..store import open_result_store
+    from ..store import PackedStore
 
     store = None
     if config.cache_dir is not None:
-        store = open_result_store(
-            config.cache_dir,
-            config.cache_format,
-            shards=config.shards,
-            max_bytes=config.max_bytes,
-            max_age_s=config.max_age_s,
+        store = PackedStore(
+            config.cache_dir, max_bytes=config.max_bytes, max_age_s=config.max_age_s
         )
     if config.settings == "quick":
         characterization = CharacterizationConfig(io_grid_points=5)

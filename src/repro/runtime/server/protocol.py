@@ -12,7 +12,8 @@ Ops
     Liveness check; echoes the server pid and protocol version.
 ``status``
     Server-wide report: uptime, designs, sessions (with per-engine stats),
-    store report (shards, eviction policy, lock waits), dedupe counters.
+    store report (entries, live/dead bytes, eviction policy, lock waits),
+    dedupe counters.
 ``open_session``
     ``design`` is either ``{"generate": "<spec>"}`` (a
     :func:`repro.sta.generate.generate_netlist` spec string, e.g.

@@ -1,7 +1,7 @@
 """Design/session registry and the transport-free timing service core.
 
 :class:`TimingService` is the whole server minus I/O: it owns the model
-library, the shared (usually sharded) result store, the design registry and
+library, the shared packed result store, the design registry and
 the sessions, and exposes one synchronous ``handle(request) -> response``
 dispatch that the asyncio daemon calls from its worker pool.  Keeping the
 core synchronous and transport-free is what makes it directly testable —
@@ -93,8 +93,8 @@ class TimingService:
         A prebuilt :class:`TimingModelLibrary` (tests share one to avoid
         re-characterizing); built from ``library``/``config`` otherwise.
     store:
-        The shared result store (typically a
-        :class:`~repro.runtime.store.ShardedPackedStore`).  Wrapped in a
+        The shared result store, a :class:`~repro.runtime.store.PackedStore`
+        whose one handle serves every worker thread.  Wrapped in a
         :class:`SingleFlightStore` so overlapping in-flight keys dedupe
         across sessions.  ``None`` runs uncached.
     options:
@@ -482,8 +482,7 @@ class TimingService:
         store_report = None
         dedupe = None
         if self.store is not None:
-            inner = self.store.inner
-            store_report = inner.report() if hasattr(inner, "report") else None
+            store_report = self.store.inner.report()
             dedupe = self.store.dedupe_stats()
         return {
             "uptime_s": time.time() - self.started_at,

@@ -159,12 +159,7 @@ class SingleFlightStore:
 
     def store_many(self, items) -> None:
         items = list(items)
-        inner_many = getattr(self.inner, "store_many", None)
-        if inner_many is not None:
-            inner_many(items)
-        else:
-            for key, value in items:
-                self.inner.store(key, value)
+        self.inner.store_many(items)
         for key, _ in items:
             self._resolve(key)
 

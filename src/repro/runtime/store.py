@@ -1,10 +1,9 @@
-"""Packed, mmap-backed result store: one data file, one index, zero unzip.
+"""The result store: one packed, mmap-backed data file plus one index.
 
-The per-entry ``.npz`` layout of :class:`~repro.runtime.cache.ResultCache`
-pays an open + decompress cost of roughly a millisecond per entry, which is
-what makes warm incremental re-timing I/O-bound (ROADMAP, PR 4).  This module
-replaces it with a packed single-file store in the spirit of contiguous
-shared-memory block storage:
+Every content-addressed value of the stack (characterized models, level
+tensors, waveforms, timing results) lives in a :class:`PackedStore`, laid
+out in the spirit of contiguous shared-memory block storage — no per-entry
+files, no decompression on the read path:
 
 * ``store.dat`` — an append-only record log, the **source of truth**.  Every
   record is self-describing (magic, length-prefixed JSON header, raw
@@ -35,7 +34,7 @@ Atomicity / crash-safety guarantees:
 Tiny payloads (e.g. the NLDM engine's per-instance event tuples) are stored
 inline in the index — no data-file record at all.
 
-Bounded disk (PR 7): ``PackedStore(max_bytes=, max_age_s=)`` turns the
+Bounded disk: ``PackedStore(max_bytes=, max_age_s=)`` turns the
 store into a self-maintaining cache — last access times ride in the index
 (``ts`` on put/inline lines plus lazily flushed ``touch`` lines), and
 :meth:`PackedStore.enforce_policy` evicts by age then by LRU order until the
@@ -43,15 +42,11 @@ budget holds, compacting immediately afterwards so the bytes actually come
 back.  Eviction is always *miss-only* degradation: a later lookup of an
 evicted key misses and the caller recomputes.
 
-:class:`ShardedPackedStore` routes keys by hash prefix across N independent
-``PackedStore`` shards (each with its own flock), so concurrent writers —
-e.g. many timing-server sessions — never contend on a single lock.  The
-shard count is pinned in ``shards.json`` at creation, which keeps routing
-stable across processes and re-opens.
+One handle serves many threads (the timing server's workers share one); the
+file lock serializes appends across processes.
 
-``python -m repro.runtime.store migrate SRC DEST`` converts a per-entry
-``.npz`` cache directory into a packed store; ``compact`` rewrites the data
-file dropping dead records; ``stats`` prints entry counts and file sizes.
+``python -m repro.runtime.store compact DIR`` rewrites the data file
+dropping dead records; ``stats DIR`` prints the store's :meth:`report`.
 """
 
 from __future__ import annotations
@@ -71,7 +66,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .cache import CacheStats, ResultCache, decode_payload, encode_payload
+from .cache import CacheStats, decode_payload, encode_payload
 from .jobs import contiguous_array
 
 try:  # POSIX only; the store degrades to in-process locking elsewhere.
@@ -79,12 +74,7 @@ try:  # POSIX only; the store degrades to in-process locking elsewhere.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-__all__ = [
-    "PackedStore",
-    "ShardedPackedStore",
-    "open_result_store",
-    "migrate_npz_cache",
-]
+__all__ = ["PackedStore"]
 
 logger = logging.getLogger("repro.runtime")
 
@@ -101,7 +91,6 @@ _INLINE_LIMIT = 2048
 _DATA_NAME = "store.dat"
 _INDEX_NAME = "store.idx"
 _LOCK_NAME = "store.lock"
-_SHARD_META_NAME = "shards.json"
 #: Dirty access-time updates buffered in memory before one batched index
 #: append — bounds the write amplification of recency tracking.
 _TOUCH_FLUSH_LIMIT = 256
@@ -115,7 +104,7 @@ class _FileLock:
     """Advisory cross-process lock (flock) + in-process re-entrant lock.
 
     Tracks how long outermost acquisitions waited (``wait_seconds`` /
-    ``acquisitions``) — the shard-contention metric reported by the stores.
+    ``acquisitions``) — the lock-contention metric of :meth:`PackedStore.report`.
     """
 
     def __init__(self, path: Path):
@@ -149,14 +138,12 @@ class _FileLock:
 
 
 class PackedStore:
-    """Content-addressed packed store behind the :class:`ResultCache` API.
+    """Content-addressed packed store keyed by job content hashes.
 
-    ``lookup`` / ``store`` / ``stats`` / ``evict`` / ``clear`` / ``keys`` are
-    drop-in compatible, so anything that accepts a ``ResultCache`` (engines,
-    :func:`repro.runtime.run_jobs`, the model library) accepts a
-    ``PackedStore`` unchanged — with one intentional difference: decoded
-    arrays are zero-copy **read-only** views into the mapping (the npz cache
-    returns fresh writable arrays).  Copy before mutating a looked-up value.
+    ``lookup`` / ``store`` / ``store_many`` / ``stats`` / ``evict`` /
+    ``clear`` / ``keys`` are what the engines, :func:`repro.runtime.run_jobs`
+    and the model library use.  Decoded arrays are zero-copy **read-only**
+    views into the mapping: copy before mutating a looked-up value.
     """
 
     def __init__(
@@ -189,8 +176,7 @@ class PackedStore:
             "policy_compactions": 0,
         }
         self._init_runtime_state()
-        # An (empty) data file makes the layout self-identifying, which is
-        # what ``open_result_store(..., "auto")`` keys on.
+        # An (empty) data file makes the directory identifiable as a store.
         self._dat_path.touch(exist_ok=True)
         self._load_index()
         self._maybe_autocompact()
@@ -1058,7 +1044,7 @@ class PackedStore:
             self.enforce_policy()
 
     def lock_stats(self) -> Dict[str, float]:
-        """Cross-process lock contention counters (shard metric)."""
+        """Cross-process lock contention counters."""
         return {
             "acquisitions": self._lock.acquisitions,
             "wait_seconds": self._lock.wait_seconds,
@@ -1109,289 +1095,8 @@ class PackedStore:
         self._mm = None
 
 
-# ----------------------------------------------------------------------
-# Sharded store
-# ----------------------------------------------------------------------
-class ShardedPackedStore:
-    """N independent :class:`PackedStore` shards behind one store facade.
-
-    Keys route by hash prefix — ``int(key[:8], 16) % num_shards`` for the
-    hex digests produced by :func:`repro.runtime.jobs.content_hash`, with a
-    CRC32 fallback for arbitrary keys — so concurrent writers of different
-    keys land on different shards and never contend on a single ``flock``.
-    Routing depends only on the key and the shard count; the count is pinned
-    in ``shards.json`` when the store is first created, and later ``shards=``
-    arguments are ignored in favour of the persisted value, which keeps
-    routing stable across processes and re-opens.
-
-    ``max_bytes`` is a *total* budget, divided evenly across shards (hash
-    routing spreads load closely enough for a per-shard share to behave like
-    a global LRU in aggregate).  The other knobs apply per shard.
-    """
-
-    def __init__(
-        self,
-        directory: os.PathLike,
-        shards: Optional[int] = 4,
-        inline_limit: int = _INLINE_LIMIT,
-        max_dead_bytes: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-    ):
-        self.directory = Path(directory).expanduser()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        meta_path = self.directory / _SHARD_META_NAME
-        if meta_path.exists():
-            persisted = int(json.loads(meta_path.read_text())["shards"])
-            if shards is not None and shards != persisted:
-                logger.info(
-                    "using persisted shard count %d for %s (requested %d)",
-                    persisted,
-                    self.directory,
-                    shards,
-                )
-            shards = persisted
-        else:
-            shards = int(shards or 4)
-            if shards < 1:
-                raise ValueError("shard count must be >= 1")
-            tmp = meta_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps({"shards": shards}) + "\n")
-            os.replace(tmp, meta_path)
-        self.inline_limit = inline_limit
-        self.max_dead_bytes = max_dead_bytes
-        self.max_bytes = max_bytes
-        self.max_age_s = max_age_s
-        per_shard_bytes = None if max_bytes is None else max(1, max_bytes // shards)
-        self.shards = [
-            PackedStore(
-                self.directory / f"shard-{index:02d}",
-                inline_limit=inline_limit,
-                max_dead_bytes=max_dead_bytes,
-                max_bytes=per_shard_bytes,
-                max_age_s=max_age_s,
-            )
-            for index in range(shards)
-        ]
-
-    # -- pickling: worker processes reopen the shards lazily -------------
-    def __getstate__(self):
-        return {
-            "directory": self.directory,
-            "shards": len(self.shards),
-            "inline_limit": self.inline_limit,
-            "max_dead_bytes": self.max_dead_bytes,
-            "max_bytes": self.max_bytes,
-            "max_age_s": self.max_age_s,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(
-            state["directory"],
-            shards=state["shards"],
-            inline_limit=state["inline_limit"],
-            max_dead_bytes=state.get("max_dead_bytes"),
-            max_bytes=state.get("max_bytes"),
-            max_age_s=state.get("max_age_s"),
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    def shard_index(self, key: str) -> int:
-        """The shard a key routes to — a pure function of key and count."""
-        try:
-            return int(key[:8], 16) % len(self.shards)
-        except ValueError:
-            return zlib.crc32(key.encode("utf-8")) % len(self.shards)
-
-    def shard_for(self, key: str) -> PackedStore:
-        return self.shards[self.shard_index(key)]
-
-    # -- ResultCache-compatible surface ----------------------------------
-    def lookup(self, key: str) -> Tuple[bool, Any]:
-        return self.shard_for(key).lookup(key)
-
-    def store(self, key: str, value: Any) -> None:
-        self.shard_for(key).store(key, value)
-
-    def store_many(self, items) -> None:
-        groups: Dict[int, List[Tuple[str, Any]]] = {}
-        for key, value in items:
-            groups.setdefault(self.shard_index(key), []).append((key, value))
-        for index, group in groups.items():
-            self.shards[index].store_many(group)
-
-    @property
-    def stats(self) -> CacheStats:
-        total = CacheStats()
-        for shard in self.shards:
-            stats = shard.stats
-            total.hits += stats.hits
-            total.misses += stats.misses
-            total.stores += stats.stores
-            total.evictions += stats.evictions
-        return total
-
-    def keys(self) -> List[str]:
-        return sorted(key for shard in self.shards for key in shard.keys())
-
-    def evict(self, key: str) -> bool:
-        return self.shard_for(key).evict(key)
-
-    def pin(self, key: str) -> bool:
-        return self.shard_for(key).pin(key)
-
-    def unpin(self, key: str) -> None:
-        self.shard_for(key).unpin(key)
-
-    def pinned_keys(self) -> List[str]:
-        return sorted(key for shard in self.shards for key in shard.pinned_keys())
-
-    def release_record_pages(self, key: str) -> int:
-        return self.shard_for(key).release_record_pages(key)
-
-    def clear(self) -> int:
-        return sum(shard.clear() for shard in self.shards)
-
-    def compact(self) -> Tuple[int, int]:
-        kept = reclaimed = 0
-        for shard in self.shards:
-            shard_kept, shard_reclaimed = shard.compact()
-            kept += shard_kept
-            reclaimed += shard_reclaimed
-        return kept, reclaimed
-
-    def enforce_policy(self, now: Optional[float] = None) -> Dict[str, int]:
-        total = {"age_evictions": 0, "lru_evictions": 0, "reclaimed_bytes": 0}
-        for shard in self.shards:
-            result = shard.enforce_policy(now)
-            for name in total:
-                total[name] += result[name]
-        return total
-
-    def last_access(self, key: str) -> Optional[float]:
-        return self.shard_for(key).last_access(key)
-
-    def live_bytes(self) -> int:
-        return sum(shard.live_bytes() for shard in self.shards)
-
-    def dead_bytes(self) -> int:
-        return sum(shard.dead_bytes() for shard in self.shards)
-
-    def file_sizes(self) -> Dict[str, int]:
-        sizes = {"dat": 0, "idx": 0}
-        for shard in self.shards:
-            for name, size in shard.file_sizes().items():
-                sizes[name] += size
-        return sizes
-
-    def lock_stats(self) -> Dict[str, float]:
-        return {
-            "acquisitions": sum(s._lock.acquisitions for s in self.shards),
-            "wait_seconds": sum(s._lock.wait_seconds for s in self.shards),
-        }
-
-    def report(self) -> Dict[str, Any]:
-        shard_reports = [shard.report() for shard in self.shards]
-        stats = self.stats
-        return {
-            "num_shards": len(self.shards),
-            "entries": sum(r["entries"] for r in shard_reports),
-            "pinned": sum(r["pinned"] for r in shard_reports),
-            "file_sizes": self.file_sizes(),
-            "live_bytes": sum(r["live_bytes"] for r in shard_reports),
-            "dead_bytes": sum(r["dead_bytes"] for r in shard_reports),
-            "cache": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "stores": stats.stores,
-                "evictions": stats.evictions,
-            },
-            "policy": {
-                name: sum(r["policy"][name] for r in shard_reports)
-                for name in ("age_evictions", "lru_evictions", "policy_compactions")
-            },
-            "lock": self.lock_stats(),
-            "shards": shard_reports,
-        }
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.shard_for(key)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-
-
-# ----------------------------------------------------------------------
-# Factory + migration
-# ----------------------------------------------------------------------
-def open_result_store(
-    directory: os.PathLike,
-    fmt: str = "auto",
-    shards: Optional[int] = None,
-    **kwargs,
-):
-    """Open a result store of the requested format.
-
-    ``"npz"`` → per-entry :class:`ResultCache`; ``"packed"`` →
-    :class:`PackedStore`; ``"sharded"`` → :class:`ShardedPackedStore`;
-    ``"auto"`` → whatever the directory already holds (``shards.json`` →
-    sharded, ``store.dat`` → packed, otherwise npz — unless ``shards > 1``
-    asks for a new sharded store).  Extra keyword arguments
-    (``max_dead_bytes``, ``max_bytes``, ``max_age_s``, ``inline_limit``)
-    are forwarded to the packed layouts and ignored for npz.
-    """
-    directory = Path(directory).expanduser()
-    if fmt == "auto":
-        if (directory / _SHARD_META_NAME).exists():
-            fmt = "sharded"
-        elif (directory / _DATA_NAME).exists():
-            fmt = "packed"
-        elif shards is not None and shards > 1:
-            fmt = "sharded"
-        else:
-            fmt = "npz"
-    if fmt == "npz":
-        return ResultCache(directory)
-    if fmt == "packed":
-        return PackedStore(directory, **kwargs)
-    if fmt == "sharded":
-        return ShardedPackedStore(directory, shards=shards, **kwargs)
-    raise ValueError(
-        f"unknown store format {fmt!r} (use 'npz', 'packed', 'sharded' or 'auto')"
-    )
-
-
-def migrate_npz_cache(source: os.PathLike, destination: os.PathLike) -> int:
-    """Copy every entry of a per-entry ``.npz`` cache into a packed store.
-
-    Unreadable source entries are skipped (they would have been evicted on
-    their next lookup anyway).  Returns the number of entries migrated.  The
-    destination may equal the source directory: the packed files
-    (``store.dat`` / ``store.idx``) coexist with the npz fan-out dirs, and
-    ``open_result_store(..., "auto")`` prefers the packed layout afterwards.
-    """
-    cache = ResultCache(source)
-    store = PackedStore(destination)
-    migrated = 0
-    for key in cache.keys():
-        hit, value = cache.lookup(key)
-        if not hit:
-            continue
-        store.store(key, value)
-        migrated += 1
-    return migrated
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.runtime.store`` — migrate / compact / stats."""
+    """``python -m repro.runtime.store`` — compact / stats."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -1399,31 +1104,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Maintain packed result stores.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    migrate = sub.add_parser("migrate", help="convert an .npz cache dir to a packed store")
-    migrate.add_argument("source", type=Path)
-    migrate.add_argument("destination", type=Path)
     compact = sub.add_parser("compact", help="rewrite store.dat dropping dead records")
     compact.add_argument("directory", type=Path)
     stats = sub.add_parser("stats", help="print entry count and file sizes")
     stats.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
 
-    if args.command == "migrate":
-        migrated = migrate_npz_cache(args.source, args.destination)
-        print(f"migrated {migrated} entries from {args.source} to {args.destination}")
-    elif args.command == "compact":
-        store = open_result_store(args.directory, "auto")
-        if not isinstance(store, (PackedStore, ShardedPackedStore)):
-            print(f"{args.directory} is not a packed store")
-            return 1
+    if not (args.directory / _DATA_NAME).exists():
+        print(f"{args.directory} is not a packed store")
+        return 1
+    store = PackedStore(args.directory)
+    if args.command == "compact":
         kept, reclaimed = store.compact()
         print(f"compacted {args.directory}: {kept} entries kept, {reclaimed} bytes reclaimed")
-    elif args.command == "stats":
-        store = open_result_store(args.directory, "auto")
-        if isinstance(store, (PackedStore, ShardedPackedStore)):
-            print(json.dumps(store.report(), indent=2, sort_keys=True))
-        else:
-            print(f"{args.directory}: {len(store.keys())} npz entries")
+    else:
+        print(json.dumps(store.report(), indent=2, sort_keys=True))
     return 0
 
 

@@ -43,7 +43,7 @@ from ..csm.loads import CapacitiveLoad, Load, ReceiverLoad
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..csm.simulate import BatchUnit, integrate_model_many, simulation_time_grid
 from ..exceptions import TimingError
-from ..runtime.cache import ResultCache
+from ..runtime.store import PackedStore
 from ..runtime.executor import Executor, run_jobs
 from ..runtime.jobs import Job, content_hash
 from ..waveform.level_tensor import LevelTensor
@@ -631,20 +631,6 @@ def create_engine(
     )
 
 
-def _store_items(cache, items: Iterable[Tuple[str, object]]) -> None:
-    """Commit ``(key, value)`` pairs in one ``store_many`` transaction when
-    the store offers it (one lock and one index append), else one by one."""
-    items = list(items)
-    if cache is None or not items:
-        return
-    store_many = getattr(cache, "store_many", None)
-    if store_many is not None:
-        store_many(items)
-    else:
-        for key, value in items:
-            cache.store(key, value)
-
-
 def _peek(cache):
     """A store's non-claiming read: :meth:`SingleFlightStore.peek` where the
     store dedupes in-flight misses, its plain ``lookup`` otherwise."""
@@ -695,7 +681,7 @@ class NLDMEngine(TimingEngine):
         self,
         netlist: GateNetlist,
         models: TimingModelLibrary,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[PackedStore] = None,
         use_cache: bool = True,
         corners: Optional[CornerSet] = None,
         memory_mode: str = "resident",
@@ -918,7 +904,8 @@ class NLDMEngine(TimingEngine):
                     if self.cache is not None:
                         level_items[key] = {"event": fields, "mis": mis_flags[instance.name]}
                         stats.stores += 1
-            _store_items(self.cache, level_items.items())
+            if level_items:
+                self.cache.store_many(level_items.items())
 
         result = NLDMTimingResult(
             events=events,
@@ -1227,7 +1214,7 @@ class CSMEngine(TimingEngine):
         models: TimingModelLibrary,
         options: Optional[SimulationOptions] = None,
         batched: bool = True,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[PackedStore] = None,
         use_cache: bool = True,
         corners: Optional[CornerSet] = None,
         memory_mode: str = "resident",
@@ -1952,7 +1939,7 @@ class CSMEngine(TimingEngine):
             for r, plan in enumerate(plans)
         ]
         items.append((level_key, {"keys": keys, "tensor": tensor}))
-        _store_items(self.cache, items)
+        self.cache.store_many(items)
         stats.stores += len(plans)
         self._hot_put(level_key, tensor)
         if retention.pins:
@@ -2058,28 +2045,23 @@ class CSMEngine(TimingEngine):
         budget = self.memory_budget_bytes
         if budget is None:
             return
-        release = getattr(self.cache, "release_record_pages", None)
         while self._hot_bytes > budget and len(self._hot_levels) > 1:
             level_key, (_tensor, nbytes) = next(iter(self._hot_levels.items()))
             del self._hot_levels[level_key]
             self._hot_bytes -= nbytes
             if on_evict is not None:
                 on_evict(level_key)
-            if release is not None:
-                release(level_key)
+            self.cache.release_record_pages(level_key)
 
     def _pin_level(self, level_key: str) -> None:
         if level_key in self._stream_pins:
             return
-        pin = getattr(self.cache, "pin", None)
-        if pin is not None and pin(level_key):
+        if self.cache.pin(level_key):
             self._stream_pins.add(level_key)
 
     def _release_stream_pins(self) -> None:
-        unpin = getattr(self.cache, "unpin", None)
-        if unpin is not None:
-            for level_key in self._stream_pins:
-                unpin(level_key)
+        for level_key in self._stream_pins:
+            self.cache.unpin(level_key)
         self._stream_pins.clear()
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import TimingError, WaveformError
-from ..runtime.cache import ResultCache
+from ..runtime.store import PackedStore
 from ..spice.sources import SaturatedRamp
 from ..waveform.metrics import crossing_times, transition_time
 from ..waveform.waveform import Waveform
@@ -220,7 +220,7 @@ class HybridEngine(TimingEngine):
         netlist: GateNetlist,
         models: TimingModelLibrary,
         options=None,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[PackedStore] = None,
         use_cache: bool = True,
         required: Union[float, Mapping[str, float]] = 0.0,
         required_default: Optional[float] = None,

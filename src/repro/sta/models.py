@@ -6,7 +6,7 @@ baseline-MIS / MCSM current-source models for the waveform-propagation
 engine.  Characterization is expensive (it runs the reference simulator), so
 every model is built exactly once per (cell, pins) key — and, since every
 characterization runs as a content-addressed :mod:`repro.runtime` job, a
-library wired to a :class:`~repro.runtime.cache.ResultCache` never recomputes
+library wired to a :class:`~repro.runtime.store.PackedStore` never recomputes
 a model that *any* previous session already built: engine construction over a
 warm cache is a no-op.  :meth:`prewarm` / :meth:`prewarm_for_netlist` submit
 one job per cell × model kind as a single (optionally parallel) job set.
@@ -28,7 +28,7 @@ from ..characterization.config import CharacterizationConfig
 from ..characterization.nldm import NLDMTable
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..exceptions import TimingError
-from ..runtime.cache import ResultCache
+from ..runtime.store import PackedStore
 from ..runtime.executor import Executor, run_jobs
 from ..runtime.jobs import Job
 
@@ -53,7 +53,7 @@ class TimingModelLibrary:
         Optional :class:`repro.runtime.Executor`; :meth:`prewarm` fans its
         independent characterization jobs out through it.
     cache:
-        Optional :class:`repro.runtime.ResultCache`; every characterization
+        Optional :class:`repro.runtime.PackedStore`; every characterization
         is looked up / stored by content hash, so repeated library builds
         (across engines, benchmarks and sessions) skip the work entirely.
     """
@@ -64,7 +64,7 @@ class TimingModelLibrary:
     nldm_input_slews: Tuple[float, ...] = (20e-12, 60e-12, 150e-12)
     nldm_loads: Tuple[float, ...] = (2e-15, 8e-15, 25e-15)
     executor: Optional[Executor] = None
-    cache: Optional[ResultCache] = None
+    cache: Optional[PackedStore] = None
     _sis: Dict[Tuple[str, str], SISCSM] = field(default_factory=dict, repr=False)
     _mis: Dict[Tuple[str, str, str], BaselineMISCSM] = field(default_factory=dict, repr=False)
     _mcsm: Dict[Tuple[str, str, str], MCSM] = field(default_factory=dict, repr=False)

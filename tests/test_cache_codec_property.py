@@ -3,8 +3,8 @@
 One payload strategy covers every registered payload type — raw arrays
 (including zero-length and non-contiguous ones), ``NDTable``, the CSM model
 dataclasses, ``NLDMTable``, ``Waveform``, timing results and event tuples —
-and every storage backend: the per-entry ``.npz`` cache and the packed store
-in each of its regimes (inline-only, data-file-only, mixed).  Whatever goes
+and the packed store in each of its regimes (inline-only, data-file-only,
+mixed).  Whatever goes
 in must come out bitwise identical.
 """
 
@@ -25,7 +25,7 @@ from repro.csm.base import ModelSimulationResult
 from repro.csm.models import MCSM, BaselineMISCSM, SISCSM
 from repro.lut.grid import Axis
 from repro.lut.table import NDTable
-from repro.runtime import PackedStore, ResultCache
+from repro.runtime import PackedStore
 from repro.runtime.cache import decode_payload, encode_payload
 from repro.sta import NLDMTimingResult, TimingEvent, WaveformTimingResult
 from repro.sta.mmmc import MulticornerNLDMResult
@@ -35,7 +35,6 @@ _KEYS = (f"{i:064x}" for i in itertools.count())
 
 #: Backend name -> factory(tmp_path) building a store under test.
 BACKENDS = {
-    "npz": lambda path: ResultCache(path),
     "packed": lambda path: PackedStore(path),
     "packed-inline-all": lambda path: PackedStore(path, inline_limit=1 << 30),
     "packed-inline-none": lambda path: PackedStore(path, inline_limit=0),

@@ -20,7 +20,7 @@ import pytest
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
-from repro.runtime import ResultCache
+from repro.runtime import PackedStore
 from repro.sta import (
     CSMEngine,
     HybridEngine,
@@ -41,7 +41,7 @@ DAG = "dag:w6:d3:s5"
 
 @pytest.fixture(scope="module")
 def disk_cache(tmp_path_factory):
-    return ResultCache(tmp_path_factory.mktemp("pr10-cache"))
+    return PackedStore(tmp_path_factory.mktemp("pr10-cache"))
 
 
 @pytest.fixture(scope="module")

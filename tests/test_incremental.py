@@ -17,6 +17,7 @@ Covers the tentpole layers and their satellites:
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import networkx as nx
 import numpy as np
@@ -32,7 +33,7 @@ from repro.csm.loads import CapacitiveLoad
 from repro.csm.simulate import BatchUnit
 from repro.exceptions import ModelError, TimingError
 from repro.lut import NDTable
-from repro.runtime import PackedStore, ResultCache
+from repro.runtime import PackedStore
 from repro.spice import newton_fixed_point_many
 from repro.sta import (
     CSMEngine,
@@ -57,7 +58,7 @@ EQUIV_TOL = 1e-9
 
 @pytest.fixture(scope="module")
 def disk_cache(tmp_path_factory):
-    return ResultCache(tmp_path_factory.mktemp("pr4-cache"))
+    return PackedStore(tmp_path_factory.mktemp("pr4-cache"))
 
 
 @pytest.fixture(scope="module")
@@ -493,6 +494,9 @@ class _DictStore:
     def store(self, key, value):
         self.entries[key] = value
 
+    def store_many(self, items):
+        self.entries.update(items)
+
 
 def _edit_region(netlist, kind, target):
     """What an edit may dirty, the way the timing server reports it: the
@@ -842,7 +846,7 @@ class TestNLDMIncremental:
     def test_nldm_timing_result_roundtrip(self, tmp_path):
         from repro.sta import TimingEvent
 
-        cache = ResultCache(tmp_path / "cache")
+        cache = PackedStore(tmp_path / "cache")
         result = NLDMTimingResult(
             events={"n1": TimingEvent(net="n1", arrival=1e-10, slew=4e-11, rising=True)},
             mis_flags={"u0": [("A", "B")]},
@@ -862,35 +866,41 @@ class TestNLDMIncremental:
 # ----------------------------------------------------------------------
 class TestCacheRobustness:
     def test_corrupt_entry_is_evicted_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        wave = Waveform([0.0, 1e-9], [0.0, 1.2], name="n1")
-        cache.store("ab" + "0" * 62, wave)
-        path = cache._path("ab" + "0" * 62)
-        path.write_bytes(b"this is not an npz file")
-        hit, value = cache.lookup("ab" + "0" * 62)
+        cache = PackedStore(tmp_path / "cache")
+        wave = Waveform(np.linspace(0.0, 1e-9, 512), np.linspace(0.0, 1.2, 512), name="n1")
+        key = "ab" + "0" * 62
+        cache.store(key, wave)
+        data = tmp_path / "cache" / "store.dat"
+        with open(data, "r+b") as handle:
+            handle.seek(-9, os.SEEK_END)  # a payload byte: the CRC no longer holds
+            byte = handle.read(1)
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        hit, value = cache.lookup(key)
         assert not hit and value is None
-        assert not path.exists()
+        assert key not in cache
         assert cache.stats.evictions == 1
         assert cache.stats.misses == 1
         # Re-storing after the eviction works and hits again.
-        cache.store("ab" + "0" * 62, wave)
-        hit, value = cache.lookup("ab" + "0" * 62)
+        cache.store(key, wave)
+        hit, value = cache.lookup(key)
         assert hit and np.array_equal(value.values, wave.values)
 
     def test_truncated_entry_is_evicted_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        wave = Waveform([0.0, 1e-9], [0.0, 1.2], name="n1")
+        cache = PackedStore(tmp_path / "cache")
+        wave = Waveform(np.linspace(0.0, 1e-9, 512), np.linspace(0.0, 1.2, 512), name="n1")
         key = "cd" + "1" * 62
         cache.store(key, wave)
-        path = cache._path(key)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        hit, _ = cache.lookup(key)
+        data = tmp_path / "cache" / "store.dat"
+        with open(data, "r+b") as handle:
+            handle.truncate(data.stat().st_size // 2)
+        hit, _ = cache.lookup(key)  # the same handle, past the new end
         assert not hit
         assert cache.stats.evictions == 1
         assert key not in cache
 
     def test_waveform_timing_result_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = PackedStore(tmp_path / "cache")
         result = WaveformTimingResult(
             waveforms={"n1": Waveform([0.0, 1e-9], [0.1, 1.1], name="n1")},
             model_used={"u0": "SISCSM[A]"},
@@ -932,7 +942,7 @@ class TestCornerSweep:
         against the same store is served entirely from disk."""
         from repro.experiments import nldm_corner_sweep
 
-        shared = ResultCache(tmp_path / "corner-shared")
+        shared = PackedStore(tmp_path / "corner-shared")
         cold = nldm_corner_sweep(
             experiment_context, spec="chain:inv:3", corners=("TT", "SS"), seed=0, cache=shared
         )

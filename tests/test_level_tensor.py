@@ -8,7 +8,7 @@ Covers the three tentpole layers from the outside in:
 * the tensor propagation path of the batched engine — equivalence against
   the per-instance sequential reference on chain/tree/DAG workloads,
 * the ``leveltensor`` codec tag — a hypothesis round-trip property through
-  both cache backends (per-entry ``.npz`` and the packed store).
+  the packed store (inline and data-file records).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.exceptions import WaveformError
-from repro.runtime import PackedStore, ResultCache
+from repro.runtime import PackedStore
 from repro.sta import (
     CSMEngine,
     TimingModelLibrary,
@@ -148,10 +148,9 @@ class TestTensorEngineEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Codec: LevelTensor through both cache backends
+# Codec: LevelTensor through the packed store
 # ----------------------------------------------------------------------
 BACKENDS = {
-    "npz": lambda path: ResultCache(path),
     "packed": lambda path: PackedStore(path),
     "packed-inline-none": lambda path: PackedStore(path, inline_limit=0),
 }

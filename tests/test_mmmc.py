@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
-from repro.runtime import PackedStore, ResultCache
+from repro.runtime import PackedStore
 from repro.runtime.cache import decode_payload, encode_payload
 from repro.sta import (
     CSMEngine,
@@ -286,7 +286,7 @@ class TestBatchedEquivalence:
 class TestMulticornerCaching:
     @pytest.fixture()
     def cache(self, tmp_path):
-        return ResultCache(tmp_path / "store")
+        return PackedStore(tmp_path / "store")
 
     def _engine(self, corner_set, netlist, options, cache):
         return CSMEngine(
@@ -383,7 +383,7 @@ class TestCornerBoundKeys:
         self, corner_set, netlist, options, stimulus, tmp_path
     ):
         waveforms, t_stop = stimulus
-        cache = ResultCache(tmp_path / "store")
+        cache = PackedStore(tmp_path / "store")
         CSMEngine(netlist, corner_set["TT"].models, options=options, cache=cache).run(
             waveforms, t_stop=t_stop
         )
@@ -398,7 +398,7 @@ class TestCornerBoundKeys:
 
     def test_nldm_ff_after_tt_is_cold_and_exact(self, corner_set, netlist, tmp_path):
         events = primary_input_events(netlist, seed=0)
-        cache = ResultCache(tmp_path / "store")
+        cache = PackedStore(tmp_path / "store")
         NLDMEngine(netlist, corner_set["TT"].models, cache=cache).run(events)
         served = NLDMEngine(netlist, corner_set["FF"].models, cache=cache).run(events)
         assert not served.stats["full_run_hit"]
@@ -464,7 +464,7 @@ class TestCornerAxisCodec:
         np.testing.assert_array_equal(decoded.values, tensor.values)
 
     def test_store_round_trip_multicorner(self, tmp_path):
-        cache = ResultCache(tmp_path / "store")
+        cache = PackedStore(tmp_path / "store")
         rng = np.random.default_rng(7)
         tensor = LevelTensor(
             ["a", "b"], rng.normal(size=(2, 3, 9)), [0.0, 1e-12], [2e-12, 3e-12]

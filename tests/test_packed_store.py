@@ -13,18 +13,14 @@ import json
 import multiprocessing
 import os
 import pickle
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    CacheStats,
-    PackedStore,
-    ResultCache,
-    migrate_npz_cache,
-    open_result_store,
-)
+from repro.runtime import CacheStats, PackedStore
 from repro.runtime.store import _INDEX_NAME, _DATA_NAME
 from repro.waveform import Waveform
 
@@ -47,7 +43,7 @@ def store(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Round-trips and the ResultCache-compatible surface
+# Round-trips and the store surface
 # ----------------------------------------------------------------------
 class TestRoundTrip:
     def test_waveform_roundtrip_is_bitwise(self, store):
@@ -392,9 +388,50 @@ class TestConcurrency:
                 hit, value = handle.lookup(_key(tag))
                 assert hit and np.array_equal(value.values, _waveform(seed).values)
 
+    def test_concurrent_threaded_writers(self, tmp_path):
+        """One handle shared by many threads, the way the timing server's
+        workers share it: every store is readable at once and afterwards."""
+        store = PackedStore(tmp_path / "s")
+        errors = []
+
+        def payload(seed: int) -> dict:
+            # Odd seeds stay inline in the index, even ones go to store.dat.
+            words = 64 if seed % 2 else 512
+            return {"data": np.random.default_rng(seed).random(words)}
+
+        def writer(index):
+            try:
+                for i in range(20):
+                    key = _key(f"{index:x}{i:02x}")
+                    store.store(key, payload(index * 100 + i))
+                    hit, _ = store.lookup(key)
+                    assert hit
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(store) == 120
+        fresh = PackedStore(tmp_path / "s")
+        for index in range(6):
+            for i in range(20):
+                hit, value = fresh.lookup(_key(f"{index:x}{i:02x}"))
+                assert hit
+                np.testing.assert_array_equal(value["data"], payload(index * 100 + i)["data"])
+
 
 # ----------------------------------------------------------------------
-# Maintenance: compact, migration, factory
+# Maintenance: compact and the module CLI
 # ----------------------------------------------------------------------
 class TestMaintenance:
     def test_compact_reclaims_dead_records(self, store):
@@ -413,38 +450,33 @@ class TestMaintenance:
         fresh = PackedStore(store.directory)
         assert fresh.keys() == [key]
 
-    def test_migrate_npz_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "npz")
-        wave = _waveform(11)
-        cache.store(_key("a"), wave)
-        cache.store(_key("b"), {"nested": [1, 2.5, "x"], "t": (True, None)})
-        migrated = migrate_npz_cache(tmp_path / "npz", tmp_path / "packed")
-        assert migrated == 2
-        store = PackedStore(tmp_path / "packed")
-        hit, value = store.lookup(_key("a"))
-        assert hit and np.array_equal(value.values, wave.values)
-        hit, value = store.lookup(_key("b"))
-        assert hit and value == {"nested": [1, 2.5, "x"], "t": (True, None)}
-
-    def test_open_result_store_auto_detection(self, tmp_path):
-        assert isinstance(open_result_store(tmp_path / "fresh", "auto"), ResultCache)
-        assert isinstance(open_result_store(tmp_path / "p", "packed"), PackedStore)
-        assert isinstance(open_result_store(tmp_path / "p", "auto"), PackedStore)
-        assert isinstance(open_result_store(tmp_path / "n", "npz"), ResultCache)
-        with pytest.raises(ValueError):
-            open_result_store(tmp_path, "zip")
+    def test_npz_cache_directory_is_not_read(self, tmp_path):
+        """A directory left by the retired per-entry ``.npz`` layout opens as
+        an empty store: its entries miss (and recompute), never decode."""
+        old = tmp_path / "cache"
+        (old / "aa").mkdir(parents=True)
+        np.savez_compressed(old / "aa" / f"{_key('a')}.npz", a0=np.arange(4.0))
+        store = PackedStore(old)
+        assert len(store) == 0
+        assert store.lookup(_key("a")) == (False, None)
+        store.store(_key("a"), _waveform(1))
+        hit, value = PackedStore(old).lookup(_key("a"))
+        assert hit and np.array_equal(value.values, _waveform(1).values)
 
     def test_store_module_cli(self, tmp_path, capsys):
         from repro.runtime.store import main
 
-        cache = ResultCache(tmp_path / "npz")
-        cache.store(_key("a"), _waveform(1))
-        assert main(["migrate", str(tmp_path / "npz"), str(tmp_path / "packed")]) == 0
+        store = PackedStore(tmp_path / "packed")
+        store.store(_key("a"), _waveform(1))
+        store.store(_key("a"), _waveform(2))  # one dead record to reclaim
         assert main(["compact", str(tmp_path / "packed")]) == 0
         assert main(["stats", str(tmp_path / "packed")]) == 0
         output = capsys.readouterr().out
-        assert "migrated 1 entries" in output
-        assert "1 entries" in output
+        assert "compacted" in output and "1 entries kept" in output
+        assert json.loads(output[output.index("{"):])["entries"] == 1
+        # A directory that holds no store is reported, not created.
+        assert main(["stats", str(tmp_path / "absent")]) == 1
+        assert not (tmp_path / "absent").exists()
 
     def test_stats_object_is_cache_stats(self, store):
         assert isinstance(store.stats, CacheStats)

@@ -1,4 +1,4 @@
-"""Tests for the parallel runtime: jobs, executors and the result cache."""
+"""Tests for the parallel runtime: jobs, executors and the result store."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from repro.experiments.fig5_delay_difference import run_fig5
 from repro.runtime import (
     Job,
     JobError,
+    PackedStore,
     ProcessExecutor,
-    ResultCache,
     SerialExecutor,
     ThreadExecutor,
     cell_fingerprint,
@@ -159,11 +159,11 @@ class TestContentHash:
 
 
 # ----------------------------------------------------------------------
-# The result cache
+# The result store
 # ----------------------------------------------------------------------
-class TestResultCache:
+class TestResultStore:
     def test_roundtrip_primitive_payloads(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = PackedStore(tmp_path)
         payload = {
             "floats": (0.1 + 0.2, 1e-300, -0.0),
             "nested": [{"a": 1, "b": None}, (True, "text")],
@@ -179,7 +179,7 @@ class TestResultCache:
     def test_cache_hit_returns_bitwise_equal_model(self, tmp_path, inverter, fast_config):
         model = characterize_sis(inverter, "A", fast_config)
         key = characterization_key("sis", inverter, ("A",), fast_config)
-        cache = ResultCache(tmp_path)
+        cache = PackedStore(tmp_path)
         cache.store(key, model)
         hit, back = cache.lookup(key)
         assert hit
@@ -194,7 +194,7 @@ class TestResultCache:
         assert back.vdd == model.vdd
 
     def test_numpy_scalars_roundtrip_and_hash_like_builtins(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = PackedStore(tmp_path)
         payload = {
             "f": np.float64(1e-12),
             "i": np.int64(7),
@@ -209,17 +209,22 @@ class TestResultCache:
         assert content_hash(np.int64(3)) == content_hash(3)
 
     def test_undecodable_entry_is_dropped_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        """A well-formed record whose manifest no decoder knows (written by
+        other code) is a miss and an eviction, never an exception."""
+        cache = PackedStore(tmp_path)
         key = "c" * 64
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, __manifest__=np.array('{"t": "no-such-tag"}'))
-        hit, value = cache.lookup(key)
+        record = cache._build_record(key, {"t": "no-such-tag"}, {})
+        with open(tmp_path / "store.dat", "ab") as handle:
+            handle.write(record)
+        reopened = PackedStore(tmp_path)  # adopts the unindexed record
+        assert key in reopened
+        hit, value = reopened.lookup(key)
         assert not hit and value is None
-        assert not path.exists()  # self-healed: the poisoned entry is gone
+        assert key not in reopened  # self-healed: the poisoned entry is gone
+        assert reopened.stats.evictions == 1
 
     def test_miss_then_hit_stats_and_eviction(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = PackedStore(tmp_path)
         hit, _ = cache.lookup("a" * 64)
         assert not hit and cache.stats.misses == 1
         cache.store("a" * 64, [1.0, 2.0])
@@ -233,57 +238,10 @@ class TestResultCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
-    def test_temp_files_do_not_count_as_entries(self, tmp_path):
-        """A crashed writer's '.tmp-*.npz' must not show up in len()/keys()
-        (pathlib's glob, unlike a shell, matches dotfiles)."""
-        cache = ResultCache(tmp_path)
-        cache.store("a" * 64, 1.0)
-        temp = tmp_path / "aa" / ".tmp-crashed.npz"
-        temp.parent.mkdir(exist_ok=True)
-        temp.write_bytes(b"partial write")
-        assert len(cache) == 1
-        assert cache.keys() == ["a" * 64]
-        assert cache.clear() == 1  # does not try to count/remove the temp
-        assert temp.exists()
-
-    def test_stale_temps_are_swept_on_init(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path)
-        cache.store("a" * 64, 1.0)
-        stale = tmp_path / "aa" / ".tmp-stale.npz"
-        fresh = tmp_path / "aa" / ".tmp-fresh.npz"
-        stale.parent.mkdir(exist_ok=True)
-        stale.write_bytes(b"left by a crashed writer")
-        fresh.write_bytes(b"a concurrent writer mid-store")
-        old = time.time() - 7200
-        os.utime(stale, (old, old))
-
-        reopened = ResultCache(tmp_path)  # init sweeps stale temps
-        assert not stale.exists()
-        assert fresh.exists()  # recent temps are left alone
-        hit, value = reopened.lookup("a" * 64)
-        assert hit and value == 1.0
-
-    def test_sweep_temps_returns_removed_count(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path)
-        for name in ("aa", "bb"):
-            temp = tmp_path / name / f".tmp-{name}.npz"
-            temp.parent.mkdir(exist_ok=True)
-            temp.write_bytes(b"x")
-            old = time.time() - 10
-            os.utime(temp, (old, old))
-        assert cache.sweep_temps(max_age_seconds=5.0) == 2
-        assert cache.sweep_temps(max_age_seconds=5.0) == 0
-
     def test_run_jobs_skips_cached_characterization(
         self, tmp_path, inverter, fast_config
     ):
-        cache = ResultCache(tmp_path)
+        cache = PackedStore(tmp_path)
         job = characterization_job("sis", inverter, ("A",), fast_config)
         [first] = run_jobs([job], cache=cache)
         assert not first.cache_hit and first.duration > 0
@@ -302,7 +260,7 @@ class TestResultCache:
                 characterization=fast_config,
                 reference_time_step=4e-12,
                 model_time_step=2e-12,
-                cache=ResultCache(tmp_path),
+                cache=PackedStore(tmp_path),
             )
 
         cold = fresh_context()
@@ -321,7 +279,7 @@ class TestResultCache:
             characterization=fast_config,
             reference_time_step=4e-12,
             model_time_step=2e-12,
-            cache=ResultCache(tmp_path),
+            cache=PackedStore(tmp_path),
         )
         executed = context.prewarm_characterizations(("sis",))
         assert executed == 1
@@ -332,6 +290,6 @@ class TestResultCache:
             characterization=fast_config,
             reference_time_step=4e-12,
             model_time_step=2e-12,
-            cache=ResultCache(tmp_path),
+            cache=PackedStore(tmp_path),
         )
         assert fresh.prewarm_characterizations(("sis",)) == 0

@@ -23,7 +23,7 @@ import pytest
 
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
-from repro.runtime import ResultCache, ShardedPackedStore
+from repro.runtime import PackedStore
 from repro.runtime.client import TimingClient, TimingServerError
 from repro.exceptions import TimingError
 from repro.runtime.jobs import content_hash
@@ -33,6 +33,7 @@ from repro.runtime.server import (
     SingleFlightStore,
     TimingServer,
     TimingService,
+    build_service,
 )
 from repro.sta import (
     CSMEngine,
@@ -50,7 +51,7 @@ DAG = "dag:w4:d2:s1"  # small mixed-cell design with swap candidates
 
 @pytest.fixture(scope="module")
 def disk_cache(tmp_path_factory):
-    return ResultCache(tmp_path_factory.mktemp("pr7-models"))
+    return PackedStore(tmp_path_factory.mktemp("pr7-models"))
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ def models(library, disk_cache):
 
 @pytest.fixture()
 def service(models, tmp_path):
-    store = ShardedPackedStore(tmp_path / "store", shards=2)
+    store = PackedStore(tmp_path / "store")
     return TimingService(
         models=models,
         options=SimulationOptions(time_step=2e-12),
@@ -140,9 +141,7 @@ class TestSingleFlight:
 
 class TestSingleFlightStore:
     def _store(self, tmp_path, **kwargs):
-        return SingleFlightStore(
-            ShardedPackedStore(tmp_path / "inner", shards=2), **kwargs
-        )
+        return SingleFlightStore(PackedStore(tmp_path / "inner"), **kwargs)
 
     def test_waiter_gets_hit_after_claimants_store(self, tmp_path):
         store = self._store(tmp_path)
@@ -598,7 +597,39 @@ class TestTimingService:
         assert record["engines"]["csm"]["runs"] == 1
         assert status["counters"]["timing_requests"] == 1
         assert status["store_dedupe"] == {"waits": 0, "hits": 0}
-        assert status["store"]["num_shards"] == 2
+        assert status["store"]["entries"] == len(service.store.inner) > 0
+
+
+# ----------------------------------------------------------------------
+# Server config -> service wiring
+# ----------------------------------------------------------------------
+class TestBuildService:
+    def test_fresh_cache_dir_store_holds_its_budget(self, tmp_path):
+        budget = 32 * 1024
+        service = build_service(
+            ServerConfig(cache_dir=tmp_path / "fresh", max_bytes=budget, max_age_s=3600.0)
+        )
+        store = service.store.inner
+        assert isinstance(store, PackedStore)
+        assert (store.max_bytes, store.max_age_s) == (budget, 3600.0)
+        for index in range(12):  # ~8 KiB records: three times the budget
+            service.store.store(f"{index:064x}", {"data": np.full(1024, float(index))})
+        store.enforce_policy()
+        assert 0 < store.live_bytes() <= budget
+        assert store.stats.evictions > 0
+        report = service.handle({"op": "status"})["store"]
+        assert report.keys() == store.report().keys()
+        assert report["entries"] == len(store)
+        assert report["policy"]["lru_evictions"] > 0
+        # The age budget is wired too: an hour later every entry is stale.
+        swept = store.enforce_policy(now=time.time() + 7200.0)
+        assert swept["age_evictions"] > 0 and len(store) == 0
+
+    def test_cache_format_accepts_only_packed(self, tmp_path):
+        assert ServerConfig(cache_format="packed").cache_format == "packed"
+        for fmt in ("auto", "npz", "sharded"):
+            with pytest.raises(ValueError, match="cache_format"):
+                ServerConfig(cache_dir=tmp_path, cache_format=fmt)
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +672,7 @@ class TestEngineRebind:
     def test_rebind_same_structure_keeps_memo_warm(self, library, models, tmp_path):
         spec_netlist = generate_netlist(library, CHAIN)
         twin = generate_netlist(library, CHAIN)
-        store = ShardedPackedStore(tmp_path / "store", shards=2)
+        store = PackedStore(tmp_path / "store")
         engine = CSMEngine(
             spec_netlist,
             models,
@@ -779,7 +810,7 @@ class TestDaemon:
         service = TimingService(
             models=models,
             options=SimulationOptions(time_step=2e-12),
-            store=ShardedPackedStore(tmp_path / "cache", shards=2),
+            store=PackedStore(tmp_path / "cache"),
         )
         server = TimingServer(service, config)
         ready = threading.Event()

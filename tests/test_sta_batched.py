@@ -265,9 +265,9 @@ class TestCones:
 
 class TestModelLibraryRuntime:
     def test_prewarm_counts_and_cache(self, library, tmp_path):
-        from repro.runtime import ResultCache
+        from repro.runtime import PackedStore
 
-        cache = ResultCache(tmp_path / "cache")
+        cache = PackedStore(tmp_path / "cache")
         first = TimingModelLibrary(
             library=library,
             config=CharacterizationConfig(io_grid_points=5),
@@ -290,9 +290,9 @@ class TestModelLibraryRuntime:
         assert type(model).__name__ == "MCSM"
 
     def test_nldm_characterization_job_cached(self, library, tmp_path):
-        from repro.runtime import ResultCache
+        from repro.runtime import PackedStore
 
-        cache = ResultCache(tmp_path / "nldm-cache")
+        cache = PackedStore(tmp_path / "nldm-cache")
         kwargs = dict(
             library=library,
             config=CharacterizationConfig(io_grid_points=5),

@@ -27,7 +27,7 @@ import pytest
 from repro.cells import default_library
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
-from repro.runtime import PackedStore, ResultCache, ShardedPackedStore
+from repro.runtime import PackedStore
 from repro.runtime.cache import encode_payload
 from repro.runtime.jobs import content_hash
 from repro.runtime.server import SingleFlightStore, TimingService
@@ -93,8 +93,8 @@ def _twin_netlist(library, extra_inputs: int = 0) -> GateNetlist:
 
 
 class _PerItemStore:
-    """A dict-backed store with no ``store_many``: engines fall back to one
-    ``store`` per entry — the per-instance write pattern as reference."""
+    """A dict-backed store whose ``store_many`` is one ``store`` per entry —
+    the per-instance write pattern as reference."""
 
     def __init__(self):
         self.entries = {}
@@ -106,6 +106,10 @@ class _PerItemStore:
 
     def store(self, key, value):
         self.entries[key] = value
+
+    def store_many(self, items):
+        for key, value in items:
+            self.store(key, value)
 
 
 class _CountingStore:
@@ -398,10 +402,10 @@ class TestStimulusFreeRunEntries:
             models=TimingModelLibrary(
                 library=library,
                 config=CharacterizationConfig(io_grid_points=5),
-                cache=ResultCache(tmp_path / "models"),
+                cache=PackedStore(tmp_path / "models"),
             ),
             options=options,
-            store=ShardedPackedStore(tmp_path / "store", shards=2),
+            store=PackedStore(tmp_path / "store"),
         )
         netlist = generate_netlist(library, "dag:w16:d4")
         session = service.open_session({"netlist": netlist.to_dict()})["session"]
