@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the incremental timing graph, the packed store and the DC settle.
 
-Six measurements, written to one JSON report (``BENCH_PR5.json``):
+Five measurements, written to one JSON report (``BENCH_PR5.json``):
 
 1. **Incremental STA** on ``dag:w64:d4:s7`` (256 gates): cold run against an
    empty packed store, warm repeat with a fresh engine (must integrate
@@ -20,8 +20,6 @@ Six measurements, written to one JSON report (``BENCH_PR5.json``):
 5. **fig5 executor sweep** (standing ROADMAP item): serial vs thread vs
    process pools, with the CPU count recorded so single-core numbers read
    honestly.
-6. **run_cones parallelism** (same standing item): a forest of independent
-   inverter chains evaluated serially and on a thread pool.
 
 Usage::
 
@@ -52,16 +50,14 @@ from repro.characterization import (  # noqa: E402
 )
 from repro.csm.base import SimulationOptions  # noqa: E402
 from repro.csm.loads import CapacitiveLoad  # noqa: E402
-from repro.runtime import PackedStore, SerialExecutor, ThreadExecutor  # noqa: E402
+from repro.runtime import PackedStore  # noqa: E402
 from repro.sta import (  # noqa: E402
     CSMEngine,
-    GateNetlist,
     NLDMEngine,
     TimingModelLibrary,
     generate_netlist,
     primary_input_events,
     primary_input_waveforms,
-    run_cones,
     waveform_deviation,
 )
 from repro.sta.netlist import eco_swap_candidate  # noqa: E402
@@ -252,48 +248,6 @@ def bench_settle_cost(spec: str = "dag:w64:d4:s7") -> dict:
     return report
 
 
-def _forest(library, cones: int = 8, depth: int = 8) -> GateNetlist:
-    netlist = GateNetlist(library=library, name=f"forest{cones}x{depth}")
-    for cone in range(cones):
-        previous = netlist.add_primary_input(f"c{cone}_n0")
-        for stage in range(depth):
-            net = f"c{cone}_n{stage + 1}"
-            netlist.add_instance(f"u{cone}_{stage}", "INV_X1", {"A": previous, "out": net})
-            previous = net
-        netlist.add_primary_output(previous)
-    return netlist
-
-
-def bench_run_cones(workers: int) -> dict:
-    """Independent-cone parallelism: serial vs thread pool on one forest."""
-    library = default_library(default_technology())
-    models = TimingModelLibrary(library=library, config=QUICK_CONFIG)
-    netlist = _forest(library)
-    waveforms = primary_input_waveforms(netlist, seed=0)
-    models.prewarm_for_netlist(netlist, kinds=("sis",))
-
-    report = {"cones": 8, "gates": len(netlist.instances), "workers": workers}
-    reference = None
-    for name, executor in (
-        ("serial", SerialExecutor()),
-        ("thread", ThreadExecutor(max_workers=workers)),
-    ):
-        start = time.perf_counter()
-        result = run_cones(netlist, models, waveforms, options=QUICK_OPTIONS, executor=executor)
-        elapsed = time.perf_counter() - start
-        if hasattr(executor, "shutdown"):
-            executor.shutdown()
-        report[f"{name}_seconds"] = round(elapsed, 4)
-        if reference is None:
-            reference = result
-        else:
-            assert waveform_deviation(result, reference) == 0.0
-    report["thread_speedup"] = round(
-        report["serial_seconds"] / max(report["thread_seconds"], 1e-9), 2
-    )
-    return report
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -318,27 +272,23 @@ def main(argv=None) -> int:
     report = {"settings": "quick", "machine": machine}
     print(f"machine: {cpus} cpu(s)")
 
-    print("1/6 incremental STA (cold / warm / ECO edit) ...")
+    print("1/5 incremental STA (cold / warm / ECO edit) ...")
     report["incremental"] = bench_incremental()
     print(json.dumps(report["incremental"], indent=2)[:400])
 
-    print("2/6 NLDM incremental event propagation ...")
+    print("2/5 NLDM incremental event propagation ...")
     report["nldm_incremental"] = bench_nldm_incremental()
     print(json.dumps(report["nldm_incremental"], indent=2))
 
-    print("3/6 DC settle accuracy per input state ...")
+    print("3/5 DC settle accuracy per input state ...")
     report["settle_accuracy"] = bench_settle_accuracy()
 
-    print("4/6 DC settle cost on a full design ...")
+    print("4/5 DC settle cost on a full design ...")
     report["settle_cost"] = bench_settle_cost()
     print(json.dumps(report["settle_cost"], indent=2))
 
-    print("5/6 fig5 executor sweep ...")
+    print("5/5 fig5 executor sweep ...")
     report["fig5_executors"] = bench_fig5_executors(args.workers)
-
-    print("6/6 run_cones parallelism ...")
-    report["run_cones"] = bench_run_cones(args.workers)
-    print(json.dumps(report["run_cones"], indent=2))
 
     from _mem import peak_rss_bytes
 

@@ -11,9 +11,9 @@ Three parts, one report (``BENCH_PR7.json``):
 * **eviction** — an LRU/age-budgeted store overfilled on purpose: evictions
   fire, the live size returns under budget, and every evicted key misses
   (never corrupts).
-* **fig5_executors** / **run_cones** — the PR 2/PR 5 sweeps re-run on this
-  machine so the numbers in one report are from one box, with ``cpu_count``
-  recorded next to them.
+* **fig5_executors** — the PR 2 executor sweep re-run on this machine so the
+  numbers in one report are from one box, with ``cpu_count`` recorded next
+  to them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.sta.generate import (  # noqa: E402
 from repro.sta.models import TimingModelLibrary  # noqa: E402
 from repro.technology import default_technology  # noqa: E402
 
-from run_incremental_bench import bench_run_cones  # noqa: E402
 from run_runtime_bench import bench_fig5_executors  # noqa: E402
 
 DESIGN = "dag:w64:d4:s7"  # 256 gates
@@ -286,7 +285,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--skip-figures", action="store_true",
-        help="skip the fig5/run_cones re-runs (server parts only)",
+        help="skip the fig5 executor re-run (server parts only)",
     )
     args = parser.parse_args(argv)
 
@@ -309,7 +308,6 @@ def main(argv=None) -> int:
     }
     if not args.skip_figures:
         report["fig5_executors"] = bench_fig5_executors(args.workers)
-        report["run_cones"] = bench_run_cones(args.workers)
 
     from _mem import peak_rss_bytes
 

@@ -23,10 +23,7 @@ from .sta_scaling import StaScalePoint, StaScaleResult, run_sta_scale, timing_mo
 from .corner_sweep import (
     CornerStaPoint,
     CornerSweepResult,
-    NLDMCornerPoint,
-    NLDMCornerSweepResult,
     corner_sta_sweep,
-    nldm_corner_sweep,
     run_corner_sweep,
 )
 from .fig4_output_history import Fig4Result, run_fig4
@@ -63,10 +60,7 @@ __all__ = [
     "run_sta_scale",
     "CornerStaPoint",
     "CornerSweepResult",
-    "NLDMCornerPoint",
-    "NLDMCornerSweepResult",
     "corner_sta_sweep",
-    "nldm_corner_sweep",
     "run_corner_sweep",
     "timing_models_for",
 ]

@@ -26,9 +26,10 @@ waveforms agree to 1e-9 V, which is what the CI smoke relies on.
 
 Two further ``--sta`` axes:
 
-* ``--corners TT,FF,SS`` times every spec across the named process corners
-  (per-corner libraries characterized as parallel content-addressed jobs)
-  and reports the primary-output arrival deltas against the TT corner;
+* ``--corners TT,FF,SS`` times every spec in one multi-corner (MMMC) run
+  over a :class:`~repro.sta.mmmc.CornerSet` (per-corner libraries
+  characterized as content-addressed jobs) and reports the primary-output
+  arrival deltas against the TT corner;
 * ``--incremental`` exercises the content-addressed propagation caches of
   *both* engines: a cold run, a warm repeat that must integrate (CSM) /
   evaluate (NLDM) *zero* instances, and one ECO-style cell swap that must
@@ -48,7 +49,7 @@ import logging
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .executor import default_executor
 from .store import PackedStore
@@ -121,12 +122,11 @@ def build_context(settings: str, executor=None, cache: Optional[PackedStore] = N
     raise ValueError(f"unknown settings {settings!r}")
 
 
-def _run_corner_mode(args, context) -> int:
+def _run_corner_mode(args, context, corners: Tuple[str, ...]) -> int:
     """--sta --corners: time every spec across the requested process corners
-    (one ordinary engine run per corner)."""
+    (one MMMC engine run per spec)."""
     from ..experiments import corner_sta_sweep
 
-    corners = tuple(name.strip().upper() for name in args.corners.split(",") if name.strip())
     report: Dict[str, object] = {
         "mode": "sta-corners",
         "settings": args.settings,
@@ -143,12 +143,12 @@ def _run_corner_mode(args, context) -> int:
         report["designs"][spec] = {
             "gates": sweep.gates,
             "reference_corner": sweep.reference_corner,
+            "propagation_seconds": round(sweep.propagation_seconds, 4),
             "corners": {
                 point.corner: {
                     "vdd": point.vdd,
                     "characterization_seconds": round(point.characterization_seconds, 4),
                     "models_executed": point.models_executed,
-                    "propagation_seconds": round(point.propagation_seconds, 4),
                     "integrations": point.stats.get("integrations"),
                     "arrivals": point.arrivals,
                     "arrival_deltas": deltas[point.corner],
@@ -303,7 +303,19 @@ def _run_sta_mode(args) -> int:
     from ..experiments import timing_models_for
     from ..sta.engine import CSMEngine, waveform_deviation
     from ..sta.generate import generate_netlist, primary_input_waveforms
+    from ..technology.corners import STANDARD_CORNERS
 
+    corners: Tuple[str, ...] = ()
+    if args.corners is not None:
+        names = (name.strip().upper() for name in args.corners.split(","))
+        corners = tuple(dict.fromkeys(name for name in names if name))
+        unknown = [name for name in corners if name not in STANDARD_CORNERS]
+        if unknown or not corners:
+            print(
+                f"--corners {args.corners!r}: unknown corner(s) {unknown}; "
+                f"available: {','.join(STANDARD_CORNERS)}"
+            )
+            return 2
     executor = default_executor(args.workers, args.executor)
     cache = PackedStore(args.cache) if args.cache is not None else None
     context = build_context(args.settings, executor=executor, cache=cache)
@@ -317,7 +329,7 @@ def _run_sta_mode(args) -> int:
             print("--memory-mode stream composes with neither --corners nor --incremental")
             return 2
     if args.corners is not None:
-        return _run_corner_mode(args, context)
+        return _run_corner_mode(args, context, corners)
     if args.incremental:
         if cache is None:
             print("--incremental needs --cache DIR (the warm repeat reads the disk cache)")
@@ -706,9 +718,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--corners",
         default=None,
         metavar="TT,FF,SS",
-        help="--sta mode: comma-separated process corners; characterizes one "
-        "library per corner (parallel content-addressed jobs) and reports "
-        "per-corner primary-output arrival deltas",
+        help="--sta mode: comma-separated process corners; one multi-corner "
+        "run per spec over a CornerSet (one characterized library per corner) "
+        "reporting per-corner primary-output arrival deltas",
     )
     parser.add_argument(
         "--incremental",

@@ -630,7 +630,6 @@ class TimingService:
                     cache=self.store,
                     corners=corner_set,
                     memory_mode=memory_mode,
-                    memory_budget_bytes=memory_budget_bytes,
                 )
             elif kind == "hybrid":
                 engine = HybridEngine(
@@ -638,9 +637,6 @@ class TimingService:
                     self.models,
                     options=self.options,
                     cache=self.store,
-                    corners=corner_set,
-                    memory_mode=memory_mode,
-                    memory_budget_bytes=memory_budget_bytes,
                 )
             else:
                 raise ServerError(
@@ -669,6 +665,24 @@ class TimingService:
                 wave.values.setflags(write=False)
             record.stimuli = (key, waveforms)
         return record.stimuli[1]
+
+    @staticmethod
+    def _input_events(
+        netlist: GateNetlist, events: Optional[Mapping[str, Any]], seed: Any
+    ) -> Dict[str, TimingEvent]:
+        """An NLDM request's primary-input events: the request's ``events``
+        (``net -> {arrival, slew, rising}``) when given, else seeded ones."""
+        if not events:
+            return primary_input_events(netlist, seed=int(seed))
+        return {
+            net: TimingEvent(
+                net=net,
+                arrival=float(fields["arrival"]),
+                slew=float(fields["slew"]),
+                rising=bool(fields["rising"]),
+            )
+            for net, fields in events.items()
+        }
 
     def _timing_locked(
         self,
@@ -734,18 +748,7 @@ class TimingService:
                 }
             return payload
         if engine_kind == "nldm":
-            if events:
-                input_events = {
-                    net: TimingEvent(
-                        net=net,
-                        arrival=float(fields["arrival"]),
-                        slew=float(fields["slew"]),
-                        rising=bool(fields["rising"]),
-                    )
-                    for net, fields in events.items()
-                }
-            else:
-                input_events = primary_input_events(netlist, seed=int(seed))
+            input_events = self._input_events(netlist, events, seed)
             result = engine.run(input_events)
             arrivals = {}
             slews = {}
@@ -800,23 +803,12 @@ class TimingService:
         t_stop: Optional[float],
         events: Optional[Mapping[str, Any]],
     ) -> Dict[str, Any]:
-        """One batched MMMC run: per-corner arrivals + cross-corner worst
+        """One MMMC run: per-corner arrivals + cross-corner worst
         merge (``worst_arrivals[net]`` is ``[corner, arrival]`` or ``None``
         for nets that never switch at any corner)."""
         netlist = record.netlist
         if engine_kind == "nldm":
-            if events:
-                input_events = {
-                    net: TimingEvent(
-                        net=net,
-                        arrival=float(fields["arrival"]),
-                        slew=float(fields["slew"]),
-                        rising=bool(fields["rising"]),
-                    )
-                    for net, fields in events.items()
-                }
-            else:
-                input_events = primary_input_events(netlist, seed=int(seed))
+            input_events = self._input_events(netlist, events, seed)
             result = engine.run(input_events)
             arrivals = {
                 name: {

@@ -15,8 +15,6 @@ from .engine import (
     TimingEngine,
     WaveformTimingResult,
     create_engine,
-    independent_cones,
-    run_cones,
     waveform_deviation,
 )
 from .events import TimingEvent, detect_mis_pairs, switching_window, windows_overlap
@@ -53,8 +51,6 @@ __all__ = [
     "HybridEngine",
     "HybridTimingResult",
     "events_from_waveforms",
-    "independent_cones",
-    "run_cones",
     "waveform_deviation",
     "inverter_chain",
     "gate_chain",

@@ -21,9 +21,11 @@ to well below the 1e-9 V equivalence budget (typically ~1e-13 V — the only
 differences are unit-last-place bracketing rounding and the lockstep loop's
 stationary-tail fill).
 
-Independent fanout cones (weakly connected components of the instance graph)
-can additionally be evaluated as parallel runtime jobs via
-:func:`run_cones`.
+The level loop is the one way a design is propagated: independent components
+share its levels, and a ``corners=`` request (a
+:class:`~repro.sta.mmmc.CornerSet`) becomes one ordinary single-corner run
+per corner in :meth:`TimingEngine._run_corners`, the only code that splits a
+request into per-corner runs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from collections.abc import Mapping as AbstractMapping
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from ..csm.base import SimulationOptions
@@ -44,8 +45,7 @@ from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..csm.simulate import BatchUnit, integrate_model_many, simulation_time_grid
 from ..exceptions import TimingError
 from ..runtime.store import PackedStore
-from ..runtime.executor import Executor, run_jobs
-from ..runtime.jobs import Job, content_hash
+from ..runtime.jobs import content_hash
 from ..waveform.level_tensor import LevelTensor
 from ..waveform.metrics import crossing_times
 from ..waveform.waveform import Waveform
@@ -57,7 +57,6 @@ from .netlist import (
     GateInstance,
     GateNetlist,
     NetConnectivity,
-    netlist_fingerprint,
 )
 
 __all__ = [
@@ -71,8 +70,6 @@ __all__ = [
     "CornerSet",
     "MulticornerTimingResult",
     "MulticornerNLDMResult",
-    "independent_cones",
-    "run_cones",
     "waveform_deviation",
 ]
 
@@ -685,7 +682,6 @@ class NLDMEngine(TimingEngine):
         use_cache: bool = True,
         corners: Optional[CornerSet] = None,
         memory_mode: str = "resident",
-        memory_budget_bytes: Optional[int] = None,
     ):
         super().__init__(netlist, models, corners=corners)
         self.cache = cache if cache is not None else models.cache
@@ -696,7 +692,6 @@ class NLDMEngine(TimingEngine):
         #: memo, no whole-run entry) — events are tiny, so this mostly buys
         #: uniform semantics with the CSM engine's streaming mode.
         self.memory_mode = memory_mode
-        self.memory_budget_bytes = memory_budget_bytes
         #: key -> (event fields tuple | None, MIS pin pairs); content-addressed,
         #: so it survives netlist edits just like the CSM waveform memo.
         self._memo: Dict[str, Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]] = {}
@@ -708,7 +703,6 @@ class NLDMEngine(TimingEngine):
             cache=self.cache,
             use_cache=self.use_cache,
             memory_mode=self.memory_mode,
-            memory_budget_bytes=self.memory_budget_bytes,
         )
         child.cache = self.cache  # never the corner library's own store
         return child
@@ -2185,139 +2179,3 @@ class CSMEngine(TimingEngine):
     def _is_switching(self, waveform: Waveform) -> bool:
         return (waveform.maximum() - waveform.minimum()) > SWITCHING_THRESHOLD_FRACTION * self.vdd
 
-
-# ----------------------------------------------------------------------
-# Independent fanout cones as parallel runtime jobs
-# ----------------------------------------------------------------------
-def independent_cones(netlist: GateNetlist) -> List[GateNetlist]:
-    """Split a netlist into its weakly connected instance components.
-
-    Each cone is a self-contained :class:`GateNetlist` (its primary inputs
-    are the parent nets feeding it, its primary outputs the parent outputs it
-    drives); evaluating all cones and merging their nets reproduces the
-    parent evaluation exactly, because no waveform crosses cone boundaries.
-    """
-    graph = netlist.instance_graph()
-    components = list(nx.weakly_connected_components(graph))
-    if len(components) <= 1:
-        return [netlist]
-    order = {name: position for position, name in enumerate(netlist.instances)}
-    cones: List[GateNetlist] = []
-    for names in sorted(components, key=lambda group: min(order[n] for n in group)):
-        members = [name for name in netlist.instances if name in names]
-        cone = GateNetlist(library=netlist.library, name=f"{netlist.name}.cone{len(cones)}")
-        driven: set = set()
-        used: set = set()
-        for name in members:
-            instance = netlist.instances[name]
-            cell = netlist.library[instance.cell_name]
-            cone.add_instance(name, instance.cell_name, instance.connections)
-            driven.add(instance.connections[cell.output])
-            used.update(instance.connections.values())
-        for net in netlist.primary_inputs:
-            if net in used and net not in driven:
-                cone.add_primary_input(net)
-        for net in netlist.primary_outputs:
-            if net in driven:
-                cone.add_primary_output(net)
-        for net, capacitance in netlist.net_wire_capacitance.items():
-            if net in used:
-                cone.set_wire_capacitance(net, capacitance)
-        cones.append(cone)
-    return cones
-
-
-def _evaluate_cone(
-    netlist: GateNetlist,
-    models: TimingModelLibrary,
-    input_waveforms: Dict[str, Waveform],
-    options: Optional[SimulationOptions],
-    batched: bool,
-    t_start: float,
-    t_stop: float,
-) -> WaveformTimingResult:
-    """Module-level job target: run one cone (picklable for process pools)."""
-    engine = CSMEngine(netlist, models, options=options, batched=batched)
-    return engine.run(input_waveforms, t_stop=t_stop, t_start=t_start)
-
-
-def run_cones(
-    netlist: GateNetlist,
-    models: TimingModelLibrary,
-    input_waveforms: Dict[str, Waveform],
-    options: Optional[SimulationOptions] = None,
-    batched: bool = True,
-    executor: Optional[Executor] = None,
-    t_stop: Optional[float] = None,
-) -> WaveformTimingResult:
-    """Evaluate the independent fanout cones of a design as parallel jobs.
-
-    The cones share one common time window (computed over *all* primary
-    inputs, exactly as :meth:`CSMEngine.run` would), are submitted through
-    :func:`repro.runtime.run_jobs` on ``executor`` and their per-net
-    waveforms merged back into one :class:`WaveformTimingResult`.  With the
-    default serial executor this degrades gracefully to an in-process loop.
-    """
-    missing = [net for net in netlist.primary_inputs if net not in input_waveforms]
-    if missing:
-        raise TimingError(f"missing waveforms for primary inputs {missing}")
-    t_stop = t_stop if t_stop is not None else min(w.t_stop for w in input_waveforms.values())
-    t_start = max(w.t_start for w in input_waveforms.values())
-
-    # Characterize shared models once, up front, so parallel cone jobs ship
-    # warm model libraries instead of re-characterizing per worker.
-    models.prewarm_for_netlist(netlist, kinds=("sis", "mis"))
-
-    cones = independent_cones(netlist)
-    options_used = options or SimulationOptions()
-    stimulus_keys = CSMEngine.stimulus_keys(input_waveforms)
-    cone_context = content_hash(
-        "sta-cones",
-        "batched" if batched else "sequential",
-        options_used,
-        models.config,
-        models.use_internal_node,
-        t_start,
-        t_stop,
-    )
-    jobs = [
-        Job(
-            fn=_evaluate_cone,
-            args=(
-                cone,
-                models,
-                {net: input_waveforms[net] for net in cone.primary_inputs},
-                options,
-                batched,
-                t_start,
-                t_stop,
-            ),
-            name=f"sta:{cone.name}",
-            # Content key over the cone structure and its own stimuli: a
-            # repeated (or unaffected-by-an-edit) cone is served from the
-            # disk cache instead of being re-propagated.
-            key=content_hash(
-                "sta-cone-job",
-                cone_context,
-                netlist_fingerprint(cone),
-                sorted((net, stimulus_keys[net]) for net in cone.primary_inputs),
-            ),
-        )
-        for cone in cones
-    ]
-    results = run_jobs(jobs, executor=executor, cache=models.cache)
-
-    waveforms: Dict[str, Waveform] = {
-        net: wave.renamed(net) for net, wave in input_waveforms.items()
-    }
-    model_used: Dict[str, str] = {}
-    for result in results:
-        cone_result: WaveformTimingResult = result.value
-        waveforms.update(cone_result.waveforms)
-        model_used.update(cone_result.model_used)
-    return WaveformTimingResult(
-        waveforms=waveforms,
-        model_used=model_used,
-        netlist_name=netlist.name,
-        vdd=netlist.library.technology.vdd,
-    )

@@ -59,7 +59,7 @@ from .engine import (
     WaveformTimingResult,
 )
 from .events import TimingEvent
-from .mmmc import CornerSet, required_time
+from .mmmc import required_time
 from .models import TimingModelLibrary
 from .netlist import GateNetlist
 
@@ -227,20 +227,7 @@ class HybridEngine(TimingEngine):
         top_k: Union[int, str] = 1,
         max_iterations: int = 4,
         cone_depth: Optional[int] = None,
-        corners: Optional[CornerSet] = None,
-        memory_mode: str = "resident",
-        memory_budget_bytes: Optional[int] = None,
     ):
-        if corners is not None:
-            raise TimingError(
-                "the hybrid engine is single-corner; run it once per corner "
-                "or use the batched MMMC engines"
-            )
-        if memory_mode != "resident":
-            raise TimingError(
-                "the hybrid engine requires memory_mode='resident' (its "
-                "sub-engines run resident)"
-            )
         super().__init__(netlist, models)
         if max_iterations < 1:
             raise TimingError(f"max_iterations must be >= 1, got {max_iterations}")

@@ -5,7 +5,7 @@ This package provides the EKV-style MOSFET compact model and the synthetic
 (:mod:`repro.spice`) and the cell library (:mod:`repro.cells`) are built on.
 """
 
-from .corners import STANDARD_CORNERS, Corner, apply_corner, corner_sweep
+from .corners import STANDARD_CORNERS, Corner, apply_corner
 from .mosfet import (
     THERMAL_VOLTAGE,
     MosfetOperatingPoint,
@@ -34,5 +34,4 @@ __all__ = [
     "Corner",
     "STANDARD_CORNERS",
     "apply_corner",
-    "corner_sweep",
 ]

@@ -5,18 +5,19 @@ fast devices have lower threshold voltages and higher mobility, slow devices
 the opposite.  The corner set is the usual five-point set (TT, FF, SS, FS,
 SF).  Corners are not required for any of the paper's experiments, but the
 characterization flow accepts any :class:`~repro.technology.process.Technology`
-so corner libraries can be characterized the same way as typical ones; the
-corner sweep is exercised by the extended tests and by one ablation benchmark.
+so corner libraries can be characterized the same way as typical ones;
+:class:`repro.sta.mmmc.CornerSet` builds one cornered library per corner for
+multi-corner timing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 from .process import Technology
 
-__all__ = ["Corner", "STANDARD_CORNERS", "apply_corner", "corner_sweep"]
+__all__ = ["Corner", "STANDARD_CORNERS", "apply_corner"]
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,3 @@ def apply_corner(technology: Technology, corner: Corner) -> Technology:
         shifted = replace(shifted, vdd=shifted.vdd * corner.vdd_scale)
     return shifted
 
-
-def corner_sweep(technology: Technology, corners: Iterable[str] = ("TT", "FF", "SS")) -> Dict[str, Technology]:
-    """Build a dictionary of corner name to cornered technology."""
-    result: Dict[str, Technology] = {}
-    for name in corners:
-        if name not in STANDARD_CORNERS:
-            raise KeyError(f"unknown corner {name!r}; available: {sorted(STANDARD_CORNERS)}")
-        result[name] = apply_corner(technology, STANDARD_CORNERS[name])
-    return result

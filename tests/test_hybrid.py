@@ -143,8 +143,6 @@ class TestExactnessBounds:
         waveforms, t_stop = stimulus
         engine = create_engine("hybrid", netlist, models, options=options)
         assert isinstance(engine, HybridEngine)
-        with pytest.raises(TimingError, match="memory_mode"):
-            HybridEngine(netlist, models, options=options, memory_mode="stream")
         with pytest.raises(TimingError, match="max_iterations"):
             HybridEngine(netlist, models, options=options, max_iterations=0)
         with pytest.raises(TimingError, match="top_k"):

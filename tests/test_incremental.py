@@ -934,32 +934,21 @@ class TestCornerSweep:
         slow = [delta for delta in deltas["SS"].values() if delta is not None]
         assert slow and all(delta > 0 for delta in slow)  # slow corner arrives later
         assert "Multi-corner STA sweep" in result.summary()
+        # Each corner is bitwise a plain single-corner run on a netlist
+        # generated over that corner's own library.
+        from repro.cells import default_library
+        from repro.technology import STANDARD_CORNERS, apply_corner
 
-    def test_nldm_sweep_shares_one_store_across_corners(self, experiment_context, tmp_path):
-        """One shared store serves the whole NLDM corner sweep: distinct
-        corners hash to disjoint keys (cell digests embed the technology, so
-        a cold sweep has zero cross-corner hits), while a re-run of the sweep
-        against the same store is served entirely from disk."""
-        from repro.experiments import nldm_corner_sweep
-
-        shared = PackedStore(tmp_path / "corner-shared")
-        cold = nldm_corner_sweep(
-            experiment_context, spec="chain:inv:3", corners=("TT", "SS"), seed=0, cache=shared
-        )
-        stats = cold.stats_by_corner()
-        assert set(stats) == {"TT", "SS"}
-        for corner_stats in stats.values():
-            # Cold: every instance evaluated, nothing leaked between corners.
-            assert corner_stats["integrations"] == cold.gates
-            assert corner_stats["cache_hits"] == 0
-            assert not corner_stats["full_run_hit"]
-
-        warm = nldm_corner_sweep(
-            experiment_context, spec="chain:inv:3", corners=("TT", "SS"), seed=0, cache=shared
-        )
-        for corner_stats in warm.stats_by_corner().values():
-            # Warm: fresh engines, same store -> whole-run hits, zero work.
-            assert corner_stats["full_run_hit"]
-            assert corner_stats["integrations"] == 0
-        for cold_point, warm_point in zip(cold.points, warm.points):
-            assert warm_point.arrivals == cold_point.arrivals
+        for point in result.points:
+            corner = STANDARD_CORNERS[point.corner]
+            library = default_library(apply_corner(experiment_context.technology, corner))
+            netlist = generate_netlist(library, "chain:inv:3")
+            models = TimingModelLibrary(
+                library=library, config=experiment_context.characterization
+            )
+            single = CSMEngine(
+                netlist, models, options=experiment_context.model_options()
+            ).run(primary_input_waveforms(netlist, seed=0))
+            assert point.arrivals == {
+                net: single.arrival(net) for net in netlist.primary_outputs
+            }

@@ -324,6 +324,29 @@ class TestMulticornerCaching:
             assert again.stats[name]["full_run_hit"]
             assert again.stats[name]["integrations"] == 0
 
+    def test_nldm_warm_repeat_is_free_per_corner(self, corner_set, netlist, cache):
+        """The NLDM corners share one store: a cold run has no cross-corner
+        cache hits, and a fresh engine on the same store is a whole-run hit
+        with zero evaluations and the same events at every corner."""
+        events = primary_input_events(netlist, seed=0)
+
+        def engine():
+            return NLDMEngine(
+                netlist, corner_set.reference.models, corners=corner_set, cache=cache
+            )
+
+        cold = engine().run(events)
+        n = len(netlist.instances)
+        for name in CORNERS:
+            assert cold.stats[name]["integrations"] + cold.stats[name]["duplicates"] == n
+            assert cold.stats[name]["cache_hits"] == 0
+            assert not cold.stats[name]["full_run_hit"]
+        warm = engine().run(events)
+        for name in CORNERS:
+            assert warm.stats[name]["full_run_hit"]
+            assert warm.stats[name]["integrations"] == 0
+            assert warm.result(name).events == cold.result(name).events
+
     def test_level_row_pointers_resolve_per_corner(
         self, corner_set, netlist, options, stimulus, cache
     ):

@@ -293,3 +293,24 @@ class TestResultStore:
             cache=PackedStore(tmp_path),
         )
         assert fresh.prewarm_characterizations(("sis",)) == 0
+
+
+# ----------------------------------------------------------------------
+# Command line
+# ----------------------------------------------------------------------
+class TestCommandLine:
+    def test_unknown_corner_is_an_argument_error(self, monkeypatch, capsys):
+        """``--corners`` with an unknown name prints one line naming the
+        available corners and returns 2, like the CLI's other argument
+        errors, before any model is characterized."""
+        from repro.runtime import cli
+        from repro.sta.models import TimingModelLibrary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argument error must not characterize anything")
+
+        monkeypatch.setattr(TimingModelLibrary, "_run_jobs", refuse)
+        assert cli.main(["--sta", "chain:inv:3", "--corners", "TT,XX"]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and "XX" in lines[0]
+        assert all(name in lines[0] for name in STANDARD_CORNERS)

@@ -1,6 +1,6 @@
 """Tests for the levelized batched STA stack: generators, levelization,
-engine equivalence (batched vs sequential reference), cone parallelism and
-the runtime-backed model library."""
+engine equivalence (batched vs sequential reference) and the runtime-backed
+model library."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
-from repro.runtime import ThreadExecutor
 from repro.sta import (
     CSMEngine,
     GateNetlist,
@@ -20,12 +19,10 @@ from repro.sta import (
     fanout_tree,
     gate_chain,
     generate_netlist,
-    independent_cones,
     inverter_chain,
     primary_input_events,
     primary_input_waveforms,
     random_dag,
-    run_cones,
 )
 
 #: Waveform agreement budget between the batched and sequential engines.
@@ -42,6 +39,21 @@ def models(library):
 @pytest.fixture(scope="module")
 def options():
     return SimulationOptions(time_step=2e-12)
+
+
+def _forest(library):
+    """Two independent three-inverter chains: a design with two weakly
+    connected components."""
+    netlist = GateNetlist(library=library, name="forest")
+    for prefix in ("a", "b"):
+        netlist.add_primary_input(f"{prefix}0")
+        previous = f"{prefix}0"
+        for index in range(3):
+            net = f"{prefix}{index + 1}"
+            netlist.add_instance(f"u_{prefix}{index}", "INV_X1", {"A": previous, "out": net})
+            previous = net
+        netlist.add_primary_output(previous)
+    return netlist
 
 
 def _assert_engines_agree(netlist, models, options, waveforms):
@@ -172,10 +184,12 @@ class TestEngineFactory:
 
 class TestBatchedEquivalence:
     def test_inverter_chain(self, library, models, options):
-        netlist = inverter_chain(library, 6)
-        waveforms = primary_input_waveforms(netlist, seed=1)
-        result, _ = _assert_engines_agree(netlist, models, options, waveforms)
-        assert all(label.startswith("SISCSM") for label in result.model_used.values())
+        # One chain, and a forest of two independent chains (a design with
+        # several connected components goes through the same level loop).
+        for netlist in (inverter_chain(library, 6), _forest(library)):
+            waveforms = primary_input_waveforms(netlist, seed=1)
+            result, _ = _assert_engines_agree(netlist, models, options, waveforms)
+            assert all(label.startswith("SISCSM") for label in result.model_used.values())
 
     def test_nand_chain_uses_mis_models(self, library, models, options):
         netlist = gate_chain(library, 3, cell_name="NAND2_X1")
@@ -215,52 +229,6 @@ class TestNLDMLevelized:
         for net in netlist.primary_outputs:
             if net in result.events:
                 assert result.events[net].arrival > min(e.arrival for e in events.values())
-
-
-class TestCones:
-    def _forest(self, library):
-        netlist = GateNetlist(library=library, name="forest")
-        for prefix in ("a", "b"):
-            netlist.add_primary_input(f"{prefix}0")
-            previous = f"{prefix}0"
-            for index in range(3):
-                net = f"{prefix}{index + 1}"
-                netlist.add_instance(
-                    f"u_{prefix}{index}", "INV_X1", {"A": previous, "out": net}
-                )
-                previous = net
-            netlist.add_primary_output(previous)
-        return netlist
-
-    def test_independent_cones_split(self, library):
-        netlist = self._forest(library)
-        cones = independent_cones(netlist)
-        assert len(cones) == 2
-        assert sum(len(cone.instances) for cone in cones) == len(netlist.instances)
-        for cone in cones:
-            cone.validate()
-
-    def test_single_component_is_not_split(self, library):
-        netlist = inverter_chain(library, 3)
-        assert independent_cones(netlist) == [netlist]
-
-    def test_run_cones_matches_plain_run(self, library, models, options):
-        netlist = self._forest(library)
-        waveforms = primary_input_waveforms(netlist, seed=7)
-        plain = CSMEngine(netlist, models, options=options).run(waveforms)
-        executor = ThreadExecutor(max_workers=2)
-        try:
-            merged = run_cones(
-                netlist, models, waveforms, options=options, executor=executor
-            )
-        finally:
-            executor.shutdown()
-        assert set(merged.waveforms) == set(plain.waveforms)
-        for net in plain.waveforms:
-            assert np.abs(
-                merged.waveform(net).values - plain.waveform(net).values
-            ).max() <= EQUIV_TOL
-        assert merged.model_used == plain.model_used
 
 
 class TestModelLibraryRuntime:

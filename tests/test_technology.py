@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import TimingError
+from repro.experiments import ExperimentContext, corner_sta_sweep
 from repro.technology import (
     STANDARD_CORNERS,
     MosfetParams,
     Technology,
     apply_corner,
-    corner_sweep,
     default_technology,
     drain_current_scaled_and_derivatives,
     ekv_interpolation,
@@ -223,10 +224,15 @@ class TestTechnologyAndCorners:
         assert slow < nominal
 
     def test_corner_sweep_contents(self, technology):
-        corners = corner_sweep(technology, ("TT", "FF", "SS"))
-        assert set(corners) == {"TT", "FF", "SS"}
-        assert corners["FF"].name.endswith("FF")
+        for name in ("TT", "FF", "SS"):
+            cornered = apply_corner(technology, STANDARD_CORNERS[name])
+            assert cornered.name.endswith(name)
 
     def test_corner_sweep_rejects_unknown(self, technology):
-        with pytest.raises(KeyError):
-            corner_sweep(technology, ("XX",))
+        # The sweep resolves names through CornerSet before any work: an
+        # unknown or repeated corner is a TimingError, not a KeyError.
+        context = ExperimentContext(technology=technology)
+        with pytest.raises(TimingError, match="unknown corner 'XX'"):
+            corner_sta_sweep(context, spec="chain:inv:1", corners=("TT", "XX"))
+        with pytest.raises(TimingError, match="unique"):
+            corner_sta_sweep(context, spec="chain:inv:1", corners=("TT", "TT"))
