@@ -57,6 +57,22 @@ class NLDMTable:
         """Interpolated 20-80 % output transition time (s)."""
         return self.slew_table.evaluate(input_slew, load)
 
+    def evaluate_many(
+        self, input_slews: np.ndarray, loads: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`delay` and :meth:`output_slew` of many arcs at once.
+
+        Element ``i`` of each array equals the scalar call at
+        ``(input_slews[i], loads[i])`` bitwise (:meth:`NDTable.evaluate_many`).
+        """
+        coords = np.column_stack((input_slews, loads))
+        return self.delay_table.evaluate_many(coords), self.slew_table.evaluate_many(coords)
+
+    def clamped(self, input_slews: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """Mask of the arcs whose input slew or load lies outside the axes
+        (their delay and slew are the nearest edge's extrapolation)."""
+        return self.delay_table.out_of_range(np.column_stack((input_slews, loads)))
+
 
 def characterize_nldm(
     cell: Cell,

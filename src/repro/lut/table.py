@@ -10,10 +10,12 @@ liberty-style characterization tables).
 Interpolation is backed by a per-table corner-index cache: the ``2**N``
 hypercube corner offsets into the flattened value array are enumerated once
 per table, so neither the scalar :meth:`NDTable.evaluate` nor the batched
-:meth:`NDTable.evaluate_batch` re-enumerates corners per query.  The batch
-entry point takes an ``(M, ndim)`` coordinate array and brackets every axis
-with one vectorized ``np.searchsorted``, which is what the waveform
-integrator in :mod:`repro.csm.simulate` builds on.
+:meth:`NDTable.evaluate_batch` / :meth:`NDTable.evaluate_many` re-enumerates
+corners per query.  The batch entry points take an ``(M, ndim)`` coordinate
+array and bracket every axis with one vectorized ``np.searchsorted``;
+``evaluate_batch`` (what the waveform integrator in :mod:`repro.csm.simulate`
+builds on) agrees with the scalar call to rounding, ``evaluate_many`` (the
+NLDM engine's arc evaluation) bitwise.
 """
 
 from __future__ import annotations
@@ -140,8 +142,36 @@ class NDTable:
 
         Returns
         -------
-        ``(M,)`` array of interpolants, matching :meth:`evaluate` pointwise.
+        ``(M,)`` array of interpolants.  They agree with :meth:`evaluate` to
+        rounding, not bitwise: the corner reduction is an ``einsum``, whose
+        summation order differs from the scalar dot product (by up to a few
+        ulp).  :meth:`evaluate_many` is the bitwise batch twin.
         """
+        weights, corners = self._batch_corners(coords)
+        return np.einsum("mc,mc->m", weights, corners)
+
+    def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` at many points, bitwise.
+
+        Same bracketing and corner weights as :meth:`evaluate_batch`, but the
+        corner reduction is ``np.vecdot``, the same dot product
+        :meth:`evaluate` takes per query, so every element equals the scalar
+        call exactly.  The NLDM engine's level-batched arc evaluation builds
+        on this.
+        """
+        weights, corners = self._batch_corners(coords)
+        return np.vecdot(weights, corners)
+
+    def out_of_range(self, coords: np.ndarray) -> np.ndarray:
+        """``(M,)`` mask of the query rows that some axis clamps."""
+        coords = np.asarray(coords, dtype=float).reshape(-1, self.ndim)
+        outside = np.zeros(coords.shape[0], dtype=bool)
+        for dim, points in enumerate(self._axis_arrays):
+            outside |= (coords[:, dim] < points[0]) | (coords[:, dim] > points[-1])
+        return outside
+
+    def _batch_corners(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(M, 2**N)`` corner weights and corner values of many queries."""
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1 and self.ndim == 1:
             coords = coords[:, None]
@@ -165,7 +195,7 @@ class NDTable:
             self._corner_bits[None, :, :], fractions[:, None, :], 1.0 - fractions[:, None, :]
         ).prod(axis=2)
         corners = self._flat_values[base[:, None] + self._corner_offsets[None, :]]
-        return np.einsum("mc,mc->m", weights, corners)
+        return weights, corners
 
     def contract_leading(self, coords: np.ndarray) -> np.ndarray:
         """Interpolate the leading axes away at per-row coordinates.

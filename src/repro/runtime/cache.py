@@ -25,8 +25,9 @@ the salt orphans every stale entry.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -84,23 +85,19 @@ def _is_nldm_result(value: Any) -> bool:
     return isinstance(value, NLDMTimingResult)
 
 
+#: Exact builtin types a manifest holds as they are.
+_PLAIN_TYPES = frozenset((str, bool, int, type(None)))
+
+
 def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
-    # Numpy scalars first: np.float64 subclasses float, and repr() of the
-    # subclass ('np.float64(…)') would not round-trip through float().
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return {"t": "float", "v": repr(float(value))}
-    if value is None or isinstance(value, (bool, int, str)):
+    # Exact builtin scalars and the containers first: they are the bulk of
+    # every manifest (a per-instance NLDM entry is nothing else), and none
+    # of them can also be a numpy scalar or an array.
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
         return value
-    if isinstance(value, float):
+    if kind is float:
         return {"t": "float", "v": repr(value)}
-    if isinstance(value, np.ndarray):
-        name = f"a{len(arrays)}"
-        arrays[name] = value
-        return {"t": "array", "v": name}
     if isinstance(value, list):
         return {"t": "list", "v": [_encode(item, arrays) for item in value]}
     if isinstance(value, tuple):
@@ -110,6 +107,23 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
         # dict they stand for.
         items = [[_encode(k, arrays), _encode(v, arrays)] for k, v in value.items()]
         return {"t": "dict", "v": items}
+    # Numpy scalars before their builtin bases: np.float64 subclasses float,
+    # and repr() of the subclass ('np.float64(…)') would not round-trip
+    # through float().
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return {"t": "float", "v": repr(float(value))}
+    if isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return {"t": "float", "v": repr(value)}
+    if isinstance(value, np.ndarray):
+        name = f"a{len(arrays)}"
+        arrays[name] = value
+        return {"t": "array", "v": name}
     if isinstance(value, NDTable):
         return {
             "t": "ndtable",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["SingleFlight", "SingleFlightStore"]
 
@@ -105,6 +105,24 @@ class SingleFlightStore:
         hit, value = self.inner.lookup(key)
         if hit:
             return True, value
+        return self._after_miss(key)
+
+    def lookup_many(self, keys: Sequence[str]) -> List[Tuple[bool, Any]]:
+        """``[lookup(key) for key in keys]`` over one inner probe.
+
+        The wrapped store answers every key at once; each miss is then
+        claimed, or waited on, exactly as :meth:`lookup` handles it.  The
+        keys must be distinct: a repeated miss would wait on the caller's
+        own claim.
+        """
+        results = self.inner.lookup_many(keys)
+        return [
+            result if result[0] else self._after_miss(key)
+            for key, result in zip(keys, results)
+        ]
+
+    def _after_miss(self, key: str) -> Tuple[bool, Any]:
+        """Claim a missed key, or wait for its open claim and re-read."""
         event = self._claim_or_event(key)
         if event is None:
             return False, None  # our claim: caller computes and stores

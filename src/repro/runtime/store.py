@@ -62,7 +62,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,11 @@ _LOCK_NAME = "store.lock"
 #: Dirty access-time updates buffered in memory before one batched index
 #: append — bounds the write amplification of recency tracking.
 _TOUCH_FLUSH_LIMIT = 256
+
+#: The store's two JSON renderings, built once: ``json.dumps`` with
+#: keyword arguments constructs a new encoder on every call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_sorted_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _pad(offset: int) -> int:
@@ -140,9 +145,9 @@ class _FileLock:
 class PackedStore:
     """Content-addressed packed store keyed by job content hashes.
 
-    ``lookup`` / ``store`` / ``store_many`` / ``stats`` / ``evict`` /
-    ``clear`` / ``keys`` are what the engines, :func:`repro.runtime.run_jobs`
-    and the model library use.  Decoded arrays are zero-copy **read-only**
+    ``lookup`` / ``lookup_many`` / ``store`` / ``store_many`` / ``stats`` /
+    ``evict`` / ``clear`` / ``keys`` are what the engines,
+    :func:`repro.runtime.run_jobs` and the model library use.  Decoded arrays are zero-copy **read-only**
     views into the mapping: copy before mutating a looked-up value.
     """
 
@@ -418,10 +423,10 @@ class PackedStore:
                 record = {"op": "put", "key": key, "off": entry[1], "len": entry[2]}
                 if ts is not None:
                     record["ts"] = ts
-                lines.append(json.dumps(record, separators=(",", ":")))
+                lines.append(_compact_json(record))
             else:
                 record = entry[1] if ts is None else {**entry[1], "ts": ts}
-                lines.append(json.dumps(record, separators=(",", ":")))
+                lines.append(_compact_json(record))
         self._dirty_touches.clear()  # the snapshot carries current recency
         tmp = self._idx_path.with_suffix(".idx.tmp")
         tmp.write_text("".join(line + "\n" for line in lines))
@@ -468,20 +473,29 @@ class PackedStore:
             "shape": list(contiguous.shape),
         }
 
-    def store(self, key: str, value: Any) -> None:
-        """Append a value under its content key (atomic via lock + fsync)."""
+    def _encode_entry(self, key: str, value: Any) -> Tuple[str, Any]:
+        """``("inline", index record)`` or ``("dat", record bytes)`` for a value.
+
+        The manifest is rendered to JSON once, with sorted keys: that text is
+        the manifest's share of the inline-limit check (key order never
+        changes the length) and, for an inline entry, part of its CRC text.
+        """
         manifest, arrays = encode_payload(value)
+        text = _sorted_json(manifest)
         # The manifest counts against the inline limit too: array-free
         # payloads (e.g. a whole-run NLDM event map) can carry an arbitrarily
         # large manifest, which belongs in the data file, not the index.
-        total_bytes = sum(array.nbytes for array in arrays.values()) + len(
-            json.dumps(manifest, separators=(",", ":"))
-        )
-        if total_bytes <= self.inline_limit:
-            self._store_inline(key, manifest, arrays)
+        if sum(array.nbytes for array in arrays.values()) + len(text) <= self.inline_limit:
+            return "inline", self._build_inline_record(key, manifest, arrays, text)
+        return "dat", self._build_record(key, manifest, arrays)
+
+    def store(self, key: str, value: Any) -> None:
+        """Append a value under its content key (atomic via lock + fsync)."""
+        kind, record = self._encode_entry(key, value)
+        if kind == "inline":
+            self._store_inline(key, record)
             return
 
-        record = self._build_record(key, manifest, arrays)
         with self._lock:
             self._refresh()  # adopt entries other processes appended meanwhile
             now = time.time()
@@ -504,22 +518,13 @@ class PackedStore:
         spills (a whole-level tensor record plus one tiny pointer entry per
         instance) cost one I/O round-trip instead of one per instance.
         """
-        encoded: List[Tuple[str, str, Any]] = []  # (kind, key, record)
-        for key, value in items:
-            manifest, arrays = encode_payload(value)
-            total_bytes = sum(array.nbytes for array in arrays.values()) + len(
-                json.dumps(manifest, separators=(",", ":"))
-            )
-            if total_bytes <= self.inline_limit:
-                encoded.append(("inline", key, self._build_inline_record(key, manifest, arrays)))
-            else:
-                encoded.append(("dat", key, self._build_record(key, manifest, arrays)))
+        encoded = [(key,) + self._encode_entry(key, value) for key, value in items]
         if not encoded:
             return
         with self._lock:
             self._refresh()
             now = time.time()
-            dat_records = [(key, record) for kind, key, record in encoded if kind == "dat"]
+            dat_records = [(key, record) for key, kind, record in encoded if kind == "dat"]
             offsets: Dict[str, int] = {}
             if dat_records:
                 blob = b"".join(record for _, record in dat_records)
@@ -528,7 +533,7 @@ class PackedStore:
                     offsets[key] = base
                     base += len(record)
             index_records = []
-            for kind, key, record in encoded:
+            for key, kind, record in encoded:
                 if kind == "inline":
                     record = {**record, "ts": now}
                     index_records.append(record)
@@ -566,15 +571,14 @@ class PackedStore:
             payload_len += tail_pad
         payload = b"".join(chunks)
         crc = zlib.crc32(payload)
-        header = json.dumps(
+        header = _compact_json(
             {
                 "key": key,
                 "manifest": manifest,
                 "arrays": specs,
                 "plen": payload_len,
                 "crc": crc,
-            },
-            separators=(",", ":"),
+            }
         ).encode("utf-8")
         # Space-pad the header (JSON tolerates trailing whitespace) so the
         # payload starts 8-byte aligned; the header CRC lives in the fixed
@@ -583,20 +587,26 @@ class PackedStore:
         return _PREFIX.pack(_MAGIC, len(header), zlib.crc32(header)) + header + payload
 
     @staticmethod
-    def _inline_sig(manifest: Any, inline_arrays: Dict[str, Any]) -> int:
+    def _inline_sig(
+        manifest: Any, inline_arrays: Dict[str, Any], manifest_text: Optional[str] = None
+    ) -> int:
         """Integrity checksum of an inline entry's content.
 
         A bit flip inside an index line can keep the JSON valid (a digit in
         a float, a base64 character); without this, such corruption would be
-        served as a hit with wrong values.
+        served as a hit with wrong values.  The checksummed text is
+        ``json.dumps({"m": manifest, "a": inline_arrays}, sort_keys=True,
+        separators=(",", ":"))``, assembled around ``manifest_text`` (the
+        manifest's sorted-key rendering) when the caller already has it.
         """
-        blob = json.dumps(
-            {"m": manifest, "a": inline_arrays}, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        return zlib.crc32(blob)
+        if manifest_text is None:
+            manifest_text = _sorted_json(manifest)
+        arrays_text = _sorted_json(inline_arrays) if inline_arrays else "{}"
+        blob = '{"a":' + arrays_text + ',"m":' + manifest_text + "}"
+        return zlib.crc32(blob.encode("utf-8"))
 
     def _build_inline_record(
-        self, key: str, manifest: Any, arrays: Dict[str, np.ndarray]
+        self, key: str, manifest: Any, arrays: Dict[str, np.ndarray], manifest_text: str
     ) -> Dict[str, Any]:
         inline_arrays = {}
         for name, array in arrays.items():
@@ -608,12 +618,11 @@ class PackedStore:
             "key": key,
             "manifest": manifest,
             "arrays": inline_arrays,
-            "crc": self._inline_sig(manifest, inline_arrays),
+            "crc": self._inline_sig(manifest, inline_arrays, manifest_text),
         }
 
-    def _store_inline(self, key: str, manifest: Any, arrays: Dict[str, np.ndarray]) -> None:
+    def _store_inline(self, key: str, record: Dict[str, Any]) -> None:
         """Tiny payloads (event tuples, scalars) live directly in the index."""
-        record = self._build_inline_record(key, manifest, arrays)
         with self._lock:
             self._refresh()
             now = time.time()
@@ -651,7 +660,7 @@ class PackedStore:
     def _locked_append_idx_many(self, records: List[Dict[str, Any]]) -> None:
         """Append many JSONL lines in one write, repairing a torn tail first."""
         line = b"".join(
-            (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+            (_compact_json(record) + "\n").encode("utf-8")
             for record in records
         )
         with open(self._idx_path, "ab") as handle:
@@ -670,11 +679,27 @@ class PackedStore:
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> Tuple[bool, Any]:
         """``(hit, value)``; counts the hit or miss on :attr:`stats`."""
+        return self.lookup_many((key,))[0]
+
+    def lookup_many(self, keys: Sequence[str]) -> List[Tuple[bool, Any]]:
+        """``[lookup(key) for key in keys]`` behind ONE index refresh.
+
+        A lookup of a key this handle does not know re-reads the index tail
+        (two ``stat`` calls plus any new lines) before it misses.  Here the
+        first unknown key refreshes once for the whole batch, which is what
+        lets a cold NLDM level probe a thousand keys for the price of one.
+        Hits, misses, evictions and recency count exactly as per-key lookups
+        count them.
+        """
+        with self._lock.thread_lock:
+            if any(key not in self._entries for key in keys):
+                self._refresh()
+        return [self._serve(key) for key in keys]
+
+    def _serve(self, key: str) -> Tuple[bool, Any]:
+        """One lookup against the current view (no refresh)."""
         with self._lock.thread_lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self._refresh()
-                entry = self._entries.get(key)
             if entry is None:
                 self.stats.misses += 1
                 return False, None
@@ -911,7 +936,7 @@ class PackedStore:
                     ts = self._access.get(key)
                     if entry[0] == "inline":
                         record = entry[1] if ts is None else {**entry[1], "ts": ts}
-                        idx_lines.append(json.dumps(record, separators=(",", ":")))
+                        idx_lines.append(_compact_json(record))
                         new_entries[key] = entry
                         continue
                     _, offset, length = entry
@@ -919,7 +944,7 @@ class PackedStore:
                     record = {"op": "put", "key": key, "off": new_offset, "len": length}
                     if ts is not None:
                         record["ts"] = ts
-                    idx_lines.append(json.dumps(record, separators=(",", ":")))
+                    idx_lines.append(_compact_json(record))
                     new_entries[key] = ("dat", new_offset, length)
                     new_offset += length
                 out.flush()
@@ -964,7 +989,7 @@ class PackedStore:
         """Approximate on-disk cost of one live entry (record or index line)."""
         if entry[0] == "dat":
             return entry[2]
-        return len(json.dumps(entry[1], separators=(",", ":"))) + 1
+        return len(_compact_json(entry[1])) + 1
 
     def live_bytes(self) -> int:
         """Bytes of live data (data-file records + inline index lines)."""

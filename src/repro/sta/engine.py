@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, 
 
 import numpy as np
 
+from ..characterization.nldm import NLDMTable
 from ..csm.base import SimulationOptions
 from ..csm.dc import settle_units
 from ..csm.loads import CapacitiveLoad, Load, ReceiverLoad
@@ -119,6 +120,10 @@ class PropagationStats:
         Streaming mode only: spilled level tensors transparently mapped back
         in (zero-copy memmap views) because a later level, an ECO or a
         report touched a retired net.
+    clamped_lookups:
+        NLDM only: evaluated arcs whose input slew or lumped load lies
+        outside the table axes, so their delay and slew are the table
+        edge's (clamped) values.
     """
 
     instances: int = 0
@@ -131,6 +136,7 @@ class PropagationStats:
     full_run_hit: bool = False
     spills: int = 0
     faults: int = 0
+    clamped_lookups: int = 0
 
     @property
     def cone_hits(self) -> int:
@@ -651,6 +657,11 @@ def _validate_memory_mode(memory_mode: str, use_cache: bool, cache) -> None:
 # ----------------------------------------------------------------------
 # NLDM: event propagation per level
 # ----------------------------------------------------------------------
+#: One instance's NLDM outcome: ``(arrival, slew, rising)`` of its output
+#: event (``None`` when no input switches) and its MIS pin pairs.
+_EventEntry = Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]
+
+
 class NLDMEngine(TimingEngine):
     """Propagates (arrival, slew) events through a gate netlist.
 
@@ -663,6 +674,14 @@ class NLDMEngine(TimingEngine):
     index — no data-file record at all.  A warm repeat of an unchanged
     netlist evaluates zero instances; an ECO edit re-evaluates only the
     affected region.
+
+    Each level runs in three batched phases: key every instance (memo hits
+    and same-level duplicates settle here) and probe the store once for the
+    rest (``lookup_many``); evaluate every arc of the misses in one
+    interpolation pass per NLDM table; commit the level's new entries in one
+    ``store_many``.  Events, MIS pairs, keys and stats are bitwise those of
+    evaluating instance by instance with :meth:`NLDMTable.delay` and
+    :meth:`NLDMTable.output_slew`.
 
     Parameters
     ----------
@@ -694,7 +713,7 @@ class NLDMEngine(TimingEngine):
         self.memory_mode = memory_mode
         #: key -> (event fields tuple | None, MIS pin pairs); content-addressed,
         #: so it survives netlist edits just like the CSM waveform memo.
-        self._memo: Dict[str, Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]] = {}
+        self._memo: Dict[str, _EventEntry] = {}
 
     def _corner_engine(self, cc: CornerContext) -> "NLDMEngine":
         child = NLDMEngine(
@@ -732,36 +751,73 @@ class NLDMEngine(TimingEngine):
         """Drop the in-memory event memo (the disk cache is untouched)."""
         self._memo.clear()
 
-    def _lookup_event(
-        self, key: str, stats: PropagationStats, pending: Mapping[str, Any]
-    ) -> Optional[Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]]:
-        """Memo, then disk; counts the provenance on the run's stats.
+    @staticmethod
+    def _decode_event(value: Any) -> Optional[_EventEntry]:
+        """``(fields, MIS pairs)`` of a stored event entry; ``None`` for a
+        foreign entry under our key (the instance is then evaluated)."""
+        try:
+            fields = value["event"]
+            pairs = [tuple(pair) for pair in value["mis"]]
+        except (TypeError, KeyError):
+            return None
+        return (tuple(fields) if fields is not None else None, pairs)
 
-        ``pending`` holds the current level's entries, which are committed
-        to the store only once the level is done.  A same-level duplicate is
-        served (and counted) from there exactly as if the store already held
-        it — looking it up in the store instead would miss, or, under a
-        single-flight store, wait on the run's own open claim.
+    def _evaluate_level(
+        self,
+        rows: Sequence[Tuple[GateInstance, Any, float]],
+        events: Mapping[str, TimingEvent],
+        stats: PropagationStats,
+    ) -> List[_EventEntry]:
+        """Output event fields and MIS pairs of ``(instance, cell, load)`` rows.
+
+        Every arc (a switching input pin) of every row is interpolated in one
+        :meth:`NLDMTable.evaluate_many` pass per table, bitwise the scalar
+        ``delay``/``output_slew`` calls; the latest arc arrival wins, the
+        first pin on ties.  Same-level rows never feed each other, so
+        ``events`` holds every input they read.
         """
-        if key in self._memo:
-            stats.memo_hits += 1
-            return self._memo[key]
-        if self.cache is not None:
-            hit, value = (True, pending[key]) if key in pending else self.cache.lookup(key)
-            if hit:
-                try:
-                    fields = value["event"]
-                    pairs = [tuple(pair) for pair in value["mis"]]
-                except (TypeError, KeyError):  # foreign entry under our key
-                    return None
-                cached = (tuple(fields) if fields is not None else None, pairs)
-                stats.cache_hits += 1
-                if self.memory_mode == "stream":
-                    stats.faults += 1  # served straight from the store
-                else:
-                    self._memo[key] = cached
-                return cached
-        return None
+        pairs: List[List[Tuple[str, str]]] = []
+        arc_rows: List[int] = []
+        arc_tables: List[NLDMTable] = []
+        arc_slews: List[float] = []
+        arc_loads: List[float] = []
+        arc_arrivals: List[float] = []
+        for row, (instance, cell, load) in enumerate(rows):
+            pin_nets = {pin: instance.connections[pin] for pin in cell.inputs}
+            pairs.append(detect_mis_pairs(events, cell.inputs, pin_nets))
+            for pin in cell.inputs:
+                event = events.get(pin_nets[pin])
+                if event is None:
+                    continue
+                arc_rows.append(row)
+                arc_tables.append(
+                    self.models.nldm_table(instance.cell_name, pin, input_rise=event.rising)
+                )
+                arc_slews.append(event.slew)
+                arc_loads.append(load)
+                arc_arrivals.append(event.arrival)
+
+        delays = np.empty(len(arc_rows))
+        out_slews = np.empty(len(arc_rows))
+        slews = np.array(arc_slews, dtype=float)
+        loads = np.array(arc_loads, dtype=float)
+        by_table: Dict[int, List[int]] = {}
+        for arc, table in enumerate(arc_tables):
+            by_table.setdefault(id(table), []).append(arc)
+        for arcs in by_table.values():
+            table = arc_tables[arcs[0]]
+            index = np.array(arcs)
+            delays[index], out_slews[index] = table.evaluate_many(slews[index], loads[index])
+            stats.clamped_lookups += int(np.count_nonzero(table.clamped(slews[index], loads[index])))
+        arrivals = (np.array(arc_arrivals, dtype=float) + delays).tolist()
+        out_slew_list = out_slews.tolist()
+
+        best: List[Optional[Tuple[float, float, bool]]] = [None] * len(rows)
+        for arc, row in enumerate(arc_rows):
+            current = best[row]
+            if current is None or arrivals[arc] > current[0]:
+                best[row] = (arrivals[arc], out_slew_list[arc], arc_tables[arc].output_rise)
+        return list(zip(best, pairs))
 
     def _run_impl(
         self, input_events: Dict[str, TimingEvent]
@@ -827,18 +883,23 @@ class NLDMEngine(TimingEngine):
         mis_flags: Dict[str, List[Tuple[str, str]]] = {}
 
         for level in levels:
-            level_items: Dict[str, Dict[str, Any]] = {}
+            # 1. Key every instance.  Memo hits settle at once; every other
+            #    key's first occurrence is probed in ONE store lookup, and a
+            #    same-level duplicate shares its first occurrence's outcome.
+            rows: List[Tuple[GateInstance, Any, float, str, Optional[str]]] = []
+            outcome: List[Optional[_EventEntry]] = []
+            probe: Dict[str, int] = {}  # key -> row of its first occurrence
+            twin_of: Dict[int, int] = {}  # duplicate row -> first occurrence
             for instance in level:
                 stats.keyed += 1
                 cell = self._cell(instance)
                 output_net = instance.connections[cell.output]
                 load = self._lumped_output_load(instance)
-                pin_nets = {pin: instance.connections[pin] for pin in cell.inputs}
-
                 key: Optional[str] = None
+                cached: Optional[_EventEntry] = None
                 if caching:
                     inputs = [
-                        (pin, net_keys.get(pin_nets[pin], "stable"))
+                        (pin, net_keys.get(instance.connections[pin], "stable"))
                         for pin in cell.inputs
                     ]
                     key = content_hash(
@@ -849,55 +910,68 @@ class NLDMEngine(TimingEngine):
                         inputs,
                     )
                     net_keys[output_net] = key
-                    cached = self._lookup_event(key, stats, level_items)
-                    if cached is not None:
-                        fields, pairs = cached
-                        mis_flags[instance.name] = list(pairs)
-                        if fields is not None:
-                            arrival, slew, rising = fields
-                            events[output_net] = TimingEvent(
-                                net=output_net, arrival=arrival, slew=slew, rising=rising
-                            )
-                        continue
-
-                mis_flags[instance.name] = detect_mis_pairs(events, cell.inputs, pin_nets)
-
-                candidate: Optional[TimingEvent] = None
-                for pin in cell.inputs:
-                    net = pin_nets[pin]
-                    if net not in events:
-                        continue
-                    event = events[net]
-                    table = self.models.nldm_table(
-                        instance.cell_name, pin, input_rise=event.rising
-                    )
-                    delay = table.delay(event.slew, load)
-                    output_slew = table.output_slew(event.slew, load)
-                    output_event = TimingEvent(
-                        net=output_net,
-                        arrival=event.arrival + delay,
-                        slew=output_slew,
-                        rising=table.output_rise,
-                    )
-                    if candidate is None or output_event.arrival > candidate.arrival:
-                        candidate = output_event
-                stats.integrations += 1
-                if candidate is not None:
-                    events[output_net] = candidate
-
-                if key is not None:
-                    fields = (
-                        (candidate.arrival, candidate.slew, candidate.rising)
-                        if candidate is not None
-                        else None
-                    )
-                    if streaming:
-                        stats.spills += 1  # the store is the only copy
+                    if key in self._memo:
+                        stats.memo_hits += 1
+                        cached = self._memo[key]
+                    elif key in probe:
+                        twin_of[len(rows)] = probe[key]
                     else:
-                        self._memo[key] = (fields, mis_flags[instance.name])
-                    if self.cache is not None:
-                        level_items[key] = {"event": fields, "mis": mis_flags[instance.name]}
-                        stats.stores += 1
+                        probe[key] = len(rows)
+                rows.append((instance, cell, load, output_net, key))
+                outcome.append(cached)
+            if probe and self.cache is not None:
+                for (key, row), (hit, value) in zip(
+                    probe.items(), self.cache.lookup_many(list(probe))
+                ):
+                    cached = self._decode_event(value) if hit else None
+                    if cached is None:
+                        continue
+                    stats.cache_hits += 1
+                    if streaming:
+                        stats.faults += 1  # served straight from the store
+                    else:
+                        self._memo[key] = cached
+                    outcome[row] = cached
+
+            # 2. Evaluate every remaining first occurrence in one arc pass.
+            misses = [
+                row
+                for row, cached in enumerate(outcome)
+                if cached is None and row not in twin_of
+            ]
+            computed = self._evaluate_level([rows[row][:3] for row in misses], events, stats)
+            level_items: Dict[str, Dict[str, Any]] = {}
+            for row, entry in zip(misses, computed):
+                outcome[row] = entry
+                stats.integrations += 1
+                key = rows[row][4]
+                if key is None:
+                    continue
+                if streaming:
+                    stats.spills += 1  # the store is the only copy
+                else:
+                    self._memo[key] = entry
+                if self.cache is not None:
+                    level_items[key] = {"event": entry[0], "mis": entry[1]}
+                    stats.stores += 1
+            # A duplicate is a memo hit (resident) or, with no memo, a read
+            # of its twin's entry, exactly as if the store already held it.
+            for row, first in twin_of.items():
+                outcome[row] = outcome[first]
+                if streaming:
+                    stats.cache_hits += 1
+                    stats.faults += 1
+                else:
+                    stats.memo_hits += 1
+
+            # 3. Publish in level order, then commit the level's new entries.
+            for (instance, _, _, output_net, _), (fields, pairs) in zip(rows, outcome):
+                mis_flags[instance.name] = list(pairs)
+                if fields is not None:
+                    arrival, slew, rising = fields
+                    events[output_net] = TimingEvent(
+                        net=output_net, arrival=arrival, slew=slew, rising=rising
+                    )
             if level_items:
                 self.cache.store_many(level_items.items())
 

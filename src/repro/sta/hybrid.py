@@ -524,6 +524,7 @@ class HybridEngine(TimingEngine):
             stats.stores += entry.get("stores", 0)
             stats.spills += entry.get("spills", 0)
             stats.faults += entry.get("faults", 0)
+            stats.clamped_lookups += entry.get("clamped_lookups", 0)
         stats.full_run_hit = bool(sub_stats) and all(
             entry.get("full_run_hit", False) for entry in sub_stats
         )

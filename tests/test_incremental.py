@@ -491,6 +491,9 @@ class _DictStore:
             return True, self.entries[key]
         return False, None
 
+    def lookup_many(self, keys):
+        return [self.lookup(key) for key in keys]
+
     def store(self, key, value):
         self.entries[key] = value
 

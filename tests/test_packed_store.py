@@ -14,12 +14,15 @@ import multiprocessing
 import os
 import pickle
 import sys
+import re
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cells import default_library
 from repro.runtime import CacheStats, PackedStore
 from repro.runtime.store import _INDEX_NAME, _DATA_NAME
 from repro.waveform import Waveform
@@ -341,6 +344,150 @@ class TestFaults:
         reopened = PackedStore(store.directory)
         hit, _ = reopened.lookup(key)
         assert not hit and reopened.stats.evictions == 1
+
+
+# ----------------------------------------------------------------------
+# lookup_many: a batch of lookups behind one index refresh
+# ----------------------------------------------------------------------
+def _parent_inline_sig(manifest, inline_arrays, manifest_text=None):
+    """The inline-entry CRC as the previous writer computed it: the whole
+    ``{"m", "a"}`` dict rendered in one sorted-key ``json.dumps``."""
+    blob = json.dumps(
+        {"m": manifest, "a": inline_arrays}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    return zlib.crc32(blob)
+
+
+def _event_items(count: int):
+    """NLDM-style per-instance entries, plus one entry with an array."""
+    items = [
+        (
+            _key(f"{index:x}e"),
+            {
+                "event": None if index % 5 == 0 else (1e-10 + index * 1e-13, 3e-11, bool(index % 2)),
+                "mis": [("A", "B")] if index % 3 == 0 else [],
+            },
+        )
+        for index in range(count)
+    ]
+    items.append((_key("fa"), {"arrival": 1.5e-10, "small": np.arange(4.0)}))
+    return items
+
+
+class TestLookupMany:
+    def test_equals_per_key_lookups_and_stats(self, tmp_path):
+        writer = PackedStore(tmp_path / "packed")
+        items = _event_items(40)
+        writer.store_many(items)
+        writer.store(_key("0d"), _waveform(3))  # a data-file record
+        keys = [key for key, _ in items[::2]] + [_key("0d"), _key("9"), _key("8")]
+        batched = PackedStore(tmp_path / "packed")
+        per_key = PackedStore(tmp_path / "packed")
+        many = batched.lookup_many(keys)
+        single = [per_key.lookup(key) for key in keys]
+        assert [hit for hit, _ in many] == [hit for hit, _ in single]
+        assert [hit for hit, _ in many].count(False) == 2
+        for (_, got), (_, expected) in zip(many[:-3], single[:-3]):
+            assert repr(got) == repr(expected)
+        assert np.array_equal(many[-3][1].values, single[-3][1].values)
+        assert batched.stats.as_dict() == per_key.stats.as_dict()
+        assert batched.stats.as_dict() == {
+            "hits": len(keys) - 2, "misses": 2, "stores": 0, "evictions": 0
+        }
+        assert batched.lookup_many([]) == []
+
+    def test_sees_entries_appended_through_another_handle(self, store):
+        reader = PackedStore(store.directory)
+        key = _key("a1")
+        assert reader.lookup_many([key]) == [(False, None)]
+        store.store_many(_event_items(3))
+        store.store(key, {"event": (1e-10, 2e-11, True), "mis": []})
+        [(hit, value)] = reader.lookup_many([key])
+        assert hit and value == {"event": (1e-10, 2e-11, True), "mis": []}
+
+    def test_corrupted_inline_entry_is_dropped_as_a_miss(self, store):
+        store.store_many(_event_items(4))
+        good, bad = _key("1e"), _key("2e")
+        idx = store.directory / _INDEX_NAME
+        lines = idx.read_text().splitlines(keepends=True)
+        for position, line in enumerate(lines):
+            if json.loads(line)["key"] == bad:
+                lines[position] = line.replace("1.002e-10", "9.002e-10")
+        assert "9.002e-10" in "".join(lines)
+        idx.write_text("".join(lines))
+        reopened = PackedStore(store.directory)
+        (good_hit, _), (bad_hit, bad_value) = reopened.lookup_many([good, bad])
+        assert good_hit and not bad_hit and bad_value is None
+        assert reopened.stats.as_dict() == {
+            "hits": 1, "misses": 1, "stores": 0, "evictions": 1
+        }
+        assert bad not in reopened
+        assert reopened.lookup_many([bad]) == [(False, None)]
+        assert reopened.stats.evictions == 1  # dropped once, then a plain miss
+
+    def test_inline_index_lines_match_the_previous_writer(self, tmp_path, monkeypatch):
+        """One sorted-key render serves the size check and the CRC: every
+        index line is byte-identical to the previous writer's (``ts`` aside)."""
+        items = _event_items(30)
+        current = PackedStore(tmp_path / "current")
+        current.store_many(items)
+        current.store(_key("ab"), items[1][1])
+        monkeypatch.setattr(PackedStore, "_inline_sig", staticmethod(_parent_inline_sig))
+        previous = PackedStore(tmp_path / "previous")
+        previous.store_many(items)
+        previous.store(_key("ab"), items[1][1])
+
+        def lines(directory):
+            text = (directory / _INDEX_NAME).read_text()
+            return [re.sub(r',"ts":[0-9.e+]+', "", line) for line in text.splitlines()]
+
+        assert lines(current.directory) == lines(previous.directory)
+
+    def test_previous_writers_store_serves_a_warm_hybrid_run(self, tmp_path, monkeypatch):
+        """A store written with the previous writer's inline CRC rendering and
+        stats schema (no ``clamped_lookups``) serves a warm hybrid run as a
+        whole-run hit with zero integrations."""
+        from repro.characterization import CharacterizationConfig
+        from repro.csm.base import SimulationOptions
+        from repro.sta import HybridEngine, PropagationStats, TimingModelLibrary
+        from repro.sta import generate_netlist, primary_input_waveforms
+        from repro.sta.generate import default_time_window
+
+        library = default_library()
+        models = TimingModelLibrary(
+            library=library,
+            config=CharacterizationConfig(io_grid_points=5),
+            cache=PackedStore(tmp_path / "models"),
+        )
+        netlist = generate_netlist(library, "chain:nand:3")
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=1)
+        options = SimulationOptions(time_step=2e-12)
+
+        def hybrid():
+            return HybridEngine(
+                netlist, models, options=options, cache=PackedStore(tmp_path / "run"), top_k=1
+            )
+
+        plain_as_dict = PropagationStats.as_dict
+        with monkeypatch.context() as patch:
+            patch.setattr(PackedStore, "_inline_sig", staticmethod(_parent_inline_sig))
+            patch.setattr(
+                PropagationStats,
+                "as_dict",
+                lambda self: {
+                    name: value
+                    for name, value in plain_as_dict(self).items()
+                    if name != "clamped_lookups"
+                },
+            )
+            cold = hybrid().run(waveforms, t_stop=t_stop)
+            assert "clamped_lookups" not in cold.stats
+        warm = hybrid().run(waveforms, t_stop=t_stop)
+        assert warm.stats["full_run_hit"]
+        assert warm.stats["integrations"] == 0
+        assert warm.endpoint_arrivals == cold.endpoint_arrivals
+        assert warm.exact_nets == cold.exact_nets
 
 
 def _append_worker(directory: str, worker: int, count: int) -> None:

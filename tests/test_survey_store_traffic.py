@@ -23,6 +23,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cells import default_library
 from repro.characterization import CharacterizationConfig
@@ -37,12 +39,15 @@ from repro.sta import (
     NLDMEngine,
     PropagationStats,
     TimingModelLibrary,
+    TimingEvent,
     generate_netlist,
+    inverter_chain,
     netlist_fingerprint,
     primary_input_events,
     primary_input_waveforms,
 )
 from repro.sta import netlist as netlist_module
+from repro.sta.events import detect_mis_pairs
 from repro.sta.generate import default_time_window
 from repro.sta.mmmc import CornerSet
 from repro.sta.netlist import NETLIST_DIGEST_SALT, GateNetlist, swap_partner
@@ -104,6 +109,9 @@ class _PerItemStore:
             return True, self.entries[key]
         return False, None
 
+    def lookup_many(self, keys):
+        return [self.lookup(key) for key in keys]
+
     def store(self, key, value):
         self.entries[key] = value
 
@@ -122,6 +130,9 @@ class _CountingStore:
 
     def lookup(self, key):
         return self.inner.lookup(key)
+
+    def lookup_many(self, keys):
+        return self.inner.lookup_many(keys)
 
     def store(self, key, value):
         self.singles.append(key)
@@ -249,6 +260,230 @@ class TestNLDMPerLevelCommit:
         for name in corners.names:
             assert again.results[name].events == result.results[name].events
             assert again.results[name].mis_flags == result.results[name].mis_flags
+
+
+# ----------------------------------------------------------------------
+# NLDM: the level-batched survey equals a per-instance oracle
+# ----------------------------------------------------------------------
+class _PerInstanceOracle:
+    """The NLDM level loop evaluated one instance at a time.
+
+    Scalar :meth:`NLDMTable.delay` / :meth:`NLDMTable.output_slew` and
+    :func:`detect_mis_pairs` per instance, the latest arc winning (first pin
+    on ties); memo, then the level's pending entries, then one store lookup
+    per key; one commit per level and a whole-run entry in resident mode.
+    Keys, loads and levels come from the engine under test, so the oracle
+    checks evaluation and accounting, not key derivation.
+    """
+
+    def __init__(self, engine: NLDMEngine):
+        self.engine = engine
+        self.streaming = engine.memory_mode == "stream"
+        self.memo = {}
+        self.store = _PerItemStore()
+        self.run_keys = set()
+
+    def _lookup(self, key, pending, stats):
+        if key in self.memo:
+            stats.memo_hits += 1
+            return self.memo[key]
+        hit, value = (True, pending[key]) if key in pending else self.store.lookup(key)
+        if not hit:
+            return None
+        cached = (value["event"], value["mis"])
+        stats.cache_hits += 1
+        if self.streaming:
+            stats.faults += 1
+        else:
+            self.memo[key] = cached
+        return cached
+
+    def _evaluate(self, instance, cell, load, events, stats):
+        pin_nets = {pin: instance.connections[pin] for pin in cell.inputs}
+        pairs = detect_mis_pairs(events, cell.inputs, pin_nets)
+        fields = None
+        for pin in cell.inputs:
+            event = events.get(pin_nets[pin])
+            if event is None:
+                continue
+            table = self.engine.models.nldm_table(
+                instance.cell_name, pin, input_rise=event.rising
+            )
+            slew_axis, load_axis = table.delay_table.axes
+            inside = (
+                slew_axis.lower <= event.slew <= slew_axis.upper
+                and load_axis.lower <= load <= load_axis.upper
+            )
+            stats.clamped_lookups += not inside
+            arrival = event.arrival + table.delay(event.slew, load)
+            if fields is None or arrival > fields[0]:
+                fields = (arrival, table.output_slew(event.slew, load), table.output_rise)
+        return fields, pairs
+
+    def run(self, input_events):
+        engine = self.engine
+        levels = engine.levels()
+        stats = PropagationStats(instances=len(engine.netlist.instances))
+        net_keys = engine.stimulus_keys(input_events)
+        context = engine._context_digest()
+        run_key = None
+        if not self.streaming:
+            run_key = content_hash(
+                "nldm-run",
+                context,
+                engine._netlist_digest(),
+                engine._model_library_digest(),
+                sorted(net_keys.items()),
+            )
+            hit, value = self.store.lookup(run_key)
+            if hit:
+                stats.full_run_hit = True
+                return value[0], value[1], stats
+        events = dict(input_events)
+        mis_flags = {}
+        for level in levels:
+            pending = {}
+            for instance in level:
+                stats.keyed += 1
+                cell = engine._cell(instance)
+                output_net = instance.connections[cell.output]
+                load = engine._lumped_output_load(instance)
+                inputs = [
+                    (pin, net_keys.get(instance.connections[pin], "stable"))
+                    for pin in cell.inputs
+                ]
+                key = content_hash(
+                    "nldm-propagation", context, engine._cell_digest(instance.cell_name), load, inputs
+                )
+                net_keys[output_net] = key
+                cached = self._lookup(key, pending, stats)
+                if cached is None:
+                    cached = self._evaluate(instance, cell, load, events, stats)
+                    stats.integrations += 1
+                    if self.streaming:
+                        stats.spills += 1
+                    else:
+                        self.memo[key] = cached
+                    pending[key] = {"event": cached[0], "mis": cached[1]}
+                    stats.stores += 1
+                fields, pairs = cached
+                mis_flags[instance.name] = list(pairs)
+                if fields is not None:
+                    events[output_net] = TimingEvent(output_net, *fields)
+            self.store.store_many(pending.items())
+        if run_key is not None:
+            self.run_keys.add(run_key)
+            self.store.store(run_key, (events, mis_flags))
+        return events, mis_flags, stats
+
+
+def _event_bits(events):
+    return {
+        name: (event.net, float(event.arrival).hex(), float(event.slew).hex(), event.rising)
+        for name, event in events.items()
+    }
+
+
+def _assert_matches_oracle(engine, oracle, events):
+    result = engine.run(events)
+    expected_events, expected_flags, expected_stats = oracle.run(events)
+    assert list(_event_bits(result.events).items()) == list(_event_bits(expected_events).items())
+    assert list(result.mis_flags.items()) == list(expected_flags.items())
+    assert engine.last_stats == expected_stats
+    assert result.stats == expected_stats.as_dict()
+    per_instance = set(oracle.store.entries) - oracle.run_keys
+    assert set(engine.cache.entries) - oracle.run_keys == per_instance
+    assert _entries(engine.cache, per_instance) == _entries(oracle.store, per_instance)
+
+
+class TestNLDMLevelBatchOracle:
+    """Events, MIS pairs and stats of the level-batched survey are bitwise
+    those of the per-instance walk: cold, warm and after an ECO swap, in
+    resident and streaming mode."""
+
+    @pytest.mark.parametrize("memory_mode", ["resident", "stream"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        width=st.integers(min_value=2, max_value=6),
+        depth=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        stimulus_seed=st.integers(min_value=0, max_value=10_000),
+        swap_pick=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_engine_equals_per_instance_oracle(
+        self, library, models, memory_mode, width, depth, seed, stimulus_seed, swap_pick
+    ):
+        netlist = generate_netlist(library, f"dag:w{width}:d{depth}:s{seed}")
+        events = primary_input_events(netlist, seed=stimulus_seed)
+        engine = NLDMEngine(netlist, models, cache=_PerItemStore(), memory_mode=memory_mode)
+        oracle = _PerInstanceOracle(engine)
+        _assert_matches_oracle(engine, oracle, events)  # cold
+        _assert_matches_oracle(engine, oracle, events)  # warm
+        swappable = [
+            name
+            for name, instance in netlist.instances.items()
+            if swap_partner(library, instance.cell_name) is not None
+        ]
+        if swappable:
+            name = swappable[swap_pick % len(swappable)]
+            netlist.swap_cell(name, swap_partner(library, netlist.instances[name].cell_name))
+        _assert_matches_oracle(engine, oracle, events)  # after one swap_cell
+
+    @pytest.mark.parametrize("memory_mode", ["resident", "stream"])
+    def test_same_level_duplicates_match_the_oracle(self, library, models, memory_mode):
+        netlist = _twin_netlist(library, extra_inputs=2)
+        events = primary_input_events(netlist, seed=3)
+        engine = NLDMEngine(netlist, models, cache=_PerItemStore(), memory_mode=memory_mode)
+        oracle = _PerInstanceOracle(engine)
+        _assert_matches_oracle(engine, oracle, events)
+        _assert_matches_oracle(engine, oracle, events)
+
+
+class TestClampedLookups:
+    """``PropagationStats.clamped_lookups`` counts the evaluated arcs whose
+    input slew or lumped load lies outside the NLDM table axes."""
+
+    @staticmethod
+    def _chain(library, wire):
+        netlist = inverter_chain(library, 6)
+        output = library["INV_X1"].output
+        for instance in netlist.instances.values():
+            netlist.set_wire_capacitance(instance.connections[output], wire)
+        source = netlist.primary_inputs[0]
+        return netlist, {source: TimingEvent(source, 100e-12, 60e-12, True)}
+
+    def test_chain_inside_the_axes_counts_zero(self, library, models):
+        # 10 fF of wire per stage keeps every load and slew on the axes.
+        netlist, events = self._chain(library, 10e-15)
+        engine = NLDMEngine(netlist, models, use_cache=False)
+        engine.run(events)
+        assert engine.last_stats.integrations == 6
+        assert engine.last_stats.clamped_lookups == 0
+
+    def test_load_beyond_the_axis_is_counted_and_folded_by_hybrid(
+        self, library, models, options
+    ):
+        netlist, events = self._chain(library, 10e-15)
+        heavy = netlist.instances["u2"]
+        netlist.set_wire_capacitance(heavy.connections[library["INV_X1"].output], 40e-15)
+        engine = NLDMEngine(netlist, models, use_cache=False)
+        assert engine._lumped_output_load(heavy) > models.nldm_loads[-1]
+        engine.run(events)
+        assert engine.last_stats.clamped_lookups >= 1
+        # A warm repeat evaluates (and so counts) nothing.
+        cached = NLDMEngine(netlist, models, cache=_PerItemStore())
+        cached.run(events)
+        assert cached.last_stats.clamped_lookups == engine.last_stats.clamped_lookups
+        cached.run(events)
+        assert cached.last_stats.clamped_lookups == 0
+
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        hybrid = HybridEngine(netlist, models, options=options, cache=_PerItemStore(), top_k=0)
+        result = hybrid.run(waveforms, t_stop=t_stop)
+        survey = hybrid.nldm.last_stats.clamped_lookups
+        assert survey >= 1
+        assert result.stats["clamped_lookups"] == survey
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.csm.loads import CapacitiveLoad, CompositeLoad, PiLoad, ReceiverLoad
 from repro.csm.simulate import integrate_model
 from repro.exceptions import TableError
 from repro.lut.grid import Axis, voltage_axis
+from repro.characterization.nldm import NLDMTable
 from repro.lut.table import NDTable, tabulate
 from repro.technology.mosfet import (
     MosfetBank,
@@ -87,6 +88,65 @@ class TestEvaluateBatchEquivalence:
                 for j, vo in enumerate(table.axes[3].points):
                     expected = table.evaluate(coords[row, 0], coords[row, 1], vn, vo)
                     assert sub[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestNLDMArcInterpolation:
+    """The NLDM engine's batched arc interpolation is bitwise the scalar one.
+
+    ``evaluate_many`` (and :meth:`NLDMTable.evaluate_many` on top of it) must
+    equal :meth:`NDTable.evaluate` exactly, not to a tolerance: the engine's
+    events, MIS pairs and propagation keys depend on it.  Queries cover the
+    interior, the axis points and both clamped sides of both axes.
+    """
+
+    SLEWS = (20e-12, 50e-12, 100e-12, 200e-12)
+    LOADS = (2e-15, 5e-15, 10e-15, 20e-15, 40e-15)
+
+    @staticmethod
+    def _queries(rng, count):
+        slews = rng.uniform(0.0, 300e-12, count)
+        loads = rng.uniform(0.0, 60e-15, count)
+        on_axis = rng.random(count) < 0.1
+        slews[on_axis] = rng.choice(TestNLDMArcInterpolation.SLEWS, on_axis.sum())
+        loads[on_axis] = rng.choice(TestNLDMArcInterpolation.LOADS, on_axis.sum())
+        return slews, loads
+
+    def _table(self, rng, name):
+        axes = (Axis("input_slew", self.SLEWS), Axis("load", self.LOADS))
+        return NDTable(axes, rng.uniform(5e-12, 400e-12, (4, 5)), name=name)
+
+    def test_evaluate_many_equals_scalar_bitwise(self):
+        rng = np.random.default_rng(2021)
+        slews, loads = self._queries(rng, 20_000)
+        assert (slews < self.SLEWS[0]).any() and (slews > self.SLEWS[-1]).any()
+        assert (loads < self.LOADS[0]).any() and (loads > self.LOADS[-1]).any()
+        for index in range(3):
+            table = self._table(rng, f"arc{index}")
+            batch = table.evaluate_many(np.column_stack((slews, loads)))
+            scalar = np.array([table.evaluate(s, c) for s, c in zip(slews, loads)])
+            assert batch.tobytes() == scalar.tobytes()
+
+    def test_nldm_table_arcs_equal_delay_and_output_slew(self):
+        rng = np.random.default_rng(7)
+        arc = NLDMTable(
+            cell_name="INV_X1",
+            pin="A",
+            input_rise=True,
+            output_rise=False,
+            delay_table=self._table(rng, "delay"),
+            slew_table=self._table(rng, "slew"),
+            vdd=1.2,
+        )
+        slews, loads = self._queries(rng, 2_000)
+        delays, out_slews = arc.evaluate_many(slews, loads)
+        assert delays.tolist() == [arc.delay(s, c) for s, c in zip(slews, loads)]
+        assert out_slews.tolist() == [arc.output_slew(s, c) for s, c in zip(slews, loads)]
+        clamped = arc.clamped(slews, loads)
+        outside = [
+            not (self.SLEWS[0] <= s <= self.SLEWS[-1] and self.LOADS[0] <= c <= self.LOADS[-1])
+            for s, c in zip(slews, loads)
+        ]
+        assert clamped.tolist() == outside
 
 
 class TestVectorizedTabulate:
