@@ -17,7 +17,13 @@ One module per figure:
   (Fig. 12).
 """
 
-from .common import ExperimentContext, HISTORY_LABELS, default_context, nor2_history_patterns
+from .common import (
+    ExperimentContext,
+    HISTORY_LABELS,
+    default_context,
+    nor2_history_patterns,
+    settings_context,
+)
 from .fig3_internal_node import Fig3Result, run_fig3
 from .sta_scaling import StaScalePoint, StaScaleResult, run_sta_scale, timing_models_for
 from .corner_sweep import (
@@ -36,6 +42,7 @@ from .fig12_crosstalk import Fig12Point, Fig12Result, run_fig12
 __all__ = [
     "ExperimentContext",
     "default_context",
+    "settings_context",
     "nor2_history_patterns",
     "HISTORY_LABELS",
     "Fig3Result",

@@ -37,6 +37,7 @@ from ..waveform.waveform import Waveform
 __all__ = [
     "ExperimentContext",
     "default_context",
+    "settings_context",
     "nor2_history_patterns",
     "lockstep_history_results",
     "run_model_simulation",
@@ -368,6 +369,29 @@ class ExperimentContext:
 _DEFAULT_CONTEXT: Optional[ExperimentContext] = None
 
 
+def settings_context(
+    settings: str, executor: Optional[Executor] = None, cache: Optional[PackedStore] = None
+) -> ExperimentContext:
+    """An :class:`ExperimentContext` for a named resolution profile.
+
+    The one definition of ``--settings``, read by the CLI, the timing server
+    and :func:`default_context`: ``quick`` is a 5-point characterization grid
+    with 4 ps reference and 2 ps model steps; ``paper`` is the context
+    defaults.
+    """
+    if settings == "quick":
+        return ExperimentContext(
+            characterization=CharacterizationConfig(io_grid_points=5),
+            reference_time_step=4e-12,
+            model_time_step=2e-12,
+            executor=executor,
+            cache=cache,
+        )
+    if settings == "paper":
+        return ExperimentContext(executor=executor, cache=cache)
+    raise ValueError(f"unknown settings {settings!r}")
+
+
 def default_context(fast: bool = False) -> ExperimentContext:
     """The process-wide shared context used by benchmarks and examples.
 
@@ -380,11 +404,5 @@ def default_context(fast: bool = False) -> ExperimentContext:
     """
     global _DEFAULT_CONTEXT
     if _DEFAULT_CONTEXT is None:
-        if fast:
-            config = CharacterizationConfig(io_grid_points=5)
-            _DEFAULT_CONTEXT = ExperimentContext(
-                characterization=config, reference_time_step=4e-12, model_time_step=2e-12
-            )
-        else:
-            _DEFAULT_CONTEXT = ExperimentContext()
+        _DEFAULT_CONTEXT = settings_context("quick" if fast else "paper")
     return _DEFAULT_CONTEXT

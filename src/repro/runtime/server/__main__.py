@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..cli import add_timing_arguments, timing_params
 from ..client import TimingClient, TimingServerError
 from .daemon import ServerConfig, run_server
 
@@ -136,21 +137,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
     if session is None:
         opened = client.open_session({"generate": args.design})
         session = opened["session"]
-    kwargs: Dict[str, Any] = {}
-    if args.corners:
-        kwargs["corners"] = [
-            name.strip().upper() for name in args.corners.split(",") if name.strip()
-        ]
-    if args.memory_mode != "resident":
-        kwargs["memory_mode"] = args.memory_mode
-    if args.memory_budget is not None:
-        kwargs["memory_budget_bytes"] = args.memory_budget
     response = client.timing(
         session,
         engine=args.engine,
-        seed=args.seed,
         return_waveforms=args.waveforms,
-        **kwargs,
+        **timing_params(args),
     )
     response["session"] = session
     _emit(response)
@@ -228,22 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--session", default=None,
                         help="reuse an existing session instead of --design")
     submit.add_argument("--engine", default="csm", choices=["csm", "nldm"])
-    submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--waveforms", action="store_true",
                         help="include base64 output waveforms")
-    submit.add_argument("--corners", default=None, metavar="TT,FF,SS",
-                        help="MMMC: propagate every named corner (one "
-                        "single-corner run each); the response carries "
-                        "per-corner arrivals plus the cross-corner worst merge")
-    submit.add_argument("--memory-mode", default="resident",
-                        choices=["resident", "stream"],
-                        help="'stream' propagates with the bounded-memory "
-                        "engine: retired levels spill to the server store "
-                        "and fault back in as memmap views on demand")
-    submit.add_argument("--memory-budget", type=int, default=None,
-                        metavar="BYTES",
-                        help="streaming hot-level LRU budget in bytes "
-                        "(default: unbounded frontier)")
+    add_timing_arguments(submit)
     submit.set_defaults(func=cmd_submit)
 
     eco = sub.add_parser("eco", help="apply an ECO edit to a session")

@@ -74,26 +74,18 @@ class ServerConfig:
 
 def build_service(config: ServerConfig) -> TimingService:
     """A :class:`TimingService` wired per the server config."""
-    from ...characterization import CharacterizationConfig
-    from ...csm.base import SimulationOptions
+    from ...experiments.common import settings_context
     from ..store import PackedStore
 
+    profile = settings_context(config.settings)
     store = None
     if config.cache_dir is not None:
         store = PackedStore(
             config.cache_dir, max_bytes=config.max_bytes, max_age_s=config.max_age_s
         )
-    if config.settings == "quick":
-        characterization = CharacterizationConfig(io_grid_points=5)
-        options = SimulationOptions(time_step=2e-12)
-    elif config.settings == "paper":
-        characterization = CharacterizationConfig()
-        options = SimulationOptions()
-    else:
-        raise ValueError(f"unknown settings {config.settings!r}")
     return TimingService(
-        config=characterization,
-        options=options,
+        config=profile.characterization,
+        options=profile.model_options(),
         store=store,
         dedupe_wait_timeout=config.dedupe_wait_timeout,
         session_ttl_s=config.session_ttl_s,

@@ -23,11 +23,11 @@ Ops
     private mutable copy, so concurrent sessions editing "the same" design
     never conflict structurally.
 ``timing``
-    Run an engine (``engine``: ``csm`` | ``nldm``) on the session's current
-    netlist with seeded stimuli (``seed``).  Identical concurrent requests
-    coalesce across sessions (single-flight).  ``return_waveforms`` adds
-    base64 float64 waveforms of the requested ``nets`` (default: primary
-    outputs) for exact client-side verification.
+    Run an engine (``engine``: ``csm`` | ``nldm`` | ``hybrid``) on the
+    session's current netlist with seeded stimuli (``seed``).  Identical
+    concurrent requests coalesce across sessions (single-flight).
+    ``return_waveforms`` adds base64 float64 waveforms of the requested
+    ``nets`` (default: primary outputs) for exact client-side verification.
 ``eco``
     Apply ``edits`` — ``{"kind": "swap_cell", ...}``, ``{"kind":
     "rewire_pin", ...}`` or ``{"kind": "auto_swap"}`` — to the session's

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ...cells import default_library
 from ...csm.base import SimulationOptions
 from ...exceptions import TimingError
+from ...experiments.common import settings_context
 from ...sta.engine import CornerSet, CSMEngine, NLDMEngine, TimingEngine
 from ...sta.events import TimingEvent
 from ...sta.hybrid import HybridEngine
@@ -98,8 +99,9 @@ class TimingService:
         :class:`SingleFlightStore` so overlapping in-flight keys dedupe
         across sessions.  ``None`` runs uncached.
     options:
-        CSM simulation options; defaults to the quick profile (2 ps step)
-        matching the CLI's ``--settings quick``.
+        CSM simulation options; defaults to the model step of the ``quick``
+        settings profile (:func:`repro.experiments.settings_context`), the
+        CLI's and the server's default ``--settings``.
     session_ttl_s:
         Idle-session time-to-live in seconds.  Sessions untouched for longer
         than this are reaped at the next request dispatch (``status`` reports
@@ -132,7 +134,7 @@ class TimingService:
         )
         if self.models.cache is None and self.store is not None:
             self.models.cache = self.store
-        self.options = options or SimulationOptions(time_step=2e-12)
+        self.options = options or settings_context("quick").model_options()
         self.session_ttl_s = session_ttl_s
         self.flight = SingleFlight()
         self.started_at = time.time()
@@ -266,6 +268,8 @@ class TimingService:
                 f"unknown memory_mode {memory_mode!r} (use 'resident' or 'stream')",
                 "bad-request",
             )
+        if corners is not None and not corners:
+            raise ServerError("'corners' names no corner", "bad-request")
         if (required is not None or top_k is not None) and engine != "hybrid":
             raise ServerError(
                 "'required'/'top_k' only apply to engine='hybrid'",
@@ -285,8 +289,8 @@ class TimingService:
                 )
         if memory_mode == "stream" and self.store is None:
             raise ServerError(
-                "memory_mode='stream' needs a server store (start the "
-                "server with --cache)",
+                "memory_mode='stream' needs a result store (--cache DIR): "
+                "retired levels spill there",
                 "bad-request",
             )
         record = self._session(session)
@@ -584,6 +588,7 @@ class TimingService:
                 list(corner_names),
                 technology=self.library.technology,
                 config=self.models.config,
+                executor=self.models.executor,
                 cache=self.store,
                 use_internal_node=self.models.use_internal_node,
             )
@@ -604,12 +609,13 @@ class TimingService:
         Multi-corner engines key separately per corner list (``"csm@TT,FF"``)
         so a session can interleave single- and multi-corner requests without
         rebuilding engines; streaming engines key separately per budget
-        (``"csm#stream:33554432"``) for the same reason.  Must hold the
-        session lock.
+        (``"csm#stream:33554432"``; an unbounded frontier is
+        ``"csm#stream:None"``, distinct from a zero budget) for the same
+        reason.  Must hold the session lock.
         """
         engine_key = kind if not corner_names else f"{kind}@{','.join(corner_names)}"
         if memory_mode == "stream":
-            engine_key += f"#stream:{memory_budget_bytes or 0}"
+            engine_key += f"#stream:{memory_budget_bytes}"
         engine = record.engines.get(engine_key)
         if engine is None:
             corner_set = self._corner_set(corner_names) if corner_names else None

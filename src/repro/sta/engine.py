@@ -245,8 +245,7 @@ def waveform_deviation(
 ) -> float:
     """Maximum per-net |dV| between two timing results (over the reference's
     nets).  This is THE equivalence metric between the batched and sequential
-    engines — the experiment, the CLI's ``--engine both`` check and the tests
-    all compare through it."""
+    engines — the experiment and the tests compare through it."""
     return max(
         float(
             np.abs(

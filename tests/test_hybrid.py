@@ -110,6 +110,7 @@ class TestExactnessBounds:
         driven = {net for net in netlist.nets() if netlist.driver_of(net) is not None}
         assert result.exact_nets == driven
         assert result.csm_fraction == 1.0
+        assert len(result.iterations) == 1
         assert len(result.refined_instances) == len(netlist.instances)
         for net in driven:
             assert np.array_equal(
@@ -121,6 +122,9 @@ class TestExactnessBounds:
                 assert result.arrival(net) == float(crossings[-1])
                 assert result.endpoint_arrivals[net] == float(crossings[-1])
                 assert result.endpoint_slacks[net][0] == "csm"
+            else:  # a stable endpoint stays stable
+                with pytest.raises(TimingError):
+                    result.arrival(net)
 
     def test_top_k_zero_is_pure_nldm(self, netlist, models, options, stimulus):
         waveforms, t_stop = stimulus
@@ -178,6 +182,16 @@ class TestRefinementLoop:
         result = hybrid.run(waveforms, t_stop=t_stop)
         assert 0.0 < result.csm_fraction <= 1.0
         assert result.iterations
+        # Partial refinement re-batches the levels: its exact nets agree with
+        # a full CSM run to the integrator's cross-batch rounding.
+        full = CSMEngine(netlist, models, options=options, use_cache=False).run(
+            waveforms, t_stop=t_stop
+        )
+        assert result.exact_nets
+        for net in result.exact_nets:
+            assert np.abs(
+                result.waveform(net).values - full.waveform(net).values
+            ).max() <= 1e-9, net
         # Every refined endpoint is CSM-exact and its waveform matches the
         # stored values; everything else answers from the NLDM events.
         for net, entry in result.endpoint_slacks.items():

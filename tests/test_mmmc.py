@@ -323,6 +323,11 @@ class TestMulticornerCaching:
         for name in CORNERS:
             assert again.stats[name]["full_run_hit"]
             assert again.stats[name]["integrations"] == 0
+            for net in netlist.primary_outputs:
+                np.testing.assert_array_equal(
+                    again.result(name).waveform(net).values,
+                    cold.result(name).waveform(net).values,
+                )
 
     def test_nldm_warm_repeat_is_free_per_corner(self, corner_set, netlist, cache):
         """The NLDM corners share one store: a cold run has no cross-corner

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.characterization import (
     characterization_key,
     characterize_sis,
 )
+from repro.csm.base import SimulationOptions
+from repro.exceptions import TimingError
 from repro.experiments import ExperimentContext
 from repro.experiments.fig5_delay_difference import run_fig5
 from repro.runtime import (
@@ -25,7 +29,9 @@ from repro.runtime import (
     content_hash,
     run_jobs,
 )
+from repro.runtime import cli
 from repro.runtime.jobs import Rendered, canonical_json
+from repro.sta import CSMEngine, TimingModelLibrary, generate_netlist, primary_input_waveforms
 from repro.technology import default_technology
 from repro.technology.corners import STANDARD_CORNERS, apply_corner
 
@@ -298,7 +304,127 @@ class TestResultStore:
 # ----------------------------------------------------------------------
 # Command line
 # ----------------------------------------------------------------------
+#: The 64-gate design every ``--sta`` verb below times.
+CLI_SPEC = "dag:w16:d4:s3"
+
+
+@pytest.fixture(scope="module")
+def cli_cache(tmp_path_factory):
+    """One ``--cache`` for every CLI test: only the first characterizes."""
+    return tmp_path_factory.mktemp("cli-cache")
+
+
+def _cli(cache_dir, tmp_path, *argv):
+    """``cli.main(argv --cache --json)`` in-process: (exit code, report)."""
+    report = tmp_path / "report.json"
+    code = cli.main([*argv, "--cache", str(cache_dir), "--json", str(report)])
+    return code, (json.loads(report.read_text()) if report.exists() else None)
+
+
+def _sta_replies(report):
+    """The ``timing``/``eco`` replies of the one ``--sta`` design, after
+    checking its ``open_session`` exchange."""
+    opened, *exchanges = report["designs"][CLI_SPEC]
+    assert opened["request"] == {"op": "open_session", "design": {"generate": CLI_SPEC}}
+    assert opened["reply"]["ok"] and opened["reply"]["gates"] == 64
+    for exchange in exchanges:
+        assert exchange["request"]["session"] == opened["reply"]["session"]
+    return [exchange["reply"] for exchange in exchanges]
+
+
 class TestCommandLine:
+    def test_figures(self, cli_cache, tmp_path):
+        code, report = _cli(cli_cache, tmp_path, "--figures", "fig3", "--quiet")
+        assert code == 0
+        assert set(report["figures"]) == {"fig3"} and report["settings"] == "quick"
+        assert "hits" in report["cache"]
+
+    def test_sta_csm_equals_a_direct_engine_run(self, cli_cache, tmp_path, library):
+        code, report = _cli(cli_cache, tmp_path, "--sta", CLI_SPEC, "--engine", "csm")
+        assert code == 0
+        [reply] = _sta_replies(report)
+        assert reply["engine"] == "csm" and reply["stats"]["instances"] == 64
+        netlist = generate_netlist(library, CLI_SPEC)
+        models = TimingModelLibrary(
+            library=library,
+            config=CharacterizationConfig(io_grid_points=5),
+            cache=PackedStore(cli_cache),
+        )
+        direct = CSMEngine(
+            netlist, models, options=SimulationOptions(time_step=2e-12), use_cache=False
+        ).run(primary_input_waveforms(netlist, seed=0))
+        expected = {}
+        for net in netlist.primary_outputs:
+            try:
+                expected[net] = direct.arrival(net)
+            except TimingError:
+                expected[net] = None
+        assert reply["arrivals"] == expected  # float-exact through the JSON
+
+    def test_sta_nldm(self, cli_cache, tmp_path):
+        code, report = _cli(cli_cache, tmp_path, "--sta", CLI_SPEC, "--engine", "nldm")
+        assert code == 0
+        [reply] = _sta_replies(report)
+        assert reply["engine"] == "nldm"
+        assert set(reply["arrivals"]) == set(reply["slews"])
+        assert any(arrival is not None for arrival in reply["arrivals"].values())
+
+    def test_sta_hybrid(self, cli_cache, tmp_path):
+        code, report = _cli(
+            cli_cache, tmp_path, "--sta", CLI_SPEC, "--engine", "hybrid", "--top-k", "2"
+        )
+        assert code == 0
+        [reply] = _sta_replies(report)
+        assert reply["engine"] == "hybrid" and reply["iterations"]
+        assert 0.0 < reply["csm_fraction"] < 1.0
+        assert set(reply["exact"]) == set(reply["arrivals"]) == set(reply["slacks"])
+
+    def test_sta_corners(self, cli_cache, tmp_path):
+        code, report = _cli(cli_cache, tmp_path, "--sta", CLI_SPEC, "--corners", "TT,FF")
+        assert code == 0
+        [reply] = _sta_replies(report)
+        assert reply["corners"] == ["TT", "FF"]
+        assert set(reply["arrivals"]) == set(reply["stats"]) == {"TT", "FF"}
+        for entry in reply["worst_arrivals"].values():
+            assert entry is None or entry[0] in ("TT", "FF")
+
+    def test_sta_stream(self, cli_cache, tmp_path):
+        code, report = _cli(
+            cli_cache,
+            tmp_path,
+            "--sta",
+            CLI_SPEC,
+            "--memory-mode",
+            "stream",
+            "--memory-budget",
+            "4194304",
+        )
+        assert code == 0
+        [reply] = _sta_replies(report)
+        assert reply["engine"] == "csm" and reply["stats"]["instances"] == 64
+        assert {"spills", "faults"} <= set(reply["stats"])
+
+    def test_sta_incremental(self, cli_cache, tmp_path):
+        code, report = _cli(cli_cache, tmp_path, "--sta", CLI_SPEC, "--incremental")
+        assert code == 0
+        first, warm, eco, edited = _sta_replies(report)
+        assert warm["stats"]["integrations"] == 0 and warm["stats"]["full_run_hit"]
+        assert warm["arrivals"] == first["arrivals"]
+        [applied] = eco["applied"]
+        assert applied["kind"] == "swap_cell" and applied["affected"] < 64
+        assert edited["revision"] == eco["revision"] > warm["revision"]
+        assert edited["stats"]["integrations"] <= applied["affected"]
+        assert (cli_cache / "store.dat").stat().st_size > 0
+        assert (cli_cache / "store.idx").stat().st_size > 0
+
+    def test_rejected_combination_is_the_services_error(self, cli_cache, tmp_path, capsys):
+        code, report = _cli(
+            cli_cache, tmp_path, "--sta", CLI_SPEC, "--engine", "hybrid", "--corners", "TT,FF"
+        )
+        assert code == 2 and report is None
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and "engine='hybrid' is single-corner" in lines[0]
+
     def test_unknown_corner_is_an_argument_error(self, monkeypatch, capsys):
         """``--corners`` with an unknown name prints one line naming the
         available corners and returns 2, like the CLI's other argument

@@ -581,6 +581,35 @@ class TestTimingService:
                 run_stats = [stream["stats"]]
             assert all(stats["spills"] > 0 for stats in run_stats), run_stats
 
+    def test_stream_budgets_zero_and_none_get_their_own_engines(self, service):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": CHAIN}}
+        )["session"]
+        for budget in (0, None):
+            reply = service.handle(
+                {
+                    "op": "timing",
+                    "session": session,
+                    "seed": 0,
+                    "memory_mode": "stream",
+                    "memory_budget_bytes": budget,
+                }
+            )
+            assert reply["ok"], reply
+        engines = service._sessions[session].engines
+        budgets = sorted(
+            (engine.memory_budget_bytes for engine in engines.values()),
+            key=lambda budget: budget is None,
+        )
+        assert len(engines) == 2 and budgets == [0, None]
+
+    def test_empty_corner_list_is_a_bad_request(self, service):
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": CHAIN}}
+        )["session"]
+        reply = service.handle({"op": "timing", "session": session, "corners": []})
+        assert not reply["ok"] and reply["code"] == "bad-request"
+
     def test_error_frames(self, service):
         assert service.handle({"op": "nope"})["code"] == "bad-request"
         missing = service.handle({"op": "timing", "session": "s9999"})

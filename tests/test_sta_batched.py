@@ -212,6 +212,13 @@ class TestBatchedEquivalence:
         assert "MCSM" in labels
         assert deviation <= EQUIV_TOL
 
+    def test_64_gate_dag(self, library, models, options):
+        """The 64-gate design the CLI examples time, at its stimulus seed 0."""
+        netlist = generate_netlist(library, "dag:w16:d4:s3")
+        assert len(netlist.instances) == 64
+        waveforms = primary_input_waveforms(netlist, seed=0)
+        _assert_engines_agree(netlist, models, options, waveforms)
+
     def test_explicit_window_and_arrivals(self, library, models, options):
         netlist = inverter_chain(library, 3)
         waveforms = primary_input_waveforms(netlist, seed=5)
