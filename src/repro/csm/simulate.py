@@ -159,7 +159,6 @@ class _Precomputed:
     charge: np.ndarray  # (steps,)
     denom: np.ndarray  # (steps,)
     cn: Optional[np.ndarray]
-    stationary_from: int  # first step index after the last input movement
     first_move: int = 0
     io_reduced: Optional[np.ndarray] = None  # (core rows, nO); output-only models
     pin_core: Optional[np.ndarray] = None  # (core rows, P); internal-node models
@@ -537,7 +536,6 @@ class _PrecomputePlan:
     deltas_core: Optional[np.ndarray]  # (core_len, P); None for constant
     first_move: int
     core_stop: int
-    stationary_from: int
 
 
 @dataclass
@@ -583,7 +581,6 @@ def _precompute_plan(
             deltas_core=None,
             first_move=0,
             core_stop=steps,
-            stationary_from=0,
         )
     first_move = int(moving[0]) if moving.size else 0
     core_stop = min(stationary_from, steps - 1) + 1
@@ -599,7 +596,6 @@ def _precompute_plan(
         deltas_core=deltas[core],
         first_move=first_move,
         core_stop=core_stop,
-        stationary_from=stationary_from,
     )
 
 
@@ -794,7 +790,7 @@ def _assemble_members(
                 if cn_row <= 0:
                     raise ModelError("internal-node capacitance must be positive")
                 cn = np.broadcast_to(np.float64(cn_row), (steps,))
-            stationary_from = first_move = 0
+            first_move = 0
         else:
             first_move, core_stop = plan.first_move, plan.core_stop
             core = slice(first_move, core_stop)
@@ -816,21 +812,21 @@ def _assemble_members(
                 cn = _expand_core(cn_all[start:stop], first_move, core_stop, steps)
                 if np.any(cn <= 0):
                     raise ModelError("internal-node capacitance must be positive")
-            stationary_from = plan.stationary_from
         if member.has_internal:
             tables = dict(
                 pin_core=plan.pin_core, io_table=member.io_table, in_table=member.in_table
             )
         else:
             tables = dict(io_reduced=io_all[start:stop])
-        member.pre = _Precomputed(charge, denominator, cn, stationary_from, first_move, **tables)
+        member.pre = _Precomputed(charge, denominator, cn, first_move, **tables)
 
 
 #: Below these group sizes the scalar recurrence beats the numpy loop's
 #: fixed per-step overhead; such members run individually (still sharing the
 #: batched precompute).  Output-only groups amortize at smaller sizes because
-#: their states go stationary (and exit) once the inputs stop moving, while
-#: internal-node groups integrate the slow stack-node drift to the end.
+#: their per-step gather and update are cheaper than the internal-node
+#: kernel's pin-corner contraction.  Either side of a threshold gives the
+#: same bits: the lockstep kernels are the scalar recurrences' twins.
 _MIN_OUTPUT_GROUP = 6
 _MIN_INTERNAL_GROUP = 10
 
@@ -851,18 +847,17 @@ def integrate_model_many(
     Fast-path-eligible units are then grouped by the grids of their
     recurrent state axes (``Vo``, and ``VN`` for internal-node models),
     regardless of which cell or model flavour they came from.  Each group
-    runs ONE update loop whose per-step work is vectorized across the group
-    with numpy; once every input has stopped moving the update map is
-    time-invariant, so as soon as every state in the group is (numerically)
-    stationary the remaining samples are filled without stepping.  Groups
-    too small to amortize the vectorized loop's per-step overhead run the
-    scalar recurrence, which is bitwise the lockstep one.  Units the fast
-    path cannot express (custom callables, stateful loads, state-dependent
-    capacitances) integrate through the scalar reference loop
-    :func:`_integrate_generic` on the same grid.
+    runs ONE update loop over the whole window whose per-step work is
+    vectorized across the group with numpy.  Groups too small to amortize
+    the vectorized loop's per-step overhead run the scalar recurrence.  Units
+    the fast path cannot express (custom callables, stateful loads,
+    state-dependent capacitances) integrate through the scalar reference
+    loop :func:`_integrate_generic` on the same grid.
 
-    The lockstep waveforms agree with the scalar recurrence bitwise up to
-    the group's stationary fill, whose tail deviates by well below 1e-9 V.
+    A unit's waveforms are a function of that unit alone: the lockstep
+    kernels are bitwise the scalar recurrences, row by row and step by step,
+    so which other units share its batch (or whether it runs alone) never
+    changes a bit of its result.
 
     Returns ``(times, [(v_out, v_int_or_None), ...])`` in unit order.
     """
@@ -1000,17 +995,6 @@ def _bracket_array(
     return idx, frac
 
 
-#: Early-exit threshold: once every state in a lockstep group moves by less
-#: than this per step (after the inputs have stopped), the remaining samples
-#: are filled with the current state.  The gate-output update is contracting
-#: (or at worst drift-bounded) there, so the filled tail deviates from full
-#: integration by at most ~(remaining steps x threshold) << 1e-9 V.
-_EXIT_TOLERANCE = 1e-13
-
-#: How often (in steps) the early-exit condition is evaluated.
-_EXIT_CHECK_EVERY = 8
-
-
 def _clip_bounds(members: Sequence[_LockstepMember]):
     """Scalar clip bounds when every member shares them (the common case)."""
     lows = {m.v_low for m in members}
@@ -1057,7 +1041,6 @@ def _lockstep_output(
     dt = np.diff(times).tolist()
     pts, spans, n_out, inv_h = _axis_lookup(vo_axis)
     v_low, v_high = _clip_bounds(members)
-    stationary_from = max(m.pre.stationary_from for m in members)
 
     lens = np.array([m.pre.io_reduced.shape[0] for m in members], dtype=np.intp)
     idx_map = _core_index_map(members, steps, lens)
@@ -1077,14 +1060,9 @@ def _lockstep_output(
         cols = i[None, :] + offsets
         corners = table[idx_map[k], rows, cols]  # (2, B)
         io_val = corners[0] + frac * (corners[1] - corners[0])
-        new_vo = vo + (charge[k] - io_val * dt[k]) / denom[k]
-        new_vo = np.maximum(np.minimum(new_vo, v_high), v_low)
-        v_out[:, k + 1] = new_vo
-        if k >= stationary_from and k % _EXIT_CHECK_EVERY == 0:
-            if float(np.abs(new_vo - vo).max()) <= _EXIT_TOLERANCE:
-                v_out[:, k + 2 :] = new_vo[:, None]
-                break
-        vo = new_vo
+        vo = vo + (charge[k] - io_val * dt[k]) / denom[k]
+        vo = np.maximum(np.minimum(vo, v_high), v_low)
+        v_out[:, k + 1] = vo
     return [(v_out[b], None) for b in range(batch)]
 
 
@@ -1250,7 +1228,6 @@ def _lockstep_internal(
         and bool(np.array_equal(o_pts, n_pts))
     )
     v_low, v_high = _clip_bounds(members)
-    stationary_from = max(m.pre.stationary_from for m in members)
 
     # State corners (j, i), (j, i+1), (j+1, i), (j+1, i+1); per step, the
     # low-corner columns of both tables and (1 - f, f) of every pin axis,
@@ -1304,12 +1281,7 @@ def _lockstep_internal(
         g = g.reshape(2, 2, 2, batch)  # (j/j+1, i/i+1, table, B)
         row_interp = g[:, 0] + fo * (g[:, 1] - g[:, 0])  # (j/j+1, table, B)
         vals = row_interp[0] + fn * (row_interp[1] - row_interp[0])
-        new_state = state + (drive[k] - vals * rate[k])
-        new_state = np.maximum(np.minimum(new_state, v_high), v_low)
-        history[:, :, k + 1] = new_state
-        if k >= stationary_from and k % _EXIT_CHECK_EVERY == 0:
-            if float(np.abs(new_state - state).max()) <= _EXIT_TOLERANCE:
-                history[:, :, k + 2 :] = new_state[:, :, None]
-                break
-        state = new_state
+        state = state + (drive[k] - vals * rate[k])
+        state = np.maximum(np.minimum(state, v_high), v_low)
+        history[:, :, k + 1] = state
     return [(history[0, b], history[1, b]) for b in range(batch)]

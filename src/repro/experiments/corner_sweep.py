@@ -4,8 +4,9 @@ The corners are a :class:`~repro.sta.mmmc.CornerSet`: every requested corner
 gets its own cornered technology, cell library and
 :class:`~repro.sta.models.TimingModelLibrary`, whose characterizations run as
 content-addressed runtime jobs through the context's executor and cache (the
-cell fingerprint embeds the technology, so corner libraries hash to disjoint
-keys and a re-run of any corner is served from the cache).  The seeded
+cell fingerprint embeds the technology's content, so shifted corners hash to
+disjoint keys, ``TT`` shares the default technology's, and a re-run of any
+corner is served from the cache).  The seeded
 netlist and stimuli are generated once, and one MMMC
 :class:`~repro.sta.engine.CSMEngine` run times every corner; the
 primary-output arrivals are reported as deltas against the reference corner

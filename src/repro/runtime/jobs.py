@@ -62,8 +62,13 @@ def contiguous_array(array: np.ndarray) -> np.ndarray:
 #: changes every model-simulation and waveform-propagation result.
 #: pr5.1: 0-d arrays now hash with their true shape instead of being promoted
 #: to 1-element 1-d by ascontiguousarray, so keys over 0-d inputs moved; NLDM
-#: loads are now always built from prewarmed characterized capacitances.)
-CODE_VERSION = "pr5.1"
+#: loads are now always built from prewarmed characterized capacitances.
+#: v6: the lockstep CSM kernels integrate every row over the whole window
+#: instead of filling a group's tail once all its rows went still, which
+#: moves batched waveforms by up to ~1e-12 V; the per-instance reference path
+#: now shares the batched path's propagation keys; cell fingerprints leave
+#: out the technology's name.)
+CODE_VERSION = "v6"
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +206,9 @@ def cell_fingerprint(cell: Any) -> Dict[str, Any]:
     of how the Python objects were constructed.  The fingerprint covers the
     transistor netlist (terminals, width, length, device parameters), the
     capacitor branches, the pin/node naming and the technology definition
-    (which carries the supply voltage and both polarities' parameters).
+    (which carries the supply voltage and both polarities' parameters).  The
+    technology's name is a label, not content: the TT corner renames the
+    default technology without changing it, and must not re-characterize it.
     """
     devices = [
         {
@@ -228,7 +235,7 @@ def cell_fingerprint(cell: Any) -> Dict[str, Any]:
         "drive_strength": cell.drive_strength,
         "devices": devices,
         "capacitors": capacitors,
-        "technology": cell.technology,
+        "technology": dataclasses.replace(cell.technology, name=""),
     }
 
 

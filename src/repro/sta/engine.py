@@ -16,10 +16,11 @@ instances of a level are integrated in lockstep through
 :func:`repro.csm.simulate.integrate_model_many` (one vectorized update loop
 per state-grid group, regardless of cell type), which is what makes
 full-design waveform propagation tractable at hundreds to thousands of gates.
-``batched=False`` keeps the per-instance reference path; the two paths agree
-to well below the 1e-9 V equivalence budget (typically ~1e-13 V — the only
-differences are unit-last-place bracketing rounding and the lockstep loop's
-stationary-tail fill).
+``batched=False`` keeps the per-instance reference path.  A row's waveform
+depends only on its own model, load and input waveforms, never on which rows
+share its batch, so the two paths, an ``only=`` cone and each corner of a
+``corners=`` run give bitwise the same waveform for the same inputs, and
+every path reads and writes the same keys.
 
 The level loop is the one way a design is propagated: independent components
 share its levels, and a ``corners=`` request (a
@@ -613,14 +614,11 @@ def create_engine(
     models: TimingModelLibrary,
     **kwargs,
 ) -> TimingEngine:
-    """Engine factory: ``"csm"`` (levelized batched waveform propagation),
-    ``"csm-sequential"`` (the per-instance reference path), ``"nldm"`` or
+    """Engine factory: ``"csm"`` (levelized waveform propagation; pass
+    ``batched=False`` for the per-instance reference path), ``"nldm"`` or
     ``"hybrid"`` (NLDM everywhere, CSM on the critical cones)."""
     if kind == "csm":
         return CSMEngine(netlist, models, **kwargs)
-    if kind == "csm-sequential":
-        kwargs.pop("batched", None)
-        return CSMEngine(netlist, models, batched=False, **kwargs)
     if kind == "nldm":
         return NLDMEngine(netlist, models, **kwargs)
     if kind == "hybrid":
@@ -628,8 +626,7 @@ def create_engine(
 
         return HybridEngine(netlist, models, **kwargs)
     raise TimingError(
-        f"unknown timing engine kind {kind!r}; expected 'csm', 'csm-sequential', "
-        "'nldm' or 'hybrid'"
+        f"unknown timing engine kind {kind!r}; expected 'csm', 'nldm' or 'hybrid'"
     )
 
 
@@ -1249,7 +1246,7 @@ class CSMEngine(TimingEngine):
         cache spills each level as a single record (per-instance entries
         become row pointers into it).  When false each instance runs through
         ``model.simulate`` individually — the reference oracle the batched
-        engine is checked against.
+        engine is checked against (bitwise, under the same keys).
     cache:
         Content-addressed disk cache for per-instance output waveforms and
         whole-run results; defaults to the model library's cache.  Every
@@ -1360,18 +1357,11 @@ class CSMEngine(TimingEngine):
         self.vdd = self.netlist.library.technology.vdd
 
     # -- fingerprints --------------------------------------------------
-    def _mode(self) -> str:
-        # The per-instance reference path keeps its own cache namespace so
-        # "sequential" results are never silently served from batched runs
-        # (they agree to 1e-9 V, not bitwise).
-        return "batched" if self.batched else "sequential"
-
     def _context_digest(self, t_start: float, t_stop: float) -> str:
         """Everything every propagation key shares for one run, plus the
         corner when this engine runs one corner of an MMMC set."""
         context = content_hash(
             "sta-context",
-            self._mode(),
             self.options,
             self.models.config,
             self.models.use_internal_node,

@@ -20,15 +20,14 @@ One hybrid run is an iteration to a fixed point:
    A complete fan-in cone is closed — every input net of a cone instance is
    driven in-cone or is a primary input — so each refined instance
    re-integrates from exactly the inputs a full CSM run would feed it, and
-   shares the full run's per-instance propagation-key namespace (warm cones
-   hit the existing cache).  The refined waveforms match a full run to the
-   level integrator's cross-batch rounding tolerance (well below 1e-9 V —
-   a restricted level batches fewer instances, and
-   :func:`~repro.csm.simulate.integrate_model_many` is last-ulp sensitive
-   to batch composition), not necessarily bitwise.  The optional
-   ``cone_depth`` knob truncates cones; the cut nets are then seeded with
-   saturated-ramp boundary stimuli synthesized from the NLDM arrivals, and
-   only nets whose whole fan-in was refined keep the exactness guarantee.
+   shares the full run's per-instance propagation keys (warm cones hit the
+   existing cache).  A restricted level batches fewer instances, but
+   :func:`~repro.csm.simulate.integrate_model_many` gives each row the same
+   bits in any batch, so the refined waveforms are bitwise a full run's.
+   The optional ``cone_depth`` knob truncates cones; the cut nets are then
+   seeded with saturated-ramp boundary stimuli synthesized from the NLDM
+   arrivals, and only nets whose whole fan-in was refined keep the
+   exactness guarantee.
 4. **Iterate** — endpoints re-rank with CSM-corrected arrivals; when the new
    top-k's cones are already refined (or the iteration cap hits), the
    critical set is stable and the run stops.  The refined set only grows, so
@@ -108,8 +107,7 @@ class HybridTimingResult:
 
     ``waveforms`` holds the primary inputs plus every CSM-exact net;
     ``exact_nets`` is the set of driven nets whose whole fan-in was refined:
-    their values match a full CSM run to the level integrator's cross-batch
-    rounding (< 1e-9 V; bitwise when the refinement covered every endpoint).
+    their values are bitwise a full CSM run's.
     Every other propagated net is covered by the NLDM events only.
     ``iterations`` records the refinement loop's per-iteration accounting.
     """

@@ -22,7 +22,7 @@ import os
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.characterization import CharacterizationConfig
@@ -52,7 +52,9 @@ from repro.sta.generate import default_time_window
 from repro.sta.netlist import NETLIST_DIGEST_SALT, swap_partner
 from repro.waveform import Waveform
 
-#: Waveform equivalence budget shared with the batched/sequential checks.
+#: How far the DC operating-point settle may land from a converged
+#: integration settle: two algorithms, so not bitwise.  Two engine paths on
+#: the same inputs are compared exactly.
 EQUIV_TOL = 1e-9
 
 
@@ -427,7 +429,7 @@ class TestIncrementalEngine:
             == len(netlist.instances)
         )
         reference = CSMEngine(netlist, models, options=options, use_cache=False).run(waveforms)
-        assert _deviation(edited, reference) <= EQUIV_TOL
+        assert _deviation(edited, reference) == 0.0
         assert edited.model_used == reference.model_used
 
     def test_rewire_retimes_only_affected_region(self, netlist, waveforms, models, options):
@@ -442,7 +444,7 @@ class TestIncrementalEngine:
         edited = CSMEngine(netlist, models, options=options).run(waveforms)
         assert 0 < edited.stats["integrations"] <= len(region)
         reference = CSMEngine(netlist, models, options=options, use_cache=False).run(waveforms)
-        assert _deviation(edited, reference) <= EQUIV_TOL
+        assert _deviation(edited, reference) == 0.0
 
     def test_stimulus_change_retimes_only_descendants(
         self, netlist, waveforms, models, options
@@ -463,17 +465,40 @@ class TestIncrementalEngine:
         reference = CSMEngine(netlist, models, options=options, use_cache=False).run(
             edited_waveforms
         )
-        assert _deviation(edited, reference) <= EQUIV_TOL
+        assert _deviation(edited, reference) == 0.0
 
-    def test_sequential_engine_keeps_its_own_namespace(
-        self, netlist, waveforms, models, options
+    def test_sequential_and_batched_engines_share_keys(
+        self, library, netlist, waveforms, models, options
     ):
-        CSMEngine(netlist, models, options=options, batched=True).run(waveforms)
-        sequential = CSMEngine(netlist, models, options=options, batched=False).run(waveforms)
-        # The per-instance reference path must never be served from batched
-        # results: everything re-integrates under its own keys.
-        assert sequential.stats["integrations"] == len(netlist.instances)
-        assert not sequential.stats["full_run_hit"]
+        # A key names one value, whichever path computed it: the reference
+        # path fills a store that a batched engine then hits as a whole run,
+        # and per instance after an edit.
+        store = _DictStore()
+        sequential = CSMEngine(netlist, models, options=options, batched=False, cache=store)
+        cold = sequential.run(waveforms)
+        assert cold.stats["integrations"] + cold.stats["duplicates"] == len(netlist.instances)
+        batched = CSMEngine(netlist, models, options=options, cache=store)
+        warm = batched.run(waveforms)
+        assert warm.stats["full_run_hit"] and warm.stats["integrations"] == 0
+        assert batched.last_run_key == sequential.last_run_key
+        fresh = CSMEngine(netlist, models, options=options, use_cache=False).run(waveforms)
+        for result in (cold, warm):
+            assert _deviation(result, fresh) == 0.0
+            assert result.model_used == fresh.model_used
+        target = next(
+            name
+            for name, instance in netlist.instances.items()
+            if swap_partner(library, instance.cell_name)
+            and len(netlist.affected_region(name)) < len(netlist.instances)
+        )
+        netlist.swap_cell(target, swap_partner(library, netlist.instances[target].cell_name))
+        edited = CSMEngine(netlist, models, options=options, cache=store).run(waveforms)
+        assert edited.stats["cache_hits"] > 0
+        assert 0 < edited.stats["integrations"] < len(netlist.instances)
+        rebuilt = CSMEngine(
+            netlist, models, options=options, batched=False, use_cache=False
+        ).run(waveforms)
+        assert _deviation(edited, rebuilt) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -700,6 +725,9 @@ class TestCarriedState:
         seed=st.integers(min_value=0, max_value=10_000),
         edit_seed=st.integers(min_value=0, max_value=10_000),
     )
+    # A draw whose 10th edit re-batches a level so that 3 nets moved by up
+    # to 7.5e-14 V while a lockstep group could stop stepping early.
+    @example(width=5, depth=3, seed=10000, edit_seed=0)
     def test_carried_runs_equal_fresh_engines_bitwise(
         self, library, models, options, width, depth, seed, edit_seed
     ):

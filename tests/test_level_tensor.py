@@ -30,9 +30,6 @@ from repro.sta import (
 )
 from repro.waveform import LevelTensor, Waveform
 
-#: Waveform agreement budget shared with the batched/sequential checks.
-EQUIV_TOL = 1e-9
-
 
 @pytest.fixture(scope="module")
 def models(library):
@@ -139,11 +136,10 @@ class TestTensorEngineEquivalence:
         result_ten = tensor.run(waveforms)
 
         assert set(result_ten.waveforms) == set(result_seq.waveforms)
-        dev_seq = max(
-            np.abs(result_ten.waveform(n).values - result_seq.waveform(n).values).max()
-            for n in result_seq.waveforms
-        )
-        assert dev_seq <= EQUIV_TOL
+        for net, reference in result_seq.waveforms.items():
+            wave = result_ten.waveform(net)
+            assert wave.times.tobytes() == reference.times.tobytes(), net
+            assert wave.values.tobytes() == reference.values.tobytes(), net
         assert result_ten.model_used == result_seq.model_used
 
 

@@ -10,6 +10,8 @@ The invariants:
   each instance-corner pair resolves through its own level-row pointer;
 * single-corner keys name the corner of the bound models: a store filled
   against one corner's models never serves another corner's run;
+* a cell fingerprint names the technology's content, not its name: the TT
+  corner re-uses a plain run's characterizations, FF does not;
 * the multi-corner level tensor round-trips bitwise through the result
   store codec (hypothesis property over the corner axis);
 * :class:`TimingEngine.connectivity` rebuilds when an ECO bumps the
@@ -28,9 +30,11 @@ from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
 from repro.runtime import PackedStore
 from repro.runtime.cache import decode_payload, encode_payload
+from repro.runtime.jobs import cell_fingerprint, content_hash
 from repro.sta import (
     CSMEngine,
     NLDMEngine,
+    TimingModelLibrary,
     generate_netlist,
     primary_input_events,
     primary_input_waveforms,
@@ -434,6 +438,42 @@ class TestCornerBoundKeys:
         reference = NLDMEngine(netlist, corner_set["FF"].models, use_cache=False).run(events)
         assert served.events == reference.events
         assert served.mis_flags == reference.mis_flags
+
+
+    def test_tt_corner_reuses_a_plain_runs_characterizations(
+        self, library, technology, options, tmp_path, monkeypatch
+    ):
+        # The TT corner renames the default technology without changing it.
+        config = CharacterizationConfig(io_grid_points=5)
+        cache = PackedStore(tmp_path / "store")
+        netlist = generate_netlist(library, "dag:w6:d3:s5")
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        plain_models = TimingModelLibrary(library=library, config=config, cache=cache)
+        plain = CSMEngine(netlist, plain_models, options=options).run(waveforms, t_stop=t_stop)
+
+        executed = []
+        run_jobs = TimingModelLibrary._run_jobs
+
+        def counting(self, jobs, parallel=True):
+            results = run_jobs(self, jobs, parallel)
+            executed.extend(job.name for job, r in zip(jobs, results) if not r.cache_hit)
+            return results
+
+        monkeypatch.setattr(TimingModelLibrary, "_run_jobs", counting)
+        corners = CornerSet.from_names(["TT"], technology=technology, config=config, cache=cache)
+        served = CSMEngine(
+            netlist, corners.reference.models, options=options, corners=corners
+        ).run(waveforms, t_stop=t_stop)
+        assert executed == []
+        _assert_bitwise(served.result("TT"), plain)
+
+        def digest(corner_library):
+            return content_hash(cell_fingerprint(corner_library["NAND2_X1"]))
+
+        ff = CornerSet.from_names(["FF"], technology=technology, config=config, cache=cache)
+        assert digest(corners["TT"].library) == digest(library)
+        assert digest(ff["FF"].library) != digest(library)
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,12 @@ arithmetic.  These tests pin that contract down:
   ``NDTable.contract_leading(coords)[row][corners]`` bitwise (1 and 2 pin
   axes, mixed pin counts, uniform and non-uniform axes, coordinates on grid
   points and past the axis ends, several models in one flat table);
-* a unit integrated inside a lockstep group equals the same unit integrated
-  alone (a batch of one runs the scalar recurrence) bitwise, up to the
-  group's stationary-fill step;
-* tensor-path CSM runs (resident, streaming and a 2-corner MMMC run)
-  reproduce waveform digests recorded with eagerly contracted tables.
+* a unit integrated inside a lockstep group (internal-node or output-only)
+  equals the same unit integrated alone (a batch of one runs the scalar
+  recurrence) bitwise over the whole window, also when every state of the
+  group has settled long before the window ends;
+* tensor-path CSM runs (resident, streaming and a 2-corner MMMC run) and
+  the ``batched=False`` reference path reproduce recorded waveform digests.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from hypothesis import strategies as st
 from repro.csm.base import SimulationOptions
 from repro.csm.loads import CapacitiveLoad
 from repro.csm.simulate import (
-    _EXIT_CHECK_EVERY,
-    _EXIT_TOLERANCE,
     _MIN_INTERNAL_GROUP,
+    _MIN_OUTPUT_GROUP,
     BatchUnit,
     _contract_corners,
     _pin_corners,
-    _precompute_plan,
     integrate_model_many,
 )
 from repro.lut.grid import Axis, voltage_axis
@@ -142,7 +141,7 @@ def _ramp(rng: np.random.Generator, times: np.ndarray, latest: float) -> np.ndar
 
 def _current_table(rng, axes, restoring_axis, conductance):
     """Random currents, or currents that pull one state toward a pin-set
-    level (forward Euler then settles, and the group exits early)."""
+    level (forward Euler then settles long before the window ends)."""
     shape = tuple(len(a) for a in axes)
     noise = np.tanh(rng.normal(size=shape))
     if restoring_axis is None:
@@ -158,29 +157,37 @@ def _current_table(rng, axes, restoring_axis, conductance):
     extra=st.integers(0, 4),
     corners=st.integers(1, 3),
     settling=st.booleans(),
+    internal=st.booleans(),
 )
-def test_lockstep_member_equals_scalar_recurrence(seed, extra, corners, settling):
+def test_lockstep_member_equals_scalar_recurrence(seed, extra, corners, settling, internal):
     rng = np.random.default_rng(seed)
     options = SimulationOptions(time_step=2e-12)
     pin_axes = (voltage_axis("VA", VDD, 5), voltage_axis("VB", VDD, 5))
     vn_axis, vo_axis = voltage_axis("VN", VDD, 5), voltage_axis("Vo", VDD, 5)
-    axes = pin_axes + (vn_axis, vo_axis)
+    axes = pin_axes + ((vn_axis, vo_axis) if internal else (vo_axis,))
+    restoring = len(axes) - 1 if settling else None
     # Same axes, different values: the corners of an MMMC set.
-    models = [
-        dict(
-            output_current=_current_table(rng, axes, 3 if settling else None, 5e-4),
-            internal_current=_current_table(rng, axes, 2 if settling else None, 2.5e-4),
+    models = []
+    for _ in range(corners):
+        model = dict(
+            output_current=_current_table(rng, axes, restoring, 5e-4),
             miller_caps={"A": rng.uniform(0.2e-15, 1e-15), "B": rng.uniform(0.2e-15, 1e-15)},
             output_cap=rng.uniform(0.5e-15, 2e-15),
-            internal_cap=rng.uniform(0.5e-15, 2e-15),
         )
-        for _ in range(corners)
-    ]
+        if internal:
+            model.update(
+                internal_current=_current_table(
+                    rng, axes, 2 if settling else None, 2.5e-4
+                ),
+                internal_cap=rng.uniform(0.5e-15, 2e-15),
+            )
+        models.append(model)
     t_stop = 0.8e-9
     latest = 0.4 if settling else 0.9
     times = np.linspace(0.0, t_stop, int(round(t_stop / options.time_step)) + 1)
+    group = _MIN_INTERNAL_GROUP if internal else _MIN_OUTPUT_GROUP
     units = []
-    for _ in range(_MIN_INTERNAL_GROUP + extra):
+    for _ in range(group + extra):
         units.append(
             BatchUnit(
                 pins=("A", "B"),
@@ -188,7 +195,7 @@ def test_lockstep_member_equals_scalar_recurrence(seed, extra, corners, settling
                 load=CapacitiveLoad(rng.uniform(1e-15, 5e-15)),
                 vdd=VDD,
                 initial_output=rng.uniform(0.0, VDD),
-                initial_internal=rng.uniform(0.0, VDD),
+                initial_internal=rng.uniform(0.0, VDD) if internal else None,
                 input_samples={"A": _ramp(rng, times, latest), "B": _ramp(rng, times, latest)},
                 **models[int(rng.integers(corners))],
             )
@@ -196,35 +203,16 @@ def test_lockstep_member_equals_scalar_recurrence(seed, extra, corners, settling
     grid, outputs = integrate_model_many(units, options, 0.0, t_stop)
     assert np.array_equal(grid, times)
 
-    # Each unit alone: a batch of one runs the scalar recurrence.
-    scalar = [integrate_model_many([unit], options, 0.0, t_stop)[1][0] for unit in units]
-    stationary_from = max(
-        _precompute_plan(unit.pins, dict(unit.input_samples), times).stationary_from
-        for unit in units
-    )
-
-    # The group's stationary fill, replayed on the scalar trajectories: the
-    # first checked step after the inputs stop at which no state moved by
-    # more than the exit tolerance fills every later sample.
-    steps = len(times) - 1
-    moves = np.max(
-        [np.abs(np.diff(trace)) for pair in scalar for trace in pair], axis=0
-    )
-    exit_step = next(
-        (
-            k
-            for k in range(stationary_from, steps)
-            if k % _EXIT_CHECK_EVERY == 0 and moves[k] <= _EXIT_TOLERANCE
-        ),
-        None,
-    )
-    assert exit_step is not None or not settling
-    end = steps + 1 if exit_step is None else exit_step + 2
-    for (v_out, v_int), (s_out, s_int) in zip(outputs, scalar):
-        assert v_out[:end].tobytes() == s_out[:end].tobytes()
-        assert v_int[:end].tobytes() == s_int[:end].tobytes()
-        assert np.all(v_out[end:] == s_out[end - 1])
-        assert np.all(v_int[end:] == s_int[end - 1])
+    # Each unit alone: a batch of one runs the scalar recurrence.  The group
+    # steps every row to the end of the window, so each member is its scalar
+    # twin sample for sample, whatever the other rows do.
+    for unit, (v_out, v_int) in zip(units, outputs):
+        s_out, s_int = integrate_model_many([unit], options, 0.0, t_stop)[1][0]
+        assert v_out.tobytes() == s_out.tobytes()
+        if internal:
+            assert v_int.tobytes() == s_int.tobytes()
+        else:
+            assert v_int is None and s_int is None
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +246,8 @@ def test_resident_and_stream_runs_match_recorded_digests(
     models = TimingModelLibrary(library=library, config=fast_config)
     resident = CSMEngine(netlist, models, options=options, use_cache=False)
     assert _waveform_digest(resident.run(stimuli, t_stop=t_stop)) == _RECORDED["digests"]["resident"]
+    oracle = CSMEngine(netlist, models, options=options, batched=False, use_cache=False)
+    assert _waveform_digest(oracle.run(stimuli, t_stop=t_stop)) == _RECORDED["digests"]["resident"]
     store = PackedStore(tmp_path / "stream")
     try:
         stream = CSMEngine(

@@ -378,6 +378,15 @@ class TestCommandLine:
         assert reply["engine"] == "hybrid" and reply["iterations"]
         assert 0.0 < reply["csm_fraction"] < 1.0
         assert set(reply["exact"]) == set(reply["arrivals"]) == set(reply["slacks"])
+        # A refined cone is bitwise a full CSM run on its nets.
+        code, report = _cli(cli_cache, tmp_path, "--sta", CLI_SPEC, "--engine", "csm")
+        assert code == 0
+        [csm] = _sta_replies(report)
+        exact = [net for net, flag in reply["exact"].items() if flag]
+        assert exact
+        assert {net: reply["arrivals"][net] for net in exact} == {
+            net: csm["arrivals"][net] for net in exact
+        }
 
     def test_sta_corners(self, cli_cache, tmp_path):
         code, report = _cli(cli_cache, tmp_path, "--sta", CLI_SPEC, "--corners", "TT,FF")

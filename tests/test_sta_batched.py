@@ -1,11 +1,13 @@
 """Tests for the levelized batched STA stack: generators, levelization,
-engine equivalence (batched vs sequential reference) and the runtime-backed
-model library."""
+engine equivalence (batched vs sequential reference, bitwise) and the
+runtime-backed model library."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
@@ -24,9 +26,8 @@ from repro.sta import (
     primary_input_waveforms,
     random_dag,
 )
-
-#: Waveform agreement budget between the batched and sequential engines.
-EQUIV_TOL = 1e-9
+from repro.sta.generate import default_time_window
+from repro.sta.mmmc import CornerSet
 
 
 @pytest.fixture(scope="module")
@@ -56,20 +57,46 @@ def _forest(library):
     return netlist
 
 
+def _assert_bitwise(result, reference, nets=None):
+    """Every net of ``nets`` (default: all of ``reference``'s, which
+    ``result`` must have exactly) has the same bytes, samples and grid, in
+    both results, and every instance ``result`` ran used the same model."""
+    if nets is None:
+        assert set(result.waveforms) == set(reference.waveforms)
+        assert set(result.model_used) == set(reference.model_used)
+        nets = reference.waveforms
+    for net in nets:
+        wave, expected = result.waveforms[net], reference.waveforms[net]
+        assert wave.times.tobytes() == expected.times.tobytes(), net
+        assert wave.values.tobytes() == expected.values.tobytes(), net
+    # MIS-arc selection bookkeeping must match exactly, instance by instance.
+    for name, label in result.model_used.items():
+        assert label == reference.model_used[name], name
+
+
 def _assert_engines_agree(netlist, models, options, waveforms):
+    """The batched engine and the per-instance reference path agree bitwise."""
     sequential = CSMEngine(netlist, models, options=options, batched=False)
     batched = CSMEngine(netlist, models, options=options, batched=True)
-    result_seq = sequential.run(waveforms)
-    result_bat = batched.run(waveforms)
-    assert set(result_bat.waveforms) == set(result_seq.waveforms)
-    deviation = max(
-        np.abs(result_bat.waveform(net).values - result_seq.waveform(net).values).max()
-        for net in result_seq.waveforms
+    result = batched.run(waveforms)
+    _assert_bitwise(result, sequential.run(waveforms))
+    return result
+
+
+def _cone_run(netlist, models, options, waveforms, t_stop, endpoint):
+    """A batched run restricted to ``endpoint``'s complete fan-in cone, and
+    the nets that cone drives."""
+    cone = netlist.fanin_cone(endpoint)
+    result = CSMEngine(netlist, models, options=options, use_cache=False).run(
+        waveforms, t_stop=t_stop, only=cone
     )
-    assert deviation <= EQUIV_TOL
-    # MIS-arc selection bookkeeping must match exactly, instance by instance.
-    assert result_bat.model_used == result_seq.model_used
-    return result_bat, deviation
+    library = netlist.library
+    driven = [
+        netlist.instances[name].connections[library[netlist.instances[name].cell_name].output]
+        for name in cone
+    ]
+    assert set(result.model_used) == set(cone)
+    return result, driven
 
 
 class TestGenerators:
@@ -175,11 +202,12 @@ class TestEngineFactory:
         netlist = inverter_chain(library, 2)
         assert isinstance(create_engine("nldm", netlist, models), NLDMEngine)
         batched = create_engine("csm", netlist, models)
-        sequential = create_engine("csm-sequential", netlist, models)
+        sequential = create_engine("csm", netlist, models, batched=False)
         assert isinstance(batched, CSMEngine) and batched.batched
         assert isinstance(sequential, CSMEngine) and not sequential.batched
-        with pytest.raises(TimingError):
-            create_engine("spice", netlist, models)
+        for kind in ("spice", "csm-sequential"):
+            with pytest.raises(TimingError):
+                create_engine(kind, netlist, models)
 
 
 class TestBatchedEquivalence:
@@ -188,13 +216,13 @@ class TestBatchedEquivalence:
         # several connected components goes through the same level loop).
         for netlist in (inverter_chain(library, 6), _forest(library)):
             waveforms = primary_input_waveforms(netlist, seed=1)
-            result, _ = _assert_engines_agree(netlist, models, options, waveforms)
+            result = _assert_engines_agree(netlist, models, options, waveforms)
             assert all(label.startswith("SISCSM") for label in result.model_used.values())
 
     def test_nand_chain_uses_mis_models(self, library, models, options):
         netlist = gate_chain(library, 3, cell_name="NAND2_X1")
         waveforms = primary_input_waveforms(netlist, seed=2)
-        result, _ = _assert_engines_agree(netlist, models, options, waveforms)
+        result = _assert_engines_agree(netlist, models, options, waveforms)
         assert result.model_used["u0"] == "MCSM"
 
     def test_fanout_tree(self, library, models, options):
@@ -205,12 +233,11 @@ class TestBatchedEquivalence:
     def test_random_dag_mixed_models(self, library, models, options):
         netlist = random_dag(library, width=6, depth=3, seed=4)
         waveforms = primary_input_waveforms(netlist, seed=4)
-        result, deviation = _assert_engines_agree(netlist, models, options, waveforms)
+        result = _assert_engines_agree(netlist, models, options, waveforms)
         labels = set(result.model_used.values())
         # The seeded DAG exercises both the SIS path and an MIS model.
         assert any(label.startswith("SISCSM") for label in labels)
         assert "MCSM" in labels
-        assert deviation <= EQUIV_TOL
 
     def test_64_gate_dag(self, library, models, options):
         """The 64-gate design the CLI examples time, at its stimulus seed 0."""
@@ -219,6 +246,29 @@ class TestBatchedEquivalence:
         waveforms = primary_input_waveforms(netlist, seed=0)
         _assert_engines_agree(netlist, models, options, waveforms)
 
+    @pytest.mark.parametrize("time_step", [2e-12, 1e-12])
+    @pytest.mark.parametrize("spec", ["dag:w16:d4:s3", "dag:w32:d8:s7"])
+    def test_oracle_full_run_and_cone_bitwise(self, library, models, spec, time_step):
+        """The reference path, a full batched run and an ``only=`` cone give
+        a net the same bytes: levels batch differently in each."""
+        options = SimulationOptions(time_step=time_step)
+        netlist = generate_netlist(library, spec)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        oracle = CSMEngine(
+            netlist, models, options=options, batched=False, use_cache=False
+        ).run(waveforms, t_stop=t_stop)
+        full = CSMEngine(netlist, models, options=options, use_cache=False).run(
+            waveforms, t_stop=t_stop
+        )
+        _assert_bitwise(full, oracle)
+        endpoint = max(
+            netlist.primary_outputs, key=lambda net: len(netlist.fanin_cone(net))
+        )
+        cone, driven = _cone_run(netlist, models, options, waveforms, t_stop, endpoint)
+        assert len(driven) < len(netlist.instances)
+        _assert_bitwise(cone, oracle, driven)
+
     def test_explicit_window_and_arrivals(self, library, models, options):
         netlist = inverter_chain(library, 3)
         waveforms = primary_input_waveforms(netlist, seed=5)
@@ -226,6 +276,60 @@ class TestBatchedEquivalence:
         result = engine.run(waveforms)
         assert result.arrival("n3") > result.arrival("n1")
         assert result.path_delay("n0", "n3") > 0
+
+
+class TestBatchIndependence:
+    """A row's waveform is a function of its own model, load and inputs:
+    how a run batches its levels never changes a bit of it."""
+
+    @pytest.fixture(scope="class")
+    def corner_set(self, technology):
+        return CornerSet.from_names(
+            ["TT", "FF"], technology=technology, config=CharacterizationConfig(io_grid_points=5)
+        )
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        width=st.integers(min_value=2, max_value=6),
+        depth=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        endpoint=st.integers(min_value=0),
+    )
+    # 6 of this design's nets moved by a few 1e-13 V with the level batching
+    # while a lockstep group could stop stepping once its rows went still.
+    @example(width=5, depth=4, seed=37, endpoint=0)
+    def test_every_path_gives_a_row_the_same_bytes(
+        self, library, models, corner_set, width, depth, seed, endpoint
+    ):
+        options = SimulationOptions(time_step=2e-12)
+        spec = f"dag:w{width}:d{depth}:s{seed}"
+        netlist = generate_netlist(library, spec)
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=1)
+        oracle = CSMEngine(
+            netlist, models, options=options, batched=False, use_cache=False
+        ).run(waveforms, t_stop=t_stop)
+
+        full = CSMEngine(netlist, models, options=options, use_cache=False).run(
+            waveforms, t_stop=t_stop
+        )
+        _assert_bitwise(full, oracle)
+
+        outputs = netlist.primary_outputs
+        target = outputs[endpoint % len(outputs)]
+        cone, driven = _cone_run(netlist, models, options, waveforms, t_stop, target)
+        _assert_bitwise(cone, oracle, [*netlist.primary_inputs, *driven])
+
+        # The TT corner is the default technology under another name.
+        corner_netlist = generate_netlist(corner_set.reference.library, spec)
+        corners = CSMEngine(
+            corner_netlist,
+            corner_set.reference.models,
+            options=options,
+            corners=corner_set,
+            use_cache=False,
+        ).run(waveforms, t_stop=t_stop)
+        _assert_bitwise(corners.result("TT"), oracle)
 
 
 class TestNLDMLevelized:
