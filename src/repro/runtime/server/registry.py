@@ -52,6 +52,18 @@ from .scheduler import SingleFlight, SingleFlightStore
 __all__ = ["DesignRecord", "Session", "TimingService"]
 
 
+def _arrivals(result: Any, nets: List[str]) -> Dict[str, Optional[float]]:
+    """Each net's arrival as a float, or ``None`` where ``result`` has none
+    (the net is stable, unpropagated or never crosses 50 % of Vdd)."""
+    arrivals: Dict[str, Optional[float]] = {}
+    for net in nets:
+        try:
+            arrivals[net] = float(result.arrival(net))
+        except TimingError:
+            arrivals[net] = None
+    return arrivals
+
+
 @dataclass
 class DesignRecord:
     """One registered design revision, addressed by content fingerprint."""
@@ -723,18 +735,10 @@ class TimingService:
             if top_k is not None:
                 run_kwargs["top_k"] = top_k
             result = engine.run(waveforms, t_stop=window, **run_kwargs)
-            arrivals = {}
-            exact = {}
-            for net in report_nets:
-                try:
-                    arrivals[net] = float(result.arrival(net))
-                except TimingError:
-                    arrivals[net] = None  # stable or unpropagated
-                exact[net] = result.is_exact(net)
             payload: Dict[str, Any] = {
                 "engine": "hybrid",
-                "arrivals": arrivals,
-                "exact": exact,
+                "arrivals": _arrivals(result, report_nets),
+                "exact": {net: result.is_exact(net) for net in report_nets},
                 "slacks": {
                     net: (list(entry) if entry is not None else None)
                     for net, entry in result.endpoint_slacks.items()
@@ -766,28 +770,18 @@ class TimingService:
                 "engine": "nldm",
                 "arrivals": arrivals,
                 "slews": slews,
-                "stats": result.stats
-                if isinstance(result.stats, dict)
-                else result.stats.as_dict(),
+                "stats": result.stats,
             }
             return payload
 
         window = float(t_stop) if t_stop else default_time_window(netlist)
         waveforms = self._stimuli(record, window, seed)
         result = engine.run(waveforms, t_stop=window)
-        arrivals = {}
-        for net in report_nets:
-            try:
-                arrivals[net] = float(result.arrival(net))
-            except TimingError:
-                arrivals[net] = None  # never crosses the threshold
         payload = {
             "engine": "csm",
-            "arrivals": arrivals,
+            "arrivals": _arrivals(result, report_nets),
             "t_stop": window,
-            "stats": result.stats
-            if isinstance(result.stats, dict)
-            else result.stats.as_dict(),
+            "stats": result.stats,
         }
         if return_waveforms:
             payload["waveforms"] = {
@@ -832,16 +826,10 @@ class TimingService:
             window = float(t_stop) if t_stop else default_time_window(netlist)
             waveforms = self._stimuli(record, window, seed)
             result = engine.run(waveforms, t_stop=window)
-            arrivals = {}
-            for name in result.corner_order:
-                corner_result = result.result(name)
-                corner_arrivals: Dict[str, Optional[float]] = {}
-                for net in report_nets:
-                    try:
-                        corner_arrivals[net] = float(corner_result.arrival(net))
-                    except TimingError:
-                        corner_arrivals[net] = None
-                arrivals[name] = corner_arrivals
+            arrivals = {
+                name: _arrivals(result.result(name), report_nets)
+                for name in result.corner_order
+            }
             payload = {"engine": "csm", "t_stop": window}
         worst = {
             net: (list(entry) if entry is not None else None)

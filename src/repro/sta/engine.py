@@ -1431,7 +1431,6 @@ class CSMEngine(TimingEngine):
         t_stop: Optional[float] = None,
         t_start: Optional[float] = None,
         only: Optional[Iterable[str]] = None,
-        boundary_waveforms: Optional[Dict[str, Waveform]] = None,
     ) -> WaveformTimingResult:
         """Propagate waveforms from the primary inputs through the design.
 
@@ -1450,36 +1449,22 @@ class CSMEngine(TimingEngine):
             The common time window every net's waveform is computed over;
             defaults to the intersection of the input waveforms' spans.
         only:
-            Restrict propagation to these instance names (the hybrid engine's
-            critical cones).  Loads, grids and stimuli are those of the FULL
-            design, so every in-cone instance whose whole fan-in is in the
-            cone gets the *same* propagation key — and therefore the same
-            bitwise waveform — as a full run.  Requires the batched path and
-            a single corner; works in either memory mode.  A cone covering
-            every instance is normalized back to an unrestricted run so even
-            the whole-run cache entry is shared.
-        boundary_waveforms:
-            Net name -> stimulus for nets driven *outside* a truncated cone
-            (only valid together with ``only``).  Boundary nets chain their
-            content keys from the stimulus samples, so approximate boundary
-            values can never collide with the exact namespace; they are not
-            part of the result's waveforms.
+            The row set: propagate only these instance names (the hybrid
+            engine's critical cones), which must form a closed cone.  Loads,
+            grids and stimuli are those of the FULL design, so every
+            instance gets the *same* propagation key — and therefore the
+            same bitwise waveform — as a full run.  Composes with
+            ``batched=False``, either memory mode and ``corners=`` (each
+            corner runs the same row set).  A cone covering every instance
+            is normalized back to an unrestricted run so even the whole-run
+            cache entry is shared.
         """
         missing = [net for net in self.netlist.primary_inputs if net not in input_waveforms]
         if missing:
             raise TimingError(f"missing waveforms for primary inputs {missing}")
         t_stop = t_stop if t_stop is not None else min(w.t_stop for w in input_waveforms.values())
         t_start = t_start if t_start is not None else max(w.t_start for w in input_waveforms.values())
-        boundary_waveforms = dict(boundary_waveforms or {})
-        if boundary_waveforms and only is None:
-            raise TimingError("boundary_waveforms requires a restricted cone (only=)")
         if only is not None:
-            if self.corners is not None:
-                raise TimingError(
-                    "restricted propagation (only=) does not support multi-corner runs"
-                )
-            if not self.batched:
-                raise TimingError("restricted propagation (only=) requires batched=True")
             names = set(self.netlist.instances)
             only = set(only)
             unknown = sorted(only - names)
@@ -1488,15 +1473,12 @@ class CSMEngine(TimingEngine):
                     f"restricted cone names unknown instances {unknown} "
                     f"in {self.netlist.name!r}"
                 )
-            overlap = sorted(set(boundary_waveforms) & set(input_waveforms))
-            if overlap:
-                raise TimingError(
-                    f"boundary waveforms shadow primary inputs {overlap}"
-                )
-            if only == names and not boundary_waveforms:
+            if only == names:
                 only = None  # full cover IS a plain run: share its run key
         if self.corners is not None:
-            results = self._run_corners(input_waveforms, t_stop=t_stop, t_start=t_start)
+            results = self._run_corners(
+                input_waveforms, t_stop=t_stop, t_start=t_start, only=only
+            )
             return MulticornerTimingResult(
                 results=results,
                 corner_order=self.corners.names,
@@ -1506,6 +1488,8 @@ class CSMEngine(TimingEngine):
             )
 
         levels = self.levels()  # also re-syncs structural caches after edits
+        if only is not None:
+            levels = self._cone_levels(levels, only)
         revision = self.netlist.revision
         stats = PropagationStats(
             instances=len(only) if only is not None else len(self.netlist.instances)
@@ -1526,8 +1510,6 @@ class CSMEngine(TimingEngine):
                 carried, dirty, net_keys = self._carried_for(context, input_waveforms)
             else:
                 net_keys = self.stimulus_keys(input_waveforms)
-            if boundary_waveforms:
-                net_keys.update(self.stimulus_keys(boundary_waveforms))
             # Streaming skips the whole-run entry both ways: looking one up
             # would materialize every waveform at once, and storing one would
             # let a later resident run skip re-populating its memo.  The
@@ -1574,8 +1556,6 @@ class CSMEngine(TimingEngine):
         # paths and independent of instance evaluation order.
         self.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
 
-        if only is not None:
-            levels = self._cone_levels(levels, only, input_waveforms, boundary_waveforms)
         times = simulation_time_grid(t_start, t_stop, self.options)
         if streaming:
             retention = _StreamRetention(self, levels, input_waveforms, times)
@@ -1591,7 +1571,6 @@ class CSMEngine(TimingEngine):
             state = self._propagate_tensor(
                 levels,
                 input_waveforms,
-                boundary_waveforms,
                 model_used,
                 stats,
                 times,
@@ -1642,18 +1621,13 @@ class CSMEngine(TimingEngine):
         return result
 
     def _cone_levels(
-        self,
-        levels: Sequence[Sequence[GateInstance]],
-        only: Set[str],
-        input_waveforms: Mapping[str, Waveform],
-        boundary_waveforms: Mapping[str, Waveform],
+        self, levels: Sequence[Sequence[GateInstance]], only: Set[str]
     ) -> List[List[GateInstance]]:
         """The row set of an ``only=`` run: each level's in-cone instances.
 
-        The cone must be closed.  An in-cone instance reading a net driven
-        outside the cone that has no boundary waveform raises, because
-        silently treating it as a constant-at-non-controlling net would
-        corrupt the "exact" guarantee.
+        The cone must be closed: an in-cone instance reading a net driven
+        outside the cone raises, because that net has no row to read and
+        treating it as stable would break the bitwise guarantee.
         """
         connectivity = self.connectivity
         cone: List[List[GateInstance]] = []
@@ -1663,17 +1637,11 @@ class CSMEngine(TimingEngine):
                 for pin in self._cell(instance).inputs:
                     net = instance.connections[pin]
                     driver = connectivity.driver_of(net)
-                    if (
-                        driver is not None
-                        and driver.name not in only
-                        and net not in boundary_waveforms
-                        and net not in input_waveforms
-                    ):
+                    if driver is not None and driver.name not in only:
                         raise TimingError(
                             f"restricted cone is not closed: instance "
                             f"{instance.name!r} reads net {net!r}, which is "
-                            "driven outside the cone and has no boundary "
-                            "waveform"
+                            "driven outside the cone"
                         )
             cone.append(members)
         return cone
@@ -1730,7 +1698,6 @@ class CSMEngine(TimingEngine):
         self,
         levels: Sequence[Sequence[GateInstance]],
         input_waveforms: Mapping[str, Waveform],
-        boundary_waveforms: Mapping[str, Waveform],
         model_used: Dict[str, str],
         stats: PropagationStats,
         times: np.ndarray,
@@ -1746,9 +1713,7 @@ class CSMEngine(TimingEngine):
         rows by index, and each level's outputs are scattered into a fresh
         tensor that the propagation cache spills as a single record.
 
-        ``levels`` is the row set (every instance, or the ``only=`` cone);
-        ``boundary_waveforms`` seed rows and chained content keys for cut
-        nets of a truncated cone without entering the result's waveforms.
+        ``levels`` is the row set (every instance, or the ``only=`` cone).
         ``retention`` decides what stays in RAM and what the result is.
         ``net_keys`` is ``None`` when caching is off.  Returns the walk's
         :class:`_LoopState` (with its plans when ``carry``).
@@ -1757,7 +1722,7 @@ class CSMEngine(TimingEngine):
         the stimuli (and ``net_keys``): only the ``dirty`` instances are
         re-planned and re-keyed, in their full-design levels, while every
         other instance keeps its plan and its rows seed the walk the way
-        boundary rows seed a cone.  A carried clean key is a memo hit, so
+        the stimuli do.  A carried clean key is a memo hit, so
         each level's misses — its pending batch — are the ones a full walk
         would find, and the output is bitwise a full walk's.
 
@@ -1777,7 +1742,7 @@ class CSMEngine(TimingEngine):
         threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
         if state is None:
             state = _LoopState({}, {}, {}, net_keys, {} if carry else None)
-            for net, wave in [*input_waveforms.items(), *boundary_waveforms.items()]:
+            for net, wave in input_waveforms.items():
                 state.rows[net] = np.asarray(wave.value_at(times), dtype=float)
                 state.initials[net] = float(wave.initial_value())
                 state.switching[net] = self._is_switching(wave)

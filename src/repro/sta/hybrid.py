@@ -24,10 +24,8 @@ One hybrid run is an iteration to a fixed point:
    existing cache).  A restricted level batches fewer instances, but
    :func:`~repro.csm.simulate.integrate_model_many` gives each row the same
    bits in any batch, so the refined waveforms are bitwise a full run's.
-   The optional ``cone_depth`` knob truncates cones; the cut nets are then
-   seeded with saturated-ramp boundary stimuli synthesized from the NLDM
-   arrivals, and only nets whose whole fan-in was refined keep the
-   exactness guarantee.
+   Unlike a refined mesh patch, a closed cone needs no boundary values from
+   the coarse (NLDM) solution: every refined instance's output is exact.
 4. **Iterate** — endpoints re-rank with CSM-corrected arrivals; when the new
    top-k's cones are already refined (or the iteration cap hits), the
    critical set is stable and the run stops.  The refined set only grows, so
@@ -42,11 +40,10 @@ CSM run — the result is bitwise equal to (and cache-shared with) full CSM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..exceptions import TimingError, WaveformError
 from ..runtime.store import PackedStore
-from ..spice.sources import SaturatedRamp
 from ..waveform.metrics import crossing_times, transition_time
 from ..waveform.waveform import Waveform
 from .engine import (
@@ -67,10 +64,6 @@ __all__ = ["HybridEngine", "HybridTimingResult", "events_from_waveforms"]
 #: Slew reported for a stimulus whose waveform never spans the 20-80 % band
 #: (e.g. a partial swing) — matches the generators' nominal transition time.
 DEFAULT_SLEW_FALLBACK = 60e-12
-
-#: Samples used when synthesizing boundary stimuli for truncated cones
-#: (matches :func:`repro.sta.generate.primary_input_waveforms`).
-BOUNDARY_NUM_SAMPLES = 2000
 
 
 def events_from_waveforms(
@@ -106,8 +99,8 @@ class HybridTimingResult:
     """Per-net timing with recorded provenance: CSM-exact or NLDM-approximate.
 
     ``waveforms`` holds the primary inputs plus every CSM-exact net;
-    ``exact_nets`` is the set of driven nets whose whole fan-in was refined:
-    their values are bitwise a full CSM run's.
+    ``exact_nets`` is the set of nets the refined instances drive: their
+    values are bitwise a full CSM run's.
     Every other propagated net is covered by the NLDM events only.
     ``iterations`` records the refinement loop's per-iteration accounting.
     """
@@ -206,11 +199,6 @@ class HybridEngine(TimingEngine):
     max_iterations:
         Refinement cap; the fixed point (the critical set is stable) usually
         lands well before it.
-    cone_depth:
-        Optional truncation of the fan-in cones, in instance hops behind the
-        endpoint.  Truncated cones drop the exactness guarantee for nets
-        whose fan-in was cut (the cut nets get NLDM-synthesized ramp
-        stimuli).
     """
 
     def __init__(
@@ -224,18 +212,14 @@ class HybridEngine(TimingEngine):
         required_default: Optional[float] = None,
         top_k: Union[int, str] = 1,
         max_iterations: int = 4,
-        cone_depth: Optional[int] = None,
     ):
         super().__init__(netlist, models)
         if max_iterations < 1:
             raise TimingError(f"max_iterations must be >= 1, got {max_iterations}")
-        if cone_depth is not None and cone_depth < 1:
-            raise TimingError(f"cone_depth must be >= 1, got {cone_depth}")
         self.required = required
         self.required_default = required_default
         self.top_k = top_k
         self.max_iterations = max_iterations
-        self.cone_depth = cone_depth
         #: Both sub-engines share the model library and the content-addressed
         #: store, so a hybrid run warm-hits (and warms) the same propagation
         #: namespaces as standalone NLDM / CSM runs.
@@ -293,87 +277,6 @@ class HybridEngine(TimingEngine):
         scored.sort()
         return [net for _, net in scored]
 
-    def _exact_instances(self, refined: Set[str]) -> List[str]:
-        """Refined instances whose *whole* fan-in was refined, level order.
-
-        With complete fan-in cones this is all of ``refined`` (the cones are
-        closed); with ``cone_depth`` truncation anything downstream of a cut
-        net drops out — those waveforms were integrated from approximate
-        boundary stimuli and must not be reported as exact.
-        """
-        connectivity = self.connectivity
-        exact: Set[str] = set()
-        for level in self.levels():
-            for instance in level:
-                if instance.name not in refined:
-                    continue
-                cell = self.netlist.library[instance.cell_name]
-                ok = True
-                for pin in cell.inputs:
-                    driver = connectivity.driver_of(instance.connections[pin])
-                    if driver is not None and driver.name not in exact:
-                        ok = False
-                        break
-                if ok:
-                    exact.add(instance.name)
-        order = {name: position for position, name in enumerate(self.netlist.instances)}
-        return sorted(exact, key=order.__getitem__)
-
-    def _cut_nets(self, refined: Set[str]) -> List[str]:
-        """Nets refined instances read that are driven outside the cone."""
-        connectivity = self.connectivity
-        cut: Dict[str, None] = {}
-        for name in refined:
-            instance = self.netlist.instances[name]
-            cell = self.netlist.library[instance.cell_name]
-            for pin in cell.inputs:
-                net = instance.connections[pin]
-                driver = connectivity.driver_of(net)
-                if driver is not None and driver.name not in refined:
-                    cut.setdefault(net, None)
-        return list(cut)
-
-    def _synthesize_boundary(
-        self,
-        cut_nets: Sequence[str],
-        refined: Set[str],
-        nldm_result: NLDMTimingResult,
-        t_start: float,
-        t_stop: float,
-    ) -> Dict[str, Waveform]:
-        """NLDM-seeded stimuli for a truncated cone's cut nets.
-
-        Switching nets become saturated ramps centered on the NLDM arrival
-        with the NLDM slew as ramp duration (the inverse of the generators'
-        event/waveform correspondence); stable nets hold the non-controlling
-        level of their first in-cone receiver pin.  These are approximations
-        by construction — the engine keys them from the synthesized samples,
-        so they can never pollute the exact namespace.
-        """
-        vdd = self.csm.vdd
-        boundary: Dict[str, Waveform] = {}
-        for net in cut_nets:
-            event = nldm_result.events.get(net)
-            if event is not None:
-                ramp = SaturatedRamp(
-                    0.0 if event.rising else vdd,
-                    vdd if event.rising else 0.0,
-                    event.arrival - event.slew / 2.0,
-                    event.slew,
-                )
-                boundary[net] = Waveform.from_function(
-                    ramp, t_start, t_stop, BOUNDARY_NUM_SAMPLES, name=net
-                )
-                continue
-            level = vdd  # non-controlling default when no receiver resolves
-            for receiver, pin in self.connectivity.receivers_of(net):
-                if receiver.name in refined:
-                    cell = self.netlist.library[receiver.cell_name]
-                    level = cell.non_controlling_value(pin) * vdd
-                    break
-            boundary[net] = Waveform.constant(level, t_start, t_stop, name=net)
-        return boundary
-
     # ------------------------------------------------------------------
     def _run_impl(
         self,
@@ -400,16 +303,6 @@ class HybridEngine(TimingEngine):
         ]
         if missing:
             raise TimingError(f"missing waveforms for primary inputs {missing}")
-        t_stop = (
-            t_stop
-            if t_stop is not None
-            else min(w.t_stop for w in input_waveforms.values())
-        )
-        t_start = (
-            t_start
-            if t_start is not None
-            else max(w.t_start for w in input_waveforms.values())
-        )
 
         self.levels()  # re-syncs structural caches after ECO edits
         endpoints = list(self.netlist.primary_outputs)
@@ -427,7 +320,7 @@ class HybridEngine(TimingEngine):
 
         # 2-4. Rank, refine, iterate.
         refined: Set[str] = set()
-        exact_instances: List[str] = []
+        exact_nets: Set[str] = set()
         csm_result: Optional[WaveformTimingResult] = None
         iterations: List[Dict[str, Any]] = []
         connectivity = self.connectivity
@@ -438,34 +331,17 @@ class HybridEngine(TimingEngine):
                 break  # every endpoint is stable: nothing to refine
             needed: Set[str] = set()
             for net in critical:
-                needed.update(
-                    self.netlist.fanin_cone(
-                        net, connectivity=connectivity, depth=self.cone_depth
-                    )
-                )
+                needed.update(self.netlist.fanin_cone(net, connectivity=connectivity))
             new = needed - refined
             if iterations and not new:
                 break  # fixed point: the critical set's cones are refined
             refined |= needed
-            boundary: Dict[str, Waveform] = {}
-            if self.cone_depth is not None:
-                boundary = self._synthesize_boundary(
-                    self._cut_nets(refined), refined, nldm_result, t_start, t_stop
-                )
             csm_result = self.csm.run(
-                input_waveforms,
-                t_stop=t_stop,
-                t_start=t_start,
-                only=set(refined),
-                boundary_waveforms=boundary or None,
+                input_waveforms, t_stop=t_stop, t_start=t_start, only=set(refined)
             )
             sub_stats.append(dict(csm_result.stats or {}))
-            exact_instances = self._exact_instances(refined)
             exact_nets = {
-                self.netlist.instances[name].connections[
-                    self.netlist.library[self.netlist.instances[name].cell_name].output
-                ]
-                for name in exact_instances
+                self._output_net(self.netlist.instances[name]) for name in refined
             }
             for net in endpoints:
                 if net not in exact_nets:
@@ -487,12 +363,6 @@ class HybridEngine(TimingEngine):
             if len(iterations) >= self.max_iterations:
                 break
 
-        exact_nets = frozenset(
-            self.netlist.instances[name].connections[
-                self.netlist.library[self.netlist.instances[name].cell_name].output
-            ]
-            for name in exact_instances
-        )
         waveforms: Dict[str, Waveform] = {
             net: wave.renamed(net) for net, wave in input_waveforms.items()
         }
@@ -540,7 +410,7 @@ class HybridEngine(TimingEngine):
             vdd=self.csm.vdd,
             nldm=nldm_result,
             waveforms=waveforms,
-            exact_nets=exact_nets,
+            exact_nets=frozenset(exact_nets),
             refined_instances=tuple(sorted(refined, key=order.__getitem__)),
             instances_total=len(self.netlist.instances),
             endpoints=endpoints,

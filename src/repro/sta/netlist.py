@@ -522,21 +522,16 @@ class GateNetlist:
         return [name for name in self.instances if name in cone]
 
     def fanin_cone(
-        self,
-        net: str,
-        connectivity: Optional[NetConnectivity] = None,
-        depth: Optional[int] = None,
+        self, net: str, connectivity: Optional[NetConnectivity] = None
     ) -> List[str]:
         """Instances transitively driving ``net``, in insertion order.
 
-        The complete fan-in cone of an endpoint is *closed*: every input net
-        of a cone instance is either driven by another cone instance or is a
-        primary input, so re-propagating exactly these instances from the
+        The fan-in cone of an endpoint is *closed*: every input net of a cone
+        instance is either driven by another cone instance or is a primary
+        input, so re-propagating exactly these instances from the
         primary-input stimuli reproduces the endpoint's signal exactly.
-        ``depth`` truncates the walk that many instance hops behind the
-        endpoint; a truncated cone is NOT closed and its cut nets need
-        boundary stimuli.  ``connectivity`` accepts a prebuilt snapshot so
-        per-endpoint scans don't rebuild the CSR index for every query.
+        ``connectivity`` accepts a prebuilt snapshot so per-endpoint scans
+        don't rebuild the CSR index for every query.
         """
         if connectivity is None:
             connectivity = self.connectivity()
@@ -544,12 +539,9 @@ class GateNetlist:
             raise TimingError(f"no net named {net!r} in {self.name!r}")
         cone: Dict[str, None] = {}
         visited = {net}
-        frontier: Deque[Tuple[str, int]] = deque([(net, 0)])
+        frontier: Deque[str] = deque([net])
         while frontier:
-            current, hops = frontier.popleft()
-            if depth is not None and hops >= depth:
-                continue
-            driver = connectivity.driver_of(current)
+            driver = connectivity.driver_of(frontier.popleft())
             if driver is None:
                 continue  # primary input: the cone boundary
             cone[driver.name] = None
@@ -558,7 +550,7 @@ class GateNetlist:
                 upstream = driver.connections[pin]
                 if upstream not in visited:
                     visited.add(upstream)
-                    frontier.append((upstream, hops + 1))
+                    frontier.append(upstream)
         return [name for name in self.instances if name in cone]
 
     def affected_region(

@@ -119,8 +119,8 @@ def test_fig11_arrival_golden(experiment_context):
 
 
 @pytest.fixture(scope="module")
-def sta_models(library, fast_config):
-    return TimingModelLibrary(library=library, config=fast_config)
+def sta_models(library, fast_config, warm_up):
+    return warm_up(TimingModelLibrary(library=library, config=fast_config))
 
 
 @pytest.fixture(scope="module")

@@ -59,8 +59,8 @@ EQUIV_TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
-def disk_cache(tmp_path_factory):
-    return PackedStore(tmp_path_factory.mktemp("pr4-cache"))
+def disk_cache(warm_store):
+    return warm_store("pr4-cache")
 
 
 @pytest.fixture(scope="module")
@@ -394,11 +394,11 @@ class TestIncrementalEngine:
         assert warm.model_used == cold.model_used
         assert _deviation(warm, cold) == 0.0
 
-    def test_memo_makes_rerun_incremental_without_disk(self, library, options):
+    def test_memo_makes_rerun_incremental_without_disk(self, library, options, warm_up):
         chain = gate_chain(library, 3, cell_name="INV_X1")
         waveforms = primary_input_waveforms(chain, seed=1)
-        models = TimingModelLibrary(
-            library=library, config=CharacterizationConfig(io_grid_points=5)
+        models = warm_up(
+            TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
         )
         engine = CSMEngine(chain, models, options=options)
         cold = engine.run(waveforms)
@@ -798,9 +798,9 @@ class TestNLDMIncremental:
         assert warm.events == cold.events
         assert warm.mis_flags == cold.mis_flags
 
-    def test_memo_makes_rerun_incremental_without_disk(self, library, events, netlist):
-        models = TimingModelLibrary(
-            library=library, config=CharacterizationConfig(io_grid_points=5)
+    def test_memo_makes_rerun_incremental_without_disk(self, library, events, netlist, warm_up):
+        models = warm_up(
+            TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
         )
         engine = NLDMEngine(netlist, models)
         cold = engine.run(events)

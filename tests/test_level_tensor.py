@@ -32,9 +32,9 @@ from repro.waveform import LevelTensor, Waveform
 
 
 @pytest.fixture(scope="module")
-def models(library):
-    return TimingModelLibrary(
-        library=library, config=CharacterizationConfig(io_grid_points=5)
+def models(library, warm_up):
+    return warm_up(
+        TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
     )
 
 

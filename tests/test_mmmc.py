@@ -53,13 +53,15 @@ CORNERS = ["TT", "FF", "SS"]
 
 
 @pytest.fixture(scope="module")
-def corner_set(technology):
+def corner_set(technology, warm_up):
     """Three standard corners over the shared base technology (coarse grids)."""
-    return CornerSet.from_names(
+    corner_set = CornerSet.from_names(
         CORNERS,
         technology=technology,
         config=CharacterizationConfig(io_grid_points=5),
     )
+    warm_up(corner_set.reference.models)  # TT characterizes as the default technology
+    return corner_set
 
 
 @pytest.fixture(scope="module")

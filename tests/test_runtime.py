@@ -309,9 +309,10 @@ CLI_SPEC = "dag:w16:d4:s3"
 
 
 @pytest.fixture(scope="module")
-def cli_cache(tmp_path_factory):
-    """One ``--cache`` for every CLI test: only the first characterizes."""
-    return tmp_path_factory.mktemp("cli-cache")
+def cli_cache(warm_store):
+    """One ``--cache`` for every CLI test, starting from the warm
+    characterization store: only the first characterizes what it lacks."""
+    return warm_store("cli-cache").directory
 
 
 def _cli(cache_dir, tmp_path, *argv):

@@ -50,8 +50,8 @@ DAG = "dag:w4:d2:s1"  # small mixed-cell design with swap candidates
 
 
 @pytest.fixture(scope="module")
-def disk_cache(tmp_path_factory):
-    return PackedStore(tmp_path_factory.mktemp("pr7-models"))
+def disk_cache(warm_store):
+    return warm_store("pr7-models")
 
 
 @pytest.fixture(scope="module")

@@ -31,9 +31,9 @@ from repro.sta.mmmc import CornerSet
 
 
 @pytest.fixture(scope="module")
-def models(library):
-    return TimingModelLibrary(
-        library=library, config=CharacterizationConfig(io_grid_points=5)
+def models(library, warm_up):
+    return warm_up(
+        TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
     )
 
 
@@ -283,10 +283,12 @@ class TestBatchIndependence:
     how a run batches its levels never changes a bit of it."""
 
     @pytest.fixture(scope="class")
-    def corner_set(self, technology):
-        return CornerSet.from_names(
+    def corner_set(self, technology, warm_up):
+        corner_set = CornerSet.from_names(
             ["TT", "FF"], technology=technology, config=CharacterizationConfig(io_grid_points=5)
         )
+        warm_up(corner_set.reference.models)  # TT characterizes as the default technology
+        return corner_set
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -318,18 +320,44 @@ class TestBatchIndependence:
         outputs = netlist.primary_outputs
         target = outputs[endpoint % len(outputs)]
         cone, driven = _cone_run(netlist, models, options, waveforms, t_stop, target)
-        _assert_bitwise(cone, oracle, [*netlist.primary_inputs, *driven])
+        members = set(netlist.fanin_cone(target))
+        cone_nets = [*netlist.primary_inputs, *driven]
+        _assert_bitwise(cone, oracle, cone_nets)
+
+        # The oracle itself runs a cone as just a smaller row set.
+        oracle_cone = CSMEngine(
+            netlist, models, options=options, batched=False, use_cache=False
+        ).run(waveforms, t_stop=t_stop, only=members)
+        assert set(oracle_cone.model_used) == members
+        _assert_bitwise(oracle_cone, oracle, cone_nets)
 
         # The TT corner is the default technology under another name.
         corner_netlist = generate_netlist(corner_set.reference.library, spec)
-        corners = CSMEngine(
+        corner_engine = CSMEngine(
             corner_netlist,
             corner_set.reference.models,
             options=options,
             corners=corner_set,
             use_cache=False,
-        ).run(waveforms, t_stop=t_stop)
-        _assert_bitwise(corners.result("TT"), oracle)
+        )
+        _assert_bitwise(corner_engine.run(waveforms, t_stop=t_stop).result("TT"), oracle)
+
+        # Every corner of a corners= run walks the same cone.
+        corner_cone = corner_engine.run(waveforms, t_stop=t_stop, only=members).result("TT")
+        assert set(corner_cone.model_used) == members
+        _assert_bitwise(corner_cone, oracle, cone_nets)
+
+    def test_only_rejects_open_cones_and_unknown_names(self, library, models, options):
+        """``only=`` is outside input: a cone must be closed and name
+        instances of the design."""
+        netlist = _forest(library)
+        waveforms = primary_input_waveforms(netlist, seed=0)
+        engine = CSMEngine(netlist, models, options=options, use_cache=False)
+        # u_a1 reads a1, which u_a0 drives outside the cone.
+        with pytest.raises(TimingError, match=r"not closed.*'u_a1'.*'a1'"):
+            engine.run(waveforms, only={"u_a1", "u_a2"})
+        with pytest.raises(TimingError, match=r"unknown instances \['u_z9'\]"):
+            engine.run(waveforms, only={"u_a0", "u_z9"})
 
 
 class TestNLDMLevelized:

@@ -33,9 +33,9 @@ REFERENCE_SPEC = "dag:w32:d8:s11"
 
 
 @pytest.fixture(scope="module")
-def models(library):
-    return TimingModelLibrary(
-        library=library, config=CharacterizationConfig(io_grid_points=5)
+def models(library, warm_up):
+    return warm_up(
+        TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
     )
 
 

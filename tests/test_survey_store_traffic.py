@@ -57,9 +57,9 @@ DAG = "dag:w6:d3:s5"
 
 
 @pytest.fixture(scope="module")
-def models(library):
-    return TimingModelLibrary(
-        library=library, config=CharacterizationConfig(io_grid_points=5)
+def models(library, warm_up):
+    return warm_up(
+        TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
     )
 
 
