@@ -27,8 +27,9 @@ sends timing, a warm repeat, ``eco [{"kind": "auto_swap"}]`` and timing
 again.  Every reply prints one line; ``--json`` writes the requests and
 replies.  The service alone decides which flag combinations it accepts: an
 error reply prints on one line and exits 2 (``bad-request``, ``not-found``)
-or 1.  The engine contracts are tier-1 tests, not CLI self-checks: batched
-vs sequential (``tests/test_sta_batched.py``), stream vs resident
+or 1.  The engine contracts are tier-1 tests, not CLI self-checks: every
+CSM flag combination vs the per-instance oracle
+(``tests/test_csm_flag_matrix.py``), stream vs resident
 (``tests/test_sta_streaming.py``), warm repeats and ECO re-timing
 (``tests/test_incremental.py``, ``tests/test_mmmc.py``) and hybrid top-k
 ``all`` vs full CSM (``tests/test_hybrid.py``).

@@ -155,18 +155,12 @@ class PackedStore:
         self,
         directory: os.PathLike,
         inline_limit: int = _INLINE_LIMIT,
-        max_dead_bytes: Optional[int] = None,
         max_bytes: Optional[int] = None,
         max_age_s: Optional[float] = None,
     ):
         self.directory = Path(directory).expanduser()
         self.directory.mkdir(parents=True, exist_ok=True)
         self.inline_limit = inline_limit
-        #: Dead-byte budget: when set, :meth:`close` (and every open) runs
-        #: :meth:`compact` automatically once the data file carries more than
-        #: this many unreachable bytes.  ``None`` (default) never compacts on
-        #: its own — the PR 5 behaviour.
-        self.max_dead_bytes = max_dead_bytes
         #: Live-byte budget: when set, :meth:`enforce_policy` LRU-evicts until
         #: live entries fit.  Checked on open, close and after stores.
         self.max_bytes = max_bytes
@@ -184,7 +178,6 @@ class PackedStore:
         # An (empty) data file makes the directory identifiable as a store.
         self._dat_path.touch(exist_ok=True)
         self._load_index()
-        self._maybe_autocompact()
         self.enforce_policy()
 
     # -- pickling: worker processes reopen the files lazily --------------
@@ -212,7 +205,6 @@ class PackedStore:
         return {
             "directory": self.directory,
             "inline_limit": self.inline_limit,
-            "max_dead_bytes": self.max_dead_bytes,
             "max_bytes": self.max_bytes,
             "max_age_s": self.max_age_s,
             "stats": self.stats,
@@ -221,7 +213,6 @@ class PackedStore:
     def __setstate__(self, state):
         self.directory = state["directory"]
         self.inline_limit = state["inline_limit"]
-        self.max_dead_bytes = state.get("max_dead_bytes")
         self.max_bytes = state.get("max_bytes")
         self.max_age_s = state.get("max_age_s")
         self.stats = state["stats"]
@@ -1098,25 +1089,12 @@ class PackedStore:
             "lock": self.lock_stats(),
         }
 
-    def _maybe_autocompact(self) -> None:
-        if self.max_dead_bytes is None:
-            return
-        if self.dead_bytes() > self.max_dead_bytes:
-            kept, reclaimed = self.compact()
-            logger.info(
-                "auto-compacted %s: %d entries kept, %d bytes reclaimed",
-                self.directory,
-                kept,
-                reclaimed,
-            )
-
     def close(self) -> None:
-        """Flush recency, apply the eviction policy, auto-compact past the
-        dead-byte budget, and release the data-file mapping.  The store stays
-        usable — the next lookup simply remaps the file."""
+        """Flush recency, apply the eviction policy and release the
+        data-file mapping.  The store stays usable — the next lookup simply
+        remaps the file."""
         self._flush_touches()
         self.enforce_policy()
-        self._maybe_autocompact()
         self._mm = None
 
 

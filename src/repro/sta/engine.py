@@ -16,11 +16,12 @@ instances of a level are integrated in lockstep through
 :func:`repro.csm.simulate.integrate_model_many` (one vectorized update loop
 per state-grid group, regardless of cell type), which is what makes
 full-design waveform propagation tractable at hundreds to thousands of gates.
-``batched=False`` keeps the per-instance reference path.  A row's waveform
-depends only on its own model, load and input waveforms, never on which rows
-share its batch, so the two paths, an ``only=`` cone and each corner of a
-``corners=`` run give bitwise the same waveform for the same inputs, and
-every path reads and writes the same keys.
+``batched=False`` swaps only the level evaluator for the per-instance
+reference oracle (one ``model.simulate`` per instance); the walk, its keys,
+level records and retention are the same.  A row's waveform depends only on
+its own model, load and input waveforms, never on which rows share its
+batch, so both evaluators, an ``only=`` cone and each corner of a
+``corners=`` run give bitwise the same waveform for the same inputs.
 
 The level loop is the one way a design is propagated: independent components
 share its levels, and a ``corners=`` request (a
@@ -245,8 +246,8 @@ def waveform_deviation(
     candidate: WaveformTimingResult, reference: WaveformTimingResult
 ) -> float:
     """Maximum per-net |dV| between two timing results (over the reference's
-    nets).  This is THE equivalence metric between the batched and sequential
-    engines — the experiment and the tests compare through it."""
+    nets).  This is THE equivalence metric between the lockstep and oracle
+    evaluators — the experiment and the tests compare through it."""
     return max(
         float(
             np.abs(
@@ -301,11 +302,10 @@ def _frozen(wave: Waveform) -> bool:
 class _SpilledWaveforms(AbstractMapping):
     """Lazy per-net waveform mapping produced by a streaming run.
 
-    Primary inputs (and plain-waveform cache hits) stay resident; every other
-    net holds only a ``(level record key, row)`` pointer and
-    materializes on access through the engine's hot-level LRU — a zero-copy
-    memmap view when the level has to come back from the packed store.  The
-    mapping quacks like the resident result's dict (iteration, ``in``,
+    Primary inputs stay resident; every other net holds only a ``(level
+    record key, row)`` pointer and materializes on access through the
+    engine's hot-level LRU — a zero-copy memmap view when the level has to
+    come back from the packed store.  The mapping quacks like the resident result's dict (iteration, ``in``,
     ``len``, indexing), so reports, deviation checks and arrival queries work
     unchanged; only the memory behaviour differs.
     """
@@ -615,7 +615,7 @@ def create_engine(
     **kwargs,
 ) -> TimingEngine:
     """Engine factory: ``"csm"`` (levelized waveform propagation; pass
-    ``batched=False`` for the per-instance reference path), ``"nldm"`` or
+    ``batched=False`` for the per-instance reference evaluator), ``"nldm"`` or
     ``"hybrid"`` (NLDM everywhere, CSM on the critical cones)."""
     if kind == "csm":
         return CSMEngine(netlist, models, **kwargs)
@@ -993,10 +993,9 @@ class _Plan:
     Model choice, load and propagation ``key`` come from the per-net
     switching flags, the netlist structure and the characterization
     *configuration* — never from a characterized model — so computing them
-    stays cheap on cache hits.  Both level loops decide switching the same
-    way: primary inputs from their original waveforms, a driven net from its
-    samples (a tensor row holds exactly the samples of the oracle's
-    waveform), and a net nobody drives is not switching.
+    stays cheap on cache hits.  The level loop decides switching from
+    primary inputs' original waveforms and driven nets' samples; a net
+    nobody drives is not switching.
     """
 
     instance: GateInstance
@@ -1080,8 +1079,8 @@ class _StreamRetention:
     ):
         self.engine = engine
         self.times = times
-        #: nets whose waveform stays materialized in the result (primary
-        #: inputs and plain-waveform cache hits).
+        #: nets whose waveform stays materialized in the result: the
+        #: primary inputs.
         self.resident: Dict[str, Waveform] = {
             net: wave.renamed(net) for net, wave in input_waveforms.items()
         }
@@ -1104,14 +1103,11 @@ class _StreamRetention:
         # still holds it) keeps old records readable through the open memmap.
         engine._release_stream_pins()
 
-    def keep(
-        self, net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool
-    ) -> None:
-        if pointer is None:
-            self.resident[net] = Waveform(self.times, wave.values, name=net)
-        else:
-            self.pointers[net] = pointer
-            self.live_rows.setdefault(pointer[0], set()).add(net)
+    def keep(self, net: str, wave: Waveform, pointer: _Pointer, shared: bool) -> None:
+        """Nothing is memoized and every computed level is spilled, so
+        every propagated net has a level pointer."""
+        self.pointers[net] = pointer
+        self.live_rows.setdefault(pointer[0], set()).add(net)
 
     def _row(
         self, net: str, pointer: _Pointer, stats: Optional[PropagationStats]
@@ -1230,23 +1226,24 @@ class CSMEngine(TimingEngine):
 
     One level loop serves every run: each instance gets a plan and a
     propagation key, hits are served from the memo or the store, same-level
-    duplicates are integrated once, and the rest of the level is settled and
-    integrated in lockstep and spilled as one level record.  What the loop
-    keeps in RAM is a retention policy chosen from ``memory_mode``; which
-    instances it walks is the row set (all, or the ``only=`` cone).
+    duplicates are integrated once, and the rest of the level is evaluated
+    into one :class:`LevelTensor` and spilled as one level record.  How a
+    level is evaluated is chosen by ``batched``; what the loop keeps in RAM
+    is a retention policy chosen from ``memory_mode``; which instances it
+    walks is the row set (all, or the ``only=`` cone).  The three compose
+    freely.
 
     Parameters
     ----------
     batched:
-        When true (default) each level is carried as one
-        :class:`LevelTensor` with a sample row per instance: instances
-        gather their input rows by index, every level's instances are
-        settled and integrated in lockstep through
-        :func:`~repro.csm.simulate.integrate_model_many`, and the propagation
-        cache spills each level as a single record (per-instance entries
-        become row pointers into it).  When false each instance runs through
-        ``model.simulate`` individually — the reference oracle the batched
-        engine is checked against (bitwise, under the same keys).
+        The level evaluator.  When true (default) a level's pending
+        instances gather their input rows by index and are settled and
+        integrated in lockstep through
+        :func:`~repro.csm.simulate.integrate_model_many`.  When false each
+        runs through ``model.simulate`` on per-pin waveforms — the reference
+        oracle the lockstep evaluator is checked against.  Either way the
+        outputs become the level's tensor, under the same keys, level
+        records and row pointers, bitwise.
     cache:
         Content-addressed disk cache for per-instance output waveforms and
         whole-run results; defaults to the model library's cache.  Every
@@ -1267,7 +1264,8 @@ class CSMEngine(TimingEngine):
         keys either way.  ``"resident"`` keeps every row, memoizes waveforms
         and uses whole-run entries; ``"stream"`` retires rows after their
         last reader, pins the level records its result references and hands
-        back a lazy mapping over them (requires a store and ``batched``).
+        back a lazy mapping over them (requires a store and ``use_cache``:
+        the one flag combination the engine rejects).
     memory_budget_bytes:
         Soft cap on the hot level LRU of a streaming run.
     """
@@ -1304,8 +1302,6 @@ class CSMEngine(TimingEngine):
         #: invalidates it.
         self._carried: Optional[_Carried] = None
         _validate_memory_mode(memory_mode, use_cache, self.cache)
-        if memory_mode == "stream" and not self.batched:
-            raise TimingError("memory_mode='stream' requires batched=True")
         #: ``"resident"`` (default) keeps every propagated waveform in RAM;
         #: ``"stream"`` retires each row once its last reader level consumed
         #: it, keeping only an LRU of hot level tensors bounded by
@@ -1496,9 +1492,9 @@ class CSMEngine(TimingEngine):
         )
         caching = self.use_cache
         streaming = self.memory_mode == "stream"
-        # Only the plain resident batched walk carries its state forward;
-        # the other walks visit every row of their row set, as always.
-        carries = caching and self.batched and not streaming and only is None
+        # Only the plain resident walk carries its state forward; streaming
+        # and ``only=`` walks visit every row of their row set, as always.
+        carries = caching and not streaming and only is None
         carried: Optional[_Carried] = None
         dirty: Set[str] = set()
         net_keys: Dict[str, str] = {}
@@ -1552,8 +1548,8 @@ class CSMEngine(TimingEngine):
 
         # Characterize the SIS models of every receiver pin up front (one
         # cache-aware parallel job set).  Loads then always use characterized
-        # input capacitances, identically for the batched and sequential
-        # paths and independent of instance evaluation order.
+        # input capacitances, identically for both level evaluators and
+        # independent of instance evaluation order.
         self.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
 
         times = simulation_time_grid(t_start, t_stop, self.options)
@@ -1563,40 +1559,33 @@ class CSMEngine(TimingEngine):
             retention = _ResidentRetention(input_waveforms)
         model_used: Dict[str, str] = {}
         stimulus_keys = dict(net_keys)
-        keys = net_keys if caching else None
-        if self.batched:
-            if carries:
-                # The walk writes into the carried state: it is this run's now.
-                self._carried = None
-            state = self._propagate_tensor(
-                levels,
-                input_waveforms,
-                model_used,
-                stats,
-                times,
-                context,
-                keys,
-                retention,
-                carried.state if carried is not None else None,
-                dirty,
-                carries,
+        if carries:
+            # The walk writes into the carried state: it is this run's now.
+            self._carried = None
+        state = self._propagate_tensor(
+            levels,
+            input_waveforms,
+            model_used,
+            stats,
+            times,
+            context,
+            net_keys if caching else None,
+            retention,
+            carried.state if carried is not None else None,
+            dirty,
+            carries,
+        )
+        if carries:
+            self._carried = _Carried(
+                revision=revision,
+                library=self.netlist.library,
+                context=context,
+                stimuli=dict(input_waveforms),
+                stimulus_keys=stimulus_keys,
+                state=state,
             )
-            if carries:
-                self._carried = _Carried(
-                    revision=revision,
-                    library=self.netlist.library,
-                    context=context,
-                    stimuli=dict(input_waveforms),
-                    stimulus_keys=stimulus_keys,
-                    state=state,
-                )
-            if state.net_keys is not None:
-                net_keys = state.net_keys
-        else:
-            self._propagate_sequential(
-                levels, input_waveforms, model_used, stats, times, context, keys, retention
-            )
-            stats.keyed = sum(len(level) for level in levels)
+        if state.net_keys is not None:
+            net_keys = state.net_keys
         waveforms = retention.result()
 
         result = WaveformTimingResult(
@@ -1709,9 +1698,8 @@ class CSMEngine(TimingEngine):
         carry: bool,
     ) -> _LoopState:
         """The level loop: every driven net lives as one row of a
-        :class:`LevelTensor` on the run grid, instances gather their input
-        rows by index, and each level's outputs are scattered into a fresh
-        tensor that the propagation cache spills as a single record.
+        :class:`LevelTensor` on the run grid, and each level's outputs form
+        a fresh tensor that the propagation cache spills as a single record.
 
         ``levels`` is the row set (every instance, or the ``only=`` cone).
         ``retention`` decides what stays in RAM and what the result is.
@@ -1726,7 +1714,9 @@ class CSMEngine(TimingEngine):
         each level's misses — its pending batch — are the ones a full walk
         would find, and the output is bitwise a full walk's.
 
-        Bitwise-equivalence bookkeeping vs the per-waveform oracle:
+        ``batched`` picks the evaluator of each level's pending plans
+        (:meth:`_evaluate_level_tensor` or :meth:`_evaluate_level_oracle`).
+        Bitwise-equivalence bookkeeping between the two:
 
         * driven rows ARE the oracle's waveform sample arrays (same grid,
           same integration), so switching classification and settle initial
@@ -1737,8 +1727,7 @@ class CSMEngine(TimingEngine):
         * stable nets reuse the constant-at-non-controlling-level semantics
           (a constant row interpolates to exactly the level).
         """
-        t_start, t_stop = float(times[0]), float(times[-1])
-        step = float(times[1] - times[0])
+        evaluate = self._evaluate_level_tensor if self.batched else self._evaluate_level_oracle
         threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
         if state is None:
             state = _LoopState({}, {}, {}, net_keys, {} if carry else None)
@@ -1788,9 +1777,7 @@ class CSMEngine(TimingEngine):
             computed: Dict[Optional[str], Tuple[Waveform, Optional[_Pointer]]] = {}
             if pending:
                 retention.restore(pending, rows, stats)
-                tensor = self._evaluate_level_tensor(
-                    pending, rows, initials, times, t_start, step, t_stop
-                )
+                tensor = evaluate(pending, input_waveforms, rows, initials, times)
                 stats.integrations += len(pending)
                 waves = [
                     Waveform(times, tensor.row_values(r), name=plan.output_net)
@@ -1881,15 +1868,15 @@ class CSMEngine(TimingEngine):
     def _evaluate_level_tensor(
         self,
         pending: Sequence[_Plan],
+        input_waveforms: Mapping[str, Waveform],
         rows: Dict[str, np.ndarray],
         initials: Dict[str, float],
         times: np.ndarray,
-        t_start: float,
-        step: float,
-        t_stop: float,
     ) -> LevelTensor:
-        """Settle + integrate one level from sample rows, returning the
-        level's output tensor (one row per pending instance, in order)."""
+        """``batched=True``: settle + integrate one level in lockstep from
+        sample rows, returning the level's output tensor (one row per
+        pending instance, in order)."""
+        t_start, t_stop = float(times[0]), float(times[-1])
         models = [self._model(plan) for plan in pending]
 
         constant_units = []
@@ -1923,8 +1910,50 @@ class CSMEngine(TimingEngine):
                 self._unit(plan, model, {}, initial_output, initial_internal, samples=samples)
             )
         _, outputs = integrate_model_many(units, self.options, t_start, t_stop)
-        values = np.stack([v_out for v_out, _ in outputs])
-        return LevelTensor([plan.output_net for plan in pending], values, t_start, step)
+        return self._level_tensor(pending, [v_out for v_out, _ in outputs], times)
+
+    def _evaluate_level_oracle(
+        self,
+        pending: Sequence[_Plan],
+        input_waveforms: Mapping[str, Waveform],
+        rows: Dict[str, np.ndarray],
+        initials: Dict[str, float],
+        times: np.ndarray,
+    ) -> LevelTensor:
+        """``batched=False``, the reference oracle: one ``model.simulate``
+        per instance (Eqs. (4)/(5)) on per-pin waveforms — the stimulus
+        itself for a primary input, the row for a driven net and the
+        non-controlling constant for a stable one — stacked into the level's
+        tensor."""
+        t_start, t_stop = float(times[0]), float(times[-1])
+        connectivity = self.connectivity
+        outputs = []
+        for plan in pending:
+            waves: Dict[str, Waveform] = {}
+            for pin in plan.pins:
+                net = plan.instance.connections[pin]
+                if net in input_waveforms and connectivity.driver_of(net) is None:
+                    waves[pin] = input_waveforms[net]
+                elif net in rows:
+                    waves[pin] = Waveform(times, rows[net], name=net)
+                else:
+                    level = self._cell(plan.instance).non_controlling_value(pin) * self.vdd
+                    waves[pin] = Waveform.constant(level, t_start, t_stop, name=pin)
+            model = self._model(plan)
+            stimulus = waves[plan.pins[0]] if isinstance(model, SISCSM) else waves
+            simulated = model.simulate(
+                stimulus, plan.load, options=self.options, t_start=t_start, t_stop=t_stop
+            )
+            outputs.append(simulated.output.values)
+        return self._level_tensor(pending, outputs, times)
+
+    @staticmethod
+    def _level_tensor(
+        pending: Sequence[_Plan], outputs: Sequence[np.ndarray], times: np.ndarray
+    ) -> LevelTensor:
+        step = float(times[1] - times[0])
+        names = [plan.output_net for plan in pending]
+        return LevelTensor(names, np.stack(outputs), float(times[0]), step)
 
     # ------------------------------------------------------------------
     # Level records: one writer, one reader, the hot LRU and the pins
@@ -1979,15 +2008,14 @@ class CSMEngine(TimingEngine):
         """Look one propagation key up: the memo (resident runs), then the
         store; counts the provenance on ``stats``.
 
-        Store entries are plain waveforms or ``{"t": "level-row", "level":
-        <key>, "row": <r>}`` pointers left by a level spill, which resolve
-        through :meth:`_level` onto the run grid ``times`` (the context
-        digest embeds the window and options, so a key hit implies the same
-        grid).  Returns the waveform and its level pointer (``None`` for
-        memo hits and plain waveforms); anything unresolvable is a miss and
-        the instance just re-integrates.  ``probe`` reads without claiming a
-        miss in a single-flight store (see :func:`_peek`): for callers that
-        will not store the key themselves.
+        Store entries are ``{"t": "level-row", "level": <key>, "row": <r>}``
+        pointers left by a level spill, which resolve through :meth:`_level`
+        onto the run grid ``times`` (the context digest embeds the window and
+        options, so a key hit implies the same grid).  Returns the waveform
+        and its level pointer (``None`` for memo hits); anything else is a
+        miss and the instance just re-integrates.  ``probe`` reads without
+        claiming a miss in a single-flight store (see :func:`_peek`): for
+        callers that will not store the key themselves.
         """
         if retention.memoize and key in self._memo:
             stats.memo_hits += 1
@@ -1997,30 +2025,19 @@ class CSMEngine(TimingEngine):
         hit, value = (_peek(self.cache) if probe else self.cache.lookup)(key)
         if not hit:
             return None
-        pointer: Optional[_Pointer] = None
-        if isinstance(value, Waveform):
-            if len(value.values) != len(times):
-                return None
-            wave = value
-        elif isinstance(value, dict) and value.get("t") == "level-row":
-            level_key, row = value.get("level"), value.get("row")
-            if not isinstance(level_key, str) or not isinstance(row, int):
-                return None
-            tensor = self._level(level_key, stats, retention)
-            if (
-                tensor is None
-                or tensor.num_samples != len(times)
-                or not 0 <= row < tensor.num_rows
-            ):
-                return None
-            wave = Waveform(times, tensor.row_values(row), name=tensor.names[row])
-            pointer = (level_key, row)
-        else:
+        if not (isinstance(value, dict) and value.get("t") == "level-row"):
             return None
+        level_key, row = value.get("level"), value.get("row")
+        if not isinstance(level_key, str) or not isinstance(row, int):
+            return None
+        tensor = self._level(level_key, stats, retention)
+        if tensor is None or tensor.num_samples != len(times) or not 0 <= row < tensor.num_rows:
+            return None
+        wave = Waveform(times, tensor.row_values(row), name=tensor.names[row])
         stats.cache_hits += 1
         if retention.memoize:
             self._memo[key] = wave
-        return wave, pointer
+        return wave, (level_key, row)
 
     def _level(
         self, level_key: str, stats: Optional[PropagationStats], retention: _Retention
@@ -2085,99 +2102,6 @@ class CSMEngine(TimingEngine):
         for level_key in self._stream_pins:
             self.cache.unpin(level_key)
         self._stream_pins.clear()
-
-    # ------------------------------------------------------------------
-    # The batched=False reference oracle
-    # ------------------------------------------------------------------
-    def _propagate_sequential(
-        self,
-        levels: Sequence[Sequence[GateInstance]],
-        input_waveforms: Mapping[str, Waveform],
-        model_used: Dict[str, str],
-        stats: PropagationStats,
-        times: np.ndarray,
-        context: str,
-        net_keys: Optional[Dict[str, str]],
-        retention: _ResidentRetention,
-    ) -> None:
-        """One ``model.simulate`` per instance, on per-pin waveforms, level
-        by level."""
-        t_start, t_stop = float(times[0]), float(times[-1])
-        waveforms = retention.waveforms
-        switching = {net: self._is_switching(wave) for net, wave in input_waveforms.items()}
-        for level in levels:
-            plans: List[_Plan] = []
-            pending: List[_Plan] = []
-            duplicates: List[_Plan] = []
-            first_keys: Set[str] = set()
-            for instance in level:
-                plan = self._plan(instance, switching, context, net_keys)
-                plans.append(plan)
-                model_used[instance.name] = plan.label
-                if plan.key is None:
-                    pending.append(plan)
-                    continue
-                net_keys[plan.output_net] = plan.key
-                hit = self._read(plan.key, stats, times, retention)
-                if hit is not None:
-                    retention.keep(plan.output_net, *hit, shared=True)
-                elif plan.key in first_keys:
-                    duplicates.append(plan)
-                else:
-                    first_keys.add(plan.key)
-                    pending.append(plan)
-
-            models = [self._model(plan) for plan in pending]
-            for plan, model in zip(pending, models):
-                waves = self._pin_waveforms(plan, waveforms, t_start, t_stop)
-                if isinstance(model, SISCSM):
-                    simulated = model.simulate(
-                        waves[plan.pins[0]],
-                        plan.load,
-                        options=self.options,
-                        t_start=t_start,
-                        t_stop=t_stop,
-                    )
-                else:
-                    simulated = model.simulate(
-                        waves, plan.load, options=self.options, t_start=t_start, t_stop=t_stop
-                    )
-                waveforms[plan.output_net] = simulated.output.renamed(plan.output_net)
-            stats.integrations += len(pending)
-
-            for plan in pending:
-                if plan.key is None:
-                    continue
-                wave = waveforms[plan.output_net]
-                self._memo[plan.key] = wave
-                if self.cache is not None:
-                    self.cache.store(plan.key, wave)
-                    stats.stores += 1
-            for plan in duplicates:
-                stats.duplicates += 1
-                waveforms[plan.output_net] = self._memo[plan.key].renamed(plan.output_net)
-            for plan in plans:
-                switching[plan.output_net] = self._is_switching(waveforms[plan.output_net])
-
-    def _pin_waveforms(
-        self,
-        plan: _Plan,
-        waveforms: Mapping[str, Waveform],
-        t_start: float,
-        t_stop: float,
-    ) -> Dict[str, Waveform]:
-        cell = self._cell(plan.instance)
-        result: Dict[str, Waveform] = {}
-        for pin in plan.pins:
-            net = plan.instance.connections[pin]
-            if net in waveforms:
-                result[pin] = waveforms[net]
-            else:
-                # A stable net: hold the pin at its non-controlling value so
-                # that the cell is sensitized through the switching pin(s).
-                level = cell.non_controlling_value(pin) * self.vdd
-                result[pin] = Waveform.constant(level, t_start, t_stop, name=pin)
-        return result
 
     def _unit(
         self,

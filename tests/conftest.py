@@ -8,6 +8,8 @@ a coarse grid) and shared by every test that needs them.
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
+from typing import Dict
 
 import pytest
 
@@ -18,9 +20,10 @@ from repro.characterization import (
     characterize_mcsm,
     characterize_sis,
 )
-from repro.runtime import PackedStore
+from repro.runtime import PackedStore, ProcessExecutor
 from repro.sta import TimingModelLibrary
 from repro.sta.generate import DEFAULT_DAG_CELLS
+from repro.sta.mmmc import CornerSet
 from repro.technology import default_technology
 
 
@@ -94,30 +97,50 @@ def experiment_context(fast_config):
 
 
 @pytest.fixture(scope="session")
-def warm_characterization(tmp_path_factory, library, fast_config):
-    """A store directory holding the SIS, MIS and NLDM characterizations of
-    the cells generated DAGs are made of, at ``fast_config``.
+def warm_characterization(tmp_path_factory, technology, fast_config):
+    """``warm_characterization(corner)``: a store directory holding the SIS,
+    MIS and NLDM characterizations of the cells generated DAGs are made of,
+    for one standard corner at ``fast_config`` (``"TT"`` characterizes as the
+    default technology).
 
-    Built once per session (17 jobs, ~10-14 s on a 2-vCPU host) instead of
-    once in every module that times such a design; the store is never
-    written again after this fixture returns.
+    Each corner is built on its first request, once per session (17 jobs on
+    two worker processes, ~7-8 s on a 2-vCPU host), instead of in every
+    module or test that times a design at that corner; its store is never
+    written again.
     """
-    directory = tmp_path_factory.mktemp("warm-characterization")
-    store = PackedStore(directory)
-    models = TimingModelLibrary(library=library, config=fast_config, cache=store)
-    models.prewarm(cells=[library[name] for name in DEFAULT_DAG_CELLS], include_nldm=True)
-    store.close()
-    return directory
+    directories: Dict[str, Path] = {}
+
+    def build(corner: str) -> Path:
+        if corner not in directories:
+            directory = tmp_path_factory.mktemp(f"warm-characterization-{corner}")
+            executor = ProcessExecutor(max_workers=2)
+            models = CornerSet.from_names(
+                [corner], technology=technology, config=fast_config, executor=executor
+            ).reference.models
+            models.cache = PackedStore(directory)
+            try:
+                models.prewarm(
+                    cells=[models.library[name] for name in DEFAULT_DAG_CELLS],
+                    include_nldm=True,
+                )
+            finally:
+                executor.shutdown()
+            models.cache.close()
+            directories[corner] = directory
+        return directories[corner]
+
+    return build
 
 
 @pytest.fixture(scope="session")
 def warm_store(tmp_path_factory, warm_characterization):
-    """``warm_store(name)``: a new store that starts as a copy of the warm
-    characterization store.  What a module writes stays in its own copy."""
+    """``warm_store(name, corner="TT")``: a new store that starts as a copy of
+    the corner's warm characterization store.  What a module writes stays in
+    its own copy."""
 
-    def copy(name: str) -> PackedStore:
+    def copy(name: str, corner: str = "TT") -> PackedStore:
         directory = tmp_path_factory.mktemp(name)
-        shutil.copytree(warm_characterization, directory, dirs_exist_ok=True)
+        shutil.copytree(warm_characterization(corner), directory, dirs_exist_ok=True)
         return PackedStore(directory)
 
     return copy
@@ -128,16 +151,28 @@ def warm_up(warm_store):
     """``warm_up(models)``: load the DAG cells' characterizations into a
     store-less model library through a copy of the warm store, then drop the
     store again, so its engines still keep propagation results in memory
-    only.  Returns ``models``."""
+    only.  Returns ``models``.
 
-    def load(models: TimingModelLibrary) -> TimingModelLibrary:
+    A :class:`CornerSet` warms every corner's model library from that
+    corner's warm store; a plain model library is the default technology's,
+    i.e. ``"TT"``.
+    """
+
+    def load_corner(models: TimingModelLibrary, corner: str) -> None:
         assert models.cache is None
-        models.cache = warm_store("models")
+        models.cache = warm_store("models", corner)
         executed = models.prewarm(
             cells=[models.library[name] for name in DEFAULT_DAG_CELLS], include_nldm=True
         )
-        assert executed == 0, "these models are not the warm store's"
+        assert executed == 0, f"these models are not the {corner} warm store's"
         models.cache = None
-        return models
+
+    def load(target):
+        if isinstance(target, CornerSet):
+            for context in target.contexts:
+                load_corner(context.models, context.name)
+        else:
+            load_corner(target, "TT")
+        return target
 
     return load

@@ -724,12 +724,15 @@ class TestCarriedState:
         depth=st.integers(min_value=2, max_value=4),
         seed=st.integers(min_value=0, max_value=10_000),
         edit_seed=st.integers(min_value=0, max_value=10_000),
+        batched=st.booleans(),
     )
     # A draw whose 10th edit re-batches a level so that 3 nets moved by up
     # to 7.5e-14 V while a lockstep group could stop stepping early.
-    @example(width=5, depth=3, seed=10000, edit_seed=0)
+    @example(width=5, depth=3, seed=10000, edit_seed=0, batched=True)
+    # The per-instance oracle carries its state across edits the same way.
+    @example(width=5, depth=3, seed=10000, edit_seed=0, batched=False)
     def test_carried_runs_equal_fresh_engines_bitwise(
-        self, library, models, options, width, depth, seed, edit_seed
+        self, library, models, options, width, depth, seed, edit_seed, batched
     ):
         netlist = generate_netlist(library, f"dag:w{width}:d{depth}:s{seed}")
         t_stop = default_time_window(netlist)
@@ -737,7 +740,9 @@ class TestCarriedState:
         for wave in waveforms.values():
             wave.values.setflags(write=False)
             wave.times.setflags(write=False)
-        engine = CSMEngine(netlist, models, options=options, cache=_DictStore())
+        engine = CSMEngine(
+            netlist, models, options=options, batched=batched, cache=_DictStore()
+        )
         engine.run(waveforms, t_stop=t_stop)
         rng = np.random.default_rng(edit_seed)
         undo = []
@@ -757,7 +762,9 @@ class TestCarriedState:
             if rng.random() < 0.5:
                 continue
             result = engine.run(waveforms, t_stop=t_stop)
-            fresh = CSMEngine(netlist, models, options=options, cache=_DictStore())
+            fresh = CSMEngine(
+                netlist, models, options=options, batched=batched, cache=_DictStore()
+            )
             expected = fresh.run(waveforms, t_stop=t_stop)
             assert result.stats["keyed"] <= len(region)
             assert engine.last_run_key == fresh.last_run_key

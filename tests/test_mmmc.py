@@ -60,8 +60,7 @@ def corner_set(technology, warm_up):
         technology=technology,
         config=CharacterizationConfig(io_grid_points=5),
     )
-    warm_up(corner_set.reference.models)  # TT characterizes as the default technology
-    return corner_set
+    return warm_up(corner_set)
 
 
 @pytest.fixture(scope="module")

@@ -265,12 +265,16 @@ def test_resident_and_stream_runs_match_recorded_digests(
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_mmmc_run_matches_recorded_digests(digest_run, technology, fast_config, cpus, monkeypatch):
+def test_mmmc_run_matches_recorded_digests(
+    digest_run, technology, fast_config, warm_up, cpus, monkeypatch
+):
     # The removed fused all-corner pass ran on 1 CPU and gave other FF values
     # than the 2-CPU split; per-corner runs must give the same digests on both.
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _, stimuli, t_stop, options = digest_run
-    corners = CornerSet.from_names(["TT", "FF"], technology=technology, config=fast_config)
+    corners = warm_up(
+        CornerSet.from_names(["TT", "FF"], technology=technology, config=fast_config)
+    )
     netlist = generate_netlist(corners.reference.library, _RECORDED["spec"])
     result = CSMEngine(
         netlist,

@@ -287,8 +287,7 @@ class TestBatchIndependence:
         corner_set = CornerSet.from_names(
             ["TT", "FF"], technology=technology, config=CharacterizationConfig(io_grid_points=5)
         )
-        warm_up(corner_set.reference.models)  # TT characterizes as the default technology
-        return corner_set
+        return warm_up(corner_set)
 
     @settings(max_examples=6, deadline=None)
     @given(

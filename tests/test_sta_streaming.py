@@ -152,8 +152,8 @@ class TestCSMStreamingEquivalence:
         stats = streaming.last_stats
         assert stats.spills > 0
 
-    def test_stream_requires_cache_and_tensor_path(
-        self, reference_netlist, models, options, tmp_path
+    def test_stream_requires_a_store_and_streams_the_oracle_bitwise(
+        self, library, reference_netlist, models, options, tmp_path
     ):
         with pytest.raises(TimingError):
             CSMEngine(
@@ -163,16 +163,25 @@ class TestCSMStreamingEquivalence:
                 cache=None,
                 memory_mode="stream",
             )
-        store = PackedStore(tmp_path / "unused")
-        with pytest.raises(TimingError):
-            CSMEngine(
-                reference_netlist,
-                models,
-                options=options,
-                cache=store,
-                memory_mode="stream",
-                batched=False,
-            )
+        # The per-instance oracle streams like the lockstep evaluator: a
+        # zero budget faults retired levels back, bitwise the resident run.
+        netlist = generate_netlist(library, "dag:w8:d4:s3")
+        waveforms = primary_input_waveforms(netlist, seed=0)
+        resident = CSMEngine(
+            netlist, models, options=options, batched=False, use_cache=False
+        ).run(waveforms)
+        store = PackedStore(tmp_path / "oracle")
+        streaming = CSMEngine(
+            netlist,
+            models,
+            options=options,
+            cache=store,
+            memory_mode="stream",
+            memory_budget_bytes=0,
+            batched=False,
+        )
+        _assert_bitwise_equal(streaming.run(waveforms), resident)
+        assert streaming.last_stats.spills > 0
         with pytest.raises(TimingError):
             CSMEngine(
                 reference_netlist,

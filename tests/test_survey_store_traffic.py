@@ -225,9 +225,13 @@ class TestNLDMPerLevelCommit:
         assert engine.last_stats == plain.last_stats
         assert result.events == expected.events
 
-    def test_multicorner_commits_once_per_level(self, technology, tmp_path):
-        corners = CornerSet.from_names(
-            ["TT", "FF"], technology=technology, config=CharacterizationConfig(io_grid_points=5)
+    def test_multicorner_commits_once_per_level(self, technology, tmp_path, warm_up):
+        corners = warm_up(
+            CornerSet.from_names(
+                ["TT", "FF"],
+                technology=technology,
+                config=CharacterizationConfig(io_grid_points=5),
+            )
         )
         netlist = _twin_netlist(corners.reference.library)
         events = primary_input_events(netlist, seed=0)
