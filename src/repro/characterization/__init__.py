@@ -26,7 +26,7 @@ from .dc_tables import (
     characterize_mis_current,
     characterize_sis_current,
 )
-from .nldm import NLDMTable, characterize_nldm
+from .nldm import NLDMTable, characterize_nldm, characterize_nldm_arcs
 from .probe import ProbeBench
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "characterize_baseline_mis",
     "characterize_mcsm",
     "characterize_nldm",
+    "characterize_nldm_arcs",
     "characterization_job",
     "characterization_key",
     "run_characterization",

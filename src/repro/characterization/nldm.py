@@ -20,10 +20,10 @@ from ..exceptions import CharacterizationError
 from ..lut.grid import Axis
 from ..lut.table import NDTable
 from ..spice.sources import SaturatedRamp
-from ..spice.transient import TransientOptions, transient_analysis
+from ..spice.transient import TransientAnalysis, TransientOptions
 from ..waveform.metrics import propagation_delay, transition_time
 
-__all__ = ["NLDMTable", "characterize_nldm"]
+__all__ = ["NLDMTable", "characterize_nldm", "characterize_nldm_arcs"]
 
 
 @dataclass
@@ -74,6 +74,115 @@ class NLDMTable:
         return self.delay_table.out_of_range(np.column_stack((input_slews, loads)))
 
 
+#: Every characterization ramp starts here (s).
+_RAMP_START = 100e-12
+
+#: Window after the end of the input ramp (s); the output settles well inside
+#: it for every slew and load the libraries characterize.
+_SETTLE_TIME = 600e-12
+
+
+def _arc_conditions(cell: Cell, pin: str, input_rise: bool) -> Tuple[bool, Dict[str, float]]:
+    """``(output_rise, side-pin voltages)`` of one timing arc.  The side
+    pins sit at their non-controlling values."""
+    if pin not in cell.inputs:
+        raise CharacterizationError(f"cell {cell.name!r} has no input pin {pin!r}")
+    out_initial = cell.output_for_pin(pin, 0 if input_rise else 1)
+    out_final = cell.output_for_pin(pin, 1 if input_rise else 0)
+    if out_initial == out_final:
+        raise CharacterizationError(
+            f"pin {pin!r} of cell {cell.name!r} does not toggle the output for this edge"
+        )
+    vdd = cell.technology.vdd
+    fixed = {
+        other: cell.non_controlling_value(other) * vdd for other in cell.inputs if other != pin
+    }
+    return out_final == 1, fixed
+
+
+def characterize_nldm_arcs(
+    cell: Cell,
+    arcs: Optional[Sequence[Tuple[str, bool]]] = None,
+    input_slews: Sequence[float] = (20e-12, 50e-12, 100e-12, 200e-12),
+    loads: Sequence[float] = (2e-15, 5e-15, 10e-15, 20e-15, 40e-15),
+    time_step: float = 1e-12,
+) -> Tuple[NLDMTable, ...]:
+    """Characterize NLDM timing arcs of one cell against the reference simulator.
+
+    ``arcs`` lists ``(pin, input_rise)`` pairs; by default every input pin
+    with both edges, in ``cell.inputs`` order.  The remaining inputs of an
+    arc are held at their non-controlling values and the output edge
+    direction follows from the cell's logic function.
+
+    The arcs run as one :meth:`~repro.spice.transient.TransientAnalysis.run_many`
+    per input slew whose runs are every arc x load at that slew.  The
+    testbench holds every input at DC, so a batch's time grid carries only
+    the ramp's two breakpoints, which all its runs share: every run's grid is
+    its own scalar grid and each table equals the one scalar
+    ``transient_analysis`` runs per (slew, load) give, bitwise.
+    """
+    if arcs is None:
+        arcs = [(pin, rise) for pin in cell.inputs for rise in (True, False)]
+    if len(input_slews) < 2 or len(loads) < 2:
+        raise CharacterizationError("need at least two input slews and two loads")
+    specs = [(pin, rise, *_arc_conditions(cell, pin, rise)) for pin, rise in arcs]
+    vdd = cell.technology.vdd
+
+    bench = build_testbench(cell, load_capacitance=loads[0])
+    sources = bench.input_source_names
+    engine = TransientAnalysis(
+        bench.circuit, TransientOptions(time_step=time_step, record_source_currents=False)
+    )
+    delays = np.empty((len(specs), len(input_slews), len(loads)))
+    slews = np.empty_like(delays)
+    for i, input_slew in enumerate(input_slews):
+        stimulus_sets = []
+        for pin, input_rise, _, fixed in specs:
+            ramp = SaturatedRamp(
+                0.0 if input_rise else vdd,
+                vdd if input_rise else 0.0,
+                _RAMP_START,
+                input_slew,
+            )
+            stimuli = {sources[pin]: ramp, **{sources[o]: v for o, v in fixed.items()}}
+            stimulus_sets.extend([stimuli] * len(loads))
+        results = engine.run_many(
+            stimulus_sets,
+            t_stop=_RAMP_START + input_slew + _SETTLE_TIME,
+            record_nodes=[*cell.inputs, cell.output],
+            capacitances=[{bench.load_capacitor_name: load} for load in loads] * len(specs),
+        )
+        for run, result in enumerate(results):
+            a, j = divmod(run, len(loads))
+            pin, input_rise, output_rise, _ = specs[a]
+            output_wave = result.waveform(cell.output)
+            delays[a, i, j] = propagation_delay(
+                result.waveform(pin),
+                output_wave,
+                vdd,
+                input_direction="rise" if input_rise else "fall",
+                output_direction="rise" if output_rise else "fall",
+            )
+            slews[a, i, j] = transition_time(
+                output_wave, vdd, direction="rise" if output_rise else "fall"
+            )
+
+    slew_axis = Axis("input_slew", tuple(float(s) for s in input_slews))
+    load_axis = Axis("load", tuple(float(c) for c in loads))
+    return tuple(
+        NLDMTable(
+            cell_name=cell.name,
+            pin=pin,
+            input_rise=input_rise,
+            output_rise=output_rise,
+            delay_table=NDTable((slew_axis, load_axis), delays[a], name=f"{cell.name}.delay[{pin}]"),
+            slew_table=NDTable((slew_axis, load_axis), slews[a], name=f"{cell.name}.slew[{pin}]"),
+            vdd=vdd,
+        )
+        for a, (pin, input_rise, output_rise, _) in enumerate(specs)
+    )
+
+
 def characterize_nldm(
     cell: Cell,
     pin: Optional[str] = None,
@@ -82,71 +191,9 @@ def characterize_nldm(
     loads: Sequence[float] = (2e-15, 5e-15, 10e-15, 20e-15, 40e-15),
     time_step: float = 1e-12,
 ) -> NLDMTable:
-    """Characterize one NLDM timing arc against the reference simulator.
-
-    The remaining inputs are held at their non-controlling values.  The
-    output edge direction follows from the cell's logic function.
-    """
-    pin = pin or cell.inputs[0]
-    if pin not in cell.inputs:
-        raise CharacterizationError(f"cell {cell.name!r} has no input pin {pin!r}")
-    vdd = cell.technology.vdd
-    if len(input_slews) < 2 or len(loads) < 2:
-        raise CharacterizationError("need at least two input slews and two loads")
-
-    out_initial = cell.output_for_pin(pin, 0 if input_rise else 1)
-    out_final = cell.output_for_pin(pin, 1 if input_rise else 0)
-    if out_initial == out_final:
-        raise CharacterizationError(
-            f"pin {pin!r} of cell {cell.name!r} does not toggle the output for this edge"
-        )
-    output_rise = out_final == 1
-
-    fixed = {
-        other: cell.non_controlling_value(other) * vdd
-        for other in cell.inputs
-        if other != pin
-    }
-
-    delays = np.empty((len(input_slews), len(loads)))
-    slews = np.empty((len(input_slews), len(loads)))
-    start_time = 100e-12
-    for i, input_slew in enumerate(input_slews):
-        for j, load in enumerate(loads):
-            ramp = SaturatedRamp(
-                0.0 if input_rise else vdd,
-                vdd if input_rise else 0.0,
-                start_time,
-                input_slew,
-            )
-            bench = build_testbench(cell, {pin: ramp, **fixed}, load_capacitance=load)
-            t_stop = start_time + input_slew + max(30 * load * 1e12 * 1e-12, 600e-12)
-            result = transient_analysis(
-                bench.circuit,
-                t_stop=t_stop,
-                options=TransientOptions(time_step=time_step, record_source_currents=False),
-            )
-            input_wave = result.waveform(pin)
-            output_wave = result.waveform(cell.output)
-            delays[i, j] = propagation_delay(
-                input_wave,
-                output_wave,
-                vdd,
-                input_direction="rise" if input_rise else "fall",
-                output_direction="rise" if output_rise else "fall",
-            )
-            slews[i, j] = transition_time(
-                output_wave, vdd, direction="rise" if output_rise else "fall"
-            )
-
-    slew_axis = Axis("input_slew", tuple(float(s) for s in input_slews))
-    load_axis = Axis("load", tuple(float(c) for c in loads))
-    return NLDMTable(
-        cell_name=cell.name,
-        pin=pin,
-        input_rise=input_rise,
-        output_rise=output_rise,
-        delay_table=NDTable((slew_axis, load_axis), delays, name=f"{cell.name}.delay[{pin}]"),
-        slew_table=NDTable((slew_axis, load_axis), slews, name=f"{cell.name}.slew[{pin}]"),
-        vdd=vdd,
+    """Characterize one NLDM timing arc: :func:`characterize_nldm_arcs`
+    restricted to ``(pin, input_rise)`` (``pin`` defaults to the first input)."""
+    [table] = characterize_nldm_arcs(
+        cell, [(pin or cell.inputs[0], input_rise)], input_slews, loads, time_step
     )
+    return table

@@ -28,15 +28,15 @@ entering the positive terminal of voltage source ``j`` from the circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgesv as _dgesv
 
-from ..exceptions import ConvergenceError, NetlistError
+from ..exceptions import AnalysisError, ConvergenceError, NetlistError
 from ..technology.mosfet import MosfetBank
-from .elements import CurrentSource, Mosfet, Resistor, VoltageSource
+from .elements import Capacitor, CurrentSource, Mosfet, Resistor, VoltageSource
 from .netlist import GROUND, Circuit
 
 __all__ = ["MNAAssembler", "NewtonOptions", "newton_solve", "newton_solve_many"]
@@ -229,11 +229,16 @@ class MNAAssembler:
         self._cs_pos = np.asarray(cs_pos, dtype=np.intp)
 
         # -- capacitor branches ----------------------------------------------
-        branches = [
-            (self._index(a), self._index(b), c)
-            for a, b, c in self.circuit.capacitor_branch_list()
-            if c > 0.0
-        ]
+        # ``capacitor_branch_list`` order; a ``Capacitor`` element's branch
+        # position is kept so a batched run can give it per-run values.
+        branches: List[Tuple[int, int, float]] = []
+        self._capacitor_branch: Dict[str, int] = {}
+        for element in self.circuit.elements:
+            for a, b, c in element.capacitor_branches():
+                if c > 0.0:
+                    if isinstance(element, Capacitor):
+                        self._capacitor_branch[element.name] = len(branches)
+                    branches.append((self._index(a), self._index(b), c))
         self._cap_values = np.asarray([c for _, _, c in branches])
         self._cap_a = np.asarray([padded(a) for a, _, _ in branches], dtype=np.intp)
         self._cap_b = np.asarray([padded(b) for _, b, _ in branches], dtype=np.intp)
@@ -296,20 +301,42 @@ class MNAAssembler:
             matrix[b, a] -= g
 
     # ------------------------------------------------------------------
-    def capacitor_companion_matrix(self, dt: float) -> np.ndarray:
-        """Conductance contribution ``C / dt`` of all capacitive branches."""
+    def capacitor_values(self, overrides: Mapping[str, float]) -> np.ndarray:
+        """The branch capacitances with ``overrides`` (``Capacitor`` element
+        name -> farads) applied, in the form ``cap_values=`` takes below."""
+        values = self._cap_values.copy()
+        for name, farads in overrides.items():
+            if name not in self._capacitor_branch:
+                raise AnalysisError(
+                    f"circuit {self.circuit.name!r} has no capacitor {name!r} with a positive value"
+                )
+            if not farads > 0.0:
+                raise AnalysisError(f"capacitor {name!r} needs a positive value, got {farads!r}")
+            values[self._capacitor_branch[name]] = float(farads)
+        return values
+
+    def capacitor_companion_matrix(
+        self, dt: float, cap_values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Conductance contribution ``C / dt`` of all capacitive branches
+        (``cap_values`` replaces the circuit's branch capacitances)."""
+        cap_values = self._cap_values if cap_values is None else cap_values
         matrix = np.zeros((self.size, self.size))
-        if len(self._cap_values):
-            values = (self._cap_values / dt)[self._cap_branch] * self._cap_sign
+        if len(cap_values):
+            values = (cap_values / dt)[self._cap_branch] * self._cap_sign
             np.add.at(matrix.ravel(), self._cap_flat, values)
         return matrix
 
-    def capacitor_companion_rhs(self, dt: float, previous: np.ndarray) -> np.ndarray:
+    def capacitor_companion_rhs(
+        self, dt: float, previous: np.ndarray, cap_values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Right-hand-side contribution of capacitor branches (backward Euler).
 
         ``previous`` may be a single solution vector ``(size,)`` or a batch
-        ``(B, size)``; the result has the matching shape.
+        ``(B, size)``; the result has the matching shape.  ``cap_values``
+        replaces the branch capacitances, per run when it is ``(B, branches)``.
         """
+        cap_values = self._cap_values if cap_values is None else cap_values
         previous = np.asarray(previous, dtype=float)
         batched = previous.ndim == 2
         shape = previous.shape[:-1] + (self.size,)
@@ -319,7 +346,7 @@ class MNAAssembler:
         padded_shape = previous.shape[:-1] + (self.size + 1,)
         padded = np.zeros(padded_shape)
         padded[..., : self.size] = previous
-        g_times_v = (self._cap_values / dt) * (
+        g_times_v = (cap_values / dt) * (
             padded[..., self._cap_a] - padded[..., self._cap_b]
         )
         contributions = self._cap_rhs_sign * g_times_v[..., self._cap_rhs_branch]
@@ -420,7 +447,7 @@ class MNAAssembler:
             ``(B, num_current_sources)``.
         cap_matrix:
             Shared companion-conductance matrix (same topology and dt for all
-            runs), or ``None`` for DC.
+            runs), one per run (shape ``(B, size, size)``), or ``None`` for DC.
         cap_rhs:
             Per-run companion right-hand sides, shape ``(B, size)``.
 
@@ -580,8 +607,9 @@ def newton_solve_many(
 ) -> np.ndarray:
     """Damped Newton-Raphson over a batch of ``B`` independent bias points.
 
-    All runs share the circuit topology (and companion conductances); each run
-    has its own source values and candidate solution.  Runs drop out of the
+    All runs share the circuit topology (and, unless ``cap_matrix`` is given
+    per run, the companion conductances); each run has its own source values
+    and candidate solution.  Runs drop out of the
     iteration as soon as they individually satisfy the tolerances: each
     subsequent iteration assembles and factorizes only the *active*
     (non-converged) subset, so wide batches with a few straggling runs don't
@@ -613,7 +641,7 @@ def newton_solve_many(
             solutions[subset],
             vs_values[subset],
             cs_values[subset],
-            cap_matrix,
+            cap_matrix if cap_matrix is None or cap_matrix.ndim == 2 else cap_matrix[subset],
             None if cap_rhs is None else cap_rhs[subset],
         )
         try:

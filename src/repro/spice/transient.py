@@ -11,10 +11,11 @@ whole time grid with one vectorized call, the ``static + C/dt`` base matrix
 (and, for linear circuits, its LU factorization) is cached per distinct time
 step, node waveforms are recorded into preallocated ``(num_nodes, num_steps)``
 arrays instead of per-step list appends, and :meth:`TransientAnalysis.run_many`
-integrates a whole batch of stimulus variants of the same circuit in lockstep
-through the batched Newton solver (one ``np.linalg.solve`` over ``(B, n, n)``
-per iteration).  The capacitance-characterization flows use that to run all
-their ramp variants simultaneously.
+integrates a whole batch of stimulus (and capacitor-value) variants of the
+same circuit in lockstep through the batched Newton solver (one
+``np.linalg.solve`` over ``(B, n, n)`` per iteration).  The capacitance and
+NLDM characterization flows use that to run all their ramp (and load)
+variants simultaneously.
 """
 
 from __future__ import annotations
@@ -181,6 +182,25 @@ class TransientAnalysis:
             step_cache[key] = cached
         return cached
 
+    def _row_step_cache_entry(
+        self, step_cache: Dict[float, tuple], dt: float, row_caps: np.ndarray
+    ):
+        """Per-run companion matrices (and linear LUs) for ``(B, branches)``
+        capacitances, cached like :meth:`_step_cache_entry`: under
+        ``round(dt, 18)`` with the first dt seen, so every run's matrix is
+        the one its own scalar :meth:`run` would build."""
+        key = round(dt, 18)
+        cached = step_cache.get(key)
+        if cached is None:
+            assembler = self.assembler
+            cap_matrices = np.stack(
+                [assembler.capacitor_companion_matrix(dt, values) for values in row_caps]
+            )
+            lus = [assembler.linear_lu(m) for m in cap_matrices] if assembler.is_linear else None
+            cached = (cap_matrices, lus)
+            step_cache[key] = cached
+        return cached
+
     def _sample_sources(self, times: np.ndarray, overrides: Optional[Mapping[str, Stimulus]] = None):
         """Pre-sample every source stimulus over the whole grid.
 
@@ -303,16 +323,26 @@ class TransientAnalysis:
         t_start: float = 0.0,
         initial_voltages: Optional[Dict[str, float]] = None,
         record_nodes: Optional[Sequence[str]] = None,
+        capacitances: Optional[Sequence[Mapping[str, float]]] = None,
     ) -> List[TransientResult]:
         """Integrate several stimulus variants of this circuit in lockstep.
 
         Every entry of ``stimulus_sets`` maps *source element names* to the
         stimulus that run should apply (bare numbers become DC values); sources
-        not listed keep the stimulus currently attached to the circuit.  All
-        runs share one time grid — the union of every run's breakpoints — and
-        every integration step solves all runs through one batched Newton
-        iteration, which is dramatically faster than sequential runs for the
-        characterization sweeps.
+        not listed keep the stimulus currently attached to the circuit.
+        ``capacitances``, when given, has one entry per run mapping
+        ``Capacitor`` element names to that run's value in farads (positive;
+        capacitors not listed keep the circuit's value), so each run can
+        carry its own load.  Every integration step solves all runs through
+        one batched Newton iteration, which is dramatically faster than
+        sequential runs for the characterization sweeps.
+
+        All runs share one time grid: the base grid plus the breakpoints of
+        every run's overriding stimuli *and* of the stimuli attached to the
+        circuit, even where every run overrides them.  A run therefore equals
+        its scalar :meth:`run` bitwise (on a circuit carrying its stimuli and
+        capacitor values) when the grid is that run's own, i.e. when all runs
+        and the attached stimuli share one breakpoint set.
 
         Returns one :class:`TransientResult` per entry, in order.
         """
@@ -320,6 +350,10 @@ class TransientAnalysis:
             raise AnalysisError("t_stop must be greater than t_start")
         if not stimulus_sets:
             return []
+        if capacitances is not None and len(capacitances) != len(stimulus_sets):
+            raise AnalysisError(
+                f"{len(capacitances)} capacitance sets for {len(stimulus_sets)} runs"
+            )
 
         assembler = self.assembler
         known_sources = {s.name for s in assembler.voltage_sources} | {
@@ -350,6 +384,11 @@ class TransientAnalysis:
         for run, resolved in enumerate(overrides):
             vs_all[run], cs_all[run] = self._sample_sources(times, overrides=resolved)
 
+        row_caps = (
+            None
+            if capacitances is None
+            else np.stack([assembler.capacitor_values(values) for values in capacitances])
+        )
         solutions = self._initial_solutions_many(initial_voltages, times[0], vs_all, cs_all, overrides)
 
         node_gather, branch_gather = self._recording_plan(nodes)
@@ -377,15 +416,23 @@ class TransientAnalysis:
             if dt <= 0:
                 record(step, solutions)
                 continue
-            cap_matrix, _, lu = self._step_cache_entry(step_cache, dt)
-            cap_rhs = assembler.capacitor_companion_rhs(dt, solutions)
+            if row_caps is None:
+                cap_matrix, _, lu = self._step_cache_entry(step_cache, dt)
+            else:
+                cap_matrix, lu = self._row_step_cache_entry(step_cache, dt, row_caps)
+            cap_rhs = assembler.capacitor_companion_rhs(dt, solutions, row_caps)
             vs_step = vs_all[:, :, step]
             cs_step = cs_all[:, :, step]
             if lu is not None:
                 rhs = np.empty((batch, assembler.size))
                 for run in range(batch):
                     rhs[run] = assembler.build_rhs(cap_rhs[run], vs_step[run], cs_step[run])
-                solutions = lu_solve(lu, rhs.T, check_finite=False).T
+                if row_caps is None:
+                    solutions = lu_solve(lu, rhs.T, check_finite=False).T
+                else:
+                    solutions = np.stack(
+                        [lu_solve(factors, b, check_finite=False) for factors, b in zip(lu, rhs)]
+                    )
             else:
                 solutions = newton_solve_many(
                     assembler,

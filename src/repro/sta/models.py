@@ -4,7 +4,8 @@ A :class:`TimingModelLibrary` characterizes and caches the models the engines
 need: NLDM tables per timing arc for the voltage-based engine, and SIS /
 baseline-MIS / MCSM current-source models for the waveform-propagation
 engine.  Characterization is expensive (it runs the reference simulator), so
-every model is built exactly once per (cell, pins) key — and, since every
+every model is built exactly once per (cell, pins) key, and every NLDM table
+once per cell (all of a cell's arcs are one job).  Since every
 characterization runs as a content-addressed :mod:`repro.runtime` job, a
 library wired to a :class:`~repro.runtime.store.PackedStore` never recomputes
 a model that *any* previous session already built: engine construction over a
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..cells.cell import Cell
 from ..cells.library import CellLibrary
@@ -33,6 +34,11 @@ from ..runtime.executor import Executor, run_jobs
 from ..runtime.jobs import Job
 
 __all__ = ["TimingModelLibrary"]
+
+
+def _by_arc(tables: Sequence[NLDMTable]) -> Dict[Tuple[str, bool], NLDMTable]:
+    """A cell's NLDM tables keyed by ``(pin, input_rise)``."""
+    return {(table.pin, table.input_rise): table for table in tables}
 
 
 @dataclass
@@ -68,7 +74,7 @@ class TimingModelLibrary:
     _sis: Dict[Tuple[str, str], SISCSM] = field(default_factory=dict, repr=False)
     _mis: Dict[Tuple[str, str, str], BaselineMISCSM] = field(default_factory=dict, repr=False)
     _mcsm: Dict[Tuple[str, str, str], MCSM] = field(default_factory=dict, repr=False)
-    _nldm: Dict[Tuple[str, str, bool], NLDMTable] = field(default_factory=dict, repr=False)
+    _nldm: Dict[str, Dict[Tuple[str, bool], NLDMTable]] = field(default_factory=dict, repr=False)
 
     def __getstate__(self):
         # Worker pools are not picklable; a library shipped to a worker
@@ -119,19 +125,19 @@ class TimingModelLibrary:
             self._mis[key] = self._characterized("mis", cell, (pin_a, pin_b))
         return self._mis[key]
 
+    def _nldm_job(self, cell: Cell) -> Job:
+        return nldm_characterization_job(cell, self.nldm_input_slews, self.nldm_loads)
+
     def nldm_table(self, cell_name: str, pin: str, input_rise: bool) -> NLDMTable:
-        key = (cell_name, pin, input_rise)
-        if key not in self._nldm:
-            job = nldm_characterization_job(
-                self.cell(cell_name),
-                pin,
-                input_rise=input_rise,
-                input_slews=self.nldm_input_slews,
-                loads=self.nldm_loads,
-            )
-            [result] = self._run_jobs([job], parallel=False)
-            self._nldm[key] = result.value
-        return self._nldm[key]
+        """One arc's tables; the first call for a cell characterizes (or
+        loads) every arc of that cell."""
+        if cell_name not in self._nldm:
+            [result] = self._run_jobs([self._nldm_job(self.cell(cell_name))], parallel=False)
+            self._nldm[cell_name] = _by_arc(result.value)
+        try:
+            return self._nldm[cell_name][(pin, input_rise)]
+        except KeyError:
+            raise TimingError(f"cell {cell_name!r} has no NLDM arc on pin {pin!r}") from None
 
     # ------------------------------------------------------------------
     # Whole-library characterization as one job set
@@ -155,7 +161,7 @@ class TimingModelLibrary:
             ``use_internal_node``) for every input-pin combination.
         include_nldm:
             Also characterize the NLDM delay/slew tables (both edge
-            directions) for every input pin.
+            directions) for every input pin: one job per cell.
 
         Returns the number of jobs that actually executed — i.e. were neither
         memoized in this library nor served from the disk cache.  With a warm
@@ -164,9 +170,9 @@ class TimingModelLibrary:
         if cells is None:
             cells = [self.library[name] for name in self.library.names()]
         jobs: List[Job] = []
-        targets: List[Tuple[Dict, Tuple]] = []
+        targets: List[Tuple[Dict, Hashable]] = []
 
-        def submit(store: Dict, memo_key: Tuple, job: Job) -> None:
+        def submit(store: Dict, memo_key: Hashable, job: Job) -> None:
             if memo_key not in store:
                 jobs.append(job)
                 targets.append((store, memo_key))
@@ -189,24 +195,12 @@ class TimingModelLibrary:
                         characterization_job(kind, cell, (pin_a, pin_b), self.config),
                     )
             if include_nldm:
-                for pin in cell.inputs:
-                    for input_rise in (True, False):
-                        submit(
-                            self._nldm,
-                            (cell.name, pin, input_rise),
-                            nldm_characterization_job(
-                                cell,
-                                pin,
-                                input_rise=input_rise,
-                                input_slews=self.nldm_input_slews,
-                                loads=self.nldm_loads,
-                            ),
-                        )
+                submit(self._nldm, cell.name, self._nldm_job(cell))
 
         results = self._run_jobs(jobs)
         executed = 0
         for (store, memo_key), result in zip(targets, results):
-            store[memo_key] = result.value
+            store[memo_key] = _by_arc(result.value) if store is self._nldm else result.value
             executed += 0 if result.cache_hit else 1
         return executed
 

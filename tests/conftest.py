@@ -103,10 +103,10 @@ def warm_characterization(tmp_path_factory, technology, fast_config):
     for one standard corner at ``fast_config`` (``"TT"`` characterizes as the
     default technology).
 
-    Each corner is built on its first request, once per session (17 jobs on
-    two worker processes, ~7-8 s on a 2-vCPU host), instead of in every
-    module or test that times a design at that corner; its store is never
-    written again.
+    Each corner is built on its first request, once per session (10 jobs on
+    two worker processes: 5 SIS and 2 MIS models and one NLDM job per cell),
+    instead of in every module or test that times a design at that corner;
+    its store is never written again.
     """
     directories: Dict[str, Path] = {}
 
@@ -134,14 +134,22 @@ def warm_characterization(tmp_path_factory, technology, fast_config):
 
 @pytest.fixture(scope="session")
 def warm_store(tmp_path_factory, warm_characterization):
-    """``warm_store(name, corner="TT")``: a new store that starts as a copy of
-    the corner's warm characterization store.  What a module writes stays in
-    its own copy."""
+    """``warm_store(name, *corners)``: a new store that starts with the warm
+    characterizations of ``corners`` (default ``"TT"``).  Corners key their
+    characterizations apart, so one store holds several.  What a module
+    writes stays in its own copy."""
 
-    def copy(name: str, corner: str = "TT") -> PackedStore:
+    def copy(name: str, *corners: str) -> PackedStore:
+        first, *others = corners or ("TT",)
         directory = tmp_path_factory.mktemp(name)
-        shutil.copytree(warm_characterization(corner), directory, dirs_exist_ok=True)
-        return PackedStore(directory)
+        shutil.copytree(warm_characterization(first), directory, dirs_exist_ok=True)
+        store = PackedStore(directory)
+        for corner in others:
+            source = PackedStore(warm_characterization(corner))
+            keys = source.keys()
+            store.store_many(zip(keys, (value for _, value in source.lookup_many(keys))))
+            source.close()
+        return store
 
     return copy
 

@@ -10,11 +10,15 @@ from repro.characterization import (
     NLDMTable,
     ProbeBench,
     characterize_nldm,
+    characterize_nldm_arcs,
     characterize_sis,
 )
+from repro.cells import build_testbench
 from repro.csm.base import cap_value
 from repro.exceptions import CharacterizationError
+from repro.spice import SaturatedRamp, TransientOptions, transient_analysis
 from repro.technology import terminal_capacitances
+from repro.waveform.metrics import propagation_delay, transition_time
 
 
 class TestConfig:
@@ -187,3 +191,49 @@ class TestNLDM:
     def test_requires_multiple_grid_points(self, nor2):
         with pytest.raises(CharacterizationError):
             characterize_nldm(nor2, "A", input_slews=(30e-12,), loads=(3e-15,))
+
+    @pytest.mark.parametrize("cell_name", ["NAND2_X1", "NOR2_X1"])
+    def test_cell_arcs_equal_per_arc_scalar_runs_bitwise(self, library, cell_name):
+        """The per-cell lockstep batches give every arc the tables of one
+        scalar ``transient_analysis`` per (slew, load), the 60 ps slew
+        included (its ramp end is a near-duplicate of a 1 ps grid point)."""
+        cell = library[cell_name]
+        vdd = cell.technology.vdd
+        slews, loads = (20e-12, 60e-12), (2e-15, 8e-15)
+        tables = characterize_nldm_arcs(cell, input_slews=slews, loads=loads)
+        assert [(t.pin, t.input_rise) for t in tables] == [
+            (pin, rise) for pin in cell.inputs for rise in (True, False)
+        ]
+        options = TransientOptions(time_step=1e-12, record_source_currents=False)
+        for table in tables:
+            fixed = {
+                other: cell.non_controlling_value(other) * vdd
+                for other in cell.inputs
+                if other != table.pin
+            }
+            edge = (0.0, vdd) if table.input_rise else (vdd, 0.0)
+            directions = {
+                "input_direction": "rise" if table.input_rise else "fall",
+                "output_direction": "rise" if table.output_rise else "fall",
+            }
+            delays = np.empty((len(slews), len(loads)))
+            out_slews = np.empty_like(delays)
+            for i, slew in enumerate(slews):
+                for j, load in enumerate(loads):
+                    bench = build_testbench(
+                        cell,
+                        {table.pin: SaturatedRamp(*edge, 100e-12, slew), **fixed},
+                        load_capacitance=load,
+                    )
+                    result = transient_analysis(
+                        bench.circuit, t_stop=100e-12 + slew + 600e-12, options=options
+                    )
+                    output = result.waveform(cell.output)
+                    delays[i, j] = propagation_delay(
+                        result.waveform(table.pin), output, vdd, **directions
+                    )
+                    out_slews[i, j] = transition_time(
+                        output, vdd, direction=directions["output_direction"]
+                    )
+            assert table.delay_table.values.tobytes() == delays.tobytes(), table.pin
+            assert table.slew_table.values.tobytes() == out_slews.tobytes(), table.pin

@@ -310,9 +310,9 @@ CLI_SPEC = "dag:w16:d4:s3"
 
 @pytest.fixture(scope="module")
 def cli_cache(warm_store):
-    """One ``--cache`` for every CLI test, starting from the warm
-    characterization store: only the first characterizes what it lacks."""
-    return warm_store("cli-cache").directory
+    """One ``--cache`` for every CLI test, starting from the TT and FF warm
+    characterizations: only the first characterizes what it lacks."""
+    return warm_store("cli-cache", "TT", "FF").directory
 
 
 def _cli(cache_dir, tmp_path, *argv):

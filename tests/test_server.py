@@ -73,6 +73,17 @@ def service(models, tmp_path):
     )
 
 
+@pytest.fixture()
+def corner_service(models, warm_store):
+    """A service whose store starts with the TT and FF warm
+    characterizations, so its corner libraries characterize nothing."""
+    return TimingService(
+        models=models,
+        options=SimulationOptions(time_step=2e-12),
+        store=warm_store("server-corners", "TT", "FF"),
+    )
+
+
 # ----------------------------------------------------------------------
 # Single-flight request coalescing
 # ----------------------------------------------------------------------
@@ -562,7 +573,8 @@ class TestTimingService:
         )
         assert not stream["ok"] and stream["code"] == "bad-request"
 
-    def test_stream_replies_equal_resident_with_and_without_corners(self, service):
+    def test_stream_replies_equal_resident_with_and_without_corners(self, corner_service):
+        service = corner_service
         session = service.handle(
             {"op": "open_session", "design": {"generate": DAG}}
         )["session"]

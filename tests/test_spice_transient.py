@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.cells import build_testbench
 from repro.exceptions import AnalysisError
 from repro.spice import (
     Circuit,
@@ -15,6 +16,7 @@ from repro.spice import (
     TransientOptions,
     transient_analysis,
 )
+from repro.spice.elements import Capacitor
 
 
 def _rc_circuit(resistance=1e3, capacitance=1e-12, step_to=1.0):
@@ -137,3 +139,54 @@ class TestTransientWithDevices:
 
         with pytest.raises(AnalysisError):
             TransientResult(times=np.array([0.0, 1.0]), node_voltages={"a": np.array([0.0])})
+
+
+class TestPerRunCapacitances:
+    """``run_many(capacitances=)``: every run equals its scalar ``run`` on a
+    circuit carrying that run's stimulus and capacitor value, bitwise, when
+    the runs share one breakpoint set."""
+
+    @pytest.mark.parametrize("slew", [20e-12, 60e-12])
+    def test_cell_rows_equal_scalar_runs_bitwise(self, nand2, slew):
+        vdd = nand2.technology.vdd
+        options = TransientOptions(time_step=1e-12, record_source_currents=False)
+        t_stop = 100e-12 + slew + 400e-12
+        rows = [(edge, load) for edge in ((0.0, vdd), (vdd, 0.0)) for load in (2e-15, 8e-15, 25e-15)]
+        # Pin A sits at DC on the shared bench: its attached stimulus adds
+        # no breakpoint the rows do not share.
+        bench = build_testbench(nand2, {"B": vdd}, load_capacitance=2e-15)
+        results = TransientAnalysis(bench.circuit, options).run_many(
+            [{bench.input_source_names["A"]: SaturatedRamp(*edge, 100e-12, slew)} for edge, _ in rows],
+            t_stop=t_stop,
+            capacitances=[{bench.load_capacitor_name: load} for _, load in rows],
+        )
+        for (edge, load), result in zip(rows, results):
+            alone = build_testbench(
+                nand2, {"A": SaturatedRamp(*edge, 100e-12, slew), "B": vdd}, load_capacitance=load
+            )
+            expected = transient_analysis(alone.circuit, t_stop=t_stop, options=options)
+            assert result.times.tobytes() == expected.times.tobytes()
+            assert set(result.node_voltages) == set(expected.node_voltages)
+            for node, values in expected.node_voltages.items():
+                assert result.node_voltages[node].tobytes() == values.tobytes(), (edge, load, node)
+
+    def test_linear_rows_equal_scalar_runs_bitwise(self):
+        capacitances = (0.5e-12, 1e-12, 3e-12)
+        options = TransientOptions(time_step=10e-12)
+        circuit = _rc_circuit()
+        [name] = [e.name for e in circuit.elements if isinstance(e, Capacitor)]
+        results = TransientAnalysis(circuit, options).run_many(
+            [{}] * len(capacitances), t_stop=5e-9, capacitances=[{name: c} for c in capacitances]
+        )
+        for capacitance, result in zip(capacitances, results):
+            expected = transient_analysis(_rc_circuit(capacitance=capacitance), t_stop=5e-9, options=options)
+            assert result.times.tobytes() == expected.times.tobytes()
+            assert result.voltage_trace("out").tobytes() == expected.voltage_trace("out").tobytes()
+
+    def test_bad_capacitance_sets_rejected(self):
+        circuit = _rc_circuit()
+        [name] = [e.name for e in circuit.elements if isinstance(e, Capacitor)]
+        engine = TransientAnalysis(circuit, TransientOptions(time_step=10e-12))
+        for capacitances in ([{name: 1e-12}], [{"CNONE": 1e-12}] * 2, [{name: 0.0}] * 2):
+            with pytest.raises(AnalysisError):
+                engine.run_many([{}, {}], t_stop=1e-9, capacitances=capacitances)

@@ -413,3 +413,30 @@ class TestModelLibraryRuntime:
         again = second.nldm_table("INV_X1", "A", input_rise=True)
         assert cache.stats.hits == 1
         assert np.array_equal(table.delay_table.values, again.delay_table.values)
+
+    def test_prewarm_runs_one_nldm_job_per_cell(self, library, tmp_path):
+        from repro.runtime import PackedStore
+        from repro.sta.generate import DEFAULT_DAG_CELLS
+
+        cache = PackedStore(tmp_path / "nldm-cells")
+        kwargs = dict(
+            library=library,
+            nldm_input_slews=(40e-12, 120e-12),
+            nldm_loads=(3e-15, 12e-15),
+            cache=cache,
+        )
+        cells = [library[name] for name in DEFAULT_DAG_CELLS]
+        first = TimingModelLibrary(**kwargs)
+        assert first.prewarm(cells=cells, kinds=(), include_nldm=True) == 3
+        assert cache.stats.stores == 3
+        # A second library on the same store loads every arc of every cell.
+        second = TimingModelLibrary(**kwargs)
+        assert second.prewarm(cells=cells, kinds=(), include_nldm=True) == 0
+        for cell in cells:
+            for pin in cell.inputs:
+                for rise in (True, False):
+                    ours = second.nldm_table(cell.name, pin, rise)
+                    theirs = first.nldm_table(cell.name, pin, rise)
+                    assert ours.delay_table.values.tobytes() == theirs.delay_table.values.tobytes()
+                    assert ours.slew_table.values.tobytes() == theirs.slew_table.values.tobytes()
+        assert cache.stats.stores == 3
