@@ -114,12 +114,16 @@ def characterize_nldm_arcs(
     arc are held at their non-controlling values and the output edge
     direction follows from the cell's logic function.
 
-    The arcs run as one :meth:`~repro.spice.transient.TransientAnalysis.run_many`
-    per input slew whose runs are every arc x load at that slew.  The
-    testbench holds every input at DC, so a batch's time grid carries only
-    the ramp's two breakpoints, which all its runs share: every run's grid is
-    its own scalar grid and each table equals the one scalar
-    ``transient_analysis`` runs per (slew, load) give, bitwise.
+    Every input slew x arc x load is one run of a single
+    :meth:`~repro.spice.transient.TransientAnalysis.run_many` over the common
+    window 100 ps + ``max(input_slews)`` + 600 ps.  The testbench holds every
+    input at DC, and a ramp whose slew is a whole number of ``time_step`` has
+    both corners on the base time grid (an end that misses its grid point by
+    an ulp snaps to it, :data:`~repro.spice.transient.BREAKPOINT_SNAP`).  With
+    such slews the batch runs on the base grid, which is every run's own
+    scalar grid, so each table equals the one scalar ``transient_analysis``
+    runs per (slew, load) over the common window give, bitwise.  An off-grid
+    slew's ramp end enters every run's grid.
     """
     if arcs is None:
         arcs = [(pin, rise) for pin in cell.inputs for rise in (True, False)]
@@ -133,10 +137,9 @@ def characterize_nldm_arcs(
     engine = TransientAnalysis(
         bench.circuit, TransientOptions(time_step=time_step, record_source_currents=False)
     )
-    delays = np.empty((len(specs), len(input_slews), len(loads)))
-    slews = np.empty_like(delays)
-    for i, input_slew in enumerate(input_slews):
-        stimulus_sets = []
+    # Runs are ordered (slew, arc, load).
+    stimulus_sets = []
+    for input_slew in input_slews:
         for pin, input_rise, _, fixed in specs:
             ramp = SaturatedRamp(
                 0.0 if input_rise else vdd,
@@ -146,26 +149,28 @@ def characterize_nldm_arcs(
             )
             stimuli = {sources[pin]: ramp, **{sources[o]: v for o, v in fixed.items()}}
             stimulus_sets.extend([stimuli] * len(loads))
-        results = engine.run_many(
-            stimulus_sets,
-            t_stop=_RAMP_START + input_slew + _SETTLE_TIME,
-            record_nodes=[*cell.inputs, cell.output],
-            capacitances=[{bench.load_capacitor_name: load} for load in loads] * len(specs),
+    results = engine.run_many(
+        stimulus_sets,
+        t_stop=_RAMP_START + max(input_slews) + _SETTLE_TIME,
+        record_nodes=[*cell.inputs, cell.output],
+        capacitances=[{bench.load_capacitor_name: load} for load in loads]
+        * (len(input_slews) * len(specs)),
+    )
+    delays = np.empty((len(specs), len(input_slews), len(loads)))
+    slews = np.empty_like(delays)
+    for (i, a, j), result in zip(np.ndindex(len(input_slews), len(specs), len(loads)), results):
+        pin, input_rise, output_rise, _ = specs[a]
+        output_wave = result.waveform(cell.output)
+        delays[a, i, j] = propagation_delay(
+            result.waveform(pin),
+            output_wave,
+            vdd,
+            input_direction="rise" if input_rise else "fall",
+            output_direction="rise" if output_rise else "fall",
         )
-        for run, result in enumerate(results):
-            a, j = divmod(run, len(loads))
-            pin, input_rise, output_rise, _ = specs[a]
-            output_wave = result.waveform(cell.output)
-            delays[a, i, j] = propagation_delay(
-                result.waveform(pin),
-                output_wave,
-                vdd,
-                input_direction="rise" if input_rise else "fall",
-                output_direction="rise" if output_rise else "fall",
-            )
-            slews[a, i, j] = transition_time(
-                output_wave, vdd, direction="rise" if output_rise else "fall"
-            )
+        slews[a, i, j] = transition_time(
+            output_wave, vdd, direction="rise" if output_rise else "fall"
+        )
 
     slew_axis = Axis("input_slew", tuple(float(s) for s in input_slews))
     load_axis = Axis("load", tuple(float(c) for c in loads))

@@ -67,8 +67,13 @@ def contiguous_array(array: np.ndarray) -> np.ndarray:
 #: instead of filling a group's tail once all its rows went still, which
 #: moves batched waveforms by up to ~1e-12 V; the per-instance reference path
 #: now shares the batched path's propagation keys; cell fingerprints leave
-#: out the technology's name.)
-CODE_VERSION = "v6"
+#: out the technology's name.
+#: v7: a stimulus breakpoint within a tiny fraction of a step of a base grid
+#: point no longer adds a sliver step, and a cell's NLDM arcs run in one
+#: batch over a common window: the 60 ps NLDM rows move by under 1e-13
+#: relative.  NLDM propagation keys fold in the cell fingerprint, not the
+#: table values, so only a version bump keeps old events from being served.)
+CODE_VERSION = "v7"
 
 
 # ----------------------------------------------------------------------

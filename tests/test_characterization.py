@@ -17,6 +17,7 @@ from repro.cells import build_testbench
 from repro.csm.base import cap_value
 from repro.exceptions import CharacterizationError
 from repro.spice import SaturatedRamp, TransientOptions, transient_analysis
+from repro.sta import TimingModelLibrary
 from repro.technology import terminal_capacitances
 from repro.waveform.metrics import propagation_delay, transition_time
 
@@ -194,9 +195,10 @@ class TestNLDM:
 
     @pytest.mark.parametrize("cell_name", ["NAND2_X1", "NOR2_X1"])
     def test_cell_arcs_equal_per_arc_scalar_runs_bitwise(self, library, cell_name):
-        """The per-cell lockstep batches give every arc the tables of one
-        scalar ``transient_analysis`` per (slew, load), the 60 ps slew
-        included (its ramp end is a near-duplicate of a 1 ps grid point)."""
+        """The per-cell lockstep batch gives every arc the tables of one
+        scalar ``transient_analysis`` per (slew, load) over the batch's common
+        window, the 60 ps slew included (its ramp end is a near-duplicate of
+        a 1 ps grid point)."""
         cell = library[cell_name]
         vdd = cell.technology.vdd
         slews, loads = (20e-12, 60e-12), (2e-15, 8e-15)
@@ -226,7 +228,7 @@ class TestNLDM:
                         load_capacitance=load,
                     )
                     result = transient_analysis(
-                        bench.circuit, t_stop=100e-12 + slew + 600e-12, options=options
+                        bench.circuit, t_stop=100e-12 + max(slews) + 600e-12, options=options
                     )
                     output = result.waveform(cell.output)
                     delays[i, j] = propagation_delay(
@@ -237,3 +239,17 @@ class TestNLDM:
                     )
             assert table.delay_table.values.tobytes() == delays.tobytes(), table.pin
             assert table.slew_table.values.tobytes() == out_slews.tobytes(), table.pin
+
+    def test_rows_do_not_depend_on_the_batch(self, library, fast_config, warm_up):
+        """A table row is the same bytes whatever slews share its batch (and
+        so its window): NAND2_X1's rows characterized at 20/60 ps and at
+        20/150 ps equal those of the model library's 20/60/150 ps tables."""
+        models = warm_up(TimingModelLibrary(library=library, config=fast_config))
+        cell = library["NAND2_X1"]
+        assert models.nldm_input_slews == (20e-12, 60e-12, 150e-12)
+        for rows in ([0, 1], [0, 2]):
+            slews = [models.nldm_input_slews[i] for i in rows]
+            for table in characterize_nldm_arcs(cell, input_slews=slews, loads=models.nldm_loads):
+                full = models.nldm_table(cell.name, table.pin, table.input_rise)
+                assert table.delay_table.values.tobytes() == full.delay_table.values[rows].tobytes()
+                assert table.slew_table.values.tobytes() == full.slew_table.values[rows].tobytes()

@@ -17,6 +17,7 @@ from repro.spice import (
     transient_analysis,
 )
 from repro.spice.elements import Capacitor
+from repro.spice.transient import BREAKPOINT_SNAP
 
 
 def _rc_circuit(resistance=1e3, capacitance=1e-12, step_to=1.0):
@@ -170,6 +171,37 @@ class TestPerRunCapacitances:
             for node, values in expected.node_voltages.items():
                 assert result.node_voltages[node].tobytes() == values.tobytes(), (edge, load, node)
 
+    def test_mixed_slew_rows_equal_scalar_runs_bitwise(self, nand2):
+        """Rows of 20, 60 and 150 ps in one batch: every ramp corner lies on
+        the 1 ps grid (the 60 ps ramp's end an ulp off it), so the batch runs
+        on the base grid and no row depends on the slews beside it."""
+        vdd = nand2.technology.vdd
+        options = TransientOptions(time_step=1e-12, record_source_currents=False)
+        t_stop = 100e-12 + 150e-12 + 400e-12
+        rise, fall = (0.0, vdd), (vdd, 0.0)
+        rows = [
+            (20e-12, rise, 2e-15),
+            (20e-12, fall, 25e-15),
+            (60e-12, rise, 8e-15),
+            (60e-12, fall, 2e-15),
+            (150e-12, rise, 25e-15),
+            (150e-12, fall, 8e-15),
+        ]
+        bench = build_testbench(nand2, {"B": vdd}, load_capacitance=2e-15)
+        results = TransientAnalysis(bench.circuit, options).run_many(
+            [{bench.input_source_names["A"]: SaturatedRamp(*edge, 100e-12, slew)} for slew, edge, _ in rows],
+            t_stop=t_stop,
+            capacitances=[{bench.load_capacitor_name: load} for _, _, load in rows],
+        )
+        for (slew, edge, load), result in zip(rows, results):
+            alone = build_testbench(
+                nand2, {"A": SaturatedRamp(*edge, 100e-12, slew), "B": vdd}, load_capacitance=load
+            )
+            expected = transient_analysis(alone.circuit, t_stop=t_stop, options=options)
+            assert result.times.tobytes() == expected.times.tobytes()
+            for node, values in expected.node_voltages.items():
+                assert result.node_voltages[node].tobytes() == values.tobytes(), (slew, edge, node)
+
     def test_linear_rows_equal_scalar_runs_bitwise(self):
         capacitances = (0.5e-12, 1e-12, 3e-12)
         options = TransientOptions(time_step=10e-12)
@@ -190,3 +222,48 @@ class TestPerRunCapacitances:
         for capacitances in ([{name: 1e-12}], [{"CNONE": 1e-12}] * 2, [{name: 0.0}] * 2):
             with pytest.raises(AnalysisError):
                 engine.run_many([{}, {}], t_stop=1e-9, capacitances=capacitances)
+
+
+class TestTimeGrid:
+    """``_time_grid``, shared by ``run`` and ``run_many``: a breakpoint within
+    ``BREAKPOINT_SNAP`` steps of a base grid point adds no point; a truly
+    off-grid breakpoint is still inserted."""
+
+    DT = 1e-12
+    T_STOP = 850e-12
+
+    def _grids(self, ramp):
+        """The grid ``run`` builds on a circuit carrying ``ramp`` and the one
+        ``run_many`` builds overriding a DC source with it."""
+
+        def circuit(stimulus):
+            circuit = Circuit("ramp")
+            circuit.add_voltage_source("in", "0", stimulus, name="VIN")
+            circuit.add_resistor("in", "out", 1e3)
+            circuit.add_capacitor("out", "0", 1e-15)
+            return circuit
+
+        options = TransientOptions(time_step=self.DT)
+        alone = TransientAnalysis(circuit(ramp), options).run(t_stop=self.T_STOP)
+        [batched] = TransientAnalysis(circuit(0.0), options).run_many(
+            [{"VIN": ramp}], t_stop=self.T_STOP
+        )
+        return alone.times, batched.times
+
+    def test_ramp_end_an_ulp_off_the_grid_adds_no_point(self):
+        ramp = SaturatedRamp(0.0, 1.0, 100e-12, 60e-12)
+        base = np.arange(0.0, self.T_STOP + 0.5 * self.DT, self.DT)
+        end = ramp.breakpoints()[1]
+        # The ramp ends a few 1e-26 s after the 160th base point: a
+        # near-duplicate, not a duplicate.
+        assert end != base[160] and abs(end - base[160]) < BREAKPOINT_SNAP * self.DT
+        for grid in self._grids(ramp):
+            assert grid.tobytes() == base.tobytes()
+            assert np.diff(grid).min() > 0.5 * self.DT
+
+    def test_off_grid_breakpoints_are_inserted(self):
+        ramp = SaturatedRamp(0.0, 1.0, 100.5e-12, 60e-12)
+        alone, batched = self._grids(ramp)
+        assert alone.tobytes() == batched.tobytes()
+        assert len(alone) == len(np.arange(0.0, self.T_STOP + 0.5 * self.DT, self.DT)) + 2
+        assert 100.5e-12 in alone and ramp.breakpoints()[1] in alone

@@ -414,10 +414,21 @@ class TestModelLibraryRuntime:
         assert cache.stats.hits == 1
         assert np.array_equal(table.delay_table.values, again.delay_table.values)
 
-    def test_prewarm_runs_one_nldm_job_per_cell(self, library, tmp_path):
+    def test_prewarm_runs_one_nldm_job_per_cell(self, library, tmp_path, monkeypatch):
         from repro.runtime import PackedStore
+        from repro.spice import TransientAnalysis
         from repro.sta.generate import DEFAULT_DAG_CELLS
 
+        # Each cell's job is one transient batch over every slew, pin, edge
+        # and load: one ``run_many`` per cell, whatever the slews.
+        batched_circuits = []
+        run_many = TransientAnalysis.run_many
+
+        def counting_run_many(self, *args, **kwargs):
+            batched_circuits.append(self.circuit.name)
+            return run_many(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransientAnalysis, "run_many", counting_run_many)
         cache = PackedStore(tmp_path / "nldm-cells")
         kwargs = dict(
             library=library,
@@ -429,6 +440,7 @@ class TestModelLibraryRuntime:
         first = TimingModelLibrary(**kwargs)
         assert first.prewarm(cells=cells, kinds=(), include_nldm=True) == 3
         assert cache.stats.stores == 3
+        assert len(batched_circuits) == 3 and len(set(batched_circuits)) == 3, batched_circuits
         # A second library on the same store loads every arc of every cell.
         second = TimingModelLibrary(**kwargs)
         assert second.prewarm(cells=cells, kinds=(), include_nldm=True) == 0
@@ -440,3 +452,4 @@ class TestModelLibraryRuntime:
                     assert ours.delay_table.values.tobytes() == theirs.delay_table.values.tobytes()
                     assert ours.slew_table.values.tobytes() == theirs.slew_table.values.tobytes()
         assert cache.stats.stores == 3
+        assert len(batched_circuits) == 3
