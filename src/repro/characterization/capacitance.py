@@ -67,6 +67,13 @@ def _ramp_pair(
     )
 
 
+def _ramp_window(config: CharacterizationConfig) -> float:
+    """End of the time grid of a capacitance batch: the slower ramp plus the
+    quiet time on both sides.  The batch itself stops at its last sample
+    (:meth:`ProbeBench.transient_with_stimuli_many`), well before this."""
+    return config.cap_ramp_settle + max(config.cap_ramp_slews) + config.cap_ramp_settle
+
+
 def _build_ramp_runs(
     ramp_node: str,
     dc_biases: Dict[str, float],
@@ -157,8 +164,7 @@ def extract_ramp_capacitances(
         raise CharacterizationError("bench has no internal-node source to ramp")
 
     runs = _build_ramp_runs(ramp_node, dc_biases, bias_direction_combos, vdd, config)
-    t_stop = config.cap_ramp_settle + max(config.cap_ramp_slews) + config.cap_ramp_settle
-    results = bench.transient_with_stimuli_many(runs, t_stop=t_stop)
+    results = bench.transient_with_stimuli_many(runs, t_stop=_ramp_window(config))
     return _caps_from_results(
         bench, results, measure_probes, bias_direction_combos, vdd, config
     )
@@ -211,8 +217,7 @@ def characterize_cell_capacitances(
     runs.extend(_build_ramp_runs("output", controlling, output_combos, vdd, config))
     segments.append(("output", ("output",), output_combos, 2 * len(output_combos)))
 
-    t_stop = config.cap_ramp_settle + max(config.cap_ramp_slews) + config.cap_ramp_settle
-    results = bench.transient_with_stimuli_many(runs, t_stop=t_stop)
+    results = bench.transient_with_stimuli_many(runs, t_stop=_ramp_window(config))
 
     miller_caps: Dict[str, float] = {}
     input_caps: Dict[str, float] = {}

@@ -30,7 +30,9 @@ class CharacterizationConfig:
         responses (which cancels the DC current) and then averaged, matching
         the paper's "average value over ramp slopes" choice.
     cap_ramp_settle:
-        Quiet time before the characterization ramp starts.
+        Quiet time before the characterization ramp starts.  It is only that:
+        no trailing window is simulated, since each capacitance transient
+        ends at its first grid point past the last sample it takes.
     cap_time_step:
         Transient step used during capacitance extraction.
     cap_sample_fractions:

@@ -77,9 +77,35 @@ class NLDMTable:
 #: Every characterization ramp starts here (s).
 _RAMP_START = 100e-12
 
-#: Window after the end of the input ramp (s); the output settles well inside
-#: it for every slew and load the libraries characterize.
+#: Upper bound on the time after the end of the input ramp (s).  It sizes the
+#: time grid; a batch stops as soon as every measured crossing is in, which
+#: for every slew and load the libraries characterize comes well inside it.
 _SETTLE_TIME = 600e-12
+
+
+def _crossings_taken(measured: Sequence[Sequence[Tuple[int, float, bool]]], vdd: float):
+    """``run_many`` stop predicate: true once every run has made the first
+    crossing of each of its measured levels in that level's direction.
+
+    ``measured`` holds one list per run of ``(recorded node, fraction of
+    Vdd, rising)`` crossings.  A crossing is counted the way
+    :func:`~repro.waveform.metrics.crossing_times` finds one, between two
+    samples on either side of ``values < level``, so at the stop every first
+    crossing the tables read lies inside the recorded samples.
+    """
+    columns = np.array([[node for node, _, _ in run] for run in measured])
+    levels = np.array([[fraction * vdd for _, fraction, _ in run] for run in measured])
+    rising = np.array([[rise for _, _, rise in run] for run in measured])
+    rows = np.arange(len(measured))[:, None]
+    taken = np.zeros(columns.shape, dtype=bool)
+
+    def stop_when(step: int, times: np.ndarray, voltage_block: np.ndarray) -> bool:
+        before = voltage_block[rows, columns, step - 1] < levels
+        after = voltage_block[rows, columns, step] < levels
+        taken[:] |= np.where(rising, before & ~after, after & ~before)
+        return bool(taken.all())
+
+    return stop_when
 
 
 def _arc_conditions(cell: Cell, pin: str, input_rise: bool) -> Tuple[bool, Dict[str, float]]:
@@ -115,15 +141,21 @@ def characterize_nldm_arcs(
     direction follows from the cell's logic function.
 
     Every input slew x arc x load is one run of a single
-    :meth:`~repro.spice.transient.TransientAnalysis.run_many` over the common
-    window 100 ps + ``max(input_slews)`` + 600 ps.  The testbench holds every
+    :meth:`~repro.spice.transient.TransientAnalysis.run_many` on the time grid
+    of the common window 100 ps + ``max(input_slews)`` + 600 ps.  That window
+    is an upper bound: the batch stops at the first step by which every run's
+    input has crossed 50 % and its output 20, 50 and 80 %, each in the arc's
+    direction, so the first crossings the tables read are all in; a run that
+    never switches integrates the whole window and raises
+    :class:`~repro.exceptions.WaveformError`.  The testbench holds every
     input at DC, and a ramp whose slew is a whole number of ``time_step`` has
     both corners on the base time grid (an end that misses its grid point by
     an ulp snaps to it, :data:`~repro.spice.transient.BREAKPOINT_SNAP`).  With
     such slews the batch runs on the base grid, which is every run's own
     scalar grid, so each table equals the one scalar ``transient_analysis``
-    runs per (slew, load) over the common window give, bitwise.  An off-grid
-    slew's ramp end enters every run's grid.
+    runs per (slew, load) over the common window give, bitwise (a stopped
+    run's samples are a prefix of that run's).  An off-grid slew's ramp end
+    enters every run's grid.
     """
     if arcs is None:
         arcs = [(pin, rise) for pin in cell.inputs for rise in (True, False)]
@@ -137,10 +169,13 @@ def characterize_nldm_arcs(
     engine = TransientAnalysis(
         bench.circuit, TransientOptions(time_step=time_step, record_source_currents=False)
     )
-    # Runs are ordered (slew, arc, load).
+    nodes = [*cell.inputs, cell.output]
+    # Runs are ordered (slew, arc, load).  Each run's tables read the first
+    # crossing of its input at 50 % and of its output at 50, 20 and 80 %.
     stimulus_sets = []
+    measured = []
     for input_slew in input_slews:
-        for pin, input_rise, _, fixed in specs:
+        for pin, input_rise, output_rise, fixed in specs:
             ramp = SaturatedRamp(
                 0.0 if input_rise else vdd,
                 vdd if input_rise else 0.0,
@@ -149,12 +184,17 @@ def characterize_nldm_arcs(
             )
             stimuli = {sources[pin]: ramp, **{sources[o]: v for o, v in fixed.items()}}
             stimulus_sets.extend([stimuli] * len(loads))
+            crossings = [(nodes.index(pin), 0.5, input_rise)] + [
+                (nodes.index(cell.output), fraction, output_rise) for fraction in (0.5, 0.2, 0.8)
+            ]
+            measured.extend([crossings] * len(loads))
     results = engine.run_many(
         stimulus_sets,
         t_stop=_RAMP_START + max(input_slews) + _SETTLE_TIME,
-        record_nodes=[*cell.inputs, cell.output],
+        record_nodes=nodes,
         capacitances=[{bench.load_capacitor_name: load} for load in loads]
         * (len(input_slews) * len(specs)),
+        stop_when=_crossings_taken(measured, vdd),
     )
     delays = np.empty((len(specs), len(input_slews), len(loads)))
     slews = np.empty_like(delays)

@@ -253,8 +253,18 @@ class ProbeBench:
         :meth:`~repro.spice.transient.TransientAnalysis.run_many`; the list of
         results is returned in run order.  This is what makes the two-slope /
         multi-bias capacitance extraction one simulation instead of eight.
+
+        ``t_stop`` sizes the time grid, but the batch ends at its first grid
+        point past the last capacitance sample,
+        ``cap_ramp_settle + cap_sample_fractions[1] * max(cap_ramp_slews)``:
+        nothing later is read, and the samples taken are bitwise those of a
+        run to ``t_stop``.
         """
-        step = time_step or self.config.cap_time_step
+        config = self.config
+        last_sample = config.cap_ramp_settle + config.cap_sample_fractions[1] * max(
+            config.cap_ramp_slews
+        )
+        step = time_step or config.cap_time_step
         engine = self._transient_engines.get(step)
         if engine is None:
             engine = TransientAnalysis(
@@ -267,7 +277,11 @@ class ProbeBench:
             stimulus_sets.append(
                 {self.source_name_for(probe): stimulus for probe, stimulus in run.items()}
             )
-        return engine.run_many(stimulus_sets, t_stop=t_stop)
+        return engine.run_many(
+            stimulus_sets,
+            t_stop=t_stop,
+            stop_when=lambda step, times, _: times[step] > last_sample,
+        )
 
     def source_name_for(self, probe: str) -> str:
         """Resolve a probe identifier ('output', 'internal' or a pin name)."""

@@ -603,7 +603,6 @@ def newton_solve_many(
     cap_matrix: Optional[np.ndarray] = None,
     cap_rhs: Optional[np.ndarray] = None,
     options: Optional[NewtonOptions] = None,
-    rebuild_converged: bool = False,
 ) -> np.ndarray:
     """Damped Newton-Raphson over a batch of ``B`` independent bias points.
 
@@ -615,9 +614,8 @@ def newton_solve_many(
     (non-converged) subset, so wide batches with a few straggling runs don't
     keep paying for the runs that finished early.  Because every run's
     linearized system is assembled and solved independently of its batch
-    neighbours, the results are bit-identical to rebuilding the full batch
-    every iteration (``rebuild_converged=True`` keeps that legacy behaviour
-    for verification).
+    neighbours, each run's result is bit-identical to solving it as a batch
+    of one.
 
     Parameters mirror :meth:`MNAAssembler.build_many`.  Raises
     :class:`~repro.exceptions.ConvergenceError` if any run fails to converge
@@ -633,16 +631,12 @@ def newton_solve_many(
 
     active = np.arange(batch)
     for _ in range(options.max_iterations):
-        if rebuild_converged:
-            subset = np.arange(batch)  # legacy: rebuild every run, every time
-        else:
-            subset = active
         matrices, rhs = assembler.build_many(
-            solutions[subset],
-            vs_values[subset],
-            cs_values[subset],
-            cap_matrix if cap_matrix is None or cap_matrix.ndim == 2 else cap_matrix[subset],
-            None if cap_rhs is None else cap_rhs[subset],
+            solutions[active],
+            vs_values[active],
+            cs_values[active],
+            cap_matrix if cap_matrix is None or cap_matrix.ndim == 2 else cap_matrix[active],
+            None if cap_rhs is None else cap_rhs[active],
         )
         try:
             proposed = np.linalg.solve(matrices, rhs[..., None])[..., 0]
@@ -651,9 +645,9 @@ def newton_solve_many(
                 f"singular MNA matrix while batch-solving {assembler.circuit.name!r}",
             ) from exc
 
-        delta = proposed - solutions[subset]
+        delta = proposed - solutions[active]
         abs_delta = np.abs(delta)
-        count = len(subset)
+        count = len(active)
         voltage_delta = abs_delta[:, :num_nodes].max(axis=1) if num_nodes else np.zeros(count)
         if solutions.shape[1] > num_nodes:
             current_delta = abs_delta[:, num_nodes:].max(axis=1)
@@ -666,19 +660,12 @@ def newton_solve_many(
             options.damping_limit,
             out=delta[:, :num_nodes],
         )
-        # Only the still-active runs move; converged runs stay frozen even on
-        # the legacy full-rebuild path.
-        if rebuild_converged:
-            is_active = np.isin(subset, active, assume_unique=True)
-        else:
-            is_active = np.ones(count, dtype=bool)
-        solutions[subset[is_active]] += delta[is_active]
+        solutions[active] += delta
 
         converged_now = (voltage_delta < options.voltage_tolerance) & (
             current_delta < options.current_tolerance
         )
-        still_active = is_active & ~converged_now
-        active = subset[still_active]
+        active = active[~converged_now]
         if active.size == 0:
             return solutions
 

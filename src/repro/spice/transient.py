@@ -21,7 +21,7 @@ variants simultaneously.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -335,6 +335,7 @@ class TransientAnalysis:
         initial_voltages: Optional[Dict[str, float]] = None,
         record_nodes: Optional[Sequence[str]] = None,
         capacitances: Optional[Sequence[Mapping[str, float]]] = None,
+        stop_when: Optional[Callable[[int, np.ndarray, np.ndarray], bool]] = None,
     ) -> List[TransientResult]:
         """Integrate several stimulus variants of this circuit in lockstep.
 
@@ -358,6 +359,17 @@ class TransientAnalysis:
         scalar :meth:`run` bitwise (on a circuit carrying its stimuli and
         capacitor values) when the grid is that run's own, i.e. when all runs
         and the attached stimuli add the same off-grid breakpoints (or none).
+
+        ``stop_when``, when given, ends the batch early: it is called as
+        ``stop_when(step, times, voltage_block)`` after every integration step
+        (``step >= 1``), where ``times`` is the whole grid and
+        ``voltage_block`` the ``(runs, recorded nodes, grid points)`` record
+        whose columns up to ``step`` are filled.  Once it returns true no
+        further step is taken and every result's times, node voltages and
+        source currents end at ``step``.  The grid is still the one built for
+        ``t_stop``, so a stopped run's samples are bitwise the first
+        ``step + 1`` samples of the same batch run without a predicate.
+        ``None`` (the default) integrates to ``t_stop``.
 
         Returns one :class:`TransientResult` per entry, in order.
         """
@@ -426,40 +438,50 @@ class TransientAnalysis:
         newton = self.options.newton
         from scipy.linalg import lu_solve
 
+        last = num_steps - 1
         for step in range(1, num_steps):
             dt = times[step] - times[step - 1]
-            if dt <= 0:
-                record(step, solutions)
-                continue
-            if row_caps is None:
-                cap_matrix, _, lu = self._step_cache_entry(step_cache, dt)
-            else:
-                cap_matrix, lu = self._row_step_cache_entry(step_cache, dt, row_caps)
-            cap_rhs = assembler.capacitor_companion_rhs(dt, solutions, row_caps)
-            vs_step = vs_all[:, :, step]
-            cs_step = cs_all[:, :, step]
-            if lu is not None:
-                rhs = np.empty((batch, assembler.size))
-                for run in range(batch):
-                    rhs[run] = assembler.build_rhs(cap_rhs[run], vs_step[run], cs_step[run])
+            if dt > 0:
                 if row_caps is None:
-                    solutions = lu_solve(lu, rhs.T, check_finite=False).T
+                    cap_matrix, _, lu = self._step_cache_entry(step_cache, dt)
                 else:
-                    solutions = np.stack(
-                        [lu_solve(factors, b, check_finite=False) for factors, b in zip(lu, rhs)]
+                    cap_matrix, lu = self._row_step_cache_entry(step_cache, dt, row_caps)
+                cap_rhs = assembler.capacitor_companion_rhs(dt, solutions, row_caps)
+                vs_step = vs_all[:, :, step]
+                cs_step = cs_all[:, :, step]
+                if lu is not None:
+                    rhs = np.empty((batch, assembler.size))
+                    for run in range(batch):
+                        rhs[run] = assembler.build_rhs(cap_rhs[run], vs_step[run], cs_step[run])
+                    if row_caps is None:
+                        solutions = lu_solve(lu, rhs.T, check_finite=False).T
+                    else:
+                        solutions = np.stack(
+                            [
+                                lu_solve(factors, b, check_finite=False)
+                                for factors, b in zip(lu, rhs)
+                            ]
+                        )
+                else:
+                    solutions = newton_solve_many(
+                        assembler,
+                        solutions,
+                        vs_step,
+                        cs_step,
+                        cap_matrix=cap_matrix,
+                        cap_rhs=cap_rhs,
+                        options=newton,
                     )
-            else:
-                solutions = newton_solve_many(
-                    assembler,
-                    solutions,
-                    vs_step,
-                    cs_step,
-                    cap_matrix=cap_matrix,
-                    cap_rhs=cap_rhs,
-                    options=newton,
-                )
             record(step, solutions)
+            if stop_when is not None and stop_when(step, times, voltage_block):
+                last = step
+                break
 
+        if last < num_steps - 1:
+            times = times[: last + 1]
+            voltage_block = voltage_block[:, :, : last + 1].copy()
+            if current_block is not None:
+                current_block = current_block[:, :, : last + 1].copy()
         results: List[TransientResult] = []
         for run in range(batch):
             results.append(

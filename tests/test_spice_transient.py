@@ -267,3 +267,98 @@ class TestTimeGrid:
         assert alone.tobytes() == batched.tobytes()
         assert len(alone) == len(np.arange(0.0, self.T_STOP + 0.5 * self.DT, self.DT)) + 2
         assert 100.5e-12 in alone and ramp.breakpoints()[1] in alone
+
+
+class TestStopWhen:
+    """``run_many(stop_when=)``: a stopped batch is bitwise a prefix of the
+    same batch run to ``t_stop``."""
+
+    T_STOP = 100e-12 + 150e-12 + 400e-12
+
+    def _batch(self, nand2, stop_when=None):
+        vdd = nand2.technology.vdd
+        bench = build_testbench(nand2, {"B": vdd}, load_capacitance=2e-15)
+        rows = [
+            (20e-12, (0.0, vdd), 2e-15),
+            (60e-12, (vdd, 0.0), 8e-15),
+            (150e-12, (0.0, vdd), 25e-15),
+        ]
+        ramp = bench.input_source_names["A"]
+        return TransientAnalysis(bench.circuit, TransientOptions(time_step=1e-12)).run_many(
+            [{ramp: SaturatedRamp(*edge, 100e-12, slew)} for slew, edge, _ in rows],
+            t_stop=self.T_STOP,
+            capacitances=[{bench.load_capacitor_name: load} for _, _, load in rows],
+            stop_when=stop_when,
+        )
+
+    def test_stopped_batch_is_a_prefix_bitwise(self, nand2):
+        full = self._batch(nand2)
+        calls = []
+
+        def stop_when(step, times, voltage_block):
+            calls.append(step)
+            return step == 237
+
+        stopped = self._batch(nand2, stop_when)
+        assert calls == list(range(1, 238))
+        for ours, theirs in zip(stopped, full):
+            assert len(ours.times) == 238
+            assert ours.times.tobytes() == theirs.times[:238].tobytes()
+            assert set(ours.node_voltages) == set(theirs.node_voltages)
+            for node, values in theirs.node_voltages.items():
+                assert ours.node_voltages[node].tobytes() == values[:238].tobytes(), node
+            assert set(ours.source_currents) == set(theirs.source_currents)
+            for source, values in theirs.source_currents.items():
+                assert ours.source_currents[source].tobytes() == values[:238].tobytes(), source
+
+    def test_predicate_that_never_fires_equals_none(self, nand2):
+        full = self._batch(nand2)
+        never = self._batch(nand2, lambda step, times, voltage_block: False)
+        for ours, theirs in zip(never, full):
+            assert ours.times.tobytes() == theirs.times.tobytes()
+            assert ours.times[-1] == self.T_STOP
+            for node, values in theirs.node_voltages.items():
+                assert ours.node_voltages[node].tobytes() == values.tobytes(), node
+            for source, values in theirs.source_currents.items():
+                assert ours.source_currents[source].tobytes() == values.tobytes(), source
+
+    def test_nldm_batch_stops_at_its_last_measured_crossing(self, nand2, monkeypatch):
+        """A NAND2 NLDM batch of 20 and 60 ps rows ends at the first sample
+        past the latest first crossing any row's tables read: the input at
+        50 %, the output at 20, 50 and 80 %, each in the arc's direction."""
+        from repro.characterization import characterize_nldm_arcs
+
+        calls = []
+        run_many = TransientAnalysis.run_many
+
+        def recording_run_many(self, *args, **kwargs):
+            results = run_many(self, *args, **kwargs)
+            calls.append((self, args, kwargs, results))
+            return results
+
+        monkeypatch.setattr(TransientAnalysis, "run_many", recording_run_many)
+        characterize_nldm_arcs(nand2, input_slews=(20e-12, 60e-12), loads=(2e-15, 25e-15))
+        [(engine, args, kwargs, stopped)] = calls
+        full = run_many(engine, *args, **{**kwargs, "stop_when": None})
+
+        vdd = nand2.technology.vdd
+        # Runs are ordered (slew, arc, load); arcs are (pin, input edge) in
+        # pin order, rise first, and NAND2 inverts every edge.
+        arcs = [(pin, rise) for pin in nand2.inputs for rise in (True, False)] * 2
+        last = 0
+        for run, result in enumerate(full):
+            pin, input_rise = arcs[run // 2]
+            for node, fraction, rising in [
+                (pin, 0.5, input_rise),
+                *((nand2.output, f, not input_rise) for f in (0.2, 0.5, 0.8)),
+            ]:
+                below = result.voltage_trace(node) < fraction * vdd
+                crossed = below[:-1] & ~below[1:] if rising else ~below[:-1] & below[1:]
+                flips = np.nonzero(crossed)[0]
+                last = max(last, flips[0] + 1)
+        assert 200 < last < 400
+        assert full[0].times[-1] == 100e-12 + 60e-12 + 600e-12
+        for ours, theirs in zip(stopped, full):
+            assert len(ours.times) == last + 1
+            for node, values in theirs.node_voltages.items():
+                assert ours.node_voltages[node].tobytes() == values[: last + 1].tobytes(), node

@@ -370,7 +370,23 @@ class TestNLDMLevelized:
 
 
 class TestModelLibraryRuntime:
-    def test_prewarm_counts_and_cache(self, library, tmp_path):
+    @pytest.fixture
+    def batch_steps(self, monkeypatch):
+        """``(circuit name, integration steps)`` of every ``run_many`` batch."""
+        from repro.spice import TransientAnalysis
+
+        batches = []
+        run_many = TransientAnalysis.run_many
+
+        def counting_run_many(self, *args, **kwargs):
+            results = run_many(self, *args, **kwargs)
+            batches.append((self.circuit.name, len(results[0].times) - 1))
+            return results
+
+        monkeypatch.setattr(TransientAnalysis, "run_many", counting_run_many)
+        return batches
+
+    def test_prewarm_counts_and_cache(self, library, tmp_path, batch_steps):
         from repro.runtime import PackedStore
 
         cache = PackedStore(tmp_path / "cache")
@@ -383,6 +399,11 @@ class TestModelLibraryRuntime:
         executed = first.prewarm_for_netlist(netlist)
         # NAND2: SIS on A and B plus the (A, B) MIS model.
         assert executed == 3
+        # Four capacitance batches (one per SIS model, the MCSM's pin/output
+        # and internal-node batches), each on the 260 ps grid of a 160 ps
+        # ramp and 50 ps of quiet time on both sides, stop one step past
+        # their last sample at 50 + 0.8 * 160 = 178 ps.
+        assert batch_steps == [("probe_NAND2_X1", 179)] * 4
         # Memoized: a second prewarm on the same library does nothing.
         assert first.prewarm_for_netlist(netlist) == 0
         # Warm disk cache: a *fresh* library executes nothing either.
@@ -414,21 +435,14 @@ class TestModelLibraryRuntime:
         assert cache.stats.hits == 1
         assert np.array_equal(table.delay_table.values, again.delay_table.values)
 
-    def test_prewarm_runs_one_nldm_job_per_cell(self, library, tmp_path, monkeypatch):
+    def test_prewarm_runs_one_nldm_job_per_cell(self, library, tmp_path, batch_steps):
         from repro.runtime import PackedStore
-        from repro.spice import TransientAnalysis
         from repro.sta.generate import DEFAULT_DAG_CELLS
 
         # Each cell's job is one transient batch over every slew, pin, edge
-        # and load: one ``run_many`` per cell, whatever the slews.
-        batched_circuits = []
-        run_many = TransientAnalysis.run_many
-
-        def counting_run_many(self, *args, **kwargs):
-            batched_circuits.append(self.circuit.name)
-            return run_many(self, *args, **kwargs)
-
-        monkeypatch.setattr(TransientAnalysis, "run_many", counting_run_many)
+        # and load: one ``run_many`` per cell, whatever the slews.  Each batch
+        # stops once its last measured crossing is in, far inside its
+        # 100 + 120 + 600 ps grid (2,460 steps for the three cells).
         cache = PackedStore(tmp_path / "nldm-cells")
         kwargs = dict(
             library=library,
@@ -440,7 +454,9 @@ class TestModelLibraryRuntime:
         first = TimingModelLibrary(**kwargs)
         assert first.prewarm(cells=cells, kinds=(), include_nldm=True) == 3
         assert cache.stats.stores == 3
-        assert len(batched_circuits) == 3 and len(set(batched_circuits)) == 3, batched_circuits
+        circuits = [name for name, _ in batch_steps]
+        assert len(circuits) == 3 and len(set(circuits)) == 3, circuits
+        assert sum(steps for _, steps in batch_steps) <= 1000, batch_steps
         # A second library on the same store loads every arc of every cell.
         second = TimingModelLibrary(**kwargs)
         assert second.prewarm(cells=cells, kinds=(), include_nldm=True) == 0
@@ -452,4 +468,4 @@ class TestModelLibraryRuntime:
                     assert ours.delay_table.values.tobytes() == theirs.delay_table.values.tobytes()
                     assert ours.slew_table.values.tobytes() == theirs.slew_table.values.tobytes()
         assert cache.stats.stores == 3
-        assert len(batched_circuits) == 3
+        assert len(batch_steps) == 3
