@@ -17,8 +17,8 @@ from ..cells.cell import SUPPLY_NODE, Cell
 from ..exceptions import CharacterizationError
 from ..spice.dc import DCAnalysis
 from ..spice.netlist import GROUND, Circuit
-from ..spice.sources import DCValue, Stimulus
-from ..spice.transient import TransientAnalysis, TransientOptions, transient_analysis
+from ..spice.sources import Stimulus
+from ..spice.transient import TransientAnalysis, TransientOptions
 from .config import CharacterizationConfig
 
 __all__ = ["ProbeBench"]
@@ -200,44 +200,6 @@ class ProbeBench:
     # ------------------------------------------------------------------
     # Transient measurements (for capacitance extraction)
     # ------------------------------------------------------------------
-    def transient_with_stimulus(
-        self,
-        stimuli: Mapping[str, Union[float, Stimulus]],
-        output_stimulus: Union[float, Stimulus],
-        t_stop: float,
-        internal_stimulus: Optional[Union[float, Stimulus]] = None,
-        time_step: Optional[float] = None,
-    ):
-        """Run a transient with given source stimuli and return the result.
-
-        ``stimuli`` maps input pin names to stimuli; unlisted switching pins
-        keep their current DC value.  The internal-node source (if present)
-        can be ramped too, which is how ``C_N`` is extracted.
-        """
-        for pin, stimulus in stimuli.items():
-            if pin not in self.input_source_names:
-                raise CharacterizationError(f"no probing source for pin {pin!r}")
-            element = self.circuit.element(self.input_source_names[pin])
-            element.stimulus = stimulus if isinstance(stimulus, Stimulus) else DCValue(float(stimulus))
-        output_element = self.circuit.element(self.output_source_name)
-        output_element.stimulus = (
-            output_stimulus if isinstance(output_stimulus, Stimulus) else DCValue(float(output_stimulus))
-        )
-        if internal_stimulus is not None:
-            if self.internal_source_name is None:
-                raise CharacterizationError("this probe bench does not force the internal node")
-            internal_element = self.circuit.element(self.internal_source_name)
-            internal_element.stimulus = (
-                internal_stimulus
-                if isinstance(internal_stimulus, Stimulus)
-                else DCValue(float(internal_stimulus))
-            )
-        options = TransientOptions(
-            time_step=time_step or self.config.cap_time_step,
-            gmin=self.config.dc_gmin,
-        )
-        return transient_analysis(self.circuit, t_stop=t_stop, options=options)
-
     def transient_with_stimuli_many(
         self,
         runs: Sequence[Mapping[str, Union[float, Stimulus]]],

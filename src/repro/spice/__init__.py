@@ -9,7 +9,7 @@ comparison in the reproduction runs against this simulator.
 
 from .dc import DCAnalysis, dc_operating_point, dc_sweep, newton_fixed_point_many
 from .elements import Capacitor, CurrentSource, Element, Mosfet, Resistor, VoltageSource
-from .mna import MNAAssembler, NewtonOptions, newton_solve, newton_solve_many
+from .mna import MNAAssembler, NewtonOptions, newton_solve_many
 from .netlist import GROUND, Circuit
 from .results import OperatingPoint, TransientResult
 from .sources import (
@@ -44,7 +44,6 @@ __all__ = [
     "CompositeStimulus",
     "MNAAssembler",
     "NewtonOptions",
-    "newton_solve",
     "newton_solve_many",
     "DCAnalysis",
     "dc_operating_point",

@@ -1,5 +1,11 @@
 """DC operating-point and DC-sweep analyses.
 
+Every DC solve goes through one core, :func:`solve_dc_many`: the batched
+Newton solver over rows of source values, with the rows it does not converge
+re-solved by gmin stepping.  An operating point is a batch of one, a bias
+grid a batch of many, and the transient engine's initial solutions one row
+per run.
+
 Besides the circuit-level analyses, this module exposes the batched damped
 Newton iteration behind them for *any* small residual system:
 :func:`newton_fixed_point_many` adapts a callable ``F(x), J(x)`` to the
@@ -12,13 +18,13 @@ solver instead of growing their own Newton loop.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ConvergenceError
 from .elements import VoltageSource
-from .mna import MNAAssembler, NewtonOptions, newton_solve, newton_solve_many
+from .mna import MNAAssembler, NewtonOptions, newton_solve_many
 from .netlist import Circuit
 from .results import OperatingPoint
 from .sources import DCValue
@@ -28,7 +34,12 @@ __all__ = [
     "dc_sweep",
     "DCAnalysis",
     "newton_fixed_point_many",
+    "solve_dc_many",
 ]
+
+#: Shunt conductances (S, node to ground) of the gmin-stepping ladder: each
+#: stage starts from the previous stage's solution, the last is the circuit.
+GMIN_STEPS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 0.0)
 
 
 class _ResidualAssembler:
@@ -52,7 +63,7 @@ class _ResidualAssembler:
         self.num_nodes = size
         self.circuit = SimpleNamespace(name=name)
 
-    def build_many(self, solutions, vs_values, cs_values, cap_matrix=None, cap_rhs=None):
+    def build_many(self, solutions, vs_values, cs_values, base_matrix=None, cap_rhs=None):
         residual, jacobian = self.fn(solutions, vs_values)
         rhs = np.einsum("bij,bj->bi", jacobian, solutions) - residual
         return jacobian, rhs
@@ -104,8 +115,63 @@ def newton_fixed_point_many(
     return newton_solve_many(assembler, initial, params, empty, options=options)
 
 
+def _newton_rows(
+    assembler: MNAAssembler,
+    start: np.ndarray,
+    vs_values: np.ndarray,
+    cs_values: np.ndarray,
+    options: NewtonOptions,
+) -> Tuple[np.ndarray, List[int]]:
+    """Batched Newton from ``start``: every run's last iterate and the
+    positions of the runs that did not converge."""
+    try:
+        return newton_solve_many(assembler, start, vs_values, cs_values, options=options), []
+    except ConvergenceError as exc:
+        metadata = getattr(exc, "metadata", None) or {}
+        failed = list(metadata.get("failed_runs", range(len(start))))
+        return metadata.get("solutions", np.array(start, dtype=float)), failed
+
+
+def solve_dc_many(
+    assembler: MNAAssembler,
+    start: np.ndarray,
+    vs_values: np.ndarray,
+    cs_values: np.ndarray,
+    options: Optional[NewtonOptions] = None,
+) -> np.ndarray:
+    """DC solutions of a batch of source-value rows.
+
+    ``start`` is ``(B, size)``, ``vs_values`` / ``cs_values`` are the rows'
+    ``(B, num_voltage_sources)`` / ``(B, num_current_sources)`` source
+    values.  All rows run batched Newton from ``start``; the rows that do not
+    converge climb the gmin ladder (:data:`GMIN_STEPS`, the standard SPICE
+    fallback) from their own ``start`` with their own source values.  Each
+    row's solution is bitwise its solve as a batch of one.  Raises
+    :class:`~repro.exceptions.ConvergenceError` if a ladder stage fails.
+    """
+    options = options or NewtonOptions()
+    solutions, failed = _newton_rows(assembler, start, vs_values, cs_values, options)
+    if failed:
+        nodes = np.arange(assembler.num_nodes)
+        shunt = np.zeros((assembler.size, assembler.size))
+        stepped = np.array(start, dtype=float)[failed]
+        for gmin in GMIN_STEPS:
+            shunt[nodes, nodes] = gmin
+            stepped = newton_solve_many(
+                assembler,
+                stepped,
+                vs_values[failed],
+                cs_values[failed],
+                base_matrix=assembler.base_matrix(shunt),
+                options=options,
+            )
+        solutions[failed] = stepped
+    return solutions
+
+
 class DCAnalysis:
-    """Reusable DC solver bound to one circuit.
+    """Reusable DC solver bound to one circuit (a front over
+    :func:`solve_dc_many`).
 
     Re-using the analysis object across many operating points (as the
     characterization grid sweeps do) avoids re-building the MNA structure for
@@ -142,46 +208,24 @@ class DCAnalysis:
         reuse_previous:
             Start from the previous solve's solution when available.
         """
-        start = np.zeros(self.assembler.size)
+        assembler = self.assembler
+        start = np.zeros((1, assembler.size))
         if reuse_previous and self._last_solution is not None:
-            start = self._last_solution.copy()
+            start[0] = self._last_solution
         if initial_guess:
             for node, value in initial_guess.items():
-                idx = self.assembler.index_of_node(node)
+                idx = assembler.index_of_node(node)
                 if idx >= 0:
-                    start[idx] = value
+                    start[0, idx] = value
+        vs = np.array([[source.value(time) for source in assembler.voltage_sources]])
+        cs = np.array([[source.value(time) for source in assembler.current_sources]])
 
-        solution = self._solve_with_gmin_stepping(start, time)
+        [solution] = solve_dc_many(assembler, start, vs, cs, self.options)
         self._last_solution = solution
         return OperatingPoint(
-            voltages=self.assembler.voltages_from_solution(solution),
-            branch_currents=self.assembler.branch_currents_from_solution(solution),
+            voltages=assembler.voltages_from_solution(solution),
+            branch_currents=assembler.branch_currents_from_solution(solution),
         )
-
-    def _solve_with_gmin_stepping(self, start: np.ndarray, time: float) -> np.ndarray:
-        try:
-            return newton_solve(self.assembler, start, time, options=self.options)
-        except ConvergenceError:
-            pass
-
-        # Gmin stepping: temporarily add large conductances to ground and
-        # relax them geometrically, reusing each stage's solution as the next
-        # stage's starting point.  This is the standard SPICE fallback.
-        solution = start.copy()
-        size = self.assembler.size
-        num_nodes = self.assembler.num_nodes
-        for gmin in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 0.0):
-            extra = np.zeros((size, size))
-            for idx in range(num_nodes):
-                extra[idx, idx] += gmin
-            solution = newton_solve(
-                self.assembler,
-                solution,
-                time,
-                cap_matrix=extra,
-                options=self.options,
-            )
-        return solution
 
     def solve_grid(
         self,
@@ -193,8 +237,9 @@ class DCAnalysis:
         Each entry of ``source_value_sets`` maps voltage-source names to the
         value that point applies; unlisted sources keep their present value.
         All points iterate in lockstep through :func:`newton_solve_many`
-        (one batched ``np.linalg.solve`` per iteration); points that fail to
-        converge in the batch fall back to the sequential gmin-stepped path.
+        (one batched ``np.linalg.solve`` per iteration); the points that fail
+        to converge in the batch are re-solved through :func:`solve_dc_many`
+        from where the batch left them, each with its own source values.
         This is the workhorse behind the ``Io``/``I_N`` table characterization
         sweeps, which solve the same probe circuit at hundreds of bias points.
         """
@@ -227,30 +272,11 @@ class DCAnalysis:
             if plus >= 0 and minus < 0:
                 guess[:, plus] = vs[:, j]
 
-        failed: List[int] = []
-        try:
-            solutions = newton_solve_many(assembler, guess, vs, cs, options=self.options)
-        except ConvergenceError as exc:
-            metadata = getattr(exc, "metadata", None) or {}
-            solutions = metadata.get("solutions")
-            failed = list(metadata.get("failed_runs", range(batch)))
-            if solutions is None:
-                solutions = guess
-
+        solutions, failed = _newton_rows(assembler, guess, vs, cs, self.options)
         if failed:
-            saved = {s.name: s.stimulus for s in assembler.voltage_sources}
-            try:
-                for position in failed:
-                    values = source_value_sets[position]
-                    for source in assembler.voltage_sources:
-                        if source.name in values:
-                            self.set_source_value(source.name, values[source.name])
-                    solutions[position] = self._solve_with_gmin_stepping(
-                        solutions[position].copy(), time=0.0
-                    )
-            finally:
-                for source in assembler.voltage_sources:
-                    source.stimulus = saved[source.name]
+            solutions[failed] = solve_dc_many(
+                assembler, solutions[failed], vs[failed], cs[failed], self.options
+            )
 
         return [
             OperatingPoint(

@@ -1,9 +1,11 @@
-"""Modified nodal analysis (MNA) assembly and the Newton-Raphson solvers.
+"""Modified nodal analysis (MNA) assembly and the batched Newton-Raphson solver.
 
 The assembler owns the mapping from node names / voltage-source branches to
-matrix indices and knows how to build the linearized system ``G x = rhs`` at a
-given candidate solution.  Both the DC and the transient engines reuse it; the
-transient engine additionally passes pre-built capacitor companion terms.
+matrix indices and knows how to build the linearized systems ``G x = rhs`` at
+a batch of ``B`` candidate solutions (shape ``(B, size)``).  Both the DC and
+the transient engines reuse it; the transient engine additionally passes its
+cached ``static + C/dt`` base matrix and the capacitor companion terms.  A
+single solve is a batch of one.
 
 Stamping is performed through precomputed COO-style index arrays rather than
 per-element Python loops: at construction time the assembler enumerates, once,
@@ -11,11 +13,11 @@ every ``(row, column, derivative, sign)`` quadruple a MOSFET linearization can
 touch and every node a capacitor or current-source branch scatters into.  A
 build then reduces to one vectorized device evaluation
 (:class:`~repro.technology.mosfet.MosfetBank`), one ``np.add.at`` scatter into
-the matrix and one into the right-hand side.  The same index arrays serve a
-single bias point or a whole batch of ``B`` bias points (shape ``(B, size)``),
-which is what :func:`newton_solve_many` and the lockstep transient engine
-build on.  Circuits without nonlinear devices expose ``is_linear`` so callers
-can factorize the (then constant) matrix once and reuse the LU factors.
+the matrices and one into the right-hand sides.  Each scatter runs over the
+flattened batch, so every run's entries accumulate in the order its own batch
+of one would add them.  Circuits without nonlinear devices expose
+``is_linear`` so callers can factorize the (then constant) matrix once and
+reuse the LU factors.
 
 The system layout is::
 
@@ -28,18 +30,17 @@ entering the positive terminal of voltage source ``j`` from the circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgesv as _dgesv
 
 from ..exceptions import AnalysisError, ConvergenceError, NetlistError
 from ..technology.mosfet import MosfetBank
 from .elements import Capacitor, CurrentSource, Mosfet, Resistor, VoltageSource
 from .netlist import GROUND, Circuit
 
-__all__ = ["MNAAssembler", "NewtonOptions", "newton_solve", "newton_solve_many"]
+__all__ = ["MNAAssembler", "NewtonOptions", "newton_solve_many"]
 
 
 @dataclass
@@ -206,11 +207,6 @@ class MNAAssembler:
         self._rhs_sign = np.asarray(rhs_sign)
         self._rhs_dev = np.asarray(rhs_dev, dtype=np.intp)
 
-        # -- voltage-source branch rows --------------------------------------
-        self._vs_branch = np.asarray(
-            [self.branch_index[s.name] for s in self.voltage_sources], dtype=np.intp
-        )
-
         # -- current-source scatter ------------------------------------------
         cs_idx: List[int] = []
         cs_sign: List[float] = []
@@ -268,27 +264,78 @@ class MNAAssembler:
         self._cap_rhs_idx = np.asarray(cap_rhs_idx, dtype=np.intp)
         self._cap_rhs_sign = np.asarray(cap_rhs_sign)
         self._cap_rhs_branch = np.asarray(cap_rhs_branch, dtype=np.intp)
+        self._cap_rhs_signed = self._cap_rhs_sign * self._cap_values[self._cap_rhs_branch]
 
-        # Reusable padded-solution buffer for the unbatched build path, and a
-        # grow-on-demand workspace (matrices / rhs / padded solutions) for the
-        # batched path: newton iterations run thousands of times per
-        # transient, so the allocations are hoisted out of the hot loop.  The
-        # workspace is sized for the largest batch seen and sliced for smaller
-        # ones, which is what lets the batched Newton solver shrink its
-        # rebuilds to the active (non-converged) subset without reallocating.
-        self._padded = np.zeros(size + 1)
-        self._max_workspace: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # Every index pattern a batch applies to its flattened buffers, as
+        # (one run's indices, length of one run's block of the buffer):
+        # scatters into the matrices and right-hand sides, gathers from the
+        # padded solutions, the device outputs and the source values.
+        self._patterns = {
+            "stamp": (self._stamp_flat, size * size),
+            "rhs": (self._rhs_idx, size),
+            "cs": (self._cs_idx, size),
+            "cap_rhs": (self._cap_rhs_idx, size),
+            "terminals": (terminals.ravel(), size + 1),
+            "take": (self._stamp_take, 4 * num_devices),
+            "dev": (self._rhs_dev, num_devices),
+            "cs_pos": (self._cs_pos, len(self.current_sources)),
+            "cap_rhs_a": (self._cap_a[self._cap_rhs_branch], size + 1),
+            "cap_rhs_b": (self._cap_b[self._cap_rhs_branch], size + 1),
+        }
+        # The signs of the scatters, tiled over a batch like their indices.
+        self._signs = {
+            "stamp": self._stamp_sign,
+            "rhs": self._rhs_sign,
+            "cs": self._cs_sign,
+        }
 
-    def _workspace(self, batch: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        workspace = self._max_workspace
-        if workspace is None or workspace[0].shape[0] < batch:
-            workspace = (
+        # Grow-on-demand workspace (scratch buffers and batch-flattened
+        # patterns): newton iterations run thousands of times per transient,
+        # so the allocations are hoisted out of the hot loop.  The workspace
+        # is sized for the largest batch seen and sliced for smaller ones,
+        # which is what lets the batched Newton solver shrink its rebuilds to
+        # the active (non-converged) subset without reallocating.  The slices
+        # are kept per batch size.
+        self._workspace_batch = 0
+        self._workspace_views: Dict[int, _Workspace] = {}
+
+    def _workspace(self, batch: int) -> "_Workspace":
+        views = self._workspace_views.get(batch)
+        if views is not None:
+            return views
+        if self._workspace_batch < batch:
+            runs = np.arange(batch)[:, None]
+            self._buffers = (
                 np.empty((batch, self.size, self.size)),
                 np.empty((batch, self.size)),
                 np.zeros((batch, self.size + 1)),
             )
-            self._max_workspace = workspace
-        return tuple(buffer[:batch] for buffer in workspace)
+            self._flat_patterns = {
+                name: (runs * stride + idx[None, :]).ravel()
+                for name, (idx, stride) in self._patterns.items()
+            }
+            self._flat_signs = {name: np.tile(sign, batch) for name, sign in self._signs.items()}
+            self._workspace_batch = batch
+            self._workspace_views = {}
+        matrices, rhs, padded = (buffer[:batch] for buffer in self._buffers)
+        views = _Workspace(
+            matrices,
+            rhs,
+            padded,
+            matrices.reshape(-1),
+            rhs.reshape(-1),
+            padded.reshape(-1),
+            {
+                name: flat[: batch * len(self._patterns[name][0])]
+                for name, flat in self._flat_patterns.items()
+            },
+            {
+                name: flat[: batch * len(self._signs[name])]
+                for name, flat in self._flat_signs.items()
+            },
+        )
+        self._workspace_views[batch] = views
+        return views
 
     @staticmethod
     def _stamp_conductance(matrix: np.ndarray, a: int, b: int, g: float) -> None:
@@ -330,110 +377,41 @@ class MNAAssembler:
     def capacitor_companion_rhs(
         self, dt: float, previous: np.ndarray, cap_values: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Right-hand-side contribution of capacitor branches (backward Euler).
-
-        ``previous`` may be a single solution vector ``(size,)`` or a batch
-        ``(B, size)``; the result has the matching shape.  ``cap_values``
+        """Right-hand-side contribution of capacitor branches (backward Euler)
+        for a batch ``previous`` of shape ``(B, size)``.  ``cap_values``
         replaces the branch capacitances, per run when it is ``(B, branches)``.
         """
-        cap_values = self._cap_values if cap_values is None else cap_values
-        previous = np.asarray(previous, dtype=float)
-        batched = previous.ndim == 2
-        shape = previous.shape[:-1] + (self.size,)
-        rhs = np.zeros(shape)
-        if not len(self._cap_values):
-            return rhs
-        padded_shape = previous.shape[:-1] + (self.size + 1,)
-        padded = np.zeros(padded_shape)
-        padded[..., : self.size] = previous
-        g_times_v = (cap_values / dt) * (
-            padded[..., self._cap_a] - padded[..., self._cap_b]
-        )
-        contributions = self._cap_rhs_sign * g_times_v[..., self._cap_rhs_branch]
-        if batched:
-            batch = previous.shape[0]
-            np.add.at(
-                rhs,
-                (np.arange(batch)[:, None], self._cap_rhs_idx[None, :]),
-                contributions,
+        batch = previous.shape[0]
+        rhs = np.zeros(batch * self.size)
+        if len(self._cap_rhs_idx):
+            signed = (
+                self._cap_rhs_signed
+                if cap_values is None
+                else cap_values[:, self._cap_rhs_branch] * self._cap_rhs_sign
             )
-        else:
-            np.add.at(rhs, self._cap_rhs_idx, contributions)
-        return rhs
+            workspace = self._workspace(batch)
+            index = workspace.index
+            workspace.padded[:, : self.size] = previous
+            flat = workspace.padded_flat
+            across = (flat[index["cap_rhs_a"]] - flat[index["cap_rhs_b"]]).reshape(batch, -1)
+            # Each entry adds its branch's C/dt * (v_a - v_b) with its node's
+            # sign; the sign is +-1, so (sign * C) / dt is sign * (C / dt).
+            np.add.at(rhs, index["cap_rhs"], ((signed / dt) * across).reshape(-1))
+        return rhs.reshape(batch, self.size)
 
     # ------------------------------------------------------------------
-    def source_values_at(self, time: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate every voltage- and current-source stimulus at ``time``."""
-        vs = np.array([source.value(time) for source in self.voltage_sources])
-        cs = np.array([source.value(time) for source in self.current_sources])
-        return vs, cs
-
-    def build_rhs(
-        self,
-        cap_rhs: Optional[np.ndarray],
-        vs_values: np.ndarray,
-        cs_values: np.ndarray,
-    ) -> np.ndarray:
-        """Right-hand side without the nonlinear (solution-dependent) terms."""
-        rhs = np.zeros(self.size) if cap_rhs is None else cap_rhs.copy()
-        if len(self._vs_branch):
-            rhs[self._vs_branch] += vs_values
-        if len(self._cs_idx):
-            np.add.at(rhs, self._cs_idx, self._cs_sign * cs_values[self._cs_pos])
-        return rhs
-
-    def build(
-        self,
-        solution: np.ndarray,
-        time: float,
-        cap_matrix: Optional[np.ndarray] = None,
-        cap_rhs: Optional[np.ndarray] = None,
-        base_matrix: Optional[np.ndarray] = None,
-        source_values: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble the linearized system around ``solution`` at ``time``.
-
-        ``base_matrix`` (when given) must equal ``static + cap_matrix``; the
-        transient engine caches it per time step so the per-iteration cost is
-        one copy.  ``source_values`` optionally carries pre-evaluated
-        ``(voltage_source_values, current_source_values)`` so stimuli are not
-        re-evaluated on every Newton iteration.
-        """
-        if base_matrix is not None:
-            matrix = base_matrix.copy()
-        else:
-            matrix = self._static_matrix.copy()
-            if cap_matrix is not None:
-                matrix += cap_matrix
-
-        if source_values is None:
-            source_values = self.source_values_at(time)
-        rhs = self.build_rhs(cap_rhs, *source_values)
-
-        if self.mosfets:
-            padded = self._padded
-            padded[: self.size] = solution
-            voltages = padded[self._m_terminals]  # (4, M): vg, vd, vs, vb
-            current, derivs = self._bank.evaluate(
-                voltages[0], voltages[1], voltages[2], voltages[3]
-            )
-            flat_derivs = derivs.reshape(-1)
-            np.add.at(
-                matrix.ravel(),
-                self._stamp_flat,
-                self._stamp_sign * flat_derivs[self._stamp_take],
-            )
-            equivalent = current - np.einsum("km,km->m", derivs, voltages)
-            np.add.at(rhs, self._rhs_idx, self._rhs_sign * equivalent[self._rhs_dev])
-
-        return matrix, rhs
+    def base_matrix(self, extra: np.ndarray) -> np.ndarray:
+        """The static (resistor, gmin and source-branch) matrix plus
+        ``extra``: ``C/dt`` companion conductances or a gmin shunt, one
+        ``(size, size)`` matrix or a ``(B, size, size)`` stack."""
+        return self._static_matrix + extra
 
     def build_many(
         self,
         solutions: np.ndarray,
         vs_values: np.ndarray,
         cs_values: np.ndarray,
-        cap_matrix: Optional[np.ndarray] = None,
+        base_matrix: Optional[np.ndarray] = None,
         cap_rhs: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``B`` linearized systems at once.
@@ -445,64 +423,62 @@ class MNAAssembler:
         vs_values / cs_values:
             Per-run source values, shapes ``(B, num_voltage_sources)`` and
             ``(B, num_current_sources)``.
-        cap_matrix:
-            Shared companion-conductance matrix (same topology and dt for all
-            runs), one per run (shape ``(B, size, size)``), or ``None`` for DC.
+        base_matrix:
+            The matrix before device stamps, from :meth:`base_matrix`: shared
+            (same topology and dt for all runs), one per run (shape
+            ``(B, size, size)``), or ``None`` for the static matrix alone
+            (DC).
         cap_rhs:
             Per-run companion right-hand sides, shape ``(B, size)``.
 
         The returned arrays are per-batch-size scratch buffers owned by the
         assembler — consume them before the next ``build_many`` call.
         """
-        solutions = np.asarray(solutions, dtype=float)
         batch = solutions.shape[0]
-        size = self.size
-
-        matrices, rhs, padded = self._workspace(batch)
-        base = self._static_matrix if cap_matrix is None else self._static_matrix + cap_matrix
-        matrices[:] = base
-
+        workspace = self._workspace(batch)
+        index, sign, rhs = workspace.index, workspace.sign, workspace.rhs
+        workspace.matrices[:] = self._static_matrix if base_matrix is None else base_matrix
         if cap_rhs is None:
             rhs.fill(0.0)
         else:
             np.copyto(rhs, cap_rhs)
-        batch_rows = np.arange(batch)[:, None]
-        if len(self._vs_branch):
-            rhs[:, self._vs_branch] += vs_values
+        # voltage-source branch rows are the last ones, in source order
+        rhs[:, self.num_nodes :] += vs_values
         if len(self._cs_idx):
             np.add.at(
-                rhs,
-                (batch_rows, self._cs_idx[None, :]),
-                self._cs_sign * cs_values[:, self._cs_pos],
+                workspace.rhs_flat,
+                index["cs"],
+                sign["cs"] * cs_values.reshape(-1)[index["cs_pos"]],
             )
 
         if self.mosfets:
-            padded[:, :size] = solutions
-            voltages = padded[:, self._m_terminals]  # (B, 4, M)
-            current, derivs = self._bank.evaluate(
-                voltages[:, 0], voltages[:, 1], voltages[:, 2], voltages[:, 3]
-            )
-            # derivs: (B, 4, M) -> (B, 4*M) so _stamp_take indexes run-locally.
-            flat_derivs = derivs.reshape(batch, -1)
+            workspace.padded[:, : self.size] = solutions
+            voltages = workspace.padded_flat[index["terminals"]]
+            # per device, the sum over its four terminals of derivative * voltage
+            if batch == 1:
+                # One run evaluates on (M,) rows: the same element-wise
+                # arithmetic without numpy's broadcasting set-up per ufunc.
+                voltages = voltages.reshape(4, -1)
+                current, derivs = self._bank.evaluate(*voltages)
+                linear_part = np.einsum("km,km->m", derivs, voltages)
+            else:
+                voltages = voltages.reshape(batch, 4, -1)
+                current, derivs = self._bank.evaluate(
+                    voltages[:, 0], voltages[:, 1], voltages[:, 2], voltages[:, 3]
+                )
+                linear_part = np.einsum("bkm,bkm->bm", derivs, voltages)
             np.add.at(
-                matrices.reshape(batch, -1),
-                (batch_rows, self._stamp_flat[None, :]),
-                self._stamp_sign * flat_derivs[:, self._stamp_take],
+                workspace.matrices_flat,
+                index["stamp"],
+                sign["stamp"] * derivs.reshape(-1)[index["take"]],
             )
-            equivalent = current - np.einsum("bkm,bkm->bm", derivs, voltages)
             np.add.at(
-                rhs,
-                (batch_rows, self._rhs_idx[None, :]),
-                self._rhs_sign * equivalent[:, self._rhs_dev],
+                workspace.rhs_flat,
+                index["rhs"],
+                sign["rhs"] * (current - linear_part).reshape(-1)[index["dev"]],
             )
 
-        return matrices, rhs
-
-    # ------------------------------------------------------------------
-    def linear_lu(self, cap_matrix: Optional[np.ndarray] = None):
-        """LU factors of ``static + cap_matrix`` (linear circuits only)."""
-        matrix = self._static_matrix if cap_matrix is None else self._static_matrix + cap_matrix
-        return lu_factor(matrix, check_finite=False)
+        return workspace.matrices, rhs
 
     # ------------------------------------------------------------------
     def voltages_from_solution(self, solution: np.ndarray) -> Dict[str, float]:
@@ -519,80 +495,44 @@ class MNAAssembler:
         }
 
 
-def newton_solve(
-    assembler: MNAAssembler,
-    initial: np.ndarray,
-    time: float,
-    cap_matrix: Optional[np.ndarray] = None,
-    cap_rhs: Optional[np.ndarray] = None,
-    options: Optional[NewtonOptions] = None,
-    base_matrix: Optional[np.ndarray] = None,
-    source_values: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    linear_lu: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
-    """Solve the nonlinear MNA system by damped Newton-Raphson iteration.
+@lru_cache(maxsize=64)
+def _column_bounds(
+    size: int,
+    num_nodes: int,
+    voltage_tolerance: float,
+    current_tolerance: float,
+    damping_limit: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per unknown: the convergence tolerance on its Newton update and the
+    bounds the update is clipped to (node voltages are damped, branch
+    currents are not)."""
+    tolerance = np.full(size, voltage_tolerance)
+    tolerance[num_nodes:] = current_tolerance
+    upper = np.full(size, damping_limit)
+    upper[num_nodes:] = np.inf
+    lower = -upper
+    for bound in (tolerance, lower, upper):
+        bound.flags.writeable = False  # shared by every caller
+    return tolerance, lower, upper
 
-    For linear circuits a prefactored ``linear_lu`` (from
-    :meth:`MNAAssembler.linear_lu`) short-circuits the iteration to a single
-    triangular solve.
-    """
-    options = options or NewtonOptions()
-    if source_values is None:
-        source_values = assembler.source_values_at(time)
 
-    if assembler.is_linear and linear_lu is not None:
-        rhs = assembler.build_rhs(cap_rhs, *source_values)
-        return lu_solve(linear_lu, rhs, check_finite=False)
+class _Workspace(NamedTuple):
+    """An assembler's scratch buffers for a batch of ``B`` runs (shaped, and
+    as flat views), and its
+    index patterns (``index[name]``) and scatter signs (``sign[name]``)
+    flattened over the batch: run ``b``'s indices are offset by ``b`` blocks
+    of the indexed buffer, runs in order.  ``np.add.at`` over a flattened
+    buffer with them takes numpy's one-dimensional fast path and adds every
+    entry in the order a batch of one would."""
 
-    solution = np.array(initial, dtype=float, copy=True)
-    num_nodes = assembler.num_nodes
-
-    last_delta = float("inf")
-    for iteration in range(1, options.max_iterations + 1):
-        matrix, rhs = assembler.build(
-            solution,
-            time,
-            cap_matrix,
-            cap_rhs,
-            base_matrix=base_matrix,
-            source_values=source_values,
-        )
-        # Low-overhead LAPACK solve; the freshly assembled matrix is scratch,
-        # so it can be factorized in place.
-        _, _, proposed, info = _dgesv(matrix, rhs, overwrite_a=1, overwrite_b=0)
-        if info != 0:
-            raise ConvergenceError(
-                f"singular MNA matrix while solving {assembler.circuit.name!r} at t={time:g}s",
-                iterations=iteration,
-            )
-
-        delta = proposed - solution
-        abs_delta = np.abs(delta)
-        voltage_delta = abs_delta[:num_nodes].max() if num_nodes else 0.0
-        current_delta = abs_delta[num_nodes:].max() if len(delta) > num_nodes else 0.0
-        last_delta = max(voltage_delta, current_delta)
-
-        if num_nodes:
-            np.clip(
-                delta[:num_nodes],
-                -options.damping_limit,
-                options.damping_limit,
-                out=delta[:num_nodes],
-            )
-        solution += delta
-
-        if (
-            voltage_delta < options.voltage_tolerance
-            and current_delta < options.current_tolerance
-        ):
-            return solution
-
-    raise ConvergenceError(
-        f"Newton iteration did not converge for {assembler.circuit.name!r} at t={time:g}s "
-        f"(last update {last_delta:.3e})",
-        iterations=options.max_iterations,
-        residual=last_delta,
-    )
+    matrices: np.ndarray
+    rhs: np.ndarray
+    padded: np.ndarray
+    matrices_flat: np.ndarray
+    rhs_flat: np.ndarray
+    padded_flat: np.ndarray
+    index: Dict[str, np.ndarray]
+    sign: Dict[str, np.ndarray]
 
 
 def newton_solve_many(
@@ -600,44 +540,59 @@ def newton_solve_many(
     initial: np.ndarray,
     vs_values: np.ndarray,
     cs_values: np.ndarray,
-    cap_matrix: Optional[np.ndarray] = None,
+    base_matrix: Optional[np.ndarray] = None,
     cap_rhs: Optional[np.ndarray] = None,
     options: Optional[NewtonOptions] = None,
 ) -> np.ndarray:
     """Damped Newton-Raphson over a batch of ``B`` independent bias points.
 
-    All runs share the circuit topology (and, unless ``cap_matrix`` is given
+    All runs share the circuit topology (and, unless ``base_matrix`` is given
     per run, the companion conductances); each run has its own source values
-    and candidate solution.  Runs drop out of the
-    iteration as soon as they individually satisfy the tolerances: each
-    subsequent iteration assembles and factorizes only the *active*
-    (non-converged) subset, so wide batches with a few straggling runs don't
-    keep paying for the runs that finished early.  Because every run's
-    linearized system is assembled and solved independently of its batch
-    neighbours, each run's result is bit-identical to solving it as a batch
-    of one.
+    and candidate solution.  Runs drop out of the iteration as soon as they
+    individually satisfy the tolerances: each subsequent iteration assembles
+    and factorizes only the *active* (non-converged) subset, so wide batches
+    with a few straggling runs don't keep paying for the runs that finished
+    early.  Until the first run converges the whole batch is active and the
+    iteration works on the arrays themselves, without gathering a copy.
+    Because every run's linearized system is assembled and solved
+    independently of its batch neighbours, each run's result is
+    bit-identical to solving it as a batch of one.
 
     Parameters mirror :meth:`MNAAssembler.build_many`.  Raises
     :class:`~repro.exceptions.ConvergenceError` if any run fails to converge
     within ``max_iterations``; the error's ``metadata["failed_runs"]`` lists
-    the offending batch positions so callers can fall back per-run.
+    the offending batch positions (and ``metadata["solutions"]`` holds the
+    last iterate of every run) so callers can fall back per run.
     """
     options = options or NewtonOptions()
-    solutions = np.array(initial, dtype=float, copy=True)
+    solutions = np.asarray(initial, dtype=float)  # replaced, never written
     if solutions.ndim != 2:
         raise ValueError("newton_solve_many expects an (B, size) initial array")
-    batch = solutions.shape[0]
-    num_nodes = assembler.num_nodes
+    tolerance, lower, upper = _column_bounds(
+        solutions.shape[1],
+        assembler.num_nodes,
+        options.voltage_tolerance,
+        options.current_tolerance,
+        options.damping_limit,
+    )
+    per_run_base = base_matrix is not None and base_matrix.ndim == 3
 
-    active = np.arange(batch)
+    active: Optional[np.ndarray] = None  # None: every run
     for _ in range(options.max_iterations):
-        matrices, rhs = assembler.build_many(
-            solutions[active],
-            vs_values[active],
-            cs_values[active],
-            cap_matrix if cap_matrix is None or cap_matrix.ndim == 2 else cap_matrix[active],
-            None if cap_rhs is None else cap_rhs[active],
-        )
+        if active is None:
+            current = solutions
+            matrices, rhs = assembler.build_many(
+                solutions, vs_values, cs_values, base_matrix, cap_rhs
+            )
+        else:
+            current = solutions[active]
+            matrices, rhs = assembler.build_many(
+                current,
+                vs_values[active],
+                cs_values[active],
+                base_matrix[active] if per_run_base else base_matrix,
+                None if cap_rhs is None else cap_rhs[active],
+            )
         try:
             proposed = np.linalg.solve(matrices, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -645,35 +600,28 @@ def newton_solve_many(
                 f"singular MNA matrix while batch-solving {assembler.circuit.name!r}",
             ) from exc
 
-        delta = proposed - solutions[active]
-        abs_delta = np.abs(delta)
-        count = len(active)
-        voltage_delta = abs_delta[:, :num_nodes].max(axis=1) if num_nodes else np.zeros(count)
-        if solutions.shape[1] > num_nodes:
-            current_delta = abs_delta[:, num_nodes:].max(axis=1)
+        delta = proposed - current
+        small = np.abs(delta) < tolerance
+        np.minimum(delta, upper, out=delta)
+        np.maximum(delta, lower, out=delta)
+        if active is None:
+            solutions = current + delta
         else:
-            current_delta = np.zeros(count)
+            # a fresh array since the first iteration, so ``initial`` stays
+            solutions[active] = current + delta
 
-        np.clip(
-            delta[:, :num_nodes],
-            -options.damping_limit,
-            options.damping_limit,
-            out=delta[:, :num_nodes],
-        )
-        solutions[active] += delta
-
-        converged_now = (voltage_delta < options.voltage_tolerance) & (
-            current_delta < options.current_tolerance
-        )
-        active = active[~converged_now]
-        if active.size == 0:
+        if np.count_nonzero(small) == small.size:
             return solutions
+        if len(current) > 1:  # a lone active run has not converged
+            converged = small.all(axis=1)
+            if converged.any():
+                active = (np.arange(len(solutions)) if active is None else active)[~converged]
 
-    failed = active.tolist()
+    failed = (np.arange(len(solutions)) if active is None else active).tolist()
     error = ConvergenceError(
         f"batch Newton did not converge for {assembler.circuit.name!r} "
         f"(runs {failed} still active after {options.max_iterations} iterations)",
         iterations=options.max_iterations,
     )
-    error.metadata = {"failed_runs": failed, "solutions": solutions}
+    error.metadata = {"failed_runs": failed, "solutions": np.array(solutions, dtype=float)}
     raise error

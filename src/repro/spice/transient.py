@@ -6,16 +6,19 @@ waveforms stay smooth and monotone for saturated-ramp stimuli, and accuracy is
 controlled by the step size.  All of the paper's experiments run with steps of
 0.5-2 ps over windows of a few nanoseconds.
 
-The engine is built for throughput: every stimulus is pre-sampled over the
-whole time grid with one vectorized call, the ``static + C/dt`` base matrix
-(and, for linear circuits, its LU factorization) is cached per distinct time
-step, node waveforms are recorded into preallocated ``(num_nodes, num_steps)``
-arrays instead of per-step list appends, and :meth:`TransientAnalysis.run_many`
+There is one integration path, :meth:`TransientAnalysis.run_many`: it
 integrates a whole batch of stimulus (and capacitor-value) variants of the
 same circuit in lockstep through the batched Newton solver (one
 ``np.linalg.solve`` over ``(B, n, n)`` per iteration).  The capacitance and
 NLDM characterization flows use that to run all their ramp (and load)
-variants simultaneously.
+variants simultaneously; :meth:`TransientAnalysis.run` (and so
+:func:`transient_analysis`) is a batch of one.
+
+The engine is built for throughput: every stimulus is pre-sampled over the
+whole time grid with one vectorized call, the ``static + C/dt`` base matrix
+(and, for linear circuits, its LU factorization) is cached per distinct time
+step, and node waveforms are recorded into preallocated
+``(runs, num_nodes, num_steps)`` arrays instead of per-step list appends.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from ..exceptions import AnalysisError, ConvergenceError
-from .mna import MNAAssembler, NewtonOptions, newton_solve, newton_solve_many
+from scipy.linalg import lu_factor, lu_solve
+
+from ..exceptions import AnalysisError
+from .dc import solve_dc_many
+from .mna import MNAAssembler, NewtonOptions, newton_solve_many
 from .netlist import Circuit
 from .results import TransientResult
 from .sources import DCValue, Stimulus
@@ -115,46 +121,6 @@ class TransientAnalysis:
             return base
         return np.unique(np.concatenate([base, inside]))
 
-    def _initial_solution(
-        self,
-        initial_voltages: Optional[Dict[str, float]],
-        t_start: float,
-        source_values=None,
-    ) -> np.ndarray:
-        """DC solution at ``t_start`` seeded (and optionally pinned) by user ICs."""
-        guess = np.zeros(self.assembler.size)
-        if initial_voltages:
-            for node, value in initial_voltages.items():
-                idx = self.assembler.index_of_node(node)
-                if idx >= 0:
-                    guess[idx] = value
-        try:
-            solution = newton_solve(
-                self.assembler,
-                guess,
-                t_start,
-                options=self.options.newton,
-                source_values=source_values,
-            )
-        except ConvergenceError:
-            # Fall back to gmin-stepped DC for a robust starting point.
-            from .dc import DCAnalysis
-
-            analysis = DCAnalysis(self.circuit, gmin=self.options.gmin, options=self.options.newton)
-            op = analysis.solve(time=t_start, initial_guess=initial_voltages)
-            solution = np.zeros(self.assembler.size)
-            for node, idx in self.assembler.node_index.items():
-                solution[idx] = op.voltages[node]
-            for name, idx in self.assembler.branch_index.items():
-                solution[idx] = op.branch_currents[name]
-        if initial_voltages:
-            # Honour explicit initial conditions exactly: override the DC value.
-            for node, value in initial_voltages.items():
-                idx = self.assembler.index_of_node(node)
-                if idx >= 0:
-                    solution[idx] = value
-        return solution
-
     # ------------------------------------------------------------------
     def _record_indices(self, record_nodes: Optional[Sequence[str]]) -> List[str]:
         nodes = list(record_nodes) if record_nodes else list(self.circuit.non_ground_nodes)
@@ -163,54 +129,40 @@ class TransientAnalysis:
                 raise AnalysisError(f"cannot record unknown node {node!r}")
         return nodes
 
-    def _recording_plan(self, nodes: Sequence[str]):
-        """Gather indices shared by the scalar and lockstep recorders.
+    def _recording_plan(self, nodes: Sequence[str], batch: int):
+        """``(batch, k)`` gather indices of the recorded node voltages and
+        source currents in a flattened ``(batch, size + 1)`` padded solution
+        block.
 
-        Node gathers go through a zero-padded solution vector so that
-        ground-recorded nodes read 0.0 without masking.
+        The pad entry of each run is 0.0, so ground-recorded nodes read 0.0
+        without masking.
         """
         assembler = self.assembler
         pad = assembler.size
-        node_gather = np.array(
-            [assembler.index_of_node(n) if assembler.index_of_node(n) >= 0 else pad for n in nodes],
-            dtype=np.intp,
+        node_gather = [
+            assembler.index_of_node(n) if assembler.index_of_node(n) >= 0 else pad for n in nodes
+        ]
+        branch_gather = [assembler.branch_index[s.name] for s in assembler.voltage_sources]
+        offsets = np.arange(batch)[:, None] * (pad + 1)
+        return (
+            offsets + np.array(node_gather, dtype=np.intp),
+            offsets + np.array(branch_gather, dtype=np.intp),
         )
-        branch_gather = np.array(
-            [assembler.branch_index[s.name] for s in assembler.voltage_sources], dtype=np.intp
-        )
-        return node_gather, branch_gather
 
-    def _step_cache_entry(self, step_cache: Dict[float, tuple], dt: float):
-        """Per-dt companion matrix, prebuilt base matrix and (linear) LU."""
-        key = round(dt, 18)
-        cached = step_cache.get(key)
-        if cached is None:
-            assembler = self.assembler
-            cap_matrix = assembler.capacitor_companion_matrix(dt)
-            base_matrix = assembler._static_matrix + cap_matrix
-            lu = assembler.linear_lu(cap_matrix) if assembler.is_linear else None
-            cached = (cap_matrix, base_matrix, lu)
-            step_cache[key] = cached
-        return cached
-
-    def _row_step_cache_entry(
-        self, step_cache: Dict[float, tuple], dt: float, row_caps: np.ndarray
-    ):
-        """Per-run companion matrices (and linear LUs) for ``(B, branches)``
-        capacitances, cached like :meth:`_step_cache_entry`: under
-        ``round(dt, 18)`` with the first dt seen, so every run's matrix is
-        the one its own scalar :meth:`run` would build."""
-        key = round(dt, 18)
-        cached = step_cache.get(key)
-        if cached is None:
-            assembler = self.assembler
-            cap_matrices = np.stack(
-                [assembler.capacitor_companion_matrix(dt, values) for values in row_caps]
+    def _step_matrices(self, dt: float, row_caps: Optional[np.ndarray]):
+        """The ``static + C/dt`` base matrix of one time step -- shared, or one
+        per run for ``(B, branches)`` capacitances -- and, for a linear
+        circuit, its LU factors (one per run with ``row_caps``)."""
+        assembler = self.assembler
+        if row_caps is None:
+            base = assembler.base_matrix(assembler.capacitor_companion_matrix(dt))
+            lu = lu_factor(base, check_finite=False) if assembler.is_linear else None
+        else:
+            base = assembler.base_matrix(
+                np.stack([assembler.capacitor_companion_matrix(dt, values) for values in row_caps])
             )
-            lus = [assembler.linear_lu(m) for m in cap_matrices] if assembler.is_linear else None
-            cached = (cap_matrices, lus)
-            step_cache[key] = cached
-        return cached
+            lu = [lu_factor(m, check_finite=False) for m in base] if assembler.is_linear else None
+        return base, lu
 
     def _sample_sources(self, times: np.ndarray, overrides: Optional[Mapping[str, Stimulus]] = None):
         """Pre-sample every source stimulus over the whole grid.
@@ -241,7 +193,8 @@ class TransientAnalysis:
         initial_voltages: Optional[Dict[str, float]] = None,
         record_nodes: Optional[Sequence[str]] = None,
     ) -> TransientResult:
-        """Integrate the circuit from ``t_start`` to ``t_stop``.
+        """Integrate the circuit, with its attached stimuli, from ``t_start``
+        to ``t_stop``: :meth:`run_many` over a batch of one.
 
         Parameters
         ----------
@@ -255,58 +208,14 @@ class TransientAnalysis:
         record_nodes:
             Subset of nodes to record.  Defaults to every node.
         """
-        if t_stop <= t_start:
-            raise AnalysisError("t_stop must be greater than t_start")
-
-        assembler = self.assembler
-        times = self._time_grid(t_stop, t_start)
-        num_steps = len(times)
-        nodes = self._record_indices(record_nodes)
-
-        vs_samples, cs_samples = self._sample_sources(times)
-        solution = self._initial_solution(
-            initial_voltages, times[0], source_values=(vs_samples[:, 0], cs_samples[:, 0])
+        [result] = self.run_many(
+            [{}],
+            t_stop=t_stop,
+            t_start=t_start,
+            initial_voltages=initial_voltages,
+            record_nodes=record_nodes,
         )
-
-        # Preallocated recording: one (num_recorded, num_steps) voltage block
-        # and one (num_sources, num_steps) current block.
-        node_gather, branch_gather = self._recording_plan(nodes)
-        record_currents = self.options.record_source_currents
-        voltage_block = np.empty((len(nodes), num_steps))
-        current_block = np.empty((len(branch_gather), num_steps)) if record_currents else None
-        padded = np.zeros(assembler.size + 1)
-
-        def record(step: int, current_solution: np.ndarray) -> None:
-            padded[: assembler.size] = current_solution
-            voltage_block[:, step] = padded[node_gather]
-            if current_block is not None:
-                current_block[:, step] = -current_solution[branch_gather]
-
-        record(0, solution)
-
-        step_cache: Dict[float, tuple] = {}
-        newton = self.options.newton
-        for step in range(1, num_steps):
-            dt = times[step] - times[step - 1]
-            if dt <= 0:
-                record(step, solution)
-                continue
-            cap_matrix, base_matrix, lu = self._step_cache_entry(step_cache, dt)
-            cap_rhs = assembler.capacitor_companion_rhs(dt, solution)
-            solution = newton_solve(
-                assembler,
-                solution,
-                times[step],
-                cap_matrix=cap_matrix,
-                cap_rhs=cap_rhs,
-                options=newton,
-                base_matrix=base_matrix,
-                source_values=(vs_samples[:, step], cs_samples[:, step]),
-                linear_lu=lu,
-            )
-            record(step, solution)
-
-        return self._package_result(times, nodes, voltage_block, current_block)
+        return result
 
     def _package_result(
         self,
@@ -352,13 +261,13 @@ class TransientAnalysis:
         All runs share one time grid: the base grid plus the breakpoints of
         every run's overriding stimuli *and* of the stimuli attached to the
         circuit, even where every run overrides them.  A breakpoint within
-        :data:`BREAKPOINT_SNAP` steps of a base grid point adds no point (the
-        same rule as :meth:`run`), so a batch whose breakpoints all lie on the
-        base grid -- ramps of different slews starting and ending on grid
-        points -- runs on the base grid itself.  A run therefore equals its
-        scalar :meth:`run` bitwise (on a circuit carrying its stimuli and
-        capacitor values) when the grid is that run's own, i.e. when all runs
-        and the attached stimuli add the same off-grid breakpoints (or none).
+        :data:`BREAKPOINT_SNAP` steps of a base grid point adds no point, so
+        a batch whose breakpoints all lie on the base grid -- ramps of
+        different slews starting and ending on grid points -- runs on the
+        base grid itself.  A run therefore equals its batch of one bitwise
+        (on a circuit carrying its stimuli and capacitor values, that is its
+        :meth:`run`) when the grid is that run's own, i.e. when all runs and
+        the attached stimuli add the same off-grid breakpoints (or none).
 
         ``stop_when``, when given, ends the batch early: it is called as
         ``stop_when(step, times, voltage_block)`` after every integration step
@@ -406,132 +315,112 @@ class TransientAnalysis:
         batch = len(overrides)
         nodes = self._record_indices(record_nodes)
 
-        vs_all = np.empty((batch, len(assembler.voltage_sources), num_steps))
-        cs_all = np.empty((batch, len(assembler.current_sources), num_steps))
+        # (grid points, runs, sources): one step's source values are contiguous
+        vs_all = np.empty((num_steps, batch, len(assembler.voltage_sources)))
+        cs_all = np.empty((num_steps, batch, len(assembler.current_sources)))
         for run, resolved in enumerate(overrides):
-            vs_all[run], cs_all[run] = self._sample_sources(times, overrides=resolved)
+            vs, cs = self._sample_sources(times, overrides=resolved)
+            vs_all[:, run], cs_all[:, run] = vs.T, cs.T
 
         row_caps = (
             None
             if capacitances is None
             else np.stack([assembler.capacitor_values(values) for values in capacitances])
         )
-        solutions = self._initial_solutions_many(initial_voltages, times[0], vs_all, cs_all, overrides)
+        solutions = self._initial_solutions_many(initial_voltages, vs_all[0], cs_all[0])
 
-        node_gather, branch_gather = self._recording_plan(nodes)
-        record_currents = self.options.record_source_currents
-        voltage_block = np.empty((batch, len(nodes), num_steps))
-        current_block = (
-            np.empty((batch, len(branch_gather), num_steps)) if record_currents else None
+        # Recorded as (grid points, runs, quantities), so a step writes one
+        # contiguous block; ``voltage_block`` is the (runs, nodes, points) view.
+        node_gather, branch_gather = self._recording_plan(nodes, batch)
+        voltages = np.empty((num_steps, batch, len(nodes)))
+        currents = (
+            np.empty((num_steps, batch, len(assembler.voltage_sources)))
+            if self.options.record_source_currents
+            else None
         )
+        voltage_block = voltages.transpose(1, 2, 0)
         padded = np.zeros((batch, assembler.size + 1))
+        flat = padded.reshape(-1)
 
         def record(step: int, current_solutions: np.ndarray) -> None:
             padded[:, : assembler.size] = current_solutions
-            voltage_block[:, :, step] = padded[:, node_gather]
-            if current_block is not None:
-                current_block[:, :, step] = -current_solutions[:, branch_gather]
+            voltages[step] = flat[node_gather]
+            if currents is not None:
+                np.negative(flat[branch_gather], out=currents[step])
 
         record(0, solutions)
 
+        # The step matrices are cached under the step rounded to 1e-18 s and
+        # built from the first step seen with that key; the capacitor history
+        # uses each step's own dt.
+        dts = np.diff(times)
         step_cache: Dict[float, tuple] = {}
         newton = self.options.newton
-        from scipy.linalg import lu_solve
-
         last = num_steps - 1
-        for step in range(1, num_steps):
-            dt = times[step] - times[step - 1]
-            if dt > 0:
+        for step, (dt, key) in enumerate(zip(dts.tolist(), np.round(dts, 18).tolist()), start=1):
+            cached = step_cache.get(key)
+            if cached is None:
+                cached = step_cache[key] = self._step_matrices(dt, row_caps)
+            base, lu = cached
+            cap_rhs = assembler.capacitor_companion_rhs(dt, solutions, row_caps)
+            vs_step = vs_all[step]
+            cs_step = cs_all[step]
+            if lu is None:
+                solutions = newton_solve_many(
+                    assembler,
+                    solutions,
+                    vs_step,
+                    cs_step,
+                    base_matrix=base,
+                    cap_rhs=cap_rhs,
+                    options=newton,
+                )
+            else:
+                # a linear circuit's build is its right-hand side
+                _, rhs = assembler.build_many(solutions, vs_step, cs_step, base, cap_rhs)
                 if row_caps is None:
-                    cap_matrix, _, lu = self._step_cache_entry(step_cache, dt)
+                    solutions = lu_solve(lu, rhs.T, check_finite=False).T
                 else:
-                    cap_matrix, lu = self._row_step_cache_entry(step_cache, dt, row_caps)
-                cap_rhs = assembler.capacitor_companion_rhs(dt, solutions, row_caps)
-                vs_step = vs_all[:, :, step]
-                cs_step = cs_all[:, :, step]
-                if lu is not None:
-                    rhs = np.empty((batch, assembler.size))
-                    for run in range(batch):
-                        rhs[run] = assembler.build_rhs(cap_rhs[run], vs_step[run], cs_step[run])
-                    if row_caps is None:
-                        solutions = lu_solve(lu, rhs.T, check_finite=False).T
-                    else:
-                        solutions = np.stack(
-                            [
-                                lu_solve(factors, b, check_finite=False)
-                                for factors, b in zip(lu, rhs)
-                            ]
-                        )
-                else:
-                    solutions = newton_solve_many(
-                        assembler,
-                        solutions,
-                        vs_step,
-                        cs_step,
-                        cap_matrix=cap_matrix,
-                        cap_rhs=cap_rhs,
-                        options=newton,
+                    solutions = np.stack(
+                        [lu_solve(factors, b, check_finite=False) for factors, b in zip(lu, rhs)]
                     )
             record(step, solutions)
             if stop_when is not None and stop_when(step, times, voltage_block):
                 last = step
                 break
 
-        if last < num_steps - 1:
-            times = times[: last + 1]
-            voltage_block = voltage_block[:, :, : last + 1].copy()
-            if current_block is not None:
-                current_block = current_block[:, :, : last + 1].copy()
-        results: List[TransientResult] = []
-        for run in range(batch):
-            results.append(
-                self._package_result(
-                    times,
-                    nodes,
-                    voltage_block[run],
-                    current_block[run] if current_block is not None else None,
-                )
+        times = times[: last + 1]
+        return [
+            self._package_result(
+                times,
+                nodes,
+                voltages[: last + 1, run].T.copy(),
+                None if currents is None else currents[: last + 1, run].T.copy(),
             )
-        return results
+            for run in range(batch)
+        ]
 
     def _initial_solutions_many(
         self,
         initial_voltages: Optional[Dict[str, float]],
-        t_start: float,
-        vs_all: np.ndarray,
-        cs_all: np.ndarray,
-        overrides: Sequence[Mapping[str, Stimulus]],
+        vs_values: np.ndarray,
+        cs_values: np.ndarray,
     ) -> np.ndarray:
-        """Batched DC solves at ``t_start``, with per-run scalar fallback."""
+        """Every run's DC solution at ``t_start`` from its own source values
+        (:func:`~repro.spice.dc.solve_dc_many`), seeded and then pinned by
+        ``initial_voltages``."""
         assembler = self.assembler
-        batch = vs_all.shape[0]
-        guess = np.zeros((batch, assembler.size))
-        if initial_voltages:
-            for node, value in initial_voltages.items():
-                idx = assembler.index_of_node(node)
-                if idx >= 0:
-                    guess[:, idx] = value
-        try:
-            solutions = newton_solve_many(
-                assembler,
-                guess,
-                vs_all[:, :, 0],
-                cs_all[:, :, 0],
-                options=self.options.newton,
-            )
-        except ConvergenceError:
-            solutions = np.empty((batch, assembler.size))
-            for run in range(batch):
-                solutions[run] = self._initial_solution(
-                    initial_voltages,
-                    t_start,
-                    source_values=(vs_all[run, :, 0], cs_all[run, :, 0]),
-                )
-        if initial_voltages:
-            for node, value in initial_voltages.items():
-                idx = assembler.index_of_node(node)
-                if idx >= 0:
-                    solutions[:, idx] = value
+        pinned = [
+            (assembler.index_of_node(node), value)
+            for node, value in (initial_voltages or {}).items()
+            if assembler.index_of_node(node) >= 0
+        ]
+        guess = np.zeros((len(vs_values), assembler.size))
+        for idx, value in pinned:
+            guess[:, idx] = value
+        solutions = solve_dc_many(assembler, guess, vs_values, cs_values, self.options.newton)
+        for idx, value in pinned:
+            solutions[:, idx] = value
         return solutions
 
 

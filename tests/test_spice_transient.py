@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from repro.cells import build_testbench
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ConvergenceError
 from repro.spice import (
     Circuit,
+    NewtonOptions,
     SaturatedRamp,
     TransientAnalysis,
     TransientOptions,
+    dc_operating_point,
     transient_analysis,
 )
 from repro.spice.elements import Capacitor
@@ -143,9 +145,10 @@ class TestTransientWithDevices:
 
 
 class TestPerRunCapacitances:
-    """``run_many(capacitances=)``: every run equals its scalar ``run`` on a
-    circuit carrying that run's stimulus and capacitor value, bitwise, when
-    the runs share one breakpoint set."""
+    """``run_many(capacitances=)``: every run equals its batch of one on a
+    circuit carrying that run's stimulus and capacitor value (that circuit's
+    ``transient_analysis``), bitwise, when the runs share one breakpoint
+    set."""
 
     @pytest.mark.parametrize("slew", [20e-12, 60e-12])
     def test_cell_rows_equal_scalar_runs_bitwise(self, nand2, slew):
@@ -224,6 +227,49 @@ class TestPerRunCapacitances:
                 engine.run_many([{}, {}], t_stop=1e-9, capacitances=capacitances)
 
 
+class TestInitialSolution:
+    """``run_many`` starts every run from the DC point of its own sources."""
+
+    def test_failed_rows_fall_back_to_their_own_dc_points(self, nor2, monkeypatch):
+        """Two runs override both inputs of a bench whose attached inputs
+        sit at 0 V.  Six Newton iterations are too few from a cold start at
+        these mid-rail inputs, and the first batched solve is forced to
+        fail besides, so both runs take the gmin-stepped fallback: each
+        run's first sample must be the DC point of a circuit that carries
+        that run's inputs, bitwise, not the DC point of the attached 0 V."""
+        import repro.spice.dc as dc_module
+
+        vdd = nor2.technology.vdd
+        newton = NewtonOptions(max_iterations=6)
+        rows = [{"VA": 0.5 * vdd, "VB": 0.5 * vdd}, {"VA": 0.6 * vdd, "VB": 0.5 * vdd}]
+        real = dc_module.newton_solve_many
+        calls = []
+
+        def first_call_fails(assembler, initial, *args, **kwargs):
+            calls.append(len(initial))
+            if len(calls) == 1:
+                error = ConvergenceError("forced")
+                error.metadata = {
+                    "failed_runs": list(range(len(initial))),
+                    "solutions": np.array(initial, dtype=float),
+                }
+                raise error
+            return real(assembler, initial, *args, **kwargs)
+
+        monkeypatch.setattr(dc_module, "newton_solve_many", first_call_fails)
+        bench = build_testbench(nor2, {"A": 0.0, "B": 0.0}, fanout=2)
+        results = TransientAnalysis(bench.circuit, TransientOptions(newton=newton)).run_many(
+            rows, t_stop=5e-12
+        )
+        for row, result in zip(rows, results):
+            alone = build_testbench(nor2, {"A": row["VA"], "B": row["VB"]}, fanout=2)
+            op = dc_operating_point(alone.circuit, options=newton)
+            for node, trace in result.node_voltages.items():
+                assert trace[0] == op.voltage(node), (row, node)
+        # The forced batch, then the first gmin stage over both runs.
+        assert calls[:2] == [2, 2]
+
+
 class TestTimeGrid:
     """``_time_grid``, shared by ``run`` and ``run_many``: a breakpoint within
     ``BREAKPOINT_SNAP`` steps of a base grid point adds no point; a truly
@@ -233,8 +279,8 @@ class TestTimeGrid:
     T_STOP = 850e-12
 
     def _grids(self, ramp):
-        """The grid ``run`` builds on a circuit carrying ``ramp`` and the one
-        ``run_many`` builds overriding a DC source with it."""
+        """The grids of two batches of one: ``run`` on a circuit carrying
+        ``ramp``, and ``run_many`` overriding a DC source with it."""
 
         def circuit(stimulus):
             circuit = Circuit("ramp")
