@@ -1,18 +1,16 @@
 """Cell characterization flows (DC current tables, capacitances, NLDM)."""
 
 from .capacitance import (
+    CapacitanceRequest,
+    CellCapacitances,
     characterize_cell_capacitances,
-    characterize_input_capacitance,
-    characterize_internal_capacitance,
-    characterize_miller_capacitance,
-    characterize_output_capacitance,
-    extract_ramp_capacitance,
-    extract_ramp_capacitances,
 )
 from .characterize import (
+    cell_characterization_job,
     characterization_job,
     characterization_key,
     characterize_baseline_mis,
+    characterize_cell_models,
     characterize_mcsm,
     characterize_sis,
     nldm_characterization_job,
@@ -35,19 +33,17 @@ __all__ = [
     "characterize_sis_current",
     "characterize_mis_current",
     "characterize_mcsm_currents",
+    "CapacitanceRequest",
+    "CellCapacitances",
     "characterize_cell_capacitances",
-    "characterize_miller_capacitance",
-    "characterize_output_capacitance",
-    "characterize_internal_capacitance",
-    "characterize_input_capacitance",
-    "extract_ramp_capacitance",
-    "extract_ramp_capacitances",
     "characterize_sis",
     "characterize_baseline_mis",
     "characterize_mcsm",
+    "characterize_cell_models",
     "characterize_nldm",
     "characterize_nldm_arcs",
     "characterization_job",
+    "cell_characterization_job",
     "characterization_key",
     "run_characterization",
     "nldm_characterization_job",

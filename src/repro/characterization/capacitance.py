@@ -16,33 +16,29 @@ capacitive component:
 The extracted C(v) samples are then averaged, matching the paper's decision
 to store an average capacitance over the characterization slopes.
 
-All ramp variants of one extraction — both slopes, both ramp directions and
-both output biases — are integrated *in lockstep* through the batched
-transient engine (one simulation instead of eight), and every probing-source
-current is recorded, so a single batch yields both the Miller and the input
-capacitance of a pin.
+All ramp variants of all the models of one cell — both slopes, both ramp
+directions, both output biases, every pin and every model — are integrated
+*in lockstep* through the batched transient engine, one batch per probe
+circuit, with each distinct run integrated once; every probing-source current
+is recorded, so one run yields both the Miller and the input capacitance of a
+pin.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cells.cell import Cell
-from ..exceptions import CharacterizationError
 from ..spice.sources import SaturatedRamp
 from .config import CharacterizationConfig
 from .probe import ProbeBench
 
 __all__ = [
-    "extract_ramp_capacitance",
-    "extract_ramp_capacitances",
+    "CapacitanceRequest",
+    "CellCapacitances",
     "characterize_cell_capacitances",
-    "characterize_miller_capacitance",
-    "characterize_output_capacitance",
-    "characterize_internal_capacitance",
-    "characterize_input_capacitance",
 ]
 
 
@@ -52,10 +48,39 @@ __all__ = [
 CAP_FLOOR = 0.1e-15
 
 
-def _controlling_bias(cell: Cell, pins: Iterable[str]) -> Dict[str, float]:
-    """Bias that turns the series stack off (all listed pins at controlling value)."""
+class CapacitanceRequest(NamedTuple):
+    """The capacitances one CSM model needs.
+
+    ``pins`` are the model's switching pins; ``pin_biases`` gives, per pin,
+    the DC bias of other input pins while that pin is ramped (the
+    ``miller_other_pin_state`` policy, resolved by the caller; pins it does
+    not list sit at their non-controlling value); ``include_internal`` also
+    asks for ``C_N`` (the cell needs a stack node).
+    """
+
+    pins: Tuple[str, ...]
+    pin_biases: Mapping[str, Mapping[str, float]]
+    include_internal: bool = False
+
+
+class CellCapacitances(NamedTuple):
+    """One request's capacitances; ``internal_cap`` is ``None`` unless asked."""
+
+    miller_caps: Dict[str, float]
+    input_caps: Dict[str, float]
+    output_cap: float
+    internal_cap: Optional[float]
+
+
+def _input_bias(cell: Cell, controlling: Iterable[str] = ()) -> Dict[str, float]:
+    """Every input pin's DC voltage: the ``controlling`` pins at their
+    controlling value (turning the series stack off), the others at their
+    non-controlling value."""
     vdd = cell.technology.vdd
-    return {pin: cell.controlling_value(pin) * vdd for pin in pins}
+    controlling = set(controlling)
+    biases = {pin: cell.non_controlling_value(pin) * vdd for pin in cell.inputs}
+    biases.update((pin, cell.controlling_value(pin) * vdd) for pin in controlling)
+    return biases
 
 
 def _ramp_pair(
@@ -127,267 +152,116 @@ def _caps_from_results(
     return samples
 
 
-def extract_ramp_capacitances(
-    bench: ProbeBench,
-    ramp_node: str,
-    measure_probes: Sequence[str],
-    dc_biases: Dict[str, float],
-    bias_direction_combos: Sequence[Tuple[float, bool]],
-    config: Optional[CharacterizationConfig] = None,
-) -> Dict[str, List[float]]:
-    """Two-slope capacitance extraction, batched over probes and bias combos.
+class _ProbeBatch:
+    """The ramp runs of one probe circuit (stack node floating, or forced
+    by ``VN``), each distinct run listed once.
 
-    Parameters
-    ----------
-    bench:
-        Probe bench with sources on all relevant nodes.
-    ramp_node:
-        Which probe gets the ramp: an input pin name, ``"output"`` or
-        ``"internal"``.
-    measure_probes:
-        Which sources' currents are turned into capacitance samples (same
-        identifiers); all probing currents come out of the same transients.
-    dc_biases:
-        DC voltages for the input pins that are not ramped.
-    bias_direction_combos:
-        ``(output_bias, rising)`` pairs; the output bias is ignored when the
-        output itself is ramped.  All combos (times the two configured slews)
-        are integrated in one lockstep batch.
-
-    Returns
-    -------
-    Probe identifier -> one averaged capacitance sample per combo, in order.
+    Every run lists every input's bias, so a run means the same on any
+    probe bench of the cell and equal runs of different segments (say, an
+    SIS model's pin ramps and an MCSM's) are integrated once.
     """
-    config = config or bench.config
-    vdd = bench.cell.technology.vdd
-    if ramp_node == "internal" and bench.internal_source_name is None:
-        raise CharacterizationError("bench has no internal-node source to ramp")
 
-    runs = _build_ramp_runs(ramp_node, dc_biases, bias_direction_combos, vdd, config)
-    results = bench.transient_with_stimuli_many(runs, t_stop=_ramp_window(config))
-    return _caps_from_results(
-        bench, results, measure_probes, bias_direction_combos, vdd, config
-    )
+    def __init__(self, cell: Cell, config: CharacterizationConfig, probe_internal: bool):
+        self.bench = ProbeBench(
+            cell=cell, switching_pins=(), probe_internal=probe_internal, config=config
+        )
+        self.runs: List[Dict[str, object]] = []
+        self._positions: Dict[Tuple, int] = {}
+        self.results: List = []
+
+    def add(
+        self,
+        ramp_node: str,
+        dc_biases: Dict[str, float],
+        bias_direction_combos: Sequence[Tuple[float, bool]],
+    ) -> List[int]:
+        """Batch positions of one segment's runs (:func:`_build_ramp_runs`),
+        appending those not yet in the batch."""
+        config = self.bench.config
+        vdd = self.bench.cell.technology.vdd
+        positions = []
+        for run in _build_ramp_runs(ramp_node, dc_biases, bias_direction_combos, vdd, config):
+            position = self._positions.setdefault(tuple(sorted(run.items())), len(self.runs))
+            if position == len(self.runs):
+                self.runs.append(run)
+            positions.append(position)
+        return positions
+
+    def run(self) -> None:
+        """Integrate every run in one lockstep batch."""
+        if self.runs:
+            self.results = self.bench.transient_with_stimuli_many(
+                self.runs, t_stop=_ramp_window(self.bench.config)
+            )
 
 
 def characterize_cell_capacitances(
     cell: Cell,
-    pins: Sequence[str],
-    pin_biases: Dict[str, Dict[str, float]],
+    requests: Sequence[CapacitanceRequest],
     config: Optional[CharacterizationConfig] = None,
-    include_internal: bool = False,
-) -> Tuple[Dict[str, float], Dict[str, float], float, Optional[float]]:
-    """All model capacitances of a cell from (at most) two lockstep batches.
+) -> List[CellCapacitances]:
+    """The capacitances of several models of one cell from at most two
+    lockstep batches.
 
-    The per-pin Miller/input extractions and the output-capacitance
-    extraction all probe the same circuit — only the stimuli differ — so
-    every ramp variant of every segment goes into *one* batched transient.
-    The internal-node extraction needs the probe circuit with a forced stack
-    node and runs as its own (4-run) batch.
+    Every request's per-pin Miller/input extractions and its output
+    extraction probe the same circuit (the stack node floating) -- only the
+    stimuli differ -- so all of them go into one batched transient; the
+    internal-node extractions need the stack node forced and share a second
+    batch.  A run that several requests share (an SIS model's pin ramps are
+    an MCSM's too) is integrated once.  A run's samples do not depend on
+    which other runs share its batch, so each request gets bitwise the
+    capacitances it would get alone.
 
-    Parameters
-    ----------
-    pins:
-        The switching pins being characterized.
-    pin_biases:
-        Per pin: the DC bias of the *other* input pins while that pin is
-        ramped (the ``miller_other_pin_state`` policy, resolved by the
-        caller).
-    include_internal:
-        Also extract ``C_N`` (requires a stack node).
-
-    Returns
-    -------
-    ``(miller_caps, input_caps, output_cap, internal_cap)``;
-    ``internal_cap`` is ``None`` unless requested.
+    Returns one :class:`CellCapacitances` per request, in order.
     """
     config = config or CharacterizationConfig()
     vdd = cell.technology.vdd
-    bench = ProbeBench(cell=cell, switching_pins=tuple(pins), probe_internal=False, config=config)
-
     pin_combos = [(output_bias, rising) for output_bias in (0.0, vdd) for rising in (True, False)]
-    output_combos = [(0.0, True), (0.0, False)]
-    controlling = _controlling_bias(cell, pins)
+    stack_off_combos = [(0.0, True), (0.0, False)]
+    floating = _ProbeBatch(cell, config, probe_internal=False)
+    forced: Optional[_ProbeBatch] = None
 
-    runs: List[Dict[str, object]] = []
-    segments: List[Tuple[str, Tuple[str, ...], Sequence[Tuple[float, bool]], int]] = []
-    for pin in pins:
-        runs.extend(_build_ramp_runs(pin, dict(pin_biases[pin]), pin_combos, vdd, config))
-        segments.append((pin, ("output", pin), pin_combos, 2 * len(pin_combos)))
-    runs.extend(_build_ramp_runs("output", controlling, output_combos, vdd, config))
-    segments.append(("output", ("output",), output_combos, 2 * len(output_combos)))
+    # (batch, ramped node, measured probes, combos, batch positions)
+    plans = []
+    for request in requests:
+        segments = []
+        for pin in request.pins:
+            biases = {**_input_bias(cell), **request.pin_biases[pin]}
+            positions = floating.add(pin, biases, pin_combos)
+            segments.append((floating, pin, ("output", pin), pin_combos, positions))
+        stack_off = _input_bias(cell, request.pins)
+        positions = floating.add("output", stack_off, stack_off_combos)
+        segments.append((floating, "output", ("output",), stack_off_combos, positions))
+        if request.include_internal:
+            forced = forced or _ProbeBatch(cell, config, probe_internal=True)
+            positions = forced.add("internal", stack_off, stack_off_combos)
+            segments.append((forced, "internal", ("internal",), stack_off_combos, positions))
+        plans.append(segments)
 
-    results = bench.transient_with_stimuli_many(runs, t_stop=_ramp_window(config))
+    for batch in (floating, forced):
+        if batch is not None:
+            batch.run()
 
-    miller_caps: Dict[str, float] = {}
-    input_caps: Dict[str, float] = {}
-    output_total = 0.0
-    cursor = 0
-    for ramp_node, probes, combos, count in segments:
-        samples = _caps_from_results(
-            bench, results[cursor : cursor + count], probes, combos, vdd, config
+    capacitances: List[CellCapacitances] = []
+    for request, segments in zip(requests, plans):
+        miller_caps: Dict[str, float] = {}
+        input_caps: Dict[str, float] = {}
+        output_total = 0.0
+        internal_cap: Optional[float] = None
+        for batch, ramp_node, probes, combos, positions in segments:
+            samples = _caps_from_results(
+                batch.bench, [batch.results[i] for i in positions], probes, combos, vdd, config
+            )
+            if ramp_node == "output":
+                output_total = float(np.mean(np.abs(samples["output"])))
+            elif ramp_node == "internal":
+                internal_cap = float(np.mean(np.abs(samples["internal"])))
+            else:
+                miller_caps[ramp_node] = float(np.mean(np.abs(samples["output"])))
+                total_input = float(np.mean(np.abs(samples[ramp_node])))
+                input_caps[ramp_node] = max(total_input - miller_caps[ramp_node], CAP_FLOOR)
+        output_cap = max(
+            output_total - sum(abs(miller_caps[pin]) for pin in request.pins), CAP_FLOOR
         )
-        cursor += count
-        if ramp_node == "output":
-            output_total = float(np.mean(np.abs(samples["output"])))
-        else:
-            miller_caps[ramp_node] = float(np.mean(np.abs(samples["output"])))
-            total_input = float(np.mean(np.abs(samples[ramp_node])))
-            input_caps[ramp_node] = max(total_input - miller_caps[ramp_node], CAP_FLOOR)
-
-    output_cap = max(
-        output_total - sum(abs(miller_caps[pin]) for pin in pins), CAP_FLOOR
-    )
-
-    internal_cap: Optional[float] = None
-    if include_internal:
-        internal_cap = characterize_internal_capacitance(cell, pins, config)
-
-    return miller_caps, input_caps, output_cap, internal_cap
-
-
-def extract_ramp_capacitance(
-    bench: ProbeBench,
-    ramp_node: str,
-    measure_probe: str,
-    dc_biases: Dict[str, float],
-    output_bias: float,
-    rising: bool = True,
-    config: Optional[CharacterizationConfig] = None,
-) -> float:
-    """Single-probe, single-combo wrapper around :func:`extract_ramp_capacitances`."""
-    samples = extract_ramp_capacitances(
-        bench,
-        ramp_node,
-        (measure_probe,),
-        dc_biases,
-        ((output_bias, rising),),
-        config=config,
-    )
-    return samples[measure_probe][0]
-
-
-def _pin_coupling_samples(
-    cell: Cell,
-    pin: str,
-    other_pins: Dict[str, float],
-    config: CharacterizationConfig,
-    probe_internal: bool,
-) -> Dict[str, List[float]]:
-    """Ramp ``pin`` for every bias/direction combo, measuring output and pin.
-
-    One lockstep batch yields both the Miller-coupling samples (output-source
-    current) and the total input-capacitance samples (pin-source current).
-    """
-    bench = ProbeBench(
-        cell=cell,
-        switching_pins=tuple(dict.fromkeys([pin, *other_pins])),
-        probe_internal=probe_internal,
-        config=config,
-    )
-    vdd = cell.technology.vdd
-    combos = [(output_bias, rising) for output_bias in (0.0, vdd) for rising in (True, False)]
-    return extract_ramp_capacitances(
-        bench,
-        ramp_node=pin,
-        measure_probes=("output", pin),
-        dc_biases=dict(other_pins),
-        bias_direction_combos=combos,
-        config=config,
-    )
-
-
-def characterize_miller_capacitance(
-    cell: Cell,
-    pin: str,
-    other_pins: Dict[str, float],
-    config: Optional[CharacterizationConfig] = None,
-    probe_internal: bool = False,
-) -> float:
-    """Characterize the Miller capacitance between ``pin`` and the output.
-
-    A ramp is applied to ``pin`` while the output is held by a DC source and
-    the output-source current is monitored; the extraction is repeated for
-    output-low and output-high bias and for both ramp directions, and the
-    results are averaged.
-    """
-    config = config or CharacterizationConfig()
-    samples = _pin_coupling_samples(cell, pin, other_pins, config, probe_internal)
-    return float(np.mean(np.abs(samples["output"])))
-
-
-def characterize_output_capacitance(
-    cell: Cell,
-    pins: Sequence[str],
-    miller_caps: Dict[str, float],
-    config: Optional[CharacterizationConfig] = None,
-) -> float:
-    """Characterize the output parasitic capacitance ``Co``.
-
-    The output source is ramped while all inputs sit at their *controlling*
-    values, which switches the series stack off and isolates the internal
-    node; the measured total capacitance is the sum of ``Co`` and the Miller
-    capacitances, so the previously extracted Miller terms are subtracted.
-    """
-    config = config or CharacterizationConfig()
-    bench = ProbeBench(cell=cell, switching_pins=tuple(pins), probe_internal=False, config=config)
-    biases = _controlling_bias(cell, pins)
-    samples = extract_ramp_capacitances(
-        bench,
-        ramp_node="output",
-        measure_probes=("output",),
-        dc_biases=biases,
-        bias_direction_combos=((0.0, True), (0.0, False)),
-        config=config,
-    )
-    total = float(np.mean(np.abs(samples["output"])))
-    output_cap = total - sum(abs(miller_caps.get(pin, 0.0)) for pin in pins)
-    return max(output_cap, CAP_FLOOR)
-
-
-def characterize_internal_capacitance(
-    cell: Cell,
-    pins: Sequence[str],
-    config: Optional[CharacterizationConfig] = None,
-) -> float:
-    """Characterize the internal-node capacitance ``C_N``.
-
-    The internal-node source is ramped while the inputs sit at controlling
-    values (stack off) and the output is held at DC; the internal-node source
-    current divided by the ramp slope gives ``C_N`` after the two-slope
-    subtraction.
-    """
-    config = config or CharacterizationConfig()
-    if cell.stack_node() is None:
-        raise CharacterizationError(f"cell {cell.name!r} has no internal node")
-    bench = ProbeBench(cell=cell, switching_pins=tuple(pins), probe_internal=True, config=config)
-    biases = _controlling_bias(cell, pins)
-    samples = extract_ramp_capacitances(
-        bench,
-        ramp_node="internal",
-        measure_probes=("internal",),
-        dc_biases=biases,
-        bias_direction_combos=((0.0, True), (0.0, False)),
-        config=config,
-    )
-    return float(np.mean(np.abs(samples["internal"])))
-
-
-def characterize_input_capacitance(
-    cell: Cell,
-    pin: str,
-    other_pins: Dict[str, float],
-    miller_cap: float,
-    config: Optional[CharacterizationConfig] = None,
-) -> float:
-    """Characterize the input pin capacitance ``C_A`` (paper Eq. (3)).
-
-    A ramp is applied to the pin while the output is held at DC; the current
-    delivered by the *input* source is ``(C_A + C_mA) dV_A/dt``, so the Miller
-    term is subtracted after extraction.  Results for output-low/high and both
-    ramp directions are averaged.
-    """
-    config = config or CharacterizationConfig()
-    samples = _pin_coupling_samples(cell, pin, other_pins, config, probe_internal=False)
-    mean_total = float(np.mean(np.abs(samples[pin])))
-    return max(mean_total - abs(miller_cap), CAP_FLOOR)
+        capacitances.append(CellCapacitances(miller_caps, input_caps, output_cap, internal_cap))
+    return capacitances

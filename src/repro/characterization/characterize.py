@@ -1,23 +1,32 @@
 """Top-level characterization flows producing ready-to-use model objects.
 
-Besides the direct ``characterize_*`` entry points, this module knows how to
-package a characterization as a :class:`repro.runtime.jobs.Job`
-(:func:`characterization_job`): a picklable work unit whose content hash
-covers the cell topology, the technology, the characterization configuration
-and the code-version salt.  The experiment layer submits those jobs through
-:func:`repro.runtime.run_jobs`, which is what makes characterizations
-parallelizable across cells and cacheable across experiments and sessions.
+Every CSM characterization is a *bundle*: :func:`characterize_cell_models`
+builds several models of one cell, sharing their capacitance ramps, and the
+``characterize_*`` entry points are bundles of one.  This module also knows
+how to package a characterization as a :class:`repro.runtime.jobs.Job`:
+:func:`characterization_job` (one model) is a picklable work unit whose
+content hash covers the cell topology, the technology, the characterization
+configuration and the code-version salt; :func:`cell_characterization_job`
+(one cell's bundle) stores each of its models under that same per-model key.
+The experiment layer submits those jobs through :func:`repro.runtime.run_jobs`,
+which is what makes characterizations parallelizable across cells and
+cacheable across experiments and sessions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..cells.cell import Cell
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..exceptions import CharacterizationError
 from ..runtime.jobs import Job, cell_fingerprint, content_hash
-from .capacitance import characterize_cell_capacitances
+from .capacitance import (
+    CapacitanceRequest,
+    CellCapacitances,
+    characterize_cell_capacitances,
+)
 from .config import CharacterizationConfig
 from .dc_tables import (
     characterize_mcsm_currents,
@@ -30,9 +39,11 @@ __all__ = [
     "characterize_sis",
     "characterize_baseline_mis",
     "characterize_mcsm",
+    "characterize_cell_models",
     "run_characterization",
     "characterization_key",
     "characterization_job",
+    "cell_characterization_job",
     "run_nldm_characterization",
     "nldm_characterization_key",
     "nldm_characterization_job",
@@ -55,6 +66,143 @@ def _miller_other_bias(cell: Cell, other: str, config: CharacterizationConfig) -
     return cell.non_controlling_value(other) * cell.technology.vdd
 
 
+_PINS_REQUIRED = {"sis": 1, "mis": 2, "mcsm": 2}
+
+
+def _checked_pins(kind: str, cell: Cell, pins: Sequence[Optional[str]]) -> Tuple[str, ...]:
+    """``pins`` after checking that ``cell`` has a ``kind`` model on them."""
+    try:
+        expected = _PINS_REQUIRED[kind]
+    except KeyError:
+        raise CharacterizationError(
+            f"unknown characterization kind {kind!r}; expected one of "
+            f"{sorted(_PINS_REQUIRED)}"
+        ) from None
+    pins = tuple(pins)
+    if len(pins) != expected:
+        raise CharacterizationError(
+            f"characterization kind {kind!r} needs {expected} pin(s), got {pins!r}"
+        )
+    if kind != "sis" and cell.num_inputs < 2:
+        remedy = (
+            "use characterize_sis instead" if kind == "mis" else "MCSM needs a multi-input cell"
+        )
+        raise CharacterizationError(f"cell {cell.name!r} has fewer than two inputs; {remedy}")
+    if kind == "mcsm" and cell.stack_node() is None:
+        raise CharacterizationError(f"cell {cell.name!r} has no internal stack node")
+    for pin in pins:
+        if pin not in cell.inputs:
+            raise CharacterizationError(f"cell {cell.name!r} has no input pin {pin!r}")
+    if len(set(pins)) != len(pins):
+        raise CharacterizationError("pin_a and pin_b must differ")
+    return pins
+
+
+def _capacitance_request(
+    kind: str,
+    cell: Cell,
+    pins: Tuple[str, ...],
+    fixed: Dict[str, float],
+    config: CharacterizationConfig,
+) -> CapacitanceRequest:
+    """What a ``kind`` model on ``pins`` needs measured: each pin ramped with
+    the other inputs fixed and the other switching pin (if any) at its
+    Miller bias, and ``C_N`` for the complete MCSM."""
+    pin_biases: Dict[str, Dict[str, float]] = {}
+    for pin in pins:
+        bias = dict(fixed)
+        for other in pins:
+            if other != pin:
+                bias[other] = _miller_other_bias(cell, other, config)
+        pin_biases[pin] = bias
+    return CapacitanceRequest(pins, pin_biases, include_internal=kind == "mcsm")
+
+
+def characterize_cell_models(
+    cell: Cell,
+    requests: Sequence[Tuple[str, Sequence[str]]],
+    config: Optional[CharacterizationConfig] = None,
+) -> Tuple:
+    """Characterize several CSM models of one cell as one bundle.
+
+    ``requests`` lists ``(kind, pins)`` pairs: ``"sis"`` on one pin, or
+    ``"mis"`` (baseline, Section 3.1) / ``"mcsm"`` (complete, Sections
+    3.2/3.3) on two.  Each model gets its own DC current tables, while the
+    capacitance ramps of all of them run through
+    :func:`~repro.characterization.capacitance.characterize_cell_capacitances`
+    together: one lockstep batch per probe circuit, with every run that
+    several models share integrated once.  Every model is bitwise what it
+    would be alone.  The model-level entry points below are bundles of one;
+    :meth:`repro.sta.TimingModelLibrary.prewarm` runs one bundle per cell.
+
+    Returns the models in request order.
+    """
+    config = config or CharacterizationConfig()
+    plans = []
+    for kind, pins in requests:
+        pins = _checked_pins(kind, cell, pins)
+        plans.append((kind, pins, _default_fixed_inputs(cell, pins)))
+    capacitances = characterize_cell_capacitances(
+        cell,
+        [_capacitance_request(kind, cell, pins, fixed, config) for kind, pins, fixed in plans],
+        config,
+    )
+    return tuple(
+        _assemble(kind, cell, pins, fixed, caps, config)
+        for (kind, pins, fixed), caps in zip(plans, capacitances)
+    )
+
+
+def _assemble(
+    kind: str,
+    cell: Cell,
+    pins: Tuple[str, ...],
+    fixed: Dict[str, float],
+    caps: CellCapacitances,
+    config: CharacterizationConfig,
+):
+    """One model from its DC current tables (characterized here) and its
+    capacitances."""
+    common = dict(
+        cell_name=cell.name,
+        fixed_inputs=fixed,
+        output_cap=caps.output_cap,
+        vdd=cell.technology.vdd,
+        metadata={"grid_points": str(config.io_grid_points)},
+    )
+    if kind == "sis":
+        [pin] = pins
+        return SISCSM(
+            pin=pin,
+            io_table=characterize_sis_current(cell, pin, config, fixed_inputs=fixed),
+            input_cap=caps.input_caps[pin],
+            miller_cap=caps.miller_caps[pin],
+            **common,
+        )
+    pair = dict(
+        pin_a=pins[0],
+        pin_b=pins[1],
+        input_caps=caps.input_caps,
+        miller_caps=caps.miller_caps,
+        **common,
+    )
+    if kind == "mis":
+        io_table = characterize_mis_current(cell, *pins, config, fixed_inputs=fixed)
+        return BaselineMISCSM(io_table=io_table, **pair)
+    io_table, in_table = characterize_mcsm_currents(cell, *pins, config, fixed_inputs=fixed)
+    return MCSM(
+        io_table=io_table,
+        in_table=in_table,
+        internal_cap=caps.internal_cap,
+        internal_node=cell.stack_node(),
+        **pair,
+    )
+
+
+def _second_input(cell: Cell) -> Optional[str]:
+    return cell.inputs[1] if cell.num_inputs > 1 else None
+
+
 def characterize_sis(
     cell: Cell,
     pin: Optional[str] = None,
@@ -71,30 +219,8 @@ def characterize_sis(
     config:
         Characterization settings.
     """
-    config = config or CharacterizationConfig()
-    pin = pin or cell.inputs[0]
-    if pin not in cell.inputs:
-        raise CharacterizationError(f"cell {cell.name!r} has no input pin {pin!r}")
-    fixed = _default_fixed_inputs(cell, (pin,))
-
-    io_table = characterize_sis_current(cell, pin, config, fixed_inputs=fixed)
-    miller_caps, input_caps, output_cap, _ = characterize_cell_capacitances(
-        cell, (pin,), {pin: fixed}, config
-    )
-    miller = miller_caps[pin]
-    input_cap = input_caps[pin]
-
-    return SISCSM(
-        cell_name=cell.name,
-        pin=pin,
-        fixed_inputs=fixed,
-        io_table=io_table,
-        input_cap=input_cap,
-        output_cap=output_cap,
-        miller_cap=miller,
-        vdd=cell.technology.vdd,
-        metadata={"grid_points": str(config.io_grid_points)},
-    )
+    [model] = characterize_cell_models(cell, [("sis", (pin or cell.inputs[0],))], config)
+    return model
 
 
 def characterize_baseline_mis(
@@ -105,40 +231,9 @@ def characterize_baseline_mis(
     include_miller: bool = True,
 ) -> BaselineMISCSM:
     """Characterize the baseline MIS CSM (no internal node, Section 3.1)."""
-    config = config or CharacterizationConfig()
-    if cell.num_inputs < 2:
-        raise CharacterizationError(
-            f"cell {cell.name!r} has fewer than two inputs; use characterize_sis instead"
-        )
-    pin_a = pin_a or cell.inputs[0]
-    pin_b = pin_b or cell.inputs[1]
-    if pin_a == pin_b:
-        raise CharacterizationError("pin_a and pin_b must differ")
-    fixed = _default_fixed_inputs(cell, (pin_a, pin_b))
-
-    io_table = characterize_mis_current(cell, pin_a, pin_b, config, fixed_inputs=fixed)
-    pin_biases: Dict[str, Dict[str, float]] = {}
-    for pin, other in ((pin_a, pin_b), (pin_b, pin_a)):
-        other_bias = dict(fixed)
-        other_bias[other] = _miller_other_bias(cell, other, config)
-        pin_biases[pin] = other_bias
-    miller_caps, input_caps, output_cap, _ = characterize_cell_capacitances(
-        cell, (pin_a, pin_b), pin_biases, config
-    )
-
-    return BaselineMISCSM(
-        cell_name=cell.name,
-        pin_a=pin_a,
-        pin_b=pin_b,
-        fixed_inputs=fixed,
-        io_table=io_table,
-        input_caps=input_caps,
-        output_cap=output_cap,
-        miller_caps=miller_caps,
-        vdd=cell.technology.vdd,
-        include_miller=include_miller,
-        metadata={"grid_points": str(config.io_grid_points)},
-    )
+    pins = (pin_a or cell.inputs[0], pin_b or _second_input(cell))
+    [model] = characterize_cell_models(cell, [("mis", pins)], config)
+    return model if include_miller else dataclasses.replace(model, include_miller=False)
 
 
 def characterize_mcsm(
@@ -153,85 +248,26 @@ def characterize_mcsm(
     :meth:`repro.cells.Cell.stack_node` (the node adjacent to the output
     inside the series stack, the paper's node *N*) is the one modeled.
     """
-    config = config or CharacterizationConfig()
-    if cell.num_inputs < 2:
-        raise CharacterizationError(
-            f"cell {cell.name!r} has fewer than two inputs; MCSM needs a multi-input cell"
-        )
-    stack_node = cell.stack_node()
-    if stack_node is None:
-        raise CharacterizationError(f"cell {cell.name!r} has no internal stack node")
-    pin_a = pin_a or cell.inputs[0]
-    pin_b = pin_b or cell.inputs[1]
-    if pin_a == pin_b:
-        raise CharacterizationError("pin_a and pin_b must differ")
-    fixed = _default_fixed_inputs(cell, (pin_a, pin_b))
-
-    io_table, in_table = characterize_mcsm_currents(cell, pin_a, pin_b, config, fixed_inputs=fixed)
-    pin_biases: Dict[str, Dict[str, float]] = {}
-    for pin, other in ((pin_a, pin_b), (pin_b, pin_a)):
-        other_bias = dict(fixed)
-        other_bias[other] = _miller_other_bias(cell, other, config)
-        pin_biases[pin] = other_bias
-    miller_caps, input_caps, output_cap, internal_cap = characterize_cell_capacitances(
-        cell, (pin_a, pin_b), pin_biases, config, include_internal=True
-    )
-
-    return MCSM(
-        cell_name=cell.name,
-        pin_a=pin_a,
-        pin_b=pin_b,
-        fixed_inputs=fixed,
-        io_table=io_table,
-        in_table=in_table,
-        input_caps=input_caps,
-        output_cap=output_cap,
-        miller_caps=miller_caps,
-        internal_cap=internal_cap,
-        vdd=cell.technology.vdd,
-        internal_node=stack_node,
-        metadata={"grid_points": str(config.io_grid_points)},
-    )
+    pins = (pin_a or cell.inputs[0], pin_b or _second_input(cell))
+    [model] = characterize_cell_models(cell, [("mcsm", pins)], config)
+    return model
 
 
 # ----------------------------------------------------------------------
 # Runtime integration: characterizations as content-addressed jobs
 # ----------------------------------------------------------------------
-_CHARACTERIZERS = {
-    "sis": lambda cell, pins, config: characterize_sis(cell, pins[0], config),
-    "mis": lambda cell, pins, config: characterize_baseline_mis(
-        cell, pins[0], pins[1], config
-    ),
-    "mcsm": lambda cell, pins, config: characterize_mcsm(
-        cell, pins[0], pins[1], config
-    ),
-}
-
-_PINS_REQUIRED = {"sis": 1, "mis": 2, "mcsm": 2}
-
-
 def run_characterization(
     kind: str, cell: Cell, pins: Sequence[str], config: CharacterizationConfig
 ):
-    """Execute one characterization by kind (``"sis"``, ``"mis"``, ``"mcsm"``).
+    """Execute one characterization by kind (``"sis"``, ``"mis"``, ``"mcsm"``):
+    a bundle of one.
 
     This is the module-level dispatch target of :func:`characterization_job`;
     being a plain top-level function keeps the job picklable for the process
     executor.
     """
-    try:
-        expected = _PINS_REQUIRED[kind]
-    except KeyError:
-        raise CharacterizationError(
-            f"unknown characterization kind {kind!r}; expected one of "
-            f"{sorted(_CHARACTERIZERS)}"
-        ) from None
-    pins = tuple(pins)
-    if len(pins) != expected:
-        raise CharacterizationError(
-            f"characterization kind {kind!r} needs {expected} pin(s), got {pins!r}"
-        )
-    return _CHARACTERIZERS[kind](cell, pins, config)
+    [model] = characterize_cell_models(cell, [(kind, pins)], config)
+    return model
 
 
 def characterization_key(
@@ -259,6 +295,26 @@ def characterization_job(
         args=(kind, cell, pins, config),
         name=f"characterize:{kind}:{cell.name}:{','.join(pins)}",
         key=characterization_key(kind, cell, pins, config),
+    )
+
+
+def cell_characterization_job(
+    cell: Cell, requests: Sequence[Tuple[str, Sequence[str]]], config: CharacterizationConfig
+) -> Job:
+    """Package several CSM models of one cell as one runtime job: a bundle
+    (:func:`characterize_cell_models`) whose value is the tuple of models in
+    request order.
+
+    The job has no key of its own: each model is stored under its own
+    :func:`characterization_key`, exactly as its :func:`characterization_job`
+    would store it, so bundles and per-model jobs share every store entry.
+    """
+    requests = tuple((kind, tuple(pins)) for kind, pins in requests)
+    return Job(
+        fn=characterize_cell_models,
+        args=(cell, requests, config),
+        name=f"characterize:{cell.name}:"
+        + ";".join(f"{kind}:{','.join(pins)}" for kind, pins in requests),
     )
 
 

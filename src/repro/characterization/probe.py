@@ -214,7 +214,8 @@ class ProbeBench:
         time grid and are integrated simultaneously through
         :meth:`~repro.spice.transient.TransientAnalysis.run_many`; the list of
         results is returned in run order.  This is what makes the two-slope /
-        multi-bias capacitance extraction one simulation instead of eight.
+        multi-bias capacitance extraction of all of a cell's models one
+        simulation per probe circuit.
 
         ``t_stop`` sizes the time grid, but the batch ends at its first grid
         point past the last capacitance sample,

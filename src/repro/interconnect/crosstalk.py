@@ -154,7 +154,9 @@ class CrosstalkBench:
         options = TransientOptions(
             time_step=self.config.time_step, record_source_currents=False
         )
-        return transient_analysis(self.circuit, t_stop=self.config.t_stop, options=options)
+        return transient_analysis(
+            self.circuit, t_stop=self.config.t_stop, record_nodes=record, options=options
+        )
 
     def simulate_many(self, injection_times: Sequence[float]):
         """Reference simulations for a whole injection-time sweep, in lockstep.

@@ -9,8 +9,10 @@ once per cell (all of a cell's arcs are one job).  Since every
 characterization runs as a content-addressed :mod:`repro.runtime` job, a
 library wired to a :class:`~repro.runtime.store.PackedStore` never recomputes
 a model that *any* previous session already built: engine construction over a
-warm cache is a no-op.  :meth:`prewarm` / :meth:`prewarm_for_netlist` submit
-one job per cell × model kind as a single (optionally parallel) job set.
+warm cache is a no-op.  :meth:`prewarm` / :meth:`prewarm_for_netlist` look
+every wanted model up under its own key, then submit one (optionally
+parallel) job set: one CSM bundle per cell with misses, whose models share
+their capacitance batches, and one NLDM job per cell.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 from ..cells.cell import Cell
 from ..cells.library import CellLibrary
 from ..characterization.characterize import (
+    cell_characterization_job,
     characterization_job,
+    characterization_key,
     nldm_characterization_job,
 )
 from ..characterization.config import CharacterizationConfig
@@ -150,6 +154,15 @@ class TimingModelLibrary:
     ) -> int:
         """Characterize cell × model-kind combinations as one parallel job set.
 
+        Each wanted model is first looked up under its own
+        :func:`~repro.characterization.characterize.characterization_key`;
+        the misses of one cell run as one bundle
+        (:func:`~repro.characterization.characterize.cell_characterization_job`),
+        whose models share one capacitance batch per probe circuit and are
+        each stored under their own key, bitwise what a per-model job would
+        store.  Bundles of different cells (and NLDM jobs) fan out through
+        the executor.
+
         Parameters
         ----------
         cells:
@@ -163,44 +176,64 @@ class TimingModelLibrary:
             Also characterize the NLDM delay/slew tables (both edge
             directions) for every input pin: one job per cell.
 
-        Returns the number of jobs that actually executed — i.e. were neither
-        memoized in this library nor served from the disk cache.  With a warm
-        cache the return value is 0 and prewarming is effectively free.
+        Returns the number of CSM models and NLDM jobs characterized — i.e.
+        neither memoized in this library nor served from the disk cache.
+        With a warm cache the return value is 0 and prewarming is
+        effectively free.
         """
         if cells is None:
             cells = [self.library[name] for name in self.library.names()]
-        jobs: List[Job] = []
-        targets: List[Tuple[Dict, Hashable]] = []
-
-        def submit(store: Dict, memo_key: Hashable, job: Job) -> None:
-            if memo_key not in store:
-                jobs.append(job)
-                targets.append((store, memo_key))
-
+        # Every model the kinds ask for, as (memo, memo key, cell, kind, pins).
+        wanted: List[Tuple[Dict, Hashable, Cell, str, Tuple[str, ...]]] = []
+        nldm_cells: List[Cell] = []
         for cell in cells:
             if "sis" in kinds:
-                for pin in cell.inputs:
-                    submit(
-                        self._sis,
-                        (cell.name, pin),
-                        characterization_job("sis", cell, (pin,), self.config),
-                    )
+                wanted.extend(
+                    (self._sis, (cell.name, pin), cell, "sis", (pin,)) for pin in cell.inputs
+                )
             if "mis" in kinds and cell.num_inputs >= 2:
                 kind = self._mis_kind(cell)
-                store = self._mcsm if kind == "mcsm" else self._mis
-                for pin_a, pin_b in itertools.combinations(cell.inputs, 2):
-                    submit(
-                        store,
-                        (cell.name, pin_a, pin_b),
-                        characterization_job(kind, cell, (pin_a, pin_b), self.config),
-                    )
-            if include_nldm:
-                submit(self._nldm, cell.name, self._nldm_job(cell))
+                memo = self._mcsm if kind == "mcsm" else self._mis
+                wanted.extend(
+                    (memo, (cell.name, *pins), cell, kind, pins)
+                    for pins in itertools.combinations(cell.inputs, 2)
+                )
+            if include_nldm and cell.name not in self._nldm:
+                nldm_cells.append(cell)
 
+        # Look each model that is not memoized up under its own key; bundle
+        # the misses by cell, as (memo, memo key, store key, kind, pins).
+        bundles: Dict[str, Tuple[Cell, List[Tuple]]] = {}
+        for memo, memo_key, cell, kind, pins in wanted:
+            if memo_key in memo:
+                continue
+            key = None
+            if self.cache is not None:
+                key = characterization_key(kind, cell, pins, self.config)
+                hit, value = self.cache.lookup(key)
+                if hit:
+                    memo[memo_key] = value
+                    continue
+            misses = bundles.setdefault(cell.name, (cell, []))[1]
+            misses.append((memo, memo_key, key, kind, pins))
+
+        jobs = [
+            cell_characterization_job(
+                cell, [(kind, pins) for *_, kind, pins in misses], self.config
+            )
+            for cell, misses in bundles.values()
+        ]
+        jobs.extend(self._nldm_job(cell) for cell in nldm_cells)
         results = self._run_jobs(jobs)
         executed = 0
-        for (store, memo_key), result in zip(targets, results):
-            store[memo_key] = _by_arc(result.value) if store is self._nldm else result.value
+        for (_, misses), result in zip(bundles.values(), results):
+            for (memo, memo_key, key, _, _), model in zip(misses, result.value):
+                memo[memo_key] = model
+                if key is not None:
+                    self.cache.store(key, model)
+                executed += 1
+        for cell, result in zip(nldm_cells, results[len(bundles) :]):
+            self._nldm[cell.name] = _by_arc(result.value)
             executed += 0 if result.cache_hit else 1
         return executed
 

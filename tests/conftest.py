@@ -103,10 +103,10 @@ def warm_characterization(tmp_path_factory, technology, fast_config):
     for one standard corner at ``fast_config`` (``"TT"`` characterizes as the
     default technology).
 
-    Each corner is built on its first request, once per session (10 jobs on
-    two worker processes: 5 SIS and 2 MIS models and one NLDM job per cell),
-    instead of in every module or test that times a design at that corner;
-    its store is never written again.
+    Each corner is built on its first request, once per session (6 jobs on
+    two worker processes: one bundle of SIS and MIS models and one NLDM job
+    per cell, 10 models in all), instead of in every module or test that
+    times a design at that corner; its store is never written again.
     """
     directories: Dict[str, Path] = {}
 

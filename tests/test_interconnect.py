@@ -110,3 +110,14 @@ class TestCrosstalkBench:
     def test_internal_waveform_available(self, bench):
         result = bench.simulate(injection_time=2.2e-9)
         assert bench.internal_waveform(result) is not None
+
+    def test_record_internal_selects_the_internal_node(self, bench):
+        """``simulate`` records the bench's named nodes, plus the cell's
+        internal node only when ``record_internal`` is set."""
+        internal = f"dutint_{bench.cell_under_test.internal_nodes[0]}"
+        named = {"victim_in", bench.victim_node, bench.aggressor_node, bench.output_node}
+        without = bench.simulate(injection_time=2.2e-9, record_internal=False)
+        assert not any(node.startswith("dutint_") for node in without.node_voltages)
+        assert named <= set(without.node_voltages)
+        with_internal = bench.simulate(injection_time=2.2e-9, record_internal=True)
+        assert set(with_internal.node_voltages) == set(without.node_voltages) | {internal}

@@ -4,6 +4,8 @@ runtime-backed model library."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -372,7 +374,8 @@ class TestNLDMLevelized:
 class TestModelLibraryRuntime:
     @pytest.fixture
     def batch_steps(self, monkeypatch):
-        """``(circuit name, integration steps)`` of every ``run_many`` batch."""
+        """``(circuit name, runs, integration steps)`` of every ``run_many``
+        batch."""
         from repro.spice import TransientAnalysis
 
         batches = []
@@ -380,7 +383,7 @@ class TestModelLibraryRuntime:
 
         def counting_run_many(self, *args, **kwargs):
             results = run_many(self, *args, **kwargs)
-            batches.append((self.circuit.name, len(results[0].times) - 1))
+            batches.append((self.circuit.name, len(results), len(results[0].times) - 1))
             return results
 
         monkeypatch.setattr(TransientAnalysis, "run_many", counting_run_many)
@@ -399,11 +402,13 @@ class TestModelLibraryRuntime:
         executed = first.prewarm_for_netlist(netlist)
         # NAND2: SIS on A and B plus the (A, B) MIS model.
         assert executed == 3
-        # Four capacitance batches (one per SIS model, the MCSM's pin/output
-        # and internal-node batches), each on the 260 ps grid of a 160 ps
-        # ramp and 50 ps of quiet time on both sides, stop one step past
-        # their last sample at 50 + 0.8 * 160 = 178 ps.
-        assert batch_steps == [("probe_NAND2_X1", 179)] * 4
+        # One bundle, so two capacitance batches: the stack node floating
+        # (the two SIS models' 12 runs each and the MCSM's 20, of which its
+        # 16 pin ramps are the SIS models' own: 28 distinct runs) and forced
+        # (the MCSM's 4 internal-node ramps).  Each is on the 260 ps grid of
+        # a 160 ps ramp and 50 ps of quiet time on both sides, and stops one
+        # step past its last sample at 50 + 0.8 * 160 = 178 ps.
+        assert batch_steps == [("probe_NAND2_X1", 28, 179), ("probe_NAND2_X1", 4, 179)]
         # Memoized: a second prewarm on the same library does nothing.
         assert first.prewarm_for_netlist(netlist) == 0
         # Warm disk cache: a *fresh* library executes nothing either.
@@ -415,6 +420,47 @@ class TestModelLibraryRuntime:
         assert second.prewarm_for_netlist(netlist) == 0
         model = second.mis_model("NAND2_X1", "A", "B")
         assert type(model).__name__ == "MCSM"
+
+    def test_prewarm_bundles_a_three_input_cell(
+        self, library, fast_config, tmp_path, batch_steps
+    ):
+        """A prewarm characterizes a cell's CSM models as one bundle: each
+        model is byte for byte its per-model job's and is stored under its
+        own key, from one capacitance batch per probe circuit."""
+        import json
+
+        from repro.characterization import characterization_job, characterization_key
+        from repro.runtime import PackedStore, run_jobs
+        from repro.runtime.cache import encode_payload
+
+        def payload(model):
+            manifest, arrays = encode_payload(model)
+            return json.dumps(manifest, sort_keys=True), {
+                name: (array.dtype.str, array.shape, array.tobytes())
+                for name, array in arrays.items()
+            }
+
+        cell = library["NAND3_X1"]
+        cache = PackedStore(tmp_path / "nand3")
+        models = TimingModelLibrary(library=library, config=fast_config, cache=cache)
+        assert models.prewarm(cells=[cell]) == 6
+        # The floating-node batch: the SIS models' 3 x 12 runs, plus the
+        # 4 stack-off output ramps of each MCSM (their 3 x 16 pin ramps are
+        # the SIS models' own).  The forced-node batch: 3 x 4 internal-node
+        # ramps, one stack-off bias per pin pair.
+        assert [runs for _, runs, _ in batch_steps] == [48, 12]
+
+        requests = [("sis", (pin,)) for pin in cell.inputs]
+        requests += [("mcsm", pins) for pins in itertools.combinations(cell.inputs, 2)]
+        alone = run_jobs(
+            [characterization_job(kind, cell, pins, fast_config) for kind, pins in requests]
+        )
+        for (kind, pins), result in zip(requests, alone):
+            model = models.sis_model if kind == "sis" else models.mis_model
+            bundled = model(cell.name, *pins)
+            assert payload(bundled) == payload(result.value), (kind, pins)
+            hit, stored = cache.lookup(characterization_key(kind, cell, pins, fast_config))
+            assert hit and payload(stored) == payload(result.value), (kind, pins)
 
     def test_nldm_characterization_job_cached(self, library, tmp_path):
         from repro.runtime import PackedStore
@@ -454,9 +500,9 @@ class TestModelLibraryRuntime:
         first = TimingModelLibrary(**kwargs)
         assert first.prewarm(cells=cells, kinds=(), include_nldm=True) == 3
         assert cache.stats.stores == 3
-        circuits = [name for name, _ in batch_steps]
+        circuits = [name for name, _, _ in batch_steps]
         assert len(circuits) == 3 and len(set(circuits)) == 3, circuits
-        assert sum(steps for _, steps in batch_steps) <= 1000, batch_steps
+        assert sum(steps for _, _, steps in batch_steps) <= 1000, batch_steps
         # A second library on the same store loads every arc of every cell.
         second = TimingModelLibrary(**kwargs)
         assert second.prewarm(cells=cells, kinds=(), include_nldm=True) == 0
