@@ -8,9 +8,9 @@ Five measurements, written to one JSON report (``BENCH_PR5.json``):
    *zero* waveforms — asserted), and one ECO cell swap (must re-integrate
    only the affected region while matching a cold full rebuild to 1e-9 V —
    asserted).
-2. **NLDM incremental**: cold/warm/ECO event propagation through the NLDM
-   engine's propagation cache (warm repeat must evaluate zero instances —
-   asserted).
+2. **NLDM re-timing**: cold/repeat/ECO event propagation through the
+   keyless NLDM engine, which re-evaluates the whole design on every run
+   (the repeat and the edited run must equal fresh engines — asserted).
 3. **DC settle accuracy**: the NOR2/NAND2 MCSM settle states for every
    two-input logic state, DC solve vs the legacy 2 ns pre-roll vs a
    converged 100 ns integration (the DC-vs-converged deviation must stay
@@ -128,7 +128,8 @@ def bench_incremental(spec: str = "dag:w64:d4:s7") -> dict:
 
 
 def bench_nldm_incremental(spec: str = "dag:w64:d4:s7") -> dict:
-    """NLDM event propagation through its content-addressed cache."""
+    """NLDM event propagation: the engine keeps no cache, so a repeat and
+    an edited run cost a full evaluation each."""
     library = default_library(default_technology())
     store = PackedStore(tempfile.mkdtemp(prefix="bench-pr5-nldm-"))
     models = TimingModelLibrary(library=library, config=QUICK_CONFIG, cache=store)
@@ -141,7 +142,6 @@ def bench_nldm_incremental(spec: str = "dag:w64:d4:s7") -> dict:
     start = time.perf_counter()
     warm = NLDMEngine(netlist, models).run(events)
     warm_seconds = time.perf_counter() - start
-    assert warm.stats["integrations"] == 0, warm.stats
     assert warm.events == cold.events
 
     region_size, target, partner = eco_swap_candidate(netlist)
@@ -149,8 +149,8 @@ def bench_nldm_incremental(spec: str = "dag:w64:d4:s7") -> dict:
     start = time.perf_counter()
     edited = NLDMEngine(netlist, models).run(events)
     edit_seconds = time.perf_counter() - start
-    reference = NLDMEngine(netlist, models, use_cache=False).run(events)
-    assert 0 < edited.stats["integrations"] <= region_size, edited.stats
+    reference = NLDMEngine(netlist.copy(), models).run(events)
+    assert edited.stats["integrations"] == len(netlist.instances), edited.stats
     assert edited.events == reference.events
 
     return {
@@ -162,8 +162,7 @@ def bench_nldm_incremental(spec: str = "dag:w64:d4:s7") -> dict:
         "edit_seconds": round(edit_seconds, 4),
         "edit_stats": edited.stats,
         "affected_region": region_size,
-        # Per-instance event tuples are tiny and live in the index; only the
-        # whole-run event map is big enough for the data file.
+        # The characterizations only: the NLDM engine stores nothing.
         "file_sizes": store.file_sizes(),
     }
 

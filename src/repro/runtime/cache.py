@@ -12,7 +12,9 @@ round-trips the repo's result types **bitwise**:
   ``MCSM``) and :class:`~repro.characterization.nldm.NLDMTable`,
 * :class:`~repro.sta.engine.NLDMTimingResult` in a columnar form
   (``"nldm-columns"``: name lists plus arrival/slew/direction arrays); the
-  older per-event ``"object"`` manifests still decode.
+  older per-event ``"object"`` manifests still decode.  The NLDM engine
+  itself recomputes its events on every run and stores none; the form
+  serves callers that store NLDM results themselves.
 
 Floats embedded in the manifest are rendered with ``repr`` (Python's
 shortest round-tripping form), so a store hit returns exactly the value the
@@ -91,8 +93,8 @@ _PLAIN_TYPES = frozenset((str, bool, int, type(None)))
 
 def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
     # Exact builtin scalars and the containers first: they are the bulk of
-    # every manifest (a per-instance NLDM entry is nothing else), and none
-    # of them can also be a numpy scalar or an array.
+    # every manifest, and none of them can also be a numpy scalar or an
+    # array.
     kind = type(value)
     if kind in _PLAIN_TYPES:
         return value

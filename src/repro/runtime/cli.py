@@ -117,8 +117,10 @@ def add_timing_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-mode", default="resident",
                         choices=["resident", "stream"],
                         help="'stream' propagates with the bounded-memory "
-                        "engine: retired levels spill to the result store "
-                        "and fault back in as memmap views on demand")
+                        "CSM engine: retired levels spill to the result store "
+                        "and fault back in as memmap views on demand; the "
+                        "NLDM engine keeps no cache and serves both modes "
+                        "alike (zero spills)")
     parser.add_argument("--memory-budget", type=int, default=None,
                         metavar="BYTES",
                         help="streaming hot-level LRU budget in bytes "

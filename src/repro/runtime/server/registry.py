@@ -269,7 +269,9 @@ class TimingService:
         propagates with the bounded-memory streaming engine (spilling retired
         levels to the server's store), with or without ``corners``;
         spill/fault counts show up in the response stats and the session's
-        ``status`` entry.
+        ``status`` entry.  The NLDM engine keeps no per-net state worth
+        spilling, so ``engine="nldm"`` serves both memory modes with one
+        engine, bitwise alike, and reports zero spills and faults.
         ``engine="hybrid"`` runs the criticality-adaptive NLDM+CSM engine;
         ``required`` (scalar or per-net mapping) and ``top_k`` (int or
         ``"all"``) tune its slack ranking, and the response adds per-net
@@ -299,7 +301,7 @@ class TimingService:
                     "engine='hybrid' does not support memory_mode='stream'",
                     "bad-request",
                 )
-        if memory_mode == "stream" and self.store is None:
+        if memory_mode == "stream" and engine != "nldm" and self.store is None:
             raise ServerError(
                 "memory_mode='stream' needs a result store (--cache DIR): "
                 "retired levels spill there",
@@ -620,13 +622,14 @@ class TimingService:
 
         Multi-corner engines key separately per corner list (``"csm@TT,FF"``)
         so a session can interleave single- and multi-corner requests without
-        rebuilding engines; streaming engines key separately per budget
+        rebuilding engines; streaming CSM engines key separately per budget
         (``"csm#stream:33554432"``; an unbounded frontier is
         ``"csm#stream:None"``, distinct from a zero budget) for the same
-        reason.  Must hold the session lock.
+        reason.  The NLDM engine has no memory mode: one engine per corner
+        list serves both.  Must hold the session lock.
         """
         engine_key = kind if not corner_names else f"{kind}@{','.join(corner_names)}"
-        if memory_mode == "stream":
+        if memory_mode == "stream" and kind != "nldm":
             engine_key += f"#stream:{memory_budget_bytes}"
         engine = record.engines.get(engine_key)
         if engine is None:
@@ -642,13 +645,7 @@ class TimingService:
                     memory_budget_bytes=memory_budget_bytes,
                 )
             elif kind == "nldm":
-                engine = NLDMEngine(
-                    record.netlist,
-                    self.models,
-                    cache=self.store,
-                    corners=corner_set,
-                    memory_mode=memory_mode,
-                )
+                engine = NLDMEngine(record.netlist, self.models, corners=corner_set)
             elif kind == "hybrid":
                 engine = HybridEngine(
                     record.netlist,

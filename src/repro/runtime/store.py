@@ -31,7 +31,7 @@ Atomicity / crash-safety guarantees:
 * a torn index line is skipped (and the newline repaired before the next
   append); the entries it described are recovered from ``store.dat``.
 
-Tiny payloads (e.g. the NLDM engine's per-instance event tuples) are stored
+Tiny payloads (e.g. the CSM engine's per-instance row pointers) are stored
 inline in the index — no data-file record at all.
 
 Bounded disk: ``PackedStore(max_bytes=, max_age_s=)`` turns the
@@ -474,7 +474,7 @@ class PackedStore:
         manifest, arrays = encode_payload(value)
         text = _sorted_json(manifest)
         # The manifest counts against the inline limit too: array-free
-        # payloads (e.g. a whole-run NLDM event map) can carry an arbitrarily
+        # payloads (e.g. a whole-run CSM key manifest) can carry an arbitrarily
         # large manifest, which belongs in the data file, not the index.
         if sum(array.nbytes for array in arrays.values()) + len(text) <= self.inline_limit:
             return "inline", self._build_inline_record(key, manifest, arrays, text)
@@ -678,7 +678,7 @@ class PackedStore:
         A lookup of a key this handle does not know re-reads the index tail
         (two ``stat`` calls plus any new lines) before it misses.  Here the
         first unknown key refreshes once for the whole batch, which is what
-        lets a cold NLDM level probe a thousand keys for the price of one.
+        lets a batch of a thousand cold keys probe for the price of one.
         Hits, misses, evictions and recency count exactly as per-key lookups
         count them.
         """

@@ -4,7 +4,8 @@ One :class:`TimingEngine` interface fronts both timing views of the paper:
 
 * :class:`NLDMEngine` — the conventional voltage-based STA flow: (arrival,
   slew, direction) events looked up in pre-characterized delay/slew tables,
-  worst arc propagated, MIS situations flagged but not modeled;
+  worst arc propagated, MIS situations flagged but not modeled; cheap enough
+  to recompute in full on every run, so it keeps no cache;
 * :class:`CSMEngine` — the waveform-propagating engine built on the
   characterized current-source models, which switches to the cell's MIS model
   (complete MCSM or the baseline) when several inputs switch together.
@@ -86,7 +87,9 @@ SWITCHING_THRESHOLD_FRACTION = 0.4
 # ----------------------------------------------------------------------
 @dataclass
 class PropagationStats:
-    """Cache accounting of one engine run (CSM waveforms or NLDM events).
+    """Work and cache accounting of one engine run (CSM waveforms or NLDM
+    events).  The NLDM engine keeps no cache, so of the cache fields it only
+    ever reports zeros.
 
     Attributes
     ----------
@@ -99,9 +102,10 @@ class PropagationStats:
         on a whole-run hit.
     integrations:
         Instances actually evaluated — waveform integrations for the CSM
-        engine, table-lookup event evaluations for the NLDM engine.  This is
-        the number the incremental tests pin down: zero on a warm repeat,
-        exactly the dirty fan-out cone after an edit.
+        engine, table-lookup event evaluations for the NLDM engine (every
+        instance, every run).  For the CSM engine this is the number the
+        incremental tests pin down: zero on a warm repeat, exactly the dirty
+        fan-out cone after an edit.
     memo_hits / cache_hits:
         Waveforms served from the engine's in-memory memo respectively the
         content-addressed disk cache.
@@ -112,7 +116,7 @@ class PropagationStats:
     stores:
         Waveforms written to the disk cache.
     full_run_hit:
-        The entire run was served from the whole-design cache entry (no
+        The entire CSM run was served from the whole-design cache entry (no
         per-instance work at all).
     spills:
         Streaming mode only: waveform rows retired from RAM once every
@@ -371,16 +375,11 @@ class TimingEngine:
         self._structure_revision = netlist.revision
         self._structure_identity = id(netlist)
         self._library_identity = id(netlist.library)
-        self._cell_digests: Dict[str, str] = {}
-        self._model_library_memo: Optional[Tuple[int, int, str]] = None
         #: ``(corner name, corner)`` when this engine runs one corner of a
         #: parent's :class:`CornerSet`: scopes every key to that corner.
         self._corner_key: Optional[Tuple[str, Any]] = None
         #: The per-corner child engines of an MMMC run (built on first use).
         self._corner_engines: Optional[Dict[str, "TimingEngine"]] = None
-        #: Cache key of the last single-corner whole-run entry (None before
-        #: the first cached run; handy for targeted eviction).
-        self.last_run_key: Optional[str] = None
         #: Serializes :meth:`run` so one engine instance can be shared by
         #: concurrent callers (the timing server's per-session engines).
         self._run_lock = threading.RLock()
@@ -430,9 +429,10 @@ class TimingEngine:
     def rebind(self, netlist: GateNetlist) -> "TimingEngine":
         """Point the engine at another netlist, resetting per-run state.
 
-        Content-addressed memo entries survive (an identical sub-cone in the
-        new design still hits), but stats, levels and connectivity are those
-        of the new design only.  Returns ``self`` for chaining.
+        The CSM engine's content-addressed memo entries survive (an
+        identical sub-cone in the new design still hits), but stats, levels
+        and connectivity are those of the new design only.  Returns ``self``
+        for chaining.
         """
         self.netlist = netlist
         self._sync_structure()
@@ -449,40 +449,6 @@ class TimingEngine:
 
     def _on_library_change(self) -> None:
         """Hook for subclasses holding library-derived state (e.g. vdd)."""
-
-    # -- content fingerprints shared by both engines's caches -----------
-    def _cell_digest(self, cell_name: str) -> str:
-        """Fingerprint of the cell the bound *models* characterize (a
-        corner library's cell differs from the design's under the same
-        name)."""
-        if cell_name not in self._cell_digests:
-            from ..runtime.jobs import cell_fingerprint
-
-            self._cell_digests[cell_name] = content_hash(
-                "sta-cell", cell_fingerprint(self.models.library[cell_name])
-            )
-        return self._cell_digests[cell_name]
-
-    def _model_library_digest(self) -> str:
-        """Fingerprint of every cell of the bound model library, memoized
-        per library object and size.  Run keys fold it in: the netlist
-        digest names the *design's* cells, so without it a run against
-        another corner's models would be served this corner's entry."""
-        library = self.models.library
-        memo = self._model_library_memo
-        if memo is None or memo[:2] != (id(library), len(library)):
-            from ..runtime.jobs import cell_fingerprint
-
-            digest = content_hash(
-                "sta-model-library",
-                sorted((cell.name, cell_fingerprint(cell)) for cell in library),
-            )
-            memo = self._model_library_memo = (id(library), len(library), digest)
-        return memo[2]
-
-    def _netlist_digest(self) -> str:
-        self._sync_structure()
-        return self.netlist.content_digest(NETLIST_DIGEST_SALT)
 
     @property
     def connectivity(self) -> NetConnectivity:
@@ -559,11 +525,11 @@ class TimingEngine:
         run, one after another; returns corner name -> result.
 
         Each corner has its own child engine (built on first use and rebound
-        to the current netlist before every run), whose keys are scoped to
-        the corner through its private corner context.  A multi-corner run is
-        therefore bitwise the corners' single-corner runs, and every child
-        writes ordinary level records and whole-run entries.  The children's
-        accounting folds into :attr:`last_stats`.
+        to the current netlist before every run); a CSM child's keys are
+        scoped to the corner through its private corner context.  A
+        multi-corner run is therefore bitwise the corners' single-corner
+        runs, and every CSM child writes ordinary level records and whole-run
+        entries.  The children's accounting folds into :attr:`last_stats`.
         """
         if self._corner_engines is None:
             self._corner_engines = {}
@@ -636,20 +602,6 @@ def _peek(cache):
     return getattr(cache, "peek", cache.lookup)
 
 
-def _validate_memory_mode(memory_mode: str, use_cache: bool, cache) -> None:
-    """Shared engine-constructor guard for ``memory_mode=``."""
-    if memory_mode not in ("resident", "stream"):
-        raise TimingError(
-            f"unknown memory_mode {memory_mode!r}; expected 'resident' or 'stream'"
-        )
-    if memory_mode == "stream" and (not use_cache or cache is None):
-        raise TimingError(
-            "memory_mode='stream' spills working-set data to the "
-            "content-addressed store; construct the engine with a cache and "
-            "use_cache=True"
-        )
-
-
 # ----------------------------------------------------------------------
 # NLDM: event propagation per level
 # ----------------------------------------------------------------------
@@ -661,102 +613,26 @@ _EventEntry = Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]
 class NLDMEngine(TimingEngine):
     """Propagates (arrival, slew) events through a gate netlist.
 
-    Like :class:`CSMEngine`, event propagation is content-addressed: every
-    instance gets a per-net propagation key built bottom-up from the stimulus
-    events, the cell fingerprint and the lumped output load, and its output
-    event (plus the MIS bookkeeping) is served from an in-memory memo or the
-    disk cache on a repeat.  Event tuples are tiny, so on the packed store
-    (:class:`repro.runtime.store.PackedStore`) they live directly in the
-    index — no data-file record at all.  A warm repeat of an unchanged
-    netlist evaluates zero instances; an ECO edit re-evaluates only the
-    affected region.
-
-    Each level runs in three batched phases: key every instance (memo hits
-    and same-level duplicates settle here) and probe the store once for the
-    rest (``lookup_many``); evaluate every arc of the misses in one
-    interpolation pass per NLDM table; commit the level's new entries in one
-    ``store_many``.  Events, MIS pairs, keys and stats are bitwise those of
-    evaluating instance by instance with :meth:`NLDMTable.delay` and
+    An event is three floats from two table interpolations, cheaper to
+    recompute than to key, store and read back, so the engine keeps no
+    cache: it makes no content hash and no store call.  Each level evaluates
+    every instance in one interpolation pass per NLDM table
+    (:meth:`_evaluate_level`) and publishes the events before the next level
+    reads them, so every run — a repeat or the run after an ECO edit
+    included — evaluates the whole design.  Events and MIS pairs are bitwise
+    those of evaluating instance by instance with :meth:`NLDMTable.delay` and
     :meth:`NLDMTable.output_slew`.
 
     Parameters
     ----------
-    cache:
-        Content-addressed disk store for per-instance events and whole-run
-        results; defaults to the model library's cache.
-    use_cache:
-        Disable all propagation fingerprinting/memoization when false (the
-        pre-PR5 always-evaluate behaviour).
+    corners:
+        Optional :class:`CornerSet`: :meth:`run` then runs one single-corner
+        engine per corner and returns a :class:`MulticornerNLDMResult`
+        whose corners are bitwise their single-corner runs.
     """
 
-    def __init__(
-        self,
-        netlist: GateNetlist,
-        models: TimingModelLibrary,
-        cache: Optional[PackedStore] = None,
-        use_cache: bool = True,
-        corners: Optional[CornerSet] = None,
-        memory_mode: str = "resident",
-    ):
-        super().__init__(netlist, models, corners=corners)
-        self.cache = cache if cache is not None else models.cache
-        self.use_cache = use_cache
-        _validate_memory_mode(memory_mode, use_cache, self.cache)
-        #: ``"resident"`` keeps every propagated event memoized in RAM;
-        #: ``"stream"`` makes the disk store the working set (no in-memory
-        #: memo, no whole-run entry) — events are tiny, so this mostly buys
-        #: uniform semantics with the CSM engine's streaming mode.
-        self.memory_mode = memory_mode
-        #: key -> (event fields tuple | None, MIS pin pairs); content-addressed,
-        #: so it survives netlist edits just like the CSM waveform memo.
-        self._memo: Dict[str, _EventEntry] = {}
-
     def _corner_engine(self, cc: CornerContext) -> "NLDMEngine":
-        child = NLDMEngine(
-            self.netlist,
-            cc.models,
-            cache=self.cache,
-            use_cache=self.use_cache,
-            memory_mode=self.memory_mode,
-        )
-        child.cache = self.cache  # never the corner library's own store
-        return child
-
-    def _context_digest(self) -> str:
-        """Everything every NLDM propagation key shares for one run: the
-        characterized table axes, plus the corner when this engine runs one
-        corner of an MMMC set.  (The characterization config shapes CSM
-        models, not the NLDM tables, so it does not participate; receiver
-        input capacitances participate through each key's load value.)"""
-        context = content_hash(
-            "nldm-context", self.models.nldm_input_slews, self.models.nldm_loads
-        )
-        if self._corner_key is not None:
-            context = content_hash("nldm-context-mmmc", context, *self._corner_key)
-        return context
-
-    @staticmethod
-    def stimulus_keys(input_events: Mapping[str, TimingEvent]) -> Dict[str, str]:
-        """Content keys of the primary-input events (name-independent)."""
-        return {
-            net: content_hash("nldm-stimulus", event.arrival, event.slew, event.rising)
-            for net, event in input_events.items()
-        }
-
-    def clear_propagation_memo(self) -> None:
-        """Drop the in-memory event memo (the disk cache is untouched)."""
-        self._memo.clear()
-
-    @staticmethod
-    def _decode_event(value: Any) -> Optional[_EventEntry]:
-        """``(fields, MIS pairs)`` of a stored event entry; ``None`` for a
-        foreign entry under our key (the instance is then evaluated)."""
-        try:
-            fields = value["event"]
-            pairs = [tuple(pair) for pair in value["mis"]]
-        except (TypeError, KeyError):
-            return None
-        return (tuple(fields) if fields is not None else None, pairs)
+        return NLDMEngine(self.netlist, cc.models)
 
     def _evaluate_level(
         self,
@@ -840,147 +716,38 @@ class NLDMEngine(TimingEngine):
 
         levels = self.levels()  # also re-syncs structural caches after edits
         stats = PropagationStats(instances=len(self.netlist.instances))
-        caching = self.use_cache
-        streaming = self.memory_mode == "stream"
-        net_keys: Dict[str, str] = {}
-        context = ""
-        run_key: Optional[str] = None
-        if caching:
-            net_keys = self.stimulus_keys(input_events)
-            context = self._context_digest()
-            # Streaming skips the whole-run entry both ways: looking one up
-            # would materialize every event at once, and storing one would
-            # let a later resident run be served by a streaming run (the
-            # per-instance entries are shared — and identical — either way).
-            if self.cache is not None and not streaming:
-                run_key = content_hash(
-                    "nldm-run",
-                    context,
-                    self._netlist_digest(),
-                    self._model_library_digest(),
-                    sorted(net_keys.items()),
-                )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                if hit:
-                    stats.full_run_hit = True
-                    value.stats = stats.as_dict()
-                    self.last_stats = stats
-                    return value
-
         # Characterize every receiver pin's SIS model up front, exactly like
-        # the waveform engine: load construction then always uses
-        # characterized input capacitances, so per-instance propagation keys
-        # (which embed the lumped load) never depend on which models some
-        # earlier run happened to characterize.
+        # the waveform engine: lumped loads then always use characterized
+        # input capacitances, never an estimate that depends on which models
+        # some earlier run happened to characterize.
         self.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
 
         events: Dict[str, TimingEvent] = dict(input_events)
         mis_flags: Dict[str, List[Tuple[str, str]]] = {}
-
         for level in levels:
-            # 1. Key every instance.  Memo hits settle at once; every other
-            #    key's first occurrence is probed in ONE store lookup, and a
-            #    same-level duplicate shares its first occurrence's outcome.
-            rows: List[Tuple[GateInstance, Any, float, str, Optional[str]]] = []
-            outcome: List[Optional[_EventEntry]] = []
-            probe: Dict[str, int] = {}  # key -> row of its first occurrence
-            twin_of: Dict[int, int] = {}  # duplicate row -> first occurrence
-            for instance in level:
-                stats.keyed += 1
-                cell = self._cell(instance)
-                output_net = instance.connections[cell.output]
-                load = self._lumped_output_load(instance)
-                key: Optional[str] = None
-                cached: Optional[_EventEntry] = None
-                if caching:
-                    inputs = [
-                        (pin, net_keys.get(instance.connections[pin], "stable"))
-                        for pin in cell.inputs
-                    ]
-                    key = content_hash(
-                        "nldm-propagation",
-                        context,
-                        self._cell_digest(instance.cell_name),
-                        load,
-                        inputs,
-                    )
-                    net_keys[output_net] = key
-                    if key in self._memo:
-                        stats.memo_hits += 1
-                        cached = self._memo[key]
-                    elif key in probe:
-                        twin_of[len(rows)] = probe[key]
-                    else:
-                        probe[key] = len(rows)
-                rows.append((instance, cell, load, output_net, key))
-                outcome.append(cached)
-            if probe and self.cache is not None:
-                for (key, row), (hit, value) in zip(
-                    probe.items(), self.cache.lookup_many(list(probe))
-                ):
-                    cached = self._decode_event(value) if hit else None
-                    if cached is None:
-                        continue
-                    stats.cache_hits += 1
-                    if streaming:
-                        stats.faults += 1  # served straight from the store
-                    else:
-                        self._memo[key] = cached
-                    outcome[row] = cached
-
-            # 2. Evaluate every remaining first occurrence in one arc pass.
-            misses = [
-                row
-                for row, cached in enumerate(outcome)
-                if cached is None and row not in twin_of
+            rows = [
+                (instance, self._cell(instance), self._lumped_output_load(instance))
+                for instance in level
             ]
-            computed = self._evaluate_level([rows[row][:3] for row in misses], events, stats)
-            level_items: Dict[str, Dict[str, Any]] = {}
-            for row, entry in zip(misses, computed):
-                outcome[row] = entry
-                stats.integrations += 1
-                key = rows[row][4]
-                if key is None:
-                    continue
-                if streaming:
-                    stats.spills += 1  # the store is the only copy
-                else:
-                    self._memo[key] = entry
-                if self.cache is not None:
-                    level_items[key] = {"event": entry[0], "mis": entry[1]}
-                    stats.stores += 1
-            # A duplicate is a memo hit (resident) or, with no memo, a read
-            # of its twin's entry, exactly as if the store already held it.
-            for row, first in twin_of.items():
-                outcome[row] = outcome[first]
-                if streaming:
-                    stats.cache_hits += 1
-                    stats.faults += 1
-                else:
-                    stats.memo_hits += 1
-
-            # 3. Publish in level order, then commit the level's new entries.
-            for (instance, _, _, output_net, _), (fields, pairs) in zip(rows, outcome):
-                mis_flags[instance.name] = list(pairs)
+            for (instance, cell, _), (fields, pairs) in zip(
+                rows, self._evaluate_level(rows, events, stats)
+            ):
+                mis_flags[instance.name] = pairs
                 if fields is not None:
+                    output_net = instance.connections[cell.output]
                     arrival, slew, rising = fields
                     events[output_net] = TimingEvent(
                         net=output_net, arrival=arrival, slew=slew, rising=rising
                     )
-            if level_items:
-                self.cache.store_many(level_items.items())
+            stats.integrations += len(rows)
 
-        result = NLDMTimingResult(
+        self.last_stats = stats
+        return NLDMTimingResult(
             events=events,
             mis_flags=mis_flags,
             netlist_name=self.netlist.name,
             stats=stats.as_dict(),
         )
-        if run_key is not None:
-            self.cache.store(run_key, result)
-        self.last_stats = stats
-        return result
 
 
 # ----------------------------------------------------------------------
@@ -1301,7 +1068,21 @@ class CSMEngine(TimingEngine):
         #: :class:`_Carried`); ``None`` until then and after anything that
         #: invalidates it.
         self._carried: Optional[_Carried] = None
-        _validate_memory_mode(memory_mode, use_cache, self.cache)
+        self._cell_digests: Dict[str, str] = {}
+        self._model_library_memo: Optional[Tuple[int, int, str]] = None
+        #: Cache key of the last single-corner whole-run entry (None before
+        #: the first cached run; handy for targeted eviction).
+        self.last_run_key: Optional[str] = None
+        if memory_mode not in ("resident", "stream"):
+            raise TimingError(
+                f"unknown memory_mode {memory_mode!r}; expected 'resident' or 'stream'"
+            )
+        if memory_mode == "stream" and (not use_cache or self.cache is None):
+            raise TimingError(
+                "memory_mode='stream' spills working-set data to the "
+                "content-addressed store; construct the engine with a cache and "
+                "use_cache=True"
+            )
         #: ``"resident"`` (default) keeps every propagated waveform in RAM;
         #: ``"stream"`` retires each row once its last reader level consumed
         #: it, keeping only an LRU of hot level tensors bounded by
@@ -1353,6 +1134,40 @@ class CSMEngine(TimingEngine):
         self.vdd = self.netlist.library.technology.vdd
 
     # -- fingerprints --------------------------------------------------
+    def _cell_digest(self, cell_name: str) -> str:
+        """Fingerprint of the cell the bound *models* characterize (a
+        corner library's cell differs from the design's under the same
+        name)."""
+        if cell_name not in self._cell_digests:
+            from ..runtime.jobs import cell_fingerprint
+
+            self._cell_digests[cell_name] = content_hash(
+                "sta-cell", cell_fingerprint(self.models.library[cell_name])
+            )
+        return self._cell_digests[cell_name]
+
+    def _model_library_digest(self) -> str:
+        """Fingerprint of every cell of the bound model library, memoized
+        per library object and size.  Run keys fold it in: the netlist
+        digest names the *design's* cells, so without it a run against
+        another corner's models would be served this corner's entry."""
+        library = self.models.library
+        memo = self._model_library_memo
+        if memo is None or memo[:2] != (id(library), len(library)):
+            from ..runtime.jobs import cell_fingerprint
+
+            digest = content_hash(
+                "sta-model-library",
+                sorted((cell.name, cell_fingerprint(cell)) for cell in library),
+            )
+            memo = self._model_library_memo = (id(library), len(library), digest)
+        return memo[2]
+
+    def _netlist_digest(self) -> str:
+        self._sync_structure()
+        return self.netlist.content_digest(NETLIST_DIGEST_SALT)
+
+
     def _context_digest(self, t_start: float, t_stop: float) -> str:
         """Everything every propagation key shares for one run, plus the
         corner when this engine runs one corner of an MMMC set."""

@@ -9,7 +9,9 @@ One hybrid run is an iteration to a fixed point:
 
 1. **Survey** — :class:`~repro.sta.engine.NLDMEngine` propagates events over
    the whole design (events are derived from the CSM stimuli, so both
-   sub-engines see the same transitions).
+   sub-engines see the same transitions).  Like a coarse grid under refined
+   patches, the survey is cheap enough to recompute on every run: it keeps
+   no cache, and only the CSM refine below reads and writes the store.
 2. **Rank** — endpoints (primary outputs) are ranked by slack against a
    ``required`` time: a scalar or a per-net mapping, resolved with the same
    merge semantics as :meth:`~repro.sta.mmmc._MulticornerMerge.worst_slacks`
@@ -75,8 +77,8 @@ def events_from_waveforms(
     waveform ends up, slew is the 20-80 % transition time (the NLDM
     characterization's slew definition).  Non-switching nets get no event —
     exactly how the NLDM engine models a stable input.  Deterministic, so a
-    repeated hybrid run derives identical events and warm-hits the NLDM
-    engine's whole-run cache entry.
+    repeated hybrid run derives identical events and its survey gives
+    bitwise the same results.
     """
     events: Dict[str, TimingEvent] = {}
     for net, wave in waveforms.items():
@@ -220,10 +222,11 @@ class HybridEngine(TimingEngine):
         self.required_default = required_default
         self.top_k = top_k
         self.max_iterations = max_iterations
-        #: Both sub-engines share the model library and the content-addressed
-        #: store, so a hybrid run warm-hits (and warms) the same propagation
-        #: namespaces as standalone NLDM / CSM runs.
-        self.nldm = NLDMEngine(netlist, models, cache=cache, use_cache=use_cache)
+        #: Both sub-engines share the model library; the CSM sub-engine
+        #: shares the content-addressed store, so a refine warm-hits (and
+        #: warms) the same propagation namespace as a standalone CSM run.
+        #: The NLDM survey keeps no cache.
+        self.nldm = NLDMEngine(netlist, models)
         self.csm = CSMEngine(
             netlist, models, options=options, cache=cache, use_cache=use_cache
         )
@@ -291,8 +294,9 @@ class HybridEngine(TimingEngine):
 
         ``input_waveforms`` are the CSM stimuli (one per primary input); the
         NLDM survey derives its events from them.  The run's stats fold both
-        sub-engines' accounting; ``full_run_hit`` means every sub-run was a
-        whole-run cache hit.
+        sub-engines' accounting (the survey's ``integrations`` count every
+        instance it evaluated); ``full_run_hit`` means at least one CSM
+        refine ran and every one was a whole-run cache hit.
         """
         required = self.required if required is None else required
         top_k = self.top_k if top_k is None else top_k
@@ -393,8 +397,9 @@ class HybridEngine(TimingEngine):
             stats.spills += entry.get("spills", 0)
             stats.faults += entry.get("faults", 0)
             stats.clamped_lookups += entry.get("clamped_lookups", 0)
-        stats.full_run_hit = bool(sub_stats) and all(
-            entry.get("full_run_hit", False) for entry in sub_stats
+        refines = sub_stats[1:]
+        stats.full_run_hit = bool(refines) and all(
+            entry.get("full_run_hit", False) for entry in refines
         )
         self.last_stats = stats
         self.last_iterations = iterations

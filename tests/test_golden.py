@@ -161,7 +161,7 @@ def test_sta_csm_arrivals_golden(sta_netlist, sta_models):
 def test_sta_nldm_events_golden(sta_netlist, sta_models):
     """Same DAG through the NLDM engine: per-output (arrival, slew, direction)."""
     events = primary_input_events(sta_netlist, seed=STA_SEED)
-    result = NLDMEngine(sta_netlist, sta_models, use_cache=False).run(events)
+    result = NLDMEngine(sta_netlist, sta_models).run(events)
     computed = {
         "spec": STA_SPEC,
         "events": {

@@ -5,9 +5,9 @@ The tentpole invariants:
 * ``top_k="all"`` refines every endpoint's complete fan-in cone, which the
   engine layer normalizes to an unrestricted run — bitwise equal to full CSM;
 * ``top_k=0`` degenerates to pure NLDM (no CSM work, no exact nets);
-* a warm repeat is a full-run hit on *both* sub-engines (the NLDM events
-  derived from the stimuli are deterministic, and restricted runs have their
-  own whole-run entries);
+* a warm repeat is a full-run hit of every CSM refine (restricted runs
+  have their own whole-run entries), while the keyless NLDM survey
+  re-evaluates every instance to bitwise the same events;
 * after an ECO the hybrid only re-integrates when the edit lands inside the
   refined critical cone — an out-of-cone swap re-times entirely from cache.
 """
@@ -158,7 +158,7 @@ class TestExactnessBounds:
 # Iteration, caching and provenance
 # ----------------------------------------------------------------------
 class TestRefinementLoop:
-    def test_warm_repeat_is_full_run_hit_on_both_sub_engines(
+    def test_warm_repeat_is_a_full_run_hit_of_every_refine(
         self, netlist, models, options, stimulus
     ):
         waveforms, t_stop = stimulus
@@ -166,12 +166,26 @@ class TestRefinementLoop:
         first = hybrid.run(waveforms, t_stop=t_stop)
         assert first.iterations  # something was refined
         second = hybrid.run(waveforms, t_stop=t_stop)
-        assert second.stats["integrations"] == 0
+        # full_run_hit speaks for the CSM refines; the survey keeps no cache
+        # and evaluates every instance again, to bitwise the same events.
         assert second.stats["full_run_hit"]
-        assert hybrid.nldm.last_stats.full_run_hit
         assert hybrid.csm.last_stats.full_run_hit
+        assert hybrid.csm.last_stats.integrations == 0
+        assert not hybrid.nldm.last_stats.full_run_hit
+        assert second.stats["integrations"] == len(netlist.instances)
+        assert second.nldm.events == first.nldm.events
+        assert second.nldm.mis_flags == first.nldm.mis_flags
         assert second.exact_nets == first.exact_nets
         assert second.endpoint_arrivals == first.endpoint_arrivals
+
+    def test_full_run_hit_needs_a_refine(self, netlist, models, options, stimulus):
+        waveforms, t_stop = stimulus
+        hybrid = HybridEngine(netlist, models, options=options, top_k=0)
+        for _ in range(2):
+            result = hybrid.run(waveforms, t_stop=t_stop)
+            assert result.iterations == []
+            assert not result.stats["full_run_hit"]
+            assert result.stats["integrations"] == len(netlist.instances)
 
     def test_partial_refinement_reports_provenance(
         self, netlist, models, options, stimulus

@@ -38,7 +38,6 @@ from repro.spice import newton_fixed_point_many
 from repro.sta import (
     CSMEngine,
     NLDMEngine,
-    NLDMTimingResult,
     TimingModelLibrary,
     WaveformTimingResult,
     gate_chain,
@@ -782,9 +781,25 @@ class TestCarriedState:
 
 
 # ----------------------------------------------------------------------
-# NLDM propagation cache (PR 5)
+# NLDM re-timing: no cache, so every run is a full, exact evaluation
 # ----------------------------------------------------------------------
-class TestNLDMIncremental:
+def _event_bits(result):
+    return {
+        net: (event.net, float(event.arrival).hex(), float(event.slew).hex(), event.rising)
+        for net, event in result.events.items()
+    }
+
+
+def _assert_same_events(result, reference):
+    assert list(_event_bits(result).items()) == list(_event_bits(reference).items())
+    assert list(result.mis_flags.items()) == list(reference.mis_flags.items())
+
+
+class TestNLDMRetiming:
+    """The NLDM engine keeps no cache: a long-lived engine re-evaluates the
+    whole design on every run and must give, after every edit and stimulus
+    change, bitwise a fresh engine's events and MIS pairs."""
+
     SPEC = "dag:w6:d3:s11"
 
     @pytest.fixture()
@@ -795,108 +810,44 @@ class TestNLDMIncremental:
     def events(self, netlist):
         return primary_input_events(netlist, seed=2)
 
-    def test_warm_repeat_evaluates_nothing(self, netlist, events, models):
-        cold = NLDMEngine(netlist, models).run(events)
-        assert cold.stats is not None
-        assert cold.stats["integrations"] == len(netlist.instances)
-        warm = NLDMEngine(netlist, models).run(events)  # fresh engine: disk only
-        assert warm.stats["integrations"] == 0
-        assert warm.stats["full_run_hit"]
-        assert warm.events == cold.events
-        assert warm.mis_flags == cold.mis_flags
-
-    def test_memo_makes_rerun_incremental_without_disk(self, library, events, netlist, warm_up):
-        models = warm_up(
-            TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
-        )
+    def test_repeat_evaluates_every_instance_to_the_same_bits(self, netlist, events, models):
         engine = NLDMEngine(netlist, models)
         cold = engine.run(events)
-        assert cold.stats["integrations"] == len(netlist.instances)
-        warm = engine.run(events)  # same engine: in-memory memo only
-        assert warm.stats["integrations"] == 0
-        assert warm.stats["memo_hits"] == len(netlist.instances)
-        assert warm.events == cold.events
+        warm = engine.run(events)
+        for result in (cold, warm):
+            assert result.stats["integrations"] == len(netlist.instances)
+            assert not result.stats["full_run_hit"]
+        _assert_same_events(warm, cold)
 
-    def test_swap_cell_reevaluates_only_affected_region(self, netlist, events, models):
-        NLDMEngine(netlist, models).run(events)
-        target = next(
-            name
-            for name, inst in netlist.instances.items()
-            if inst.cell_name == "NAND2_X1"
-            and len(netlist.affected_region(name)) < len(netlist.instances)
-        )
-        region = netlist.affected_region(target)
-        netlist.swap_cell(target, "NOR2_X1")
-        edited = NLDMEngine(netlist, models).run(events)
-        assert 0 < edited.stats["integrations"] <= len(region)
-        assert (
-            edited.stats["integrations"]
-            + edited.stats["memo_hits"]
-            + edited.stats["cache_hits"]
-            == len(netlist.instances)
-        )
-        reference = NLDMEngine(netlist, models, use_cache=False).run(events)
-        # Events round-trip bitwise through the cache, so equality is exact.
-        assert edited.events == reference.events
-        assert edited.mis_flags == reference.mis_flags
+    def test_long_lived_engine_equals_fresh_after_each_edit(
+        self, netlist, events, models, library
+    ):
+        engine = NLDMEngine(netlist, models)
+        engine.run(events)
+        rng = np.random.default_rng(5)
+        kinds = []
+        while len(kinds) < 12:
+            kind, _, apply, _ = _random_edit(netlist, library, rng)
+            if kind == "wire":
+                continue
+            apply()
+            kinds.append(kind)
+            edited = engine.run(events)
+            assert edited.stats["integrations"] == len(netlist.instances)
+            _assert_same_events(edited, NLDMEngine(netlist, models).run(events))
+        assert set(kinds) == {"swap", "rewire"}
 
-    def test_stimulus_change_reevaluates_only_descendants(self, netlist, events, models):
-        NLDMEngine(netlist, models).run(events)
+    def test_stimulus_change_equals_fresh_engine(self, netlist, events, models):
+        engine = NLDMEngine(netlist, models)
+        engine.run(events)
         target_pi = netlist.primary_inputs[0]
-        connectivity = netlist.connectivity()
-        dirty = set()
-        for receiver, _pin in connectivity.receivers_of(target_pi):
-            dirty |= set(netlist.fanout_cone(receiver.name))
         edited_events = dict(events)
         original = events[target_pi]
         edited_events[target_pi] = dataclasses.replace(
             original, arrival=original.arrival + 50e-12
         )
-        edited = NLDMEngine(netlist, models).run(edited_events)
-        assert 0 < edited.stats["integrations"] <= len(dirty)
-        reference = NLDMEngine(netlist, models, use_cache=False).run(edited_events)
-        assert edited.events == reference.events
-
-    def test_use_cache_false_always_evaluates(self, netlist, events, models):
-        NLDMEngine(netlist, models).run(events)
-        uncached = NLDMEngine(netlist, models, use_cache=False).run(events)
-        assert uncached.stats["integrations"] == len(netlist.instances)
-        assert not uncached.stats["full_run_hit"]
-
-    def test_event_entries_inline_in_packed_store(self, library, tmp_path):
-        """NLDM event tuples are tiny: on the packed store they must land in
-        the index, leaving the data file empty.  The engine gets its own
-        store (the model library keeps none) so only propagation entries —
-        not characterizations — are measured."""
-        store = PackedStore(tmp_path / "packed")
-        models = TimingModelLibrary(
-            library=library, config=CharacterizationConfig(io_grid_points=5)
-        )
-        chain = gate_chain(library, 4, cell_name="INV_X1")
-        events = primary_input_events(chain, seed=0)
-        cold = NLDMEngine(chain, models, cache=store).run(events)
-        assert cold.stats["stores"] == len(chain.instances)
-        assert store.file_sizes()["dat"] == 0
-        warm = NLDMEngine(chain, models, cache=store).run(events)
-        assert warm.stats["integrations"] == 0 and warm.stats["full_run_hit"]
-        assert warm.events == cold.events
-
-    def test_nldm_timing_result_roundtrip(self, tmp_path):
-        from repro.sta import TimingEvent
-
-        cache = PackedStore(tmp_path / "cache")
-        result = NLDMTimingResult(
-            events={"n1": TimingEvent(net="n1", arrival=1e-10, slew=4e-11, rising=True)},
-            mis_flags={"u0": [("A", "B")]},
-            netlist_name="demo",
-            stats={"instances": 1, "integrations": 1},
-        )
-        cache.store("aa" + "3" * 62, result)
-        hit, value = cache.lookup("aa" + "3" * 62)
-        assert hit and isinstance(value, NLDMTimingResult)
-        assert value.events == result.events
-        assert value.mis_flags == result.mis_flags
-        assert value.stats == result.stats
+        edited = engine.run(edited_events)
+        _assert_same_events(edited, NLDMEngine(netlist, models).run(edited_events))
 
 
 # ----------------------------------------------------------------------

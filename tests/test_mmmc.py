@@ -3,13 +3,14 @@
 The invariants:
 
 * a run over a :class:`CornerSet` is one single-corner run per corner, so
-  every corner is **bitwise** its single-corner run — CSM waveforms and
-  NLDM events, resident, streaming and ``batched=False``;
+  every corner is **bitwise** its single-corner run — CSM waveforms
+  (resident, streaming and ``batched=False``) and NLDM events;
 * per-corner cache namespaces are disjoint — a warm repeat is a full-run
   hit for every corner, and after evicting every corner's whole-run entry
   each instance-corner pair resolves through its own level-row pointer;
 * single-corner keys name the corner of the bound models: a store filled
-  against one corner's models never serves another corner's run;
+  against one corner's models never serves another corner's CSM run, and
+  an NLDM engine carries nothing from one corner's run into the next;
 * a cell fingerprint names the technology's content, not its name: the TT
   corner re-uses a plain run's characterizations, FF does not;
 * the multi-corner level tensor round-trips bitwise through the result
@@ -31,6 +32,7 @@ from repro.exceptions import TimingError
 from repro.runtime import PackedStore
 from repro.runtime.cache import decode_payload, encode_payload
 from repro.runtime.jobs import cell_fingerprint, content_hash
+from repro.runtime.server import TimingService
 from repro.sta import (
     CSMEngine,
     NLDMEngine,
@@ -158,25 +160,27 @@ class TestBatchedEquivalence:
         finally:
             store.close()
 
-    def test_stream_nldm_mmmc_matches_resident(self, corner_set, netlist, tmp_path):
+    def test_stream_nldm_mmmc_matches_resident(self, corner_set, netlist):
+        """A stream-mode multi-corner NLDM request is served by the session's
+        one NLDM engine for the corner list: every corner bitwise the
+        resident engine's, with nothing spilled or faulted."""
         events = primary_input_events(netlist, seed=0)
         resident = NLDMEngine(
             netlist, corner_set.reference.models, corners=corner_set
         ).run(events)
-        store = PackedStore(tmp_path / "stream")
-        try:
-            streamed = NLDMEngine(
-                netlist,
-                corner_set.reference.models,
-                corners=corner_set,
-                cache=store,
-                memory_mode="stream",
-            ).run(events)
-            for name in CORNERS:
-                assert streamed.result(name).events == resident.result(name).events
-                assert streamed.result(name).mis_flags == resident.result(name).mis_flags
-        finally:
-            store.close()
+        service = TimingService(models=corner_set.reference.models)
+        service._corner_sets[tuple(CORNERS)] = corner_set
+        record = service._sessions[
+            service.open_session({"generate": "dag:w6:d3:s5"})["session"]
+        ]
+        engine = service._engine(record, "nldm", tuple(CORNERS), memory_mode="stream")
+        assert engine is service._engine(record, "nldm", tuple(CORNERS))
+        streamed = engine.run(events)
+        for name in CORNERS:
+            assert streamed.result(name).events == resident.result(name).events
+            assert streamed.result(name).mis_flags == resident.result(name).mis_flags
+            stats = streamed.stats[name]
+            assert (stats["spills"], stats["faults"]) == (0, 0)
 
     def test_sequential_mmmc_matches_sequential_runs(
         self, corner_set, netlist, options, stimulus
@@ -334,29 +338,6 @@ class TestMulticornerCaching:
                     cold.result(name).waveform(net).values,
                 )
 
-    def test_nldm_warm_repeat_is_free_per_corner(self, corner_set, netlist, cache):
-        """The NLDM corners share one store: a cold run has no cross-corner
-        cache hits, and a fresh engine on the same store is a whole-run hit
-        with zero evaluations and the same events at every corner."""
-        events = primary_input_events(netlist, seed=0)
-
-        def engine():
-            return NLDMEngine(
-                netlist, corner_set.reference.models, corners=corner_set, cache=cache
-            )
-
-        cold = engine().run(events)
-        n = len(netlist.instances)
-        for name in CORNERS:
-            assert cold.stats[name]["integrations"] + cold.stats[name]["duplicates"] == n
-            assert cold.stats[name]["cache_hits"] == 0
-            assert not cold.stats[name]["full_run_hit"]
-        warm = engine().run(events)
-        for name in CORNERS:
-            assert warm.stats[name]["full_run_hit"]
-            assert warm.stats[name]["integrations"] == 0
-            assert warm.result(name).events == cold.result(name).events
-
     def test_level_row_pointers_resolve_per_corner(
         self, corner_set, netlist, options, stimulus, cache
     ):
@@ -429,16 +410,20 @@ class TestCornerBoundKeys:
         ).run(waveforms, t_stop=t_stop)
         _assert_bitwise(served, reference)
 
-    def test_nldm_ff_after_tt_is_cold_and_exact(self, corner_set, netlist, tmp_path):
+    def test_nldm_ff_after_tt_is_cold_and_exact(self, corner_set, netlist):
+        """One engine rebound from the TT to the FF models after a TT run
+        (the shared engine state is all structural) gives exactly a fresh
+        FF engine's events, which differ from TT's."""
         events = primary_input_events(netlist, seed=0)
-        cache = PackedStore(tmp_path / "store")
-        NLDMEngine(netlist, corner_set["TT"].models, cache=cache).run(events)
-        served = NLDMEngine(netlist, corner_set["FF"].models, cache=cache).run(events)
-        assert not served.stats["full_run_hit"]
-        assert served.stats["cache_hits"] == 0
-        reference = NLDMEngine(netlist, corner_set["FF"].models, use_cache=False).run(events)
+        engine = NLDMEngine(netlist, corner_set["TT"].models)
+        tt = engine.run(events)
+        engine.models = corner_set["FF"].models
+        served = engine.run(events)
+        assert served.stats["integrations"] == len(netlist.instances)
+        reference = NLDMEngine(netlist, corner_set["FF"].models).run(events)
         assert served.events == reference.events
         assert served.mis_flags == reference.mis_flags
+        assert served.events != tt.events
 
 
     def test_tt_corner_reuses_a_plain_runs_characterizations(

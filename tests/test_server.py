@@ -615,6 +615,50 @@ class TestTimingService:
         )
         assert len(engines) == 2 and budgets == [0, None]
 
+    def test_nldm_stream_is_served_by_the_one_nldm_engine(self, corner_service):
+        """The NLDM engine has no memory mode: a stream request, whatever
+        its budget, runs the session's one NLDM engine (per corner list),
+        bitwise the resident reply, with nothing spilled or faulted."""
+        service = corner_service
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        nets = sorted(service._sessions[session].netlist.nets())
+        for corners in (None, ["TT", "FF"]):
+            request = {"op": "timing", "session": session, "engine": "nldm", "seed": 0}
+            request["nets"] = nets
+            if corners:
+                request["corners"] = corners
+            resident = service.handle(request)
+            for budget in (None, 0):
+                stream = service.handle(
+                    {**request, "memory_mode": "stream", "memory_budget_bytes": budget}
+                )
+                assert stream["ok"] and resident["ok"], stream
+                assert stream["arrivals"] == resident["arrivals"]
+                if corners:
+                    assert stream["worst_arrivals"] == resident["worst_arrivals"]
+                    run_stats = [stream["stats"][name] for name in corners]
+                else:
+                    assert stream["slews"] == resident["slews"]
+                    run_stats = [stream["stats"]]
+                for stats in run_stats:
+                    assert (stats["spills"], stats["faults"]) == (0, 0), stats
+        assert sorted(service._sessions[session].engines) == ["nldm", "nldm@TT,FF"]
+        entry = service.handle({"op": "status"})["sessions"][session]
+        assert (entry["spills"], entry["faults"]) == (0, 0)
+
+    def test_nldm_stream_needs_no_store(self, models):
+        service = TimingService(models=models, options=SimulationOptions(time_step=2e-12))
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": CHAIN}}
+        )["session"]
+        request = {"op": "timing", "session": session, "seed": 0, "memory_mode": "stream"}
+        nldm = service.handle({**request, "engine": "nldm"})
+        assert nldm["ok"] and nldm["stats"]["spills"] == 0, nldm
+        csm = service.handle(request)
+        assert not csm["ok"] and csm["code"] == "bad-request"
+
     def test_empty_corner_list_is_a_bad_request(self, service):
         session = service.handle(
             {"op": "open_session", "design": {"generate": CHAIN}}

@@ -2,7 +2,9 @@
 
 ``memory_mode="stream"`` must change *memory behaviour only*: every waveform
 sample, every arrival, every model choice and every propagation-cache key has
-to match the resident engine bit for bit — cold and warm, CSM and NLDM.  The
+to match the resident engine bit for bit — cold and warm.  The NLDM
+engine has no streaming mode: the server serves a stream request with its
+one resident engine.  The
 hypothesis property drives random DAG shapes (hence random retire orders)
 under tiny hot-set budgets, so retired-then-reread nets exercise the fault
 path rather than silently reading stale rows.
@@ -19,6 +21,7 @@ from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
 from repro.runtime import PackedStore
+from repro.runtime.server import TimingService
 from repro.sta import (
     CSMEngine,
     NLDMEngine,
@@ -218,33 +221,37 @@ class TestStreamingPins:
             assert len(result.waveforms[net].values) > 0
 
 
+def _event_bits(result):
+    events = {
+        net: (event.net, event.arrival.hex(), event.slew.hex(), event.rising)
+        for net, event in result.events.items()
+    }
+    return events, result.mis_flags
+
+
 class TestNLDMStreamingEquivalence:
-    def test_cold_and_warm_events_equal(
-        self, reference_netlist, models, tmp_path
-    ):
-        netlist = reference_netlist
-        events = primary_input_events(netlist, seed=0)
-        resident_store = PackedStore(tmp_path / "nldm-resident")
-        stream_store = PackedStore(tmp_path / "nldm-stream")
-        resident = NLDMEngine(netlist, models, cache=resident_store)
-        streaming = NLDMEngine(
-            netlist, models, cache=stream_store, memory_mode="stream"
+    def test_cold_and_warm_events_equal(self, models):
+        """The NLDM engine keeps nothing between levels but the events it
+        publishes, so there is nothing to stream: the server serves
+        ``memory_mode="stream"`` with the session's one NLDM engine.  Its
+        cold run and its warm repeat each evaluate every instance, spill and
+        fault nothing, and give a fresh resident engine's events bitwise."""
+        service = TimingService(models=models)
+        record = service._sessions[
+            service.open_session({"generate": REFERENCE_SPEC})["session"]
+        ]
+        streaming = service._engine(
+            record, "nldm", memory_mode="stream", memory_budget_bytes=0
         )
-
-        resident_result = resident.run(events)
-        stream_result = streaming.run(events)
-        assert stream_result.events == resident_result.events
-        assert streaming.last_stats.spills > 0
-
-        resident_keys = set(resident_store.keys())
-        stream_keys = set(stream_store.keys())
-        assert resident.last_run_key is not None
-        assert stream_keys == resident_keys - {resident.last_run_key}
-
-        warm = NLDMEngine(netlist, models, cache=stream_store, memory_mode="stream")
-        warm_result = warm.run(events)
-        assert warm_result.events == resident_result.events
-        assert warm.last_stats.faults == len(netlist.instances)
+        assert streaming is service._engine(record, "nldm")
+        netlist = record.netlist
+        events = primary_input_events(netlist, seed=0)
+        expected = _event_bits(NLDMEngine(netlist, models).run(events))
+        for _ in ("cold", "warm"):
+            assert _event_bits(streaming.run(events)) == expected
+            stats = streaming.last_stats
+            assert stats.integrations == len(netlist.instances)
+            assert (stats.spills, stats.faults) == (0, 0)
 
 
 class TestStreamingProperty:

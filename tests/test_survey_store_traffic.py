@@ -1,12 +1,11 @@
-"""Store traffic of the hybrid survey: O(levels) commits, slim run entries.
+"""Store traffic of the hybrid survey: a keyless NLDM survey, slim run entries.
 
 The invariants pinned here:
 
-* the NLDM engine commits each level's per-instance events with ONE
-  ``store_many`` — resident, streaming and multi-corner — leaving exactly the
-  keys, values and :class:`PropagationStats` per-instance ``store`` calls
-  produced, same-level duplicate keys included (and, under the server's
-  single-flight store, without waiting on the run's own claims);
+* the NLDM survey keeps no cache: a run makes no content hash and no store
+  call, so a hybrid run's hashes are its CSM refines' alone, and its
+  level-batched events, MIS pairs and stats are bitwise a per-instance
+  scalar walk's;
 * single-corner CSM whole-run entries, plain and restricted, are key
   manifests (``{net: propagation key}`` plus the model choice, no samples):
   a warm hit resolves every key through the per-instance entries, re-attaches
@@ -46,10 +45,10 @@ from repro.sta import (
     primary_input_events,
     primary_input_waveforms,
 )
+from repro.sta import engine as engine_module
 from repro.sta import netlist as netlist_module
 from repro.sta.events import detect_mis_pairs
 from repro.sta.generate import default_time_window
-from repro.sta.mmmc import CornerSet
 from repro.sta.netlist import NETLIST_DIGEST_SALT, GateNetlist, swap_partner
 from repro.technology.corners import STANDARD_CORNERS, apply_corner
 
@@ -120,187 +119,20 @@ class _PerItemStore:
             self.store(key, value)
 
 
-class _CountingStore:
-    """Forwards to a real store, recording every ``store``/``store_many``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.batches = []
-        self.singles = []
-
-    def lookup(self, key):
-        return self.inner.lookup(key)
-
-    def lookup_many(self, keys):
-        return self.inner.lookup_many(keys)
-
-    def store(self, key, value):
-        self.singles.append(key)
-        self.inner.store(key, value)
-
-    def store_many(self, items):
-        items = list(items)
-        self.batches.append([key for key, _ in items])
-        self.inner.store_many(items)
-
-
-def _entries(store, keys):
-    values = {}
-    for key in keys:
-        hit, value = store.lookup(key)
-        assert hit, key
-        values[key] = (
-            None if value["event"] is None else tuple(value["event"]),
-            [tuple(pair) for pair in value["mis"]],
-        )
-    return values
-
-
 # ----------------------------------------------------------------------
-# NLDM: one store transaction per level
-# ----------------------------------------------------------------------
-class TestNLDMPerLevelCommit:
-    @pytest.mark.parametrize("memory_mode", ["resident", "stream"])
-    @pytest.mark.parametrize("design", ["twins", DAG])
-    def test_per_level_commit_matches_per_instance_stores(
-        self, library, models, tmp_path, memory_mode, design
-    ):
-        if design == "twins":
-            netlist = _twin_netlist(library)
-        else:
-            netlist = generate_netlist(library, design)
-        events = primary_input_events(netlist, seed=0)
-        reference_store = _PerItemStore()
-        reference = NLDMEngine(netlist, models, cache=reference_store, memory_mode=memory_mode)
-        expected = reference.run(events)
-
-        store = _CountingStore(PackedStore(tmp_path / "packed"))
-        engine = NLDMEngine(netlist, models, cache=store, memory_mode=memory_mode)
-        result = engine.run(events)
-
-        assert result.events == expected.events
-        assert result.mis_flags == expected.mis_flags
-        assert engine.last_stats == reference.last_stats
-        # One transaction per level; only the whole-run entry (resident
-        # mode) is a single store.
-        levels = engine.levels()
-        assert len(store.batches) == len(levels)
-        run_keys = [] if memory_mode == "stream" else [engine.last_run_key]
-        assert store.singles == run_keys
-        per_instance = {key for batch in store.batches for key in batch}
-        assert per_instance == set(reference_store.entries) - set(run_keys)
-        assert _entries(store, per_instance) == _entries(reference_store, per_instance)
-
-    def test_same_level_duplicates_keep_their_stats(self, library, models, tmp_path):
-        netlist = _twin_netlist(library)
-        events = primary_input_events(netlist, seed=0)
-        resident = NLDMEngine(netlist, models, cache=PackedStore(tmp_path / "resident"))
-        resident.run(events)
-        stats = resident.last_stats
-        assert (stats.integrations, stats.memo_hits, stats.cache_hits) == (2, 2, 0)
-        assert stats.stores == 2
-
-        streaming = NLDMEngine(
-            netlist, models, cache=PackedStore(tmp_path / "stream"), memory_mode="stream"
-        )
-        streaming.run(events)
-        stats = streaming.last_stats
-        assert (stats.integrations, stats.cache_hits, stats.faults) == (2, 2, 2)
-        assert (stats.stores, stats.spills, stats.memo_hits) == (2, 2, 0)
-
-    def test_stream_under_single_flight_store_never_waits_on_itself(
-        self, library, models, tmp_path
-    ):
-        netlist = _twin_netlist(library)
-        events = primary_input_events(netlist, seed=0)
-        plain = NLDMEngine(
-            netlist, models, cache=PackedStore(tmp_path / "plain"), memory_mode="stream"
-        )
-        expected = plain.run(events)
-
-        store = SingleFlightStore(PackedStore(tmp_path / "flight"), wait_timeout=5.0)
-        engine = NLDMEngine(netlist, models, cache=store, memory_mode="stream")
-        result = engine.run(events)
-        assert store.dedupe_waits == 0
-        assert engine.last_stats == plain.last_stats
-        assert result.events == expected.events
-
-    def test_multicorner_commits_once_per_level(self, technology, tmp_path, warm_up):
-        corners = warm_up(
-            CornerSet.from_names(
-                ["TT", "FF"],
-                technology=technology,
-                config=CharacterizationConfig(io_grid_points=5),
-            )
-        )
-        netlist = _twin_netlist(corners.reference.library)
-        events = primary_input_events(netlist, seed=0)
-        reference_store = _PerItemStore()
-        reference = NLDMEngine(
-            netlist, corners.reference.models, cache=reference_store, corners=corners
-        )
-        expected = reference.run(events)
-
-        store = _CountingStore(PackedStore(tmp_path / "packed"))
-        engine = NLDMEngine(netlist, corners.reference.models, cache=store, corners=corners)
-        result = engine.run(events)
-
-        # Each corner is its own single-corner run: one commit per level and
-        # one whole-run entry per corner.
-        assert len(store.batches) == len(engine.levels()) * len(corners)
-        run_keys = [child.last_run_key for child in engine._corner_engines.values()]
-        assert store.singles == run_keys
-        assert result.stats == expected.stats
-        for name in corners.names:
-            assert result.results[name].events == expected.results[name].events
-        per_instance = {key for batch in store.batches for key in batch}
-        assert per_instance == set(reference_store.entries) - set(run_keys)
-        assert _entries(store, per_instance) == _entries(reference_store, per_instance)
-
-        # Every corner's whole-run entry decodes back (columnar) to a hit.
-        warm = NLDMEngine(netlist, corners.reference.models, cache=store.inner, corners=corners)
-        again = warm.run(events)
-        assert warm.last_stats.full_run_hit
-        for name in corners.names:
-            assert again.results[name].events == result.results[name].events
-            assert again.results[name].mis_flags == result.results[name].mis_flags
-
-
-# ----------------------------------------------------------------------
-# NLDM: the level-batched survey equals a per-instance oracle
+# NLDM: the level-batched, keyless survey equals a per-instance oracle
 # ----------------------------------------------------------------------
 class _PerInstanceOracle:
     """The NLDM level loop evaluated one instance at a time.
 
     Scalar :meth:`NLDMTable.delay` / :meth:`NLDMTable.output_slew` and
     :func:`detect_mis_pairs` per instance, the latest arc winning (first pin
-    on ties); memo, then the level's pending entries, then one store lookup
-    per key; one commit per level and a whole-run entry in resident mode.
-    Keys, loads and levels come from the engine under test, so the oracle
-    checks evaluation and accounting, not key derivation.
+    on ties).  Loads and levels come from the engine under test, so the
+    oracle checks evaluation and accounting.
     """
 
     def __init__(self, engine: NLDMEngine):
         self.engine = engine
-        self.streaming = engine.memory_mode == "stream"
-        self.memo = {}
-        self.store = _PerItemStore()
-        self.run_keys = set()
-
-    def _lookup(self, key, pending, stats):
-        if key in self.memo:
-            stats.memo_hits += 1
-            return self.memo[key]
-        hit, value = (True, pending[key]) if key in pending else self.store.lookup(key)
-        if not hit:
-            return None
-        cached = (value["event"], value["mis"])
-        stats.cache_hits += 1
-        if self.streaming:
-            stats.faults += 1
-        else:
-            self.memo[key] = cached
-        return cached
 
     def _evaluate(self, instance, cell, load, events, stats):
         pin_nets = {pin: instance.connections[pin] for pin in cell.inputs}
@@ -326,58 +158,19 @@ class _PerInstanceOracle:
 
     def run(self, input_events):
         engine = self.engine
-        levels = engine.levels()
         stats = PropagationStats(instances=len(engine.netlist.instances))
-        net_keys = engine.stimulus_keys(input_events)
-        context = engine._context_digest()
-        run_key = None
-        if not self.streaming:
-            run_key = content_hash(
-                "nldm-run",
-                context,
-                engine._netlist_digest(),
-                engine._model_library_digest(),
-                sorted(net_keys.items()),
-            )
-            hit, value = self.store.lookup(run_key)
-            if hit:
-                stats.full_run_hit = True
-                return value[0], value[1], stats
         events = dict(input_events)
         mis_flags = {}
-        for level in levels:
-            pending = {}
+        for level in engine.levels():
             for instance in level:
-                stats.keyed += 1
                 cell = engine._cell(instance)
                 output_net = instance.connections[cell.output]
                 load = engine._lumped_output_load(instance)
-                inputs = [
-                    (pin, net_keys.get(instance.connections[pin], "stable"))
-                    for pin in cell.inputs
-                ]
-                key = content_hash(
-                    "nldm-propagation", context, engine._cell_digest(instance.cell_name), load, inputs
-                )
-                net_keys[output_net] = key
-                cached = self._lookup(key, pending, stats)
-                if cached is None:
-                    cached = self._evaluate(instance, cell, load, events, stats)
-                    stats.integrations += 1
-                    if self.streaming:
-                        stats.spills += 1
-                    else:
-                        self.memo[key] = cached
-                    pending[key] = {"event": cached[0], "mis": cached[1]}
-                    stats.stores += 1
-                fields, pairs = cached
-                mis_flags[instance.name] = list(pairs)
+                fields, pairs = self._evaluate(instance, cell, load, events, stats)
+                stats.integrations += 1
+                mis_flags[instance.name] = pairs
                 if fields is not None:
                     events[output_net] = TimingEvent(output_net, *fields)
-            self.store.store_many(pending.items())
-        if run_key is not None:
-            self.run_keys.add(run_key)
-            self.store.store(run_key, (events, mis_flags))
         return events, mis_flags, stats
 
 
@@ -395,15 +188,23 @@ def _assert_matches_oracle(engine, oracle, events):
     assert list(result.mis_flags.items()) == list(expected_flags.items())
     assert engine.last_stats == expected_stats
     assert result.stats == expected_stats.as_dict()
-    per_instance = set(oracle.store.entries) - oracle.run_keys
-    assert set(engine.cache.entries) - oracle.run_keys == per_instance
-    assert _entries(engine.cache, per_instance) == _entries(oracle.store, per_instance)
+
+
+def _served_nldm_engine(models, spec, memory_mode):
+    """The NLDM engine a :class:`TimingService` session serves a request of
+    this memory mode with, and the session's netlist.  Both modes get the
+    session's one keyless engine."""
+    service = TimingService(models=models)
+    record = service._sessions[service.open_session({"generate": spec})["session"]]
+    engine = service._engine(record, "nldm", memory_mode=memory_mode)
+    assert engine is service._engine(record, "nldm", memory_mode="resident")
+    return record.netlist, engine
 
 
 class TestNLDMLevelBatchOracle:
     """Events, MIS pairs and stats of the level-batched survey are bitwise
-    those of the per-instance walk: cold, warm and after an ECO swap, in
-    resident and streaming mode."""
+    those of the per-instance walk: cold, repeated and after an ECO swap,
+    for the engine the server serves in either memory mode."""
 
     @pytest.mark.parametrize("memory_mode", ["resident", "stream"])
     @settings(max_examples=8, deadline=None)
@@ -417,12 +218,13 @@ class TestNLDMLevelBatchOracle:
     def test_engine_equals_per_instance_oracle(
         self, library, models, memory_mode, width, depth, seed, stimulus_seed, swap_pick
     ):
-        netlist = generate_netlist(library, f"dag:w{width}:d{depth}:s{seed}")
+        netlist, engine = _served_nldm_engine(
+            models, f"dag:w{width}:d{depth}:s{seed}", memory_mode
+        )
         events = primary_input_events(netlist, seed=stimulus_seed)
-        engine = NLDMEngine(netlist, models, cache=_PerItemStore(), memory_mode=memory_mode)
         oracle = _PerInstanceOracle(engine)
         _assert_matches_oracle(engine, oracle, events)  # cold
-        _assert_matches_oracle(engine, oracle, events)  # warm
+        _assert_matches_oracle(engine, oracle, events)  # repeated
         swappable = [
             name
             for name, instance in netlist.instances.items()
@@ -433,11 +235,10 @@ class TestNLDMLevelBatchOracle:
             netlist.swap_cell(name, swap_partner(library, netlist.instances[name].cell_name))
         _assert_matches_oracle(engine, oracle, events)  # after one swap_cell
 
-    @pytest.mark.parametrize("memory_mode", ["resident", "stream"])
-    def test_same_level_duplicates_match_the_oracle(self, library, models, memory_mode):
+    def test_same_level_duplicates_match_the_oracle(self, library, models):
         netlist = _twin_netlist(library, extra_inputs=2)
         events = primary_input_events(netlist, seed=3)
-        engine = NLDMEngine(netlist, models, cache=_PerItemStore(), memory_mode=memory_mode)
+        engine = NLDMEngine(netlist, models)
         oracle = _PerInstanceOracle(engine)
         _assert_matches_oracle(engine, oracle, events)
         _assert_matches_oracle(engine, oracle, events)
@@ -459,7 +260,7 @@ class TestClampedLookups:
     def test_chain_inside_the_axes_counts_zero(self, library, models):
         # 10 fF of wire per stage keeps every load and slew on the axes.
         netlist, events = self._chain(library, 10e-15)
-        engine = NLDMEngine(netlist, models, use_cache=False)
+        engine = NLDMEngine(netlist, models)
         engine.run(events)
         assert engine.last_stats.integrations == 6
         assert engine.last_stats.clamped_lookups == 0
@@ -470,16 +271,14 @@ class TestClampedLookups:
         netlist, events = self._chain(library, 10e-15)
         heavy = netlist.instances["u2"]
         netlist.set_wire_capacitance(heavy.connections[library["INV_X1"].output], 40e-15)
-        engine = NLDMEngine(netlist, models, use_cache=False)
+        engine = NLDMEngine(netlist, models)
         assert engine._lumped_output_load(heavy) > models.nldm_loads[-1]
         engine.run(events)
-        assert engine.last_stats.clamped_lookups >= 1
-        # A warm repeat evaluates (and so counts) nothing.
-        cached = NLDMEngine(netlist, models, cache=_PerItemStore())
-        cached.run(events)
-        assert cached.last_stats.clamped_lookups == engine.last_stats.clamped_lookups
-        cached.run(events)
-        assert cached.last_stats.clamped_lookups == 0
+        clamped = engine.last_stats.clamped_lookups
+        assert clamped >= 1
+        # A repeat evaluates (and so counts) every arc again.
+        engine.run(events)
+        assert engine.last_stats.clamped_lookups == clamped
 
         t_stop = default_time_window(netlist)
         waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
@@ -488,6 +287,86 @@ class TestClampedLookups:
         survey = hybrid.nldm.last_stats.clamped_lookups
         assert survey >= 1
         assert result.stats["clamped_lookups"] == survey
+
+
+# ----------------------------------------------------------------------
+# NLDM: no keys, no store traffic
+# ----------------------------------------------------------------------
+class _StoreCalls:
+    """Counts every read and write method call on :class:`PackedStore`."""
+
+    METHODS = ("lookup", "lookup_many", "store", "store_many")
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in self.METHODS:
+            real = getattr(PackedStore, name)
+
+            def counting(store, *args, _real=real, _name=name, **kwargs):
+                self.calls.append(_name)
+                return _real(store, *args, **kwargs)
+
+            monkeypatch.setattr(PackedStore, name, counting)
+
+
+class TestKeylessSurvey:
+    @staticmethod
+    def _count_hashes(monkeypatch):
+        calls = []
+        real = engine_module.content_hash
+
+        def counting(*parts):
+            calls.append(parts[0])
+            return real(*parts)
+
+        monkeypatch.setattr(engine_module, "content_hash", counting)
+        return calls
+
+    def test_nldm_run_makes_no_hash_and_no_store_call(
+        self, library, warm_up, tmp_path, monkeypatch
+    ):
+        models = warm_up(
+            TimingModelLibrary(library=library, config=CharacterizationConfig(io_grid_points=5))
+        )
+        models.cache = PackedStore(tmp_path / "models")
+        netlist = generate_netlist(library, DAG)
+        events = primary_input_events(netlist, seed=0)
+        hashes = self._count_hashes(monkeypatch)
+        store_calls = _StoreCalls(monkeypatch)
+        engine = NLDMEngine(netlist, models)
+        first = engine.run(events)
+        second = engine.run(events)
+        assert hashes == []
+        assert store_calls.calls == []
+        assert models.cache.keys() == []
+        assert first.events == second.events
+        assert first.stats["integrations"] == len(netlist.instances)
+
+    def test_hybrid_hashes_are_the_csm_refines_alone(
+        self, library, models, options, tmp_path, monkeypatch
+    ):
+        netlist = generate_netlist(library, "dag:w64:d4:s3")
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        hybrid = HybridEngine(
+            netlist, models, options=options, cache=PackedStore(tmp_path / "store"), top_k=4
+        )
+        hashes = self._count_hashes(monkeypatch)
+        refine_hashes = []
+        real_run = hybrid.csm.run
+
+        def counted_run(*args, **kwargs):
+            before = len(hashes)
+            try:
+                return real_run(*args, **kwargs)
+            finally:
+                refine_hashes.append(len(hashes) - before)
+
+        monkeypatch.setattr(hybrid.csm, "run", counted_run)
+        result = hybrid.run(waveforms, t_stop=t_stop)
+        assert result.iterations and refine_hashes
+        assert 0 < sum(refine_hashes) == len(hashes)
+        assert not any(kind.startswith("nldm") for kind in hashes)
 
 
 # ----------------------------------------------------------------------
@@ -629,7 +508,7 @@ class TestStimulusFreeRunEntries:
         )
         warm_engine = HybridEngine(netlist, models, options=options, cache=store, top_k=2)
         warm = warm_engine.run(waveforms, t_stop=t_stop)
-        assert warm_engine.nldm.last_stats.full_run_hit
+        assert warm.stats["full_run_hit"]
         assert warm_engine.csm.last_stats.full_run_hit
         assert warm.exact_nets == cold.exact_nets
         assert warm.nldm.events == cold.nldm.events
