@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["SingleFlight", "SingleFlightStore"]
 
@@ -88,7 +88,10 @@ class SingleFlightStore:
 
     Every other attribute (``stats``, ``keys``, ``report`` …) delegates to
     the wrapped store, so engines and the model library accept the wrapper
-    anywhere a store goes.
+    anywhere a store goes.  That includes ``lookup_many``: a batched read
+    goes straight to the wrapped store and claims none of its misses, so
+    concurrent callers may compute the same missing keys twice.  That
+    costs deduplication only, never a wrong result.
     """
 
     def __init__(self, inner, wait_timeout: float = _DEFAULT_WAIT_TIMEOUT):
@@ -106,20 +109,6 @@ class SingleFlightStore:
         if hit:
             return True, value
         return self._after_miss(key)
-
-    def lookup_many(self, keys: Sequence[str]) -> List[Tuple[bool, Any]]:
-        """``[lookup(key) for key in keys]`` over one inner probe.
-
-        The wrapped store answers every key at once; each miss is then
-        claimed, or waited on, exactly as :meth:`lookup` handles it.  The
-        keys must be distinct: a repeated miss would wait on the caller's
-        own claim.
-        """
-        results = self.inner.lookup_many(keys)
-        return [
-            result if result[0] else self._after_miss(key)
-            for key, result in zip(keys, results)
-        ]
 
     def _after_miss(self, key: str) -> Tuple[bool, Any]:
         """Claim a missed key, or wait for its open claim and re-read."""

@@ -5,7 +5,7 @@ One :class:`TimingEngine` interface fronts both timing views of the paper:
 * :class:`NLDMEngine` — the conventional voltage-based STA flow: (arrival,
   slew, direction) events looked up in pre-characterized delay/slew tables,
   worst arc propagated, MIS situations flagged but not modeled; cheap enough
-  to recompute in full on every run, so it keeps no cache;
+  to recompute in full on every run, so it keeps no result cache;
 * :class:`CSMEngine` — the waveform-propagating engine built on the
   characterized current-source models, which switches to the cell's MIS model
   (complete MCSM or the baseline) when several inputs switch together.
@@ -262,21 +262,92 @@ def waveform_deviation(
     )
 
 
-class _ResidentWaveforms(AbstractMapping):
-    """Per-net waveform mapping produced by a resident run.
+def _frozen(wave: Waveform) -> bool:
+    """Whether nobody can write ``wave``'s samples through its own arrays."""
+    return not (wave.times.flags.writeable or wave.values.flags.writeable)
 
-    The run's waveforms are shared: memo entries, rows of computed levels
-    and the state the engine carries to its next run.  Each entry is copied
+
+class _StimulusCopies(AbstractMapping):
+    """A result's private copies of a run's stimuli, made as one block.
+
+    The samples of every stimulus the caller can still write are copied
+    together: one ``(stimuli, samples)`` block per sample count and one
+    read-only copy of each distinct time grid.  A :class:`Waveform` over a
+    block row is built the first time its net is read.  A later write into
+    the caller's arrays therefore never reaches the copies, and a result
+    read at a handful of nets builds a handful of waveforms.  A frozen
+    stimulus (nobody can write its arrays) is not copied up front; its
+    reader gets a copy on first read, as for any shared waveform.
+    """
+
+    def __init__(self, stimuli: Mapping[str, Waveform]):
+        self._order = list(stimuli)
+        self._frozen: Dict[str, Waveform] = {}
+        self._rows: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._waves: Dict[str, Waveform] = {}
+        by_length: Dict[int, List[str]] = {}
+        for net, wave in stimuli.items():
+            if _frozen(wave):
+                self._frozen[net] = wave
+            else:
+                by_length.setdefault(len(wave), []).append(net)
+        grids: Dict[bytes, np.ndarray] = {}
+        for nets in by_length.values():
+            block = np.stack([stimuli[net].values for net in nets])
+            for row, net in enumerate(nets):
+                times = stimuli[net].times.tobytes()
+                grid = grids.get(times)
+                if grid is None:
+                    grid = grids[times] = stimuli[net].times.copy()
+                    grid.flags.writeable = False
+                self._rows[net] = (grid, block[row])
+
+    def __getitem__(self, net: str) -> Waveform:
+        wave = self._waves.get(net)
+        if wave is None:
+            if net in self._frozen:
+                wave = self._frozen[net].renamed(net)
+            else:
+                wave = Waveform(*self._rows[net], name=net)
+            self._waves[net] = wave
+        return wave
+
+    def shared(self, net: str) -> Waveform:
+        """The stimulus for reading only: a frozen one needs no copy."""
+        if net in self._frozen and net not in self._waves:
+            return self._frozen[net]
+        return self[net]
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __contains__(self, net) -> bool:
+        return net in self._rows or net in self._frozen
+
+
+class _ResidentWaveforms(AbstractMapping):
+    """Per-net waveform mapping produced by a resident run (and the hybrid's
+    result): the stimuli first, then the propagated nets.
+
+    The stimuli are the run's private :class:`_StimulusCopies`.  The
+    propagated waveforms are shared: memo entries, rows of computed levels
+    and the state the engine carries to its next run.  Each one is copied
     out (renamed to its net) the first time it is read, so a caller that
     writes into a result's arrays changes that result only, and a request
     that reads a handful of endpoints copies a handful of waveforms.
     """
 
-    def __init__(self, sources: Dict[str, Waveform]):
+    def __init__(self, sources: Dict[str, Waveform], stimuli: _StimulusCopies):
         self._sources = sources
+        self._stimuli = stimuli
         self._copies: Dict[str, Waveform] = {}
 
     def __getitem__(self, net: str) -> Waveform:
+        if net not in self._sources:
+            return self._stimuli[net]
         wave = self._copies.get(net)
         if wave is None:
             wave = self._copies[net] = self._sources[net].renamed(net)
@@ -285,22 +356,22 @@ class _ResidentWaveforms(AbstractMapping):
     def shared(self, net: str) -> Waveform:
         """The net's waveform for reading only: the copy handed out if
         there is one, else the shared waveform itself."""
+        if net not in self._sources:
+            return self._stimuli.shared(net)
         wave = self._copies.get(net)
         return wave if wave is not None else self._sources[net]
 
     def __iter__(self):
-        return iter(self._sources)
+        yield from self._stimuli
+        for net in self._sources:
+            if net not in self._stimuli:
+                yield net
 
     def __len__(self) -> int:
-        return len(self._sources)
+        return len(self._stimuli) + sum(1 for net in self._sources if net not in self._stimuli)
 
     def __contains__(self, net) -> bool:
-        return net in self._sources
-
-
-def _frozen(wave: Waveform) -> bool:
-    """Whether nobody can write ``wave``'s samples through its own arrays."""
-    return not (wave.times.flags.writeable or wave.values.flags.writeable)
+        return net in self._sources or net in self._stimuli
 
 
 class _SpilledWaveforms(AbstractMapping):
@@ -316,7 +387,7 @@ class _SpilledWaveforms(AbstractMapping):
 
     def __init__(
         self,
-        resident: Dict[str, Waveform],
+        resident: Mapping[str, Waveform],
         pointers: Dict[str, Tuple[str, int]],
         fetch,
     ):
@@ -372,6 +443,12 @@ class TimingEngine:
         self.corners = corners
         self._connectivity: Optional[NetConnectivity] = None
         self._levels: Optional[List[List[GateInstance]]] = None
+        #: Instance name -> output load in the engine's own form (see
+        #: :meth:`_load`) under the models in ``_load_models``; an edit
+        #: drops the loads of its dirty region (all of them when the
+        #: netlist's edit journal cannot say what changed).
+        self._load_cache: Dict[str, Any] = {}
+        self._load_models = models
         self._structure_revision = netlist.revision
         self._structure_identity = id(netlist)
         self._library_identity = id(netlist.library)
@@ -438,14 +515,23 @@ class TimingEngine:
         self._sync_structure()
         return self
 
-    def _on_structure_change(self, since: Optional[int]) -> None:
-        """Hook for subclasses holding further netlist-derived caches.
+    def _on_structure_change(self, since: Optional[int]) -> Optional[Set[str]]:
+        """Drop the output loads of the instances edited since ``since``;
+        subclasses holding further netlist-derived caches extend it.
 
         ``since`` is the revision the caches describe when the netlist's
         edit journal may say what changed after it (see
         :meth:`GateNetlist.dirty_since`), ``None`` after a rebind or a
-        library change.
+        library change.  Returns the dirty instances, ``None`` when every
+        load was dropped.
         """
+        dirty = None if since is None else self.netlist.dirty_since(since)
+        if dirty is None:
+            self._load_cache = {}
+        else:
+            for name in dirty:
+                self._load_cache.pop(name, None)
+        return dirty
 
     def _on_library_change(self) -> None:
         """Hook for subclasses holding library-derived state (e.g. vdd)."""
@@ -479,6 +565,22 @@ class TimingEngine:
 
     def _output_net(self, instance: GateInstance) -> str:
         return instance.connections[self._cell(instance).output]
+
+    #: How :meth:`_load` builds an instance's load: :meth:`_output_load` or
+    #: :meth:`_lumped_output_load`, set by each engine.
+    _build_load = None
+
+    def _load(self, instance: GateInstance):
+        """The instance's output load, built by :attr:`_build_load` on first
+        use and cached until an edit dirties the instance or the engine is
+        pointed at other models (their receiver capacitances differ)."""
+        if self._load_models is not self.models:
+            self._load_cache = {}
+            self._load_models = self.models
+        load = self._load_cache.get(instance.name)
+        if load is None:
+            load = self._load_cache[instance.name] = self._build_load(instance)
+        return load
 
     def _lumped_output_load(self, instance: GateInstance) -> float:
         """Scalar load: receiver input capacitances plus wire capacitance."""
@@ -615,7 +717,9 @@ class NLDMEngine(TimingEngine):
 
     An event is three floats from two table interpolations, cheaper to
     recompute than to key, store and read back, so the engine keeps no
-    cache: it makes no content hash and no store call.  Each level evaluates
+    result cache: it makes no content hash and no store call.  It keeps
+    only each instance's lumped load (:meth:`TimingEngine._load`) until an
+    edit dirties the instance.  Each level evaluates
     every instance in one interpolation pass per NLDM table
     (:meth:`_evaluate_level`) and publishes the events before the next level
     reads them, so every run — a repeat or the run after an ECO edit
@@ -630,6 +734,8 @@ class NLDMEngine(TimingEngine):
         engine per corner and returns a :class:`MulticornerNLDMResult`
         whose corners are bitwise their single-corner runs.
     """
+
+    _build_load = TimingEngine._lumped_output_load
 
     def _corner_engine(self, cc: CornerContext) -> "NLDMEngine":
         return NLDMEngine(self.netlist, cc.models)
@@ -726,7 +832,7 @@ class NLDMEngine(TimingEngine):
         mis_flags: Dict[str, List[Tuple[str, str]]] = {}
         for level in levels:
             rows = [
-                (instance, self._cell(instance), self._lumped_output_load(instance))
+                (instance, self._cell(instance), self._load(instance))
                 for instance in level
             ]
             for (instance, cell, _), (fields, pairs) in zip(
@@ -794,17 +900,15 @@ class _ResidentRetention:
     long-lived engine on a ``max_bytes`` store can still evict.  The result
     references the run's waveforms and copies each one out on first access
     (:class:`_ResidentWaveforms`); only stimuli the caller can still write
-    are copied up front.
+    are copied up front, as one block (:class:`_StimulusCopies`).
     """
 
     memoize = True
     pins = False
 
     def __init__(self, input_waveforms: Mapping[str, Waveform]):
-        self.waveforms: Dict[str, Waveform] = {
-            net: wave if _frozen(wave) else wave.renamed(net)
-            for net, wave in input_waveforms.items()
-        }
+        self.stimuli = _StimulusCopies(input_waveforms)
+        self.waveforms: Dict[str, Waveform] = {}
 
     def keep(
         self, net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool
@@ -818,7 +922,7 @@ class _ResidentRetention:
         """Nothing retires."""
 
     def result(self) -> _ResidentWaveforms:
-        return _ResidentWaveforms(self.waveforms)
+        return _ResidentWaveforms(self.waveforms, self.stimuli)
 
 
 class _StreamRetention:
@@ -848,9 +952,7 @@ class _StreamRetention:
         self.times = times
         #: nets whose waveform stays materialized in the result: the
         #: primary inputs.
-        self.resident: Dict[str, Waveform] = {
-            net: wave.renamed(net) for net, wave in input_waveforms.items()
-        }
+        self.resident = _StimulusCopies(input_waveforms)
         #: net -> level pointer for every spilled net.
         self.pointers: Dict[str, _Pointer] = {}
         #: level record key -> nets whose row views that tensor; a budget
@@ -1060,10 +1162,6 @@ class CSMEngine(TimingEngine):
         # ones — that is what makes a re-run after an ECO edit incremental
         # even without a disk cache.
         self._memo: Dict[str, Waveform] = {}
-        #: Instance name -> structured output load; purely structural, so an
-        #: edit drops the loads of its dirty region (all of them when the
-        #: netlist's edit journal cannot say what changed).
-        self._load_cache: Dict[str, Load] = {}
         #: The state the last carrying run left for the next (see
         #: :class:`_Carried`); ``None`` until then and after anything that
         #: invalidates it.
@@ -1121,14 +1219,13 @@ class CSMEngine(TimingEngine):
         child.cache = self.cache  # never the corner library's own store
         return child
 
-    def _on_structure_change(self, since: Optional[int]) -> None:
-        dirty = None if since is None else self.netlist.dirty_since(since)
+    _build_load = TimingEngine._output_load
+
+    def _on_structure_change(self, since: Optional[int]) -> Optional[Set[str]]:
+        dirty = super()._on_structure_change(since)
         if dirty is None:
-            self._load_cache = {}
             self._carried = None
-            return
-        for name in dirty:
-            self._load_cache.pop(name, None)
+        return dirty
 
     def _on_library_change(self) -> None:
         self.vdd = self.netlist.library.technology.vdd
@@ -1268,7 +1365,11 @@ class CSMEngine(TimingEngine):
             ``batched=False``, either memory mode and ``corners=`` (each
             corner runs the same row set).  A cone covering every instance
             is normalized back to an unrestricted run so even the whole-run
-            cache entry is shared.
+            cache entry is shared.  The run uses only the stimuli its cone
+            reads: it hashes, resamples and copies those alone, its result
+            holds them plus the cone's nets, and its whole-run key (in the
+            ``sta-run-restricted-manifest`` namespace) names their keys
+            alone, so a change to a stimulus outside the cone keeps it.
         """
         missing = [net for net in self.netlist.primary_inputs if net not in input_waveforms]
         if missing:
@@ -1301,6 +1402,7 @@ class CSMEngine(TimingEngine):
         levels = self.levels()  # also re-syncs structural caches after edits
         if only is not None:
             levels = self._cone_levels(levels, only)
+            input_waveforms = self._cone_stimuli(levels, input_waveforms)
         revision = self.netlist.revision
         stats = PropagationStats(
             instances=len(only) if only is not None else len(self.netlist.instances)
@@ -1449,6 +1551,21 @@ class CSMEngine(TimingEngine):
                         )
             cone.append(members)
         return cone
+
+    def _cone_stimuli(
+        self,
+        levels: Sequence[Sequence[GateInstance]],
+        input_waveforms: Mapping[str, Waveform],
+    ) -> Dict[str, Waveform]:
+        """The stimuli an ``only=`` row set reads, in the caller's order:
+        nothing else of the stimuli reaches its keys or waveforms."""
+        read = {
+            instance.connections[pin]
+            for level in levels
+            for instance in level
+            for pin in self._cell(instance).inputs
+        }
+        return {net: wave for net, wave in input_waveforms.items() if net in read}
 
     def _resolve_run_manifest(
         self,
@@ -1644,11 +1761,7 @@ class CSMEngine(TimingEngine):
             mis = False
             label = f"SISCSM[{pin}]"
 
-        load = self._load_cache.get(instance.name)
-        if load is None:
-            load = self._output_load(instance)
-            self._load_cache[instance.name] = load
-
+        load = self._load(instance)
         key = None
         if net_keys is not None:
             # Every input pin's net content participates: stable-but-driven

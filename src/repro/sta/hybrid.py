@@ -55,6 +55,8 @@ from .engine import (
     PropagationStats,
     TimingEngine,
     WaveformTimingResult,
+    _ResidentWaveforms,
+    _StimulusCopies,
 )
 from .events import TimingEvent
 from .mmmc import required_time
@@ -102,7 +104,10 @@ class HybridTimingResult:
 
     ``waveforms`` holds the primary inputs plus every CSM-exact net;
     ``exact_nets`` is the set of nets the refined instances drive: their
-    values are bitwise a full CSM run's.
+    values are bitwise a full CSM run's.  The primary inputs are the run's
+    private copies, made as one block (a later write into the caller's
+    stimuli does not reach them); an exact net is copied out of the CSM
+    refine's shared waveforms the first time it is read.
     Every other propagated net is covered by the NLDM events only.
     ``iterations`` records the refinement loop's per-iteration accounting.
     """
@@ -351,7 +356,7 @@ class HybridEngine(TimingEngine):
                 if net not in exact_nets:
                     continue
                 crossings = crossing_times(
-                    csm_result.waveforms[net], 0.5 * self.csm.vdd
+                    csm_result.waveforms.shared(net), 0.5 * self.csm.vdd
                 )
                 arrivals[net] = float(crossings[-1]) if crossings else None
             iterations.append(
@@ -367,12 +372,10 @@ class HybridEngine(TimingEngine):
             if len(iterations) >= self.max_iterations:
                 break
 
-        waveforms: Dict[str, Waveform] = {
-            net: wave.renamed(net) for net, wave in input_waveforms.items()
-        }
-        if csm_result is not None:
-            for net in exact_nets:
-                waveforms[net] = csm_result.waveforms[net]
+        waveforms = _ResidentWaveforms(
+            {net: csm_result.waveforms.shared(net) for net in exact_nets},
+            _StimulusCopies(input_waveforms),
+        )
 
         slacks: Dict[str, Optional[Tuple[str, float]]] = {}
         for net in endpoints:

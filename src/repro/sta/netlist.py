@@ -535,7 +535,11 @@ class GateNetlist:
         """
         if connectivity is None:
             connectivity = self.connectivity()
-        if net not in self.nets():
+        if not (
+            net in connectivity.net_index
+            or net in self.primary_inputs
+            or net in self.primary_outputs
+        ):
             raise TimingError(f"no net named {net!r} in {self.name!r}")
         cone: Dict[str, None] = {}
         visited = {net}

@@ -77,11 +77,18 @@ def test_every_flag_combination_is_the_oracle_or_the_one_rejection(corner_set, t
         for net in netlist.primary_outputs
         if len(netlist.fanin_cone(net)) < len(everything)
     )
+    # A restricted result holds the stimuli its cone reads plus its nets.
     library = netlist.library
-    cone_nets = set(waveforms) | {
-        netlist.instances[name].connections[library[netlist.instances[name].cell_name].output]
-        for name in cone
+    cone_cells = {name: library[netlist.instances[name].cell_name] for name in cone}
+    cone_reads = {
+        netlist.instances[name].connections[pin]
+        for name, cell in cone_cells.items()
+        for pin in cell.inputs
     }
+    cone_nets = (set(waveforms) & cone_reads) | {
+        netlist.instances[name].connections[cell.output] for name, cell in cone_cells.items()
+    }
+    assert set(waveforms) - cone_nets, "the cone must leave a stimulus out"
 
     rejected = []
     matrix = itertools.product(

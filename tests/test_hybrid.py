@@ -218,6 +218,22 @@ class TestRefinementLoop:
         with pytest.raises(TimingError, match="not an endpoint"):
             result.slack("no_such_net")
 
+    def test_result_stimuli_are_private_copies(self, netlist, models, options, stimulus):
+        waveforms, t_stop = stimulus
+        caller = {net: wave.renamed(net) for net, wave in waveforms.items()}
+        engine = HybridEngine(netlist, models, options=options, top_k=1)
+        result = engine.run(caller, t_stop=t_stop)
+        first = result.waveforms[netlist.primary_inputs[0]]
+        for wave in caller.values():
+            wave.times[:] = 0.0
+            wave.values[:] = -1.0
+        assert result.waveforms[netlist.primary_inputs[0]] is first
+        for net in netlist.primary_inputs:
+            copy, original = result.waveforms[net], waveforms[net]
+            assert copy.times.tobytes() == original.times.tobytes(), net
+            assert copy.values.tobytes() == original.values.tobytes(), net
+            assert copy.name == net
+
     def test_required_mapping_uses_worst_slacks_merge_semantics(
         self, netlist, models, options, stimulus
     ):

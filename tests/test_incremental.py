@@ -850,6 +850,26 @@ class TestNLDMRetiming:
         _assert_same_events(edited, NLDMEngine(netlist, models).run(edited_events))
 
 
+class TestNLDMLoadCache:
+    """A long-lived NLDM engine caches each instance's lumped load; an edit
+    that changes a load must drop it, so the next run is a fresh engine's."""
+
+    def test_wire_capacitance_edit_equals_fresh_engine(self, library, models):
+        netlist = generate_netlist(library, TestNLDMRetiming.SPEC)
+        events = primary_input_events(netlist, seed=2)
+        engine = NLDMEngine(netlist, models)
+        before = engine.run(events)
+        net = next(
+            engine._output_net(instance)
+            for instance in netlist.instances.values()
+            if engine._output_net(instance) in before.events
+        )
+        netlist.set_wire_capacitance(net, 20e-15)
+        edited = engine.run(events)
+        _assert_same_events(edited, NLDMEngine(netlist, models).run(events))
+        assert edited.events[net].arrival > before.events[net].arrival
+
+
 # ----------------------------------------------------------------------
 # Cache robustness + result round-trip
 # ----------------------------------------------------------------------

@@ -198,29 +198,6 @@ class TestSingleFlightStore:
         store.store(key, {"data": np.ones(2)})
         assert store.peek(key)[0]
 
-    def test_lookup_many_claims_each_miss_like_lookup(self, tmp_path):
-        store = self._store(tmp_path)
-        present, first, second = "aa" * 32, "bb" * 32, "cc" * 32
-        store.store(present, {"data": np.ones(2)})
-        results = store.lookup_many([present, first, second])
-        assert [hit for hit, _ in results] == [True, False, False]
-        results = []
-
-        def waiter():
-            results.append(store.lookup(second))  # waits on our claim
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        while store.dedupe_waits == 0:
-            time.sleep(0.005)
-        store.store_many([(first, {"data": np.zeros(1)}), (second, {"data": np.arange(3.0)})])
-        thread.join(5)
-        hit, value = results[0]
-        assert hit
-        np.testing.assert_array_equal(value["data"], np.arange(3.0))
-        assert store.dedupe_stats() == {"waits": 1, "hits": 1}
-        assert store.inner.stats.misses == 3  # two claims, then the waiter's miss
-
     def test_facade_delegates_to_inner_store(self, tmp_path):
         store = self._store(tmp_path)
         key = "ef" * 32

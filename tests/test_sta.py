@@ -98,6 +98,16 @@ class TestNetlist:
         with pytest.raises(TimingError):
             netlist.set_wire_capacitance("n1", -1e-15)
 
+    def test_fanin_cone_contract(self, library):
+        netlist = _inverter_chain(library, 3)
+        netlist.add_primary_output("unconnected")
+        assert netlist.fanin_cone("n3") == ["u0", "u1", "u2"]
+        assert netlist.fanin_cone("n1", connectivity=netlist.connectivity()) == ["u0"]
+        assert netlist.fanin_cone("n0") == []  # a primary input's cone is empty
+        assert netlist.fanin_cone("unconnected") == []
+        with pytest.raises(TimingError, match="no net named"):
+            netlist.fanin_cone("nowhere")
+
 
 class TestMISDetection:
     def test_windows_overlap(self):

@@ -322,7 +322,14 @@ class TestBatchIndependence:
         target = outputs[endpoint % len(outputs)]
         cone, driven = _cone_run(netlist, models, options, waveforms, t_stop, target)
         members = set(netlist.fanin_cone(target))
-        cone_nets = [*netlist.primary_inputs, *driven]
+        # A cone's result holds the stimuli it reads plus the nets it drives.
+        reads = {
+            netlist.instances[name].connections[pin]
+            for name in members
+            for pin in library[netlist.instances[name].cell_name].inputs
+        }
+        cone_nets = [*(net for net in netlist.primary_inputs if net in reads), *driven]
+        assert set(cone.waveforms) == set(cone_nets)
         _assert_bitwise(cone, oracle, cone_nets)
 
         # The oracle itself runs a cone as just a smaller row set.

@@ -51,6 +51,7 @@ from repro.sta.events import detect_mis_pairs
 from repro.sta.generate import default_time_window
 from repro.sta.netlist import NETLIST_DIGEST_SALT, GateNetlist, swap_partner
 from repro.technology.corners import STANDARD_CORNERS, apply_corner
+from repro.waveform import Waveform
 
 DAG = "dag:w6:d3:s5"
 
@@ -367,6 +368,47 @@ class TestKeylessSurvey:
         assert result.iterations and refine_hashes
         assert 0 < sum(refine_hashes) == len(hashes)
         assert not any(kind.startswith("nldm") for kind in hashes)
+
+    def test_refine_keys_and_copies_only_its_cones_stimuli(
+        self, library, models, options, tmp_path, monkeypatch
+    ):
+        netlist = generate_netlist(library, "dag:w64:d4:s3")
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        cones = {frozenset(netlist.fanin_cone(net)) for net in netlist.primary_outputs}
+        assert len(cones) > 1
+        hybrid = HybridEngine(
+            netlist,
+            models,
+            options=options,
+            cache=PackedStore(tmp_path / "store"),
+            top_k=2,
+            max_iterations=1,
+        )
+        hashes = self._count_hashes(monkeypatch)
+        renamed = []
+        real_renamed = Waveform.renamed
+
+        def counting_renamed(wave, name):
+            renamed.append(name)
+            return real_renamed(wave, name)
+
+        monkeypatch.setattr(Waveform, "renamed", counting_renamed)
+        result = hybrid.run(waveforms, t_stop=t_stop)
+        reads = {
+            netlist.instances[name].connections[pin]
+            for name in result.refined_instances
+            for pin in library[netlist.instances[name].cell_name].inputs
+        }
+        cone_stimuli = reads & set(netlist.primary_inputs)
+        outside = set(netlist.primary_inputs) - cone_stimuli
+        assert cone_stimuli and outside
+        assert hashes.count("sta-stimulus") == len(cone_stimuli)
+        # The result still lists every primary input, bitwise the caller's,
+        # and neither the run nor these reads renamed an out-of-cone one.
+        for net in netlist.primary_inputs:
+            assert result.waveforms[net].values.tobytes() == waveforms[net].values.tobytes()
+        assert not outside & set(renamed)
 
 
 # ----------------------------------------------------------------------
