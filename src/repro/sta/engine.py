@@ -5,7 +5,7 @@ One :class:`TimingEngine` interface fronts both timing views of the paper:
 * :class:`NLDMEngine` — the conventional voltage-based STA flow: (arrival,
   slew, direction) events looked up in pre-characterized delay/slew tables,
   worst arc propagated, MIS situations flagged but not modeled; cheap enough
-  to recompute in full on every run, so it keeps no result cache;
+  to recompute in full on every run, so it keeps no cache;
 * :class:`CSMEngine` — the waveform-propagating engine built on the
   characterized current-source models, which switches to the cell's MIS model
   (complete MCSM or the baseline) when several inputs switch together.
@@ -272,12 +272,14 @@ class _StimulusCopies(AbstractMapping):
 
     The samples of every stimulus the caller can still write are copied
     together: one ``(stimuli, samples)`` block per sample count and one
-    read-only copy of each distinct time grid.  A :class:`Waveform` over a
-    block row is built the first time its net is read.  A later write into
-    the caller's arrays therefore never reaches the copies, and a result
-    read at a handful of nets builds a handful of waveforms.  A frozen
-    stimulus (nobody can write its arrays) is not copied up front; its
-    reader gets a copy on first read, as for any shared waveform.
+    copy of each distinct time grid.  A :class:`Waveform` over a block row
+    and its own copy of the grid is built the first time its net is read.
+    A later write into the caller's arrays therefore never reaches the
+    copies, a write into one read stimulus (times or values) changes that
+    stimulus only, and a result read at a handful of nets builds a handful
+    of waveforms.  A frozen stimulus (nobody can write its arrays) is not
+    copied up front; its reader gets a copy on first read, as for any
+    shared waveform.
     """
 
     def __init__(self, stimuli: Mapping[str, Waveform]):
@@ -308,7 +310,8 @@ class _StimulusCopies(AbstractMapping):
             if net in self._frozen:
                 wave = self._frozen[net].renamed(net)
             else:
-                wave = Waveform(*self._rows[net], name=net)
+                grid, row = self._rows[net]
+                wave = Waveform(grid.copy(), row, name=net)
             self._waves[net] = wave
         return wave
 
@@ -443,12 +446,6 @@ class TimingEngine:
         self.corners = corners
         self._connectivity: Optional[NetConnectivity] = None
         self._levels: Optional[List[List[GateInstance]]] = None
-        #: Instance name -> output load in the engine's own form (see
-        #: :meth:`_load`) under the models in ``_load_models``; an edit
-        #: drops the loads of its dirty region (all of them when the
-        #: netlist's edit journal cannot say what changed).
-        self._load_cache: Dict[str, Any] = {}
-        self._load_models = models
         self._structure_revision = netlist.revision
         self._structure_identity = id(netlist)
         self._library_identity = id(netlist.library)
@@ -515,23 +512,14 @@ class TimingEngine:
         self._sync_structure()
         return self
 
-    def _on_structure_change(self, since: Optional[int]) -> Optional[Set[str]]:
-        """Drop the output loads of the instances edited since ``since``;
-        subclasses holding further netlist-derived caches extend it.
+    def _on_structure_change(self, since: Optional[int]) -> None:
+        """Hook for subclasses holding further netlist-derived caches.
 
         ``since`` is the revision the caches describe when the netlist's
         edit journal may say what changed after it (see
         :meth:`GateNetlist.dirty_since`), ``None`` after a rebind or a
-        library change.  Returns the dirty instances, ``None`` when every
-        load was dropped.
+        library change.
         """
-        dirty = None if since is None else self.netlist.dirty_since(since)
-        if dirty is None:
-            self._load_cache = {}
-        else:
-            for name in dirty:
-                self._load_cache.pop(name, None)
-        return dirty
 
     def _on_library_change(self) -> None:
         """Hook for subclasses holding library-derived state (e.g. vdd)."""
@@ -565,22 +553,6 @@ class TimingEngine:
 
     def _output_net(self, instance: GateInstance) -> str:
         return instance.connections[self._cell(instance).output]
-
-    #: How :meth:`_load` builds an instance's load: :meth:`_output_load` or
-    #: :meth:`_lumped_output_load`, set by each engine.
-    _build_load = None
-
-    def _load(self, instance: GateInstance):
-        """The instance's output load, built by :attr:`_build_load` on first
-        use and cached until an edit dirties the instance or the engine is
-        pointed at other models (their receiver capacitances differ)."""
-        if self._load_models is not self.models:
-            self._load_cache = {}
-            self._load_models = self.models
-        load = self._load_cache.get(instance.name)
-        if load is None:
-            load = self._load_cache[instance.name] = self._build_load(instance)
-        return load
 
     def _lumped_output_load(self, instance: GateInstance) -> float:
         """Scalar load: receiver input capacitances plus wire capacitance."""
@@ -717,9 +689,7 @@ class NLDMEngine(TimingEngine):
 
     An event is three floats from two table interpolations, cheaper to
     recompute than to key, store and read back, so the engine keeps no
-    result cache: it makes no content hash and no store call.  It keeps
-    only each instance's lumped load (:meth:`TimingEngine._load`) until an
-    edit dirties the instance.  Each level evaluates
+    cache: it makes no content hash and no store call.  Each level evaluates
     every instance in one interpolation pass per NLDM table
     (:meth:`_evaluate_level`) and publishes the events before the next level
     reads them, so every run — a repeat or the run after an ECO edit
@@ -734,8 +704,6 @@ class NLDMEngine(TimingEngine):
         engine per corner and returns a :class:`MulticornerNLDMResult`
         whose corners are bitwise their single-corner runs.
     """
-
-    _build_load = TimingEngine._lumped_output_load
 
     def _corner_engine(self, cc: CornerContext) -> "NLDMEngine":
         return NLDMEngine(self.netlist, cc.models)
@@ -832,7 +800,7 @@ class NLDMEngine(TimingEngine):
         mis_flags: Dict[str, List[Tuple[str, str]]] = {}
         for level in levels:
             rows = [
-                (instance, self._cell(instance), self._load(instance))
+                (instance, self._cell(instance), self._lumped_output_load(instance))
                 for instance in level
             ]
             for (instance, cell, _), (fields, pairs) in zip(
@@ -1162,6 +1130,10 @@ class CSMEngine(TimingEngine):
         # ones — that is what makes a re-run after an ECO edit incremental
         # even without a disk cache.
         self._memo: Dict[str, Waveform] = {}
+        #: Instance name -> structured output load; purely structural, so an
+        #: edit drops the loads of its dirty region (all of them when the
+        #: netlist's edit journal cannot say what changed).
+        self._load_cache: Dict[str, Load] = {}
         #: The state the last carrying run left for the next (see
         #: :class:`_Carried`); ``None`` until then and after anything that
         #: invalidates it.
@@ -1219,13 +1191,14 @@ class CSMEngine(TimingEngine):
         child.cache = self.cache  # never the corner library's own store
         return child
 
-    _build_load = TimingEngine._output_load
-
-    def _on_structure_change(self, since: Optional[int]) -> Optional[Set[str]]:
-        dirty = super()._on_structure_change(since)
+    def _on_structure_change(self, since: Optional[int]) -> None:
+        dirty = None if since is None else self.netlist.dirty_since(since)
         if dirty is None:
+            self._load_cache = {}
             self._carried = None
-        return dirty
+            return
+        for name in dirty:
+            self._load_cache.pop(name, None)
 
     def _on_library_change(self) -> None:
         self.vdd = self.netlist.library.technology.vdd
@@ -1761,7 +1734,11 @@ class CSMEngine(TimingEngine):
             mis = False
             label = f"SISCSM[{pin}]"
 
-        load = self._load(instance)
+        load = self._load_cache.get(instance.name)
+        if load is None:
+            load = self._output_load(instance)
+            self._load_cache[instance.name] = load
+
         key = None
         if net_keys is not None:
             # Every input pin's net content participates: stable-but-driven

@@ -234,6 +234,25 @@ class TestRefinementLoop:
             assert copy.values.tobytes() == original.values.tobytes(), net
             assert copy.name == net
 
+    def test_a_write_into_a_result_stimulus_changes_it_only(
+        self, netlist, models, options, stimulus
+    ):
+        waveforms, t_stop = stimulus
+        caller = {net: wave.renamed(net) for net, wave in waveforms.items()}
+        engine = HybridEngine(netlist, models, options=options, top_k=1)
+        result = engine.run(caller, t_stop=t_stop)
+        written, *others = netlist.primary_inputs
+        result.waveforms[written].times[:] = 0.0
+        result.waveforms[written].values[:] = -1.0
+        assert not result.waveforms[written].times.any()
+        for net in others:
+            copy, original = result.waveforms[net], waveforms[net]
+            assert copy.times.tobytes() == original.times.tobytes(), net
+            assert copy.values.tobytes() == original.values.tobytes(), net
+        for net, wave in caller.items():
+            assert wave.times.tobytes() == waveforms[net].times.tobytes(), net
+            assert wave.values.tobytes() == waveforms[net].values.tobytes(), net
+
     def test_required_mapping_uses_worst_slacks_merge_semantics(
         self, netlist, models, options, stimulus
     ):

@@ -850,9 +850,9 @@ class TestNLDMRetiming:
         _assert_same_events(edited, NLDMEngine(netlist, models).run(edited_events))
 
 
-class TestNLDMLoadCache:
-    """A long-lived NLDM engine caches each instance's lumped load; an edit
-    that changes a load must drop it, so the next run is a fresh engine's."""
+class TestNLDMWireEdit:
+    """A wire-capacitance edit changes a lumped load: a long-lived NLDM
+    engine's next run must equal a fresh engine's."""
 
     def test_wire_capacitance_edit_equals_fresh_engine(self, library, models):
         netlist = generate_netlist(library, TestNLDMRetiming.SPEC)
