@@ -50,7 +50,7 @@ from .simulate import (
     simulation_time_grid,
 )
 
-__all__ = ["settle_units"]
+__all__ = ["settle_key", "settle_units"]
 
 #: Length (in integration steps) of the basin-selection pre-roll: long enough
 #: to cross the fast output transient of a gate (~100 ps at 1-2 ps steps),
@@ -357,7 +357,7 @@ def _constant_unit(unit: BatchUnit, grid: np.ndarray) -> BatchUnit:
     )
 
 
-def _settle_key(unit: BatchUnit) -> Optional[Tuple]:
+def settle_key(unit: BatchUnit) -> Optional[Tuple]:
     """Content key under which two units' settles are bitwise identical.
 
     A settle only ever reads a unit's *initial* pin values (every integration
@@ -366,7 +366,8 @@ def _settle_key(unit: BatchUnit) -> Optional[Tuple]:
     Units agreeing on all of those produce identical results, so one
     representative settle can serve every duplicate.  Non-constant loads
     carry internal state through the integration; those units are never
-    deduplicated (``None``).
+    deduplicated (``None``).  Under one ``settle_mode="dc"`` options object a
+    key therefore names one settled state, in any batch and any run.
     """
     load_cap = unit.load.constant_capacitance()
     if load_cap is None:
@@ -414,7 +415,7 @@ def settle_units(
     if len(units) > 1:
         positions_by_key: Dict[Tuple, List[int]] = {}
         for position, unit in enumerate(units):
-            key = _settle_key(unit)
+            key = settle_key(unit)
             positions_by_key.setdefault(
                 key if key is not None else ("unique", position), []
             ).append(position)

@@ -52,15 +52,30 @@ from .scheduler import SingleFlight, SingleFlightStore
 __all__ = ["DesignRecord", "Session", "TimingService"]
 
 
-def _arrivals(result: Any, nets: List[str]) -> Dict[str, Optional[float]]:
+def _arrivals(
+    result: Any, nets: List[str], memo: Optional[Dict[str, Optional[float]]] = None
+) -> Dict[str, Optional[float]]:
     """Each net's arrival as a float, or ``None`` where ``result`` has none
-    (the net is stable, unpropagated or never crosses 50 % of Vdd)."""
+    (the net is stable, unpropagated or never crosses 50 % of Vdd).
+
+    With a ``memo`` (content key -> arrival) and a result that names its
+    nets' keys, a net whose key the memo holds is not scanned for
+    crossings, and every scanned net's arrival joins the memo: equal keys
+    name bitwise-equal waveforms, so the memoized arrival is the scan's.
+    """
+    keys = result.keys if memo is not None else None
     arrivals: Dict[str, Optional[float]] = {}
     for net in nets:
+        key = keys.get(net) if keys else None
+        if key is not None and key in memo:
+            arrivals[net] = memo[key]
+            continue
         try:
             arrivals[net] = float(result.arrival(net))
         except TimingError:
             arrivals[net] = None
+        if key is not None:
+            memo[key] = arrivals[net]
     return arrivals
 
 
@@ -95,6 +110,11 @@ class Session:
     #: request: frozen waveforms built once and passed as the very same
     #: objects, so the engines reuse their carried stimulus keys.
     stimuli: Optional[Tuple[Tuple[Any, ...], Dict[str, Waveform]]] = None
+    #: Content key -> arrival of every endpoint waveform a single-corner CSM
+    #: reply of this session reported (see :func:`_arrivals`): one float
+    #: per distinct endpoint waveform, where the session's engines memoize
+    #: one waveform per distinct instance output.
+    arrivals: Dict[str, Optional[float]] = field(default_factory=dict)
 
 
 class TimingService:
@@ -776,7 +796,7 @@ class TimingService:
         result = engine.run(waveforms, t_stop=window)
         payload = {
             "engine": "csm",
-            "arrivals": _arrivals(result, report_nets),
+            "arrivals": _arrivals(result, report_nets, record.arrivals),
             "t_stop": window,
             "stats": result.stats,
         }

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..characterization.nldm import NLDMTable
 from ..csm.base import SimulationOptions
-from ..csm.dc import settle_units
+from ..csm.dc import settle_key, settle_units
 from ..csm.loads import CapacitiveLoad, Load, ReceiverLoad
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..csm.simulate import BatchUnit, integrate_model_many, simulation_time_grid
@@ -176,6 +176,10 @@ class WaveformTimingResult:
     netlist_name: str
     vdd: float
     stats: Optional[Dict[str, int]] = None
+    #: Net -> the content key its waveform is propagated (or, for a
+    #: stimulus, hashed) under; ``None`` when the run kept no keys
+    #: (``use_cache=False``).  Equal keys name bitwise-equal waveforms.
+    keys: Optional[Dict[str, str]] = None
 
     def waveform(self, net: str) -> Waveform:
         if net not in self.waveforms:
@@ -259,6 +263,18 @@ def waveform_deviation(
             ).max()
         )
         for net in reference.waveforms
+    )
+
+
+def _key_tables(unit: BatchUnit) -> Tuple:
+    """The tables and capacitances whose ``id()`` a unit's
+    :func:`~repro.csm.dc.settle_key` contains."""
+    return (
+        unit.output_current,
+        unit.internal_current,
+        unit.output_cap,
+        unit.internal_cap,
+        tuple(unit.miller_caps[pin] for pin in unit.pins),
     )
 
 
@@ -1140,6 +1156,12 @@ class CSMEngine(TimingEngine):
         self._carried: Optional[_Carried] = None
         self._cell_digests: Dict[str, str] = {}
         self._model_library_memo: Optional[Tuple[int, int, str]] = None
+        #: :func:`~repro.csm.dc.settle_key` -> (settled state, the tables
+        #: whose ``id()`` the key contains) across runs (see :meth:`_settle`).  Holding the tables keeps their ids from
+        #: being reused under a live entry.
+        self._settles: Dict[Tuple, Tuple[Tuple[float, Optional[float]], Tuple]] = {}
+        #: Keys a walk from scratch has read so far (``None`` otherwise).
+        self._settle_walk: Optional[Set[Tuple]] = None
         #: Cache key of the last single-corner whole-run entry (None before
         #: the first cached run; handy for targeted eviction).
         self.last_run_key: Optional[str] = None
@@ -1431,6 +1453,7 @@ class CSMEngine(TimingEngine):
                 if result is not None:
                     # The carried state stays at its walk's revision; the
                     # next walk re-plans everything edited since.
+                    result.keys.update(net_keys)
                     stats.full_run_hit = True
                     result.stats = stats.as_dict()
                     self.last_stats = stats
@@ -1484,6 +1507,7 @@ class CSMEngine(TimingEngine):
             netlist_name=self.netlist.name,
             vdd=self.vdd,
             stats=stats.as_dict(),
+            keys=dict(net_keys) if caching else None,
         )
         if run_key is not None:
             propagated = [net for net in waveforms if net not in input_waveforms]
@@ -1583,6 +1607,7 @@ class CSMEngine(TimingEngine):
             model_used=dict(model_used),
             netlist_name=self.netlist.name,
             vdd=self.vdd,
+            keys=dict(zip(nets, keys)),
         )
 
     # ------------------------------------------------------------------
@@ -1634,6 +1659,9 @@ class CSMEngine(TimingEngine):
         """
         evaluate = self._evaluate_level_tensor if self.batched else self._evaluate_level_oracle
         threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
+        # A walk from scratch prunes the settle memo to the keys it reads; a
+        # carried walk goes on from its predecessor's memo.
+        self._settle_walk = set() if state is None else None
         if state is None:
             state = _LoopState({}, {}, {}, net_keys, {} if carry else None)
             for net, wave in input_waveforms.items():
@@ -1702,6 +1730,9 @@ class CSMEngine(TimingEngine):
                 stats.duplicates += 1
                 keep(plan.output_net, *computed[plan.key], shared=True)
             retention.level_done(position, rows, stats)
+        walk, self._settle_walk = self._settle_walk, None
+        if walk:
+            self._settles = {key: self._settles[key] for key in walk}
         return state
 
     def _plan(
@@ -1799,7 +1830,7 @@ class CSMEngine(TimingEngine):
             constant_units.append(
                 self._unit(plan, model, constants, self.vdd / 2.0, self.vdd / 2.0)
             )
-        settled = settle_units(constant_units, self.options)
+        settled = self._settle(constant_units)
 
         units = []
         for plan, model, (initial_output, initial_internal) in zip(pending, models, settled):
@@ -1816,6 +1847,37 @@ class CSMEngine(TimingEngine):
             )
         _, outputs = integrate_model_many(units, self.options, t_start, t_stop)
         return self._level_tensor(pending, [v_out for v_out, _ in outputs], times)
+
+    def _settle(self, units: Sequence[BatchUnit]) -> List[Tuple[float, Optional[float]]]:
+        """:func:`settle_units` of ``units``, solving each DC operating
+        point once per engine.
+
+        Under ``settle_mode="dc"`` a settle is a function of the unit's
+        :func:`settle_key`, the key :func:`settle_units` deduplicates a batch
+        by, so a remembered state is bitwise the one a solve would return.
+        Units whose key the engine solved before are served from
+        :attr:`_settles`; the rest are solved one per key.  The memo holds
+        the keys the latest walk from scratch read plus those the carried
+        walks after it read, so it is bounded by the distinct (model, input
+        state, load) triples of the revisions those walks timed.
+        """
+        if self.options.settle_mode != "dc":
+            return settle_units(units, self.options)
+        keys = [settle_key(unit) for unit in units]
+        if None in keys:  # a stateful load: its settle names no key
+            return settle_units(units, self.options)
+        memo = self._settles
+        misses: Dict[Tuple, BatchUnit] = {}
+        for key, unit in zip(keys, units):
+            if key not in memo:
+                misses.setdefault(key, unit)
+        if misses:
+            solved = settle_units(list(misses.values()), self.options)
+            for (key, unit), state in zip(misses.items(), solved):
+                memo[key] = (state, _key_tables(unit))
+        if self._settle_walk is not None:
+            self._settle_walk.update(keys)
+        return [memo[key][0] for key in keys]
 
     def _evaluate_level_oracle(
         self,

@@ -31,6 +31,7 @@ from ..characterization.characterize import (
 )
 from ..characterization.config import CharacterizationConfig
 from ..characterization.nldm import NLDMTable
+from ..csm.base import cap_value
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..exceptions import TimingError
 from ..runtime.store import PackedStore
@@ -79,6 +80,12 @@ class TimingModelLibrary:
     _mis: Dict[Tuple[str, str, str], BaselineMISCSM] = field(default_factory=dict, repr=False)
     _mcsm: Dict[Tuple[str, str, str], MCSM] = field(default_factory=dict, repr=False)
     _nldm: Dict[str, Dict[Tuple[str, bool], NLDMTable]] = field(default_factory=dict, repr=False)
+    #: (cell, pin) -> (its SIS model, that model's ``Ci``): the memo of
+    #: :meth:`receiver_input_capacitance`, valid while the model is the one
+    #: in ``_sis``.
+    _input_caps: Dict[Tuple[str, str], Tuple[SISCSM, float]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __getstate__(self):
         # Worker pools are not picklable; a library shipped to a worker
@@ -259,12 +266,14 @@ class TimingModelLibrary:
         cache; otherwise the structural gate-capacitance estimate is used to
         avoid triggering a full characterization just for a load number.
         (The waveform engines prewarm every receiver pin's SIS model before
-        propagating, so within an engine run this is deterministic.)
+        propagating, so within an engine run this is deterministic.)  ``Ci``
+        is evaluated once per characterized model.
         """
         key = (cell_name, pin)
-        if key in self._sis:
-            model = self._sis[key]
-            from ..csm.base import cap_value
-
-            return cap_value(model.input_cap, model.vdd / 2.0)
-        return self.cell(cell_name).pin_gate_capacitance(pin)
+        model = self._sis.get(key)
+        if model is None:
+            return self.cell(cell_name).pin_gate_capacitance(pin)
+        cached = self._input_caps.get(key)
+        if cached is None or cached[0] is not model:
+            cached = self._input_caps[key] = (model, cap_value(model.input_cap, model.vdd / 2.0))
+        return cached[1]

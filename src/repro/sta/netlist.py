@@ -21,11 +21,15 @@ instances whose timing plan may change.  :meth:`GateNetlist.dirty_since`
 turns the journal into the exact dirty region since an earlier revision (or
 ``None`` when a non-journaled mutation intervened), which is what lets an
 engine re-key only that region, and :meth:`GateNetlist.content_digest`
-re-renders only the instances the journal names.
+re-renders only the instances the journal names.  Journaled edits also keep
+the connectivity snapshot and the levelization current: a swap or a wire cap
+leaves both as they are, and an input-pin rewire patches both in place, so
+no edit pays for a whole-design rebuild.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -145,7 +149,9 @@ class NetConnectivity:
     :attr:`revision` records the netlist revision the snapshot was built
     from; holders compare it against the live ``netlist.revision`` so an ECO
     edit can never be served stale receiver rows.  Snapshots built outside
-    :meth:`of` carry ``-1`` (always stale).
+    :meth:`of` carry ``-1`` (always stale).  The snapshot a netlist caches
+    moves with it: an input-pin rewire patches it in place and stamps it
+    with the new revision.
     """
 
     drivers: Dict[str, GateInstance]
@@ -266,8 +272,14 @@ class GateNetlist:
     #: at most :data:`EDIT_JOURNAL_LIMIT` entries.
     _journal: Dict[int, _Edit] = field(default_factory=dict, repr=False, compare=False)
     _fragments: Optional[_DigestFragments] = field(default=None, repr=False, compare=False)
-    #: (revision, library, generations) memo of :meth:`topological_generations`.
-    _levels_cache: Optional[Tuple[int, CellLibrary, List[List[GateInstance]]]] = field(
+    #: (revision, library, generations, instance name -> generation) memo
+    #: of :meth:`topological_generations`.
+    _levels_cache: Optional[
+        Tuple[int, CellLibrary, List[List[GateInstance]], Dict[str, int]]
+    ] = field(default=None, repr=False, compare=False)
+    #: (revision, instance name -> insertion position) memo of
+    #: :meth:`_positions`.
+    _positions_cache: Optional[Tuple[int, Dict[str, int]]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -321,7 +333,9 @@ class GateNetlist:
 
         ``same_structure`` edits keep the driver/receiver graph (a swap onto
         the same pins, a wire cap), so a connectivity snapshot and a
-        levelization current before the edit stay current after it.
+        levelization current before the edit stay current after it.  No
+        journaled edit reorders the instances, so the position index stays
+        current too.
         """
         previous = self.revision
         self.revision += 1
@@ -331,12 +345,15 @@ class GateNetlist:
         )
         while len(journal) > EDIT_JOURNAL_LIMIT:
             del journal[next(iter(journal))]
+        positions = self._positions_cache
+        if positions is not None and positions[0] == previous:
+            self._positions_cache = (self.revision, positions[1])
         if same_structure:
             if self._conn_cache is not None and self._conn_cache.revision == previous:
                 self._conn_cache.revision = self.revision
             levels = self._levels_cache
             if levels is not None and levels[0] == previous and levels[1] is self.library:
-                self._levels_cache = (self.revision, levels[1], levels[2])
+                self._levels_cache = (self.revision, *levels[1:])
 
     def _edits_since(self, revision: int) -> Optional[List[_Edit]]:
         """The journaled edits after ``revision``, or ``None`` when any
@@ -473,6 +490,12 @@ class GateNetlist:
 
         So the inverse of an accepted rewire is accepted too, which is what
         lets a caller roll a batch of edits back through this method.
+
+        Those checks also prove the edited design is still a well-formed
+        DAG, so an accepted input-pin rewire patches a current connectivity
+        snapshot and levelization in place (one receiver slot moves between
+        two nets; the fan-out cone is re-levelled) instead of leaving them
+        to a full rebuild and validation.
         """
         if instance_name not in self.instances:
             raise TimingError(f"no instance named {instance_name!r} in {self.name!r}")
@@ -502,24 +525,115 @@ class GateNetlist:
         driver = connectivity.driver_of(net)
         if driver is None and net not in self.primary_inputs:
             raise TimingError(f"{edit}: the net has no driver and is not a primary input")
-        if driver is not None and driver.name in self._downstream([instance_name], connectivity):
+        cone = self._downstream([instance_name], connectivity)
+        if driver is not None and driver.name in cone:
             raise TimingError(f"{edit} would close a combinational loop")
         # The pin's capacitance leaves the old driver's load for the new one's.
         seeds = [instance_name]
         for other in (connectivity.driver_of(previous), driver):
             if other is not None:
                 seeds.append(other.name)
+        levels = self._levels_cache
+        relevel = levels is not None and levels[0] == self.revision and levels[1] is self.library
         instance.connections[pin] = net
         self._journal_edit(seeds, instance=instance_name)
+        self._move_receiver(connectivity, instance, pin, previous, net)
+        if relevel:
+            self._relevel(cone, connectivity)
         return instance
+
+    def _move_receiver(
+        self,
+        connectivity: NetConnectivity,
+        instance: GateInstance,
+        pin: str,
+        old: str,
+        new: str,
+    ) -> None:
+        """Move ``instance.pin``'s receiver slot from net ``old`` to net
+        ``new`` in the snapshot, in place, and stamp it with the current
+        revision.  The slot lands where a fresh build puts it (receivers in
+        instance insertion order, then cell pin order) and a net enters or
+        leaves the sorted net index exactly when a fresh build's net set
+        changes, so the snapshot equals :meth:`NetConnectivity.of`."""
+        instances, pins = connectivity.receiver_instances, connectivity.receiver_pins
+        start, stop = connectivity.receiver_slice(old)
+        slot = next(
+            k for k in range(start, stop) if instances[k] is instance and pins[k] == pin
+        )
+        del instances[slot], pins[slot]
+        connectivity.receiver_ptr[connectivity.net_index[old] + 1 :] -= 1
+        if stop - start == 1 and old not in connectivity.drivers:
+            _drop_net(connectivity, old)  # a primary input nobody reads now
+        if new not in connectivity.net_index:
+            _add_net(connectivity, new)  # a primary input nobody read before
+        positions = self._positions()
+        rank = (positions[instance.name], self.library[instance.cell_name].inputs.index(pin))
+        start, stop = connectivity.receiver_slice(new)
+        slot = start
+        while slot < stop:
+            other = instances[slot]
+            other_pins = self.library[other.cell_name].inputs
+            if (positions[other.name], other_pins.index(pins[slot])) > rank:
+                break
+            slot += 1
+        instances.insert(slot, instance)
+        pins.insert(slot, pin)
+        connectivity.receiver_ptr[connectivity.net_index[new] + 1 :] += 1
+        connectivity._csr = None
+        connectivity.revision = self.revision
+
+    def _relevel(self, cone: Set[str], connectivity: NetConnectivity) -> None:
+        """Re-level a rewired instance's fan-out ``cone`` in the memoized
+        levelization, in place, and stamp it with the current revision.
+
+        Only the cone's ancestry changed, so every other generation stands.
+        The cone's own edges did not change, so its members in their old
+        generation order are still a topological order to recompute them
+        in.  A member keeps its insertion-order place inside its new level;
+        levels the cone emptied can only trail (every member of a level
+        above 0 has a fan-in in the level before), so they are dropped."""
+        _, library, levels, level_of = self._levels_cache
+        positions = self._positions()
+        by_position = lambda instance: positions[instance.name]  # noqa: E731
+        for name in sorted(cone, key=lambda name: (level_of[name], positions[name])):
+            instance = self.instances[name]
+            level = 0
+            for input_pin in library[instance.cell_name].inputs:
+                driver = connectivity.driver_of(instance.connections[input_pin])
+                if driver is not None:
+                    level = max(level, level_of[driver.name] + 1)
+            old = level_of[name]
+            if level == old:
+                continue
+            members = levels[old]
+            del members[bisect.bisect_left(members, positions[name], key=by_position)]
+            if level == len(levels):
+                levels.append([])
+            bisect.insort(levels[level], instance, key=by_position)
+            level_of[name] = level
+        while not levels[-1]:
+            levels.pop()
+        self._levels_cache = (self.revision, library, levels, level_of)
+
+    def _positions(self) -> Dict[str, int]:
+        """Instance name -> insertion position, memoized per revision."""
+        cached = self._positions_cache
+        if cached is None or cached[0] != self.revision:
+            positions = {name: position for position, name in enumerate(self.instances)}
+            cached = self._positions_cache = (self.revision, positions)
+        return cached[1]
+
+    def _in_order(self, names: Set[str]) -> List[str]:
+        """``names`` in insertion order, in time proportional to their count."""
+        return sorted(names, key=self._positions().__getitem__)
 
     def fanout_cone(self, instance_name: str) -> List[str]:
         """The instance and everything downstream of it, in insertion order
         (a breadth-first walk over the CSR receiver index)."""
         if instance_name not in self.instances:
             raise TimingError(f"no instance named {instance_name!r} in {self.name!r}")
-        cone = self._downstream([instance_name], self.connectivity())
-        return [name for name in self.instances if name in cone]
+        return self._in_order(self._downstream([instance_name], self.connectivity()))
 
     def fanin_cone(
         self, net: str, connectivity: Optional[NetConnectivity] = None
@@ -541,21 +655,21 @@ class GateNetlist:
             or net in self.primary_outputs
         ):
             raise TimingError(f"no net named {net!r} in {self.name!r}")
-        cone: Dict[str, None] = {}
+        cone: Set[str] = set()
         visited = {net}
         frontier: Deque[str] = deque([net])
         while frontier:
             driver = connectivity.driver_of(frontier.popleft())
             if driver is None:
                 continue  # primary input: the cone boundary
-            cone[driver.name] = None
+            cone.add(driver.name)
             cell = self.library[driver.cell_name]
             for pin in cell.inputs:
                 upstream = driver.connections[pin]
                 if upstream not in visited:
                     visited.add(upstream)
                     frontier.append(upstream)
-        return [name for name in self.instances if name in cone]
+        return self._in_order(cone)
 
     def affected_region(
         self,
@@ -589,8 +703,7 @@ class GateNetlist:
             driver = connectivity.driver_of(instance.connections[pin])
             if driver is not None:
                 seeds.append(driver.name)
-        dirty = self._downstream(seeds, connectivity)
-        return [name for name in self.instances if name in dirty]
+        return self._in_order(self._downstream(seeds, connectivity))
 
     def _downstream(self, seeds: Iterable[str], connectivity: NetConnectivity) -> Set[str]:
         """The seed instances plus everything their outputs reach."""
@@ -635,7 +748,8 @@ class GateNetlist:
         Cached per :attr:`revision`: repeated structural queries — every
         ``driver_of``/``receivers_of``/``fanout_capacitance`` call delegates
         here — cost one single-pass build per edit instead of a full rescan
-        per query.
+        per query.  Journaled edits keep the snapshot (an input-pin rewire
+        patches it in place); any other mutation rebuilds it.
         """
         cached = self._conn_cache
         if cached is None or cached.revision != self.revision:
@@ -767,17 +881,19 @@ class GateNetlist:
         the flattened generations are a valid topological order.
 
         Memoized per revision and library (a cell swap or a wire cap keeps
-        the memo); every call returns fresh lists."""
+        the memo, an input-pin rewire patches it); every call returns fresh
+        lists."""
         cached = self._levels_cache
         if cached is None or cached[0] != self.revision or cached[1] is not self.library:
             revision, library = self.revision, self.library
             graph = self._validated_graph()
-            order = {name: position for position, name in enumerate(self.instances)}
             levels: List[List[GateInstance]] = []
+            level_of: Dict[str, int] = {}
             for generation in nx.topological_generations(graph):
-                names = sorted(generation, key=order.__getitem__)
+                names = self._in_order(generation)
+                level_of.update((name, len(levels)) for name in names)
                 levels.append([self.instances[name] for name in names])
-            cached = self._levels_cache = (revision, library, levels)
+            cached = self._levels_cache = (revision, library, levels, level_of)
         return [list(level) for level in cached[2]]
 
     def depth(self) -> int:
@@ -854,6 +970,25 @@ def _read(connectivity: NetConnectivity, net: str) -> bool:
     """Whether some instance reads ``net``."""
     start, stop = connectivity.receiver_slice(net)
     return stop > start
+
+
+def _add_net(connectivity: NetConnectivity, net: str) -> None:
+    """Give ``net`` an empty receiver slice at its sorted place."""
+    nets = list(connectivity.net_index)
+    n = bisect.bisect_left(nets, net)
+    nets.insert(n, net)
+    ptr = connectivity.receiver_ptr
+    connectivity.receiver_ptr = np.insert(ptr, n, ptr[n])
+    connectivity.net_index = {name: i for i, name in enumerate(nets)}
+
+
+def _drop_net(connectivity: NetConnectivity, net: str) -> None:
+    """Remove ``net``, whose receiver slice is empty, from the net index."""
+    nets = list(connectivity.net_index)
+    n = connectivity.net_index[net]
+    del nets[n]
+    connectivity.receiver_ptr = np.delete(connectivity.receiver_ptr, n)
+    connectivity.net_index = {name: i for i, name in enumerate(nets)}
 
 
 def _fingerprint_tree(

@@ -48,7 +48,7 @@ from repro.sta import (
 )
 from repro.runtime.jobs import content_hash
 from repro.sta.generate import default_time_window
-from repro.sta.netlist import NETLIST_DIGEST_SALT, swap_partner
+from repro.sta.netlist import NETLIST_DIGEST_SALT, NetConnectivity, swap_partner
 from repro.waveform import Waveform
 
 #: How far the DC operating-point settle may land from a converged
@@ -367,6 +367,86 @@ class TestRegionWalk:
         netlist.rewire_pin(name, pin, pool[int(rng.integers(len(pool)))])
         netlist.validate()
         self._assert_matches_networkx(netlist)
+
+
+class TestPatchedStructure:
+    """An input-pin rewire patches the connectivity snapshot and the
+    levelization in place: after every swap, rewire and undo of a seeded
+    sequence both equal a fresh build (``NetConnectivity.of`` and the
+    networkx levelization of a ``copy()``), and a rejected rewire leaves
+    the revision and both caches untouched."""
+
+    @staticmethod
+    def _assert_fresh(netlist):
+        patched, fresh = netlist.connectivity(), NetConnectivity.of(netlist)
+        assert patched.revision == netlist.revision
+        assert {net: d.name for net, d in patched.drivers.items()} == {
+            net: d.name for net, d in fresh.drivers.items()
+        }
+        assert list(patched.net_index.items()) == list(fresh.net_index.items())
+        assert patched.receiver_ptr.dtype == fresh.receiver_ptr.dtype
+        assert np.array_equal(patched.receiver_ptr, fresh.receiver_ptr)
+        assert [
+            (instance.name, pin)
+            for instance, pin in zip(patched.receiver_instances, patched.receiver_pins)
+        ] == [
+            (instance.name, pin)
+            for instance, pin in zip(fresh.receiver_instances, fresh.receiver_pins)
+        ]
+        names = lambda levels: [[i.name for i in level] for level in levels]  # noqa: E731
+        assert names(netlist.topological_generations()) == names(
+            netlist.copy().topological_generations()
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=6),
+        depth=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        edit_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_rewires_patch_connectivity_and_levels(
+        self, library, width, depth, seed, edit_seed
+    ):
+        netlist = generate_netlist(library, f"dag:w{width}:d{depth}:s{seed}")
+        netlist.topological_generations()
+        rng = np.random.default_rng(edit_seed)
+        undo = []
+        for _ in range(12):
+            connectivity, levels = netlist.connectivity(), netlist._levels_cache
+            revision = netlist.revision
+            choice = int(rng.integers(4))
+            if choice == 0 and undo:
+                undo.pop()()
+            elif choice == 1:
+                _kind, _target, apply, inverse = _random_edit(netlist, library, rng)
+                apply()
+                undo.append(inverse)
+            else:
+                # Any net, an unknown one included: rejected rewires (a loop,
+                # no driver) are part of the draw.
+                names = list(netlist.instances)
+                name = names[int(rng.integers(len(names)))]
+                instance = netlist.instances[name]
+                pin = library[instance.cell_name].inputs[0]
+                nets = sorted(netlist.nets()) + ["no_such_net"]
+                net = nets[int(rng.integers(len(nets)))]
+                previous = instance.connections[pin]
+                try:
+                    netlist.rewire_pin(name, pin, net)
+                except TimingError:
+                    assert netlist.revision == revision
+                    assert netlist.connectivity() is connectivity
+                    assert connectivity.revision == revision
+                    assert netlist._levels_cache is levels
+                    self._assert_fresh(netlist)
+                    continue
+                undo.append(lambda n=name, p=pin, v=previous: netlist.rewire_pin(n, p, v))
+            if netlist.revision != revision:
+                # Journaled edits keep both caches: no rebuild happened.
+                assert netlist.connectivity() is connectivity
+                assert netlist._levels_cache[0] == netlist.revision
+            self._assert_fresh(netlist)
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,14 @@ from repro.sta import (
     netlist_fingerprint,
     primary_input_events,
 )
-from repro.sta.netlist import NETLIST_DIGEST_SALT, eco_swap_candidate
+from repro.sta import netlist as netlist_module
+from repro.sta.engine import WaveformTimingResult
+from repro.sta.netlist import (
+    NETLIST_DIGEST_SALT,
+    NetConnectivity,
+    eco_swap_candidate,
+    swap_partner,
+)
 
 CHAIN = "chain:inv:3"
 DAG = "dag:w4:d2:s1"  # small mixed-cell design with swap candidates
@@ -683,6 +690,137 @@ class TestTimingService:
         assert status["counters"]["timing_requests"] == 1
         assert status["store_dedupe"] == {"waits": 0, "hits": 0}
         assert status["store"]["entries"] == len(service.store.inner) > 0
+
+
+class _Tripwire:
+    """Stands in for a module: any attribute read is a failure."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"networkx.{name} called on the ECO request path")
+
+
+class TestEditSizedRequests:
+    """An ECO request pays for its edit: a rewire patches connectivity and
+    levels (no rebuild, no networkx), a reply scans only the endpoints whose
+    propagation key changed, and the engine re-solves no DC operating point
+    it already solved, with every reply bitwise what a session without
+    those memos returns."""
+
+    SPEC = "dag:w128:d4:s3"
+
+    @staticmethod
+    def _edits(library):
+        netlist = generate_netlist(library, TestEditSizedRequests.SPEC)
+        instances = netlist.instances
+        swapped = next(
+            name
+            for name in instances
+            if name.startswith("u2_") and swap_partner(library, instances[name].cell_name)
+        )
+        rewired = "u2_7"
+        pin = library[instances[rewired].cell_name].inputs[0]
+        previous = instances[rewired].connections[pin]
+        net = next(
+            instance.connections[library[instance.cell_name].output]
+            for name, instance in instances.items()
+            if name.startswith("u0_")
+            and instance.connections[library[instance.cell_name].output] != previous
+        )
+        cell = instances[swapped].cell_name
+        return [
+            ("swap", {"kind": "swap_cell", "instance": swapped, "cell": swap_partner(library, cell)}),
+            ("rewire", {"kind": "rewire_pin", "instance": rewired, "pin": pin, "net": net}),
+            ("swap_back", {"kind": "rewire_pin", "instance": rewired, "pin": pin, "net": previous}),
+            ("swap_back", {"kind": "swap_cell", "instance": swapped, "cell": cell}),
+        ]
+
+    @staticmethod
+    def _replay(service, edits, monkeypatch, forget=False):
+        """Open a session, time it cold, then apply each edit and time it;
+        returns (label, reply, scanned nets, settle units, engine keys) for
+        the cold request and each edit's.  ``forget`` clears the session's settle
+        and arrival memos before every request: what a session without them
+        computes.  Otherwise a rewire and its timing request must neither
+        rebuild connectivity nor call networkx."""
+        from repro.sta import engine as engine_module
+
+        scanned, settled, built = [], [], []
+        arrival, settle_units = WaveformTimingResult.arrival, engine_module.settle_units
+        of = NetConnectivity.of.__func__
+
+        def counting_arrival(result, net, *args, **kwargs):
+            scanned.append(net)
+            return arrival(result, net, *args, **kwargs)
+
+        def counting_settle(units, options):
+            settled.append(len(units))
+            return settle_units(units, options)
+
+        monkeypatch.setattr(WaveformTimingResult, "arrival", counting_arrival)
+        monkeypatch.setattr(engine_module, "settle_units", counting_settle)
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": TestEditSizedRequests.SPEC}}
+        )["session"]
+        record = service._sessions[session]
+        cold = service.handle({"op": "timing", "session": session, "seed": 0})
+        assert cold["stats"]["integrations"] == cold["stats"]["instances"]
+        window = cold["t_stop"]
+
+        def keys():
+            engine = record.engines["csm"]
+            return engine.run(service._stimuli(record, window, 0), t_stop=window).keys
+
+        steps = [("cold", cold, None, None, keys())]
+        for label, edit in edits:
+            if forget:
+                record.arrivals.clear()
+                record.engines["csm"]._settles.clear()
+            del scanned[:], settled[:]
+            with monkeypatch.context() as patch:
+                if edit["kind"] == "rewire_pin" and not forget:
+                    patch.setattr(
+                        NetConnectivity,
+                        "of",
+                        classmethod(lambda cls, n: built.append(1) or of(cls, n)),
+                    )
+                    patch.setattr(netlist_module, "nx", _Tripwire())
+                eco = service.handle({"op": "eco", "session": session, "edits": [edit]})
+                reply = service.handle({"op": "timing", "session": session, "seed": 0})
+            assert eco["ok"] and reply["ok"], (eco, reply)
+            assert built == []
+            steps.append((label, reply, list(scanned), sum(settled), keys()))
+        monkeypatch.undo()
+        return steps
+
+    def test_requests_pay_for_their_edit(self, service, models, library, tmp_path, monkeypatch):
+        edits = self._edits(library)
+        steps = self._replay(service, edits, monkeypatch)
+        forgetful = TimingService(
+            models=models,
+            options=SimulationOptions(time_step=2e-12),
+            store=PackedStore(tmp_path / "forgetful"),
+        )
+        forgetful_steps = self._replay(forgetful, edits, monkeypatch, forget=True)
+        endpoints = generate_netlist(library, self.SPEC).primary_outputs
+        memoized = 0
+        for previous, step, other in zip(steps, steps[1:], forgetful_steps[1:]):
+            (label, reply, scanned, units, keys), previous_keys = step, previous[4]
+            _, other_reply, other_scanned, other_units, _ = other
+            # Bitwise the replay of a session without the memos.
+            assert reply["arrivals"] == other_reply["arrivals"], label
+            assert reply["stats"] == other_reply["stats"], label
+            assert len(other_scanned) == len(endpoints)
+            if label == "swap_back":
+                assert reply["stats"]["full_run_hit"]
+                assert scanned == [] and units == 0, label
+            else:
+                changed = {net for net in endpoints if keys[net] != previous_keys[net]}
+                assert scanned and set(scanned) <= changed, label
+                assert units <= other_units, label
+                memoized += other_units - units
+        assert steps[0][1]["arrivals"] == forgetful_steps[0][1]["arrivals"]
+        assert steps[-1][1]["arrivals"] == steps[0][1]["arrivals"]
+        assert memoized > 0  # an edit's walk re-used a settled state
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.characterization import CharacterizationConfig
+from repro.csm.base import cap_value
 from repro.exceptions import TimingError
 from repro.spice.sources import SaturatedRamp
 from repro.sta import (
@@ -107,6 +108,29 @@ class TestNetlist:
         assert netlist.fanin_cone("unconnected") == []
         with pytest.raises(TimingError, match="no net named"):
             netlist.fanin_cone("nowhere")
+
+
+class TestReceiverInputCapacitance:
+    def test_structural_estimate_until_the_sis_model_exists(self, library, warm_store):
+        """An uncharacterized pin loads its driver with the structural gate
+        estimate; once its SIS model exists the load is the model's ``Ci``
+        at Vdd/2, and repeated calls return that very float."""
+        models = TimingModelLibrary(
+            library=library,
+            config=CharacterizationConfig(io_grid_points=5),
+            cache=warm_store("receiver-caps"),
+        )
+        structural = library["NAND2_X1"].pin_gate_capacitance("B")
+        assert models.receiver_input_capacitance("NAND2_X1", "B") == structural
+        model = models.sis_model("NAND2_X1", "B")
+        ci = cap_value(model.input_cap, model.vdd / 2.0)
+        assert ci != structural
+        assert models.receiver_input_capacitance("NAND2_X1", "B") == ci
+        assert models.receiver_input_capacitance("NAND2_X1", "B") == ci
+        # Another pin of the cell is still uncharacterized.
+        assert models.receiver_input_capacitance("NAND2_X1", "A") == (
+            library["NAND2_X1"].pin_gate_capacitance("A")
+        )
 
 
 class TestMISDetection:
