@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -45,6 +46,7 @@ from repro.experiments import (  # noqa: E402
     run_fig11,
     run_fig12,
 )
+from repro.runtime import PackedStore  # noqa: E402
 
 #: Scenario name -> callable(context).  Mirrors benchmarks/test_bench_fig*.py.
 SCENARIOS = {
@@ -58,12 +60,13 @@ SCENARIOS = {
 }
 
 
-def quick_context() -> ExperimentContext:
+def quick_context(cache: Optional[PackedStore] = None) -> ExperimentContext:
     """The quick-settings context, matching ``benchmarks/conftest.py``."""
     return ExperimentContext(
         characterization=CharacterizationConfig(io_grid_points=5),
         reference_time_step=4e-12,
         model_time_step=2e-12,
+        cache=cache,
     )
 
 

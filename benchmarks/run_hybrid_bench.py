@@ -47,7 +47,6 @@ if str(SRC) not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.experiments import timing_models_for  # noqa: E402
 from repro.runtime import PackedStore  # noqa: E402
 from repro.sta import CSMEngine, HybridEngine, generate_netlist  # noqa: E402
 from repro.sta.generate import default_time_window, primary_input_waveforms  # noqa: E402
@@ -116,7 +115,6 @@ def main(argv=None) -> int:
     if "all" not in points:
         parser.error("--top-k must include 'all' (the bitwise exactness check)")
 
-    context = quick_context()
     report = {
         "settings": "quick",
         "machine": machine_block(),
@@ -131,8 +129,8 @@ def main(argv=None) -> int:
         # One shared characterization store; every propagation engine gets
         # its own fresh private packed store below, so each pays its full
         # keying/storage overhead and none reads another's results.
-        context.cache = PackedStore(Path(tmp) / "characterization")
-        models = timing_models_for(context)
+        context = quick_context(cache=PackedStore(Path(tmp) / "characterization"))
+        models = context.models
         options = context.model_options()
 
         netlist = generate_netlist(context.library, args.spec)

@@ -75,16 +75,14 @@ def run_point(spec: str, mode: str, budget: int, models_cache: str, store_dir: s
     from _mem import peak_rss_bytes
     from run_bench import quick_context
     from run_sta_bench import machine_block  # noqa: F401  (import path check)
-    from repro.experiments.sta_scaling import timing_models_for
 
-    context = quick_context()
-    context.cache = PackedStore(models_cache)
+    context = quick_context(cache=PackedStore(models_cache))
 
     build_start = time.perf_counter()
     netlist = generate_netlist(context.library, spec)
     build_seconds = time.perf_counter() - build_start
 
-    models = timing_models_for(context)
+    models = context.models
     char_start = time.perf_counter()
     models.prewarm_for_netlist(netlist, kinds=("sis", "mis"))
     char_seconds = time.perf_counter() - char_start

@@ -7,7 +7,6 @@ from .capacitance import (
 )
 from .characterize import (
     cell_characterization_job,
-    characterization_job,
     characterization_key,
     characterize_baseline_mis,
     characterize_cell_models,
@@ -15,7 +14,6 @@ from .characterize import (
     characterize_sis,
     nldm_characterization_job,
     nldm_characterization_key,
-    run_characterization,
     run_nldm_characterization,
 )
 from .config import CharacterizationConfig
@@ -42,10 +40,8 @@ __all__ = [
     "characterize_cell_models",
     "characterize_nldm",
     "characterize_nldm_arcs",
-    "characterization_job",
     "cell_characterization_job",
     "characterization_key",
-    "run_characterization",
     "nldm_characterization_job",
     "nldm_characterization_key",
     "run_nldm_characterization",

@@ -4,13 +4,15 @@ Every CSM characterization is a *bundle*: :func:`characterize_cell_models`
 builds several models of one cell, sharing their capacitance ramps, and the
 ``characterize_*`` entry points are bundles of one.  This module also knows
 how to package a characterization as a :class:`repro.runtime.jobs.Job`:
-:func:`characterization_job` (one model) is a picklable work unit whose
-content hash covers the cell topology, the technology, the characterization
-configuration and the code-version salt; :func:`cell_characterization_job`
-(one cell's bundle) stores each of its models under that same per-model key.
-The experiment layer submits those jobs through :func:`repro.runtime.run_jobs`,
-which is what makes characterizations parallelizable across cells and
-cacheable across experiments and sessions.
+:func:`cell_characterization_job` is one cell's bundle as a picklable work
+unit, and :func:`characterization_key` names each of its models by a content
+hash over the model kind and pins, the cell topology, the technology, the
+characterization configuration and the code-version salt.
+:class:`repro.sta.TimingModelLibrary` (the front the figures, the engines,
+the CLI and the server share) looks each model up under that key, submits one
+bundle per cell through :func:`repro.runtime.run_jobs` and stores each model
+under its own key, which is what makes characterizations parallelizable
+across cells and cacheable across experiments and sessions.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ __all__ = [
     "characterize_baseline_mis",
     "characterize_mcsm",
     "characterize_cell_models",
-    "run_characterization",
     "characterization_key",
-    "characterization_job",
     "cell_characterization_job",
     "run_nldm_characterization",
     "nldm_characterization_key",
@@ -133,7 +133,7 @@ def characterize_cell_models(
     together: one lockstep batch per probe circuit, with every run that
     several models share integrated once.  Every model is bitwise what it
     would be alone.  The model-level entry points below are bundles of one;
-    :meth:`repro.sta.TimingModelLibrary.prewarm` runs one bundle per cell.
+    :meth:`repro.sta.TimingModelLibrary.characterize` runs one bundle per cell.
 
     Returns the models in request order.
     """
@@ -256,20 +256,6 @@ def characterize_mcsm(
 # ----------------------------------------------------------------------
 # Runtime integration: characterizations as content-addressed jobs
 # ----------------------------------------------------------------------
-def run_characterization(
-    kind: str, cell: Cell, pins: Sequence[str], config: CharacterizationConfig
-):
-    """Execute one characterization by kind (``"sis"``, ``"mis"``, ``"mcsm"``):
-    a bundle of one.
-
-    This is the module-level dispatch target of :func:`characterization_job`;
-    being a plain top-level function keeps the job picklable for the process
-    executor.
-    """
-    [model] = characterize_cell_models(cell, [(kind, pins)], config)
-    return model
-
-
 def characterization_key(
     kind: str, cell: Cell, pins: Sequence[str], config: CharacterizationConfig
 ) -> str:
@@ -285,19 +271,6 @@ def characterization_key(
     )
 
 
-def characterization_job(
-    kind: str, cell: Cell, pins: Sequence[str], config: CharacterizationConfig
-) -> Job:
-    """Package a characterization as a cacheable runtime job."""
-    pins = tuple(pins)
-    return Job(
-        fn=run_characterization,
-        args=(kind, cell, pins, config),
-        name=f"characterize:{kind}:{cell.name}:{','.join(pins)}",
-        key=characterization_key(kind, cell, pins, config),
-    )
-
-
 def cell_characterization_job(
     cell: Cell, requests: Sequence[Tuple[str, Sequence[str]]], config: CharacterizationConfig
 ) -> Job:
@@ -305,9 +278,9 @@ def cell_characterization_job(
     (:func:`characterize_cell_models`) whose value is the tuple of models in
     request order.
 
-    The job has no key of its own: each model is stored under its own
-    :func:`characterization_key`, exactly as its :func:`characterization_job`
-    would store it, so bundles and per-model jobs share every store entry.
+    The job has no key of its own: its caller stores each model under its
+    own :func:`characterization_key`, so a model has one store entry whatever
+    bundle built it.
     """
     requests = tuple((kind, tuple(pins)) for kind, pins in requests)
     return Job(

@@ -25,7 +25,7 @@ from .common import (
     settings_context,
 )
 from .fig3_internal_node import Fig3Result, run_fig3
-from .sta_scaling import StaScalePoint, StaScaleResult, run_sta_scale, timing_models_for
+from .sta_scaling import StaScalePoint, StaScaleResult, run_sta_scale
 from .corner_sweep import (
     CornerStaPoint,
     CornerSweepResult,
@@ -69,5 +69,4 @@ __all__ = [
     "CornerSweepResult",
     "corner_sta_sweep",
     "run_corner_sweep",
-    "timing_models_for",
 ]

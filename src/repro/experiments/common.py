@@ -1,15 +1,17 @@
 """Shared infrastructure for the paper-figure experiments.
 
 Every experiment of the evaluation section runs against the same
-:class:`ExperimentContext`: one technology, one cell library, and one set of
-characterized models (SIS CSM, baseline MIS CSM, complete MCSM for the NOR2
-cell the paper uses throughout).  Characterization runs as content-addressed
-jobs through :mod:`repro.runtime`: results are memoized on the context (so one
-benchmark session characterizes each model exactly once) and, when the context
-carries a :class:`~repro.runtime.store.PackedStore`, persisted on disk so
-*other* sessions and experiments never recompute them either.  Attaching an
-executor parallelizes multi-scenario experiments (e.g. the Fig. 5 fanout
-sweep) across workers.
+:class:`ExperimentContext`: one technology, one cell library, and one
+:class:`~repro.sta.models.TimingModelLibrary` of characterized models (SIS
+CSM, baseline MIS CSM, complete MCSM for the NOR2 cell the paper uses
+throughout).  The model library is the one characterization front of the
+repository, shared with the timing engines, the CLI and the server: it
+memoizes every model (so one benchmark session characterizes each model
+exactly once) and, when the context carries a
+:class:`~repro.runtime.store.PackedStore`, persists it on disk under its
+content key so *other* sessions and experiments never recompute it either.
+Attaching an executor parallelizes multi-scenario experiments (e.g. the
+Fig. 5 fanout sweep) across workers.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cells.builders import build_nor
 from ..cells.cell import Cell
 from ..cells.library import CellLibrary, default_library
-from ..cells.testbench import CellTestbench, build_testbench, fanout_capacitance
-from ..characterization.characterize import characterization_job
+from ..cells.testbench import build_testbench, fanout_capacitance
 from ..characterization.config import CharacterizationConfig
 from ..csm.loads import Load, as_load
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
@@ -30,6 +30,7 @@ from ..runtime.store import PackedStore
 from ..runtime.executor import Executor, run_jobs
 from ..runtime.jobs import Job, content_hash
 from ..spice.transient import TransientAnalysis, TransientOptions, transient_analysis
+from ..sta.models import TimingModelLibrary
 from ..technology.process import Technology, default_technology
 from ..waveform.builders import InputPattern, pattern_stimulus, pattern_waveforms
 from ..waveform.waveform import Waveform
@@ -175,17 +176,22 @@ class ExperimentContext:
         Device/technology definition (defaults to the generic 130 nm one).
     characterization:
         Settings used for every model characterization in this context.
+    models:
+        The :class:`~repro.sta.models.TimingModelLibrary` every model of
+        this context comes from, built from ``library``,
+        ``characterization``, ``executor`` and ``cache`` (so pass those to
+        the constructor; assigning them later does not reach it).
     reference_time_step:
         Transient step of the golden (reference simulator) runs.
     model_time_step:
         Integration step of the current-source model simulations.
     executor:
         Optional :class:`repro.runtime.Executor`; multi-scenario experiments
-        (and :meth:`prewarm_characterizations`) fan their independent jobs out
-        through it.  ``None`` runs everything serially in-process.
+        fan their independent jobs out through it.  ``None`` runs everything
+        serially in-process.
     cache:
-        Optional :class:`repro.runtime.PackedStore`; characterization jobs
-        are looked up / stored by content hash, so repeated runs (across
+        Optional :class:`repro.runtime.PackedStore`; models and experiment
+        jobs are looked up / stored by content hash, so repeated runs (across
         experiments, benchmarks or sessions) skip the characterization work.
     """
 
@@ -196,12 +202,16 @@ class ExperimentContext:
     executor: Optional[Executor] = None
     cache: Optional[PackedStore] = None
     library: CellLibrary = field(init=False)
-    _mcsm_cache: Dict[Tuple[str, str, str], MCSM] = field(init=False, default_factory=dict)
-    _mis_cache: Dict[Tuple[str, str, str], BaselineMISCSM] = field(init=False, default_factory=dict)
-    _sis_cache: Dict[Tuple[str, str], SISCSM] = field(init=False, default_factory=dict)
+    models: TimingModelLibrary = field(init=False)
 
     def __post_init__(self) -> None:
         self.library = default_library(self.technology)
+        self.models = TimingModelLibrary(
+            library=self.library,
+            config=self.characterization,
+            executor=self.executor,
+            cache=self.cache,
+        )
 
     # ------------------------------------------------------------------
     def run_jobs(self, jobs: Sequence[Job], parallel: bool = True) -> List:
@@ -212,12 +222,6 @@ class ExperimentContext:
         """
         executor = self.executor if parallel else None
         return run_jobs(jobs, executor=executor, cache=self.cache)
-
-    def _characterized(self, kind: str, cell: Cell, pins: Tuple[str, ...]):
-        """One characterization through the runtime (cache-aware, serial)."""
-        job = characterization_job(kind, cell, pins, self.characterization)
-        [result] = self.run_jobs([job], parallel=False)
-        return result.value
 
     # ------------------------------------------------------------------
     @property
@@ -238,65 +242,35 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------
     def mcsm_for(self, cell: Optional[Cell] = None, pin_a: str = "A", pin_b: str = "B") -> MCSM:
-        """Characterize (or fetch the cached) complete MCSM for a cell."""
-        cell = cell or self.nor2
-        key = (cell.name, pin_a, pin_b)
-        if key not in self._mcsm_cache:
-            self._mcsm_cache[key] = self._characterized("mcsm", cell, (pin_a, pin_b))
-        return self._mcsm_cache[key]
+        """The complete MCSM of a library cell (NOR2 by default)."""
+        return self.models.model("mcsm", (cell or self.nor2).name, (pin_a, pin_b))
 
     def baseline_mis_for(
         self, cell: Optional[Cell] = None, pin_a: str = "A", pin_b: str = "B"
     ) -> BaselineMISCSM:
-        """Characterize (or fetch the cached) baseline MIS CSM for a cell."""
-        cell = cell or self.nor2
-        key = (cell.name, pin_a, pin_b)
-        if key not in self._mis_cache:
-            self._mis_cache[key] = self._characterized("mis", cell, (pin_a, pin_b))
-        return self._mis_cache[key]
+        """The baseline MIS CSM of a library cell (NOR2 by default)."""
+        return self.models.model("mis", (cell or self.nor2).name, (pin_a, pin_b))
 
     def sis_for(self, cell: Optional[Cell] = None, pin: str = "A") -> SISCSM:
-        """Characterize (or fetch the cached) SIS CSM for a cell."""
-        cell = cell or self.nor2
-        key = (cell.name, pin)
-        if key not in self._sis_cache:
-            self._sis_cache[key] = self._characterized("sis", cell, (pin,))
-        return self._sis_cache[key]
+        """The SIS CSM of a library cell (NOR2 by default)."""
+        return self.models.model("sis", (cell or self.nor2).name, (pin,))
 
     def prewarm_characterizations(
         self,
         kinds: Sequence[str] = ("mcsm", "mis", "sis"),
         cell: Optional[Cell] = None,
     ) -> int:
-        """Characterize several models as one parallel, cache-aware job set.
+        """Characterize the ``kinds`` models of a cell (NOR2 by default) as
+        one bundle, so later ``mcsm_for`` / ``baseline_mis_for`` /
+        ``sis_for`` calls are instant.
 
-        Submits one job per model kind (for the NOR2 cell by default) through
-        the context's executor, then seeds the in-memory model caches, so
-        subsequent ``mcsm_for`` / ``baseline_mis_for`` / ``sis_for`` calls are
-        instant.  Returns the number of jobs that actually executed (i.e.
-        were neither memoized nor disk-cache hits).
+        MIS kinds are on pins A and B, SIS on A.  Returns the number of
+        models characterized, i.e. neither memoized nor served from the
+        store (:meth:`TimingModelLibrary.characterize`).
         """
         cell = cell or self.nor2
-        stores = {
-            "mcsm": (self._mcsm_cache, ("A", "B")),
-            "mis": (self._mis_cache, ("A", "B")),
-            "sis": (self._sis_cache, ("A",)),
-        }
-        jobs: List[Job] = []
-        targets: List[Tuple[Dict, Tuple[str, ...]]] = []
-        for kind in kinds:
-            store, pins = stores[kind]
-            memo_key = (cell.name, *pins)
-            if memo_key in store:
-                continue
-            jobs.append(characterization_job(kind, cell, pins, self.characterization))
-            targets.append((store, memo_key))
-        results = self.run_jobs(jobs)
-        executed = 0
-        for (store, memo_key), result in zip(targets, results):
-            store[memo_key] = result.value
-            executed += 0 if result.cache_hit else 1
-        return executed
+        pins = {"mcsm": ("A", "B"), "mis": ("A", "B"), "sis": ("A",)}
+        return self.models.characterize([(kind, cell, pins[kind]) for kind in kinds])
 
     # ------------------------------------------------------------------
     def simulate_models(

@@ -9,8 +9,8 @@ wall-clock of both, the speedup, and the maximum per-net waveform deviation
 propagation cache: they share its keys, so the second would otherwise be
 served the first one's waveforms.
 
-The model library is built through the runtime (one characterization job per
-cell x model kind), so with a warm cache the engines start instantly and the
+The models come from the context's model library (one characterization
+bundle per cell), so with a warm cache the engines start instantly and the
 measured time is pure waveform propagation.
 """
 
@@ -25,25 +25,10 @@ from ..sta.generate import generate_netlist, primary_input_waveforms
 from ..sta.models import TimingModelLibrary
 from .common import ExperimentContext, default_context
 
-__all__ = ["StaScalePoint", "StaScaleResult", "run_sta_scale", "timing_models_for"]
+__all__ = ["StaScalePoint", "StaScaleResult", "run_sta_scale"]
 
 #: Default workload sweep: depth-only, width-only and mixed shapes.
 DEFAULT_SPECS = ("chain:inv:32", "tree:5:2", "dag:w16:d4:s7", "dag:w32:d4:s7")
-
-
-def timing_models_for(context: ExperimentContext) -> TimingModelLibrary:
-    """A :class:`TimingModelLibrary` wired to the context's runtime.
-
-    Shares the context's characterization settings, executor and disk cache,
-    so STA-level experiments characterize through the same content-addressed
-    jobs as the per-gate figures.
-    """
-    return TimingModelLibrary(
-        library=context.library,
-        config=context.characterization,
-        executor=context.executor,
-        cache=context.cache,
-    )
 
 
 @dataclass
@@ -113,11 +98,11 @@ def run_sta_scale(
     seed:
         Seed for the primary-input stimuli (netlist seeds live in the specs).
     models:
-        Model library to reuse; by default one is built on the context's
-        runtime (executor + cache) and prewarmed per netlist.
+        Model library to use; by default the context's (``context.models``),
+        prewarmed per netlist.
     """
     context = context or default_context()
-    models = models or timing_models_for(context)
+    models = models or context.models
     options = context.model_options()
 
     netlists = [generate_netlist(context.library, spec) for spec in specs]

@@ -11,7 +11,7 @@ Usage::
 
 Figure mode builds one :class:`~repro.experiments.ExperimentContext` wired to
 the chosen executor and disk cache, pre-characterizes every model the
-requested figures need (as one parallel job set), then runs the figures and
+requested figures need (as one bundle of its model library), then runs the figures and
 reports per-figure wall-clock plus cache statistics.  A second invocation
 with the same ``--cache`` directory skips all characterization jobs.
 
@@ -53,7 +53,7 @@ __all__ = ["main", "FIGURES", "MODEL_KINDS", "add_timing_arguments", "timing_par
 #: Figure name -> callable(context) -> result object with ``summary()``.
 FIGURES: Dict[str, object] = {}
 
-#: Figure name -> model kinds it characterizes (prewarmed in parallel).
+#: Figure name -> model kinds it characterizes (prewarmed as one bundle).
 MODEL_KINDS: Dict[str, tuple] = {
     "fig3": (),
     "fig4": (),
@@ -188,15 +188,12 @@ def _finish(args, report: Dict[str, object], cache: Optional[PackedStore]) -> in
 
 def _run_sta(args) -> int:
     """``--sta``: every spec through an in-process :class:`TimingService`."""
-    from ..experiments import timing_models_for
     from .server import TimingService
 
     executor = default_executor(args.workers, args.executor)
     cache = PackedStore(args.cache) if args.cache is not None else None
     context = build_context(args.settings, executor=executor, cache=cache)
-    service = TimingService(
-        models=timing_models_for(context), options=context.model_options(), store=cache
-    )
+    service = TimingService(models=context.models, options=context.model_options(), store=cache)
     timing: Dict[str, object] = {"op": "timing", "engine": args.engine, **timing_params(args)}
     if args.required is not None:
         timing["required"] = args.required

@@ -84,7 +84,7 @@ def build_service(config: ServerConfig) -> TimingService:
             config.cache_dir, max_bytes=config.max_bytes, max_age_s=config.max_age_s
         )
     return TimingService(
-        config=profile.characterization,
+        models=profile.models,
         options=profile.model_options(),
         store=store,
         dedupe_wait_timeout=config.dedupe_wait_timeout,

@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ...cells import default_library
 from ...csm.base import SimulationOptions
 from ...exceptions import TimingError
 from ...experiments.common import settings_context
@@ -123,8 +122,12 @@ class TimingService:
     Parameters
     ----------
     models:
-        A prebuilt :class:`TimingModelLibrary` (tests share one to avoid
-        re-characterizing); built from ``library``/``config`` otherwise.
+        The :class:`TimingModelLibrary` every session's engines take their
+        models from; :func:`~repro.runtime.server.daemon.build_service`
+        passes its ``--settings`` profile's
+        (:func:`repro.experiments.settings_context`).  Defaults to the
+        ``quick`` profile's, the profile ``options`` defaults to as well.
+        A library without a store is given ``store``.
     store:
         The shared result store, a :class:`~repro.runtime.store.PackedStore`
         whose one handle serves every worker thread.  Wrapped in a
@@ -143,22 +146,14 @@ class TimingService:
     def __init__(
         self,
         models: Optional[TimingModelLibrary] = None,
-        library=None,
-        config=None,
         options: Optional[SimulationOptions] = None,
         store=None,
         dedupe_wait_timeout: float = 60.0,
         session_ttl_s: Optional[float] = None,
     ):
-        if models is not None:
-            self.models = models
-            self.library = models.library
-        else:
-            self.library = library if library is not None else default_library()
-            kwargs = {"library": self.library}
-            if config is not None:
-                kwargs["config"] = config
-            self.models = TimingModelLibrary(**kwargs)
+        quick = settings_context("quick")
+        self.models = models if models is not None else quick.models
+        self.library = self.models.library
         self.store = (
             SingleFlightStore(store, wait_timeout=dedupe_wait_timeout)
             if store is not None
@@ -166,7 +161,7 @@ class TimingService:
         )
         if self.models.cache is None and self.store is not None:
             self.models.cache = self.store
-        self.options = options or settings_context("quick").model_options()
+        self.options = options or quick.model_options()
         self.session_ttl_s = session_ttl_s
         self.flight = SingleFlight()
         self.started_at = time.time()

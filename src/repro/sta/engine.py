@@ -858,7 +858,8 @@ class _Plan:
     instance: GateInstance
     output_net: str
     pins: Tuple[str, ...]
-    mis: bool
+    #: The model kind on ``pins``: ``"sis"``, ``"mis"`` or ``"mcsm"``.
+    kind: str
     label: str
     load: Load
     key: Optional[str] = None
@@ -1757,12 +1758,12 @@ class CSMEngine(TimingEngine):
 
         if len(switching_pins) >= 2 and cell.num_inputs >= 2:
             pins = (switching_pins[0], switching_pins[1])
-            mis = True
-            label = "MCSM" if self.models._mis_kind(cell) == "mcsm" else "BaselineMISCSM"
+            kind = self.models._mis_kind(cell)
+            label = "MCSM" if kind == "mcsm" else "BaselineMISCSM"
         else:
             pin = switching_pins[0] if switching_pins else cell.inputs[0]
             pins = (pin,)
-            mis = False
+            kind = "sis"
             label = f"SISCSM[{pin}]"
 
         load = self._load_cache.get(instance.name)
@@ -1789,7 +1790,7 @@ class CSMEngine(TimingEngine):
             instance=instance,
             output_net=output_net,
             pins=pins,
-            mis=mis,
+            kind=kind,
             label=label,
             load=load,
             key=key,
@@ -1797,9 +1798,7 @@ class CSMEngine(TimingEngine):
 
     def _model(self, plan: _Plan):
         """The characterized model a plan selected (characterized on demand)."""
-        if plan.mis:
-            return self.models.mis_model(plan.instance.cell_name, *plan.pins)
-        return self.models.sis_model(plan.instance.cell_name, plan.pins[0])
+        return self.models.model(plan.kind, plan.instance.cell_name, plan.pins)
 
     def _evaluate_level_tensor(
         self,

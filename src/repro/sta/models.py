@@ -1,42 +1,44 @@
-"""Model libraries used by the timing engines.
+"""Model libraries used by the timing engines and the paper figures.
 
 A :class:`TimingModelLibrary` characterizes and caches the models the engines
-need: NLDM tables per timing arc for the voltage-based engine, and SIS /
-baseline-MIS / MCSM current-source models for the waveform-propagation
-engine.  Characterization is expensive (it runs the reference simulator), so
-every model is built exactly once per (cell, pins) key, and every NLDM table
-once per cell (all of a cell's arcs are one job).  Since every
-characterization runs as a content-addressed :mod:`repro.runtime` job, a
-library wired to a :class:`~repro.runtime.store.PackedStore` never recomputes
-a model that *any* previous session already built: engine construction over a
-warm cache is a no-op.  :meth:`prewarm` / :meth:`prewarm_for_netlist` look
-every wanted model up under its own key, then submit one (optionally
-parallel) job set: one CSM bundle per cell with misses, whose models share
-their capacitance batches, and one NLDM job per cell.
+and the figures need: NLDM tables per timing arc for the voltage-based engine,
+and SIS / baseline-MIS / MCSM current-source models for the
+waveform-propagation engine and :class:`~repro.experiments.ExperimentContext`.
+Characterization is expensive (it runs the reference simulator), so every
+model is built exactly once per (kind, cell, pins), and every NLDM table once
+per cell (all of a cell's arcs are one job).  One method,
+:meth:`TimingModelLibrary.characterize`, does all of it: it looks every wanted
+model up under its own content key, runs the misses of each cell as one
+bundle whose models share their capacitance batches, and stores each model
+under its own key.  So a library wired to a
+:class:`~repro.runtime.store.PackedStore` never recomputes a model that *any*
+previous session already built: engine construction over a warm cache is a
+no-op.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cells.cell import Cell
 from ..cells.library import CellLibrary
 from ..characterization.characterize import (
     cell_characterization_job,
-    characterization_job,
     characterization_key,
     nldm_characterization_job,
 )
 from ..characterization.config import CharacterizationConfig
 from ..characterization.nldm import NLDMTable
 from ..csm.base import cap_value
-from ..csm.models import MCSM, BaselineMISCSM, SISCSM
+from ..csm.models import SISCSM
 from ..exceptions import TimingError
 from ..runtime.store import PackedStore
 from ..runtime.executor import Executor, run_jobs
-from ..runtime.jobs import Job
+
+#: ``(kind, cell name, pins)``: the name of one CSM model in a library.
+ModelKey = Tuple[str, str, Tuple[str, ...]]
 
 __all__ = ["TimingModelLibrary"]
 
@@ -61,8 +63,8 @@ class TimingModelLibrary:
         complete MCSM; otherwise the baseline MIS model is used, which lets
         the STA-level ablation quantify what the internal node is worth.
     executor:
-        Optional :class:`repro.runtime.Executor`; :meth:`prewarm` fans its
-        independent characterization jobs out through it.
+        Optional :class:`repro.runtime.Executor`; a characterization of
+        several cells fans its jobs (one per cell) out through it.
     cache:
         Optional :class:`repro.runtime.PackedStore`; every characterization
         is looked up / stored by content hash, so repeated library builds
@@ -76,13 +78,11 @@ class TimingModelLibrary:
     nldm_loads: Tuple[float, ...] = (2e-15, 8e-15, 25e-15)
     executor: Optional[Executor] = None
     cache: Optional[PackedStore] = None
-    _sis: Dict[Tuple[str, str], SISCSM] = field(default_factory=dict, repr=False)
-    _mis: Dict[Tuple[str, str, str], BaselineMISCSM] = field(default_factory=dict, repr=False)
-    _mcsm: Dict[Tuple[str, str, str], MCSM] = field(default_factory=dict, repr=False)
+    _models: Dict[ModelKey, object] = field(default_factory=dict, repr=False)
     _nldm: Dict[str, Dict[Tuple[str, bool], NLDMTable]] = field(default_factory=dict, repr=False)
     #: (cell, pin) -> (its SIS model, that model's ``Ci``): the memo of
     #: :meth:`receiver_input_capacitance`, valid while the model is the one
-    #: in ``_sis``.
+    #: in ``_models``.
     _input_caps: Dict[Tuple[str, str], Tuple[SISCSM, float]] = field(
         default_factory=dict, repr=False
     )
@@ -99,16 +99,6 @@ class TimingModelLibrary:
     def cell(self, cell_name: str) -> Cell:
         return self.library[cell_name]
 
-    def _run_jobs(self, jobs: Sequence[Job], parallel: bool = True) -> List:
-        executor = self.executor if parallel else None
-        return run_jobs(jobs, executor=executor, cache=self.cache)
-
-    def _characterized(self, kind: str, cell: Cell, pins: Tuple[str, ...]):
-        """One characterization through the runtime (cache-aware, serial)."""
-        job = characterization_job(kind, cell, pins, self.config)
-        [result] = self._run_jobs([job], parallel=False)
-        return result.value
-
     def _mis_kind(self, cell: Cell) -> str:
         """Which two-input-switching model this library builds for a cell."""
         if self.use_internal_node and cell.stack_node() is not None:
@@ -116,59 +106,105 @@ class TimingModelLibrary:
         return "mis"
 
     # ------------------------------------------------------------------
+    def model(self, kind: str, cell_name: str, pins: Tuple[str, ...]):
+        """The ``kind`` (``"sis"``, ``"mis"`` or ``"mcsm"``) model of a cell
+        on ``pins`` (a tuple), characterized on first use.  A memoized model
+        costs one dict lookup."""
+        model = self._models.get((kind, cell_name, pins))
+        if model is None:
+            self.characterize([(kind, self.cell(cell_name), pins)])
+            model = self._models[kind, cell_name, pins]
+        return model
+
     def sis_model(self, cell_name: str, pin: str) -> SISCSM:
-        key = (cell_name, pin)
-        if key not in self._sis:
-            self._sis[key] = self._characterized("sis", self.cell(cell_name), (pin,))
-        return self._sis[key]
+        return self.model("sis", cell_name, (pin,))
 
     def mis_model(self, cell_name: str, pin_a: str, pin_b: str):
         """The preferred two-input-switching model (MCSM or baseline)."""
         cell = self.cell(cell_name)
         if cell.num_inputs < 2:
             raise TimingError(f"cell {cell_name!r} has a single input; no MIS model exists")
-        key = (cell_name, pin_a, pin_b)
-        if self._mis_kind(cell) == "mcsm":
-            if key not in self._mcsm:
-                self._mcsm[key] = self._characterized("mcsm", cell, (pin_a, pin_b))
-            return self._mcsm[key]
-        if key not in self._mis:
-            self._mis[key] = self._characterized("mis", cell, (pin_a, pin_b))
-        return self._mis[key]
-
-    def _nldm_job(self, cell: Cell) -> Job:
-        return nldm_characterization_job(cell, self.nldm_input_slews, self.nldm_loads)
+        return self.model(self._mis_kind(cell), cell_name, (pin_a, pin_b))
 
     def nldm_table(self, cell_name: str, pin: str, input_rise: bool) -> NLDMTable:
         """One arc's tables; the first call for a cell characterizes (or
         loads) every arc of that cell."""
         if cell_name not in self._nldm:
-            [result] = self._run_jobs([self._nldm_job(self.cell(cell_name))], parallel=False)
-            self._nldm[cell_name] = _by_arc(result.value)
+            self.characterize((), nldm_cells=[self.cell(cell_name)])
         try:
             return self._nldm[cell_name][(pin, input_rise)]
         except KeyError:
             raise TimingError(f"cell {cell_name!r} has no NLDM arc on pin {pin!r}") from None
 
     # ------------------------------------------------------------------
-    # Whole-library characterization as one job set
-    # ------------------------------------------------------------------
+    def characterize(
+        self,
+        requests: Iterable[Tuple[str, Cell, Tuple[str, ...]]],
+        nldm_cells: Iterable[Cell] = (),
+    ) -> int:
+        """Characterize CSM models and NLDM tables as one job set: the one
+        characterization path of the library.
+
+        Each ``(kind, cell, pins)`` request that is not memoized is first
+        looked up under its own
+        :func:`~repro.characterization.characterize.characterization_key`;
+        the misses of one cell run as one bundle
+        (:func:`~repro.characterization.characterize.cell_characterization_job`),
+        whose models share one capacitance batch per probe circuit, and each
+        model is stored under its own key.  Each cell of ``nldm_cells``
+        whose tables are not memoized is one keyed NLDM job.  A job set of
+        several jobs fans out through the executor.
+
+        Returns the number of CSM models and NLDM jobs characterized, i.e.
+        neither memoized here nor served from the store.
+        """
+        bundles: Dict[str, Tuple[Cell, List[Tuple[ModelKey, Optional[str]]]]] = {}
+        for kind, cell, pins in requests:
+            memo_key = (kind, cell.name, pins)
+            if memo_key in self._models:
+                continue
+            key = None
+            if self.cache is not None:
+                key = characterization_key(kind, cell, pins, self.config)
+                hit, value = self.cache.lookup(key)
+                if hit:
+                    self._models[memo_key] = value
+                    continue
+            bundles.setdefault(cell.name, (cell, []))[1].append((memo_key, key))
+        nldm_cells = [cell for cell in nldm_cells if cell.name not in self._nldm]
+
+        jobs = [
+            cell_characterization_job(
+                cell, [(kind, pins) for (kind, _, pins), _ in misses], self.config
+            )
+            for cell, misses in bundles.values()
+        ]
+        jobs.extend(
+            nldm_characterization_job(cell, self.nldm_input_slews, self.nldm_loads)
+            for cell in nldm_cells
+        )
+        executor = self.executor if len(jobs) > 1 else None
+        results = run_jobs(jobs, executor=executor, cache=self.cache)
+        executed = 0
+        for (_, misses), result in zip(bundles.values(), results):
+            for (memo_key, key), model in zip(misses, result.value):
+                self._models[memo_key] = model
+                if key is not None:
+                    self.cache.store(key, model)
+                executed += 1
+        for cell, result in zip(nldm_cells, results[len(bundles) :]):
+            self._nldm[cell.name] = _by_arc(result.value)
+            executed += 0 if result.cache_hit else 1
+        return executed
+
     def prewarm(
         self,
         cells: Optional[Iterable[Cell]] = None,
         kinds: Sequence[str] = ("sis", "mis"),
         include_nldm: bool = False,
     ) -> int:
-        """Characterize cell × model-kind combinations as one parallel job set.
-
-        Each wanted model is first looked up under its own
-        :func:`~repro.characterization.characterize.characterization_key`;
-        the misses of one cell run as one bundle
-        (:func:`~repro.characterization.characterize.cell_characterization_job`),
-        whose models share one capacitance batch per probe circuit and are
-        each stored under their own key, bitwise what a per-model job would
-        store.  Bundles of different cells (and NLDM jobs) fan out through
-        the executor.
+        """Characterize cell × model-kind combinations as one
+        :meth:`characterize` job set.
 
         Parameters
         ----------
@@ -183,66 +219,22 @@ class TimingModelLibrary:
             Also characterize the NLDM delay/slew tables (both edge
             directions) for every input pin: one job per cell.
 
-        Returns the number of CSM models and NLDM jobs characterized — i.e.
-        neither memoized in this library nor served from the disk cache.
-        With a warm cache the return value is 0 and prewarming is
-        effectively free.
+        Returns :meth:`characterize`'s count.  With a warm cache it is 0 and
+        prewarming is effectively free.
         """
         if cells is None:
             cells = [self.library[name] for name in self.library.names()]
-        # Every model the kinds ask for, as (memo, memo key, cell, kind, pins).
-        wanted: List[Tuple[Dict, Hashable, Cell, str, Tuple[str, ...]]] = []
-        nldm_cells: List[Cell] = []
+        cells = list(cells)
+        requests: List[Tuple[str, Cell, Tuple[str, ...]]] = []
         for cell in cells:
             if "sis" in kinds:
-                wanted.extend(
-                    (self._sis, (cell.name, pin), cell, "sis", (pin,)) for pin in cell.inputs
-                )
+                requests.extend(("sis", cell, (pin,)) for pin in cell.inputs)
             if "mis" in kinds and cell.num_inputs >= 2:
                 kind = self._mis_kind(cell)
-                memo = self._mcsm if kind == "mcsm" else self._mis
-                wanted.extend(
-                    (memo, (cell.name, *pins), cell, kind, pins)
-                    for pins in itertools.combinations(cell.inputs, 2)
+                requests.extend(
+                    (kind, cell, pins) for pins in itertools.combinations(cell.inputs, 2)
                 )
-            if include_nldm and cell.name not in self._nldm:
-                nldm_cells.append(cell)
-
-        # Look each model that is not memoized up under its own key; bundle
-        # the misses by cell, as (memo, memo key, store key, kind, pins).
-        bundles: Dict[str, Tuple[Cell, List[Tuple]]] = {}
-        for memo, memo_key, cell, kind, pins in wanted:
-            if memo_key in memo:
-                continue
-            key = None
-            if self.cache is not None:
-                key = characterization_key(kind, cell, pins, self.config)
-                hit, value = self.cache.lookup(key)
-                if hit:
-                    memo[memo_key] = value
-                    continue
-            misses = bundles.setdefault(cell.name, (cell, []))[1]
-            misses.append((memo, memo_key, key, kind, pins))
-
-        jobs = [
-            cell_characterization_job(
-                cell, [(kind, pins) for *_, kind, pins in misses], self.config
-            )
-            for cell, misses in bundles.values()
-        ]
-        jobs.extend(self._nldm_job(cell) for cell in nldm_cells)
-        results = self._run_jobs(jobs)
-        executed = 0
-        for (_, misses), result in zip(bundles.values(), results):
-            for (memo, memo_key, key, _, _), model in zip(misses, result.value):
-                memo[memo_key] = model
-                if key is not None:
-                    self.cache.store(key, model)
-                executed += 1
-        for cell, result in zip(nldm_cells, results[len(bundles) :]):
-            self._nldm[cell.name] = _by_arc(result.value)
-            executed += 0 if result.cache_hit else 1
-        return executed
+        return self.characterize(requests, nldm_cells=cells if include_nldm else ())
 
     def prewarm_for_netlist(
         self,
@@ -270,7 +262,7 @@ class TimingModelLibrary:
         is evaluated once per characterized model.
         """
         key = (cell_name, pin)
-        model = self._sis.get(key)
+        model = self._models.get(("sis", cell_name, (pin,)))
         if model is None:
             return self.cell(cell_name).pin_gate_capacitance(pin)
         cached = self._input_caps.get(key)

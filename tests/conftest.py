@@ -7,6 +7,7 @@ a coarse grid) and shared by every test that needs them.
 
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 from typing import Dict
@@ -82,6 +83,40 @@ def nor2_sis(nor2, fast_config):
 def inverter_sis(inverter, fast_config):
     """Session-wide SIS CSM of the unit inverter."""
     return characterize_sis(inverter, "A", fast_config)
+
+
+@pytest.fixture
+def batch_steps(monkeypatch):
+    """``(circuit name, runs, integration steps)`` of every ``run_many``
+    batch the test integrates."""
+    from repro.spice import TransientAnalysis
+
+    batches = []
+    run_many = TransientAnalysis.run_many
+
+    def counting_run_many(self, *args, **kwargs):
+        results = run_many(self, *args, **kwargs)
+        batches.append((self.circuit.name, len(results), len(results[0].times) - 1))
+        return results
+
+    monkeypatch.setattr(TransientAnalysis, "run_many", counting_run_many)
+    return batches
+
+
+@pytest.fixture(scope="session")
+def model_payload():
+    """``model_payload(model)``: a characterized model's store encoding
+    (manifest and array bytes), for byte-for-byte comparisons."""
+    from repro.runtime.cache import encode_payload
+
+    def payload(model):
+        manifest, arrays = encode_payload(model)
+        return json.dumps(manifest, sort_keys=True), {
+            name: (array.dtype.str, array.shape, array.tobytes())
+            for name, array in arrays.items()
+        }
+
+    return payload
 
 
 @pytest.fixture(scope="session")

@@ -412,6 +412,20 @@ class TestPatchedStructure:
         netlist.topological_generations()
         rng = np.random.default_rng(edit_seed)
         undo = []
+
+        def rejected(edit) -> bool:
+            """Apply ``edit``; if the netlist refuses it, nothing moved."""
+            try:
+                edit()
+            except TimingError:
+                assert netlist.revision == revision
+                assert netlist.connectivity() is connectivity
+                assert connectivity.revision == revision
+                assert netlist._levels_cache is levels
+                self._assert_fresh(netlist)
+                return True
+            return False
+
         for _ in range(12):
             connectivity, levels = netlist.connectivity(), netlist._levels_cache
             revision = netlist.revision
@@ -419,8 +433,11 @@ class TestPatchedStructure:
             if choice == 0 and undo:
                 undo.pop()()
             elif choice == 1:
+                # Layered by name, so once an arbitrary rewire below has
+                # moved a pin up the levels, this rewire may close a loop.
                 _kind, _target, apply, inverse = _random_edit(netlist, library, rng)
-                apply()
+                if rejected(apply):
+                    continue
                 undo.append(inverse)
             else:
                 # Any net, an unknown one included: rejected rewires (a loop,
@@ -432,14 +449,7 @@ class TestPatchedStructure:
                 nets = sorted(netlist.nets()) + ["no_such_net"]
                 net = nets[int(rng.integers(len(nets)))]
                 previous = instance.connections[pin]
-                try:
-                    netlist.rewire_pin(name, pin, net)
-                except TimingError:
-                    assert netlist.revision == revision
-                    assert netlist.connectivity() is connectivity
-                    assert connectivity.revision == revision
-                    assert netlist._levels_cache is levels
-                    self._assert_fresh(netlist)
+                if rejected(lambda: netlist.rewire_pin(name, pin, net)):
                     continue
                 undo.append(lambda n=name, p=pin, v=previous: netlist.rewire_pin(n, p, v))
             if netlist.revision != revision:

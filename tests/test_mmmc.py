@@ -438,15 +438,17 @@ class TestCornerBoundKeys:
         plain_models = TimingModelLibrary(library=library, config=config, cache=cache)
         plain = CSMEngine(netlist, plain_models, options=options).run(waveforms, t_stop=t_stop)
 
-        executed = []
-        run_jobs = TimingModelLibrary._run_jobs
+        from repro.sta import models as models_module
 
-        def counting(self, jobs, parallel=True):
-            results = run_jobs(self, jobs, parallel)
+        executed = []
+        run_jobs = models_module.run_jobs
+
+        def counting(jobs, **kwargs):
+            results = run_jobs(jobs, **kwargs)
             executed.extend(job.name for job, r in zip(jobs, results) if not r.cache_hit)
             return results
 
-        monkeypatch.setattr(TimingModelLibrary, "_run_jobs", counting)
+        monkeypatch.setattr(models_module, "run_jobs", counting)
         corners = CornerSet.from_names(["TT"], technology=technology, config=config, cache=cache)
         served = CSMEngine(
             netlist, corners.reference.models, options=options, corners=corners

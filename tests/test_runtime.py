@@ -10,9 +10,9 @@ import pytest
 from repro.cells import build_inverter, build_nor
 from repro.characterization import (
     CharacterizationConfig,
-    characterization_job,
     characterization_key,
     characterize_sis,
+    nldm_characterization_job,
 )
 from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
@@ -244,18 +244,15 @@ class TestResultStore:
         assert cache.clear() == 1
         assert len(cache) == 0
 
-    def test_run_jobs_skips_cached_characterization(
-        self, tmp_path, inverter, fast_config
-    ):
+    def test_run_jobs_skips_cached_characterization(self, tmp_path, inverter):
         cache = PackedStore(tmp_path)
-        job = characterization_job("sis", inverter, ("A",), fast_config)
+        job = nldm_characterization_job(inverter, (40e-12, 120e-12), (3e-15, 12e-15))
         [first] = run_jobs([job], cache=cache)
         assert not first.cache_hit and first.duration > 0
         [second] = run_jobs([job], cache=cache)
         assert second.cache_hit and second.duration == 0.0
-        assert np.array_equal(
-            first.value.io_table.values, second.value.io_table.values
-        )
+        for table, again in zip(first.value, second.value):
+            assert np.array_equal(table.delay_table.values, again.delay_table.values)
         assert cache.stats.hits == 1 and cache.stats.stores == 1
 
     def test_context_characterization_goes_through_disk_cache(
@@ -299,6 +296,53 @@ class TestResultStore:
             cache=PackedStore(tmp_path),
         )
         assert fresh.prewarm_characterizations(("sis",)) == 0
+
+    def test_figure_prewarm_is_one_bundle(
+        self, tmp_path, fast_config, nor2_mcsm, nor2_baseline_mis, nor2_sis,
+        batch_steps, model_payload,
+    ):
+        """The figures' NOR2 models are one bundle of the context's model
+        library: two capacitance batches (stack node floating: the MCSM's 20
+        runs and the baseline MIS's 4 stack-off output ramps, the SIS
+        model's 12 being among them; stack node forced: the MCSM's 4), each
+        model byte for byte its ``characterize_*`` bundle of one and stored
+        under its own key."""
+        context = ExperimentContext(
+            characterization=fast_config,
+            reference_time_step=4e-12,
+            model_time_step=2e-12,
+            cache=PackedStore(tmp_path),
+        )
+        assert context.prewarm_characterizations(("mcsm", "mis", "sis")) == 3
+        assert [runs for _, runs, _ in batch_steps] == [24, 4]
+        nor2 = context.nor2
+        for kind, pins, model, alone in (
+            ("mcsm", ("A", "B"), context.mcsm_for(), nor2_mcsm),
+            ("mis", ("A", "B"), context.baseline_mis_for(), nor2_baseline_mis),
+            ("sis", ("A",), context.sis_for(), nor2_sis),
+        ):
+            assert model_payload(model) == model_payload(alone), kind
+            hit, stored = context.cache.lookup(
+                characterization_key(kind, nor2, pins, fast_config)
+            )
+            assert hit and model_payload(stored) == model_payload(alone), kind
+
+    def test_context_models_are_the_one_memo(self, fast_config):
+        """The figures' accessors and ``run_sta_scale`` read the context's
+        model library: a model is characterized once per context."""
+        from repro.experiments import run_sta_scale
+
+        context = ExperimentContext(
+            characterization=fast_config, reference_time_step=4e-12, model_time_step=2e-12
+        )
+        assert context.prewarm_characterizations(("sis",)) == 1
+        assert context.sis_for() is context.models.sis_model("NOR2_X1", "A")
+
+        result = run_sta_scale(context, specs=("chain:inv:2",))
+        assert result.models_executed == 1
+        inverter = context.models.sis_model("INV_X1", "A")
+        assert run_sta_scale(context, specs=("chain:inv:2",)).models_executed == 0
+        assert context.sis_for(context.library["INV_X1"]) is inverter
 
 
 # ----------------------------------------------------------------------
@@ -440,12 +484,12 @@ class TestCommandLine:
         available corners and returns 2, like the CLI's other argument
         errors, before any model is characterized."""
         from repro.runtime import cli
-        from repro.sta.models import TimingModelLibrary
+        from repro.sta import models
 
         def refuse(*args, **kwargs):
             raise AssertionError("an argument error must not characterize anything")
 
-        monkeypatch.setattr(TimingModelLibrary, "_run_jobs", refuse)
+        monkeypatch.setattr(models, "run_jobs", refuse)
         assert cli.main(["--sta", "chain:inv:3", "--corners", "TT,XX"]) == 2
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 and "XX" in lines[0]

@@ -379,23 +379,6 @@ class TestNLDMLevelized:
 
 
 class TestModelLibraryRuntime:
-    @pytest.fixture
-    def batch_steps(self, monkeypatch):
-        """``(circuit name, runs, integration steps)`` of every ``run_many``
-        batch."""
-        from repro.spice import TransientAnalysis
-
-        batches = []
-        run_many = TransientAnalysis.run_many
-
-        def counting_run_many(self, *args, **kwargs):
-            results = run_many(self, *args, **kwargs)
-            batches.append((self.circuit.name, len(results), len(results[0].times) - 1))
-            return results
-
-        monkeypatch.setattr(TransientAnalysis, "run_many", counting_run_many)
-        return batches
-
     def test_prewarm_counts_and_cache(self, library, tmp_path, batch_steps):
         from repro.runtime import PackedStore
 
@@ -429,23 +412,18 @@ class TestModelLibraryRuntime:
         assert type(model).__name__ == "MCSM"
 
     def test_prewarm_bundles_a_three_input_cell(
-        self, library, fast_config, tmp_path, batch_steps
+        self, library, fast_config, tmp_path, batch_steps, model_payload
     ):
         """A prewarm characterizes a cell's CSM models as one bundle: each
-        model is byte for byte its per-model job's and is stored under its
-        own key, from one capacitance batch per probe circuit."""
-        import json
-
-        from repro.characterization import characterization_job, characterization_key
-        from repro.runtime import PackedStore, run_jobs
-        from repro.runtime.cache import encode_payload
-
-        def payload(model):
-            manifest, arrays = encode_payload(model)
-            return json.dumps(manifest, sort_keys=True), {
-                name: (array.dtype.str, array.shape, array.tobytes())
-                for name, array in arrays.items()
-            }
+        model is byte for byte its ``characterize_*`` bundle of one and is
+        stored under its own key, from one capacitance batch per probe
+        circuit."""
+        from repro.characterization import (
+            characterization_key,
+            characterize_mcsm,
+            characterize_sis,
+        )
+        from repro.runtime import PackedStore
 
         cell = library["NAND3_X1"]
         cache = PackedStore(tmp_path / "nand3")
@@ -459,15 +437,13 @@ class TestModelLibraryRuntime:
 
         requests = [("sis", (pin,)) for pin in cell.inputs]
         requests += [("mcsm", pins) for pins in itertools.combinations(cell.inputs, 2)]
-        alone = run_jobs(
-            [characterization_job(kind, cell, pins, fast_config) for kind, pins in requests]
-        )
-        for (kind, pins), result in zip(requests, alone):
-            model = models.sis_model if kind == "sis" else models.mis_model
-            bundled = model(cell.name, *pins)
-            assert payload(bundled) == payload(result.value), (kind, pins)
+        for kind, pins in requests:
+            characterize = characterize_sis if kind == "sis" else characterize_mcsm
+            alone = characterize(cell, *pins, config=fast_config)
+            bundled = models.model(kind, cell.name, pins)
+            assert model_payload(bundled) == model_payload(alone), (kind, pins)
             hit, stored = cache.lookup(characterization_key(kind, cell, pins, fast_config))
-            assert hit and payload(stored) == payload(result.value), (kind, pins)
+            assert hit and model_payload(stored) == model_payload(alone), (kind, pins)
 
     def test_nldm_characterization_job_cached(self, library, tmp_path):
         from repro.runtime import PackedStore
