@@ -16,11 +16,10 @@ Fig. 5 fanout sweep) across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cells.cell import Cell
-from ..cells.library import CellLibrary, default_library
+from ..cells.library import default_library
 from ..cells.testbench import build_testbench, fanout_capacitance
 from ..characterization.config import CharacterizationConfig
 from ..csm.loads import Load, as_load
@@ -166,7 +165,6 @@ def model_simulation_job(
     )
 
 
-@dataclass
 class ExperimentContext:
     """Shared state (library + characterized models) for all experiments.
 
@@ -176,42 +174,58 @@ class ExperimentContext:
         Device/technology definition (defaults to the generic 130 nm one).
     characterization:
         Settings used for every model characterization in this context.
-    models:
-        The :class:`~repro.sta.models.TimingModelLibrary` every model of
-        this context comes from, built from ``library``,
-        ``characterization``, ``executor`` and ``cache`` (so pass those to
-        the constructor; assigning them later does not reach it).
     reference_time_step:
         Transient step of the golden (reference simulator) runs.
     model_time_step:
         Integration step of the current-source model simulations.
+    library:
+        The cell library of ``technology``.
+    models:
+        The :class:`~repro.sta.models.TimingModelLibrary` every model of
+        this context comes from, built from ``library``,
+        ``characterization``, ``executor`` and ``cache``.
     executor:
-        Optional :class:`repro.runtime.Executor`; multi-scenario experiments
-        fan their independent jobs out through it.  ``None`` runs everything
-        serially in-process.
+        Optional :class:`repro.runtime.Executor`, a constructor argument
+        read back from ``models``; multi-scenario experiments fan their
+        independent jobs out through it.  ``None`` runs everything serially
+        in-process.
     cache:
-        Optional :class:`repro.runtime.PackedStore`; models and experiment
-        jobs are looked up / stored by content hash, so repeated runs (across
-        experiments, benchmarks or sessions) skip the characterization work.
+        Optional :class:`repro.runtime.PackedStore`, a constructor argument
+        read back from ``models``; models and experiment jobs are looked up
+        / stored by content hash, so repeated runs (across experiments,
+        benchmarks or sessions) skip the characterization work.
     """
 
-    technology: Technology = field(default_factory=default_technology)
-    characterization: CharacterizationConfig = field(default_factory=CharacterizationConfig)
-    reference_time_step: float = 2e-12
-    model_time_step: float = 1e-12
-    executor: Optional[Executor] = None
-    cache: Optional[PackedStore] = None
-    library: CellLibrary = field(init=False)
-    models: TimingModelLibrary = field(init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        technology: Optional[Technology] = None,
+        characterization: Optional[CharacterizationConfig] = None,
+        reference_time_step: float = 2e-12,
+        model_time_step: float = 1e-12,
+        executor: Optional[Executor] = None,
+        cache: Optional[PackedStore] = None,
+    ) -> None:
+        self.technology = technology if technology is not None else default_technology()
+        self.characterization = (
+            characterization if characterization is not None else CharacterizationConfig()
+        )
+        self.reference_time_step = reference_time_step
+        self.model_time_step = model_time_step
         self.library = default_library(self.technology)
         self.models = TimingModelLibrary(
             library=self.library,
             config=self.characterization,
-            executor=self.executor,
-            cache=self.cache,
+            executor=executor,
+            cache=cache,
         )
+
+    @property
+    def executor(self) -> Optional[Executor]:
+        return self.models.executor
+
+    @property
+    def cache(self) -> Optional[PackedStore]:
+        return self.models.cache
 
     # ------------------------------------------------------------------
     def run_jobs(self, jobs: Sequence[Job], parallel: bool = True) -> List:
@@ -241,34 +255,32 @@ class ExperimentContext:
         )
 
     # ------------------------------------------------------------------
-    def mcsm_for(self, cell: Optional[Cell] = None, pin_a: str = "A", pin_b: str = "B") -> MCSM:
-        """The complete MCSM of a library cell (NOR2 by default)."""
-        return self.models.model("mcsm", (cell or self.nor2).name, (pin_a, pin_b))
+    def mcsm_for(self, cell_name: str = "NOR2_X1", pin_a: str = "A", pin_b: str = "B") -> MCSM:
+        """The complete MCSM of a library cell."""
+        return self.models.model("mcsm", cell_name, (pin_a, pin_b))
 
     def baseline_mis_for(
-        self, cell: Optional[Cell] = None, pin_a: str = "A", pin_b: str = "B"
+        self, cell_name: str = "NOR2_X1", pin_a: str = "A", pin_b: str = "B"
     ) -> BaselineMISCSM:
-        """The baseline MIS CSM of a library cell (NOR2 by default)."""
-        return self.models.model("mis", (cell or self.nor2).name, (pin_a, pin_b))
+        """The baseline MIS CSM of a library cell."""
+        return self.models.model("mis", cell_name, (pin_a, pin_b))
 
-    def sis_for(self, cell: Optional[Cell] = None, pin: str = "A") -> SISCSM:
-        """The SIS CSM of a library cell (NOR2 by default)."""
-        return self.models.model("sis", (cell or self.nor2).name, (pin,))
+    def sis_for(self, cell_name: str = "NOR2_X1", pin: str = "A") -> SISCSM:
+        """The SIS CSM of a library cell."""
+        return self.models.model("sis", cell_name, (pin,))
 
     def prewarm_characterizations(
-        self,
-        kinds: Sequence[str] = ("mcsm", "mis", "sis"),
-        cell: Optional[Cell] = None,
+        self, kinds: Sequence[str] = ("mcsm", "mis", "sis"), cell_name: str = "NOR2_X1"
     ) -> int:
-        """Characterize the ``kinds`` models of a cell (NOR2 by default) as
-        one bundle, so later ``mcsm_for`` / ``baseline_mis_for`` /
-        ``sis_for`` calls are instant.
+        """Characterize the ``kinds`` models of a library cell as one
+        bundle, so later ``mcsm_for`` / ``baseline_mis_for`` / ``sis_for``
+        calls are instant.
 
         MIS kinds are on pins A and B, SIS on A.  Returns the number of
         models characterized, i.e. neither memoized nor served from the
         store (:meth:`TimingModelLibrary.characterize`).
         """
-        cell = cell or self.nor2
+        cell = self.models.cell(cell_name)
         pins = {"mcsm": ("A", "B"), "mis": ("A", "B"), "sis": ("A",)}
         return self.models.characterize([(kind, cell, pins[kind]) for kind in kinds])
 

@@ -151,7 +151,7 @@ class TimingService:
         dedupe_wait_timeout: float = 60.0,
         session_ttl_s: Optional[float] = None,
     ):
-        quick = settings_context("quick")
+        quick = settings_context("quick") if models is None or options is None else None
         self.models = models if models is not None else quick.models
         self.library = self.models.library
         self.store = (

@@ -342,7 +342,7 @@ class TestResultStore:
         assert result.models_executed == 1
         inverter = context.models.sis_model("INV_X1", "A")
         assert run_sta_scale(context, specs=("chain:inv:2",)).models_executed == 0
-        assert context.sis_for(context.library["INV_X1"]) is inverter
+        assert context.sis_for("INV_X1") is inverter
 
 
 # ----------------------------------------------------------------------
