@@ -22,8 +22,15 @@ contraction of its input-pin axes via
 recurrent ``v_out`` / ``v_int`` dependence remains inside the loop, which
 then just interpolates a per-step reduced table.  Internal-node models keep
 their pin voltages and contract on demand: each step reads 4 of the
-``(VN, Vo)`` slice's entries, so the lockstep loop gathers just the pin
-corners of those, with the contraction's exact arithmetic.
+``(VN, Vo)`` slice's entries, so the loop contracts just the pin corners of
+those, with the contraction's exact arithmetic.
+
+The update loops are compiled C (:mod:`repro.csm.kernels`, built from
+``_kernels.c`` when this module is imported; :data:`KERNEL` names the loop
+that runs).  Each is an operation-for-operation transcription of a scalar
+twin here, :func:`_scalar_recurrence_output` and
+:func:`_scalar_recurrence_internal`, which are the reference the tests hold
+the compiled loops to and the loops a host without a C compiler runs.
 Units the table kernels cannot express (arbitrary callables, stateful loads,
 capacitance tables over the recurrent voltages) integrate through the scalar
 reference loop :func:`_integrate_generic`; both produce the same waveforms
@@ -33,6 +40,7 @@ to float round-off.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -42,10 +50,12 @@ import numpy as np
 from ..exceptions import ModelError
 from ..lut.table import NDTable, contract_leading_shared, contract_leading_spans
 from ..waveform.waveform import Waveform
+from . import kernels
 from .base import Capacitance, SimulationOptions, cap_value, cap_value_batch
 from .loads import Load
 
 __all__ = [
+    "KERNEL",
     "integrate_model",
     "integrate_model_many",
     "BatchUnit",
@@ -146,14 +156,16 @@ class _Precomputed:
     Table-derived rows cover only the unit's moving core: step ``k`` reads
     core row ``clip(k - first_move, 0, rows - 1)`` — the constant flanks
     before and after the core replicate its edge rows, so they are never
-    materialized.  The 1-D ``charge``/``denom``/``cn`` are full-length.
+    materialized.  The 1-D ``charge``/``denom``/``cn`` are full-length and
+    finite, with ``denom`` and ``cn`` positive (:func:`_assemble_members`
+    rejects anything else).
 
     Output-only models carry their reduced ``Io`` rows (``io_reduced``).
     Internal-node models carry the core's pin voltages and their two tables
     instead, and the recurrence contracts the pin axes on demand: the scalar
-    loop materializes reduced rows (:func:`_scalar_recurrence_internal`), the
-    lockstep kernel gathers only the pin corners each step reads
-    (:func:`_lockstep_internal`).
+    twin materializes reduced rows (:func:`_scalar_recurrence_internal`), the
+    compiled loop contracts only the pin corners each step reads, from pin
+    brackets computed once per group (:func:`_pin_brackets`).
     """
 
     charge: np.ndarray  # (steps,)
@@ -244,11 +256,10 @@ def integrate_model(
 
 
 def _scalar_bracket(axis):
-    """A scalar closure computing the exact bracket :func:`_bracket_array`
-    would: same clip order, the same uniform-grid ``inv_h`` fast path, the
-    same truncation and clamping.  The scalar recurrences must locate
-    intervals bitwise like the lockstep loops (see
-    :func:`_scalar_recurrence_output`)."""
+    """A scalar closure locating ``value``'s interval on ``axis``: clamp onto
+    the axis, then the uniform-grid ``inv_h`` index with truncation, or
+    ``bisect_right`` on a non-uniform axis.  ``bracket`` in ``_kernels.c``
+    is its transcription (see :func:`_scalar_recurrence_output`)."""
     pts, spans, n, inv_h = _axis_lookup(axis)
     pts_list = pts.tolist()
     spans_list = spans.tolist()
@@ -294,13 +305,13 @@ def _scalar_recurrence_output(
 ) -> np.ndarray:
     """The scalar update loop for models without an internal node.
 
-    Every floating-point operation here is the scalar transcription of the
-    corresponding step in :func:`_lockstep_output` — same bracketing formula
-    (uniform-grid ``inv_h`` fast path included), same lerp association, same
-    update association.  Group-size thresholds may route the *same* unit to
-    either implementation depending on how a level batches (cache hits, MMMC
-    corner fusion), and slow-corner dynamics amplify per-step ULP differences
-    to millivolts, so the two must agree bitwise.
+    ``csm_output`` in ``_kernels.c`` transcribes it operation for operation:
+    same bracketing formula (uniform-grid ``inv_h`` fast path included), same
+    lerp association, same update association
+    ``vo + (charge - io * dt) / denom``, same clamp.  The compiled loop runs
+    wherever a C compiler exists and this twin where none does, and
+    slow-corner dynamics amplify per-step ULP differences to millivolts, so
+    the two must agree bitwise (tests/test_csm_kernel.py holds them to it).
     """
     num_steps = len(times)
     steps = num_steps - 1
@@ -348,17 +359,18 @@ def _scalar_recurrence_internal(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The scalar update loop for internal-node (MCSM) models.
 
-    Like :func:`_scalar_recurrence_output`, a bitwise scalar transcription of
-    the group loop (:func:`_lockstep_internal`): pre-divided ``drive``/``rate``
-    coefficients, nested-lerp bilinear interpolation and the lookup-style
-    bracket, in exactly the lockstep association order.
+    Like :func:`_scalar_recurrence_output`, bitwise the compiled loop
+    (``csm_internal`` in ``_kernels.c``): pre-divided ``drive``/``rate``
+    coefficients, pin contraction in :meth:`NDTable._contract_apply`'s order,
+    nested-lerp bilinear interpolation and the same bracket, with the updates
+    ``vo + (drive - io * rate_o)`` and ``vn + (0.0 - i_n * rate_n)``.
     """
     num_steps = len(times)
     steps = num_steps - 1
     assert pre.pin_core is not None and pre.cn is not None
     dt = np.diff(times)
     # Same pre-divided coefficients (and the same elementwise divisions) as
-    # the lockstep loop's drive/rate stacks.
+    # the compiled loop's drive/rate rows (:func:`_run_internal`).
     drive_list = (pre.charge / pre.denom).tolist()
     rate_o_list = (dt / pre.denom).tolist()
     rate_n_list = (dt / pre.cn).tolist()
@@ -468,7 +480,7 @@ def _integrate_generic(
             miller_charge += cm * (input_samples[pin][k + 1] - input_samples[pin][k])
 
         denominator = load_cap + co + miller_total
-        if denominator <= 0:
+        if not denominator > 0:
             raise ModelError("total output capacitance must be positive")
         v_next = vo + (miller_charge - (io + extra) * dt) / denominator
         v_out[k + 1] = float(np.clip(v_next, v_low, v_high))
@@ -477,7 +489,7 @@ def _integrate_generic(
             assert v_int is not None and internal_cap is not None and internal_current is not None
             i_n = internal_current(*coords)
             cn = cap_value(internal_cap, *coords)
-            if cn <= 0:
+            if not cn > 0:
                 raise ModelError("internal-node capacitance must be positive")
             vn_next = v_int[k] - i_n * dt / cn
             v_int[k + 1] = float(np.clip(vn_next, v_low, v_high))
@@ -488,7 +500,7 @@ def _integrate_generic(
 
 
 # ----------------------------------------------------------------------
-# Lockstep batching: many model evaluations over one shared time grid
+# Batches: many model evaluations over one shared time grid
 # ----------------------------------------------------------------------
 @dataclass
 class BatchUnit:
@@ -497,8 +509,8 @@ class BatchUnit:
     The fields mirror the parameters of :func:`integrate_model`; every unit
     carries its own model tables, input waveforms, load and initial state, so
     a batch may freely mix cells and model flavours — units whose current
-    sources share the same state-axis grids are integrated in lockstep, the
-    rest through the scalar reference loop.
+    sources share the same state-axis grids are integrated by one call of the
+    compiled step loop, the rest through the scalar reference loop.
 
     ``input_samples`` is the structure-of-arrays alternative to
     ``input_waveforms``: pin → sample row *already on the batch's shared time
@@ -539,14 +551,15 @@ class _PrecomputePlan:
 
 
 @dataclass
-class _LockstepMember:
-    """One fast-path unit: its sampled inputs, clipped initial state and
-    (once :func:`_fill_precompute_shared` ran) its precompute."""
+class _Member:
+    """One unit of a batch: its sampled inputs, clipped initial state and,
+    for fast-path units (once :func:`_fill_precompute_shared` ran), its
+    precompute."""
 
     index: int
     unit: BatchUnit
     input_samples: Dict[str, np.ndarray]
-    io_table: NDTable
+    io_table: NDTable  # the unit's output_current; an NDTable on the fast path
     in_table: Optional[NDTable]
     has_internal: bool
     v_low: float
@@ -615,7 +628,7 @@ def _expand_core(
     )
 
 
-def _fusion_key(member: _LockstepMember) -> Optional[Tuple]:
+def _fusion_key(member: _Member) -> Optional[Tuple]:
     """The value key under which different models' lookups may fuse.
 
     Distinct table *objects* with value-equal axes — the corners of an MMMC
@@ -640,7 +653,7 @@ def _fusion_key(member: _LockstepMember) -> Optional[Tuple]:
     return (num_pins, member.has_internal, leading, trailing)
 
 
-def _fill_precompute_shared(members: Sequence[_LockstepMember], times: np.ndarray) -> None:
+def _fill_precompute_shared(members: Sequence[_Member], times: np.ndarray) -> None:
     """Batch every unit's table lookups across same-model groups.
 
     Units are grouped by :func:`_model_key`, the identity of every table and
@@ -660,7 +673,7 @@ def _fill_precompute_shared(members: Sequence[_LockstepMember], times: np.ndarra
     per-model values, so each unit's precompute is bitwise what its own
     model group would produce.
     """
-    groups: Dict[Tuple, Dict[Tuple, List[_LockstepMember]]] = {}
+    groups: Dict[Tuple, Dict[Tuple, List[_Member]]] = {}
     for member in members:
         member.plan = _precompute_plan(member.unit.pins, member.input_samples, times)
         model = _model_key(member.unit)
@@ -698,7 +711,7 @@ def _chunked_rows(lookup, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble_fused_precompute(model_groups: Sequence[Sequence[_LockstepMember]]) -> None:
+def _assemble_fused_precompute(model_groups: Sequence[Sequence[_Member]]) -> None:
     """One lookup pass across one or more same-grid model groups.
 
     Each model group keeps its own capacitance and current-value grids — those
@@ -711,7 +724,7 @@ def _assemble_fused_precompute(model_groups: Sequence[Sequence[_LockstepMember]]
     rep0 = model_groups[0][0]
     num_pins = len(rep0.unit.pins)
     has_internal = rep0.has_internal
-    flat_members: List[_LockstepMember] = []
+    flat_members: List[_Member] = []
     cores: List[np.ndarray] = []
     spans: List[Tuple[int, int]] = []
     offset = 0
@@ -760,7 +773,7 @@ def _assemble_fused_precompute(model_groups: Sequence[Sequence[_LockstepMember]]
 
 
 def _assemble_members(
-    members: Sequence[_LockstepMember],
+    members: Sequence[_Member],
     bounds: np.ndarray,
     num_pins: int,
     miller_cols: Sequence[np.ndarray],
@@ -780,16 +793,11 @@ def _assemble_members(
         if plan.constant:
             miller_row = np.array([miller_cols[c][start] for c in range(num_pins)])
             denominator_row = load_cap + co_all[start] + miller_row.sum()
-            if denominator_row <= 0:
-                raise ModelError("total output capacitance must be positive")
             charge = np.zeros(steps)
             denominator = np.broadcast_to(np.float64(denominator_row), (steps,))
             cn: Optional[np.ndarray] = None
             if member.has_internal:
-                cn_row = cn_all[start]
-                if cn_row <= 0:
-                    raise ModelError("internal-node capacitance must be positive")
-                cn = np.broadcast_to(np.float64(cn_row), (steps,))
+                cn = np.broadcast_to(np.float64(cn_all[start]), (steps,))
             first_move = 0
         else:
             first_move, core_stop = plan.first_move, plan.core_stop
@@ -805,13 +813,15 @@ def _assemble_members(
             denominator = _expand_core(
                 load_cap + co + miller_total, first_move, core_stop, steps
             )
-            if np.any(denominator <= 0):
-                raise ModelError("total output capacitance must be positive")
             cn = None
             if member.has_internal:
                 cn = _expand_core(cn_all[start:stop], first_move, core_stop, steps)
-                if np.any(cn <= 0):
-                    raise ModelError("internal-node capacitance must be positive")
+        if not (np.isfinite(denominator).all() and (denominator > 0).all()):
+            raise ModelError("total output capacitance must be finite and positive")
+        if cn is not None and not (np.isfinite(cn).all() and (cn > 0).all()):
+            raise ModelError("internal-node capacitance must be finite and positive")
+        if not np.isfinite(charge).all():
+            raise ModelError("Miller charge must be finite")
         if member.has_internal:
             tables = dict(
                 pin_core=plan.pin_core, io_table=member.io_table, in_table=member.in_table
@@ -821,50 +831,17 @@ def _assemble_members(
         member.pre = _Precomputed(charge, denominator, cn, first_move, **tables)
 
 
-#: Below these group sizes the scalar recurrence beats the numpy loop's
-#: fixed per-step overhead; such members run individually (still sharing the
-#: batched precompute).  Output-only groups amortize at smaller sizes because
-#: their per-step gather and update are cheaper than the internal-node
-#: kernel's pin-corner contraction.  Either side of a threshold gives the
-#: same bits: the lockstep kernels are the scalar recurrences' twins.
-_MIN_OUTPUT_GROUP = 6
-_MIN_INTERNAL_GROUP = 10
+def _members(
+    units: Sequence[BatchUnit], times: np.ndarray, options: SimulationOptions
+) -> Tuple[List[_Member], List[_Member]]:
+    """Validate every unit and sample its inputs onto ``times``.
 
-
-def integrate_model_many(
-    units: Sequence[BatchUnit],
-    options: SimulationOptions,
-    t_start: float,
-    t_stop: float,
-) -> Tuple[np.ndarray, List[Tuple[np.ndarray, Optional[np.ndarray]]]]:
-    """Integrate many model evaluations in lockstep over one time window.
-
-    The one CSM integration path: :func:`integrate_model` is a batch of one.
-    All units share the sample grid ``simulation_time_grid(t_start, t_stop)``.
-    The table lookups of every unit's precompute are concatenated across
-    units of the same model (see :func:`_fill_precompute_shared`); they are
-    per-row, so a unit's precomputed arrays do not depend on its batch.
-    Fast-path-eligible units are then grouped by the grids of their
-    recurrent state axes (``Vo``, and ``VN`` for internal-node models),
-    regardless of which cell or model flavour they came from.  Each group
-    runs ONE update loop over the whole window whose per-step work is
-    vectorized across the group with numpy.  Groups too small to amortize
-    the vectorized loop's per-step overhead run the scalar recurrence.  Units
-    the fast path cannot express (custom callables, stateful loads,
-    state-dependent capacitances) integrate through the scalar reference
-    loop :func:`_integrate_generic` on the same grid.
-
-    A unit's waveforms are a function of that unit alone: the lockstep
-    kernels are bitwise the scalar recurrences, row by row and step by step,
-    so which other units share its batch (or whether it runs alone) never
-    changes a bit of its result.
-
-    Returns ``(times, [(v_out, v_int_or_None), ...])`` in unit order.
-    """
-    times = simulation_time_grid(t_start, t_stop, options)
-    results: List[Optional[Tuple[np.ndarray, Optional[np.ndarray]]]] = [None] * len(units)
-    members: List[_LockstepMember] = []
-
+    Returns the fast-path members and the units :func:`_integrate_generic`
+    integrates.  Non-finite input samples or initial states are rejected
+    here, before any recurrence runs, so no batch size can change how a bad
+    row fails."""
+    fast: List[_Member] = []
+    generic: List[_Member] = []
     for index, unit in enumerate(units):
         rows = unit.input_samples
         source = rows if rows is not None else unit.input_waveforms
@@ -876,82 +853,107 @@ def integrate_model_many(
             raise ModelError("internal_cap is required when internal_current is given")
         if has_internal and unit.initial_internal is None:
             raise ModelError("initial_internal is required when internal_current is given")
-        if rows is not None:
-            input_samples = {}
-            for pin in unit.pins:
+        input_samples = {}
+        for pin in unit.pins:
+            if rows is not None:
                 row = np.asarray(rows[pin], dtype=float)
                 if row.shape != times.shape:
                     raise ModelError(
                         f"input_samples row for pin {pin!r} has shape {row.shape}, "
                         f"expected {times.shape}"
                     )
-                input_samples[pin] = row
-        else:
-            input_samples = {
-                pin: np.asarray(unit.input_waveforms[pin].value_at(times), dtype=float)
-                for pin in unit.pins
-            }
+            else:
+                row = np.asarray(unit.input_waveforms[pin].value_at(times), dtype=float)
+            if not np.isfinite(row).all():
+                raise ModelError(f"input samples for pin {pin!r} are not finite")
+            input_samples[pin] = row
+        initial = [float(unit.initial_output)]
+        if has_internal:
+            initial.append(float(unit.initial_internal))
+        if not all(map(math.isfinite, initial)):
+            raise ModelError("initial states must be finite")
         v_low = -options.clip_margin
         v_high = unit.vdd + options.clip_margin
-        initial_output = float(np.clip(unit.initial_output, v_low, v_high))
-        initial_internal = None
-        if has_internal:
-            initial_internal = float(np.clip(unit.initial_internal, v_low, v_high))
-        unit.load.reset()
-        if not _fast_eligible(unit):
-            results[index] = _integrate_generic(
-                unit, input_samples, times, initial_output, initial_internal, v_low, v_high
-            )
-            continue
-        members.append(
-            _LockstepMember(
-                index=index,
-                unit=unit,
-                input_samples=input_samples,
-                io_table=unit.output_current,  # _fast_eligible guarantees NDTable
-                in_table=unit.internal_current,
-                has_internal=has_internal,
-                v_low=v_low,
-                v_high=v_high,
-                initial_output=initial_output,
-                initial_internal=initial_internal,
-            )
+        # np.clip's result for finite values, without its per-call overhead.
+        initial = [min(max(value, v_low), v_high) for value in initial]
+        member = _Member(
+            index=index,
+            unit=unit,
+            input_samples=input_samples,
+            io_table=unit.output_current,  # an NDTable when _fast_eligible holds
+            in_table=unit.internal_current,
+            has_internal=has_internal,
+            v_low=v_low,
+            v_high=v_high,
+            initial_output=initial[0],
+            initial_internal=initial[1] if has_internal else None,
+        )
+        (fast if _fast_eligible(unit) else generic).append(member)
+    return fast, generic
+
+
+def integrate_model_many(
+    units: Sequence[BatchUnit],
+    options: SimulationOptions,
+    t_start: float,
+    t_stop: float,
+) -> Tuple[np.ndarray, List[Tuple[np.ndarray, Optional[np.ndarray]]]]:
+    """Integrate many model evaluations over one time window.
+
+    The one CSM integration path: :func:`integrate_model` is a batch of one.
+    All units share the sample grid ``simulation_time_grid(t_start, t_stop)``.
+    The table lookups of every unit's precompute are concatenated across
+    units of the same model (see :func:`_fill_precompute_shared`); they are
+    per-row, so a unit's precomputed arrays do not depend on its batch.
+    Fast-path-eligible units are then grouped by the grids of their
+    recurrent state axes (``Vo``, and ``VN`` for internal-node models),
+    regardless of which cell or model flavour they came from, and each group,
+    whatever its size, runs in one call of the compiled step loop
+    (:mod:`repro.csm.kernels`; :data:`KERNEL` is ``"c"``).  On a host without
+    a C compiler the scalar twins (:func:`_scalar_recurrence_output`,
+    :func:`_scalar_recurrence_internal`) integrate each member instead
+    (``KERNEL == "python"``).  Units the fast path cannot express (custom
+    callables, stateful loads, state-dependent capacitances) integrate
+    through the scalar reference loop :func:`_integrate_generic` on the same
+    grid.
+
+    A unit's waveforms are a function of that unit alone: the compiled loops
+    are bitwise the scalar twins, row by row and step by step, and a row
+    never reads another row's state, so which other units share its batch
+    (or whether it runs alone, or which kernel ran) never changes a bit of
+    its result.  Non-finite input samples, initial states, Miller charge or
+    capacitances raise :class:`~repro.exceptions.ModelError` before any
+    recurrence runs.
+
+    Returns ``(times, [(v_out, v_int_or_None), ...])`` in unit order.
+    """
+    times = simulation_time_grid(t_start, t_stop, options)
+    members, generic = _members(units, times, options)
+    _fill_precompute_shared(members, times)
+    results: List[Optional[Tuple[np.ndarray, Optional[np.ndarray]]]] = [None] * len(units)
+    for member in generic:
+        member.unit.load.reset()
+        results[member.index] = _integrate_generic(
+            member.unit,
+            member.input_samples,
+            times,
+            member.initial_output,
+            member.initial_internal,
+            member.v_low,
+            member.v_high,
         )
 
-    _fill_precompute_shared(members, times)
-    groups: Dict[Tuple, List[_LockstepMember]] = {}
+    groups: Dict[Tuple, List[_Member]] = {}
     for member in members:
         axes = member.io_table.axes
         key = (axes[-1].points, axes[-2].points if member.has_internal else None)
         groups.setdefault(key, []).append(member)
-
     for group in groups.values():
         vo_axis = group[0].io_table.axes[-1]
-        if not group[0].has_internal:
-            if len(group) >= _MIN_OUTPUT_GROUP:
-                outputs = _lockstep_output(group, times, vo_axis)
-            else:
-                outputs = [
-                    (
-                        _scalar_recurrence_output(
-                            m.pre, times, vo_axis, m.initial_output, m.v_low, m.v_high
-                        ),
-                        None,
-                    )
-                    for m in group
-                ]
+        if group[0].has_internal:
+            outputs = _run_internal(group, times, group[0].io_table.axes[-2], vo_axis)
         else:
-            vn_axis = group[0].io_table.axes[-2]
-            if len(group) >= _MIN_INTERNAL_GROUP:
-                outputs = _lockstep_internal(group, times, vn_axis, vo_axis)
-            else:
-                outputs = [
-                    _scalar_recurrence_internal(
-                        m.pre, times, vn_axis, vo_axis,
-                        m.initial_output, m.initial_internal, m.v_low, m.v_high,
-                    )
-                    for m in group
-                ]
+            outputs = _run_output(group, times, vo_axis)
         for member, out in zip(group, outputs):
             results[member.index] = out
 
@@ -961,7 +963,7 @@ def integrate_model_many(
 
 def _axis_lookup(axis) -> Tuple[np.ndarray, np.ndarray, int, Optional[float]]:
     """Points, spans and (for uniform axes) the inverse spacing."""
-    pts = axis.as_array()
+    pts = np.ascontiguousarray(axis.as_array(), dtype=np.float64)
     spans = np.diff(pts)
     n = len(pts)
     h = (pts[-1] - pts[0]) / (n - 1)
@@ -969,319 +971,201 @@ def _axis_lookup(axis) -> Tuple[np.ndarray, np.ndarray, int, Optional[float]]:
     return pts, spans, n, (1.0 / h if uniform else None)
 
 
-def _bracket_array(
-    values: np.ndarray,
-    pts: np.ndarray,
-    spans: np.ndarray,
-    n: int,
-    inv_h: Optional[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized interval location: ``(lower index, fraction)`` per value.
-
-    Raw ``minimum``/``maximum`` ufuncs are used instead of ``np.clip`` — the
-    ``np.clip`` wrapper costs several microseconds per call, which matters
-    inside a per-time-step loop.
-    """
-    vc = np.maximum(np.minimum(values, pts[-1]), pts[0])
-    if inv_h is not None:
-        t = (vc - pts[0]) * inv_h
-        idx = t.astype(np.intp)
-        np.minimum(idx, n - 2, out=idx)
-        frac = t - idx
-    else:
-        idx = np.searchsorted(pts, vc, side="right") - 1
-        np.clip(idx, 0, n - 2, out=idx)
-        frac = (vc - pts[idx]) / spans[idx]
-    return idx, frac
+def _kernel_axis(axis):
+    """A state axis as the compiled loops take it."""
+    return _KERNELS.axis(*_axis_lookup(axis))
 
 
-def _clip_bounds(members: Sequence[_LockstepMember]):
-    """Scalar clip bounds when every member shares them (the common case)."""
-    lows = {m.v_low for m in members}
-    highs = {m.v_high for m in members}
-    if len(lows) == 1 and len(highs) == 1:
-        return lows.pop(), highs.pop()
+def _core_layout(members: Sequence[_Member], lens: Sequence[int]):
+    """Where each member's core rows start in the group's concatenation,
+    their counts and each member's ``first_move``."""
+    lens = np.array(lens, dtype=np.int64)
+    first_move = np.array([m.pre.first_move for m in members], dtype=np.int64)
+    return np.cumsum(lens) - lens, lens, first_move
+
+
+def _clip_rows(members: Sequence[_Member]):
+    """Per-row clip bounds (they differ when the corners' VDDs do)."""
     return (
         np.array([m.v_low for m in members]),
         np.array([m.v_high for m in members]),
     )
 
 
-def _core_index_map(
-    members: Sequence[_LockstepMember], steps: int, lens: np.ndarray
-) -> np.ndarray:
-    """Per-(step, member) core-row indices: ``(steps, B)``.
-
-    Step ``k`` of member ``b`` reads core row ``clip(k - first_move, 0,
-    lens[b] - 1)`` — exactly the row :func:`_expand_core` would have placed
-    at ``k`` (the flanks replicate the core's edge rows), so gathering
-    through this map is bitwise identical to gathering an expanded stack.
-    """
-    fms = np.array([m.pre.first_move for m in members], dtype=np.intp)
-    return np.clip(
-        np.arange(steps, dtype=np.intp)[:, None] - fms[None, :], 0, (lens - 1)[None, :]
+def _run_output(
+    members: Sequence[_Member], times: np.ndarray, vo_axis
+) -> List[Tuple[np.ndarray, None]]:
+    """One output-only group: the compiled loop, else the scalar twin."""
+    if _KERNELS is None:
+        return [
+            (
+                _scalar_recurrence_output(
+                    m.pre, times, vo_axis, m.initial_output, m.v_low, m.v_high
+                ),
+                None,
+            )
+            for m in members
+        ]
+    out = _KERNELS.output(
+        np.diff(times),
+        _kernel_axis(vo_axis),
+        np.concatenate([m.pre.io_reduced for m in members]),
+        *_core_layout(members, [m.pre.io_reduced.shape[0] for m in members]),
+        np.stack([m.pre.charge for m in members]),
+        np.stack([m.pre.denom for m in members]),
+        np.array([m.initial_output for m in members]),
+        *_clip_rows(members),
     )
+    return [(row, None) for row in out]
 
 
-def _lockstep_output(
-    members: Sequence[_LockstepMember],
-    times: np.ndarray,
-    vo_axis,
-) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Vectorized-across-units recurrence for models without internal node.
+def _run_internal(
+    members: Sequence[_Member], times: np.ndarray, vn_axis, vo_axis
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """One internal-node group: the compiled loop, else the scalar twin.
 
-    Each member's moving-core ``Io`` rows are packed ``(rows, B, nO)`` and
-    step ``k`` gathers its two bracket corners through
-    :func:`_core_index_map`.
-    """
-    batch = len(members)
-    num_steps = len(times)
-    steps = num_steps - 1
-    rows = np.arange(batch)
-    dt = np.diff(times).tolist()
-    pts, spans, n_out, inv_h = _axis_lookup(vo_axis)
-    v_low, v_high = _clip_bounds(members)
-
-    lens = np.array([m.pre.io_reduced.shape[0] for m in members], dtype=np.intp)
-    idx_map = _core_index_map(members, steps, lens)
-    table = np.empty((int(lens.max()), batch, n_out))
-    for b, member in enumerate(members):
-        table[: lens[b], b, :] = member.pre.io_reduced
-    # One stacked elementwise pass instead of B column assignments.
-    charge = np.stack([m.pre.charge for m in members], axis=1)
-    denom = np.stack([m.pre.denom for m in members], axis=1)
-    offsets = np.array([[0], [1]], dtype=np.intp)  # i, i + 1
-
-    v_out = np.empty((batch, num_steps))
-    vo = np.array([m.initial_output for m in members])
-    v_out[:, 0] = vo
-    for k in range(steps):
-        i, frac = _bracket_array(vo, pts, spans, n_out, inv_h)
-        cols = i[None, :] + offsets
-        corners = table[idx_map[k], rows, cols]  # (2, B)
-        io_val = corners[0] + frac * (corners[1] - corners[0])
-        vo = vo + (charge[k] - io_val * dt[k]) / denom[k]
-        vo = np.maximum(np.minimum(vo, v_high), v_low)
-        v_out[:, k + 1] = vo
-    return [(v_out[b], None) for b in range(batch)]
+    The loop contracts the pin axes on demand from the per-core-row pin
+    brackets of :func:`_pin_brackets`; drive and rates are pre-divided here
+    with the twin's own elementwise divisions."""
+    if _KERNELS is None:
+        return [
+            _scalar_recurrence_internal(
+                m.pre, times, vn_axis, vo_axis,
+                m.initial_output, m.initial_internal, m.v_low, m.v_high,
+            )
+            for m in members
+        ]
+    dt = np.diff(times)
+    denom = np.stack([m.pre.denom for m in members])
+    lens = [m.pre.pin_core.shape[0] for m in members]
+    core_start, lens, first_move = _core_layout(members, lens)
+    brackets = _pin_brackets(members, lens, len(vn_axis.points) * len(vo_axis.points))
+    out, out_int = _KERNELS.internal(
+        _kernel_axis(vn_axis),
+        _kernel_axis(vo_axis),
+        brackets.values,
+        brackets.starts[0],
+        brackets.starts[1],
+        brackets.npins,
+        brackets.corners[0],
+        brackets.corners[1],
+        core_start,
+        lens,
+        first_move,
+        brackets.base[0],
+        brackets.fracs[0],
+        brackets.base[1],
+        brackets.fracs[1],
+        np.stack([m.pre.charge for m in members]) / denom,
+        dt / denom,
+        dt / np.stack([m.pre.cn for m in members]),
+        np.array([m.initial_output for m in members]),
+        np.array([m.initial_internal for m in members]),
+        *_clip_rows(members),
+    )
+    return list(zip(out, out_int))
 
 
 @dataclass
-class _PinCorners:
-    """Where an internal-node group's corner values live, and their weights.
+class _PinBrackets:
+    """An internal-node group's tables and pin brackets, as
+    ``csm_internal`` reads them; index 0 is ``Io``, 1 is ``I_N``.
 
-    Built once per lockstep group (:func:`_pin_corners`) over ``K`` rows —
-    the lockstep steps — and ``B`` members.
-
-    * ``table`` — ``(C * S, N)``: column ``p`` holds the values at flat
-      offsets ``p + pattern`` of the group's tables laid end to end (MMMC
-      corners and different cells included), where ``pattern`` enumerates
-      the ``C = 2**L`` pin corners (the bit order of
-      :meth:`NDTable._contract_apply`, first axis most significant) times the
-      caller's ``S`` state-corner offsets.  Tables with other pin strides
-      get their own copy of the columns.
-    * ``columns[k, t, b]`` — the column of member ``b``'s low pin corner at
-      row ``k`` in table position ``t`` (0 = ``Io``, 1 = ``I_N``): the block
-      base of :meth:`NDTable._contract_weights` times the state-slice size,
-      plus the table's (and copy's) start.
-    * ``weights[k, d, :, 0, t, b]`` — ``(1.0 - f, f)`` for pin axis ``d``,
-      with one ``t`` when ``Io`` and ``I_N`` share their brackets.
-
-    Members with fewer pin axes than the group's widest are padded with
-    phantom axes (stride 0, fraction 0.0): ``x * 1.0 + x * 0.0 == x``
-    exactly, so padding leaves their values bitwise unchanged.
+    * ``values`` — every distinct table of the group, flattened end to end;
+      ``starts[t, b]`` is where member ``b``'s table ``t`` begins.
+    * ``base[t][r]`` — for core row ``r`` (members' cores concatenated), the
+      offset of the low pin corner's ``(VN, Vo)`` slice within its table;
+      ``fracs[t][r, d]`` the weight of pin axis ``d``, both from
+      :meth:`NDTable._contract_weights`.  When every member's two tables
+      bracket alike, both positions hold the same arrays.
+    * ``corners[t, b, c]`` — the offset of pin corner ``c`` (first pin axis
+      the most significant bit) from the low one; ``npins[b]`` pin axes.
     """
 
-    table: np.ndarray  # (C * S, N)
-    columns: np.ndarray  # (K, 2, B) intp
-    weights: np.ndarray  # (K, L, 2, 1, T, B)
+    values: np.ndarray
+    starts: np.ndarray  # (2, B) int64
+    npins: np.ndarray  # (B,) int64
+    corners: np.ndarray  # (2, B, 8) int64
+    base: List[np.ndarray]  # 2 x (rows,) int64
+    fracs: List[np.ndarray]  # 2 x (rows, 3)
 
 
-def _pin_corners(
-    pins: np.ndarray,
-    tables: Sequence[Tuple[NDTable, NDTable]],
-    size: int,
-    state_offsets: np.ndarray,
-) -> _PinCorners:
-    """The on-demand contraction plan of one internal-node group.
+def _pin_brackets(members: Sequence[_Member], lens: np.ndarray, size: int) -> _PinBrackets:
+    """Bracket every core row's pins once per group.
 
-    ``pins`` is ``(K, B, L)``: every member's pin voltages per row, zero past
-    its own pin count; ``tables`` holds each member's ``(Io, I_N)``.
-    ``size`` is the number of values in one pin block (the flattened state
-    slice, ``nN * nO``) and ``state_offsets`` the ``S`` offsets into it that
-    each row reads.  Tables whose leading axes carry equal points share one
-    :meth:`NDTable._contract_weights` call — the bracket depends on the axis
-    points only — so the common group (one voltage grid) brackets its pins
-    in a single pass.
-    """
-    num_rows, num_members, num_axes = pins.shape
-    table_start: Dict[int, int] = {}
+    Tables whose leading axes carry equal points share one
+    :meth:`NDTable._contract_weights` call over their readers' concatenated
+    cores: the bracket depends on the axis points only, and the call is
+    per-row, so each row's weights are bitwise those the twin's own
+    contraction computes.  ``lens`` counts each member's core rows and
+    ``size`` the values in one ``(VN, Vo)`` slice."""
+    batch = len(members)
+    owner = np.repeat(np.arange(batch), lens)  # the member of each core row
+    starts = np.empty((2, batch), dtype=np.int64)
+    npins = np.empty(batch, dtype=np.int64)
+    corners = np.zeros((2, batch, 8), dtype=np.int64)
+    base: List[Optional[np.ndarray]] = [None, None]
+    fracs: List[Optional[np.ndarray]] = [None, None]
+    seen: Dict[int, Tuple[int, Tuple]] = {}  # table id -> (start, leading points)
     parts: List[np.ndarray] = []
     flat_size = 0
-    starts = np.empty((2, num_members), dtype=np.intp)
     classes: Dict[Tuple, Tuple[NDTable, np.ndarray]] = {}
-    for b, pair in enumerate(tables):
-        for position, table in enumerate(pair):
-            if id(table) not in table_start:
-                table_start[id(table)] = flat_size
+    for b, member in enumerate(members):
+        width = npins[b] = member.pre.pin_core.shape[1]
+        for position, table in enumerate((member.pre.io_table, member.pre.in_table)):
+            if id(table) not in seen:
+                key = tuple(axis.points for axis in table.axes[:width])
+                seen[id(table)] = (flat_size, key)
                 parts.append(table.values.reshape(-1))
                 flat_size += table.values.size
-            starts[position, b] = table_start[id(table)]
-            key = tuple(axis.points for axis in table.axes[: table.ndim - 2])
-            if key not in classes:
-                classes[key] = (table, np.zeros((2, num_members), dtype=bool))
+                if key not in classes:
+                    classes[key] = (table, np.zeros((2, batch), dtype=bool))
+            starts[position, b], key = seen[id(table)]
             classes[key][1][position, b] = True
-    flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    shared = all(np.array_equal(users[0], users[1]) for _, users in classes.values())
-
-    def pick(mask: np.ndarray):
-        return slice(None) if mask.all() else mask
-
-    columns = np.empty((num_rows, 2, num_members), dtype=np.intp)
-    weights = np.zeros((num_rows, num_axes, 2, 1, 1 if shared else 2, num_members))
-    bits = np.array(list(itertools.product((0, 1), repeat=num_axes)), dtype=np.intp)
-    patterns: Dict[Tuple[int, ...], int] = {}
-    for key, (table, users) in classes.items():
+    for key, (table, used) in classes.items():
         width = len(key)
+        readers = np.flatnonzero(used.any(axis=0))
+        cores = [members[b].pre.pin_core for b in readers]
+        lows, weights, _ = table._contract_weights(
+            cores[0] if len(cores) == 1 else np.concatenate(cores)
+        )
         shape = table.values.shape[:width]
         strides = [1] * width
         for dim in range(width - 2, -1, -1):
             strides[dim] = strides[dim + 1] * shape[dim + 1]
-        readers = users.any(axis=0)
-        block = pins[:, pick(readers), :width]
-        lows, fracs, _ = table._contract_weights(block.reshape(-1, width))
-        base = lows[:, 0] * strides[0]
+        blocks = lows[:, 0] * (strides[0] * size)
         for dim in range(1, width):
-            base = base + lows[:, dim] * strides[dim]
-        base = base.reshape(block.shape[:2])
-        fracs = fracs.reshape(block.shape).transpose(0, 2, 1)  # (K, width, readers)
-        padded = tuple(strides + [0] * (num_axes - width))
-        copy = patterns.setdefault(padded, len(patterns)) * flat_size
+            blocks += lows[:, dim] * (strides[dim] * size)
+        padded = np.zeros((len(lows), 3))
+        padded[:, :width] = weights
+        bits = np.array(list(itertools.product((0, 1), repeat=width)), dtype=np.int64)
         for position in (0, 1):
-            if not users[position].any():
-                continue
-            at = pick(users[position])
-            within = pick(users[position][readers])
-            columns[:, position, at] = starts[position, at] + base[:, within] * size + copy
-            if position == 0 or not shared:
-                weights[:, :width, 1, 0, 0 if shared else position, at] = fracs[:, :, within]
-    weights[:, :, 0] = 1.0 - weights[:, :, 1]
-
-    # Column p of each copy: the C x S corner values a low corner at p
-    # reads (clipped past the end of the tables, where no low corner lies).
-    copies = []
-    for padded in patterns:
-        pin_offsets = (bits @ np.array(padded, dtype=np.intp)) * size
-        pattern = (pin_offsets[:, None] + state_offsets[None, :]).reshape(-1, 1)
-        copies.append(flat.take(np.arange(flat_size) + pattern, mode="clip"))
-    table = copies[0] if len(copies) == 1 else np.concatenate(copies, axis=1)
-    return _PinCorners(table, columns, weights)
-
-
-def _contract_corners(
-    table: np.ndarray, columns: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Gather pin x state corners and contract the pin axes away.
-
-    ``columns`` is ``(2, B)``: the :class:`_PinCorners` column of each
-    member's low pin corner in ``Io`` and ``I_N``.  ``weights`` is ``(L, 2,
-    1, T, B)``: per pin axis, ``(1.0 - f, f)``.  Each axis applies
-    :meth:`NDTable._contract_apply`'s association, ``g[0] * (1 - f) + g[1] *
-    f``, first pin axis first — the same elementwise operations as the
-    reduced table, restricted to the ``S`` state corners the table holds.
-    Returns ``(S, 2, B)``.
-    """
-    values = table.take(columns, axis=1)  # (C * S, 2, B)
-    for weight in weights:
-        product = values.reshape((2, -1) + columns.shape) * weight
-        values = product[0] + product[1]
-    return values
-
-
-def _lockstep_internal(
-    members: Sequence[_LockstepMember],
-    times: np.ndarray,
-    vn_axis,
-    vo_axis,
-) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Vectorized-across-units recurrence for internal-node (MCSM) models.
-
-    Both recurrent states are bracketed in one fused pass when the ``Vo`` and
-    ``VN`` grids coincide (they do for :func:`~repro.lut.grid.voltage_axis`
-    characterizations).  The pin axes are contracted on demand: step ``k``
-    gathers the ``2**P`` pin corners x 4 state corners x 2 tables it reads
-    in one ``take`` (:func:`_pin_corners`, :func:`_contract_corners`), with
-    the reduced tables' exact arithmetic, so the group never materializes a
-    per-step ``(nN, nO)`` slice and the recurrence is bitwise the scalar one
-    (:func:`_scalar_recurrence_internal`).
-    """
-    batch = len(members)
-    num_steps = len(times)
-    steps = num_steps - 1
-    dt = np.diff(times)
-    o_pts, o_spans, n_out, o_inv = _axis_lookup(vo_axis)
-    n_pts, n_spans, n_int, n_inv = _axis_lookup(vn_axis)
-    shared_axis = (
-        o_inv is not None
-        and n_inv is not None
-        and n_out == n_int
-        and bool(np.array_equal(o_pts, n_pts))
+            corners[position, used[position], : len(bits)] = bits @ (np.array(strides) * size)
+            if used[position].all():  # the common case: one class, no scatter
+                base[position], fracs[position] = blocks, padded
+            elif used[position].any():
+                if base[position] is None:
+                    base[position] = np.zeros(len(owner), dtype=np.int64)
+                    fracs[position] = np.zeros((len(owner), 3))
+                rows = np.flatnonzero(np.isin(owner, readers))
+                mine = used[position][owner[rows]]
+                base[position][rows[mine]] = blocks[mine]
+                fracs[position][rows[mine]] = padded[mine]
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _PinBrackets(
+        np.ascontiguousarray(values, dtype=np.float64),
+        starts,
+        npins,
+        corners,
+        [np.ascontiguousarray(b, dtype=np.int64) for b in base],
+        fracs,
     )
-    v_low, v_high = _clip_bounds(members)
 
-    # State corners (j, i), (j, i+1), (j+1, i), (j+1, i+1); per step, the
-    # low-corner columns of both tables and (1 - f, f) of every pin axis,
-    # member axis last.
-    quad = np.array([0, 1, n_out, n_out + 1], dtype=np.intp)
-    lens = np.array([m.pre.pin_core.shape[0] for m in members], dtype=np.intp)
-    num_axes = max(m.pre.pin_core.shape[1] for m in members)
-    cores = np.zeros((int(lens.sum()), num_axes))
-    start = 0
-    for member, length in zip(members, lens):
-        cores[start : start + length, : member.pre.pin_core.shape[1]] = member.pre.pin_core
-        start += length
-    row_of = _core_index_map(members, steps, lens) + (np.cumsum(lens) - lens)[None, :]
-    plan = _pin_corners(
-        cores[row_of],
-        [(m.pre.io_table, m.pre.in_table) for m in members],
-        n_int * n_out,
-        quad,
-    )
-    table, columns, weights = plan.table, plan.columns, plan.weights
 
-    # The two state updates are packed as ``state + drive - vals * rate``
-    # with drive = (Q_M/C, 0) and rate = (dt/C, dt/C_N), so one fused
-    # arithmetic sequence advances Vo and VN together.
-    charge_mat = np.stack([m.pre.charge for m in members])  # (B, steps)
-    denom_mat = np.stack([m.pre.denom for m in members])
-    cn_mat = np.stack([m.pre.cn for m in members])
-    drive = np.zeros((steps, 2, batch))
-    rate = np.empty((steps, 2, batch))
-    drive[:, 0, :] = (charge_mat / denom_mat).T
-    rate[:, 0, :] = (dt[None, :] / denom_mat).T
-    rate[:, 1, :] = (dt[None, :] / cn_mat).T
+#: The compiled step loops (:func:`repro.csm.kernels.load`, built when this
+#: module is first imported), or ``None`` on a host that cannot build them.
+_KERNELS = kernels.load()
 
-    history = np.empty((2, batch, num_steps))  # (Vo / VN, B, samples)
-    state = np.stack(
-        [
-            [m.initial_output for m in members],
-            [m.initial_internal for m in members],
-        ]
-    )
-    history[:, :, 0] = state
-    for k in range(steps):
-        if shared_axis:
-            idx, frac = _bracket_array(state, o_pts, o_spans, n_out, o_inv)
-            i, j = idx[0], idx[1]
-            fo, fn = frac[0], frac[1]
-        else:
-            i, fo = _bracket_array(state[0], o_pts, o_spans, n_out, o_inv)
-            j, fn = _bracket_array(state[1], n_pts, n_spans, n_int, n_inv)
-        g = _contract_corners(table, columns[k] + (j * n_out + i), weights[k])
-        g = g.reshape(2, 2, 2, batch)  # (j/j+1, i/i+1, table, B)
-        row_interp = g[:, 0] + fo * (g[:, 1] - g[:, 0])  # (j/j+1, table, B)
-        vals = row_interp[0] + fn * (row_interp[1] - row_interp[0])
-        state = state + (drive[k] - vals * rate[k])
-        state = np.maximum(np.minimum(state, v_high), v_low)
-        history[:, :, k + 1] = state
-    return [(history[0, b], history[1, b]) for b in range(batch)]
+#: Which step loop integrates fast-path groups: ``"c"`` for the compiled
+#: loops, ``"python"`` for the scalar twins.
+KERNEL = "c" if _KERNELS is not None else "python"

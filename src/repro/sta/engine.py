@@ -14,8 +14,8 @@ Both engines walk the netlist in *levelized* order — topological generations
 in which every instance's inputs are already resolved — instead of recursing
 per instance.  For the waveform engine the level is the unit of batching: all
 instances of a level are integrated in lockstep through
-:func:`repro.csm.simulate.integrate_model_many` (one vectorized update loop
-per state-grid group, regardless of cell type), which is what makes
+:func:`repro.csm.simulate.integrate_model_many` (one call of a compiled
+step loop per state-grid group, regardless of cell type), which is what makes
 full-design waveform propagation tractable at hundreds to thousands of gates.
 ``batched=False`` swaps only the level evaluator for the per-instance
 reference oracle (one ``model.simulate`` per instance); the walk, its keys,
