@@ -108,7 +108,7 @@ def bench_soak() -> dict:
                 latencies.append(elapsed)
                 if response.get("coalesced"):
                     outcomes["coalesced"] += 1
-                elif stats.get("full_run_hit") or stats.get("integrations") == 0:
+                elif stats.get("integrations") == 0:
                     outcomes["warm"] += 1
                 else:
                     outcomes["recompute"] += 1

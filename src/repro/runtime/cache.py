@@ -8,13 +8,13 @@ round-trips the repo's result types **bitwise**:
 * primitives, lists/tuples/dicts,
 * numpy arrays (stored raw by the store, decoded as views),
 * :class:`~repro.lut.table.NDTable` (axes + value grid),
+* waveforms and level tensors (a CSM level record),
 * the characterized model dataclasses (``SISCSM``, ``BaselineMISCSM``,
-  ``MCSM``) and :class:`~repro.characterization.nldm.NLDMTable`,
-* :class:`~repro.sta.engine.NLDMTimingResult` in a columnar form
-  (``"nldm-columns"``: name lists plus arrival/slew/direction arrays); the
-  older per-event ``"object"`` manifests still decode.  The NLDM engine
-  itself recomputes its events on every run and stores none; the form
-  serves callers that store NLDM results themselves.
+  ``MCSM``), :class:`~repro.characterization.nldm.NLDMTable` and
+  :class:`~repro.csm.base.ModelSimulationResult`.
+
+Timing results are not stored: a CSM run is served instance by instance
+from its level records and row pointers, and NLDM recomputes its events.
 
 Floats embedded in the manifest are rendered with ``repr`` (Python's
 shortest round-tripping form), so a store hit returns exactly the value the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Dict, Tuple, Type
 
 import numpy as np
 
@@ -45,24 +45,10 @@ def _registered_classes() -> Dict[str, Type]:
     from ..characterization.nldm import NLDMTable
     from ..csm.base import ModelSimulationResult
     from ..csm.models import MCSM, BaselineMISCSM, SISCSM
-    from ..sta.engine import NLDMTimingResult, WaveformTimingResult
-    from ..sta.events import TimingEvent
-    from ..sta.mmmc import MulticornerNLDMResult, MulticornerTimingResult
 
     return {
         cls.__name__: cls
-        for cls in (
-            SISCSM,
-            BaselineMISCSM,
-            MCSM,
-            NLDMTable,
-            ModelSimulationResult,
-            WaveformTimingResult,
-            TimingEvent,
-            NLDMTimingResult,
-            MulticornerTimingResult,
-            MulticornerNLDMResult,
-        )
+        for cls in (SISCSM, BaselineMISCSM, MCSM, NLDMTable, ModelSimulationResult)
     }
 
 
@@ -79,12 +65,6 @@ def _is_level_tensor(value: Any) -> bool:
     from ..waveform.level_tensor import LevelTensor
 
     return isinstance(value, LevelTensor)
-
-
-def _is_nldm_result(value: Any) -> bool:
-    from ..sta.engine import NLDMTimingResult
-
-    return isinstance(value, NLDMTimingResult)
 
 
 #: Exact builtin types a manifest holds as they are.
@@ -105,8 +85,7 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
     if isinstance(value, tuple):
         return {"t": "tuple", "v": [_encode(item, arrays) for item in value]}
     if isinstance(value, Mapping):
-        # Read-only mappings (a timing result's lazy waveforms) store as the
-        # dict they stand for.
+        # Read-only mappings store as the dict they stand for.
         items = [[_encode(k, arrays), _encode(v, arrays)] for k, v in value.items()]
         return {"t": "dict", "v": items}
     # Numpy scalars before their builtin bases: np.float64 subclasses float,
@@ -150,10 +129,6 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
             "t0": _encode(value.t0, arrays),
             "dt": _encode(value.dt, arrays),
         }
-    if _is_nldm_result(value):
-        columns = _encode_nldm_columns(value, arrays)
-        if columns is not None:
-            return columns
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls_name = type(value).__name__
         if cls_name not in _registered_classes():
@@ -169,91 +144,6 @@ def _encode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
             },
         }
     raise TypeError(f"cannot cache values of type {type(value).__name__!r}")
-
-
-def _encode_nldm_columns(value: Any, arrays: Dict[str, np.ndarray]) -> Optional[Dict[str, Any]]:
-    """Columnar form of an ``NLDMTimingResult``: name lists plus one
-    ``float64`` array each for arrivals and slews and a ``bool`` array for
-    directions, so a whole-design event map costs a few arrays instead of a
-    manifest object per event.
-
-    Returns ``None`` (the caller falls back to the generic ``"object"`` form)
-    for anything the columns could not give back bitwise: non-string names,
-    non-float times, non-bool directions or MIS entries that are not lists
-    of string pin pairs.
-    """
-    from ..sta.events import TimingEvent
-
-    events = value.events
-    if not isinstance(events, dict) or not isinstance(value.mis_flags, dict):
-        return None
-    if not isinstance(value.netlist_name, str):
-        return None
-    for key, event in events.items():
-        if not (
-            isinstance(key, str)
-            and type(event) is TimingEvent
-            and isinstance(event.net, str)
-            and isinstance(event.arrival, (float, np.floating))
-            and isinstance(event.slew, (float, np.floating))
-            and isinstance(event.rising, (bool, np.bool_))
-        ):
-            return None
-    for name, pairs in value.mis_flags.items():
-        if not (isinstance(name, str) and type(pairs) is list):
-            return None
-        for pair in pairs:
-            if not (
-                type(pair) is tuple
-                and len(pair) == 2
-                and isinstance(pair[0], str)
-                and isinstance(pair[1], str)
-            ):
-                return None
-    keys = list(events)
-    ordered = list(events.values())
-    nets = [event.net for event in ordered]
-    return {
-        "t": "nldm-columns",
-        "keys": keys,
-        # Event nets almost always equal their keys; only spell them out
-        # when they do not.
-        "nets": None if nets == keys else nets,
-        "arrival": _encode(np.array([e.arrival for e in ordered], dtype=np.float64), arrays),
-        "slew": _encode(np.array([e.slew for e in ordered], dtype=np.float64), arrays),
-        "rising": _encode(np.array([e.rising for e in ordered], dtype=np.bool_), arrays),
-        "mis_names": list(value.mis_flags),
-        "mis_pairs": [[list(pair) for pair in pairs] for pairs in value.mis_flags.values()],
-        "netlist_name": value.netlist_name,
-        "stats": _encode(value.stats, arrays),
-    }
-
-
-def _decode_nldm_columns(node: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> Any:
-    from ..sta.engine import NLDMTimingResult
-    from ..sta.events import TimingEvent
-
-    keys = node["keys"]
-    nets = keys if node["nets"] is None else node["nets"]
-    arrivals = _decode(node["arrival"], arrays).tolist()
-    slews = _decode(node["slew"], arrays).tolist()
-    rising = _decode(node["rising"], arrays).tolist()
-    if not len(keys) == len(nets) == len(arrivals) == len(slews) == len(rising):
-        raise ValueError("nldm-columns entry has ragged columns")
-    events = {
-        key: TimingEvent(net=net, arrival=arrival, slew=slew, rising=direction)
-        for key, net, arrival, slew, direction in zip(keys, nets, arrivals, slews, rising)
-    }
-    mis_flags = {
-        name: [tuple(pair) for pair in pairs]
-        for name, pairs in zip(node["mis_names"], node["mis_pairs"])
-    }
-    return NLDMTimingResult(
-        events=events,
-        mis_flags=mis_flags,
-        netlist_name=node["netlist_name"],
-        stats=_decode(node["stats"], arrays),
-    )
 
 
 def _decode(node: Any, arrays: Dict[str, np.ndarray]) -> Any:
@@ -295,8 +185,6 @@ def _decode(node: Any, arrays: Dict[str, np.ndarray]) -> Any:
             _decode(node["t0"], arrays),
             _decode(node["dt"], arrays),
         )
-    if tag == "nldm-columns":
-        return _decode_nldm_columns(node, arrays)
     if tag == "object":
         cls = _registered_classes()[node["cls"]]
         fields = {name: _decode(child, arrays) for name, child in node["fields"].items()}

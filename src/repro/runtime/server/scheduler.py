@@ -130,9 +130,9 @@ class SingleFlightStore:
         """``lookup`` without claiming a miss.
 
         For reads whose caller will not store the key on a miss: a level
-        record behind a row pointer, or the keys of a whole-run manifest
-        that a miss abandons for an ordinary run.  A claim taken there would
-        make the same caller's next lookup of the key wait on itself.
+        record behind a row pointer (a miss re-integrates the instance
+        instead).  A claim taken there would make the same caller's next
+        lookup of the key wait on itself.
         """
         return self.inner.lookup(key)
 

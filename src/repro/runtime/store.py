@@ -474,8 +474,8 @@ class PackedStore:
         manifest, arrays = encode_payload(value)
         text = _sorted_json(manifest)
         # The manifest counts against the inline limit too: array-free
-        # payloads (e.g. a whole-run CSM key manifest) can carry an arbitrarily
-        # large manifest, which belongs in the data file, not the index.
+        # payloads can carry an arbitrarily large manifest, which belongs in
+        # the data file, not the index.
         if sum(array.nbytes for array in arrays.values()) + len(text) <= self.inline_limit:
             return "inline", self._build_inline_record(key, manifest, arrays, text)
         return "dat", self._build_record(key, manifest, arrays)

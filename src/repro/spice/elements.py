@@ -1,10 +1,9 @@
 """Circuit elements for the transistor-level reference simulator.
 
-Every element is a small data object that knows which nodes it touches and
-how to contribute (*stamp*) to a modified-nodal-analysis system.  Stamping is
-performed through a :class:`Stamper` façade so the element code never deals
-with matrix indices directly; the analysis engines
-(:mod:`repro.spice.dc`, :mod:`repro.spice.transient`) own the index mapping.
+Every element is a small data object that knows which nodes it touches, its
+capacitor branches and (for a MOSFET) its drain current at a bias point.  The
+analysis engines (:mod:`repro.spice.dc`, :mod:`repro.spice.transient`) own the
+index mapping and assemble the modified-nodal-analysis system from them.
 
 Sign conventions
 ----------------
@@ -22,7 +21,7 @@ Sign conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..exceptions import NetlistError
 from ..technology.mosfet import (
@@ -33,7 +32,6 @@ from ..technology.mosfet import (
 from .sources import DCValue, Stimulus
 
 __all__ = [
-    "Stamper",
     "Element",
     "Resistor",
     "Capacitor",
@@ -41,24 +39,6 @@ __all__ = [
     "CurrentSource",
     "Mosfet",
 ]
-
-
-class Stamper(Protocol):
-    """Interface the analysis engines expose to elements while stamping."""
-
-    def add_conductance(self, node_a: str, node_b: str, conductance: float) -> None:
-        """Add a two-terminal conductance between ``node_a`` and ``node_b``."""
-
-    def add_transconductance(
-        self, out_plus: str, out_minus: str, ctrl_plus: str, ctrl_minus: str, gm: float
-    ) -> None:
-        """Add a voltage-controlled current-source linearization."""
-
-    def add_current(self, node_from: str, node_to: str, current: float) -> None:
-        """Add a constant current flowing from ``node_from`` to ``node_to``."""
-
-    def voltage(self, node: str) -> float:
-        """Present estimate of a node voltage (previous Newton iterate)."""
 
 
 @dataclass
@@ -74,10 +54,6 @@ class Element:
     @property
     def is_nonlinear(self) -> bool:
         return False
-
-    def stamp(self, stamper: Stamper, time: float) -> None:
-        """Stamp the element's resistive (non-capacitive) behaviour."""
-        raise NotImplementedError
 
     def capacitor_branches(self) -> Sequence[Tuple[str, str, float]]:
         """Return (node_a, node_b, capacitance) branches owned by the element."""
@@ -100,15 +76,12 @@ class Resistor(Element):
     def nodes(self) -> Tuple[str, ...]:
         return (self.node_a, self.node_b)
 
-    def stamp(self, stamper: Stamper, time: float) -> None:
-        stamper.add_conductance(self.node_a, self.node_b, 1.0 / self.resistance)
-
 
 @dataclass
 class Capacitor(Element):
     """A linear capacitor.
 
-    Capacitors do not stamp anything in DC; the transient engine turns each
+    Capacitors carry no current in DC; the transient engine turns each
     capacitor branch into a companion model.
     """
 
@@ -123,9 +96,6 @@ class Capacitor(Element):
     @property
     def nodes(self) -> Tuple[str, ...]:
         return (self.node_a, self.node_b)
-
-    def stamp(self, stamper: Stamper, time: float) -> None:
-        return None
 
     def capacitor_branches(self) -> Sequence[Tuple[str, str, float]]:
         return ((self.node_a, self.node_b, self.capacitance),)
@@ -146,11 +116,6 @@ class VoltageSource(Element):
     def value(self, time: float) -> float:
         return self.stimulus(time)
 
-    def stamp(self, stamper: Stamper, time: float) -> None:
-        # Voltage sources are stamped by the analysis engine itself because
-        # they require an extra branch-current unknown.
-        return None
-
 
 @dataclass
 class CurrentSource(Element):
@@ -166,9 +131,6 @@ class CurrentSource(Element):
 
     def value(self, time: float) -> float:
         return self.stimulus(time)
-
-    def stamp(self, stamper: Stamper, time: float) -> None:
-        stamper.add_current(self.node_plus, self.node_minus, self.value(time))
 
 
 @dataclass
@@ -224,23 +186,6 @@ class Mosfet(Element):
         return drain_current_scaled_and_derivatives(
             self.params, self.width, self.length, vg, vd, vs, vb
         )
-
-    def stamp(self, stamper: Stamper, time: float) -> None:
-        vg = stamper.voltage(self.gate)
-        vd = stamper.voltage(self.drain)
-        vs = stamper.voltage(self.source)
-        vb = stamper.voltage(self.bulk)
-        current, derivs = self.evaluate(vg, vd, vs, vb)
-
-        # Linearized companion: I(v) ~= I0 + sum_k g_k * (v_k - v_k0).
-        # The current flows from drain to source through the channel.
-        terminals = {"vg": self.gate, "vd": self.drain, "vs": self.source, "vb": self.bulk}
-        equivalent = current
-        for key, node in terminals.items():
-            g = derivs[key]
-            stamper.add_transconductance(self.drain, self.source, node, "0", g)
-            equivalent -= g * stamper.voltage(node)
-        stamper.add_current(self.drain, self.source, equivalent)
 
     def capacitor_branches(self) -> Sequence[Tuple[str, str, float]]:
         if not self.include_parasitics:

@@ -57,7 +57,6 @@ from .events import TimingEvent, detect_mis_pairs
 from .mmmc import CornerContext, CornerSet, MulticornerNLDMResult, MulticornerTimingResult
 from .models import TimingModelLibrary
 from .netlist import (
-    NETLIST_DIGEST_SALT,
     GateInstance,
     GateNetlist,
     NetConnectivity,
@@ -98,8 +97,7 @@ class PropagationStats:
     keyed:
         Instances whose plan and propagation key this run computed: every
         visited instance on a full walk, only the dirty region when a
-        resident run starts from the state its predecessor carried, none
-        on a whole-run hit.
+        resident run starts from the state its predecessor carried.
     integrations:
         Instances actually evaluated — waveform integrations for the CSM
         engine, table-lookup event evaluations for the NLDM engine (every
@@ -115,9 +113,6 @@ class PropagationStats:
         shared.
     stores:
         Waveforms written to the disk cache.
-    full_run_hit:
-        The entire CSM run was served from the whole-design cache entry (no
-        per-instance work at all).
     spills:
         Streaming mode only: waveform rows retired from RAM once every
         reader level consumed them (their bytes live on in the packed
@@ -139,7 +134,6 @@ class PropagationStats:
     cache_hits: int = 0
     duplicates: int = 0
     stores: int = 0
-    full_run_hit: bool = False
     spills: int = 0
     faults: int = 0
     clamped_lookups: int = 0
@@ -151,12 +145,6 @@ class PropagationStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
-
-
-def _total_name(field_name: str) -> str:
-    """Lifetime-total key of a :class:`PropagationStats` field (a run is a
-    full hit or not; the totals count them)."""
-    return "full_run_hits" if field_name == "full_run_hit" else field_name
 
 
 @dataclass
@@ -484,7 +472,7 @@ class TimingEngine:
 
     @staticmethod
     def _zero_totals() -> Dict[str, int]:
-        return {_total_name(field.name): 0 for field in fields(PropagationStats)}
+        return {field.name: 0 for field in fields(PropagationStats)}
 
     # -- lazily built structural views ---------------------------------
     def _sync_structure(self) -> None:
@@ -593,16 +581,14 @@ class TimingEngine:
         return ReceiverLoad(receiver_caps=receiver_caps, wire_capacitance=wire)
 
     @staticmethod
-    def _aggregate_stats(
-        per_stats: Dict[str, PropagationStats], order: List[str]
-    ) -> PropagationStats:
-        """Fold per-corner accounting into one run-level record; the run is
-        a full hit only when *every* corner was served from the run cache."""
+    def _aggregate_stats(parts: Iterable[PropagationStats]) -> PropagationStats:
+        """Fold sub-run accounting (corners, or a hybrid's survey and
+        refines) into one run-level record: a per-field sum."""
         total = PropagationStats()
-        for field in fields(PropagationStats):
-            values = [getattr(per_stats[name], field.name) for name in order]
-            flag = isinstance(field.default, bool)
-            setattr(total, field.name, all(values) if flag else sum(values))
+        for part in parts:
+            for field in fields(PropagationStats):
+                name = field.name
+                setattr(total, name, getattr(total, name) + getattr(part, name))
         return total
 
     def _corner_engine(self, cc: CornerContext) -> "TimingEngine":
@@ -618,8 +604,8 @@ class TimingEngine:
         to the current netlist before every run); a CSM child's keys are
         scoped to the corner through its private corner context.  A
         multi-corner run is therefore bitwise the corners' single-corner
-        runs, and every CSM child writes ordinary level records and whole-run
-        entries.  The children's accounting folds into :attr:`last_stats`.
+        runs, and every CSM child writes ordinary level records and row
+        pointers.  The children's accounting folds into :attr:`last_stats`.
         """
         if self._corner_engines is None:
             self._corner_engines = {}
@@ -628,12 +614,12 @@ class TimingEngine:
                 child._corner_key = (cc.name, cc.corner)
                 self._corner_engines[cc.name] = child
         results: Dict[str, Any] = {}
-        per_stats: Dict[str, PropagationStats] = {}
+        per_stats: List[PropagationStats] = []
         for name in self.corners.names:
             child = self._corner_engines[name].rebind(self.netlist)
             results[name] = child.run(*args, **kwargs)
-            per_stats[name] = child.last_stats
-        self.last_stats = self._aggregate_stats(per_stats, self.corners.names)
+            per_stats.append(child.last_stats)
+        self.last_stats = self._aggregate_stats(per_stats)
         return results
 
     def run(self, *args, **kwargs):
@@ -648,8 +634,7 @@ class TimingEngine:
             stats = self.last_stats
             if stats is not None:
                 for field in fields(PropagationStats):
-                    total = _total_name(field.name)
-                    self.total_stats[total] += int(getattr(stats, field.name))
+                    self.total_stats[field.name] += getattr(stats, field.name)
             return result
 
     def _run_impl(self, *args, **kwargs):
@@ -880,12 +865,12 @@ _Pointer = Tuple[str, int]
 class _ResidentRetention:
     """``memory_mode="resident"``: every row and result waveform stays in RAM.
 
-    Computed and served waveforms are memoized by propagation key, and the
-    run reads and writes its whole-run manifest.  Nothing is pinned, so a
-    long-lived engine on a ``max_bytes`` store can still evict.  The result
-    references the run's waveforms and copies each one out on first access
-    (:class:`_ResidentWaveforms`); only stimuli the caller can still write
-    are copied up front, as one block (:class:`_StimulusCopies`).
+    Computed and served waveforms are memoized by propagation key.  Nothing
+    is pinned, so a long-lived engine on a ``max_bytes`` store can still
+    evict.  The result references the run's waveforms and copies each one
+    out on first access (:class:`_ResidentWaveforms`); only stimuli the
+    caller can still write are copied up front, as one block
+    (:class:`_StimulusCopies`).
     """
 
     memoize = True
@@ -895,9 +880,7 @@ class _ResidentRetention:
         self.stimuli = _StimulusCopies(input_waveforms)
         self.waveforms: Dict[str, Waveform] = {}
 
-    def keep(
-        self, net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool
-    ) -> None:
+    def keep(self, net: str, wave: Waveform, pointer: Optional[_Pointer]) -> None:
         self.waveforms[net] = wave
 
     def restore(self, plans, rows, stats) -> None:
@@ -920,7 +903,7 @@ class _StreamRetention:
     level LRU, capped by :attr:`CSMEngine.memory_budget_bytes`.  Every level
     record the result references is pinned in the store, and the result is
     a :class:`_SpilledWaveforms` that faults levels back on access.  Nothing
-    is memoized and no whole-run entry is read or written.
+    is memoized.
     """
 
     memoize = False
@@ -957,7 +940,7 @@ class _StreamRetention:
         # still holds it) keeps old records readable through the open memmap.
         engine._release_stream_pins()
 
-    def keep(self, net: str, wave: Waveform, pointer: _Pointer, shared: bool) -> None:
+    def keep(self, net: str, wave: Waveform, pointer: _Pointer) -> None:
         """Nothing is memoized and every computed level is spilled, so
         every propagated net has a level pointer."""
         self.pointers[net] = pointer
@@ -1099,12 +1082,12 @@ class CSMEngine(TimingEngine):
         outputs become the level's tensor, under the same keys, level
         records and row pointers, bitwise.
     cache:
-        Content-addressed disk cache for per-instance output waveforms and
-        whole-run results; defaults to the model library's cache.  Every
-        instance evaluation is keyed by the full upstream content (cell
-        fingerprint, model configuration, load, input-net keys down to the
-        stimuli), so a warm run integrates nothing and an edited run
-        re-integrates exactly the dirty fan-out cone.
+        Content-addressed disk cache for per-instance output waveforms
+        (level records and row pointers); defaults to the model library's
+        cache.  Every instance evaluation is keyed by the full upstream
+        content (cell fingerprint, model configuration, load, input-net keys
+        down to the stimuli), so a warm run integrates nothing and an edited
+        run re-integrates exactly the dirty fan-out cone.
     use_cache:
         Disable all propagation fingerprinting/memoization (the pre-PR4
         always-integrate behaviour) when false.
@@ -1115,11 +1098,11 @@ class CSMEngine(TimingEngine):
         single-corner runs.
     memory_mode:
         The retention policy of the level loop, with identical numbers and
-        keys either way.  ``"resident"`` keeps every row, memoizes waveforms
-        and uses whole-run entries; ``"stream"`` retires rows after their
-        last reader, pins the level records its result references and hands
-        back a lazy mapping over them (requires a store and ``use_cache``:
-        the one flag combination the engine rejects).
+        keys either way.  ``"resident"`` keeps every row and memoizes
+        waveforms; ``"stream"`` retires rows after their last reader, pins
+        the level records its result references and hands back a lazy
+        mapping over them (requires a store and ``use_cache``: the one flag
+        combination the engine rejects).
     memory_budget_bytes:
         Soft cap on the hot level LRU of a streaming run.
     """
@@ -1156,16 +1139,12 @@ class CSMEngine(TimingEngine):
         #: invalidates it.
         self._carried: Optional[_Carried] = None
         self._cell_digests: Dict[str, str] = {}
-        self._model_library_memo: Optional[Tuple[int, int, str]] = None
         #: :func:`~repro.csm.dc.settle_key` -> (settled state, the tables
         #: whose ``id()`` the key contains) across runs (see :meth:`_settle`).  Holding the tables keeps their ids from
         #: being reused under a live entry.
         self._settles: Dict[Tuple, Tuple[Tuple[float, Optional[float]], Tuple]] = {}
         #: Keys a walk from scratch has read so far (``None`` otherwise).
         self._settle_walk: Optional[Set[Tuple]] = None
-        #: Cache key of the last single-corner whole-run entry (None before
-        #: the first cached run; handy for targeted eviction).
-        self.last_run_key: Optional[str] = None
         if memory_mode not in ("resident", "stream"):
             raise TimingError(
                 f"unknown memory_mode {memory_mode!r}; expected 'resident' or 'stream'"
@@ -1239,28 +1218,6 @@ class CSMEngine(TimingEngine):
             )
         return self._cell_digests[cell_name]
 
-    def _model_library_digest(self) -> str:
-        """Fingerprint of every cell of the bound model library, memoized
-        per library object and size.  Run keys fold it in: the netlist
-        digest names the *design's* cells, so without it a run against
-        another corner's models would be served this corner's entry."""
-        library = self.models.library
-        memo = self._model_library_memo
-        if memo is None or memo[:2] != (id(library), len(library)):
-            from ..runtime.jobs import cell_fingerprint
-
-            digest = content_hash(
-                "sta-model-library",
-                sorted((cell.name, cell_fingerprint(cell)) for cell in library),
-            )
-            memo = self._model_library_memo = (id(library), len(library), digest)
-        return memo[2]
-
-    def _netlist_digest(self) -> str:
-        self._sync_structure()
-        return self.netlist.content_digest(NETLIST_DIGEST_SALT)
-
-
     def _context_digest(self, t_start: float, t_stop: float) -> str:
         """Everything every propagation key shares for one run, plus the
         corner when this engine runs one corner of an MMMC set."""
@@ -1286,12 +1243,6 @@ class CSMEngine(TimingEngine):
             net: content_hash("sta-stimulus", wave.times, wave.values)
             for net, wave in input_waveforms.items()
         }
-
-    def clear_propagation_memo(self) -> None:
-        """Drop the in-memory waveform memo (the disk cache is untouched)
-        and the carried state, whose clean rows are memo hits."""
-        self._memo.clear()
-        self._carried = None
 
     def _carried_for(
         self, context: str, input_waveforms: Mapping[str, Waveform]
@@ -1340,10 +1291,10 @@ class CSMEngine(TimingEngine):
 
         With caching enabled (the default) every instance consults the
         in-memory memo and the disk cache through its propagation key before
-        integrating, and the completed result is stored under a whole-run key
-        — so an unchanged repeat is a no-op and a run after a netlist edit
-        re-integrates only the edit's fan-out cone.  ``result.stats`` (and
-        :attr:`last_stats`) record the hit/integration accounting.
+        integrating — so an unchanged repeat integrates nothing and a run
+        after a netlist edit re-integrates only the edit's fan-out cone.
+        ``result.stats`` (and :attr:`last_stats`) record the hit/integration
+        accounting.
 
         Parameters
         ----------
@@ -1360,12 +1311,10 @@ class CSMEngine(TimingEngine):
             same bitwise waveform — as a full run.  Composes with
             ``batched=False``, either memory mode and ``corners=`` (each
             corner runs the same row set).  A cone covering every instance
-            is normalized back to an unrestricted run so even the whole-run
-            cache entry is shared.  The run uses only the stimuli its cone
-            reads: it hashes, resamples and copies those alone, its result
-            holds them plus the cone's nets, and its whole-run key (in the
-            ``sta-run-restricted-manifest`` namespace) names their keys
-            alone, so a change to a stimulus outside the cone keeps it.
+            is normalized back to an unrestricted run.  The run uses only
+            the stimuli its cone reads: it hashes, resamples and copies
+            those alone, and its result holds them plus the cone's nets, so
+            a change to a stimulus outside the cone keys nothing of it.
         """
         missing = [net for net in self.netlist.primary_inputs if net not in input_waveforms]
         if missing:
@@ -1382,7 +1331,7 @@ class CSMEngine(TimingEngine):
                     f"in {self.netlist.name!r}"
                 )
             if only == names:
-                only = None  # full cover IS a plain run: share its run key
+                only = None  # full cover IS a plain run: it carries
         if self.corners is not None:
             results = self._run_corners(
                 input_waveforms, t_stop=t_stop, t_start=t_start, only=only
@@ -1412,53 +1361,12 @@ class CSMEngine(TimingEngine):
         dirty: Set[str] = set()
         net_keys: Dict[str, str] = {}
         context = ""
-        run_key: Optional[str] = None
         if caching:
             context = self._context_digest(t_start, t_stop)
             if carries:
                 carried, dirty, net_keys = self._carried_for(context, input_waveforms)
             else:
                 net_keys = self.stimulus_keys(input_waveforms)
-            # Streaming skips the whole-run entry both ways: looking one up
-            # would materialize every waveform at once, and storing one would
-            # let a later resident run skip re-populating its memo.  The
-            # per-instance propagation keys are identical in both modes, so
-            # the run entry is the only namespace difference.
-            if self.cache is not None and not streaming:
-                if only is not None:
-                    # Restricted runs get their own whole-run namespace: a
-                    # partial result must never be served to a full run.
-                    run_key = content_hash(
-                        "sta-run-restricted-manifest",
-                        context,
-                        self._netlist_digest(),
-                        self._model_library_digest(),
-                        sorted(net_keys.items()),
-                        sorted(only),
-                    )
-                else:
-                    run_key = content_hash(
-                        "sta-run-manifest",
-                        context,
-                        self._netlist_digest(),
-                        self._model_library_digest(),
-                        sorted(net_keys.items()),
-                    )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                result = (
-                    self._resolve_run_manifest(value, input_waveforms, t_start, t_stop)
-                    if hit
-                    else None
-                )
-                if result is not None:
-                    # The carried state stays at its walk's revision; the
-                    # next walk re-plans everything edited since.
-                    result.keys.update(net_keys)
-                    stats.full_run_hit = True
-                    result.stats = stats.as_dict()
-                    self.last_stats = stats
-                    return result
 
         # Characterize the SIS models of every receiver pin up front (one
         # cache-aware parallel job set).  Loads then always use characterized
@@ -1510,17 +1418,6 @@ class CSMEngine(TimingEngine):
             stats=stats.as_dict(),
             keys=dict(net_keys) if caching else None,
         )
-        if run_key is not None:
-            propagated = [net for net in waveforms if net not in input_waveforms]
-            self.cache.store(
-                run_key,
-                {
-                    "t": "run-manifest",
-                    "nets": propagated,
-                    "keys": [net_keys[net] for net in propagated],
-                    "model_used": model_used,
-                },
-            )
         self.last_stats = stats
         return result
 
@@ -1564,52 +1461,6 @@ class CSMEngine(TimingEngine):
             for pin in self._cell(instance).inputs
         }
         return {net: wave for net, wave in input_waveforms.items() if net in read}
-
-    def _resolve_run_manifest(
-        self,
-        value: object,
-        input_waveforms: Mapping[str, Waveform],
-        t_start: float,
-        t_stop: float,
-    ) -> Optional[WaveformTimingResult]:
-        """Rebuild a whole-run result from its key manifest, or ``None``.
-
-        A whole-run entry holds no samples: it lists each propagated net with
-        its propagation key (in result order) plus the per-instance model
-        choice.  Every key resolves through :meth:`_read` on the run grid —
-        memo, then level-row pointer, then level record — so the waveforms
-        are bitwise those the per-instance entries hold, and the primary
-        inputs are the caller's stimuli, which the run key pins by content.
-        One key that does not resolve (an evicted level record, say) makes
-        the whole lookup a miss, never a partial result; the keys resolved
-        before it stay memoized for the re-run.
-        """
-        if not (isinstance(value, dict) and value.get("t") == "run-manifest"):
-            return None
-        nets, keys = value.get("nets"), value.get("keys")
-        model_used = value.get("model_used")
-        if not (
-            isinstance(nets, list)
-            and isinstance(keys, list)
-            and len(nets) == len(keys)
-            and isinstance(model_used, dict)
-        ):
-            return None
-        times = simulation_time_grid(t_start, t_stop, self.options)
-        resolved = PropagationStats()  # the hit reports full-run stats only
-        retention = _ResidentRetention(input_waveforms)
-        for net, key in zip(nets, keys):
-            hit = self._read(key, resolved, times, retention, probe=True)
-            if hit is None:
-                return None
-            retention.keep(net, hit[0], hit[1], shared=True)
-        return WaveformTimingResult(
-            waveforms=retention.result(),
-            model_used=dict(model_used),
-            netlist_name=self.netlist.name,
-            vdd=self.vdd,
-            keys=dict(zip(nets, keys)),
-        )
 
     # ------------------------------------------------------------------
     # The level loop
@@ -1672,9 +1523,9 @@ class CSMEngine(TimingEngine):
         rows, initials, switching = state.rows, state.initials, state.switching
         net_keys, plans = state.net_keys, state.plans
 
-        def keep(net: str, wave: Waveform, pointer: Optional[_Pointer], shared: bool) -> None:
+        def keep(net: str, wave: Waveform, pointer: Optional[_Pointer]) -> None:
             state.set_row(net, wave.values, threshold)
-            retention.keep(net, wave, pointer, shared)
+            retention.keep(net, wave, pointer)
 
         for position, level in enumerate(levels):
             pending: List[_Plan] = []
@@ -1699,9 +1550,9 @@ class CSMEngine(TimingEngine):
                 if hit is not None and clean:
                     # Same key, same samples: its row, initial value and
                     # switching flag are already the carried ones.
-                    retention.keep(plan.output_net, *hit, shared=True)
+                    retention.keep(plan.output_net, *hit)
                 elif hit is not None:
-                    keep(plan.output_net, *hit, shared=True)
+                    keep(plan.output_net, *hit)
                 elif plan.key in first_keys:
                     duplicates.append(plan)
                 else:
@@ -1724,12 +1575,12 @@ class CSMEngine(TimingEngine):
                     )
                 for r, (plan, wave) in enumerate(zip(pending, waves)):
                     pointer = None if level_key is None else (level_key, r)
-                    keep(plan.output_net, wave, pointer, shared=False)
+                    keep(plan.output_net, wave, pointer)
                     computed[plan.key] = (wave, pointer)
 
             for plan in duplicates:
                 stats.duplicates += 1
-                keep(plan.output_net, *computed[plan.key], shared=True)
+                keep(plan.output_net, *computed[plan.key])
             retention.level_done(position, rows, stats)
         walk, self._settle_walk = self._settle_walk, None
         if walk:
@@ -1969,7 +1820,6 @@ class CSMEngine(TimingEngine):
         stats: PropagationStats,
         times: np.ndarray,
         retention: _Retention,
-        probe: bool = False,
     ) -> Optional[Tuple[Waveform, Optional[_Pointer]]]:
         """Look one propagation key up: the memo (resident runs), then the
         store; counts the provenance on ``stats``.
@@ -1979,16 +1829,14 @@ class CSMEngine(TimingEngine):
         onto the run grid ``times`` (the context digest embeds the window and
         options, so a key hit implies the same grid).  Returns the waveform
         and its level pointer (``None`` for memo hits); anything else is a
-        miss and the instance just re-integrates.  ``probe`` reads without
-        claiming a miss in a single-flight store (see :func:`_peek`): for
-        callers that will not store the key themselves.
+        miss and the instance just re-integrates.
         """
         if retention.memoize and key in self._memo:
             stats.memo_hits += 1
             return self._memo[key], None
         if self.cache is None:
             return None
-        hit, value = (_peek(self.cache) if probe else self.cache.lookup)(key)
+        hit, value = self.cache.lookup(key)
         if not hit:
             return None
         if not (isinstance(value, dict) and value.get("t") == "level-row"):

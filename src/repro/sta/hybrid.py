@@ -300,8 +300,7 @@ class HybridEngine(TimingEngine):
         ``input_waveforms`` are the CSM stimuli (one per primary input); the
         NLDM survey derives its events from them.  The run's stats fold both
         sub-engines' accounting (the survey's ``integrations`` count every
-        instance it evaluated); ``full_run_hit`` means at least one CSM
-        refine ran and every one was a whole-run cache hit.
+        instance it evaluated); ``instances`` is the design's count.
         """
         required = self.required if required is None else required
         top_k = self.top_k if top_k is None else top_k
@@ -320,7 +319,7 @@ class HybridEngine(TimingEngine):
         # 1. Survey: NLDM over the whole design.
         events = events_from_waveforms(input_waveforms, self.csm.vdd)
         nldm_result = self.nldm.run(events)
-        sub_stats: List[Dict[str, int]] = [dict(nldm_result.stats or {})]
+        sub_stats: List[PropagationStats] = [self.nldm.last_stats]
 
         arrivals: Dict[str, Optional[float]] = {
             net: nldm_result.events[net].arrival if net in nldm_result.events else None
@@ -348,7 +347,7 @@ class HybridEngine(TimingEngine):
             csm_result = self.csm.run(
                 input_waveforms, t_stop=t_stop, t_start=t_start, only=set(refined)
             )
-            sub_stats.append(dict(csm_result.stats or {}))
+            sub_stats.append(self.csm.last_stats)
             exact_nets = {
                 self._output_net(self.netlist.instances[name]) for name in refined
             }
@@ -389,21 +388,8 @@ class HybridEngine(TimingEngine):
                 required_time(required, net, required_default) - arrival,
             )
 
-        stats = PropagationStats(instances=len(self.netlist.instances))
-        for entry in sub_stats:
-            stats.keyed += entry.get("keyed", 0)
-            stats.integrations += entry.get("integrations", 0)
-            stats.memo_hits += entry.get("memo_hits", 0)
-            stats.cache_hits += entry.get("cache_hits", 0)
-            stats.duplicates += entry.get("duplicates", 0)
-            stats.stores += entry.get("stores", 0)
-            stats.spills += entry.get("spills", 0)
-            stats.faults += entry.get("faults", 0)
-            stats.clamped_lookups += entry.get("clamped_lookups", 0)
-        refines = sub_stats[1:]
-        stats.full_run_hit = bool(refines) and all(
-            entry.get("full_run_hit", False) for entry in refines
-        )
+        stats = self._aggregate_stats(sub_stats)
+        stats.instances = len(self.netlist.instances)
         self.last_stats = stats
         self.last_iterations = iterations
         self.last_csm_fraction = (

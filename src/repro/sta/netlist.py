@@ -64,10 +64,10 @@ __all__ = [
     "EDIT_JOURNAL_LIMIT",
 ]
 
-#: The one salt every consumer digests a netlist revision under (the timing
-#: engines' whole-run keys, the server's request keys and its
-#: ``design_fingerprint`` replies), so :meth:`GateNetlist.content_digest`
-#: hashes each revision once however many of them ask.
+#: The one salt every consumer digests a netlist revision under (the
+#: server's request keys and its ``design_fingerprint`` replies), so
+#: :meth:`GateNetlist.content_digest` hashes each revision once however
+#: many of them ask.
 NETLIST_DIGEST_SALT = "sta-netlist"
 
 #: Revisions the edit journal remembers.  A consumer that last looked
@@ -763,8 +763,8 @@ class GateNetlist:
 
         Cached per :attr:`revision`, :attr:`library` object and salt the way
         :meth:`connectivity` is, so every consumer keying on the same
-        revision (the hybrid engine's two sub-engines, a server's ECO reply
-        and the timing request after it) hashes the design once.  Reassigning
+        revision (a server's ECO reply and the timing request after it)
+        hashes the design once.  Reassigning
         :attr:`library` does not bump the revision but changes the cell
         fingerprints, hence the library identity in the memo.
 

@@ -10,7 +10,6 @@ from .mosfet import (
     THERMAL_VOLTAGE,
     MosfetOperatingPoint,
     MosfetParams,
-    drain_current,
     drain_current_scaled_and_derivatives,
     ekv_interpolation,
     ekv_interpolation_derivative,
@@ -23,7 +22,6 @@ __all__ = [
     "THERMAL_VOLTAGE",
     "MosfetOperatingPoint",
     "MosfetParams",
-    "drain_current",
     "drain_current_scaled_and_derivatives",
     "ekv_interpolation",
     "ekv_interpolation_derivative",

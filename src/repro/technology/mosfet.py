@@ -38,8 +38,6 @@ __all__ = [
     "MosfetBank",
     "ekv_interpolation",
     "ekv_interpolation_derivative",
-    "drain_current",
-    "drain_current_and_derivatives",
     "evaluate_many",
     "terminal_capacitances",
     "THERMAL_VOLTAGE",
@@ -180,47 +178,6 @@ def _bulk_referenced(
     """Return polarity-normalized, bulk-referenced (vgb, vdb, vsb)."""
     sign = float(params.polarity)
     return sign * (vg - vb), sign * (vd - vb), sign * (vs - vb)
-
-
-def drain_current(
-    params: MosfetParams, vg: float, vd: float, vs: float, vb: float
-) -> float:
-    """Drain current flowing from drain to source terminal, in amperes.
-
-    Terminal voltages are absolute node voltages.  For PMOS devices the
-    returned current is negative when the device conducts from source to
-    drain (conventional PMOS pull-up operation), i.e. the sign convention is
-    always "positive current enters the drain terminal".
-    """
-    current, _ = drain_current_and_derivatives(params, vg, vd, vs, vb)
-    return current
-
-
-def drain_current_and_derivatives(
-    params: MosfetParams, vg: float, vd: float, vs: float, vb: float
-) -> Tuple[float, Dict[str, float]]:
-    """Drain current and its partial derivatives w.r.t. terminal voltages.
-
-    Returns
-    -------
-    (id, derivs):
-        ``id`` is the drain-terminal current (A).  ``derivs`` maps
-        ``"vg"``, ``"vd"``, ``"vs"``, ``"vb"`` to the partial derivatives of
-        that current with respect to the absolute terminal voltages (S).
-    """
-    ut = params.thermal_voltage
-    sign = float(params.polarity)
-    vgb, vdb, vsb = _bulk_referenced(params, vg, vd, vs, vb)
-
-    vp = (vgb - params.vt0) / params.slope_factor
-    xf = (vp - vsb) / ut
-    xr = (vp - vdb) / ut
-    i_f = ekv_interpolation(xf)
-    i_r = ekv_interpolation(xr)
-    df = ekv_interpolation_derivative(xf)
-    dr = ekv_interpolation_derivative(xr)
-    i_s = params.specific_current(params.default_length, params.default_length)
-    return _assemble_current(params, sign, ut, vdb, vsb, i_f, i_r, df, dr, i_s)
 
 
 def _assemble_current(
@@ -392,7 +349,7 @@ class MosfetBank:
         (current, derivs):
             ``current`` has the input shape; ``derivs`` has shape
             ``(..., 4, M)`` ordered ``vg, vd, vs, vb`` (same quantities as
-            :func:`drain_current_and_derivatives`).  The derivative block is
+            :func:`drain_current_scaled_and_derivatives`).  The derivative block is
             laid out so the MNA assembler can flatten it per bias point
             without transposition.
         """

@@ -1,19 +1,17 @@
 """Property-based round-trip tests for the result-store codec (PR 5).
 
-One payload strategy covers every registered payload type — raw arrays
+One payload strategy covers every payload type the store holds — raw arrays
 (including zero-length and non-contiguous ones), ``NDTable``, the CSM model
-dataclasses, ``NLDMTable``, ``Waveform``, timing results and event tuples —
-and the packed store in each of its regimes (inline-only, data-file-only,
-mixed).  Whatever goes
-in must come out bitwise identical.
+dataclasses, ``NLDMTable``, ``Waveform``, model-simulation results and the
+CSM level records and row pointers — and the packed store in each of its
+regimes (inline-only, data-file-only, mixed).  Whatever goes in must come out
+bitwise identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +24,8 @@ from repro.csm.models import MCSM, BaselineMISCSM, SISCSM
 from repro.lut.grid import Axis
 from repro.lut.table import NDTable
 from repro.runtime import PackedStore
-from repro.runtime.cache import decode_payload, encode_payload
-from repro.sta import NLDMTimingResult, TimingEvent, WaveformTimingResult
-from repro.sta.mmmc import MulticornerNLDMResult
 from repro.waveform import Waveform
+from repro.waveform.level_tensor import LevelTensor
 
 _KEYS = (f"{i:064x}" for i in itertools.count())
 
@@ -175,16 +171,6 @@ def nldm_tables(draw):
     )
 
 
-#: Event times including the bit patterns a text round-trip could lose.
-event_times = st.one_of(
-    finite_floats,
-    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
-)
-timing_events = st.builds(
-    TimingEvent, net=names, arrival=event_times, slew=event_times, rising=st.booleans()
-)
-
-
 @st.composite
 def model_simulation_results(draw):
     return ModelSimulationResult(
@@ -195,40 +181,33 @@ def model_simulation_results(draw):
     )
 
 
-@st.composite
-def waveform_timing_results(draw):
-    return WaveformTimingResult(
-        waveforms=draw(st.dictionaries(names, waveforms(), max_size=3)),
-        model_used=draw(st.dictionaries(names, names, max_size=3)),
-        netlist_name=draw(names),
-        vdd=draw(finite_floats),
-        stats=draw(st.one_of(st.none(), st.dictionaries(names, st.integers(), max_size=3))),
-    )
+content_keys = st.integers(min_value=0, max_value=2**256 - 1).map("{:064x}".format)
 
 
 @st.composite
-def nldm_timing_results(draw):
-    return NLDMTimingResult(
-        events=draw(st.dictionaries(names, timing_events, max_size=3)),
-        mis_flags=draw(
-            st.dictionaries(
-                names, st.lists(st.tuples(names, names), max_size=2), max_size=2
-            )
-        ),
-        netlist_name=draw(names),
-        stats=draw(st.one_of(st.none(), st.dictionaries(names, st.integers(), max_size=3))),
+def level_records(draw):
+    """A CSM level record: the level's propagation keys and its tensor."""
+    rows = draw(st.integers(min_value=1, max_value=3))
+    samples = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    tensor = LevelTensor(
+        [f"n{row}" for row in range(rows)],
+        rng.normal(size=(rows, samples)),
+        draw(st.floats(min_value=-1e-9, max_value=1e-9)),
+        draw(st.floats(min_value=1e-15, max_value=1e-9)),
     )
+    keys = draw(st.lists(content_keys, min_size=rows, max_size=rows))
+    return {"keys": keys, "tensor": tensor}
 
 
-@st.composite
-def multicorner_nldm_results(draw):
-    corners = draw(st.lists(names, min_size=1, max_size=2, unique=True))
-    return MulticornerNLDMResult(
-        results={name: draw(nldm_timing_results()) for name in corners},
-        corner_order=corners,
-        netlist_name=draw(names),
-        stats=draw(st.one_of(st.none(), st.just({name: {"instances": 1} for name in corners}))),
-    )
+#: A level-row pointer: one instance's row of a level record.
+level_rows = st.fixed_dictionaries(
+    {
+        "t": st.just("level-row"),
+        "level": content_keys,
+        "row": st.integers(min_value=0, max_value=4096),
+    }
+)
 
 
 primitives = st.one_of(
@@ -243,11 +222,9 @@ payloads = st.one_of(
     mis_models(),
     mcsm_models(),
     nldm_tables(),
-    timing_events,
     model_simulation_results(),
-    waveform_timing_results(),
-    nldm_timing_results(),
-    multicorner_nldm_results(),
+    level_records(),
+    level_rows,
     st.lists(st.one_of(primitives, ndarrays()), max_size=3),
     st.dictionaries(names, st.one_of(primitives, ndarrays(), waveforms()), max_size=3),
     st.tuples(st.one_of(primitives, ndarrays()), st.one_of(primitives, ndarrays())),
@@ -274,6 +251,11 @@ def assert_identical(left, right):
         assert left.name == right.name
         assert_identical(left.times, right.times)
         assert_identical(left.values, right.values)
+        return
+    if isinstance(left, LevelTensor):
+        assert left.names == right.names
+        for name in ("values", "t0", "dt"):
+            assert_identical(getattr(left, name), getattr(right, name))
         return
     if isinstance(left, NDTable):
         assert left.name == right.name
@@ -356,73 +338,3 @@ def test_seeded_fuzz_loop_across_reopen(name, tmp_path):
         hit, loaded = reopened.lookup(key)
         assert hit
         assert_identical(loaded, payload)
-
-
-# ----------------------------------------------------------------------
-# The columnar NLDM result form
-# ----------------------------------------------------------------------
-LEGACY_NLDM_MANIFEST = Path(__file__).parent / "fixtures" / "nldm_result_object_manifest.json"
-
-
-def _edge_case_nldm_result(stats):
-    return NLDMTimingResult(
-        events={
-            "a": TimingEvent(net="a", arrival=1e-10, slew=6e-11, rising=True),
-            "n1": TimingEvent(net="n1", arrival=-0.0, slew=5e-324, rising=False),
-            "alias": TimingEvent(
-                net="n2",
-                arrival=1.2345678901234567e-10,
-                slew=2.2250738585072014e-308,
-                rising=True,
-            ),
-        },
-        mis_flags={"g1": [("A", "B")], "g2": []},
-        netlist_name="legacy",
-        stats=stats,
-    )
-
-
-@given(value=st.one_of(nldm_timing_results(), multicorner_nldm_results()))
-@settings(max_examples=25, deadline=None)
-def test_nldm_results_encode_columnar(value):
-    manifest, arrays = encode_payload(value)
-    text = json.dumps(manifest)
-    assert '"nldm-columns"' in text
-    assert '"TimingEvent"' not in text
-    assert_identical(decode_payload(json.loads(text), arrays), value)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        NLDMTimingResult(events={}, mis_flags={}, netlist_name="empty", stats=None),
-        _edge_case_nldm_result(stats=None),
-        _edge_case_nldm_result(stats={"instances": 2}),
-    ],
-    ids=["empty", "edge-cases", "with-stats"],
-)
-def test_columnar_nldm_result_roundtrips_bitwise(backend, value):
-    store, counter = backend
-    key = counter.next_key()
-    store.store(key, value)
-    hit, loaded = store.lookup(key)
-    assert hit
-    assert_identical(loaded, value)
-
-
-def test_nldm_result_outside_the_columns_falls_back_to_object():
-    value = NLDMTimingResult(
-        events={"a": TimingEvent(net="a", arrival=1, slew=2e-11, rising=True)},
-        mis_flags={"g1": [["A", "B"]]},
-        netlist_name="fallback",
-    )
-    manifest, arrays = encode_payload(value)
-    assert manifest["t"] == "object"
-    assert_identical(decode_payload(manifest, arrays), value)
-
-
-def test_legacy_object_manifest_still_decodes():
-    manifest = json.loads(LEGACY_NLDM_MANIFEST.read_text())
-    assert manifest["t"] == "object" and manifest["cls"] == "NLDMTimingResult"
-    expected = _edge_case_nldm_result(stats={"instances": 2, "integrations": 2})
-    assert_identical(decode_payload(manifest, {}), expected)

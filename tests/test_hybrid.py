@@ -5,9 +5,10 @@ The tentpole invariants:
 * ``top_k="all"`` refines every endpoint's complete fan-in cone, which the
   engine layer normalizes to an unrestricted run — bitwise equal to full CSM;
 * ``top_k=0`` degenerates to pure NLDM (no CSM work, no exact nets);
-* a warm repeat is a full-run hit of every CSM refine (restricted runs
-  have their own whole-run entries), while the keyless NLDM survey
-  re-evaluates every instance to bitwise the same events;
+* a warm repeat integrates nothing in any CSM refine (every refined
+  instance is a memo hit), while the keyless NLDM survey re-evaluates every
+  instance to bitwise the same events; the run's stats are the per-field
+  sum of the survey's and the refines';
 * after an ECO the hybrid only re-integrates when the edit lands inside the
   refined critical cone — an out-of-cone swap re-times entirely from cache.
 """
@@ -158,34 +159,44 @@ class TestExactnessBounds:
 # Iteration, caching and provenance
 # ----------------------------------------------------------------------
 class TestRefinementLoop:
-    def test_warm_repeat_is_a_full_run_hit_of_every_refine(
-        self, netlist, models, options, stimulus
-    ):
+    def test_warm_repeat_integrates_no_refine(self, netlist, models, options, stimulus):
         waveforms, t_stop = stimulus
         hybrid = HybridEngine(netlist, models, options=options, top_k=2)
         first = hybrid.run(waveforms, t_stop=t_stop)
         assert first.iterations  # something was refined
         second = hybrid.run(waveforms, t_stop=t_stop)
-        # full_run_hit speaks for the CSM refines; the survey keeps no cache
-        # and evaluates every instance again, to bitwise the same events.
-        assert second.stats["full_run_hit"]
-        assert hybrid.csm.last_stats.full_run_hit
-        assert hybrid.csm.last_stats.integrations == 0
-        assert not hybrid.nldm.last_stats.full_run_hit
+        # Every refine of the repeat is served instance by instance; the
+        # survey keeps no cache and evaluates every instance again, to
+        # bitwise the same events.
+        for iteration in second.iterations:
+            csm = iteration["csm_stats"]
+            assert csm["integrations"] == 0 and csm["stores"] == 0
+            assert csm["memo_hits"] + csm["duplicates"] == csm["instances"]
         assert second.stats["integrations"] == len(netlist.instances)
+        assert second.stats["instances"] == len(netlist.instances)
         assert second.nldm.events == first.nldm.events
         assert second.nldm.mis_flags == first.nldm.mis_flags
         assert second.exact_nets == first.exact_nets
         assert second.endpoint_arrivals == first.endpoint_arrivals
 
-    def test_full_run_hit_needs_a_refine(self, netlist, models, options, stimulus):
+    def test_stats_fold_the_survey_and_every_refine(
+        self, netlist, models, options, stimulus
+    ):
         waveforms, t_stop = stimulus
-        hybrid = HybridEngine(netlist, models, options=options, top_k=0)
-        for _ in range(2):
+        for top_k in (0, 2):
+            hybrid = HybridEngine(netlist, models, options=options, top_k=top_k)
             result = hybrid.run(waveforms, t_stop=t_stop)
-            assert result.iterations == []
-            assert not result.stats["full_run_hit"]
-            assert result.stats["integrations"] == len(netlist.instances)
+            assert bool(result.iterations) == bool(top_k)
+            parts = [hybrid.nldm.last_stats.as_dict()] + [
+                iteration["csm_stats"] for iteration in result.iterations
+            ]
+            for name, value in result.stats.items():
+                expected = (
+                    len(netlist.instances)
+                    if name == "instances"
+                    else sum(part[name] for part in parts)
+                )
+                assert value == expected, name
 
     def test_partial_refinement_reports_provenance(
         self, netlist, models, options, stimulus

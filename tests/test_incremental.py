@@ -492,8 +492,11 @@ class TestIncrementalEngine:
         assert cold.stats is not None
         assert cold.stats["instances"] == len(netlist.instances)
         warm = CSMEngine(netlist, models, options=options).run(waveforms)
-        assert warm.stats["integrations"] == 0
-        assert warm.stats["full_run_hit"]
+        assert warm.stats["integrations"] == 0 and warm.stats["stores"] == 0
+        # A fresh engine's memo is empty: the first read of each key is a
+        # store hit, a same-level repeat of it a memo hit.
+        assert warm.stats["cache_hits"] + warm.stats["memo_hits"] == len(netlist.instances)
+        assert warm.keys == cold.keys
         assert warm.model_used == cold.model_used
         assert _deviation(warm, cold) == 0.0
 
@@ -574,16 +577,17 @@ class TestIncrementalEngine:
         self, library, netlist, waveforms, models, options
     ):
         # A key names one value, whichever path computed it: the reference
-        # path fills a store that a batched engine then hits as a whole run,
-        # and per instance after an edit.
+        # path fills a store that a batched engine then hits for every
+        # instance, and for every clean one after an edit.
         store = _DictStore()
         sequential = CSMEngine(netlist, models, options=options, batched=False, cache=store)
         cold = sequential.run(waveforms)
         assert cold.stats["integrations"] + cold.stats["duplicates"] == len(netlist.instances)
         batched = CSMEngine(netlist, models, options=options, cache=store)
         warm = batched.run(waveforms)
-        assert warm.stats["full_run_hit"] and warm.stats["integrations"] == 0
-        assert batched.last_run_key == sequential.last_run_key
+        assert warm.stats["integrations"] == 0
+        assert warm.stats["cache_hits"] + warm.stats["memo_hits"] == len(netlist.instances)
+        assert warm.keys == cold.keys
         fresh = CSMEngine(netlist, models, options=options, use_cache=False).run(waveforms)
         for result in (cold, warm):
             assert _deviation(result, fresh) == 0.0
@@ -753,11 +757,11 @@ class TestCarriedState:
         snapshot = {net: cold.waveforms[net].values.copy() for net in cold.waveforms}
 
         hit = engine.run(waveforms, t_stop=t_stop)
-        assert hit.stats["full_run_hit"]
+        assert hit.stats["integrations"] == 0 and hit.stats["keyed"] == 0
         for net in hit.waveforms:
             hit.waveforms[net].values[:] = -1.0
         again = engine.run(waveforms, t_stop=t_stop)
-        assert again.stats["full_run_hit"]
+        assert again.stats["integrations"] == 0 and again.stats["keyed"] == 0
         for net, values in snapshot.items():
             assert np.array_equal(again.waveforms[net].values, values), net
 
@@ -778,8 +782,8 @@ class TestCarriedState:
         for net in reference.waveforms:
             assert np.array_equal(edited.waveforms[net].values, reference.waveforms[net].values)
         # Write into every waveform the memo served (the clean nets and the
-        # stimuli); the memo, and so the swap-back's whole-run hit, must not
-        # see it.
+        # stimuli); the memo, and so the swap-back's memo hits, must not see
+        # it.
         clean = set(netlist.primary_inputs) | {
             engine._output_net(instance)
             for instance in netlist.instances.values()
@@ -789,7 +793,8 @@ class TestCarriedState:
             edited.waveforms[net].values[:] = -1.0
         netlist.swap_cell(name, cell)
         restored = engine.run(waveforms, t_stop=t_stop)
-        assert restored.stats["full_run_hit"]
+        assert restored.stats["integrations"] == 0
+        assert restored.stats["keyed"] == len(netlist.affected_region(name))
         for net, values in snapshot.items():
             assert np.array_equal(restored.waveforms[net].values, values), net
         assert all(np.array_equal(w.values, waveforms[n].values) for n, w in waveforms.items())
@@ -803,7 +808,7 @@ class TestCarriedState:
             wave.times.setflags(write=False)
         engine = CSMEngine(netlist, models, options=options, cache=_DictStore())
         assert engine.run(waveforms, t_stop=t_stop).stats["keyed"] == len(netlist.instances)
-        assert engine.run(waveforms, t_stop=t_stop).stats["keyed"] == 0  # whole-run hit
+        assert engine.run(waveforms, t_stop=t_stop).stats["keyed"] == 0  # nothing dirty
         name = next(
             name
             for name, instance in netlist.instances.items()
@@ -870,11 +875,9 @@ class TestCarriedState:
             )
             expected = fresh.run(waveforms, t_stop=t_stop)
             assert result.stats["keyed"] <= len(region)
-            assert engine.last_run_key == fresh.last_run_key
-            if not result.stats["full_run_hit"]:
-                # A whole-run hit leaves the carried state where it was.
-                region = set()
-                assert engine._carried.state.net_keys == fresh._carried.state.net_keys
+            region = set()
+            assert engine._carried.state.net_keys == fresh._carried.state.net_keys
+            assert result.keys == expected.keys
             assert list(result.model_used.items()) == list(expected.model_used.items())
             assert set(result.waveforms) == set(expected.waveforms)
             for net in expected.waveforms:
@@ -920,7 +923,7 @@ class TestNLDMRetiming:
         warm = engine.run(events)
         for result in (cold, warm):
             assert result.stats["integrations"] == len(netlist.instances)
-            assert not result.stats["full_run_hit"]
+            assert result.stats["memo_hits"] == result.stats["cache_hits"] == 0
         _assert_same_events(warm, cold)
 
     def test_long_lived_engine_equals_fresh_after_each_edit(
@@ -1012,7 +1015,9 @@ class TestCacheRobustness:
         assert cache.stats.evictions == 1
         assert key not in cache
 
-    def test_waveform_timing_result_roundtrip(self, tmp_path):
+    def test_timing_results_are_not_storable(self, tmp_path):
+        # A CSM run is served instance by instance from level records, and
+        # NLDM recomputes its events: the codec registers no timing result.
         cache = PackedStore(tmp_path / "cache")
         result = WaveformTimingResult(
             waveforms={"n1": Waveform([0.0, 1e-9], [0.1, 1.1], name="n1")},
@@ -1021,13 +1026,9 @@ class TestCacheRobustness:
             vdd=1.2,
             stats={"instances": 1, "integrations": 1},
         )
-        cache.store("ef" + "2" * 62, result)
-        hit, value = cache.lookup("ef" + "2" * 62)
-        assert hit
-        assert isinstance(value, WaveformTimingResult)
-        assert value.model_used == result.model_used
-        assert value.stats == result.stats
-        assert np.array_equal(value.waveforms["n1"].values, result.waveforms["n1"].values)
+        with pytest.raises(TypeError, match="not registered"):
+            cache.store("ef" + "2" * 62, result)
+        assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ The invariants:
 * a run over a :class:`CornerSet` is one single-corner run per corner, so
   every corner is **bitwise** its single-corner run — CSM waveforms
   (resident, streaming and ``batched=False``) and NLDM events;
-* per-corner cache namespaces are disjoint — a warm repeat is a full-run
-  hit for every corner, and after evicting every corner's whole-run entry
-  each instance-corner pair resolves through its own level-row pointer;
+* per-corner cache namespaces are disjoint — a warm repeat integrates
+  nothing in any corner, and a fresh engine resolves each instance-corner
+  pair through its own level-row pointer;
 * single-corner keys name the corner of the bound models: a store filled
   against one corner's models never serves another corner's CSM run, and
   an NLDM engine carries nothing from one corner's run into the next;
@@ -87,11 +87,6 @@ def _assert_bitwise(result, reference):
     for net, wave in reference.waveforms.items():
         np.testing.assert_array_equal(result.waveforms[net].times, wave.times)
         np.testing.assert_array_equal(result.waveforms[net].values, wave.values)
-
-
-def _corner_run_keys(engine):
-    """Whole-run entry keys of an MMMC engine's per-corner runs."""
-    return [child.last_run_key for child in engine._corner_engines.values()]
 
 
 # ----------------------------------------------------------------------
@@ -315,23 +310,25 @@ class TestMulticornerCaching:
         n = len(netlist.instances)
         for name in CORNERS:
             assert cold.stats[name]["integrations"] + cold.stats[name]["duplicates"] == n
-            assert not cold.stats[name]["full_run_hit"]
-        # Same engine, same stimuli: the whole-run entry answers every corner.
+            assert cold.stats[name]["cache_hits"] == 0
+        # Same engine, same stimuli: every corner's carried state answers,
+        # with nothing to re-key.
         warm = engine.run(waveforms, t_stop=t_stop)
         for name in CORNERS:
-            assert warm.stats[name]["full_run_hit"]
+            assert warm.stats[name]["keyed"] == 0
             assert warm.stats[name]["integrations"] == 0
             for net in cold.result(name).waveforms:
                 np.testing.assert_array_equal(
                     warm.result(name).waveform(net).values,
                     cold.result(name).waveform(net).values,
                 )
-        # A fresh engine over the same store gets the same full-run hit.
+        # A fresh engine over the same store is served every instance.
         fresh = self._engine(corner_set, netlist, options, cache)
         again = fresh.run(waveforms, t_stop=t_stop)
         for name in CORNERS:
-            assert again.stats[name]["full_run_hit"]
-            assert again.stats[name]["integrations"] == 0
+            stats = again.stats[name]
+            assert stats["integrations"] == 0
+            assert stats["cache_hits"] + stats["memo_hits"] == n
             for net in netlist.primary_outputs:
                 np.testing.assert_array_equal(
                     again.result(name).waveform(net).values,
@@ -341,22 +338,28 @@ class TestMulticornerCaching:
     def test_level_row_pointers_resolve_per_corner(
         self, corner_set, netlist, options, stimulus, cache
     ):
-        """Evict every corner's whole-run entry: every instance-corner pair
-        must come back through its own level-row pointer (disjoint
-        per-corner keys)."""
+        """Every instance-corner pair of a fresh engine must come back
+        through its own level-row pointer (disjoint per-corner keys)."""
         waveforms, t_stop = stimulus
         engine = self._engine(corner_set, netlist, options, cache)
         cold = engine.run(waveforms, t_stop=t_stop)
-        run_keys = _corner_run_keys(engine)
-        assert len(set(run_keys)) == len(CORNERS) and None not in run_keys
-        for key in run_keys:
-            cache.evict(key)
+        propagated = {
+            name: {
+                cold.result(name).keys[engine._output_net(instance)]
+                for instance in netlist.instances.values()
+            }
+            for name in CORNERS
+        }
+        for name in CORNERS:
+            assert len(propagated[name]) > 0
+            for other in CORNERS:
+                if other != name:
+                    assert propagated[name].isdisjoint(propagated[other])
         fresh = self._engine(corner_set, netlist, options, cache)
         served = fresh.run(waveforms, t_stop=t_stop)
         n = len(netlist.instances)
         for name in CORNERS:
             stats = served.stats[name]
-            assert not stats["full_run_hit"]
             assert stats["integrations"] == 0
             assert stats["cache_hits"] == n
             for net in cold.result(name).waveforms:
@@ -379,7 +382,6 @@ class TestMulticornerCaching:
         )
         reference = serial.run(waveforms, t_stop=t_stop)
         stats = reference.stats
-        assert not stats["full_run_hit"]
         assert stats["cache_hits"] == 0
         assert stats["integrations"] + stats["duplicates"] == len(netlist.instances)
         _assert_bitwise(multi.result("TT"), reference)
@@ -390,8 +392,8 @@ class TestMulticornerCaching:
 # ----------------------------------------------------------------------
 class TestCornerBoundKeys:
     """One store, a TT run, then an FF run of the same TT-library design:
-    the FF run must not be served anything TT wrote (its models' cells,
-    loads and run key all differ)."""
+    the FF run must not be served anything TT wrote (its models' cells and
+    loads differ)."""
 
     def test_csm_ff_after_tt_is_cold_and_exact(
         self, corner_set, netlist, options, stimulus, tmp_path
@@ -403,7 +405,6 @@ class TestCornerBoundKeys:
         )
         ff = CSMEngine(netlist, corner_set["FF"].models, options=options, cache=cache)
         served = ff.run(waveforms, t_stop=t_stop)
-        assert not served.stats["full_run_hit"]
         assert served.stats["cache_hits"] == 0
         reference = CSMEngine(
             netlist, corner_set["FF"].models, options=options, use_cache=False

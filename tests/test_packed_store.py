@@ -115,8 +115,8 @@ class TestRoundTrip:
         assert store.lookup(_key("b"))[0]
 
     def test_large_manifest_payload_goes_to_data_file(self, store):
-        """Array-free payloads with a big manifest (whole-run NLDM event
-        maps) must not bloat the index: the inline limit counts the manifest."""
+        """Array-free payloads with a big manifest (an event map) must not
+        bloat the index: the inline limit counts the manifest."""
         events = {f"net{i}": (float(i) * 1e-12, 4e-11, bool(i % 2)) for i in range(200)}
         store.store(_key("e"), events)
         assert store.file_sizes()["dat"] > 0
@@ -445,8 +445,9 @@ class TestLookupMany:
 
     def test_previous_writers_store_serves_a_warm_hybrid_run(self, tmp_path, monkeypatch):
         """A store written with the previous writer's inline CRC rendering and
-        stats schema (no ``clamped_lookups``) serves a warm hybrid run as a
-        whole-run hit with zero CSM integrations."""
+        stats schema (no ``clamped_lookups``) serves every refined instance of
+        a warm hybrid run from its level records, with zero CSM
+        integrations."""
         from repro.characterization import CharacterizationConfig
         from repro.csm.base import SimulationOptions
         from repro.sta import HybridEngine, PropagationStats, TimingModelLibrary
@@ -485,7 +486,8 @@ class TestLookupMany:
             assert "clamped_lookups" not in cold.stats
         engine = hybrid()
         warm = engine.run(waveforms, t_stop=t_stop)
-        assert warm.stats["full_run_hit"]
+        assert warm.stats["cache_hits"] == len(warm.refined_instances) > 0
+        assert warm.stats["integrations"] == len(netlist.instances)  # the survey
         assert engine.csm.last_stats.integrations == 0
         assert warm.endpoint_arrivals == cold.endpoint_arrivals
         assert warm.exact_nets == cold.exact_nets

@@ -462,7 +462,7 @@ class TestCommandLine:
         code, report = _cli(cli_cache, tmp_path, "--sta", CLI_SPEC, "--incremental")
         assert code == 0
         first, warm, eco, edited = _sta_replies(report)
-        assert warm["stats"]["integrations"] == 0 and warm["stats"]["full_run_hit"]
+        assert warm["stats"]["integrations"] == 0 and warm["stats"]["keyed"] == 0
         assert warm["arrivals"] == first["arrivals"]
         [applied] = eco["applied"]
         assert applied["kind"] == "swap_cell" and applied["affected"] < 64

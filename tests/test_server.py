@@ -252,7 +252,7 @@ class TestTimingService:
         assert cold["latency_ms"] > 0
         warm = service.handle({"op": "timing", "session": session, "seed": 0})
         assert warm["stats"]["integrations"] == 0
-        assert warm["stats"]["full_run_hit"]
+        assert warm["stats"]["keyed"] == 0
         assert warm["design_fingerprint"] == cold["design_fingerprint"]
 
     def test_warm_hits_cross_sessions(self, service):
@@ -264,7 +264,8 @@ class TestTimingService:
         )["session"]
         service.handle({"op": "timing", "session": first, "seed": 1})
         other = service.handle({"op": "timing", "session": second, "seed": 1})
-        assert other["stats"]["full_run_hit"], (
+        assert other["stats"]["integrations"] == 0
+        assert other["stats"]["cache_hits"] == other["stats"]["instances"], (
             "identical request from another session must hit the shared store"
         )
 
@@ -300,7 +301,8 @@ class TestTimingService:
         assert eco["design_fingerprint"] != cold["design_fingerprint"]
         edited = service.handle({"op": "timing", "session": session, "seed": 0})
         assert 0 < edited["stats"]["integrations"] <= applied["affected"] < gates
-        # Swapping back restores the original fingerprint and the warm hit.
+        # Swapping back restores the original fingerprint and its keys,
+        # which the session's memo still holds.
         service.handle(
             {
                 "op": "eco",
@@ -316,7 +318,7 @@ class TestTimingService:
         )
         restored = service.handle({"op": "timing", "session": session, "seed": 0})
         assert restored["design_fingerprint"] == cold["design_fingerprint"]
-        assert restored["stats"]["full_run_hit"]
+        assert restored["stats"]["integrations"] == 0
 
     def test_loop_or_undriven_rewire_is_rejected_and_the_session_keeps_timing(
         self, service
@@ -338,7 +340,7 @@ class TestTimingService:
             timed = service.handle({"op": "timing", "session": session, "seed": 0})
             assert timed["ok"], timed
             assert timed["design_fingerprint"] == cold["design_fingerprint"]
-            assert timed["stats"]["full_run_hit"]
+            assert timed["stats"]["integrations"] == 0
 
     def test_eco_request_is_atomic(self, service):
         session = service.handle(
@@ -364,7 +366,7 @@ class TestTimingService:
         assert {name: i.cell_name for name, i in netlist.instances.items()} == cells
         restored = service.handle({"op": "timing", "session": session, "seed": 0})
         assert restored["design_fingerprint"] == cold["design_fingerprint"]
-        assert restored["stats"]["full_run_hit"]
+        assert restored["stats"]["integrations"] == 0
         assert service.handle({"op": "status"})["sessions"][session]["eco_edits"] == 0
 
     def test_a_failing_undo_neither_stops_the_rollback_nor_hides_the_error(
@@ -415,14 +417,15 @@ class TestTimingService:
         total = service.handle({"op": "status"})["sessions"][session]["engines"]["csm"]["total"]
         assert total["keyed"] == gates + edited["stats"]["keyed"]
 
-    def test_fingerprint_is_the_engine_netlist_digest(self, service, library):
+    def test_fingerprint_is_the_netlist_content_digest(self, service, library):
         session = service.handle(
             {"op": "open_session", "design": {"generate": DAG}}
         )["session"]
         netlist = service._sessions[session].netlist
         timed = service.handle({"op": "timing", "session": session, "seed": 0})
-        engine = service._sessions[session].engines["csm"]
-        assert timed["design_fingerprint"] == engine._netlist_digest()
+        assert timed["design_fingerprint"] == content_hash(
+            NETLIST_DIGEST_SALT, netlist_fingerprint(netlist)
+        )
         eco = service.handle(
             {"op": "eco", "session": session, "edits": [{"kind": "auto_swap"}]}
         )
@@ -462,9 +465,9 @@ class TestTimingService:
         assert raced["design_fingerprint"] != cold["design_fingerprint"]
         assert 0 < raced["stats"]["integrations"] <= eco["applied"][0]["affected"]
         # The reply is the edited design's timing: a plain request on the
-        # same revision is a whole-run hit with the same arrivals.
+        # same revision re-keys and integrates nothing, with the same arrivals.
         again = service.handle({"op": "timing", "session": session, "seed": 0})
-        assert again["stats"]["full_run_hit"]
+        assert again["stats"]["integrations"] == 0 and again["stats"]["keyed"] == 0
         assert again["revision"] == raced["revision"]
         assert again["arrivals"] == raced["arrivals"]
 
@@ -811,7 +814,7 @@ class TestEditSizedRequests:
             assert reply["stats"] == other_reply["stats"], label
             assert len(other_scanned) == len(endpoints)
             if label == "swap_back":
-                assert reply["stats"]["full_run_hit"]
+                assert reply["stats"]["integrations"] == 0, label
                 assert scanned == [] and units == 0, label
             else:
                 changed = {net for net in endpoints if keys[net] != previous_keys[net]}
@@ -878,7 +881,7 @@ class TestEngineRebind:
 
     def test_totals_accumulate_within_one_design(self, library, models):
         # A design no other test times, so the shared module cache cannot
-        # turn the cold run into a full-run hit.
+        # turn the cold run into a warm one.
         chain = generate_netlist(library, "chain:inv:4")
         engine = NLDMEngine(chain, models)
         events = primary_input_events(chain, seed=0)
@@ -907,9 +910,10 @@ class TestEngineRebind:
         engine.run(primary_input_waveforms(spec_netlist, seed=0))
         engine.rebind(twin)
         result = engine.run(primary_input_waveforms(twin, seed=0))
-        assert result.stats["full_run_hit"] if isinstance(result.stats, dict) else (
-            result.stats.full_run_hit
-        ), "content-identical design must stay warm across rebind"
+        assert result.stats["integrations"] == 0
+        assert result.stats["memo_hits"] == len(twin.instances), (
+            "content-identical design must stay warm across rebind"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Store traffic of the hybrid survey: a keyless NLDM survey, slim run entries.
+"""Store traffic of the hybrid survey and the CSM walk.
 
 The invariants pinned here:
 
@@ -6,11 +6,10 @@ The invariants pinned here:
   call, so a hybrid run's hashes are its CSM refines' alone, and its
   level-batched events, MIS pairs and stats are bitwise a per-instance
   scalar walk's;
-* single-corner CSM whole-run entries, plain and restricted, are key
-  manifests (``{net: propagation key}`` plus the model choice, no samples):
-  a warm hit resolves every key through the per-instance entries, re-attaches
-  the primary inputs from the caller's stimuli and is bitwise the cold
-  result, while one unresolvable key makes the lookup an ordinary miss;
+* a CSM run, plain or restricted, writes level records and row pointers
+  only, none of them holding a primary input: a warm run serves every
+  instance through them and is bitwise the cold result, while an evicted
+  level record re-integrates exactly its rows;
 * :meth:`GateNetlist.content_digest` memoizes the design digest per revision,
   library and salt, and moves with every edit.
 """
@@ -412,7 +411,7 @@ class TestKeylessSurvey:
 
 
 # ----------------------------------------------------------------------
-# CSM: whole-run entries without the stimuli
+# CSM: level records and row pointers, without the stimuli
 # ----------------------------------------------------------------------
 def _assert_same_waveforms(warm, cold):
     assert list(warm.waveforms) == list(cold.waveforms)
@@ -422,19 +421,32 @@ def _assert_same_waveforms(warm, cold):
         assert np.array_equal(warm.waveforms[net].values, wave.values), net
 
 
-def _manifest_bytes(store, key) -> int:
-    """Encoded size of a whole-run entry (the store's own framing, whose
-    checksum and timestamp digits vary, left out)."""
-    hit, entry = store.lookup(key)
-    assert hit
-    manifest, arrays = encode_payload(entry)
-    assert arrays == {}
-    return len(json.dumps(manifest, separators=(",", ":")))
+def _entries(store):
+    """Every entry of a store: key -> value."""
+    entries = {}
+    for key in store.keys():
+        hit, value = store.lookup(key)
+        assert hit
+        entries[key] = value
+    return entries
+
+
+def _entry_bytes(entries) -> int:
+    """Encoded size of a store's entries: manifests plus array bytes (the
+    store's own framing, whose checksum and timestamp digits vary, left
+    out)."""
+    size = 0
+    for value in entries.values():
+        manifest, arrays = encode_payload(value)
+        size += len(json.dumps(manifest, separators=(",", ":")))
+        size += sum(array.nbytes for array in arrays.values())
+    return size
 
 
 class TestStimulusFreeRunEntries:
-    """Whole-run entries are key manifests: ``{net: propagation key}`` for
-    the propagated nets plus the model choice, and not one sample."""
+    """A CSM run's store entries are level records (the level's keys and
+    its tensor) and ``level-row`` pointers into them, and not one of them
+    holds a primary input."""
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_entry_holds_no_primary_input_and_warm_hit_is_bitwise(
@@ -451,25 +463,28 @@ class TestStimulusFreeRunEntries:
         engine = CSMEngine(netlist, models, options=options, cache=store)
         cold = engine.run(waveforms, t_stop=t_stop, only=only)
 
-        hit, entry = store.lookup(engine.last_run_key)
-        assert hit
-        assert set(entry) == {"t", "nets", "keys", "model_used"}
-        assert entry["t"] == "run-manifest"
         propagated = [net for net in cold.waveforms if net not in netlist.primary_inputs]
-        assert entry["nets"] == propagated
-        assert all(isinstance(key, str) and len(key) == 64 for key in entry["keys"])
-        assert entry["model_used"] == cold.model_used
-        assert encode_payload(entry)[1] == {}  # keys only: no arrays at all
+        entries = _entries(store)
+        records = {key: value for key, value in entries.items() if "tensor" in value}
+        pointers = {key: value for key, value in entries.items() if "tensor" not in value}
+        assert set(pointers) == {cold.keys[net] for net in propagated}
+        for pointer in pointers.values():
+            assert set(pointer) == {"t", "level", "row"} and pointer["t"] == "level-row"
+            assert pointer["level"] in records
+        rows = [name for record in records.values() for name in record["tensor"].names]
+        assert sorted(rows) == sorted(propagated)  # no primary input
 
         warm_engine = CSMEngine(netlist, models, options=options, cache=store)
         warm = warm_engine.run(waveforms, t_stop=t_stop, only=only)
-        assert warm_engine.last_stats == PropagationStats(
-            instances=len(only or netlist.instances), full_run_hit=True
-        )
-        assert warm.stats == warm_engine.last_stats.as_dict()
+        stats = warm_engine.last_stats
+        assert stats.integrations == stats.stores == 0
+        assert stats.cache_hits + stats.memo_hits == len(only or netlist.instances)
+        assert warm.stats == stats.as_dict()
+        assert warm.keys == cold.keys
         _assert_same_waveforms(warm, cold)  # primary inputs included
         assert warm.model_used == cold.model_used
         assert (warm.netlist_name, warm.vdd) == (cold.netlist_name, cold.vdd)
+        assert _entries(store).keys() == entries.keys()
 
     def test_restricted_entry_does_not_grow_with_primary_inputs(
         self, library, models, options, tmp_path
@@ -482,10 +497,12 @@ class TestStimulusFreeRunEntries:
             store = PackedStore(tmp_path / f"extra{extra}")
             engine = CSMEngine(netlist, models, options=options, cache=store)
             engine.run(waveforms, t_stop=t_stop, only={"g1", "i1"})
-            sizes.append(_manifest_bytes(store, engine.last_run_key))
+            sizes.append(_entry_bytes(_entries(store)))
         assert sizes[0] == sizes[1]
 
     def test_entry_does_not_grow_with_samples(self, library, models, options, tmp_path):
+        """Halving the step doubles each level record's samples, but an
+        instance's entry is a row pointer of the same size."""
         netlist = _twin_netlist(library)
         t_stop = default_time_window(netlist)
         sizes, samples, labels = [], [], []
@@ -496,7 +513,14 @@ class TestStimulusFreeRunEntries:
                 netlist, models, options=replace(options, time_step=step), cache=store
             )
             result = engine.run(waveforms, t_stop=t_stop)
-            sizes.append(_manifest_bytes(store, engine.last_run_key))
+            entries = _entries(store)
+            pointers = {
+                key: entries[key]
+                for net, key in result.keys.items()
+                if net not in netlist.primary_inputs
+            }
+            assert all(entry["t"] == "level-row" for entry in pointers.values())
+            sizes.append(_entry_bytes(pointers))
             samples.append(len(result.waveforms["y1"]))
             labels.append(result.model_used)
         assert samples[1] == 2 * samples[0] - 1
@@ -512,25 +536,24 @@ class TestStimulusFreeRunEntries:
         waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
         store = PackedStore(tmp_path / "store")
         if single_flight:
-            # The server's wrapper: the failed manifest resolution and the
-            # re-run read the same missing level record, and the re-run must
-            # not wait on a claim of its own.
+            # The server's wrapper: the row pointer hits, the level record
+            # behind it misses, and the re-integration that stores it again
+            # must not wait on a claim of its own.
             store = SingleFlightStore(store, wait_timeout=30.0)
         engine = CSMEngine(netlist, models, options=options, cache=store)
         cold = engine.run(waveforms, t_stop=t_stop)
-        _, manifest = store.lookup(engine.last_run_key)
         # The level record behind the middle level's rows.
         middle = engine.levels()[1][0]
         net = middle.connections[library[middle.cell_name].output]
-        _, pointer = store.lookup(manifest["keys"][manifest["nets"].index(net)])
+        _, pointer = store.lookup(cold.keys[net])
         _, record = store.lookup(pointer["level"])
         assert store.evict(pointer["level"])
 
         rerun_engine = CSMEngine(netlist, models, options=options, cache=store)
         rerun = rerun_engine.run(waveforms, t_stop=t_stop)
         stats = rerun_engine.last_stats
-        assert not stats.full_run_hit
         assert stats.integrations == len(record["keys"])
+        assert stats.cache_hits == len(netlist.instances) - len(record["keys"])
         _assert_same_waveforms(rerun, cold)
         assert rerun.model_used == cold.model_used
         if single_flight:
@@ -538,7 +561,7 @@ class TestStimulusFreeRunEntries:
 
         warm_engine = CSMEngine(netlist, models, options=options, cache=store)
         _assert_same_waveforms(warm_engine.run(waveforms, t_stop=t_stop), cold)
-        assert warm_engine.last_stats.full_run_hit
+        assert warm_engine.last_stats.integrations == 0
 
     def test_hybrid_warm_repeat_is_bitwise(self, library, models, options, tmp_path):
         netlist = generate_netlist(library, DAG)
@@ -550,8 +573,10 @@ class TestStimulusFreeRunEntries:
         )
         warm_engine = HybridEngine(netlist, models, options=options, cache=store, top_k=2)
         warm = warm_engine.run(waveforms, t_stop=t_stop)
-        assert warm.stats["full_run_hit"]
-        assert warm_engine.csm.last_stats.full_run_hit
+        # Every refined instance comes from the store once, then the memo.
+        assert warm.stats["cache_hits"] == len(warm.refined_instances) > 0
+        assert warm.stats["integrations"] == len(netlist.instances)  # the survey
+        assert warm_engine.csm.last_stats.integrations == 0
         assert warm.exact_nets == cold.exact_nets
         assert warm.nldm.events == cold.nldm.events
         assert warm.nldm.mis_flags == cold.nldm.mis_flags
@@ -657,10 +682,12 @@ class TestNetlistDigestMemo:
         assert duplicate.content_digest("sta-netlist") != original
         assert netlist.content_digest("sta-netlist") == original
 
-    def test_hybrid_hashes_each_revision_once(self, library, models, options, monkeypatch):
+    def test_hybrid_hashes_each_revision_once(
+        self, library, models, options, monkeypatch, tmp_path
+    ):
+        """A hybrid timing request digests the design once, for the
+        server's request key; the engines themselves digest nothing."""
         netlist = generate_netlist(library, DAG)
-        t_stop = default_time_window(netlist)
-        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
         calls = []
         real = netlist_module.netlist_fingerprint
 
@@ -669,11 +696,16 @@ class TestNetlistDigestMemo:
             return real(target)
 
         monkeypatch.setattr(netlist_module, "netlist_fingerprint", counting)
-        hybrid = HybridEngine(netlist, models, options=options, cache=_PerItemStore(), top_k=2)
-        hybrid.run(waveforms, t_stop=t_stop)
-        assert calls == [netlist.revision]
-        hybrid.run(waveforms, t_stop=t_stop)
-        assert calls == [netlist.revision]
+        service = TimingService(
+            models=models, options=options, store=PackedStore(tmp_path / "store")
+        )
+        session = service.open_session({"netlist": netlist.to_dict()})["session"]
+        record = service._sessions[session]
+        calls.clear()  # opening a session digests the design for its id
+        for _ in range(2):
+            timed = service.timing(session, engine="hybrid", top_k=2)
+            assert timed["engine"] == "hybrid", timed
+            assert calls == [record.netlist.revision]
 
 
 def _partner(library, cell_name: str) -> str:
