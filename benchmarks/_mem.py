@@ -1,6 +1,6 @@
 """Shared peak-RSS sampler for the benchmark scripts.
 
-Every ``run_*_bench.py`` stamps ``peak_rss_bytes`` into its JSON report right
+``run_stream_bench.py`` stamps ``peak_rss_bytes`` into its JSON report right
 before writing it, so memory regressions show up in the same artifact as the
 wall-clock numbers.  Two sources are consulted and the maximum wins:
 

@@ -66,17 +66,30 @@ SIZE_SPECS = [
 DEFAULT_BUDGET = 32 * 1024 * 1024
 
 
+def machine_block() -> dict:
+    """CPU inventory for the report; warns below 4 CPUs, where the run
+    measures single-core behaviour under time-slicing."""
+    cpus = os.cpu_count() or 1
+    block = {"cpus": cpus}
+    if cpus < 4:
+        block["warning"] = (
+            f"only {cpus} CPU(s) visible: timings measure single-core "
+            "behaviour under time-slicing, not parallel speedup"
+        )
+        print(f"WARNING: {block['warning']}", file=sys.stderr)
+    return block
+
+
 def run_point(spec: str, mode: str, budget: int, models_cache: str, store_dir: str) -> dict:
     """Child-process body: one engine run, reported as JSON on stdout."""
+    from repro.experiments import settings_context
     from repro.runtime.store import PackedStore
     from repro.sta.engine import CSMEngine
     from repro.sta.generate import generate_netlist, primary_input_waveforms
 
     from _mem import peak_rss_bytes
-    from run_bench import quick_context
-    from run_sta_bench import machine_block  # noqa: F401  (import path check)
 
-    context = quick_context(cache=PackedStore(models_cache))
+    context = settings_context("quick", cache=PackedStore(models_cache))
 
     build_start = time.perf_counter()
     netlist = generate_netlist(context.library, spec)
@@ -197,7 +210,6 @@ def main(argv=None) -> int:
         return 0
 
     from _mem import peak_rss_bytes
-    from run_sta_bench import machine_block
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-stream-bench-"))
     models_cache = workdir / "models-cache"

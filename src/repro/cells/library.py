@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import NetlistError
 from ..technology.process import Technology, default_technology
@@ -67,9 +67,6 @@ class CellLibrary:
     def cells_with_internal_nodes(self) -> List[Cell]:
         """Cells that have at least one stack node (MCSM is relevant for these)."""
         return [cell for cell in self.cells.values() if cell.internal_nodes]
-
-    def multi_input_cells(self) -> List[Cell]:
-        return [cell for cell in self.cells.values() if cell.num_inputs >= 2]
 
     def summary(self) -> str:
         lines = [f"Library {self.name!r} ({self.technology.name}, Vdd={self.technology.vdd} V)"]

@@ -27,7 +27,7 @@ from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..csm.base import ModelSimulationResult, SimulationOptions
 from ..runtime.store import PackedStore
 from ..runtime.executor import Executor, run_jobs
-from ..runtime.jobs import Job, content_hash
+from ..runtime.jobs import Job
 from ..spice.transient import TransientAnalysis, TransientOptions, transient_analysis
 from ..sta.models import TimingModelLibrary
 from ..technology.process import Technology, default_technology
@@ -41,8 +41,6 @@ __all__ = [
     "nor2_history_patterns",
     "lockstep_history_results",
     "run_model_simulation",
-    "model_simulation_key",
-    "model_simulation_job",
     "HISTORY_LABELS",
 ]
 
@@ -114,55 +112,15 @@ def run_model_simulation(
     load: Load,
     options: SimulationOptions,
 ) -> ModelSimulationResult:
-    """Module-level dispatch target for model-simulation jobs.
+    """One model waveform simulation.
 
     SIS models take their single switching-pin waveform; the MIS flavours
-    take the full pin -> waveform mapping.  Top-level (hence picklable) so
-    the runtime can ship model sweeps to worker processes.
+    take the full pin -> waveform mapping.
     """
+    load = as_load(load)
     if isinstance(model, SISCSM):
         return model.simulate(input_waveforms[model.pin], load, options=options)
     return model.simulate(dict(input_waveforms), load, options=options)
-
-
-def model_simulation_key(
-    model,
-    input_waveforms: Mapping[str, Waveform],
-    load: Load,
-    options: SimulationOptions,
-) -> str:
-    """Content hash of one model waveform simulation.
-
-    Covers the characterized model (every table and capacitance), the input
-    waveform samples, the load and the integration options — so a cache hit
-    is guaranteed to be the same waveform the simulation would produce.
-    """
-    return content_hash(
-        "model-simulation",
-        type(model).__name__,
-        model,
-        {pin: wave for pin, wave in sorted(input_waveforms.items())},
-        load,
-        options,
-    )
-
-
-def model_simulation_job(
-    model,
-    input_waveforms: Mapping[str, Waveform],
-    load,
-    options: SimulationOptions,
-) -> Job:
-    """Package one model waveform simulation as a cacheable runtime job."""
-    load = as_load(load)
-    if isinstance(model, SISCSM):
-        input_waveforms = {model.pin: input_waveforms[model.pin]}
-    return Job(
-        fn=run_model_simulation,
-        args=(model, dict(input_waveforms), load, options),
-        name=f"model-sim:{type(model).__name__}:{model.cell_name}",
-        key=model_simulation_key(model, input_waveforms, load, options),
-    )
 
 
 class ExperimentContext:
@@ -191,9 +149,9 @@ class ExperimentContext:
         in-process.
     cache:
         Optional :class:`repro.runtime.PackedStore`, a constructor argument
-        read back from ``models``; models and experiment jobs are looked up
-        / stored by content hash, so repeated runs (across experiments,
-        benchmarks or sessions) skip the characterization work.
+        read back from ``models``; models and keyed experiment jobs are
+        looked up / stored by content hash, so repeated runs (across
+        experiments, benchmarks or sessions) skip the characterization work.
     """
 
     def __init__(
@@ -228,14 +186,9 @@ class ExperimentContext:
         return self.models.cache
 
     # ------------------------------------------------------------------
-    def run_jobs(self, jobs: Sequence[Job], parallel: bool = True) -> List:
-        """Run runtime jobs with this context's executor and cache.
-
-        ``parallel=False`` forces serial execution (still cache-aware), for
-        job sets that are too small to amortize worker dispatch.
-        """
-        executor = self.executor if parallel else None
-        return run_jobs(jobs, executor=executor, cache=self.cache)
+    def run_jobs(self, jobs: Sequence[Job]) -> List:
+        """Run runtime jobs with this context's executor and cache."""
+        return run_jobs(jobs, executor=self.executor, cache=self.cache)
 
     # ------------------------------------------------------------------
     @property
@@ -289,23 +242,19 @@ class ExperimentContext:
         self,
         requests: Sequence[Tuple],
         options: Optional[SimulationOptions] = None,
-        parallel: bool = True,
     ) -> List[ModelSimulationResult]:
-        """Run model waveform simulations as cached runtime jobs.
+        """Run model waveform simulations in-process, in request order.
 
         ``requests`` is a sequence of ``(model, input_waveforms, load)``
-        tuples; each becomes a content-addressed job (model tables + input
-        samples + load + options), so sweeps that re-simulate the same model
-        scenario — across benchmark repetitions or sessions — are served from
-        the disk cache, and independent sweep points fan out through the
-        context's executor.  Results come back in request order.
+        tuples.  They are neither keyed nor stored: a simulation costs about
+        as much as hashing its model and inputs, less than a store round
+        trip.
         """
         options = options or self.model_options()
-        jobs = [
-            model_simulation_job(model, waves, load, options)
+        return [
+            run_model_simulation(model, waves, load, options)
             for model, waves, load in requests
         ]
-        return [result.value for result in self.run_jobs(jobs, parallel=parallel)]
 
     # ------------------------------------------------------------------
     def reference_history_run(

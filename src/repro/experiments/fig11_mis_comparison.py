@@ -99,8 +99,7 @@ def run_fig11(
     load = CapacitiveLoad(context.fanout_load_capacitance(fanout))
     # The SIS model only knows about one switching input (pin A); input B is
     # implicitly assumed to sit at its non-controlling value, which is exactly
-    # the approximation the paper criticizes.  Both model runs go through the
-    # runtime as one cached job set.
+    # the approximation the paper criticizes.
     mcsm_result, sis_result = context.simulate_models(
         [(mcsm, waves, load), (sis, waves, load)]
     )

@@ -21,7 +21,6 @@ import numpy as np
 from ..csm.loads import CapacitiveLoad
 from ..interconnect.crosstalk import CrosstalkBench, CrosstalkConfig
 from ..waveform.metrics import crossing_time, normalized_rmse
-from ..waveform.waveform import Waveform
 from .common import ExperimentContext, default_context
 
 __all__ = ["Fig12Point", "Fig12Result", "run_fig12"]
@@ -55,9 +54,6 @@ class Fig12Result:
 
     def max_delay_error(self) -> float:
         return float(max(abs(p.delay_error) for p in self.points))
-
-    def delay_error_series_ps(self) -> List[float]:
-        return [p.delay_error * 1e12 for p in self.points]
 
     def summary(self) -> str:
         lines = [
@@ -110,10 +106,6 @@ def run_fig12(
 
     half_vdd = 0.5 * vdd
     references = bench.simulate_many([float(t) for t in injection_times])
-    # The whole injection sweep's model simulations run as one job set: every
-    # point is content-addressed (model + noisy victim waveform + load), so a
-    # repeated sweep is served from the cache and a fresh one can fan out
-    # across workers.
     victims = [bench.victim_waveform(reference) for reference in references]
     quiets = [bench.quiet_waveform(reference) for reference in references]
     model_results = context.simulate_models(

@@ -98,7 +98,6 @@ def run_fig9(
 
     _, references = context.reference_history_runs(patterns.values(), fanout=fanout)
 
-    # Both models x both history cases as one cached, parallelizable job set.
     wave_sets = [context.model_history_waveforms(p) for p in patterns.values()]
     sims = context.simulate_models(
         [

@@ -36,7 +36,7 @@ from .executor import (
     default_executor,
     run_jobs,
 )
-from .jobs import CODE_VERSION, Job, cell_fingerprint, content_hash, job
+from .jobs import CODE_VERSION, Job, cell_fingerprint, content_hash
 
 __all__ = [
     "CODE_VERSION",
@@ -54,6 +54,5 @@ __all__ = [
     "cell_fingerprint",
     "content_hash",
     "default_executor",
-    "job",
     "run_jobs",
 ]

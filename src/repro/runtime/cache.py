@@ -10,11 +10,11 @@ round-trips the repo's result types **bitwise**:
 * :class:`~repro.lut.table.NDTable` (axes + value grid),
 * waveforms and level tensors (a CSM level record),
 * the characterized model dataclasses (``SISCSM``, ``BaselineMISCSM``,
-  ``MCSM``), :class:`~repro.characterization.nldm.NLDMTable` and
-  :class:`~repro.csm.base.ModelSimulationResult`.
+  ``MCSM``) and :class:`~repro.characterization.nldm.NLDMTable`.
 
 Timing results are not stored: a CSM run is served instance by instance
-from its level records and row pointers, and NLDM recomputes its events.
+from its level records and row pointers, NLDM recomputes its events, and
+the figures recompute their model simulations.
 
 Floats embedded in the manifest are rendered with ``repr`` (Python's
 shortest round-tripping form), so a store hit returns exactly the value the
@@ -43,13 +43,9 @@ def _registered_classes() -> Dict[str, Type]:
     """Dataclass result types the codec may store (imported lazily to keep
     :mod:`repro.runtime` free of upward package dependencies)."""
     from ..characterization.nldm import NLDMTable
-    from ..csm.base import ModelSimulationResult
     from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 
-    return {
-        cls.__name__: cls
-        for cls in (SISCSM, BaselineMISCSM, MCSM, NLDMTable, ModelSimulationResult)
-    }
+    return {cls.__name__: cls for cls in (SISCSM, BaselineMISCSM, MCSM, NLDMTable)}
 
 
 # ----------------------------------------------------------------------

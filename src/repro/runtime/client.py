@@ -27,8 +27,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-import numpy as np
-
 from .server.protocol import decode_waveform, encode_message
 
 __all__ = ["TimingClient", "TimingServerError"]
@@ -182,17 +180,3 @@ class TimingClient:
             net: decode_waveform(payload)
             for net, payload in (response.get("waveforms") or {}).items()
         }
-
-    @staticmethod
-    def max_deviation(
-        response: Mapping[str, Any], reference: Mapping[str, Any]
-    ) -> float:
-        """Max |dV| between a response's waveforms and reference ``net ->
-        values`` arrays — the client side of the ≤1e-9 V equivalence check."""
-        worst = 0.0
-        for net, payload in (response.get("waveforms") or {}).items():
-            if net not in reference:
-                continue
-            _, values = decode_waveform(payload)
-            worst = max(worst, float(np.abs(values - reference[net]).max()))
-        return worst

@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "CODE_VERSION",
     "Job",
-    "job",
     "content_hash",
     "canonical_json",
     "Rendered",
@@ -278,23 +277,3 @@ class Job:
     def run(self) -> Any:
         """Execute the job in the current process."""
         return self.fn(*self.args, **self.kwargs)
-
-
-def job(
-    fn: Callable[..., Any],
-    *args: Any,
-    name: str = "",
-    key_parts: Optional[Tuple[Any, ...]] = None,
-    **kwargs: Any,
-) -> Job:
-    """Convenience constructor: build a :class:`Job`, hashing ``key_parts``.
-
-    When ``key_parts`` is given the job's cache key is
-    ``content_hash(fn_qualname, *key_parts)`` — the function identity is mixed
-    in so two different computations over the same inputs don't collide.
-    """
-    key = None
-    if key_parts is not None:
-        fn_id = getattr(fn, "__qualname__", type(fn).__name__)
-        key = content_hash(fn_id, *key_parts)
-    return Job(fn=fn, args=args, kwargs=kwargs, name=name, key=key)

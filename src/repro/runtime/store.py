@@ -988,11 +988,6 @@ class PackedStore:
             self._refresh()
             return sum(self._entry_bytes(entry) for entry in self._entries.values())
 
-    def last_access(self, key: str) -> Optional[float]:
-        """Epoch seconds of the key's last store/lookup, or ``None``."""
-        with self._lock.thread_lock:
-            return self._access.get(key)
-
     def enforce_policy(self, now: Optional[float] = None) -> Dict[str, int]:
         """Apply the LRU/age eviction policy; returns what was evicted.
 

@@ -9,9 +9,8 @@ model integrator can evaluate exactly the same input waveforms.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -253,9 +252,3 @@ class CompositeStimulus(Stimulus):
             pts.extend(part.breakpoints())
         return tuple(sorted(set(pts)))
 
-
-def sequence_to_pwl(times: Sequence[float], values: Sequence[float]) -> PiecewiseLinear:
-    """Build a :class:`PiecewiseLinear` from parallel time/value sequences."""
-    if len(times) != len(values):
-        raise WaveformError("times and values must have equal length")
-    return PiecewiseLinear(points=tuple(zip(map(float, times), map(float, values))))

@@ -17,7 +17,7 @@ from .engine import (
     create_engine,
     waveform_deviation,
 )
-from .events import TimingEvent, detect_mis_pairs, switching_window, windows_overlap
+from .events import TimingEvent, detect_mis_pairs, windows_overlap
 from .hybrid import HybridEngine, HybridTimingResult, events_from_waveforms
 from .generate import (
     fanout_tree,
@@ -38,7 +38,6 @@ __all__ = [
     "netlist_fingerprint",
     "PropagationStats",
     "TimingEvent",
-    "switching_window",
     "windows_overlap",
     "detect_mis_pairs",
     "TimingModelLibrary",

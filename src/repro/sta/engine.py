@@ -138,11 +138,6 @@ class PropagationStats:
     faults: int = 0
     clamped_lookups: int = 0
 
-    @property
-    def cone_hits(self) -> int:
-        """Instances served without integration (memo + disk + duplicates)."""
-        return self.memo_hits + self.cache_hits + self.duplicates
-
     def as_dict(self) -> Dict[str, int]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 

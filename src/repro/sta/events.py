@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..exceptions import TimingError
 
-__all__ = ["TimingEvent", "switching_window", "windows_overlap", "detect_mis_pairs"]
+__all__ = ["TimingEvent", "windows_overlap", "detect_mis_pairs"]
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,6 @@ class TimingEvent:
         """The time window during which the net is considered to be switching."""
         half = guard_factor * self.slew
         return (self.arrival - half, self.arrival + half)
-
-
-def switching_window(event: TimingEvent, guard_factor: float = 1.0) -> Tuple[float, float]:
-    """Convenience wrapper around :meth:`TimingEvent.window`."""
-    return event.window(guard_factor)
 
 
 def windows_overlap(a: Tuple[float, float], b: Tuple[float, float]) -> bool:

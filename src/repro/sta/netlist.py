@@ -41,7 +41,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -129,9 +128,6 @@ class GateInstance:
     cell_name: str
     connections: Dict[str, str]
 
-    def input_nets(self, input_pins: Sequence[str]) -> Dict[str, str]:
-        return {pin: self.connections[pin] for pin in input_pins}
-
 
 @dataclass
 class NetConnectivity:
@@ -160,7 +156,6 @@ class NetConnectivity:
     receiver_instances: List[GateInstance]
     receiver_pins: List[str]
     revision: int = -1
-    _csr: Optional[Tuple[Any, ...]] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(cls, netlist: "GateNetlist") -> "NetConnectivity":
@@ -215,25 +210,6 @@ class NetConnectivity:
         return list(
             zip(self.receiver_instances[start:stop], self.receiver_pins[start:stop])
         )
-
-    # ------------------------------------------------------------------
-    # Index-array (structure-of-arrays) views, for the tensorized engines
-    # ------------------------------------------------------------------
-    @property
-    def receiver_csr(self):
-        """CSR-style receiver arrays: ``(ptr, instance_names, pin_names)``.
-
-        ``ptr`` is an ``(num_nets + 1,)`` intp array; the receivers of the
-        net with id ``n`` are ``instance_names[ptr[n]:ptr[n+1]]`` paired with
-        ``pin_names[ptr[n]:ptr[n+1]]``.  A name-only view of the stored
-        instance/pin arrays, materialized once per snapshot.
-        """
-        if self._csr is None:
-            names = tuple(instance.name for instance in self.receiver_instances)
-            object.__setattr__(  # dataclass may be frozen-by-convention
-                self, "_csr", (self.receiver_ptr, names, tuple(self.receiver_pins))
-            )
-        return self._csr
 
     def receiver_slice(self, net: str) -> Tuple[int, int]:
         """``[start, stop)`` bounds of a net's receivers in the CSR arrays."""
@@ -580,7 +556,6 @@ class GateNetlist:
         instances.insert(slot, instance)
         pins.insert(slot, pin)
         connectivity.receiver_ptr[connectivity.net_index[new] + 1 :] += 1
-        connectivity._csr = None
         connectivity.revision = self.revision
 
     def _relevel(self, cone: Set[str], connectivity: NetConnectivity) -> None:

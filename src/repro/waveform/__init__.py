@@ -2,7 +2,6 @@
 
 from .builders import (
     InputPattern,
-    glitch_pulse_stimulus,
     noisy_transition,
     pattern_stimulus,
     pattern_waveforms,
@@ -30,7 +29,6 @@ __all__ = [
     "ramp_waveform",
     "pattern_stimulus",
     "pattern_waveforms",
-    "glitch_pulse_stimulus",
     "noisy_transition",
     "crossing_time",
     "crossing_times",

@@ -18,7 +18,7 @@ sides of every comparison see exactly the same input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "ramp_waveform",
     "pattern_stimulus",
     "pattern_waveforms",
-    "glitch_pulse_stimulus",
     "noisy_transition",
     "InputPattern",
 ]
@@ -113,27 +112,6 @@ def pattern_waveforms(
         stimulus = pattern_stimulus(pattern, vdd)
         waveforms[pin] = Waveform.from_function(stimulus, 0.0, t_stop, num_samples, name=pin)
     return waveforms
-
-
-def glitch_pulse_stimulus(
-    baseline: float,
-    amplitude: float,
-    start_time: float,
-    rise_time: float,
-    width: float,
-    fall_time: float,
-) -> PiecewiseLinear:
-    """A triangular/trapezoidal glitch riding on a DC baseline."""
-    if rise_time <= 0 or fall_time <= 0:
-        raise WaveformError("glitch edges must have positive duration")
-    points = (
-        (0.0, baseline),
-        (start_time, baseline),
-        (start_time + rise_time, baseline + amplitude),
-        (start_time + rise_time + width, baseline + amplitude),
-        (start_time + rise_time + width + fall_time, baseline),
-    )
-    return PiecewiseLinear(points=points)
 
 
 def noisy_transition(

@@ -10,7 +10,7 @@ this class.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -137,15 +137,6 @@ class Waveform:
     def maximum(self) -> float:
         return float(self.values.max())
 
-    def derivative_at(self, time: float) -> float:
-        """Numerical slope (V/s) by central differencing on the sample grid."""
-        idx = int(np.searchsorted(self.times, time))
-        idx = min(max(idx, 1), len(self) - 1)
-        dt = self.times[idx] - self.times[idx - 1]
-        if dt <= 0:
-            return 0.0
-        return float((self.values[idx] - self.values[idx - 1]) / dt)
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -215,10 +206,6 @@ class Waveform:
     # ------------------------------------------------------------------
     # Export helpers
     # ------------------------------------------------------------------
-    def to_pairs(self) -> Iterable[Tuple[float, float]]:
-        """Yield (time, value) pairs (useful for text reports and plotting)."""
-        return zip(self.times.tolist(), self.values.tolist())
-
     def to_pwl_stimulus(self):
         """Convert to a :class:`repro.spice.PiecewiseLinear` stimulus."""
         from ..spice.sources import PiecewiseLinear

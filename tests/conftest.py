@@ -68,6 +68,12 @@ def nor2_mcsm(nor2, fast_config):
 
 
 @pytest.fixture(scope="session")
+def nand2_mcsm(nand2, fast_config):
+    """Session-wide complete MCSM of the NAND2 cell (NMOS stack node)."""
+    return characterize_mcsm(nand2, "A", "B", fast_config)
+
+
+@pytest.fixture(scope="session")
 def nor2_baseline_mis(nor2, fast_config):
     """Session-wide baseline (no internal node) MIS CSM of the NOR2 cell."""
     return characterize_baseline_mis(nor2, "A", "B", fast_config)

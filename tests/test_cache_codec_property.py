@@ -2,8 +2,8 @@
 
 One payload strategy covers every payload type the store holds — raw arrays
 (including zero-length and non-contiguous ones), ``NDTable``, the CSM model
-dataclasses, ``NLDMTable``, ``Waveform``, model-simulation results and the
-CSM level records and row pointers — and the packed store in each of its
+dataclasses, ``NLDMTable``, ``Waveform`` and the CSM level records and row
+pointers — and the packed store in each of its
 regimes (inline-only, data-file-only, mixed).  Whatever goes in must come out
 bitwise identical.
 """
@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.characterization.nldm import NLDMTable
-from repro.csm.base import ModelSimulationResult
 from repro.csm.models import MCSM, BaselineMISCSM, SISCSM
 from repro.lut.grid import Axis
 from repro.lut.table import NDTable
@@ -171,16 +170,6 @@ def nldm_tables(draw):
     )
 
 
-@st.composite
-def model_simulation_results(draw):
-    return ModelSimulationResult(
-        output=draw(waveforms()),
-        internal=draw(st.one_of(st.none(), waveforms())),
-        inputs=draw(st.dictionaries(names, waveforms(), max_size=2)),
-        metadata=draw(metadata),
-    )
-
-
 content_keys = st.integers(min_value=0, max_value=2**256 - 1).map("{:064x}".format)
 
 
@@ -222,7 +211,6 @@ payloads = st.one_of(
     mis_models(),
     mcsm_models(),
     nldm_tables(),
-    model_simulation_results(),
     level_records(),
     level_rows,
     st.lists(st.one_of(primitives, ndarrays()), max_size=3),

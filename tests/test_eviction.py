@@ -48,6 +48,11 @@ class TestLRUEviction:
         # The freshly touched keys survive; the stalest stored ones are gone.
         assert keys[0] in store and keys[1] in store
         assert keys[2] not in store
+        for i, key in enumerate(keys):
+            hit, value = store.lookup(key)
+            assert hit == (key in store), key
+            if hit:  # a survivor still reads back its own payload
+                assert np.array_equal(value["data"], _payload(i)["data"]), key
         assert store.policy_stats["lru_evictions"] == evicted["lru_evictions"]
         assert store.stats.evictions >= evicted["lru_evictions"]
 

@@ -1,8 +1,9 @@
 """Golden regression fixtures (PR 5).
 
 Small committed reference outputs for the paper's headline numbers (fig9 /
-fig11 delays and RMSEs) and a 64-gate DAG STA run (per-primary-output CSM
-arrivals and NLDM events).  Numerical drift introduced by a future PR fails
+fig11 delays and RMSEs, the fig10 glitch peaks and the fig12 crosstalk
+sweep) and a 64-gate DAG STA run (per-primary-output CSM arrivals and NLDM
+events).  Numerical drift introduced by a future PR fails
 these loudly instead of sliding through silently — the engine-equivalence
 tests only compare the engines against *each other*, not against history.
 
@@ -22,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.sta import (
     CSMEngine,
@@ -116,6 +116,38 @@ def test_fig11_arrival_golden(experiment_context):
             "sis_delay_error_percent": result.sis_delay_error_percent,
         },
     )
+
+
+def test_fig10_glitch_golden(experiment_context):
+    from repro.experiments import run_fig10
+
+    result = run_fig10(experiment_context, pulse_width=40e-12)
+    _check_or_regen(
+        "fig10",
+        {
+            "reference_peak": result.reference_peak,
+            "mcsm_peak": result.mcsm_peak,
+            "rmse_fraction_of_vdd": result.rmse_fraction_of_vdd,
+            "peak_error_volts": result.peak_error_volts,
+        },
+    )
+
+
+def test_fig12_crosstalk_golden(experiment_context):
+    from repro.experiments import run_fig12
+
+    result = run_fig12(experiment_context, num_points=3)
+    computed = {
+        f"{point.injection_time:.4e}": {
+            "reference_delay": point.reference_delay,
+            "mcsm_delay": point.mcsm_delay,
+            "rmse_fraction_of_vdd": point.rmse_fraction_of_vdd,
+        }
+        for point in result.points
+    }
+    computed["average_rmse_fraction"] = result.average_rmse_fraction()
+    computed["max_delay_error"] = result.max_delay_error()
+    _check_or_regen("fig12", computed)
 
 
 @pytest.fixture(scope="module")

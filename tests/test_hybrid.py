@@ -21,6 +21,7 @@ import pytest
 from repro.characterization import CharacterizationConfig
 from repro.csm.base import SimulationOptions
 from repro.exceptions import TimingError
+from repro.runtime import PackedStore
 from repro.sta import (
     CSMEngine,
     HybridEngine,
@@ -228,6 +229,24 @@ class TestRefinementLoop:
         assert "CSM-refined" in report
         with pytest.raises(TimingError, match="not an endpoint"):
             result.slack("no_such_net")
+
+    def test_partial_refinement_integrates_fewer_rows_than_full_csm(
+        self, netlist, models, options, stimulus, tmp_path
+    ):
+        """What makes an intermediate ``top_k`` cheaper than full CSM: on a
+        cold store its refines integrate each refined instance once (a
+        re-ranked cone re-reads the earlier cones from the memo) and never
+        the whole design."""
+        waveforms, t_stop = stimulus
+        hybrid = HybridEngine(
+            netlist, models, options=options, cache=PackedStore(tmp_path), top_k=1
+        )
+        result = hybrid.run(waveforms, t_stop=t_stop)
+        integrated = sum(
+            iteration["csm_stats"]["integrations"] for iteration in result.iterations
+        )
+        assert integrated == len(result.refined_instances) < len(netlist.instances)
+        assert 0.0 < result.csm_fraction < 1.0
 
     def test_result_stimuli_are_private_copies(self, netlist, models, options, stimulus):
         waveforms, t_stop = stimulus

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.characterization import CharacterizationConfig
-from repro.csm.base import SimulationOptions
+from repro.csm.base import ModelSimulationResult, SimulationOptions
 from repro.csm import dc as dc_module
 from repro.csm.dc import settle_units
 from repro.csm.loads import CapacitiveLoad
@@ -90,22 +90,25 @@ class TestDCSettle:
         with pytest.raises(ModelError):
             SimulationOptions(settle_mode="newton")
 
-    def test_mcsm_dc_matches_converged_integration(self, nor2_mcsm):
+    def test_mcsm_dc_matches_converged_integration(self, nor2_mcsm, nand2_mcsm):
         """The DC solve must land on the asymptote of the integration settle
         — including the slow stack-leakage '11' state that is nowhere near
-        stationary at the end of the legacy 2 ns window."""
-        vdd = nor2_mcsm.vdd
+        stationary at the end of the legacy 2 ns window — for the NOR2's
+        PMOS stack node and the NAND2's NMOS one."""
         load = CapacitiveLoad(5e-15)
         dc = SimulationOptions(time_step=1e-12)
         converged = SimulationOptions(
             time_step=1e-12, settle_time=100e-9, settle_mode="integrate"
         )
-        for state_a, state_b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            values = {"A": state_a * vdd, "B": state_b * vdd}
-            vo_dc, vn_dc = nor2_mcsm.settle_state(values, load, dc)
-            vo_ref, vn_ref = nor2_mcsm.settle_state(values, load, converged)
-            assert abs(vo_dc - vo_ref) <= EQUIV_TOL, (state_a, state_b)
-            assert abs(vn_dc - vn_ref) <= EQUIV_TOL, (state_a, state_b)
+        for model in (nor2_mcsm, nand2_mcsm):
+            vdd = model.vdd
+            for state_a, state_b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                values = {"A": state_a * vdd, "B": state_b * vdd}
+                vo_dc, vn_dc = model.settle_state(values, load, dc)
+                vo_ref, vn_ref = model.settle_state(values, load, converged)
+                state = (model.cell_name, state_a, state_b)
+                assert abs(vo_dc - vo_ref) <= EQUIV_TOL, state
+                assert abs(vn_dc - vn_ref) <= EQUIV_TOL, state
 
     def test_sis_dc_matches_converged_integration(self, inverter_sis):
         load = CapacitiveLoad(5e-15)
@@ -1016,18 +1019,22 @@ class TestCacheRobustness:
         assert key not in cache
 
     def test_timing_results_are_not_storable(self, tmp_path):
-        # A CSM run is served instance by instance from level records, and
-        # NLDM recomputes its events: the codec registers no timing result.
+        # A CSM run is served instance by instance from level records, NLDM
+        # recomputes its events and the figures recompute their model
+        # simulations (which costs about what keying them does): the codec
+        # registers neither result.
         cache = PackedStore(tmp_path / "cache")
-        result = WaveformTimingResult(
-            waveforms={"n1": Waveform([0.0, 1e-9], [0.1, 1.1], name="n1")},
+        wave = Waveform([0.0, 1e-9], [0.1, 1.1], name="n1")
+        timing = WaveformTimingResult(
+            waveforms={"n1": wave},
             model_used={"u0": "SISCSM[A]"},
             netlist_name="demo",
             vdd=1.2,
             stats={"instances": 1, "integrations": 1},
         )
-        with pytest.raises(TypeError, match="not registered"):
-            cache.store("ef" + "2" * 62, result)
+        for result in (timing, ModelSimulationResult(output=wave)):
+            with pytest.raises(TypeError, match="not registered"):
+                cache.store("ef" + "2" * 62, result)
         assert len(cache) == 0
 
 

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.characterization import characterize_mcsm
 from repro.csm import CapacitiveLoad, SimulationOptions
 from repro.waveform import Waveform, propagation_delay, ramp_waveform
-
-
-@pytest.fixture(scope="module")
-def nand2_mcsm(nand2, fast_config):
-    return characterize_mcsm(nand2, "A", "B", fast_config.with_grid_points(5))
 
 
 class TestNandMCSM:

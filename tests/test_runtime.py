@@ -277,6 +277,40 @@ class TestResultStore:
             model_cold.io_table.values, model_warm.io_table.values
         )
 
+    def test_warm_figure_run_reads_its_models_and_stores_nothing(
+        self, tmp_path, fast_config
+    ):
+        """A figure re-run by a fresh context on a warm store characterizes
+        nothing, misses nothing, writes nothing and gives the cold run's
+        numbers exactly (the models decode bitwise; the model simulations
+        are recomputed)."""
+        from repro.experiments import run_fig11
+
+        def fresh_context():
+            return ExperimentContext(
+                characterization=fast_config,
+                reference_time_step=4e-12,
+                model_time_step=2e-12,
+                cache=PackedStore(tmp_path),
+            )
+
+        def numbers(result):
+            return (
+                result.reference_delay,
+                result.mcsm_delay,
+                result.sis_delay,
+                result.mcsm_rmse,
+                result.sis_rmse,
+            )
+
+        cold = fresh_context()
+        cold_numbers = numbers(run_fig11(cold))
+        assert cold.cache.stats.stores == 2  # the NOR2 MCSM and SIS models
+        warm = fresh_context()
+        assert numbers(run_fig11(warm)) == cold_numbers
+        stats = warm.cache.stats
+        assert stats.misses == 0 and stats.stores == 0 and stats.hits == 2, stats
+
     def test_prewarm_characterizations(self, tmp_path, fast_config):
         context = ExperimentContext(
             characterization=fast_config,

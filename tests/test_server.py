@@ -42,9 +42,11 @@ from repro.sta import (
     generate_netlist,
     netlist_fingerprint,
     primary_input_events,
+    primary_input_waveforms,
 )
 from repro.sta import netlist as netlist_module
 from repro.sta.engine import WaveformTimingResult
+from repro.sta.generate import default_time_window
 from repro.sta.netlist import (
     NETLIST_DIGEST_SALT,
     NetConnectivity,
@@ -285,6 +287,47 @@ class TestTimingService:
         times, values = TimingClient.waveforms_of(csm)["n3"]
         assert len(times) == len(values) > 0
         assert np.isfinite(values).all()
+
+    def test_returned_waveforms_equal_a_no_cache_rebuild(self, service, models, library):
+        """After an ECO swap and its swap-back, the waveforms a reply ships
+        (served from the session's memo and store) are bitwise a fresh
+        no-cache engine's on the same design and stimulus."""
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        service.handle({"op": "timing", "session": session, "seed": 0})
+        eco = service.handle(
+            {"op": "eco", "session": session, "edits": [{"kind": "auto_swap"}]}
+        )
+        applied = eco["applied"][0]
+        service.handle({"op": "timing", "session": session, "seed": 0})
+        service.handle(
+            {
+                "op": "eco",
+                "session": session,
+                "edits": [
+                    {
+                        "kind": "swap_cell",
+                        "instance": applied["instance"],
+                        "cell": applied["swapped_from"],
+                    }
+                ],
+            }
+        )
+        reply = service.handle(
+            {"op": "timing", "session": session, "seed": 0, "return_waveforms": True}
+        )
+        assert reply["stats"]["integrations"] == 0
+        netlist = generate_netlist(library, DAG)
+        window = default_time_window(netlist)
+        rebuild = CSMEngine(
+            netlist, models, options=SimulationOptions(time_step=2e-12), use_cache=False
+        ).run(primary_input_waveforms(netlist, t_stop=window, seed=0), t_stop=window)
+        returned = TimingClient.waveforms_of(reply)
+        assert returned and set(returned) <= set(rebuild.waveforms)
+        for net, (times, values) in returned.items():
+            assert times.tobytes() == rebuild.waveforms[net].times.tobytes(), net
+            assert values.tobytes() == rebuild.waveforms[net].values.tobytes(), net
 
     def test_eco_swap_retimes_only_affected_region(self, service):
         session = service.handle(
