@@ -69,13 +69,18 @@ def _arrivals(
         if key is not None and key in memo:
             arrivals[net] = memo[key]
             continue
-        try:
-            arrivals[net] = float(result.arrival(net))
-        except TimingError:
-            arrivals[net] = None
+        arrivals[net] = _float_or_none(result.arrival, net)
         if key is not None:
             memo[key] = arrivals[net]
     return arrivals
+
+
+def _float_or_none(read, net: str) -> Optional[float]:
+    """``read(net)`` as a float, ``None`` where it raises a TimingError."""
+    try:
+        return float(read(net))
+    except TimingError:
+        return None
 
 
 @dataclass
@@ -278,19 +283,20 @@ class TimingService:
     ) -> Dict[str, Any]:
         """One timing run, single-flighted across sessions by content key.
 
-        ``corners`` selects the MMMC path: every named corner is propagated
-        as its own single-corner run and the response carries per-corner
-        arrivals plus a cross-corner worst merge.  ``memory_mode="stream"``
-        propagates with the bounded-memory streaming engine (spilling retired
-        levels to the server's store), with or without ``corners``;
-        spill/fault counts show up in the response stats and the session's
-        ``status`` entry.  The NLDM engine keeps no per-net state worth
-        spilling, so ``engine="nldm"`` serves both memory modes with one
-        engine, bitwise alike, and reports zero spills and faults.
-        ``engine="hybrid"`` runs the criticality-adaptive NLDM+CSM engine;
-        ``required`` (scalar or per-net mapping) and ``top_k`` (int or
-        ``"all"``) tune its slack ranking, and the response adds per-net
-        exactness flags plus per-iteration refinement stats.
+        Every reply carries ``engine``, ``t_stop`` (the CSM window; ``None``
+        for NLDM), ``arrivals`` of ``nets`` (default: the primary outputs;
+        ``None`` where a net never switches) and ``stats``.  With
+        ``corners`` each named corner runs as its own single-corner run:
+        ``arrivals`` and ``stats`` become per-corner maps, next to
+        ``corners`` and ``worst_arrivals`` (per net ``[corner, arrival]`` of
+        the latest corner, ``None`` if it never switches).  Then
+        each engine adds its own fields: NLDM ``slews``; ``engine="hybrid"``
+        (NLDM+CSM, ranked by ``required`` and ``top_k``) ``exact``,
+        ``slacks``, ``csm_fraction`` and ``iterations``; a single-corner CSM
+        or hybrid run ``waveforms`` when ``return_waveforms`` asks.
+        ``memory_mode="stream"`` spills retired levels to the server's store
+        (spill/fault counts in the stats and ``status``); NLDM serves both
+        memory modes with one engine, bitwise alike.
         """
         if memory_mode not in ("resident", "stream"):
             raise ServerError(
@@ -729,73 +735,53 @@ class TimingService:
         required: Optional[Any] = None,
         top_k: Optional[Any] = None,
     ) -> Dict[str, Any]:
+        """One engine run and its reply (see :meth:`timing`): the arrivals
+        every result answers, then the engine's own fields.  Must hold the
+        session lock."""
         engine = self._engine(
             record, engine_kind, corner_names, memory_mode, memory_budget_bytes
         )
         netlist = record.netlist
         report_nets = list(nets) if nets else list(netlist.primary_outputs)
-        if corner_names:
-            return self._timing_multicorner(
-                record, engine, engine_kind, report_nets, seed, t_stop, events
-            )
-        if engine_kind == "hybrid":
-            window = float(t_stop) if t_stop else default_time_window(netlist)
-            waveforms = self._stimuli(record, window, seed)
-            run_kwargs: Dict[str, Any] = {}
-            if required is not None:
-                run_kwargs["required"] = required
-            if top_k is not None:
-                run_kwargs["top_k"] = top_k
-            result = engine.run(waveforms, t_stop=window, **run_kwargs)
-            payload: Dict[str, Any] = {
-                "engine": "hybrid",
-                "arrivals": _arrivals(result, report_nets),
-                "exact": {net: result.is_exact(net) for net in report_nets},
-                "slacks": {
-                    net: (list(entry) if entry is not None else None)
-                    for net, entry in result.endpoint_slacks.items()
-                },
-                "csm_fraction": result.csm_fraction,
-                "iterations": result.iterations,
-                "t_stop": window,
-                "stats": result.stats,
-            }
-            if return_waveforms:
-                payload["waveforms"] = {
-                    net: encode_waveform(
-                        result.waveforms[net].times, result.waveforms[net].values
-                    )
-                    for net in report_nets
-                    if net in result.waveforms
-                }
-            return payload
+        window: Optional[float] = None
         if engine_kind == "nldm":
-            input_events = self._input_events(netlist, events, seed)
-            result = engine.run(input_events)
-            arrivals = {}
-            slews = {}
-            for net in report_nets:
-                event = result.events.get(net)
-                arrivals[net] = event.arrival if event else None
-                slews[net] = event.slew if event else None
-            payload: Dict[str, Any] = {
-                "engine": "nldm",
-                "arrivals": arrivals,
-                "slews": slews,
-                "stats": result.stats,
+            result = engine.run(self._input_events(netlist, events, seed))
+        else:
+            window = float(t_stop) if t_stop else default_time_window(netlist)
+            tuning = {"required": required, "top_k": top_k}
+            result = engine.run(
+                self._stimuli(record, window, seed),
+                t_stop=window,
+                **{name: value for name, value in tuning.items() if value is not None},
+            )
+        payload: Dict[str, Any] = {"engine": engine_kind, "t_stop": window}
+        if corner_names:
+            payload["corners"] = list(result.corner_order)
+            payload["arrivals"] = {
+                name: _arrivals(result.result(name), report_nets)
+                for name in result.corner_order
             }
-            return payload
-
-        window = float(t_stop) if t_stop else default_time_window(netlist)
-        waveforms = self._stimuli(record, window, seed)
-        result = engine.run(waveforms, t_stop=window)
-        payload = {
-            "engine": "csm",
-            "arrivals": _arrivals(result, report_nets, record.arrivals),
-            "t_stop": window,
-            "stats": result.stats,
-        }
-        if return_waveforms:
+            payload["worst_arrivals"] = {
+                net: (list(entry) if entry is not None else None)
+                for net, entry in result.worst_arrivals(report_nets).items()
+            }
+        else:
+            memo = record.arrivals if engine_kind == "csm" else None
+            payload["arrivals"] = _arrivals(result, report_nets, memo)
+        payload["stats"] = result.stats
+        if engine_kind == "nldm" and not corner_names:
+            payload["slews"] = {
+                net: _float_or_none(result.slew, net) for net in report_nets
+            }
+        if engine_kind == "hybrid":
+            payload["exact"] = {net: result.is_exact(net) for net in report_nets}
+            payload["slacks"] = {
+                net: (list(entry) if entry is not None else None)
+                for net, entry in result.endpoint_slacks.items()
+            }
+            payload["csm_fraction"] = result.csm_fraction
+            payload["iterations"] = result.iterations
+        if return_waveforms and engine_kind != "nldm" and not corner_names:
             payload["waveforms"] = {
                 net: encode_waveform(
                     result.waveforms[net].times, result.waveforms[net].values
@@ -803,56 +789,4 @@ class TimingService:
                 for net in report_nets
                 if net in result.waveforms
             }
-        return payload
-
-    def _timing_multicorner(
-        self,
-        record: Session,
-        engine: TimingEngine,
-        engine_kind: str,
-        report_nets: List[str],
-        seed: int,
-        t_stop: Optional[float],
-        events: Optional[Mapping[str, Any]],
-    ) -> Dict[str, Any]:
-        """One MMMC run: per-corner arrivals + cross-corner worst
-        merge (``worst_arrivals[net]`` is ``[corner, arrival]`` or ``None``
-        for nets that never switch at any corner)."""
-        netlist = record.netlist
-        if engine_kind == "nldm":
-            input_events = self._input_events(netlist, events, seed)
-            result = engine.run(input_events)
-            arrivals = {
-                name: {
-                    net: (
-                        result.result(name).events[net].arrival
-                        if net in result.result(name).events
-                        else None
-                    )
-                    for net in report_nets
-                }
-                for name in result.corner_order
-            }
-            payload: Dict[str, Any] = {"engine": "nldm", "t_stop": None}
-        else:
-            window = float(t_stop) if t_stop else default_time_window(netlist)
-            waveforms = self._stimuli(record, window, seed)
-            result = engine.run(waveforms, t_stop=window)
-            arrivals = {
-                name: _arrivals(result.result(name), report_nets)
-                for name in result.corner_order
-            }
-            payload = {"engine": "csm", "t_stop": window}
-        worst = {
-            net: (list(entry) if entry is not None else None)
-            for net, entry in result.worst_arrivals(report_nets).items()
-        }
-        payload.update(
-            {
-                "corners": list(result.corner_order),
-                "arrivals": arrivals,
-                "worst_arrivals": worst,
-                "stats": result.stats,
-            }
-        )
         return payload

@@ -54,7 +54,7 @@ from ..waveform.level_tensor import LevelTensor
 from ..waveform.metrics import crossing_times
 from ..waveform.waveform import Waveform
 from .events import TimingEvent, detect_mis_pairs
-from .mmmc import CornerContext, CornerSet, MulticornerNLDMResult, MulticornerTimingResult
+from .mmmc import CornerContext, CornerSet, MulticornerResult
 from .models import TimingModelLibrary
 from .netlist import (
     GateInstance,
@@ -71,8 +71,7 @@ __all__ = [
     "NLDMTimingResult",
     "NLDMEngine",
     "CornerSet",
-    "MulticornerTimingResult",
-    "MulticornerNLDMResult",
+    "MulticornerResult",
     "waveform_deviation",
 ]
 
@@ -164,6 +163,9 @@ class WaveformTimingResult:
     #: (``use_cache=False``).  Equal keys name bitwise-equal waveforms.
     keys: Optional[Dict[str, str]] = None
 
+    def nets(self) -> List[str]:
+        return list(self.waveforms)
+
     def waveform(self, net: str) -> Waveform:
         if net not in self.waveforms:
             raise TimingError(f"net {net!r} has no propagated waveform")
@@ -173,8 +175,8 @@ class WaveformTimingResult:
         """50 % crossing time of a net (last crossing in the given direction)."""
         if net not in self.waveforms:
             raise TimingError(f"net {net!r} has no propagated waveform")
-        # Reading needs no private copy of a resident result's waveform.
-        waveform = getattr(self.waveforms, "shared", self.waveforms.__getitem__)(net)
+        # Reading needs no private copy of the result's waveform.
+        waveform = self.waveforms.shared(net)
         direction = "any" if rising is None else ("rise" if rising else "fall")
         crossings = crossing_times(waveform, 0.5 * self.vdd, direction)
         if not crossings:
@@ -204,6 +206,9 @@ class NLDMTimingResult:
     mis_flags: Dict[str, List[Tuple[str, str]]]
     netlist_name: str
     stats: Optional[Dict[str, int]] = None
+
+    def nets(self) -> List[str]:
+        return list(self.events)
 
     def arrival(self, net: str) -> float:
         if net not in self.events:
@@ -406,6 +411,12 @@ class _SpilledWaveforms(AbstractMapping):
             raise KeyError(net)
         return self._fetch(net, *pointer)
 
+    def shared(self, net: str) -> Waveform:
+        """The net's waveform for reading only (a stimulus is not copied)."""
+        if net in self._resident:
+            return self._resident.shared(net)
+        return self[net]
+
     def __iter__(self):
         yield from self._resident
         for net in self._pointers:
@@ -441,7 +452,7 @@ class TimingEngine:
         self.netlist = netlist
         self.models = models
         #: Optional MMMC corner set: when bound, :meth:`run` runs one
-        #: single-corner engine per corner and returns a multi-corner result.
+        #: single-corner engine per corner (see :meth:`_run_corners`).
         self.corners = corners
         self._connectivity: Optional[NetConnectivity] = None
         self._levels: Optional[List[List[GateInstance]]] = None
@@ -591,9 +602,10 @@ class TimingEngine:
         options (subclasses that accept ``corners=`` implement it)."""
         raise NotImplementedError
 
-    def _run_corners(self, *args, **kwargs) -> Dict[str, Any]:
+    def _run_corners(self, *args, **kwargs) -> MulticornerResult:
         """Run every corner of :attr:`corners` as an ordinary single-corner
-        run, one after another; returns corner name -> result.
+        run, one after another, each child checking and defaulting the
+        arguments itself.
 
         Each corner has its own child engine (built on first use and rebound
         to the current netlist before every run); a CSM child's keys are
@@ -608,23 +620,28 @@ class TimingEngine:
                 child = self._corner_engine(cc)
                 child._corner_key = (cc.name, cc.corner)
                 self._corner_engines[cc.name] = child
-        results: Dict[str, Any] = {}
-        per_stats: List[PropagationStats] = []
-        for name in self.corners.names:
-            child = self._corner_engines[name].rebind(self.netlist)
-            results[name] = child.run(*args, **kwargs)
-            per_stats.append(child.last_stats)
-        self.last_stats = self._aggregate_stats(per_stats)
-        return results
+        results = {
+            name: self._corner_engines[name].rebind(self.netlist).run(*args, **kwargs)
+            for name in self.corners.names
+        }
+        self.last_stats = self._aggregate_stats(
+            self._corner_engines[name].last_stats for name in results
+        )
+        return MulticornerResult(results, self.corners.names, self.netlist.name)
 
     def run(self, *args, **kwargs):
         """Run the engine (thread-safe: concurrent calls serialize).
 
-        Dispatches to the subclass :meth:`_run_impl` under the run lock and
-        folds the run's :class:`PropagationStats` into the lifetime totals.
+        Dispatches under the run lock to :meth:`_run_corners` when
+        :attr:`corners` is bound, else to the subclass :meth:`_run_impl`,
+        and folds the run's :class:`PropagationStats` into the lifetime
+        totals.
         """
         with self._run_lock:
-            result = self._run_impl(*args, **kwargs)
+            if self.corners is not None:
+                result = self._run_corners(*args, **kwargs)
+            else:
+                result = self._run_impl(*args, **kwargs)
             self.runs_completed += 1
             stats = self.last_stats
             if stats is not None:
@@ -697,7 +714,7 @@ class NLDMEngine(TimingEngine):
     ----------
     corners:
         Optional :class:`CornerSet`: :meth:`run` then runs one single-corner
-        engine per corner and returns a :class:`MulticornerNLDMResult`
+        engine per corner and returns a :class:`MulticornerResult`
         whose corners are bitwise their single-corner runs.
     """
 
@@ -775,14 +792,6 @@ class NLDMEngine(TimingEngine):
         for net in input_events:
             if net not in self.netlist.primary_inputs:
                 raise TimingError(f"{net!r} is not a primary input of {self.netlist.name!r}")
-        if self.corners is not None:
-            results = self._run_corners(input_events)
-            return MulticornerNLDMResult(
-                results=results,
-                corner_order=self.corners.names,
-                netlist_name=self.netlist.name,
-                stats={name: result.stats for name, result in results.items()},
-            )
 
         levels = self.levels()  # also re-syncs structural caches after edits
         stats = PropagationStats(instances=len(self.netlist.instances))
@@ -1089,7 +1098,7 @@ class CSMEngine(TimingEngine):
     corners:
         Optional :class:`CornerSet`: :meth:`run` then runs one ordinary
         single-corner engine per corner, in order, and returns a
-        :class:`MulticornerTimingResult` whose corners are bitwise their
+        :class:`MulticornerResult` whose corners are bitwise their
         single-corner runs.
     memory_mode:
         The retention policy of the level loop, with identical numbers and
@@ -1327,17 +1336,6 @@ class CSMEngine(TimingEngine):
                 )
             if only == names:
                 only = None  # full cover IS a plain run: it carries
-        if self.corners is not None:
-            results = self._run_corners(
-                input_waveforms, t_stop=t_stop, t_start=t_start, only=only
-            )
-            return MulticornerTimingResult(
-                results=results,
-                corner_order=self.corners.names,
-                netlist_name=self.netlist.name,
-                vdd=self.vdd,
-                stats={name: result.stats for name, result in results.items()},
-            )
 
         levels = self.levels()  # also re-syncs structural caches after edits
         if only is not None:
@@ -1541,6 +1539,11 @@ class CSMEngine(TimingEngine):
                     pending.append(plan)
                     continue
                 net_keys[plan.output_net] = plan.key
+                if plan.key in first_keys:
+                    # Its first plan missed and is pending: a read would
+                    # miss too, or wait on the claim that plan just took.
+                    duplicates.append(plan)
+                    continue
                 hit = self._read(plan.key, stats, times, retention)
                 if hit is not None and clean:
                     # Same key, same samples: its row, initial value and
@@ -1548,8 +1551,6 @@ class CSMEngine(TimingEngine):
                     retention.keep(plan.output_net, *hit)
                 elif hit is not None:
                     keep(plan.output_net, *hit)
-                elif plan.key in first_keys:
-                    duplicates.append(plan)
                 else:
                     first_keys.add(plan.key)
                     pending.append(plan)

@@ -14,7 +14,7 @@ One hybrid run is an iteration to a fixed point:
    no cache, and only the CSM refine below reads and writes the store.
 2. **Rank** — endpoints (primary outputs) are ranked by slack against a
    ``required`` time: a scalar or a per-net mapping, resolved with the same
-   merge semantics as :meth:`~repro.sta.mmmc._MulticornerMerge.worst_slacks`
+   merge semantics as :meth:`~repro.sta.mmmc.MulticornerResult.worst_slacks`
    (via :func:`~repro.sta.mmmc.required_time`).
 3. **Refine** — the union of the top-k critical endpoints' *complete* fan-in
    cones (:meth:`GateNetlist.fanin_cone`) re-propagates through the CSM

@@ -7,11 +7,11 @@ engines accept directly (``CSMEngine(..., corners=...)``); the engine then
 runs each corner as an ordinary single-corner run, one after another, with
 its keys scoped to the corner.
 
-Results come back as :class:`MulticornerTimingResult` /
-:class:`MulticornerNLDMResult`: per-corner result objects (each exactly what
-a single-corner run of that corner produces), plus the cross-corner merges an
-MMMC flow reports — worst arrival per net and worst slack against a required
-time, each annotated with the corner that sets it.
+Both engines return one :class:`MulticornerResult`: per-corner result
+objects (each exactly what a single-corner run of that corner produces),
+plus the cross-corner merges an MMMC flow reports — worst arrival per net
+and worst slack against a required time, each annotated with the corner that
+sets it.
 
 The standard five-point corner spread keeps the nominal supply
 (``vdd_scale == 1.0``): every corner is driven by the design's stimuli and
@@ -21,8 +21,8 @@ CSM engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..cells.library import CellLibrary, default_library
 from ..exceptions import TimingError
@@ -32,8 +32,7 @@ from ..technology.process import Technology, default_technology
 __all__ = [
     "CornerContext",
     "CornerSet",
-    "MulticornerTimingResult",
-    "MulticornerNLDMResult",
+    "MulticornerResult",
     "required_time",
 ]
 
@@ -170,13 +169,23 @@ class CornerSet:
             ) from None
 
 
-class _MulticornerMerge:
-    """Cross-corner merge helpers shared by both result flavours.
+@dataclass
+class MulticornerResult:
+    """One MMMC run's per-corner results plus the worst-case merge.
 
-    Subclasses provide ``results`` (corner name → per-corner result whose
-    ``arrival(net)`` raises :class:`TimingError` for never-switching nets),
-    ``corner_order`` and :meth:`nets`.
+    ``results[name]`` is exactly the result a single-corner run of that
+    corner produces (CSM or NLDM); the merges read only its ``nets()`` and
+    ``arrival(net)``, which raises :class:`TimingError` for nets that never
+    switch.  :attr:`stats` is each corner's own propagation accounting.
     """
+
+    results: Dict[str, Any]
+    corner_order: List[str]
+    netlist_name: str
+
+    @property
+    def stats(self) -> Dict[str, Optional[Dict[str, int]]]:
+        return {name: self.results[name].stats for name in self.corner_order}
 
     def result(self, corner: str):
         try:
@@ -185,6 +194,14 @@ class _MulticornerMerge:
             raise TimingError(
                 f"no result for corner {corner!r} (have {self.corner_order})"
             ) from None
+
+    def nets(self) -> List[str]:
+        """Every net some corner propagated, in first-seen order."""
+        seen: Dict[str, None] = {}
+        for name in self.corner_order:
+            for net in self.results[name].nets():
+                seen.setdefault(net, None)
+        return list(seen)
 
     def arrival(self, net: str, corner: Optional[str] = None) -> float:
         """A net's arrival: one corner's, or the worst across all corners."""
@@ -250,74 +267,14 @@ class _MulticornerMerge:
             slacks[net] = (corner, required_time(required, net, default) - arrival)
         return slacks
 
-
-@dataclass
-class MulticornerTimingResult(_MulticornerMerge):
-    """One MMMC CSM run's per-corner waveforms plus the worst-case merge.
-
-    ``results[name]`` is exactly the :class:`WaveformTimingResult` a
-    single-corner run of that corner produces; ``stats`` carries each
-    corner's own propagation accounting (the per-corner warm-repeat and
-    cache-separation invariants are asserted against these, not against an
-    aggregate).
-    """
-
-    results: Dict[str, object]  # corner name -> WaveformTimingResult
-    corner_order: List[str]
-    netlist_name: str
-    vdd: float
-    stats: Optional[Dict[str, Dict[str, int]]] = None
-
-    def nets(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for name in self.corner_order:
-            for net in self.results[name].waveforms:
-                seen.setdefault(net, None)
-        return list(seen)
-
-    def waveform(self, net: str, corner: str):
-        return self.result(corner).waveform(net)
-
     def report(self) -> str:
         lines = [
-            f"Multi-corner CSM timing report for {self.netlist_name!r} "
+            f"Multi-corner timing report for {self.netlist_name!r} "
             f"(corners: {', '.join(self.corner_order)})"
         ]
         for net, worst in self.worst_arrivals().items():
             if worst is None:
-                lines.append(f"  net {net:<12} stable at every corner")
-            else:
-                corner, arrival = worst
-                lines.append(
-                    f"  net {net:<12} worst arrival {arrival * 1e12:9.2f} ps  ({corner})"
-                )
-        return "\n".join(lines)
-
-
-@dataclass
-class MulticornerNLDMResult(_MulticornerMerge):
-    """One MMMC NLDM run's per-corner events plus the worst-case merge."""
-
-    results: Dict[str, object]  # corner name -> NLDMTimingResult
-    corner_order: List[str]
-    netlist_name: str
-    stats: Optional[Dict[str, Dict[str, int]]] = None
-
-    def nets(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for name in self.corner_order:
-            for net in self.results[name].events:
-                seen.setdefault(net, None)
-        return list(seen)
-
-    def report(self) -> str:
-        lines = [
-            f"Multi-corner NLDM timing report for {self.netlist_name!r} "
-            f"(corners: {', '.join(self.corner_order)})"
-        ]
-        for net, worst in self.worst_arrivals().items():
-            if worst is None:
-                lines.append(f"  net {net:<12} no event at any corner")
+                lines.append(f"  net {net:<12} never switches at any corner")
             else:
                 corner, arrival = worst
                 lines.append(

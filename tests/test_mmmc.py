@@ -43,12 +43,7 @@ from repro.sta import (
     waveform_deviation,
 )
 from repro.sta.generate import default_time_window
-from repro.sta.mmmc import (
-    CornerSet,
-    MulticornerNLDMResult,
-    MulticornerTimingResult,
-    required_time,
-)
+from repro.sta.mmmc import CornerSet, MulticornerResult, required_time
 from repro.waveform.level_tensor import LevelTensor
 
 CORNERS = ["TT", "FF", "SS"]
@@ -121,7 +116,7 @@ class TestBatchedEquivalence:
             netlist, corner_set.reference.models, options=options, corners=corner_set
         )
         multi = batched.run(waveforms, t_stop=t_stop)
-        assert isinstance(multi, MulticornerTimingResult)
+        assert isinstance(multi, MulticornerResult)
         assert multi.corner_order == CORNERS
         for name in CORNERS:
             serial = CSMEngine(netlist, corner_set[name].models, options=options)
@@ -200,12 +195,15 @@ class TestBatchedEquivalence:
             netlist, corner_set.reference.models, corners=corner_set
         )
         multi = batched.run(events)
-        assert isinstance(multi, MulticornerNLDMResult)
+        assert isinstance(multi, MulticornerResult)
         for name in CORNERS:
             serial = NLDMEngine(netlist, corner_set[name].models)
             reference = serial.run(events)
             assert multi.result(name).events == reference.events
             assert multi.result(name).mis_flags == reference.mis_flags
+        assert set(multi.nets()) == {
+            net for name in CORNERS for net in multi.result(name).events
+        }
 
     def test_worst_merge_is_max_over_corners(self, corner_set, netlist, options, stimulus):
         waveforms, t_stop = stimulus
@@ -215,6 +213,7 @@ class TestBatchedEquivalence:
         multi = engine.run(waveforms, t_stop=t_stop)
         merged = multi.worst_arrivals()
         assert set(merged) == set(multi.nets())
+        assert multi.report().count("\n") == len(merged)  # one line per net
         for net, worst in merged.items():
             per_corner = {}
             for name in CORNERS:

@@ -374,6 +374,9 @@ class TestResultStore:
 
         result = run_sta_scale(context, specs=("chain:inv:2",))
         assert result.models_executed == 1
+        assert result.max_deviation() == 0.0  # batched and oracle: bitwise
+        assert result.points[0].speedup > 0
+        assert "chain:inv:2" in result.summary()
         inverter = context.models.sis_model("INV_X1", "A")
         assert run_sta_scale(context, specs=("chain:inv:2",)).models_executed == 0
         assert context.sis_for("INV_X1") is inverter

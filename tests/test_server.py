@@ -46,6 +46,7 @@ from repro.sta import (
 )
 from repro.sta import netlist as netlist_module
 from repro.sta.engine import WaveformTimingResult
+from repro.sta.hybrid import HybridEngine
 from repro.sta.generate import default_time_window
 from repro.sta.netlist import (
     NETLIST_DIGEST_SALT,
@@ -688,6 +689,110 @@ class TestTimingService:
         assert nldm["ok"] and nldm["stats"]["spills"] == 0, nldm
         csm = service.handle(request)
         assert not csm["ok"] and csm["code"] == "bad-request"
+
+    def test_reply_shapes_and_arrivals_match_direct_runs(self, corner_service):
+        """One reply builder: each engine x corner-list reply has a pinned
+        key set, and every arrival is the direct engine run's
+        ``arrival(net)`` (``None`` where it raises), per corner when
+        corners are set.  Hybrid x corners stays a bad request."""
+        service = corner_service
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        netlist = generate_netlist(service.library, DAG)
+        nets = sorted(netlist.nets())
+        window = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=window, seed=0)
+        events = primary_input_events(netlist, seed=0)
+        corner_set = service._corner_set(("TT", "FF"))
+        envelope = {"ok", "coalesced", "revision", "design_fingerprint", "latency_ms"}
+        shapes = {
+            ("csm", None): {"arrivals", "t_stop", "stats", "waveforms"},
+            ("nldm", None): {"arrivals", "t_stop", "stats", "slews"},
+            ("hybrid", None): {
+                "arrivals", "t_stop", "stats", "waveforms",
+                "exact", "slacks", "csm_fraction", "iterations",
+            },
+            ("csm", ("TT", "FF")): {"arrivals", "t_stop", "stats", "corners", "worst_arrivals"},
+            ("nldm", ("TT", "FF")): {"arrivals", "t_stop", "stats", "corners", "worst_arrivals"},
+        }
+
+        def arrival_or_none(result, net):
+            try:
+                return float(result.arrival(net))
+            except TimingError:
+                return None
+
+        def direct(engine, corners):
+            if engine == "csm":
+                return CSMEngine(
+                    netlist, service.models, options=service.options, corners=corners
+                ).run(waveforms, t_stop=window)
+            if engine == "nldm":
+                return NLDMEngine(netlist, service.models, corners=corners).run(events)
+            return HybridEngine(netlist, service.models, options=service.options).run(
+                waveforms, t_stop=window
+            )
+
+        for (engine, corners), keys in shapes.items():
+            request = {
+                "op": "timing",
+                "session": session,
+                "engine": engine,
+                "seed": 0,
+                "nets": nets,
+                "return_waveforms": True,
+            }
+            if corners:
+                request["corners"] = list(corners)
+            reply = service.handle(request)
+            assert reply["ok"], reply
+            assert set(reply) == envelope | keys | {"engine"}, (engine, corners)
+            assert reply["engine"] == engine
+            assert reply["t_stop"] == (None if engine == "nldm" else window)
+            result = direct(engine, corner_set if corners else None)
+            if corners:
+                assert reply["corners"] == list(corners)
+                for name in corners:
+                    assert reply["arrivals"][name] == {
+                        net: arrival_or_none(result.result(name), net) for net in nets
+                    }
+                assert reply["worst_arrivals"] == {
+                    net: (list(entry) if entry is not None else None)
+                    for net, entry in result.worst_arrivals(nets).items()
+                }
+            else:
+                assert reply["arrivals"] == {
+                    net: arrival_or_none(result, net) for net in nets
+                }
+        refused = service.handle(
+            {
+                "op": "timing",
+                "session": session,
+                "engine": "hybrid",
+                "corners": ["TT", "FF"],
+            }
+        )
+        assert not refused["ok"] and refused["code"] == "bad-request"
+
+    def test_same_level_duplicates_do_not_wait_on_their_own_claim(self, models, tmp_path):
+        """A duplicate of a pending same-level plan is not looked up: under
+        the server's single-flight store that lookup would find the claim
+        the first plan took and wait on it for the whole timeout."""
+        store = PackedStore(tmp_path / "store")
+        service = TimingService(
+            models=models,
+            options=SimulationOptions(time_step=2e-12),
+            store=store,
+            dedupe_wait_timeout=1.0,
+        )
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": "tree:3:2"}}
+        )["session"]
+        reply = service.handle({"op": "timing", "session": session, "seed": 0})
+        assert reply["ok"], reply
+        assert reply["stats"]["duplicates"] == 4
+        assert service.store.dedupe_stats()["waits"] == 0
 
     def test_empty_corner_list_is_a_bad_request(self, service):
         session = service.handle(
